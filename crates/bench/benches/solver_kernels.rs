@@ -8,6 +8,7 @@ use ns_core::field::{Field, FluxField, Patch, PrimField, Workspace};
 use ns_core::kernels::{self, EdgeFlags, FluxDir};
 use ns_core::opcount::FlopLedger;
 use ns_core::scheme::{self, NoHalo, Variant};
+use ns_core::Solver;
 use ns_numerics::gas::Primitive;
 use ns_numerics::Grid;
 
@@ -187,7 +188,32 @@ fn json_ladder() {
             .collect();
         h.measure_interleaved(&format!("prims_flux_sweep/{gname}"), &mut items);
     }
+    whole_step_ladder(&mut h);
     h.write_merged(&ns_bench::output_path()).expect("write BENCH_kernels.json");
+}
+
+/// The rung that decides: one whole `Solver::step` per version on the
+/// paper's 250x100 N-S case — sweeps, predictor/corrector updates and
+/// boundary work together, where the plane-sweep ladder above times the
+/// sweeps alone. Each solver keeps stepping its own jet; the step cost does
+/// not depend on the state.
+fn whole_step_ladder(h: &mut MedianBench) {
+    let solver = |v| {
+        let mut cfg = SolverConfig::paper(Grid::paper(), Regime::NavierStokes);
+        cfg.version = v;
+        let mut s = Solver::new(cfg);
+        s.run(2);
+        s
+    };
+    let flops = solver(Version::V5).ledger.total() as f64 / 2.0;
+    let mut items: Vec<ns_bench::GroupItem> = Version::ALL
+        .iter()
+        .map(|&v| {
+            let mut s = solver(v);
+            ns_bench::GroupItem { id: format!("{v:?}"), flops: Some(flops), f: Box::new(move || s.step()) }
+        })
+        .collect();
+    h.measure_interleaved("whole_step/250x100", &mut items);
 }
 
 criterion_group!(benches, bench_prims, bench_flux, bench_operators);

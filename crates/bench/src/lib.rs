@@ -76,6 +76,9 @@ pub fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
+/// Fewest iterations folded into one timed sample.
+const MIN_ITERS: u64 = 8;
+
 /// One member of a [`MedianBench::measure_interleaved`] group.
 pub struct GroupItem<'a> {
     /// Point id within the group, e.g. `V6`.
@@ -127,10 +130,13 @@ impl MedianBench {
     }
 
     /// Warm up and calibrate: double the batch size until one batch costs
-    /// at least a quarter of the per-sample target.
+    /// at least a quarter of the per-sample target. A batch is never under
+    /// [`MIN_ITERS`]: an interleaved group hands each member the caches the
+    /// previous member left, and with one whole 250x100 solver step per
+    /// sample that cold start was a fifth of the V1 median.
     fn calibrate(f: &mut dyn FnMut(), sample_target: Duration) -> u64 {
         f();
-        let mut iters = 1u64;
+        let mut iters = MIN_ITERS;
         loop {
             let t0 = Instant::now();
             for _ in 0..iters {

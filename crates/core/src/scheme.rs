@@ -21,12 +21,12 @@
 //! that global boundary.
 
 use crate::bc;
-use crate::config::{SchemeOrder, SolverConfig};
+use crate::config::{SchemeOrder, SolverConfig, Version};
 use crate::field::{Field, FluxField, PrimField, Workspace, NG};
 use crate::kernels::{self, EdgeFlags, FluxDir};
-use crate::mms::MmsSources;
 use crate::opcount::{self, FlopLedger};
-use ns_numerics::GasModel;
+use ns_numerics::{Array2, GasModel};
+use std::ops::Range;
 
 /// Which symmetric variant of the predictor/corrector pair to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,7 +122,10 @@ pub fn x_operator(
     // sweep per stage; its phase labels ("x:fused", "x:fused2") replace the
     // separate prims/flux pairs in the telemetry vocabulary. V7 shares the
     // fused shape, running each sweep over the SoA tiled path.
-    let fused = cfg.version >= crate::config::Version::V6;
+    let fused = cfg.version >= Version::V6;
+    // V1/V2 keep the axial-innermost update traversal (V3 = + loop interchange).
+    let strided = cfg.version <= Version::V2;
+    let mms = ws.mms.as_deref().map(|m| &m.sx);
     let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
 
     // --- stage 1: fluxes of Q^n -------------------------------------------
@@ -275,7 +278,10 @@ pub fn x_operator(
     ws.timers.start("x:predict");
     let istart = usize::from(edges.left);
     let iend = nxl - usize::from(edges.right);
-    predictor_x(variant, field, &ws.flux, &mut ws.qbar, ws.mms.as_deref(), istart, iend, nr, lam, dt, cfg, ledger);
+    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
+    let up = Update { dir: FluxDir::X, st, flux: &ws.flux, src: None, mms, irange: istart..iend, nj: nr };
+    predict(&up, field, &mut ws.qbar, strided);
+    ledger.update += up.flops(opcount::COST_PREDICTOR);
     if edges.left {
         match &cfg.mms {
             Some(spec) => crate::mms::dirichlet_column(&mut ws.qbar, spec, gas, 0),
@@ -452,7 +458,11 @@ pub fn x_operator(
 
     // --- corrector ----------------------------------------------------------
     ws.timers.start("x:correct");
-    corrector_x(variant, field, &ws.qbar, &ws.flux_bar, ws.mms.as_deref(), istart, iend, nr, lam, dt, cfg, ledger);
+    // corrector difference runs opposite to the predictor
+    let st = Stencil { forward: !st.forward, ..st };
+    let up = Update { dir: FluxDir::X, st, flux: &ws.flux_bar, src: None, mms, irange: istart..iend, nj: nr };
+    correct(&up, field, &ws.qbar, strided);
+    ledger.update += up.flops(opcount::COST_CORRECTOR);
 
     if edges.left {
         match &cfg.mms {
@@ -499,7 +509,9 @@ pub fn r_operator(
     // patches that do not own it update every owned row.
     let jend = nr - usize::from(edges.top);
 
-    let fused = cfg.version >= crate::config::Version::V6;
+    let fused = cfg.version >= Version::V6;
+    let strided = cfg.version <= Version::V2;
+    let mms = ws.mms.as_deref().map(|m| &m.sr);
 
     // --- stage 1 -------------------------------------------------------------
     if fused {
@@ -556,10 +568,10 @@ pub fn r_operator(
 
     // --- predictor -------------------------------------------------------------
     ws.timers.start("r:predict");
-    {
-        let Workspace { flux, src, qbar, mms, .. } = ws;
-        predictor_r(variant, field, flux, src, mms.as_deref(), qbar, nxl, jend, lam, dt, cfg, ledger);
-    }
+    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
+    let up = Update { dir: FluxDir::R, st, flux: &ws.flux, src: Some(&ws.src), mms, irange: 0..nxl, nj: jend };
+    predict(&up, field, &mut ws.qbar, strided);
+    ledger.update += up.flops(opcount::COST_PREDICTOR);
     if edges.top {
         for i in 0..nxl {
             ws.qbar.set_qvec(i, nr - 1, field.qvec(i, nr - 1));
@@ -619,10 +631,10 @@ pub fn r_operator(
 
     // --- corrector -------------------------------------------------------------
     ws.timers.start("r:correct");
-    {
-        let Workspace { flux_bar, src_bar, qbar, mms, .. } = ws;
-        corrector_r(variant, field, qbar, flux_bar, src_bar, mms.as_deref(), nxl, jend, lam, dt, cfg, ledger);
-    }
+    let st = Stencil { forward: !st.forward, ..st };
+    let up = Update { dir: FluxDir::R, st, flux: &ws.flux_bar, src: Some(&ws.src_bar), mms, irange: 0..nxl, nj: jend };
+    correct(&up, field, &ws.qbar, strided);
+    ledger.update += up.flops(opcount::COST_CORRECTOR);
 
     // Under MMS the top row keeps its exact manufactured data (the sweep
     // above stops at nr-2); the far-field model is a jet boundary condition.
@@ -632,218 +644,247 @@ pub fn r_operator(
     ws.timers.pause();
 }
 
-/// One-sided flux difference in x at `(i, j)` (signed local indices),
-/// scaled so that multiplying by `dt / (6 h)` yields the update: the 2-4
-/// stencil natively, the 2-2 stencil scaled by 6.
+/// Constants of one predictor or corrector pass.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stencil {
+    /// Difference towards increasing index (`k, k+1, k+2`), else decreasing.
+    pub forward: bool,
+    /// 2-4 or 2-2 one-sided difference.
+    pub order: SchemeOrder,
+    /// `dt / (6 h)`.
+    pub lam: f64,
+    /// Time step (scales the source and forcing terms).
+    pub dt: f64,
+}
+
+impl Stencil {
+    /// One-sided flux difference from `a = f[k]`, `b = f[k±1]`, `c = f[k±2]`,
+    /// scaled so that multiplying by `dt / (6 h)` yields the update: the 2-4
+    /// stencil natively, the 2-2 stencil scaled by 6.
+    #[inline(always)]
+    fn one_sided(&self, a: f64, b: f64, c: f64) -> f64 {
+        match (self.order, self.forward) {
+            (SchemeOrder::TwoFour, true) => 7.0 * (b - a) - (c - b),
+            (SchemeOrder::TwoFour, false) => 7.0 * (a - b) - (b - c),
+            (SchemeOrder::TwoTwo, true) => 6.0 * (b - a),
+            (SchemeOrder::TwoTwo, false) => 6.0 * (a - b),
+        }
+    }
+
+    /// `head - lam d [+ sc] [+ dt m]`, left to right: the one expression tree
+    /// every update evaluates (`head = q` in the predictor, `q + qbar` in the
+    /// corrector, which then halves the result). No `mul_add`, no
+    /// reassociation — the goldens pin these bits.
+    #[inline(always)]
+    fn element(&self, head: f64, [a, b, c]: [f64; 3], sc: Option<f64>, m: Option<f64>) -> f64 {
+        let mut v = head - self.lam * self.one_sided(a, b, c);
+        if let Some(sc) = sc {
+            v += sc;
+        }
+        if let Some(m) = m {
+            v += self.dt * m;
+        }
+        v
+    }
+}
+
+/// The geometric source term of one component row.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Src<'a> {
+    /// Axial operator: no term.
+    None,
+    /// Radial operator, components 0, 1 and 3: a literal `+ 0.0`. It stays
+    /// because `x + 0.0` turns `-0.0` into `+0.0`; dropping it moves bits.
+    Zero,
+    /// Radial operator, component 2: `+ dt * s`.
+    Row(&'a [f64]),
+}
+
+impl Src<'_> {
+    #[inline(always)]
+    fn term(&self, k: usize, dt: f64) -> Option<f64> {
+        match self {
+            Src::None => None,
+            Src::Zero => Some(0.0),
+            Src::Row(s) => Some(dt * s[k]),
+        }
+    }
+}
+
+/// Read-only operands of one component row's update, every slice starting
+/// at the first updated point (longer is fine, the kernels cut them).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Row<'a> {
+    /// Base row `q` (predictor) or predictor-state row `qbar` (corrector).
+    pub q: &'a [f64],
+    /// Flux slices `f[k]`, `f[k±1]`, `f[k±2]`: three rows for the axial
+    /// difference, three shifted windows of one row for the radial one.
+    pub f: [&'a [f64]; 3],
+    /// Stencil and step-size constants.
+    pub st: Stencil,
+    /// Geometric source term.
+    pub src: Src<'a>,
+    /// MMS forcing row (verification runs only).
+    pub mms: Option<&'a [f64]>,
+}
+
+/// The loop both row kernels share: `out[k] = element(q[k], ...)` in the
+/// predictor, `out[k] = 0.5 element(out[k] + q[k], ...)` in the in-place
+/// corrector. Every operand is cut to `out.len()` up front, so the loop runs
+/// over plain slices of one known length.
 #[inline(always)]
-fn dflux_x(flux: &FluxField, c: usize, i: isize, j: isize, forward: bool, order: SchemeOrder) -> f64 {
-    match (order, forward) {
-        (SchemeOrder::TwoFour, true) => {
-            7.0 * (flux.at(c, i + 1, j) - flux.at(c, i, j)) - (flux.at(c, i + 2, j) - flux.at(c, i + 1, j))
-        }
-        (SchemeOrder::TwoFour, false) => {
-            7.0 * (flux.at(c, i, j) - flux.at(c, i - 1, j)) - (flux.at(c, i - 1, j) - flux.at(c, i - 2, j))
-        }
-        (SchemeOrder::TwoTwo, true) => 6.0 * (flux.at(c, i + 1, j) - flux.at(c, i, j)),
-        (SchemeOrder::TwoTwo, false) => 6.0 * (flux.at(c, i, j) - flux.at(c, i - 1, j)),
+fn row_loop<const CORRECT: bool>(out: &mut [f64], r: Row) {
+    let n = out.len();
+    let (q, [a, b, c], mms) = (&r.q[..n], r.f.map(|s| &s[..n]), r.mms.map(|m| &m[..n]));
+    let src = if let Src::Row(s) = r.src { Src::Row(&s[..n]) } else { r.src };
+    for (k, o) in out.iter_mut().enumerate() {
+        let head = if CORRECT { *o + q[k] } else { q[k] };
+        let v = r.st.element(head, [a[k], b[k], c[k]], src.term(k, r.st.dt), mms.map(|m| m[k]));
+        *o = if CORRECT { 0.5 * v } else { v };
     }
 }
 
-/// One-sided flux difference in r at `(i, j)` (same scaling convention).
+/// [`row_loop`] once per source shape, the shape re-stated as a constant.
+/// The MMS arm is verification-only and stays as the optimiser leaves it.
 #[inline(always)]
-fn dflux_r(flux: &FluxField, c: usize, i: isize, j: isize, forward: bool, order: SchemeOrder) -> f64 {
-    match (order, forward) {
-        (SchemeOrder::TwoFour, true) => {
-            7.0 * (flux.at(c, i, j + 1) - flux.at(c, i, j)) - (flux.at(c, i, j + 2) - flux.at(c, i, j + 1))
-        }
-        (SchemeOrder::TwoFour, false) => {
-            7.0 * (flux.at(c, i, j) - flux.at(c, i, j - 1)) - (flux.at(c, i, j - 1) - flux.at(c, i, j - 2))
-        }
-        (SchemeOrder::TwoTwo, true) => 6.0 * (flux.at(c, i, j + 1) - flux.at(c, i, j)),
-        (SchemeOrder::TwoTwo, false) => 6.0 * (flux.at(c, i, j) - flux.at(c, i, j - 1)),
+fn row_by_source<const CORRECT: bool>(out: &mut [f64], r: Row) {
+    match (r.src, r.mms) {
+        (Src::None, None) => row_loop::<CORRECT>(out, Row { src: Src::None, mms: None, ..r }),
+        (Src::Zero, None) => row_loop::<CORRECT>(out, Row { src: Src::Zero, mms: None, ..r }),
+        (Src::Row(s), None) => row_loop::<CORRECT>(out, Row { src: Src::Row(s), mms: None, ..r }),
+        (_, Some(_)) => row_loop::<CORRECT>(out, r),
     }
 }
 
-/// Iterate a 2-D index range in the version's preferred loop order
-/// (axial-innermost for V1/V2, radial-innermost for V3+).
+/// [`row_loop`] once per loop-invariant choice: each arm re-states its choice
+/// as a constant, so the inlined loop body is branch-free and vectorises.
+/// Left to itself LLVM unswitches two of the five conditions and keeps the
+/// rest as per-element branches, which stays scalar.
 #[inline(always)]
-fn sweep(
-    cfg: &SolverConfig,
-    irange: std::ops::Range<usize>,
-    jrange: std::ops::Range<usize>,
-    mut body: impl FnMut(usize, usize),
-) {
-    if cfg.version <= crate::config::Version::V2 {
-        for j in jrange {
-            for i in irange.clone() {
-                body(i, j);
+fn row_kernel<const CORRECT: bool>(out: &mut [f64], r: Row) {
+    use SchemeOrder::{TwoFour, TwoTwo};
+    let with = |order, forward| Row { st: Stencil { order, forward, ..r.st }, ..r };
+    match (r.st.order, r.st.forward) {
+        (TwoFour, true) => row_by_source::<CORRECT>(out, with(TwoFour, true)),
+        (TwoFour, false) => row_by_source::<CORRECT>(out, with(TwoFour, false)),
+        (TwoTwo, true) => row_by_source::<CORRECT>(out, with(TwoTwo, true)),
+        (TwoTwo, false) => row_by_source::<CORRECT>(out, with(TwoTwo, false)),
+    }
+}
+
+/// Predictor over one component row: `out[k] = q[k] - lam d_k [+ sc] [+ dt m]`
+/// with `d_k` the one-sided difference of `f[0][k], f[1][k], f[2][k]`.
+pub(crate) fn predict_row(out: &mut [f64], r: Row) {
+    row_kernel::<false>(out, r);
+}
+
+/// Corrector over one component row, in place:
+/// `q[k] = 0.5 (q[k] + qbar[k] - lam d_k [+ sc] [+ dt m])`.
+pub(crate) fn correct_row(q: &mut [f64], r: Row) {
+    row_kernel::<true>(q, r);
+}
+
+/// One predictor or corrector pass over the window `irange x [0, nj)`; cells
+/// outside it (ghosts, frozen outflow column, far-field row) are not written.
+pub(crate) struct Update<'a> {
+    /// Direction of the one-sided difference.
+    pub dir: FluxDir,
+    /// Stencil and step-size constants.
+    pub st: Stencil,
+    /// Flux planes being differenced.
+    pub flux: &'a FluxField,
+    /// Radial source plane (radial operator only).
+    pub src: Option<&'a Array2>,
+    /// MMS forcing planes of this operator (verification runs only).
+    pub mms: Option<&'a [Array2; 4]>,
+    /// Owned axial columns updated.
+    pub irange: Range<usize>,
+    /// Number of radial rows updated, from row 0.
+    pub nj: usize,
+}
+
+impl Update<'_> {
+    /// Raw-index step `(di, dj)` from `f[k]` to `f[k±1]`.
+    #[inline(always)]
+    fn step(&self) -> (isize, isize) {
+        let s = if self.st.forward { 1 } else { -1 };
+        match self.dir {
+            FluxDir::X => (s, 0),
+            FluxDir::R => (0, s),
+        }
+    }
+
+    /// Operands of component `c` on raw row `ii`, with `other` the plane of
+    /// the base (predictor) or predictor (corrector) state.
+    pub(crate) fn row<'a>(&'a self, c: usize, ii: usize, other: &'a Array2) -> Row<'a> {
+        let (di, dj) = self.step();
+        let fc = &self.flux.c[c];
+        let f = |k: isize| &fc.row((ii as isize + k * di) as usize)[(NG as isize + k * dj) as usize..];
+        let src = match self.src {
+            None => Src::None,
+            Some(s) if c == 2 => Src::Row(&s.row(ii)[NG..]),
+            Some(_) => Src::Zero,
+        };
+        Row {
+            q: &other.row(ii)[NG..],
+            f: [f(0), f(1), f(2)],
+            st: self.st,
+            src,
+            mms: self.mms.map(|m| &m[c].row(ii)[NG..]),
+        }
+    }
+
+    /// FLOPs of the pass at `per_point` for the bare update; the radial
+    /// source adds a multiply and an add.
+    pub(crate) fn flops(&self, per_point: u64) -> u64 {
+        (self.irange.len() * self.nj) as u64 * (per_point + if self.src.is_some() { 2 } else { 0 })
+    }
+
+    /// [`Stencil::element`] at raw point `(ii, jj)`, for the strided path.
+    #[inline(always)]
+    fn point(&self, c: usize, ii: usize, jj: usize, head: f64) -> f64 {
+        let (di, dj) = self.step();
+        let fc = &self.flux.c[c];
+        let f = |k: isize| fc.at((ii as isize + k * di) as usize, (jj as isize + k * dj) as usize);
+        let sc = self.src.map(|s| if c == 2 { self.st.dt * s.at(ii, jj) } else { 0.0 });
+        self.st.element(head, [f(0), f(1), f(2)], sc, self.mms.map(|m| m[c].at(ii, jj)))
+    }
+
+    /// Run the pass: `out = other - lam d + ...` (predictor) or, with
+    /// `CORRECT`, `out = 0.5 (out + other - lam d + ...)` in place. `strided`
+    /// is the V1/V2 traversal — axial index innermost, stride `nj`, which
+    /// *is* those rungs — through the same element formula; V3+ go row by
+    /// row through the row kernels, one component plane at a time.
+    fn run<const CORRECT: bool>(&self, out: &mut Field, other: &Field, strided: bool) {
+        if strided {
+            for jj in NG..self.nj + NG {
+                for ii in self.irange.start + NG..self.irange.end + NG {
+                    for c in 0..4 {
+                        let q = other.q[c].at(ii, jj);
+                        let head = if CORRECT { out.q[c].at(ii, jj) + q } else { q };
+                        let v = self.point(c, ii, jj, head);
+                        out.q[c].set(ii, jj, if CORRECT { 0.5 * v } else { v });
+                    }
+                }
+            }
+            return;
+        }
+        for c in 0..4 {
+            for ii in self.irange.start + NG..self.irange.end + NG {
+                row_kernel::<CORRECT>(&mut out.q[c].row_mut(ii)[NG..NG + self.nj], self.row(c, ii, &other.q[c]));
             }
         }
-    } else {
-        for i in irange {
-            for j in jrange.clone() {
-                body(i, j);
-            }
-        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn predictor_x(
-    variant: Variant,
-    field: &Field,
-    flux: &FluxField,
-    qbar: &mut Field,
-    mms: Option<&MmsSources>,
-    istart: usize,
-    iend: usize,
-    nr: usize,
-    lam: f64,
-    dt: f64,
-    cfg: &SolverConfig,
-    ledger: &mut FlopLedger,
-) {
-    let forward = variant == Variant::L1;
-    // The MMS branch is hoisted out of the sweep so production runs take the
-    // original loop body untouched (bitwise and performance neutral).
-    match mms {
-        None => sweep(cfg, istart..iend, 0..nr, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            for c in 0..4 {
-                let d = dflux_x(flux, c, si, sj, forward, cfg.scheme);
-                qbar.set(c, si, sj, field.at(c, si, sj) - lam * d);
-            }
-        }),
-        Some(m) => sweep(cfg, istart..iend, 0..nr, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            for c in 0..4 {
-                let d = dflux_x(flux, c, si, sj, forward, cfg.scheme);
-                qbar.set(c, si, sj, field.at(c, si, sj) - lam * d + dt * m.sx[c].at(i + NG, j + NG));
-            }
-        }),
-    }
-    ledger.update += ((iend - istart) * nr) as u64 * opcount::COST_PREDICTOR;
+/// Predictor pass `out = base - lam d + ...` (see [`Update::run`]).
+pub(crate) fn predict(up: &Update, base: &Field, out: &mut Field, strided: bool) {
+    up.run::<false>(out, base, strided);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn corrector_x(
-    variant: Variant,
-    field: &mut Field,
-    qbar: &Field,
-    flux_bar: &FluxField,
-    mms: Option<&MmsSources>,
-    istart: usize,
-    iend: usize,
-    nr: usize,
-    lam: f64,
-    dt: f64,
-    cfg: &SolverConfig,
-    ledger: &mut FlopLedger,
-) {
-    // corrector difference runs opposite to the predictor
-    let forward = variant == Variant::L2;
-    match mms {
-        None => sweep(cfg, istart..iend, 0..nr, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            for c in 0..4 {
-                let d = dflux_x(flux_bar, c, si, sj, forward, cfg.scheme);
-                let v = 0.5 * (field.at(c, si, sj) + qbar.at(c, si, sj) - lam * d);
-                field.set(c, si, sj, v);
-            }
-        }),
-        Some(m) => sweep(cfg, istart..iend, 0..nr, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            for c in 0..4 {
-                let d = dflux_x(flux_bar, c, si, sj, forward, cfg.scheme);
-                let v = 0.5 * (field.at(c, si, sj) + qbar.at(c, si, sj) - lam * d + dt * m.sx[c].at(i + NG, j + NG));
-                field.set(c, si, sj, v);
-            }
-        }),
-    }
-    ledger.update += ((iend - istart) * nr) as u64 * opcount::COST_CORRECTOR;
-}
-
-#[allow(clippy::too_many_arguments)]
-fn predictor_r(
-    variant: Variant,
-    field: &Field,
-    flux: &FluxField,
-    src: &ns_numerics::Array2,
-    mms: Option<&MmsSources>,
-    qbar: &mut Field,
-    nxl: usize,
-    jend: usize,
-    lam: f64,
-    dt: f64,
-    cfg: &SolverConfig,
-    ledger: &mut FlopLedger,
-) {
-    let forward = variant == Variant::L1;
-    // `jend` excludes the far-field row on the patch that owns it (the BC
-    // rebuilds that row); interior pencils update every owned row.
-    match mms {
-        None => sweep(cfg, 0..nxl, 0..jend, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            let s = src.at(i + NG, j + NG);
-            for c in 0..4 {
-                let d = dflux_r(flux, c, si, sj, forward, cfg.scheme);
-                let sc = if c == 2 { dt * s } else { 0.0 };
-                qbar.set(c, si, sj, field.at(c, si, sj) - lam * d + sc);
-            }
-        }),
-        Some(m) => sweep(cfg, 0..nxl, 0..jend, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            let s = src.at(i + NG, j + NG);
-            for c in 0..4 {
-                let d = dflux_r(flux, c, si, sj, forward, cfg.scheme);
-                let sc = if c == 2 { dt * s } else { 0.0 };
-                qbar.set(c, si, sj, field.at(c, si, sj) - lam * d + sc + dt * m.sr[c].at(i + NG, j + NG));
-            }
-        }),
-    }
-    ledger.update += (nxl * jend) as u64 * (opcount::COST_PREDICTOR + 2);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn corrector_r(
-    variant: Variant,
-    field: &mut Field,
-    qbar: &Field,
-    flux_bar: &FluxField,
-    src_bar: &ns_numerics::Array2,
-    mms: Option<&MmsSources>,
-    nxl: usize,
-    jend: usize,
-    lam: f64,
-    dt: f64,
-    cfg: &SolverConfig,
-    ledger: &mut FlopLedger,
-) {
-    let forward = variant == Variant::L2;
-    match mms {
-        None => sweep(cfg, 0..nxl, 0..jend, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            let s = src_bar.at(i + NG, j + NG);
-            for c in 0..4 {
-                let d = dflux_r(flux_bar, c, si, sj, forward, cfg.scheme);
-                let sc = if c == 2 { dt * s } else { 0.0 };
-                let v = 0.5 * (field.at(c, si, sj) + qbar.at(c, si, sj) - lam * d + sc);
-                field.set(c, si, sj, v);
-            }
-        }),
-        Some(m) => sweep(cfg, 0..nxl, 0..jend, |i, j| {
-            let (si, sj) = (i as isize, j as isize);
-            let s = src_bar.at(i + NG, j + NG);
-            for c in 0..4 {
-                let d = dflux_r(flux_bar, c, si, sj, forward, cfg.scheme);
-                let sc = if c == 2 { dt * s } else { 0.0 };
-                let v =
-                    0.5 * (field.at(c, si, sj) + qbar.at(c, si, sj) - lam * d + sc + dt * m.sr[c].at(i + NG, j + NG));
-                field.set(c, si, sj, v);
-            }
-        }),
-    }
-    ledger.update += (nxl * jend) as u64 * (opcount::COST_CORRECTOR + 2);
+/// Corrector pass `field = 0.5 (field + qbar - lam d + ...)`, in place.
+pub(crate) fn correct(up: &Update, field: &mut Field, qbar: &Field, strided: bool) {
+    up.run::<true>(field, qbar, strided);
 }
 
 #[cfg(test)]
@@ -853,6 +894,7 @@ mod tests {
     use crate::field::Patch;
     use ns_numerics::gas::Primitive;
     use ns_numerics::Grid;
+    use proptest::prelude::*;
 
     fn uniform_setup(regime: Regime) -> (SolverConfig, GasModel, Field, Workspace) {
         let mut cfg = SolverConfig::paper(Grid::small(), regime);
@@ -939,7 +981,7 @@ mod tests {
     /// The predictor of L1 must be the mirror of L2 on a linear flux field.
     #[test]
     fn l1_l2_flux_differences_are_symmetric() {
-        let (cfg, _gas, field, _ws) = uniform_setup(Regime::Euler);
+        let (_cfg, _gas, field, _ws) = uniform_setup(Regime::Euler);
         let patch = field.patch.clone();
         let mut flux = FluxField::zeros(&patch);
         // flux linear in i: one-sided differences must agree exactly
@@ -950,11 +992,285 @@ mod tests {
                 }
             }
         }
-        let f = dflux_x(&flux, 0, 5, 3, true, SchemeOrder::TwoFour);
-        let b = dflux_x(&flux, 0, 5, 3, false, SchemeOrder::TwoFour);
+        let diff = |forward| {
+            let st = Stencil { forward, order: SchemeOrder::TwoFour, lam: 1.0, dt: 1.0 };
+            let up = Update { dir: FluxDir::X, st, flux: &flux, src: None, mms: None, irange: 0..patch.nxl, nj: 1 };
+            let [a, b, c] = up.row(0, 5 + NG, &flux.c[0]).f.map(|s| s[3]);
+            st.one_sided(a, b, c)
+        };
+        let (f, b) = (diff(true), diff(false));
         assert!((f - b).abs() < 1e-12);
         assert!((f - 18.0).abs() < 1e-12, "7*3 - 3 = 18 per unit");
-        let _ = cfg;
+    }
+
+    // --- row kernels against the per-point loops they replaced --------------
+
+    /// A quiet NaN with a payload. One pattern only: where two NaNs meet in
+    /// an add the surviving payload follows the operand order, which the
+    /// compiler may commute, so distinct payloads would test the register
+    /// allocator rather than the kernels.
+    const SENTINEL: u64 = 0x7ff8_dead_beef_0001;
+
+    /// SplitMix64 over the bit patterns a careless rewrite disturbs.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn value(&mut self) -> f64 {
+            match self.next() % 16 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::from_bits(1 + self.next() % 4096),
+                3 => -f64::from_bits(1 + self.next() % 4096),
+                4 => f64::from_bits(SENTINEL),
+                _ => 4.0 * self.unit() - 2.0,
+            }
+        }
+
+        fn fill(&mut self, planes: &mut [Array2]) {
+            for v in planes.iter_mut().flat_map(|a| a.as_mut_slice()) {
+                *v = self.value();
+            }
+        }
+    }
+
+    /// Inputs of one update pass, ghosts included.
+    struct Planes {
+        field: Field,
+        qbar: Field,
+        flux: FluxField,
+        src: Array2,
+        mms: [Array2; 4],
+    }
+
+    impl Planes {
+        fn random(nx: usize, nr: usize, mix: &mut Mix) -> Self {
+            let patch = Patch::whole(Grid::new(nx, nr, 10.0, 2.0));
+            let mut p = Planes {
+                field: Field::zeros(patch.clone()),
+                qbar: Field::zeros(patch.clone()),
+                flux: FluxField::zeros(&patch),
+                src: Array2::zeros(nx + 2 * NG, nr + 2 * NG),
+                mms: std::array::from_fn(|_| Array2::zeros(nx + 2 * NG, nr + 2 * NG)),
+            };
+            mix.fill(&mut p.field.q);
+            mix.fill(&mut p.qbar.q);
+            mix.fill(&mut p.flux.c);
+            mix.fill(std::slice::from_mut(&mut p.src));
+            mix.fill(&mut p.mms);
+            p
+        }
+
+        fn update(&self, dir: FluxDir, st: Stencil, mms: bool, irange: Range<usize>, nj: usize) -> Update<'_> {
+            let src = (dir == FluxDir::R).then_some(&self.src);
+            Update { dir, st, flux: &self.flux, src, mms: mms.then_some(&self.mms), irange, nj }
+        }
+    }
+
+    /// The one-sided differences exactly as `dflux_x` / `dflux_r` wrote them.
+    fn ref_dflux(up: &Update, c: usize, i: isize, j: isize) -> f64 {
+        let f = up.flux;
+        match (up.dir, up.st.order, up.st.forward) {
+            (FluxDir::X, SchemeOrder::TwoFour, true) => {
+                7.0 * (f.at(c, i + 1, j) - f.at(c, i, j)) - (f.at(c, i + 2, j) - f.at(c, i + 1, j))
+            }
+            (FluxDir::X, SchemeOrder::TwoFour, false) => {
+                7.0 * (f.at(c, i, j) - f.at(c, i - 1, j)) - (f.at(c, i - 1, j) - f.at(c, i - 2, j))
+            }
+            (FluxDir::X, SchemeOrder::TwoTwo, true) => 6.0 * (f.at(c, i + 1, j) - f.at(c, i, j)),
+            (FluxDir::X, SchemeOrder::TwoTwo, false) => 6.0 * (f.at(c, i, j) - f.at(c, i - 1, j)),
+            (FluxDir::R, SchemeOrder::TwoFour, true) => {
+                7.0 * (f.at(c, i, j + 1) - f.at(c, i, j)) - (f.at(c, i, j + 2) - f.at(c, i, j + 1))
+            }
+            (FluxDir::R, SchemeOrder::TwoFour, false) => {
+                7.0 * (f.at(c, i, j) - f.at(c, i, j - 1)) - (f.at(c, i, j - 1) - f.at(c, i, j - 2))
+            }
+            (FluxDir::R, SchemeOrder::TwoTwo, true) => 6.0 * (f.at(c, i, j + 1) - f.at(c, i, j)),
+            (FluxDir::R, SchemeOrder::TwoTwo, false) => 6.0 * (f.at(c, i, j) - f.at(c, i, j - 1)),
+        }
+    }
+
+    /// The four predictor loop bodies (axial/radial, MMS off/on) through the
+    /// per-point accessors, expression for expression.
+    fn ref_predict(up: &Update, field: &Field, qbar: &mut Field) {
+        let (lam, dt) = (up.st.lam, up.st.dt);
+        for i in up.irange.clone() {
+            for j in 0..up.nj {
+                let (si, sj) = (i as isize, j as isize);
+                for c in 0..4 {
+                    let d = ref_dflux(up, c, si, sj);
+                    let sc = up.src.map(|s| if c == 2 { dt * s.at(i + NG, j + NG) } else { 0.0 });
+                    let v = match (sc, up.mms) {
+                        (None, None) => field.at(c, si, sj) - lam * d,
+                        (None, Some(m)) => field.at(c, si, sj) - lam * d + dt * m[c].at(i + NG, j + NG),
+                        (Some(sc), None) => field.at(c, si, sj) - lam * d + sc,
+                        (Some(sc), Some(m)) => field.at(c, si, sj) - lam * d + sc + dt * m[c].at(i + NG, j + NG),
+                    };
+                    qbar.set(c, si, sj, v);
+                }
+            }
+        }
+    }
+
+    /// The four corrector loop bodies, likewise.
+    fn ref_correct(up: &Update, field: &mut Field, qbar: &Field) {
+        let (lam, dt) = (up.st.lam, up.st.dt);
+        for i in up.irange.clone() {
+            for j in 0..up.nj {
+                let (si, sj) = (i as isize, j as isize);
+                for c in 0..4 {
+                    let d = ref_dflux(up, c, si, sj);
+                    let sc = up.src.map(|s| if c == 2 { dt * s.at(i + NG, j + NG) } else { 0.0 });
+                    let (q, qb) = (field.at(c, si, sj), qbar.at(c, si, sj));
+                    let v = match (sc, up.mms) {
+                        (None, None) => 0.5 * (q + qb - lam * d),
+                        (None, Some(m)) => 0.5 * (q + qb - lam * d + dt * m[c].at(i + NG, j + NG)),
+                        (Some(sc), None) => 0.5 * (q + qb - lam * d + sc),
+                        (Some(sc), Some(m)) => 0.5 * (q + qb - lam * d + sc + dt * m[c].at(i + NG, j + NG)),
+                    };
+                    field.set(c, si, sj, v);
+                }
+            }
+        }
+    }
+
+    fn bits(f: &Field) -> Vec<u64> {
+        f.q.iter().flat_map(|a| a.as_slice()).map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Both passes write the bits the old per-point loops wrote, on all
+        /// four planes with ghosts, whatever the shape, window, direction,
+        /// variant, order, forcing and traversal. (The regime never reaches
+        /// an update pass: it only decides what the flux planes hold.)
+        #[test]
+        fn update_passes_match_per_point_reference_bitwise(
+            nx in 5usize..40, nr in 5usize..33, seed in 0u64..u64::MAX,
+            radial in prop::bool::ANY, forward in prop::bool::ANY, two_four in prop::bool::ANY,
+            mms in prop::bool::ANY, strided in prop::bool::ANY,
+        ) {
+            let mut mix = Mix(seed);
+            let p = Planes::random(nx, nr, &mut mix);
+            let order = if two_four { SchemeOrder::TwoFour } else { SchemeOrder::TwoTwo };
+            let st = Stencil { forward, order, lam: 0.01 + mix.unit(), dt: 0.001 + 0.1 * mix.unit() };
+            // every owned-edge combination a rank can have
+            let irange = (mix.next() % 2) as usize..nx - (mix.next() % 2) as usize;
+            let nj = nr - (mix.next() % 2) as usize;
+            let up = p.update(if radial { FluxDir::R } else { FluxDir::X }, st, mms, irange, nj);
+
+            let (mut got, mut want) = (p.qbar.clone(), p.qbar.clone());
+            predict(&up, &p.field, &mut got, strided);
+            ref_predict(&up, &p.field, &mut want);
+            prop_assert_eq!(bits(&got), bits(&want), "predictor");
+
+            let (mut got, mut want) = (p.field.clone(), p.field.clone());
+            correct(&up, &mut got, &p.qbar, strided);
+            ref_correct(&up, &mut want, &p.qbar);
+            prop_assert_eq!(bits(&got), bits(&want), "corrector");
+        }
+    }
+
+    /// `-0.0 + 0.0 = +0.0`: with a vanishing flux difference and a `-0.0`
+    /// state the radial update (which adds a literal `0.0` to components 0,
+    /// 1, 3 and `dt * 0.0` to component 2) must flip the sign bit and the
+    /// axial update (which adds nothing) must keep it.
+    #[test]
+    fn radial_update_keeps_its_literal_zero_add() {
+        let mut p = Planes::random(9, 7, &mut Mix(1));
+        for plane in p.field.q.iter_mut().chain(&mut p.qbar.q) {
+            plane.fill(-0.0);
+        }
+        p.flux.c.iter_mut().for_each(|a| a.fill(1.0));
+        p.src.fill(0.0);
+        let st = Stencil { forward: true, order: SchemeOrder::TwoFour, lam: 0.3, dt: 0.01 };
+        for (dir, want) in [(FluxDir::X, -0.0_f64), (FluxDir::R, 0.0)] {
+            for strided in [false, true] {
+                let up = p.update(dir, st, false, 0..9, 7);
+                let (mut pred, mut corr) = (p.qbar.clone(), p.field.clone());
+                predict(&up, &p.field, &mut pred, strided);
+                correct(&up, &mut corr, &p.qbar, strided);
+                for c in 0..4 {
+                    for f in [&pred, &corr] {
+                        assert_eq!(f.at(c, 4, 3).to_bits(), want.to_bits(), "{dir:?} c={c} strided={strided}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cells outside the update window — ghost layers, the frozen outflow
+    /// column, the far-field row — are never written: a NaN payload planted
+    /// there survives each of the four updates bit for bit.
+    #[test]
+    fn updates_leave_cells_outside_the_window_untouched() {
+        let (nx, nr) = (11, 9);
+        let mut p = Planes::random(nx, nr, &mut Mix(2));
+        for plane in p.field.q.iter_mut().chain(&mut p.qbar.q).chain(&mut p.flux.c).chain(&mut p.mms) {
+            plane.fill(1.25);
+        }
+        p.src.fill(1.25);
+        let st = Stencil { forward: false, order: SchemeOrder::TwoFour, lam: 0.3, dt: 0.01 };
+        // the serial windows: inflow and outflow columns frozen in x, the
+        // far-field row frozen in r
+        for (dir, irange, nj) in [(FluxDir::X, 1..nx - 1, nr), (FluxDir::R, 0..nx, nr - 1)] {
+            for (strided, corrector) in [(false, false), (false, true), (true, false), (true, true)] {
+                let up = p.update(dir, st, true, irange.clone(), nj);
+                let inside = |ii: usize, jj: usize| {
+                    (irange.start + NG..irange.end + NG).contains(&ii) && (NG..nj + NG).contains(&jj)
+                };
+                let mut out = Field::zeros(p.field.patch.clone());
+                for plane in &mut out.q {
+                    *plane = Array2::from_fn(nx + 2 * NG, nr + 2 * NG, |ii, jj| {
+                        if inside(ii, jj) {
+                            1.0
+                        } else {
+                            f64::from_bits(SENTINEL)
+                        }
+                    });
+                }
+                if corrector {
+                    correct(&up, &mut out, &p.qbar, strided);
+                } else {
+                    predict(&up, &p.field, &mut out, strided);
+                }
+                for (c, plane) in out.q.iter().enumerate() {
+                    for ii in 0..nx + 2 * NG {
+                        for jj in 0..nr + 2 * NG {
+                            let planted = plane.at(ii, jj).to_bits() == SENTINEL;
+                            assert_eq!(planted, !inside(ii, jj), "{dir:?} c={c} ({ii},{jj}) strided={strided}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// V2 (strided update) and V3 (row kernels) differ by loop order alone,
+    /// so whole steps must agree bit for bit, ghosts included.
+    #[test]
+    fn strided_and_row_traversals_give_identical_steps() {
+        for regime in [Regime::Euler, Regime::NavierStokes] {
+            let run = |version| {
+                let mut cfg = SolverConfig::paper(Grid::small(), regime);
+                cfg.version = version;
+                let mut s = crate::driver::Solver::new(cfg);
+                s.run(20);
+                bits(&s.field)
+            };
+            assert_eq!(run(Version::V2), run(Version::V3), "{regime:?}");
+        }
     }
 
     // The cross-version equivalence tests (V1..V5 truncation-level, V5/V6

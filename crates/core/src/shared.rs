@@ -20,7 +20,7 @@ use crate::field::{Field, FluxField, Patch, PrimField, Workspace, NG};
 use crate::kernels::{EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
 use crate::physics;
-use crate::scheme::Variant;
+use crate::scheme::{correct_row, predict_row, Stencil, Update, Variant};
 use ns_numerics::{Array2, GasModel};
 use rayon::prelude::*;
 
@@ -293,84 +293,23 @@ fn par_flux(
     }
 }
 
-/// Parallel x-direction predictor/corrector band update.
-#[allow(clippy::too_many_arguments)]
-fn par_update_x(
-    forward: bool,
-    corrector: bool,
-    base: &Field,
-    qbar_in: Option<&Field>,
-    flux: &FluxField,
-    out: &mut Field,
-    istart: usize,
-    iend: usize,
-    nr: usize,
-    lam: f64,
-) {
-    let nj = out.q[0].nj();
+/// Parallel predictor: [`crate::scheme::predict`] with the rows of each
+/// component plane spread over the pool.
+fn par_predict(up: &Update, base: &Field, out: &mut Field) {
     for c in 0..4 {
-        let fc = &flux.c[c];
-        let bq = &base.q[c];
-        let pq = qbar_in.map(|f| &f.q[c]);
-        let mut rows: Vec<(usize, &mut [f64])> =
-            out.q[c].as_mut_slice().chunks_mut(nj).enumerate().skip(NG + istart).take(iend - istart).collect();
-        rows.par_iter_mut().for_each(|(ii, row)| {
-            let ii = *ii;
-            for j in 0..nr {
-                let jj = j + NG;
-                let d = if forward {
-                    7.0 * (fc.at(ii + 1, jj) - fc.at(ii, jj)) - (fc.at(ii + 2, jj) - fc.at(ii + 1, jj))
-                } else {
-                    7.0 * (fc.at(ii, jj) - fc.at(ii - 1, jj)) - (fc.at(ii - 1, jj) - fc.at(ii - 2, jj))
-                };
-                row[jj] = if corrector {
-                    0.5 * (bq.at(ii, jj) + pq.unwrap().at(ii, jj) - lam * d)
-                } else {
-                    bq.at(ii, jj) - lam * d
-                };
-            }
+        band(&mut out.q[c], up.irange.end)[up.irange.start..].par_iter_mut().for_each(|(ii, row)| {
+            predict_row(&mut row[NG..NG + up.nj], up.row(c, *ii, &base.q[c]));
         });
     }
 }
 
-/// Parallel r-direction predictor/corrector band update (with source term).
-#[allow(clippy::too_many_arguments)]
-fn par_update_r(
-    forward: bool,
-    corrector: bool,
-    base: &Field,
-    qbar_in: Option<&Field>,
-    flux: &FluxField,
-    src: &Array2,
-    out: &mut Field,
-    nxl: usize,
-    nr: usize,
-    lam: f64,
-    dt: f64,
-) {
-    let nj = out.q[0].nj();
+/// Parallel corrector: [`crate::scheme::correct`], in place — each row reads
+/// `field` only at the points it writes, so disjoint row bands need no
+/// double buffer.
+fn par_correct(up: &Update, field: &mut Field, qbar: &Field) {
     for c in 0..4 {
-        let fc = &flux.c[c];
-        let bq = &base.q[c];
-        let pq = qbar_in.map(|f| &f.q[c]);
-        let mut rows: Vec<(usize, &mut [f64])> =
-            out.q[c].as_mut_slice().chunks_mut(nj).enumerate().skip(NG).take(nxl).collect();
-        rows.par_iter_mut().for_each(|(ii, row)| {
-            let ii = *ii;
-            for j in 0..nr - 1 {
-                let jj = j + NG;
-                let d = if forward {
-                    7.0 * (fc.at(ii, jj + 1) - fc.at(ii, jj)) - (fc.at(ii, jj + 2) - fc.at(ii, jj + 1))
-                } else {
-                    7.0 * (fc.at(ii, jj) - fc.at(ii, jj - 1)) - (fc.at(ii, jj - 1) - fc.at(ii, jj - 2))
-                };
-                let sc = if c == 2 { dt * src.at(ii, jj) } else { 0.0 };
-                row[jj] = if corrector {
-                    0.5 * (bq.at(ii, jj) + pq.unwrap().at(ii, jj) - lam * d + sc)
-                } else {
-                    bq.at(ii, jj) - lam * d + sc
-                };
-            }
+        band(&mut field.q[c], up.irange.end)[up.irange.start..].par_iter_mut().for_each(|(ii, row)| {
+            correct_row(&mut row[NG..NG + up.nj], up.row(c, *ii, &qbar.q[c]));
         });
     }
 }
@@ -399,9 +338,10 @@ fn par_x_operator(
     bc::extrap_flux_x(&mut ws.flux, nxl, nr, edges.left, edges.right, ledger);
     bc::outflow_characteristic(field, &ws.prim, gas, dt, ledger);
 
-    let (istart, iend) = (1, nxl - 1);
-    par_update_x(variant == Variant::L1, false, field, None, &ws.flux, &mut ws.qbar, istart, iend, nr, lam);
-    ledger.update += ((iend - istart) * nr) as u64 * opcount::COST_PREDICTOR;
+    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
+    let up = Update { dir: FluxDir::X, st, flux: &ws.flux, src: None, mms: None, irange: 1..nxl - 1, nj: nr };
+    par_predict(&up, field, &mut ws.qbar);
+    ledger.update += up.flops(opcount::COST_PREDICTOR);
     bc::apply_inflow(&mut ws.qbar, cfg, gas, t + dt, ledger);
     for j in 0..nr {
         ws.qbar.set_qvec(nxl - 1, j, field.qvec(nxl - 1, j));
@@ -413,24 +353,10 @@ fn par_x_operator(
     par_flux(FluxDir::X, &ws.prim, &patch, edges, gas, &mut ws.flux_bar, None, ledger);
     bc::extrap_flux_x(&mut ws.flux_bar, nxl, nr, edges.left, edges.right, ledger);
 
-    // The serial corrector updates in place, reading `field` only at the
-    // point it writes; the parallel bands need disjoint mutable access, so
-    // stage through a double buffer and swap.
-    let mut new_field = field.clone();
-    par_update_x(
-        variant == Variant::L2,
-        true,
-        field,
-        Some(&ws.qbar),
-        &ws.flux_bar,
-        &mut new_field,
-        istart,
-        iend,
-        nr,
-        lam,
-    );
-    ledger.update += ((iend - istart) * nr) as u64 * opcount::COST_CORRECTOR;
-    std::mem::swap(field, &mut new_field);
+    let st = Stencil { forward: !st.forward, ..st };
+    let up = Update { dir: FluxDir::X, st, flux: &ws.flux_bar, src: None, mms: None, irange: 1..nxl - 1, nj: nr };
+    par_correct(&up, field, &ws.qbar);
+    ledger.update += up.flops(opcount::COST_CORRECTOR);
 
     bc::apply_inflow(field, cfg, gas, t + dt, ledger);
 }
@@ -458,11 +384,10 @@ fn par_r_operator(
     par_flux(FluxDir::R, &ws.prim, &patch, edges, gas, &mut ws.flux, Some(&mut ws.src), ledger);
     bc::fill_rflux_ghosts(&mut ws.flux, nxl, nr, ledger);
 
-    {
-        let Workspace { flux, src, qbar, .. } = ws;
-        par_update_r(variant == Variant::L1, false, field, None, flux, src, qbar, nxl, nr, lam, dt);
-    }
-    ledger.update += (nxl * (nr - 1)) as u64 * (opcount::COST_PREDICTOR + 2);
+    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
+    let up = Update { dir: FluxDir::R, st, flux: &ws.flux, src: Some(&ws.src), mms: None, irange: 0..nxl, nj: nr - 1 };
+    par_predict(&up, field, &mut ws.qbar);
+    ledger.update += up.flops(opcount::COST_PREDICTOR);
     for i in 0..nxl {
         ws.qbar.set_qvec(i, nr - 1, field.qvec(i, nr - 1));
     }
@@ -473,25 +398,11 @@ fn par_r_operator(
     par_flux(FluxDir::R, &ws.prim, &patch, edges, gas, &mut ws.flux_bar, Some(&mut ws.src_bar), ledger);
     bc::fill_rflux_ghosts(&mut ws.flux_bar, nxl, nr, ledger);
 
-    let mut new_field = field.clone();
-    {
-        let Workspace { flux_bar, src_bar, qbar, .. } = ws;
-        par_update_r(
-            variant == Variant::L2,
-            true,
-            field,
-            Some(qbar),
-            flux_bar,
-            src_bar,
-            &mut new_field,
-            nxl,
-            nr,
-            lam,
-            dt,
-        );
-    }
-    ledger.update += (nxl * (nr - 1)) as u64 * (opcount::COST_CORRECTOR + 2);
-    std::mem::swap(field, &mut new_field);
+    let st = Stencil { forward: !st.forward, ..st };
+    let (flux, src) = (&ws.flux_bar, Some(&ws.src_bar));
+    let up = Update { dir: FluxDir::R, st, flux, src, mms: None, irange: 0..nxl, nj: nr - 1 };
+    par_correct(&up, field, &ws.qbar);
+    ledger.update += up.flops(opcount::COST_CORRECTOR);
 
     bc::farfield_top(field, gas, gas.pressure(1.0, cfg.jet.t_c), ledger);
 }

@@ -34,8 +34,13 @@ pub struct BenchData {
     pub records: Vec<BenchPoint>,
 }
 
-/// Prefix of the groups that form the version ladder.
-const LADDER_PREFIX: &str = "prims_flux_sweep/";
+/// Group prefixes that form a version ladder, with what each one times.
+const LADDERS: [(&str, &str); 2] = [("prims_flux_sweep/", "prims+flux sweep"), ("whole_step/", "whole solver step")];
+
+/// Split a ladder group into (what it times, grid).
+fn ladder_of(group: &str) -> Option<(&'static str, &str)> {
+    LADDERS.iter().find_map(|&(prefix, what)| group.strip_prefix(prefix).map(|grid| (what, grid)))
+}
 
 /// Parse the JSON text of `BENCH_kernels.json`.
 pub fn parse(json: &str) -> Result<BenchData, String> {
@@ -54,15 +59,15 @@ pub fn render(data: &BenchData) -> String {
     }
 
     // Ladder groups, one block per grid size, versions in id order.
-    let mut ladders: BTreeMap<&str, Vec<&BenchPoint>> = BTreeMap::new();
+    let mut ladders: BTreeMap<(&str, &str), Vec<&BenchPoint>> = BTreeMap::new();
     for p in &data.records {
-        if let Some(grid) = p.group.strip_prefix(LADDER_PREFIX) {
-            ladders.entry(grid).or_default().push(p);
+        if let Some(key) = ladder_of(&p.group) {
+            ladders.entry(key).or_default().push(p);
         }
     }
-    for (grid, mut pts) in ladders {
+    for ((what, grid), mut pts) in ladders {
         pts.sort_by(|a, b| a.id.cmp(&b.id));
-        out.push_str(&format!("Figure 2 (measured host): prims+flux sweep, grid {grid}\n"));
+        out.push_str(&format!("Figure 2 (measured host): {what}, grid {grid}\n"));
         let vmax = pts.iter().filter_map(|p| p.mflops).fold(0.0f64, f64::max).max(1e-9);
         let v5 = pts.iter().find(|p| p.id == "V5").and_then(|p| p.mflops);
         let v6 = pts.iter().find(|p| p.id == "V6").and_then(|p| p.mflops);
@@ -74,16 +79,17 @@ pub fn render(data: &BenchData) -> String {
                 ("V7", _, Some(base)) if base > 0.0 => format!("  ({:.2}x over V6)", m / base),
                 _ => String::new(),
             };
-            out.push_str(&format!("  {:<4} {:>9.1} MFLOPS |{bar}{vs_prev}\n", p.id, m));
+            let ms = p.median_ns * 1e-6;
+            out.push_str(&format!("  {:<4} {:>9.1} MFLOPS {ms:>8.3} ms |{bar}{vs_prev}\n", p.id, m));
         }
         out.push('\n');
     }
     if !out.contains("Figure 2") {
-        out.push_str("no prims_flux_sweep ladder in file (run the solver_kernels bench)\n\n");
+        out.push_str("no version ladder in file (run the solver_kernels bench)\n\n");
     }
 
     // Everything else: median-ns table.
-    let rest: Vec<&BenchPoint> = data.records.iter().filter(|p| !p.group.starts_with(LADDER_PREFIX)).collect();
+    let rest: Vec<&BenchPoint> = data.records.iter().filter(|p| ladder_of(&p.group).is_none()).collect();
     if !rest.is_empty() {
         out.push_str("runtime primitives (median ns/op)\n");
         for p in rest {
@@ -219,7 +225,8 @@ mod tests {
     {"group": "prims_flux_sweep/125x50", "id": "V5", "median_ns": 70000.0, "iters": 8, "samples": 15, "flops": 425000.0, "mflops": 6071.0},
     {"group": "prims_flux_sweep/125x50", "id": "V6", "median_ns": 65000.0, "iters": 8, "samples": 15, "flops": 425000.0, "mflops": 6538.0},
     {"group": "prims_flux_sweep/125x50", "id": "V7", "median_ns": 52000.0, "iters": 8, "samples": 15, "flops": 425000.0, "mflops": 8173.0},
-    {"group": "pack_f64", "id": "800", "median_ns": 350.5, "iters": 64, "samples": 15, "flops": null, "mflops": null}
+    {"group": "pack_f64", "id": "800", "median_ns": 350.5, "iters": 64, "samples": 15, "flops": null, "mflops": null},
+    {"group": "whole_step/250x100", "id": "V7", "median_ns": 1500000.0, "iters": 4, "samples": 15, "flops": 9606900.0, "mflops": 6404.6}
   ]
 }"#
     }
@@ -227,9 +234,12 @@ mod tests {
     #[test]
     fn parses_and_renders_ladder_with_rung_speedups() {
         let data = parse(sample()).unwrap();
-        assert_eq!(data.records.len(), 5);
+        assert_eq!(data.records.len(), 6);
         let text = render(&data);
-        assert!(text.contains("grid 125x50"), "{text}");
+        assert!(text.contains("prims+flux sweep, grid 125x50"), "{text}");
+        // the whole-step group is a ladder too, quoted in ms/step
+        assert!(text.contains("whole solver step, grid 250x100"), "{text}");
+        assert!(text.contains("1.500 ms"), "{text}");
         assert!(text.contains("V6"), "{text}");
         // each new rung is annotated against its predecessor
         assert!(text.contains("x over V5"), "{text}");
