@@ -51,6 +51,11 @@ pub struct BenchFile {
     /// True when the last writer ran in `NS_BENCH_QUICK` mode (short budget,
     /// noisier medians — CI smoke artifacts, not trajectory points).
     pub quick: bool,
+    /// Vector ISA the last writer's V7 sweep ran on ([`ns_core::soa::isa`]):
+    /// a kernel number means little without it. Empty in files written
+    /// before the field existed.
+    #[serde(default)]
+    pub isa: String,
     /// All recorded points, grouped by `group` in insertion order.
     pub records: Vec<BenchRecord>,
 }
@@ -241,7 +246,8 @@ impl MedianBench {
         };
         let mut records: Vec<BenchRecord> = existing.into_iter().filter(|r| !mine.contains(r.group.as_str())).collect();
         records.extend(self.records.iter().cloned());
-        let file = BenchFile { schema: SCHEMA.to_string(), quick: self.quick, records };
+        let file =
+            BenchFile { schema: SCHEMA.to_string(), quick: self.quick, isa: ns_core::soa::isa().to_string(), records };
         let mut text = serde_json::to_string_pretty(&file).expect("bench file serializes");
         text.push('\n');
         std::fs::write(path, text)?;
@@ -305,6 +311,7 @@ mod tests {
         let file: BenchFile = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(file.schema, SCHEMA);
         assert!(file.quick);
+        assert_eq!(file.isa, ns_core::soa::isa());
         let alphas: Vec<_> = file.records.iter().filter(|r| r.group == "alpha").collect();
         assert_eq!(alphas.len(), 1);
         assert_eq!(alphas[0].id, "z");
@@ -337,6 +344,13 @@ mod tests {
         let fresh = dir.join("fresh.json");
         h.write_merged(&fresh).unwrap();
         assert!(fresh.exists());
+
+        // so is a v1 file from before the `isa` field: merged, and stamped
+        let old = dir.join("old.json");
+        std::fs::write(&old, format!(r#"{{"schema": "{SCHEMA}", "quick": false, "records": []}}"#)).unwrap();
+        h.write_merged(&old).unwrap();
+        let file: BenchFile = serde_json::from_str(&std::fs::read_to_string(&old).unwrap()).unwrap();
+        assert_eq!((file.isa.as_str(), file.records.len()), (ns_core::soa::isa(), 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -54,10 +54,14 @@ impl Regime {
 ///   conservative rows in place (lane loads need no padding) and recovers
 ///   primitives into a lane-padded SoA arena of per-station component
 ///   blocks, so every inner loop is a whole number of
-///   [`crate::soa::LANES`]-wide `LaneVec` blocks — no scalar
+///   [`crate::soa::LANES`]-wide `LaneVec` blocks (four points, V7's own
+///   width; V6 chunks by [`crate::kernels::LANES`]) — no scalar
 ///   remainders, no per-point branches (direction/viscosity/source are const
 ///   generics) — and the radial axis is tiled ([`SolverConfig::tile_r`]) so
-///   the recover→ghost-fill→flux pipeline of a station stays in L1.
+///   the recover→ghost-fill→flux pipeline of a station stays in L1. The
+///   sweep body is compiled twice from one source, for the target's
+///   baseline vector unit and for AVX2, and picked at run time
+///   ([`crate::soa::isa`]); the two agree bit for bit.
 ///   Conversions between the AoS `Field` and the SoA arena happen only at
 ///   sweep boundaries (adjacent to halo exchange / checkpoint), so comm,
 ///   recovery and checkpoint layers are untouched. The per-point arithmetic

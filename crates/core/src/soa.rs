@@ -47,11 +47,29 @@
 //!
 //! Direction, viscosity and source-plane presence are const generics of the
 //! flux body, so the hot loops carry no per-point branches.
+//!
+//! ## ISA dispatch
+//!
+//! The sweep is one `#[inline(always)]` source body (`sweep`) instantiated
+//! twice: for the target's baseline vector unit inside [`fused_sweep`], and
+//! under `#[target_feature(enable = "avx2")]` on x86-64, picked per call by
+//! `is_x86_feature_detected!`. Only the register width differs — no `fma`,
+//! no intrinsics — so the two instantiations agree bit for bit (unit-tested
+//! against each other). This is the crate's one `unsafe` block (DESIGN
+//! §14.2).
 
 use crate::field::{Field, FluxField, Patch, PrimField, NG};
-use crate::kernels::{flux_needs, EdgeFlags, FluxDir, LANES};
+use crate::kernels::{flux_needs, EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
 use ns_numerics::{Array2, GasModel};
+use std::ops::Range;
+
+/// Lane width of the V7 sweep: four `f64` grid points, one 256-bit register
+/// per lane value under AVX2 (and two 128-bit ones on the SSE2 fallback).
+/// Eight lanes (the V6 chunk width, [`crate::kernels::LANES`]) hold more
+/// live values than either register file has and spill — measured slower on
+/// both paths (DESIGN §14.2).
+pub const LANES: usize = 4;
 
 /// Round `n` up to the next multiple of [`LANES`].
 #[inline(always)]
@@ -137,95 +155,11 @@ impl<const N: usize> std::ops::Neg for LaneVec<N> {
 // SoA containers
 // ---------------------------------------------------------------------------
 
-/// The four conservative components in a lane-aligned, station-blocked SoA
-/// arena: for each axial station (ghosts included) the four component rows
-/// sit contiguously, each padded to a whole number of lanes. Conversions to
-/// and from the AoS [`Field`] are bitwise copies (property-tested, NaN
-/// payloads included).
-#[derive(Clone, Debug)]
-pub struct SoaField {
-    data: Vec<f64>,
-    ni: usize,
-    nj: usize,
-    stride: usize,
-}
-
-impl SoaField {
-    /// Zeroed arena shaped for `patch` (ghosts included).
-    pub fn zeros(patch: &Patch) -> Self {
-        let ni = patch.nxl + 2 * NG;
-        let nj = patch.nr() + 2 * NG;
-        let stride = pad(nj);
-        Self { data: vec![0.0; ni * 4 * stride], ni, nj, stride }
-    }
-
-    /// Lane-padded row stride.
-    #[inline(always)]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// `(stations, radial points)`, ghosts included.
-    #[inline(always)]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.ni, self.nj)
-    }
-
-    #[inline(always)]
-    fn base(&self, ii: usize, c: usize) -> usize {
-        debug_assert!(ii < self.ni && c < 4);
-        (ii * 4 + c) * self.stride
-    }
-
-    /// Row of component `c` at raw station `ii` (length [`Self::stride`]).
-    #[inline(always)]
-    pub fn row(&self, ii: usize, c: usize) -> &[f64] {
-        let b = self.base(ii, c);
-        &self.data[b..b + self.stride]
-    }
-
-    /// Mutable counterpart of [`Self::row`].
-    #[inline(always)]
-    pub fn row_mut(&mut self, ii: usize, c: usize) -> &mut [f64] {
-        let b = self.base(ii, c);
-        &mut self.data[b..b + self.stride]
-    }
-
-    /// Convert a whole AoS field (ghosts included) into a fresh SoA arena.
-    pub fn from_field(field: &Field) -> Self {
-        let mut s = Self::zeros(&field.patch);
-        s.stage(field, 0..s.ni);
-        s
-    }
-
-    /// Bitwise-copy the raw station rows `raw_range` of `field` into the
-    /// arena (the AoS→SoA boundary of the V7 sweep).
-    pub fn stage(&mut self, field: &Field, raw_range: std::ops::Range<usize>) {
-        debug_assert!(raw_range.end <= self.ni);
-        for ii in raw_range {
-            for c in 0..4 {
-                let src = field.q[c].row(ii);
-                self.row_mut(ii, c)[..src.len()].copy_from_slice(src);
-            }
-        }
-    }
-
-    /// Bitwise-copy the arena back into an AoS field (the SoA→AoS boundary).
-    pub fn to_field(&self, field: &mut Field) {
-        assert_eq!((field.nxl() + 2 * NG, field.nr() + 2 * NG), (self.ni, self.nj));
-        for ii in 0..self.ni {
-            for c in 0..4 {
-                let nj = self.nj;
-                let src = &self.row(ii, c)[..nj];
-                field.q[c].row_mut(ii).copy_from_slice(src);
-            }
-        }
-    }
-}
-
-/// Primitive planes (`rho, u, v, p, t`) in the same station-blocked SoA
-/// layout as [`SoaField`]; the V7 sweep recovers into these and the flux
-/// stencils read them back while the station block is still in L1.
+/// Primitive planes (`rho, u, v, p, t`) in a lane-aligned, station-blocked
+/// SoA arena: for each axial station (ghosts included) the five component
+/// rows sit contiguously, each padded to a whole number of lanes. The V7
+/// sweep recovers into these and the flux stencils read them back while the
+/// station block is still in L1.
 #[derive(Clone, Debug)]
 pub struct SoaPrims {
     data: Vec<f64>,
@@ -301,9 +235,9 @@ impl SoaPrims {
     }
 }
 
-/// Reusable V7 sweep workspace: the conservative SoA arena, the primitive
-/// SoA arena and the padded radius tables. Created lazily by the first V7
-/// sweep and kept in the solver [`Workspace`](crate::field::Workspace).
+/// Reusable V7 sweep workspace: the primitive SoA arena and the padded
+/// radius tables of one patch. Created lazily by the first V7 sweep and kept
+/// in the solver [`Workspace`](crate::field::Workspace).
 #[derive(Clone, Debug)]
 pub struct SoaWs {
     /// Recovered primitives (station-blocked). The conservative inputs are
@@ -313,11 +247,13 @@ pub struct SoaWs {
     pub prims: SoaPrims,
     r_of: Vec<f64>,
     inv_r: Vec<f64>,
-    shape: (usize, usize),
+    /// The patch everything above was built from: the arena depends on its
+    /// shape, the radius tables on `j0` and `grid.dr` as well.
+    patch: Patch,
 }
 
 impl SoaWs {
-    /// Build a workspace shaped for `patch`.
+    /// Build a workspace for `patch`.
     pub fn new(patch: &Patch) -> Self {
         let prims = SoaPrims::zeros(patch);
         let (nr, stride) = (patch.nr(), prims.stride);
@@ -329,13 +265,14 @@ impl SoaWs {
             *r = patch.r(j);
             *w = 1.0 / *r;
         }
-        let shape = (patch.nxl + 2 * NG, patch.nr() + 2 * NG);
-        Self { prims, shape, r_of, inv_r }
+        Self { prims, r_of, inv_r, patch: patch.clone() }
     }
 
-    /// Rebuild if the patch shape changed (cheap no-op otherwise).
-    pub fn ensure(&mut self, patch: &Patch) {
-        if self.shape != (patch.nxl + 2 * NG, patch.nr() + 2 * NG) {
+    /// Rebuild if the workspace was built for another patch (a ten-word
+    /// compare otherwise). Same shape is not enough: a pencil at another
+    /// radial offset has other radii.
+    fn ensure(&mut self, patch: &Patch) {
+        if self.patch != *patch {
             *self = Self::new(patch);
         }
     }
@@ -381,6 +318,7 @@ fn prims_lane<const N: usize>(
 /// Recover primitives of one station over interior radial points
 /// `[jlo, jhi)`: full lane blocks, then a shifted final block (or
 /// single-lane blocks when the range is narrower than a lane).
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn prims_station_tile(
     qrows: [&[f64]; 4],
@@ -412,6 +350,7 @@ fn prims_station_tile(
 
 /// Axis-symmetry ghost fill of one SoA station (bitwise the arithmetic of
 /// [`crate::bc::mirror_prims_axis_row`]).
+#[inline(always)]
 fn mirror_axis_station(prims: &mut SoaPrims, ii: usize) {
     let [rho, u, v, p, t] = prims.station_rows_mut(ii);
     for g in 0..NG {
@@ -426,6 +365,7 @@ fn mirror_axis_station(prims: &mut SoaPrims, ii: usize) {
 
 /// Far-field ghost fill of one SoA station (bitwise the arithmetic of
 /// [`crate::bc::extrap_prims_top_row`]).
+#[inline(always)]
 fn extrap_top_station(prims: &mut SoaPrims, ii: usize, nr: usize) {
     let rows = prims.station_rows_mut(ii);
     let a = NG + nr - 1;
@@ -559,6 +499,7 @@ fn flux_lane<const DIRX: bool, const VISC: bool, const N: usize>(
 
 /// Evaluate one station's flux (and source, for radial sweeps) over the
 /// interior radial points `[jlo, jhi)` from the SoA primitive arena.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn flux_station_tile<const DIRX: bool, const VISC: bool>(
     prims: &SoaPrims,
@@ -631,12 +572,14 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
 
 /// The V7 rung: the fused recover→ghost-fill→flux pipeline of
 /// [`crate::kernels::fused_sweep`], run over the lane-aligned SoA arena with
-/// cache-blocked radial tiles.
+/// cache-blocked radial tiles, in the instantiation compiled for the vector
+/// unit this host has (see [`isa`]).
 ///
 /// The call contract is identical to the V6 sweep (same `prim_range` /
 /// `flux_range` / `hi_pre` semantics, same ledger accounting); additionally:
 ///
-/// * the conservative rows of `prim_range` are staged AoS→SoA on entry,
+/// * the conservative rows of `prim_range` are read in place from the AoS
+///   `field` (nothing is staged),
 /// * precomputed boundary stations (below `prim_range` and `hi_pre`) are
 ///   imported from the AoS `prim` planes,
 /// * the swept stations named in `exports` are copied back to the AoS
@@ -658,47 +601,80 @@ pub fn fused_sweep(
     gas: &GasModel,
     flux: &mut FluxField,
     src: Option<&mut Array2>,
-    prim_range: std::ops::Range<usize>,
-    flux_range: std::ops::Range<usize>,
+    prim_range: Range<usize>,
+    flux_range: Range<usize>,
     hi_pre: Option<usize>,
     exports: &[usize],
     ws: &mut SoaWs,
     tile_r: usize,
     ledger: &mut FlopLedger,
 ) {
-    let viscous = !gas.is_inviscid();
-    match (dir, viscous) {
-        (FluxDir::X, true) => run::<true, true>(
-            field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger,
-        ),
-        (FluxDir::X, false) => run::<true, false>(
-            field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger,
-        ),
-        (FluxDir::R, true) => run::<false, true>(
-            field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger,
-        ),
-        (FluxDir::R, false) => run::<false, false>(
-            field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger,
-        ),
+    let s = Sweep { field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger };
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `sweep_avx2` requires only that the CPU executes AVX2,
+        // which the detection on the line above has just established.
+        return unsafe { sweep_avx2(dir, s) };
+    }
+    sweep(dir, s)
+}
+
+/// The vector ISA [`fused_sweep`] runs on this host, e.g. `"x86_64+avx2"`,
+/// `"x86_64"`, `"aarch64"`. For reports only (bench files print it beside
+/// their numbers); nothing branches on it.
+pub fn isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "x86_64+avx2";
+    }
+    std::env::consts::ARCH
+}
+
+/// The operands of one sweep call, so that both instantiations of the body
+/// take one argument list.
+struct Sweep<'a> {
+    field: &'a Field,
+    prim: &'a mut PrimField,
+    edges: EdgeFlags,
+    gas: &'a GasModel,
+    flux: &'a mut FluxField,
+    src: Option<&'a mut Array2>,
+    prim_range: Range<usize>,
+    flux_range: Range<usize>,
+    hi_pre: Option<usize>,
+    exports: &'a [usize],
+    ws: &'a mut SoaWs,
+    tile_r: usize,
+    ledger: &'a mut FlopLedger,
+}
+
+/// [`sweep`] compiled for 256-bit vectors. `avx2` without `fma`: rustc never
+/// contracts `a * b + c`, so every lane still evaluates the IEEE operations
+/// of the plain instantiation in the same order and no bit can differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(dir: FluxDir, s: Sweep<'_>) {
+    sweep(dir, s)
+}
+
+/// The one sweep body. `#[inline(always)]` all the way down to the
+/// [`LaneVec`] operators, so each caller — [`fused_sweep`] for the target's
+/// baseline ISA, [`sweep_avx2`] — compiles its own copy for its own vector
+/// unit; anything left out of line would stay baseline code.
+#[inline(always)]
+fn sweep(dir: FluxDir, s: Sweep<'_>) {
+    match (dir, !s.gas.is_inviscid()) {
+        (FluxDir::X, true) => run::<true, true>(s),
+        (FluxDir::X, false) => run::<true, false>(s),
+        (FluxDir::R, true) => run::<false, true>(s),
+        (FluxDir::R, false) => run::<false, false>(s),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run<const DIRX: bool, const VISC: bool>(
-    field: &Field,
-    prim: &mut PrimField,
-    edges: EdgeFlags,
-    gas: &GasModel,
-    flux: &mut FluxField,
-    mut src: Option<&mut Array2>,
-    prim_range: std::ops::Range<usize>,
-    flux_range: std::ops::Range<usize>,
-    hi_pre: Option<usize>,
-    exports: &[usize],
-    ws: &mut SoaWs,
-    tile_r: usize,
-    ledger: &mut FlopLedger,
-) {
+#[inline(always)]
+fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) {
+    let Sweep { field, prim, edges, gas, flux, mut src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger } =
+        s;
     let patch = &field.patch;
     let (nxl, nr) = (patch.nxl, patch.nr());
     debug_assert!(prim_range.end <= nxl && flux_range.end <= nxl);
@@ -822,17 +798,163 @@ mod tests {
     use ns_numerics::gas::Primitive;
     use ns_numerics::Grid;
 
-    fn setup(regime: Regime) -> (Field, GasModel, Patch) {
-        let cfg = SolverConfig::paper(Grid::small(), regime);
-        let gas = cfg.effective_gas();
-        let patch = Patch::whole(cfg.grid.clone());
-        let field = Field::from_primitives(patch.clone(), &gas, |x, r| Primitive {
+    fn smooth_field(patch: &Patch, gas: &GasModel) -> Field {
+        Field::from_primitives(patch.clone(), gas, |x, r| Primitive {
             rho: 1.0 + 0.1 * (0.3 * x).sin() * (0.9 * r).cos(),
             u: 0.8 + 0.05 * (0.2 * x + r).cos(),
             v: 0.02 * (0.5 * x).sin() * r.min(1.5),
             p: 0.714 + 0.03 * (0.4 * x - 0.7 * r).sin(),
-        });
-        (field, gas, patch)
+        })
+    }
+
+    fn setup(regime: Regime) -> (Field, GasModel, Patch) {
+        let cfg = SolverConfig::paper(Grid::small(), regime);
+        let gas = cfg.effective_gas();
+        let patch = Patch::whole(cfg.grid.clone());
+        (smooth_field(&patch, &gas), gas, patch)
+    }
+
+    /// The two call shapes the operators use: one whole-patch pass, or the
+    /// x-operator's split pass (boundary stations precomputed and imported,
+    /// `hi_pre`, exports for the post-halo edge columns).
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Whole,
+        Split,
+    }
+
+    /// One sweep through the dispatched entry ([`fused_sweep`]) or through
+    /// the plain instantiation of the same body; returns every bit the call
+    /// can write: flux and source planes, AoS primitive planes, ledger.
+    fn sweep_bits(
+        plain: bool,
+        dir: FluxDir,
+        field: &Field,
+        gas: &GasModel,
+        shape: Shape,
+        tile_r: usize,
+        ws: &mut SoaWs,
+    ) -> (Vec<u64>, FlopLedger) {
+        let patch = &field.patch;
+        let nxl = patch.nxl;
+        let edges = EdgeFlags::of(patch);
+        let mut ledger = FlopLedger::default();
+        let mut prim = PrimField::zeros(patch);
+        let mut flux = FluxField::zeros(patch);
+        let mut src = Array2::zeros(nxl + 2 * NG, patch.nr() + 2 * NG);
+        let (prim_range, flux_range, hi_pre, exports) = match shape {
+            Shape::Whole => (0..nxl, 0..nxl, None, [nxl - 2, nxl - 3]),
+            Shape::Split => {
+                kernels::fused_boundary_prims(field, &mut prim, gas, &[0, nxl - 1], &mut ledger);
+                (1..nxl - 1, 1..nxl - 1, Some(nxl - 1), [1, nxl - 2])
+            }
+        };
+        let src_arg = (dir == FluxDir::R).then_some(&mut src);
+        if plain {
+            let (prim, flux, exports, ledger) = (&mut prim, &mut flux, &exports[..], &mut ledger);
+            let src = src_arg;
+            sweep(
+                dir,
+                Sweep {
+                    field,
+                    prim,
+                    edges,
+                    gas,
+                    flux,
+                    src,
+                    prim_range,
+                    flux_range,
+                    hi_pre,
+                    exports,
+                    ws,
+                    tile_r,
+                    ledger,
+                },
+            );
+        } else {
+            fused_sweep(
+                dir,
+                field,
+                &mut prim,
+                edges,
+                gas,
+                &mut flux,
+                src_arg,
+                prim_range,
+                flux_range,
+                hi_pre,
+                &exports,
+                ws,
+                tile_r,
+                &mut ledger,
+            );
+        }
+        let planes = flux.c.iter().chain([&src, &prim.rho, &prim.u, &prim.v, &prim.p, &prim.t]);
+        (planes.flat_map(|a| a.as_slice()).map(|v| v.to_bits()).collect(), ledger)
+    }
+
+    /// The instantiation [`fused_sweep`] dispatches to on this host (AVX2
+    /// where the CPU has it) against the plain instantiation of the same
+    /// body, bit for bit, on radial sizes around the lane width (single-lane
+    /// fallback, exact blocks, shifted tails) and tile sizes around it.
+    /// On a host without AVX2 [`isa`] has no `+avx2` and this compares the
+    /// plain instantiation with itself; the failure message names the ISA.
+    #[test]
+    fn dispatched_instantiation_is_bitwise_the_plain_one() {
+        let grid = Grid::new(16, 24, 8.0, 2.4);
+        for regime in [Regime::NavierStokes, Regime::Euler] {
+            let gas = SolverConfig::paper(grid.clone(), regime).effective_gas();
+            for nrl in [3, 4, 5, 7, 8, 9, 24] {
+                for shape in [Shape::Whole, Shape::Split] {
+                    let (i0, nxl) = match shape {
+                        Shape::Whole => (0, grid.nx),
+                        Shape::Split => (3, 10), // internal: no global x edges
+                    };
+                    let patch = Patch { grid: grid.clone(), i0, nxl, j0: 0, nrl };
+                    let mut field = smooth_field(&patch, &gas);
+                    // One of each: a signed zero, a subnormal, a NaN payload.
+                    // A single NaN, because where two different NaNs meet the
+                    // survivor follows an operand order the compiler may pick
+                    // differently per instantiation.
+                    field.q[2].set(1 + NG, NG, -0.0);
+                    field.q[1].set(7 + NG, nrl - 1 + NG, f64::from_bits(1234));
+                    field.q[3].set(4 + NG, 1 + NG, f64::from_bits(0x7ff8_dead_beef_0001));
+                    for dir in [FluxDir::X, FluxDir::R] {
+                        for tile_r in [1, 3, LANES, DEFAULT_TILE_R] {
+                            let mut ws = SoaWs::new(&patch);
+                            let plain = sweep_bits(true, dir, &field, &gas, shape, tile_r, &mut ws);
+                            let dispatched = sweep_bits(false, dir, &field, &gas, shape, tile_r, &mut ws);
+                            assert!(
+                                plain == dispatched,
+                                "{} differs from the plain instantiation: {regime:?} {dir:?} {shape:?} nr {nrl} tile {tile_r}",
+                                isa()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A workspace handed a same-shaped patch at another radial offset (or on
+    /// another grid spacing) must not reuse the radii it was built with.
+    #[test]
+    fn one_workspace_follows_the_patch_it_is_handed() {
+        let grid = Grid::new(16, 24, 8.0, 2.4);
+        let gas = SolverConfig::paper(grid.clone(), Regime::NavierStokes).effective_gas();
+        let lower = Patch::pencil(grid.clone(), (0, 0), (1, 2));
+        let upper = Patch::pencil(grid, (0, 1), (1, 2));
+        let stretched = Patch::pencil(Grid::new(16, 24, 8.0, 3.6), (0, 0), (1, 2));
+        assert_eq!((lower.nxl, lower.nrl), (upper.nxl, upper.nrl));
+        let mut shared = SoaWs::new(&lower);
+        for patch in [&lower, &upper, &stretched, &lower] {
+            let field = smooth_field(patch, &gas);
+            for dir in [FluxDir::X, FluxDir::R] {
+                let reused = sweep_bits(false, dir, &field, &gas, Shape::Whole, DEFAULT_TILE_R, &mut shared);
+                let fresh = sweep_bits(false, dir, &field, &gas, Shape::Whole, DEFAULT_TILE_R, &mut SoaWs::new(patch));
+                assert!(reused == fresh, "{dir:?} at j0 = {}, dr = {}", patch.j0, patch.grid.dr);
+            }
+        }
     }
 
     #[test]
@@ -849,33 +971,6 @@ mod tests {
         LaneVec::<4>::load(&[9.0, 1.0, 2.0, 3.0, 4.0, 9.0], 1).store(&mut out, 1);
         assert_eq!(out, [0.0, 1.0, 2.0, 3.0, 4.0, 0.0]);
         assert_eq!(LaneVec::<3>::splat(7.0).0, [7.0; 3]);
-    }
-
-    #[test]
-    fn aos_soa_roundtrip_is_bitwise_including_ghosts_and_nan_payloads() {
-        let (mut field, _, patch) = setup(Regime::NavierStokes);
-        // Poison assorted cells -- ghosts included -- with signed zeros,
-        // subnormals and NaNs carrying distinctive payload bits.
-        let (ni, nj) = (patch.nxl + 2 * NG, patch.nr() + 2 * NG);
-        let specials = [f64::from_bits(0x7ff8_dead_beef_cafe), -0.0, f64::MIN_POSITIVE / 8.0, f64::NEG_INFINITY];
-        for (k, &s) in specials.iter().enumerate() {
-            field.q[k].set(k, k, s);
-            field.q[k].set(ni - 1 - k, nj - 1 - k, s);
-        }
-        let soa = SoaField::from_field(&field);
-        let mut back = Field::zeros(patch.clone());
-        soa.to_field(&mut back);
-        for c in 0..4 {
-            for ii in 0..ni {
-                for jj in 0..nj {
-                    assert_eq!(
-                        field.q[c].at(ii, jj).to_bits(),
-                        back.q[c].at(ii, jj).to_bits(),
-                        "component {c} at raw ({ii},{jj})"
-                    );
-                }
-            }
-        }
     }
 
     /// The SoA tiled sweep must be bitwise the V6 fused sweep for every

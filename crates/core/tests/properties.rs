@@ -324,42 +324,6 @@ proptest! {
         }
     }
 
-    /// AoS -> SoA -> AoS is a bitwise round trip for arbitrary bit
-    /// patterns — ghost cells and non-canonical NaN payloads included.
-    /// The V7 staging boundary must never canonicalize, flush, or
-    /// renormalize anything it copies.
-    #[test]
-    fn aos_soa_roundtrip_is_bitwise(words in prop::collection::vec(prop::num::f64::ANY, 64)) {
-        use ns_core::soa::SoaField;
-        let patch = small_patch();
-        let mut field = Field::zeros(patch.clone());
-        let (ni, nj) = (field.nxl() + 2 * NG, field.nr() + 2 * NG);
-        let mut k = 0usize;
-        for c in 0..4 {
-            for ii in 0..ni {
-                for jj in 0..nj {
-                    let bits = words[k % words.len()].to_bits().rotate_left((k % 63) as u32);
-                    field.q[c].row_mut(ii)[jj] = f64::from_bits(bits);
-                    k += 1;
-                }
-            }
-        }
-        let soa = SoaField::from_field(&field);
-        let mut back = Field::zeros(patch.clone());
-        soa.to_field(&mut back);
-        for c in 0..4 {
-            for ii in 0..ni {
-                for jj in 0..nj {
-                    prop_assert_eq!(
-                        back.q[c].row(ii)[jj].to_bits(),
-                        field.q[c].row(ii)[jj].to_bits(),
-                        "c={} ii={} jj={}", c, ii, jj
-                    );
-                }
-            }
-        }
-    }
-
     /// Any valid radial tile size yields a bitwise-identical V7 sweep
     /// (fluxes, source plane, and FLOP ledger): the cache-blocking knob is
     /// pure scheduling, never arithmetic.

@@ -30,8 +30,21 @@ pub struct BenchData {
     pub schema: String,
     /// True when the file came from an `NS_BENCH_QUICK` smoke run.
     pub quick: bool,
+    /// Vector ISA the V7 sweep ran on (`ns_core::soa::isa`); empty in files
+    /// written before the field existed.
+    #[serde(default)]
+    pub isa: String,
     /// All recorded points.
     pub records: Vec<BenchPoint>,
+}
+
+/// The file's ISA as shown to a reader.
+fn isa_label(isa: &str) -> &str {
+    if isa.is_empty() {
+        "not recorded"
+    } else {
+        isa
+    }
 }
 
 /// Group prefixes that form a version ladder, with what each one times.
@@ -53,10 +66,11 @@ pub fn parse(json: &str) -> Result<BenchData, String> {
 
 /// Render the ladder chart and primitive table.
 pub fn render(data: &BenchData) -> String {
-    let mut out = String::new();
+    let mut out = format!("measured on isa: {}\n", isa_label(&data.isa));
     if data.quick {
-        out.push_str("(NS_BENCH_QUICK smoke run: short budget, medians are noisy)\n\n");
+        out.push_str("(NS_BENCH_QUICK smoke run: short budget, medians are noisy)\n");
     }
+    out.push('\n');
 
     // Ladder groups, one block per grid size, versions in id order.
     let mut ladders: BTreeMap<(&str, &str), Vec<&BenchPoint>> = BTreeMap::new();
@@ -120,6 +134,9 @@ pub struct CompareRow {
 pub struct BenchCompare {
     /// Slowdown factor a point may reach before it counts as a regression.
     pub tolerance: f64,
+    /// `(baseline, candidate)` ISA tags; when they differ the ratios compare
+    /// vector units as well as code, which the report says.
+    pub isa: (String, String),
     /// Matched points, file order.
     pub rows: Vec<CompareRow>,
     /// Baseline keys the candidate file lacks (a silently dropped bench
@@ -178,13 +195,21 @@ pub fn compare(baseline: &BenchData, candidate: &BenchData, tolerance: f64) -> B
             None => missing.push(key),
         }
     }
-    BenchCompare { tolerance, rows, missing, skipped_groups }
+    BenchCompare { tolerance, isa: (baseline.isa.clone(), candidate.isa.clone()), rows, missing, skipped_groups }
 }
 
 /// Render the comparison table.
 pub fn render_compare(cmp: &BenchCompare) -> String {
     let mut out = String::new();
     out.push_str(&format!("bench regression gate (tolerance {:.1}x)\n", cmp.tolerance));
+    let (base_isa, cand_isa) = (isa_label(&cmp.isa.0), isa_label(&cmp.isa.1));
+    if base_isa == cand_isa {
+        out.push_str(&format!("  isa: {cand_isa}\n"));
+    } else {
+        out.push_str(&format!(
+            "  WARNING: baseline isa `{base_isa}` != candidate isa `{cand_isa}`: the ratios below compare vector units as well as code\n"
+        ));
+    }
     out.push_str(&format!("  {:<34} {:>12} {:>12} {:>7}\n", "point", "baseline ns", "candidate ns", "ratio"));
     for r in &cmp.rows {
         out.push_str(&format!(
@@ -220,6 +245,7 @@ mod tests {
         r#"{
   "schema": "ns-bench/kernels/v1",
   "quick": false,
+  "isa": "x86_64+avx2",
   "records": [
     {"group": "prims_flux_sweep/125x50", "id": "V1", "median_ns": 120000.0, "iters": 8, "samples": 15, "flops": 425000.0, "mflops": 3540.0},
     {"group": "prims_flux_sweep/125x50", "id": "V5", "median_ns": 70000.0, "iters": 8, "samples": 15, "flops": 425000.0, "mflops": 6071.0},
@@ -249,6 +275,11 @@ mod tests {
         assert!(v7_line.matches('#').count() == 40, "{v7_line}");
         // runtime primitives table included
         assert!(text.contains("pack_f64/800"), "{text}");
+        // the header says which vector unit produced the numbers; a file
+        // from before the field existed still parses and says so
+        assert!(text.starts_with("measured on isa: x86_64+avx2\n"), "{text}");
+        let old = parse(&sample().replace("  \"isa\": \"x86_64+avx2\",\n", "")).unwrap();
+        assert!(render(&old).starts_with("measured on isa: not recorded\n"));
     }
 
     #[test]
@@ -291,6 +322,12 @@ mod tests {
         let cmp = compare(&baseline, &baseline, 3.0);
         assert!(cmp.pass());
         assert!(render_compare(&cmp).contains("pass"));
+        assert!(render_compare(&cmp).contains("  isa: x86_64+avx2\n"));
+        // a candidate from another vector unit is compared, but flagged
+        let mut sse2 = baseline.clone();
+        sse2.isa = "x86_64".into();
+        let text = render_compare(&compare(&baseline, &sse2, 3.0));
+        assert!(text.contains("WARNING: baseline isa `x86_64+avx2` != candidate isa `x86_64`"), "{text}");
         // a candidate-only point is no failure: new benches have no baseline
         let mut grown = baseline.clone();
         grown.records.push(BenchPoint {
