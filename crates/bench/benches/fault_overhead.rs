@@ -1,9 +1,12 @@
 //! Overhead of the reliability layer when nothing goes wrong: the seed's
 //! raw endpoint path versus the framed (seq + checksum, NACK-capable) path
 //! with no fault injector attached. The framed numbers bound what a
-//! production run pays for the ability to survive a lossy network — the
-//! acceptance bar is "within noise of the raw path" for halo-sized
-//! messages, which `BENCH_faults.json` records as the committed datapoint.
+//! production run pays for the ability to survive a lossy network, which
+//! `BENCH_faults.json` records as the committed datapoint: the two
+//! checksum passes of a frame, about 0.3 µs per 100 doubles. That was
+//! within 1.4x of a raw ping while packing cost 7 ns a double; against
+//! the bulk-copy pack it is most of a framed ping (1.8x at 100 doubles),
+//! with both sides cheaper than before.
 //!
 //! The two paths are measured interleaved (see
 //! [`MedianBench::measure_interleaved`]) so frequency drift cannot fake or

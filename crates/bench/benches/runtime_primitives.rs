@@ -83,8 +83,8 @@ fn bench_collectives(c: &mut Criterion) {
 
 /// Machine-readable runtime microbenchmarks for `BENCH_kernels.json`:
 /// pack/roundtrip cost per payload size, the pooled-vs-fresh buffer
-/// comparison behind the zero-allocation halo path, and a same-thread
-/// message round trip.
+/// comparison behind the zero-allocation halo path, a same-thread message
+/// round trip, and the two cross-thread round trips of [`json_two_ranks`].
 fn json_runtime() {
     let mut h = MedianBench::from_env();
     for n in [100usize, 800, 6400] {
@@ -130,8 +130,52 @@ fn json_runtime() {
             seq += 1;
         });
     }
+    json_two_ranks(&mut h);
     json_metrics_overhead(&mut h);
     h.write_merged(&ns_bench::output_path()).expect("write BENCH_kernels.json");
+}
+
+/// Round trips between two rank *threads*: unlike the same-thread
+/// `endpoint_ping` (message already queued when the receive starts), every
+/// iteration here waits on a peer that is itself waiting, so the point moves
+/// with the receive's wake-up latency — about 3 us polled, about 45 us if a
+/// receive always parked. The peer echoes until it is handed an empty
+/// payload, then joins all-reduces until one comes back infinite.
+fn json_two_ranks(h: &mut MedianBench) {
+    let mut eps = universe(2);
+    let mut peer = eps.pop().unwrap();
+    let mut me = eps.pop().unwrap();
+    let ping = |seq| Tag { kind: MsgKind::Flux1, seq };
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut seq = 0u64;
+            while !peer.recv(0, ping(seq)).unwrap().is_empty() {
+                let mut p = PackBuf::with_capacity_f64(100);
+                p.pack_f64_slice(&[0.5; 100]);
+                peer.send(0, ping(seq), p).unwrap();
+                seq += 1;
+            }
+            let mut epoch = 0u64;
+            while collectives::allreduce_max(&mut peer, 1.0, epoch).unwrap().is_finite() {
+                epoch += 1;
+            }
+        });
+        let mut seq = 0u64;
+        h.measure("endpoint_ping_xthread", "800B", None, || {
+            let mut p = PackBuf::with_capacity_f64(100);
+            p.pack_f64_slice(&[0.5; 100]);
+            me.send(1, ping(seq), p).unwrap();
+            std::hint::black_box(me.recv(1, ping(seq)).unwrap());
+            seq += 1;
+        });
+        me.send(1, ping(seq), PackBuf::new()).unwrap();
+        let mut epoch = 0u64;
+        h.measure("collectives", "allreduce_max_2ranks", None, || {
+            std::hint::black_box(collectives::allreduce_max(&mut me, 2.0, epoch).unwrap());
+            epoch += 1;
+        });
+        collectives::allreduce_max(&mut me, f64::INFINITY, epoch).unwrap();
+    });
 }
 
 /// The cost of the always-on observability layer, measured as a paired

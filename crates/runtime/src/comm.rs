@@ -28,12 +28,21 @@
 //! The healing work is visible in [`CommStats`] (`retries`, `resends`,
 //! `corrupt_frames`, `dup_frames`) and, when tracing is armed, as
 //! `EventKind::Fault` events on the shared timeline. The fault-free path is
-//! untouched: reliability off costs one `Option` check per call.
+//! untouched: reliability off costs one `Option` check per send and per
+//! arrival.
+//!
+//! ## Waiting
+//!
+//! Every receive — plain or reliable, and so every collective and halo
+//! exchange above it — waits for its inbox through one routine that spins
+//! briefly, then polls while yielding the core, and parks only when the
+//! message is more than [`POLL_BUDGET`] away (see `next_arrival`). All of it
+//! is charged to [`Endpoint::wait_time`].
 
 use crate::fault::{FaultAction, FaultInjector};
 use crate::pack::{open_frame, peek_span, PackBuf, UnpackBuf};
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use ns_metrics::{Counter, FlightRecorder, Registry};
 use ns_telemetry::{EventKind, Tracer};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -258,6 +267,20 @@ const RETRANSMIT_CACHE: usize = 256;
 /// are considered already delivered.
 const DEDUP_WINDOW: usize = 512;
 
+/// Inbox polls a receive makes back to back, a CPU spin hint between them,
+/// before it starts yielding the core between polls: about 0.8 µs on the
+/// benchmark host (25 ns a poll), the time a peer already inside its send
+/// needs to finish it. Kept short on measurement: at P ≤ cores the count
+/// does not show from 0 to 256, oversubscribed every poll is time a
+/// runnable peer did not get (DESIGN §17).
+const SPIN_POLLS: u32 = 32;
+
+/// How long a receive keeps polling before it parks, counted from the start
+/// of the receive: about twice the park → wake round trip it saves (~45 µs
+/// measured, DESIGN §17), so a message that is a park's cost away is still
+/// caught awake, and a hung peer costs each receive at most this much CPU.
+const POLL_BUDGET: Duration = Duration::from_micros(100);
+
 /// Per-endpoint state of the reliability layer (boxed off the fault-free
 /// hot path: a disabled endpoint pays one `Option` check per send/recv).
 #[derive(Debug)]
@@ -363,6 +386,12 @@ pub struct Endpoint {
     /// Accumulated blocking time inside `recv` (the "non-overlapped
     /// communication" component of the paper's time breakdown).
     pub wait_time: Duration,
+    /// Accumulated time inside `send`, kept only while someone asked for it
+    /// (`Some`): the parallel driver arms it with phase timing or tracing,
+    /// so the plain path reads no timer for it. Whole microseconds of the
+    /// trace events cannot carry this — a send that wakes no parked peer
+    /// is well under one.
+    pub(crate) send_time: Option<Duration>,
     /// Receive deadline; a hung peer surfaces as [`CommError::Timeout`].
     pub timeout: Duration,
     /// Message-trace recorder (disabled by default; enable with a shared
@@ -371,6 +400,26 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
+    /// A plain endpoint for `rank` over its inbox and the senders to every
+    /// rank's inbox.
+    fn new(rank: usize, txs: Vec<Sender<Message>>, rx: Receiver<Message>) -> Self {
+        Self {
+            rank,
+            txs,
+            rx,
+            stash: Vec::new(),
+            reliability: None,
+            span: 0,
+            metrics: CommMetrics::new(),
+            flight: FlightRecorder::default(),
+            stats: CommStats::default(),
+            wait_time: Duration::ZERO,
+            send_time: None,
+            timeout: Duration::from_secs(30),
+            tracer: Tracer::default(),
+        }
+    }
+
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
@@ -431,26 +480,30 @@ impl Endpoint {
         let bytes = payload.len() as u64;
         let tx = self.txs.get(to).ok_or(CommError::NoSuchRank(to))?;
         tx.send(Message { src: self.rank, tag, span, payload }).map_err(|_| CommError::Disconnected)?;
-        // count only delivered hand-offs: a Disconnected error is not a
-        // start-up, and Tables 1-2 must not credit it as one
+        self.count_send(to, tag, None, bytes, start);
+        Ok(())
+    }
+
+    /// Count and trace a delivered hand-off. Only delivered ones: a
+    /// `Disconnected` error is not a start-up, and Tables 1-2 must not
+    /// credit it as one.
+    fn count_send(&mut self, to: usize, tag: Tag, seq: Option<u64>, bytes: u64, start: Instant) {
+        let span = span_opt(self.span);
         self.stats.sends += 1;
         self.stats.bytes_sent += bytes;
         self.metrics.sends.inc();
         self.metrics.bytes_sent.add(bytes);
-        self.flight.record("send", tag.kind.name(), Some(to), None, span_opt(span), bytes);
-        if self.tracer.enabled() {
-            self.tracer.record_spanned(
-                EventKind::Send,
-                self.rank,
-                tag.kind.name(),
-                Some(to),
-                bytes,
-                start,
-                start.elapsed(),
-                span_opt(span),
-            );
+        self.flight.record("send", tag.kind.name(), Some(to), seq, span, bytes);
+        if self.send_time.is_none() && !self.tracer.enabled() {
+            return;
         }
-        Ok(())
+        let dur = start.elapsed();
+        if let Some(total) = self.send_time.as_mut() {
+            *total += dur;
+        }
+        if self.tracer.enabled() {
+            self.tracer.record_spanned(EventKind::Send, self.rank, tag.kind.name(), Some(to), bytes, start, dur, span);
+        }
     }
 
     /// Framed send: seal, cache for retransmission, then pass the wire copy
@@ -499,23 +552,7 @@ impl Endpoint {
         if !outcome {
             return Err(CommError::Disconnected);
         }
-        self.stats.sends += 1;
-        self.stats.bytes_sent += bytes;
-        self.metrics.sends.inc();
-        self.metrics.bytes_sent.add(bytes);
-        self.flight.record("send", tag.kind.name(), Some(to), Some(seq), span_opt(span), bytes);
-        if self.tracer.enabled() {
-            self.tracer.record_spanned(
-                EventKind::Send,
-                self.rank,
-                tag.kind.name(),
-                Some(to),
-                bytes,
-                start,
-                start.elapsed(),
-                span_opt(span),
-            );
-        }
+        self.count_send(to, tag, Some(seq), bytes, start);
         Ok(())
     }
 
@@ -646,12 +683,43 @@ impl Endpoint {
         start.checked_add(self.timeout).unwrap_or_else(|| start + Duration::from_secs(u32::MAX as u64))
     }
 
-    /// Blocking receive matching `(from, tag)`; non-matching arrivals are
-    /// stashed for later receives.
-    pub fn recv(&mut self, from: usize, tag: Tag) -> Result<Bytes, CommError> {
-        if self.reliability.is_some() {
-            return self.recv_reliable(from, tag);
+    /// The next inbox arrival of a receive that began at `start`, waiting no
+    /// later than `wake` (the caller's deadline or next retry). Three
+    /// phases, because the common arrival is microseconds away and a park
+    /// costs the sender a futex wake and this thread a reschedule (~45 µs
+    /// the pair, DESIGN §17): poll with a CPU spin hint for [`SPIN_POLLS`];
+    /// keep polling but yield the core between polls — so an oversubscribed
+    /// peer that needs this core gets it — until [`POLL_BUDGET`] of the
+    /// receive is spent; only then park in the channel. `Timeout` is
+    /// returned only once `wake` has passed.
+    fn next_arrival(&self, start: Instant, wake: Instant) -> Result<Message, RecvTimeoutError> {
+        let poll = || match self.rx.try_recv() {
+            Ok(m) => Some(Ok(m)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        };
+        for _ in 0..SPIN_POLLS {
+            if let Some(arrival) = poll() {
+                return arrival;
+            }
+            std::hint::spin_loop();
         }
+        let park_at = start.checked_add(POLL_BUDGET).map_or(wake, |t| t.min(wake));
+        while Instant::now() < park_at {
+            if let Some(arrival) = poll() {
+                return arrival;
+            }
+            std::thread::yield_now();
+        }
+        self.rx.recv_timeout(wake.saturating_duration_since(Instant::now()))
+    }
+
+    /// Blocking receive matching `(from, tag)`; non-matching arrivals are
+    /// stashed for later receives. With the reliability layer armed this is
+    /// the self-healing receive: it services NACKs while waiting, validates
+    /// and dedups frames, and escalates an overdue match into NACK-driven
+    /// resend requests with bounded exponential backoff.
+    pub fn recv(&mut self, from: usize, tag: Tag) -> Result<Bytes, CommError> {
         let start = Instant::now();
         // check the stash first
         if let Some(pos) = self.stash.iter().position(|m| m.src == from && m.tag == tag) {
@@ -659,22 +727,45 @@ impl Endpoint {
             return Ok(self.deliver(m, start));
         }
         let deadline = self.recv_deadline(start);
+        // the plain path has no retry schedule (a budget of zero NACKs): it
+        // only ever wakes at the deadline
+        let cfg = self.reliability.as_ref().map(|r| r.cfg);
+        let reliable = cfg.is_some();
+        let (max_retries, mut interval) = cfg.map_or((0, Duration::ZERO), |c| (c.max_retries, c.retry_timeout));
+        let mut retries = 0u32;
+        let mut retry_at = start.checked_add(interval).unwrap_or(deadline);
         loop {
             let now = Instant::now();
-            let left = deadline.saturating_duration_since(now);
-            if left.is_zero() {
+            if deadline.saturating_duration_since(now).is_zero() {
                 self.wait_time += now - start;
                 return Err(CommError::Timeout);
             }
-            match self.rx.recv_timeout(left) {
-                Ok(m) if m.src == from && m.tag == tag => {
-                    self.wait_time += start.elapsed();
-                    return Ok(self.deliver(m, start));
+            // wake at whichever comes first: hard deadline or next retry
+            let wake = if retries < max_retries { deadline.min(retry_at) } else { deadline };
+            match self.next_arrival(start, wake) {
+                Ok(m) if reliable && m.tag.kind == MsgKind::Nack => self.serve_nack(m),
+                Ok(m) => {
+                    let admitted = if reliable { self.admit_frame(m) } else { Some(m) };
+                    if let Some(m) = admitted {
+                        if m.src == from && m.tag == tag {
+                            self.wait_time += start.elapsed();
+                            return Ok(self.deliver(m, start));
+                        }
+                        self.stash.push(m);
+                    }
                 }
-                Ok(m) => self.stash.push(m),
                 Err(RecvTimeoutError::Timeout) => {
-                    self.wait_time += start.elapsed();
-                    return Err(CommError::Timeout);
+                    if Instant::now() >= deadline {
+                        self.wait_time += start.elapsed();
+                        return Err(CommError::Timeout);
+                    }
+                    if retries < max_retries {
+                        // the frame is overdue: ask the sender to retransmit
+                        retries += 1;
+                        self.send_nack(from, tag);
+                        interval = interval.saturating_mul(2);
+                        retry_at = Instant::now().checked_add(interval).unwrap_or(deadline);
+                    }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     self.wait_time += start.elapsed();
@@ -709,60 +800,6 @@ impl Endpoint {
         }
         m.payload
     }
-
-    /// Self-healing receive: services NACKs while blocked, validates and
-    /// dedups frames, and escalates an overdue match into NACK-driven
-    /// resend requests with bounded exponential backoff.
-    fn recv_reliable(&mut self, from: usize, tag: Tag) -> Result<Bytes, CommError> {
-        let start = Instant::now();
-        if let Some(pos) = self.stash.iter().position(|m| m.src == from && m.tag == tag) {
-            let m = self.stash.swap_remove(pos);
-            return Ok(self.deliver(m, start));
-        }
-        let deadline = self.recv_deadline(start);
-        let cfg = self.reliability.as_ref().expect("reliable path").cfg;
-        let mut retries = 0u32;
-        let mut interval = cfg.retry_timeout;
-        let mut retry_at = start.checked_add(interval).unwrap_or(deadline);
-        loop {
-            let now = Instant::now();
-            if deadline.saturating_duration_since(now).is_zero() {
-                self.wait_time += now - start;
-                return Err(CommError::Timeout);
-            }
-            // wake at whichever comes first: hard deadline or next retry
-            let wake = if retries < cfg.max_retries { deadline.min(retry_at) } else { deadline };
-            match self.rx.recv_timeout(wake.saturating_duration_since(now)) {
-                Ok(m) if m.tag.kind == MsgKind::Nack => self.serve_nack(m),
-                Ok(m) => {
-                    if let Some(m) = self.admit_frame(m) {
-                        if m.src == from && m.tag == tag {
-                            self.wait_time += start.elapsed();
-                            return Ok(self.deliver(m, start));
-                        }
-                        self.stash.push(m);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        self.wait_time += start.elapsed();
-                        return Err(CommError::Timeout);
-                    }
-                    if retries < cfg.max_retries {
-                        // the frame is overdue: ask the sender to retransmit
-                        retries += 1;
-                        self.send_nack(from, tag);
-                        interval = interval.saturating_mul(2);
-                        retry_at = Instant::now().checked_add(interval).unwrap_or(deadline);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.wait_time += start.elapsed();
-                    return Err(CommError::Disconnected);
-                }
-            }
-        }
-    }
 }
 
 /// Create a fully connected universe of `size` endpoints.
@@ -775,23 +812,7 @@ pub fn universe(size: usize) -> Vec<Endpoint> {
         txs.push(tx);
         rxs.push(rx);
     }
-    rxs.into_iter()
-        .enumerate()
-        .map(|(rank, rx)| Endpoint {
-            rank,
-            txs: txs.clone(),
-            rx,
-            stash: Vec::new(),
-            reliability: None,
-            span: 0,
-            metrics: CommMetrics::new(),
-            flight: FlightRecorder::default(),
-            stats: CommStats::default(),
-            wait_time: Duration::ZERO,
-            timeout: Duration::from_secs(30),
-            tracer: Tracer::default(),
-        })
-        .collect()
+    rxs.into_iter().enumerate().map(|(rank, rx)| Endpoint::new(rank, txs.clone(), rx)).collect()
 }
 
 /// Create a universe with the reliability layer armed on every endpoint and,
@@ -811,6 +832,7 @@ pub fn universe_reliable(size: usize, cfg: ReliableConfig, plan: Option<&crate::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
     fn tag(kind: MsgKind, seq: u64) -> Tag {
@@ -991,20 +1013,7 @@ mod tests {
         // actually disconnects (a full universe keeps self-clones alive).
         let (tx, rx_a) = unbounded();
         let (tx_b, rx_b) = unbounded();
-        let mut a = Endpoint {
-            rank: 0,
-            txs: vec![tx, tx_b],
-            rx: rx_a,
-            stash: Vec::new(),
-            reliability: None,
-            span: 0,
-            metrics: CommMetrics::new(),
-            flight: FlightRecorder::default(),
-            stats: CommStats::default(),
-            wait_time: Duration::ZERO,
-            timeout: Duration::from_secs(1),
-            tracer: Tracer::default(),
-        };
+        let mut a = Endpoint::new(0, vec![tx, tx_b], rx_a);
         drop(rx_b); // rank 1's endpoint is gone
         let err = a.send(1, tag(MsgKind::Flux1, 0), buf(&[1.0])).unwrap_err();
         assert_eq!(err, CommError::Disconnected);
@@ -1041,6 +1050,281 @@ mod tests {
         assert!(first >= Duration::from_millis(10), "timeout must be charged to wait_time, got {first:?}");
         let _ = a.recv(1, tag(MsgKind::Prims1, 1)).unwrap_err();
         assert!(a.wait_time >= first + Duration::from_millis(10), "wait_time accumulates across receives");
+    }
+
+    // ---- the wait: spin -> yield -> park ----
+
+    /// Busy-wait `d` (a sleep cannot be this short or this punctual).
+    fn spin_for(d: Duration) {
+        let t0 = Instant::now();
+        while t0.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// A start line a waiting thread crosses within nanoseconds of its
+    /// opening: it spins, where a channel or `Barrier` would park it and
+    /// add a wake-up as long as the polling phases under test.
+    #[derive(Default)]
+    struct Gate(AtomicBool);
+
+    impl Gate {
+        fn open(&self) {
+            self.0.store(true, Ordering::Release);
+        }
+
+        fn pass(&self) {
+            while !self.0.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_in_any_wait_phase_is_delivered_identically() {
+        // already queued (first poll), ~20 us out (polling), 5 ms out
+        // (parked): same payload, same counters, wait time covers the delay
+        let mut seen = Vec::new();
+        for delay in [Duration::ZERO, Duration::from_micros(20), Duration::from_millis(5)] {
+            let mut eps = universe(2);
+            let mut b = eps.pop().unwrap();
+            let mut a = eps.pop().unwrap();
+            let go = Gate::default();
+            thread::scope(|s| {
+                s.spawn(|| {
+                    go.pass();
+                    spin_for(delay);
+                    a.send(1, tag(MsgKind::Flux1, 4), buf(&[1.0, -2.0, 3.5])).unwrap();
+                });
+                go.open();
+                if delay.is_zero() {
+                    // let the send land before the receive starts
+                    thread::sleep(Duration::from_millis(20));
+                }
+                let got = b.recv(0, tag(MsgKind::Flux1, 4)).unwrap();
+                assert_eq!(vals(got, 3), vec![1.0, -2.0, 3.5]);
+            });
+            if delay >= Duration::from_millis(1) {
+                assert!(b.wait_time >= delay / 2, "a parked wait is charged: {:?}", b.wait_time);
+            }
+            seen.push(b.stats);
+        }
+        assert_eq!(seen[0], seen[1], "polled delivery counts like an immediate one");
+        assert_eq!(seen[0], seen[2], "parked delivery counts like an immediate one");
+        assert_eq!((seen[0].recvs, seen[0].bytes_recvd), (1, 24));
+    }
+
+    #[test]
+    fn arrivals_during_polling_are_stashed_and_matched_later() {
+        // five tags trickle in a few microseconds apart while the receiver
+        // is already waiting for the *last* one: the four others must go to
+        // the stash in arrival order and match afterwards
+        let mut eps = universe(2);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let go = Gate::default();
+        thread::scope(|s| {
+            s.spawn(|| {
+                go.pass();
+                for i in 0..5u64 {
+                    spin_for(Duration::from_micros(5));
+                    a.send(1, tag(MsgKind::Prims1, i), buf(&[i as f64])).unwrap();
+                }
+            });
+            go.open();
+            let last = b.recv(0, tag(MsgKind::Prims1, 4)).unwrap();
+            assert_eq!(vals(last, 1), vec![4.0]);
+            let stashed: Vec<u64> = b.stash.iter().map(|m| m.tag.seq).collect();
+            assert_eq!(stashed, vec![0, 1, 2, 3], "stash keeps arrival order");
+            for i in [2u64, 0, 3, 1] {
+                let got = b.recv(0, tag(MsgKind::Prims1, i)).unwrap();
+                assert_eq!(vals(got, 1), vec![i as f64]);
+            }
+        });
+        assert_eq!(b.stats.recvs, 5);
+        assert!(b.stash.is_empty());
+    }
+
+    #[test]
+    fn deadline_inside_the_poll_budget_fires_at_the_deadline() {
+        // the polling phases must not hold a receive past its own deadline:
+        // a 20 us timeout returns after ~20 us, not after POLL_BUDGET. A
+        // yielding test thread on a loaded host can lose the core for
+        // milliseconds, so attempts repeat until one comes back inside the
+        // budget; a wait held to the budget never would.
+        let timeout = Duration::from_micros(20);
+        assert!(timeout * 2 < POLL_BUDGET);
+        let mut eps = universe(2);
+        let mut a = eps.remove(0);
+        a.timeout = timeout;
+        let began = Instant::now();
+        let mut fastest = Duration::MAX;
+        for i in 0.. {
+            let before = a.wait_time;
+            let t0 = Instant::now();
+            assert_eq!(a.recv(1, tag(MsgKind::Prims1, i)).unwrap_err(), CommError::Timeout);
+            let took = t0.elapsed();
+            assert!(took >= timeout, "never early: {took:?}");
+            assert!(a.wait_time - before >= timeout, "the whole wait is charged");
+            fastest = fastest.min(took);
+            if fastest < POLL_BUDGET || began.elapsed() > Duration::from_secs(5) {
+                break;
+            }
+        }
+        assert!(fastest < POLL_BUDGET, "held to the poll budget instead of the deadline: {fastest:?}");
+    }
+
+    #[test]
+    fn peer_dropped_mid_wait_disconnects() {
+        // the only sender to this inbox goes away 20 us into the receive
+        // (polling) or 3 ms into it (parked): Disconnected either way
+        for delay in [Duration::from_micros(20), Duration::from_millis(3)] {
+            let (tx_a, rx_a) = unbounded();
+            let (tx_b, _rx_b) = unbounded();
+            let mut a = Endpoint::new(0, vec![tx_b.clone(), tx_b], rx_a);
+            a.timeout = Duration::from_secs(5);
+            let go = Gate::default();
+            thread::scope(|s| {
+                s.spawn(|| {
+                    go.pass();
+                    spin_for(delay);
+                    drop(tx_a);
+                });
+                go.open();
+                let t0 = Instant::now();
+                assert_eq!(a.recv(1, tag(MsgKind::Prims1, 0)).unwrap_err(), CommError::Disconnected);
+                assert!(t0.elapsed() < Duration::from_secs(4), "found out from the channel, not the deadline");
+            });
+            assert_eq!(a.stats.recvs, 0);
+        }
+    }
+
+    #[test]
+    fn dropped_frame_heals_with_one_nack_and_one_resend() {
+        // the counts of `dropped_frame_is_recovered_by_retry`, pinned
+        // exactly: the retry interval is long enough that the first resend
+        // always lands before a second NACK is due
+        let plan = crate::fault::FaultPlan { seed: 31, drop_rate: 1.0, ..crate::fault::FaultPlan::default() };
+        let cfg = ReliableConfig { retry_timeout: Duration::from_millis(50), max_retries: 8 };
+        let mut eps = universe_reliable(2, cfg, None);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.set_fault_injector(FaultInjector::for_rank(&plan, 0, 0));
+        a.timeout = Duration::from_secs(5);
+        b.timeout = Duration::from_secs(5);
+        thread::scope(|s| {
+            let ha = s.spawn(move || {
+                a.send(1, tag(MsgKind::Prims1, 0), buf(&[3.5])).unwrap();
+                let got = a.recv(1, tag(MsgKind::Flux1, 0)).unwrap();
+                assert_eq!(vals(got, 1), vec![8.5]);
+                a
+            });
+            let got = b.recv(0, tag(MsgKind::Prims1, 0)).unwrap();
+            assert_eq!(vals(got, 1), vec![3.5]);
+            b.send(0, tag(MsgKind::Flux1, 0), buf(&[8.5])).unwrap();
+            let a = ha.join().unwrap();
+            assert_eq!((b.stats.retries, a.stats.resends), (1, 1));
+            assert_eq!(a.fault_stats().unwrap().dropped, 1);
+            assert_eq!((a.stats.startups(), b.stats.startups()), (2, 2));
+        });
+    }
+
+    #[test]
+    fn nack_landing_on_a_polling_peer_is_served() {
+        // rank 0's frame is dropped and rank 0 then waits for the reply in
+        // receives whose deadline lies inside the poll budget, so it never
+        // parks: the NACK can only have been served from the polling phases
+        let plan = crate::fault::FaultPlan { seed: 5, drop_rate: 1.0, ..crate::fault::FaultPlan::default() };
+        let cfg = ReliableConfig { retry_timeout: Duration::from_millis(5), max_retries: 8 };
+        let mut eps = universe_reliable(2, cfg, None);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.set_fault_injector(FaultInjector::for_rank(&plan, 0, 0));
+        a.timeout = POLL_BUDGET / 2;
+        b.timeout = Duration::from_secs(5);
+        thread::scope(|s| {
+            let ha = s.spawn(move || {
+                a.send(1, tag(MsgKind::Prims1, 0), buf(&[6.25])).unwrap();
+                let t0 = Instant::now();
+                let reply = loop {
+                    match a.recv(1, tag(MsgKind::Flux1, 0)) {
+                        Ok(p) => break p,
+                        Err(CommError::Timeout) => assert!(t0.elapsed() < Duration::from_secs(5), "never healed"),
+                        Err(e) => panic!("{e}"),
+                    }
+                };
+                assert_eq!(vals(reply, 1), vec![1.5]);
+                a
+            });
+            let got = b.recv(0, tag(MsgKind::Prims1, 0)).unwrap();
+            assert_eq!(vals(got, 1), vec![6.25]);
+            b.send(0, tag(MsgKind::Flux1, 0), buf(&[1.5])).unwrap();
+            let a = ha.join().unwrap();
+            assert!(b.stats.retries >= 1, "the frame was overdue and NACKed");
+            // (a second NACK can go out if rank 0 loses the core for a
+            // whole retry interval; it is served or outrun by the reply)
+            assert!((1..=b.stats.retries).contains(&a.stats.resends), "the polling receive served the NACK");
+            assert_eq!(a.stats.retries, 0, "rank 0's own short receives never reach a retry");
+        });
+    }
+
+    /// The reference receive, with no polling phases: stash check, then
+    /// park in the channel until the match arrives.
+    fn recv_park_only(ep: &mut Endpoint, from: usize, want: Tag) -> Bytes {
+        if let Some(pos) = ep.stash.iter().position(|m| m.src == from && m.tag == want) {
+            return ep.stash.swap_remove(pos).payload;
+        }
+        loop {
+            let m = ep.rx.recv_timeout(Duration::from_secs(5)).expect("reference receive");
+            if m.src == from && m.tag == want {
+                return m.payload;
+            }
+            ep.stash.push(m);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Whatever the gaps between sends (none, inside the spin, inside
+        /// the poll budget, past it) and whatever order the tags are asked
+        /// for in, the three-phase receive hands back the payloads the
+        /// park-only reference loop does.
+        #[test]
+        fn polled_receive_delivers_what_a_parked_one_does(
+            sends in proptest::collection::vec((0usize..4, 0u64..1000), 1..6),
+        ) {
+            const DELAYS_US: [u64; 4] = [0, 10, 200, 2000];
+            // receive order: indices sorted by their random key
+            let mut order: Vec<usize> = (0..sends.len()).collect();
+            order.sort_by_key(|&i| (sends[i].1, i));
+            let run = |polled: bool| -> Vec<Vec<f64>> {
+                let mut eps = universe(2);
+                let mut b = eps.pop().unwrap();
+                let mut a = eps.pop().unwrap();
+                let delays: Vec<u64> = sends.iter().map(|&(d, _)| DELAYS_US[d]).collect();
+                thread::scope(|s| {
+                    s.spawn(move || {
+                        for (i, us) in delays.into_iter().enumerate() {
+                            spin_for(Duration::from_micros(us));
+                            a.send(1, tag(MsgKind::Prims1, i as u64), buf(&[i as f64, 0.5])).unwrap();
+                        }
+                    });
+                    order
+                        .iter()
+                        .map(|&i| {
+                            let want = tag(MsgKind::Prims1, i as u64);
+                            let payload = if polled { b.recv(0, want).unwrap() } else { recv_park_only(&mut b, 0, want) };
+                            vals(payload, 2)
+                        })
+                        .collect()
+                })
+            };
+            let polled = run(true);
+            proptest::prop_assert_eq!(&polled, &run(false));
+            let expected: Vec<Vec<f64>> = order.iter().map(|&i| vec![i as f64, 0.5]).collect();
+            proptest::prop_assert_eq!(polled, expected);
+        }
     }
 
     // ---- reliability layer ----

@@ -19,7 +19,7 @@
 use crate::comm::{CommError, Endpoint, MsgKind, Tag};
 use crate::pack::{BufPool, PackBuf, UnpackBuf};
 use crate::topology::CartNeighbors;
-use ns_core::field::{FluxField, PrimField, NG};
+use ns_core::field::{gi, FluxField, PrimField, NG};
 use ns_core::scheme::XHalo;
 
 /// Communication protocol variant (paper Versions 5-7).
@@ -69,8 +69,6 @@ pub struct ThreadHalo<'a> {
     /// Reusable send-buffer pool; received payloads are recycled into it,
     /// so steady-state exchanges allocate nothing.
     pool: BufPool,
-    /// Persistent column scratch for unpacking (one radial line).
-    scratch: Vec<f64>,
     /// Persistent row scratch for radial unpacking (one padded axial line).
     row_scratch: Vec<f64>,
 }
@@ -125,7 +123,6 @@ impl<'a> ThreadHalo<'a> {
             strict: true,
             failure: None,
             pool,
-            scratch: vec![0.0; nr],
             row_scratch: vec![0.0; width],
         }
     }
@@ -193,13 +190,13 @@ impl<'a> ThreadHalo<'a> {
         self.pool.stats()
     }
 
+    /// An axial halo column is contiguous in memory (`Array2` is row-major
+    /// in `j`): the interior of raw row `i_local + NG`, packed as one slice
+    /// per plane.
     fn pack_prim_col(&mut self, prim: &PrimField, i_local: usize) -> PackBuf {
         let mut b = self.pool.acquire_f64(3 * self.nr);
-        let ii = i_local + NG;
         for plane in [&prim.u, &prim.v, &prim.t] {
-            for j in 0..self.nr {
-                b.pack_f64(plane.at(ii, j + NG));
-            }
+            b.pack_f64_slice(&plane.row(i_local + NG)[NG..NG + self.nr]);
         }
         b
     }
@@ -211,12 +208,9 @@ impl<'a> ThreadHalo<'a> {
     fn unpack_prim_col(&mut self, prim: &mut PrimField, ii: usize, payload: bytes::Bytes) {
         let mut u = UnpackBuf::new(payload);
         for plane in [&mut prim.u, &mut prim.v, &mut prim.t] {
-            if u.unpack_f64_slice(&mut self.scratch).is_err() {
+            if u.unpack_f64_slice(&mut plane.row_mut(ii)[NG..NG + self.nr]).is_err() {
                 self.fail("prim halo payload", CommError::Malformed);
                 return;
-            }
-            for (j, &v) in self.scratch.iter().enumerate() {
-                plane.set(ii, j + NG, v);
             }
         }
         match u.finish() {
@@ -227,11 +221,9 @@ impl<'a> ThreadHalo<'a> {
 
     fn pack_flux_cols(&mut self, flux: &FluxField, cols: &[usize]) -> PackBuf {
         let mut b = self.pool.acquire_f64(4 * cols.len() * self.nr);
-        for c in 0..4 {
+        for plane in &flux.c {
             for &i_local in cols {
-                for j in 0..self.nr {
-                    b.pack_f64(flux.at(c, i_local as isize, j as isize));
-                }
+                b.pack_f64_slice(&plane.row(i_local + NG)[NG..NG + self.nr]);
             }
         }
         b
@@ -278,14 +270,11 @@ impl<'a> ThreadHalo<'a> {
     /// failures in lenient mode (see [`ThreadHalo::unpack_prim_col`]).
     fn unpack_flux_cols(&mut self, flux: &mut FluxField, ghost_cols: &[isize], payload: bytes::Bytes) {
         let mut u = UnpackBuf::new(payload);
-        for c in 0..4 {
-            for &gi in ghost_cols {
-                if u.unpack_f64_slice(&mut self.scratch).is_err() {
+        for plane in &mut flux.c {
+            for &col in ghost_cols {
+                if u.unpack_f64_slice(&mut plane.row_mut(gi(col))[NG..NG + self.nr]).is_err() {
                     self.fail("flux halo payload", CommError::Malformed);
                     return;
-                }
-                for (j, &v) in self.scratch.iter().enumerate() {
-                    flux.set(c, gi, j as isize, v);
                 }
             }
         }

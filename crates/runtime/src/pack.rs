@@ -68,11 +68,13 @@ impl PackBuf {
         self.buf.put_f64_le(v);
     }
 
-    /// Pack a slice of doubles.
+    /// Pack a slice of doubles: one growth of the buffer, then a bulk
+    /// little-endian copy into it (a `memcpy` on little-endian hosts).
     pub fn pack_f64_slice(&mut self, vs: &[f64]) {
-        self.buf.reserve(vs.len() * 8);
-        for &v in vs {
-            self.buf.put_f64_le(v);
+        let at = self.buf.len();
+        self.buf.resize(at + vs.len() * 8, 0);
+        for (dst, v) in self.buf[at..].chunks_exact_mut(8).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -149,9 +151,11 @@ impl UnpackBuf {
         if self.remaining_f64() < out.len() {
             return Err(PackError::Truncated { wanted: out.len(), available: self.remaining_f64() });
         }
-        for o in out.iter_mut() {
-            *o = self.buf.get_f64_le();
+        let nbytes = out.len() * 8;
+        for (o, src) in out.iter_mut().zip(self.buf[..nbytes].chunks_exact(8)) {
+            *o = f64::from_le_bytes(src.try_into().expect("8-byte chunk"));
         }
+        self.buf.advance(nbytes);
         Ok(())
     }
 

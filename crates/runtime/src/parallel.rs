@@ -17,8 +17,7 @@ use ns_core::opcount::FlopLedger;
 use ns_core::Solver;
 use ns_metrics::{FlightDump, MetricsSummary, Registry};
 use ns_telemetry::{
-    CommTotals, EventKind, HealthConfig, HealthMonitor, HealthSample, PhaseLedger, RunSummary, TraceEvent,
-    RUN_SUMMARY_SCHEMA,
+    CommTotals, HealthConfig, HealthMonitor, HealthSample, PhaseLedger, RunSummary, TraceEvent, RUN_SUMMARY_SCHEMA,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -426,6 +425,9 @@ pub(crate) fn run_impl(
                     } else if opts.phases {
                         solver.enable_phase_timing();
                     }
+                    if opts.phases || opts.trace {
+                        ep.send_time = Some(Duration::ZERO);
+                    }
                     ep.flight.set_origin(trace_origin);
                     let mut mon = opts.health.map(HealthMonitor::new);
                     let mut steps = 0u64;
@@ -463,14 +465,13 @@ pub(crate) fn run_impl(
                         trace.sort_by_key(|e| e.t_us);
                     }
                     if opts.phases || opts.trace {
-                        // The timer pauses around halo calls; blocking
-                        // receive time is measured by the endpoint instead,
-                        // and send packaging shows up in the trace spans.
+                        // The timer pauses around halo calls; the endpoint
+                        // measures blocking receive time and send time
+                        // instead (as `Duration`s: the trace events' whole
+                        // microseconds round a sub-µs send to nothing).
                         phases.add("comm:recv", wait.as_secs_f64());
-                        let send_secs: f64 =
-                            trace.iter().filter(|e| e.kind == EventKind::Send).map(|e| e.dur_us as f64 * 1e-6).sum();
-                        if send_secs > 0.0 {
-                            phases.add("comm:send", send_secs);
+                        if let Some(send) = ep.send_time.filter(|t| !t.is_zero()) {
+                            phases.add("comm:send", send.as_secs_f64());
                         }
                     }
                     let (health, abort) = mon.map_or((Vec::new(), None), |m| (m.samples, m.abort));
@@ -651,6 +652,21 @@ mod tests {
         let json = summary.to_json();
         assert!(json.contains("\"phase_seconds\""));
         assert!(json.contains("navier-stokes"));
+    }
+
+    /// `comm:send` comes from the endpoint's own clock, so it exists with
+    /// phase timing alone (no trace events to sum) and is not lost when
+    /// every send is shorter than the trace's whole-microsecond durations.
+    #[test]
+    fn send_phase_needs_no_trace_events() {
+        let c = cfg(Regime::Euler);
+        let opts = TelemetryOptions { phases: true, ..Default::default() };
+        let run = run_parallel_instrumented(&c, 2, 4, CommVersion::V5, opts);
+        assert!(run.ranks.iter().all(|r| r.trace.is_empty()));
+        for rank in 0..2 {
+            let send = run.rank_phase_seconds(rank).get("comm:send").copied().unwrap_or(0.0);
+            assert!(send > 0.0, "rank {rank}: sends took time");
+        }
     }
 
     #[test]
