@@ -122,6 +122,12 @@ impl CpuSpec {
 /// tiles: the station's whole recover→flux working set stays in L1 and the
 /// branch-free lane loops retire more of the traffic from registers,
 /// trimming references-per-flop further (arithmetic still bit-identical).
+/// Since ISSUE 17 the V7 sweep also runs the predictor/corrector update of
+/// a station while its flux rows are in cache, so the flux and source
+/// planes are no longer written and re-read: the live solver now moves
+/// fewer references per flop than the 0.62 below was fitted for. The scale
+/// is deliberately left where it is — `BENCH_scaling.json` was produced
+/// with it — and is due for a refit against a live V7 step.
 pub fn version_params(v: Version) -> (SweepOrder, f64, f64) {
     match v {
         Version::V1 => (SweepOrder::Strided, 1.20, 1.0),

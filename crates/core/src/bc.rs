@@ -168,25 +168,35 @@ pub fn fill_rflux_ghosts_sides(
     ledger: &mut FlopLedger,
 ) {
     for c in 0..4 {
-        let s = G_PARITY[c];
         for i in 0..nxl {
-            let ii = i as isize;
-            if bottom {
-                for g in 0..NG as isize {
-                    flux.set(c, ii, -1 - g, s * flux.at(c, ii, g));
-                }
-            }
-            if top {
-                let n = nr as isize;
-                let (f0, f1, f2, f3) =
-                    (flux.at(c, ii, n - 4), flux.at(c, ii, n - 3), flux.at(c, ii, n - 2), flux.at(c, ii, n - 1));
-                flux.set(c, ii, n, cubic_extrap_1(f0, f1, f2, f3));
-                flux.set(c, ii, n + 1, cubic_extrap_2(f0, f1, f2, f3));
-            }
+            fill_rflux_ghost_row(flux.c[c].row_mut(i + NG), G_PARITY[c], nr, bottom, top);
         }
     }
-    let sides = u64::from(bottom) + u64::from(top);
-    ledger.boundary += (nxl * 4 * 7) as u64 * sides;
+    ledger.boundary += rflux_ghost_flops(nxl, bottom, top);
+}
+
+/// The ghost fill of [`fill_rflux_ghosts_sides`] on one component row of one
+/// station (raw row, ghosts included): axis side first, so that on a row of
+/// three points the extrapolation reads the mirrored ghost.
+#[inline]
+pub(crate) fn fill_rflux_ghost_row(row: &mut [f64], parity: f64, nr: usize, bottom: bool, top: bool) {
+    if bottom {
+        for g in 0..NG {
+            row[NG - 1 - g] = parity * row[NG + g];
+        }
+    }
+    if top {
+        let n = NG + nr;
+        let (f0, f1, f2, f3) = (row[n - 4], row[n - 3], row[n - 2], row[n - 1]);
+        row[n] = cubic_extrap_1(f0, f1, f2, f3);
+        row[n + 1] = cubic_extrap_2(f0, f1, f2, f3);
+    }
+}
+
+/// What [`fill_rflux_ghosts_sides`] charges `ledger.boundary` for `nxl`
+/// stations.
+pub(crate) fn rflux_ghost_flops(nxl: usize, bottom: bool, top: bool) -> u64 {
+    (nxl * 4 * 7) as u64 * (u64::from(bottom) + u64::from(top))
 }
 
 /// Characteristic (Hayder–Turkel) outflow update of the global-right

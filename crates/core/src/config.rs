@@ -64,7 +64,14 @@ impl Regime {
 ///   ([`crate::soa::isa`]); the two agree bit for bit.
 ///   Conversions between the AoS `Field` and the SoA arena happen only at
 ///   sweep boundaries (adjacent to halo exchange / checkpoint), so comm,
-///   recovery and checkpoint layers are untouched. The per-point arithmetic
+///   recovery and checkpoint layers are untouched. Inside a solver step the
+///   sweep also carries the predictor/corrector update that consumes its
+///   flux: each station is updated from a few-row flux ring while those
+///   rows are in cache (the radial operator right behind the station's own
+///   flux, the axial one a station or three behind), so the flux and source
+///   planes are written only at the few stations beside a patch edge whose
+///   update has to wait for ghost flux — the same row kernels on the same
+///   operands as the plane path V1–V6 keep. The per-point arithmetic
 ///   is bit-identical to V6 (and hence V5): lanes are independent grid
 ///   points and no reduction is ever reassociated across lanes.
 ///
@@ -112,9 +119,15 @@ impl Version {
 /// Default V7 radial tile width (grid points), chosen from measurement.
 /// Every tile multiplies the station pipeline's fixed per-station cost
 /// (row slicing, ghost fills, stencil bookkeeping) by the tile count, so
-/// blocking only pays once a tile's live rows (4 conservative + 3x5
-/// stencil primitives + 4 flux + source ≈ 24 rows of `tile_r` points)
-/// outgrow the cache: on the committed grids (nr <= 100) a single tile is
+/// blocking only pays once a tile's live rows outgrow the cache. Per
+/// station those are 4 conservative rows in, 3x5 stencil primitives, the
+/// flux ring (4 flux + source for the radial operator, 3x4 for the three
+/// stations the axial stencil spans) and, now that the update rides in the
+/// sweep, the 4 rows it writes plus, axially, the 4 state rows of the
+/// lagging station it updates: ≈ 28 rows of `tile_r` points radially, ≈ 39
+/// axially (≈ 640 KiB at 2048, still inside L2). The sweep alone, which
+/// the probe below timed, holds ≈ 24. On the committed grids (nr <= 100)
+/// and on the benchmark's 512 rows a single tile is
 /// fastest, and on a tall nr = 8192 probe the sweep bottoms out near
 /// `tile_r` = 2048 (≈ 380 KiB live, inside L2; 1.3x over the untiled V6
 /// sweep, vs 3.4x *slower* at `tile_r` = 64). 2048 keeps paper-scale grids

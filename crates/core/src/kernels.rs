@@ -857,7 +857,7 @@ pub fn fused_sweep(
     }
 }
 
-/// Version dispatch for the operator path's fused sweep: V7 runs the SoA
+/// Version dispatch for a fused sweep through the planes: V7 runs the SoA
 /// tiled sweep from [`crate::soa`] (lazily arming the sweep workspace in
 /// `soa`), every earlier fused version runs [`fused_sweep`]. Both are
 /// bitwise-equal drop-ins for each other (oracle- and property-tested).
@@ -884,13 +884,46 @@ pub fn fused_sweep_version(
     exports: &[usize],
     ledger: &mut FlopLedger,
 ) {
+    fused_pass_version(
+        version, tile_r, soa, dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, None,
+        ledger,
+    );
+}
+
+/// [`fused_sweep_version`] as the operators call it: with the predictor or
+/// corrector pass that follows the sweep offered to it. V7 runs the pass
+/// inside the sweep on every station it can ([`crate::soa::fused_pass`])
+/// and returns those stations; V6 sweeps into the planes, leaves the pass
+/// alone and returns an empty range. Either way the caller owes the update
+/// of the rest of `pass.irange`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_pass_version(
+    version: Version,
+    tile_r: usize,
+    soa: &mut Option<Box<crate::soa::SoaWs>>,
+    dir: FluxDir,
+    field: &Field,
+    prim: &mut PrimField,
+    edges: EdgeFlags,
+    gas: &GasModel,
+    flux: &mut FluxField,
+    src: Option<&mut Array2>,
+    prim_range: std::ops::Range<usize>,
+    flux_range: std::ops::Range<usize>,
+    hi_pre: Option<usize>,
+    exports: &[usize],
+    pass: Option<crate::scheme::FusedUpdate<'_>>,
+    ledger: &mut FlopLedger,
+) -> std::ops::Range<usize> {
     if version == Version::V7 {
         let ws = soa.get_or_insert_with(|| Box::new(crate::soa::SoaWs::new(&field.patch)));
-        crate::soa::fused_sweep(
-            dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger,
-        );
+        crate::soa::fused_pass(
+            dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, pass, ledger,
+        )
     } else {
         fused_sweep(dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, ledger);
+        let start = pass.map_or(0, |p| p.irange.start);
+        start..start
     }
 }
 

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-// The crate's one `unsafe` block (the ISA dispatch in `soa::fused_sweep`)
+// The crate's one `unsafe` block (the ISA dispatch under `soa::fused_sweep`)
 // must carry its `SAFETY:` line; CI also counts the blocks.
 #![deny(clippy::undocumented_unsafe_blocks)]
 // Indexed loops over several parallel planes are the idiom of this solver

@@ -25,7 +25,9 @@ use crate::config::{SchemeOrder, SolverConfig, Version};
 use crate::field::{Field, FluxField, PrimField, Workspace, NG};
 use crate::kernels::{self, EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
+use crate::soa::SoaWs;
 use ns_numerics::{Array2, GasModel};
+use ns_telemetry::PhaseTimer;
 use std::ops::Range;
 
 /// Which symmetric variant of the predictor/corrector pair to apply.
@@ -121,12 +123,19 @@ pub fn x_operator(
     // V6+ fuses primitive recovery, ghost fill and flux evaluation into one
     // sweep per stage; its phase labels ("x:fused", "x:fused2") replace the
     // separate prims/flux pairs in the telemetry vocabulary. V7 shares the
-    // fused shape, running each sweep over the SoA tiled path.
+    // fused shape, running each sweep over the SoA tiled path — and running
+    // the predictor/corrector update of every station whose flux stencil the
+    // sweep itself emits *inside* that sweep ([`FusedUpdate`]), so under V7
+    // "x:fused*" contains the interior update and "x:predict"/"x:correct"
+    // time only the deferred stations next to a patch edge.
     let fused = cfg.version >= Version::V6;
     // V1/V2 keep the axial-innermost update traversal (V3 = + loop interchange).
     let strided = cfg.version <= Version::V2;
     let mms = ws.mms.as_deref().map(|m| &m.sx);
     let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
+    // The update window: an owned inflow or outflow column is frozen.
+    let (istart, iend) = (usize::from(edges.left), nxl - usize::from(edges.right));
+    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
 
     // --- stage 1: fluxes of Q^n -------------------------------------------
     // Split-phase exchange: post the boundary columns, compute the columns
@@ -134,74 +143,25 @@ pub fn x_operator(
     // edge columns. With an overlapping transport this is exactly the
     // paper's Version 6; with a plain transport (or serially) it degenerates
     // to exchange-then-compute (Version 5) with identical arithmetic.
-    if fused {
-        ws.timers.start("x:fused");
-        kernels::fused_boundary_prims(field, &mut ws.prim, gas, &[0, nxl - 1], ledger);
-        ws.timers.pause();
-        halo.post_prims(&mut ws.prim);
-        ws.timers.start("x:fused");
-        // Swept stations that later AoS consumers read back (V7 only): the
-        // post-halo edge-column flux passes stencil stations `flo`/`fhi - 1`,
-        // and the characteristic-outflow derivative reaches nxl-2 / nxl-3.
-        let mut x1_exports = [0usize; 4];
-        let mut n_exp = 0;
-        if !edges.left {
-            x1_exports[n_exp] = flo;
-            n_exp += 1;
-        }
-        if !edges.right {
-            x1_exports[n_exp] = fhi - 1;
-            n_exp += 1;
-        }
-        if edges.right && cfg.mms.is_none() {
-            x1_exports[n_exp] = nxl.saturating_sub(2);
-            x1_exports[n_exp + 1] = nxl.saturating_sub(3);
-            n_exp += 2;
-        }
-        kernels::fused_sweep_version(
-            cfg.version,
-            cfg.tile_r,
-            &mut ws.soa,
-            FluxDir::X,
+    let done = if fused {
+        let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut ws.qbar, correct: false };
+        // The characteristic-outflow derivative reads the time-n primitives
+        // of stations nxl-2 / nxl-3 back from the AoS planes.
+        let outflow = edges.right && cfg.mms.is_none();
+        fused_x_stage(
+            "x:fused",
+            cfg,
+            gas,
             field,
             &mut ws.prim,
-            edges,
-            gas,
             &mut ws.flux,
-            None,
-            1..nxl - 1,
-            flo..fhi,
-            Some(nxl - 1),
-            &x1_exports[..n_exp],
+            &mut ws.soa,
+            &mut ws.timers,
+            halo,
+            outflow,
+            pass,
             ledger,
-        );
-        ws.timers.pause();
-        halo.finish_prims(&mut ws.prim);
-        ws.timers.start("x:fused");
-        kernels::compute_flux_range(
-            cfg.version,
-            FluxDir::X,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux,
-            None,
-            0..flo,
-            ledger,
-        );
-        kernels::compute_flux_range(
-            cfg.version,
-            FluxDir::X,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux,
-            None,
-            fhi..nxl,
-            ledger,
-        );
+        )
     } else {
         ws.timers.start("x:prims");
         kernels::compute_prims(cfg.version, field, &mut ws.prim, gas, ledger);
@@ -259,7 +219,8 @@ pub fn x_operator(
             fhi..nxl,
             ledger,
         );
-    }
+        istart..istart
+    };
     ws.timers.pause();
     halo.exchange_flux(&mut ws.flux);
     ws.timers.start(if fused { "x:fused" } else { "x:flux" });
@@ -276,11 +237,10 @@ pub fn x_operator(
 
     // --- predictor ----------------------------------------------------------
     ws.timers.start("x:predict");
-    let istart = usize::from(edges.left);
-    let iend = nxl - usize::from(edges.right);
-    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
     let up = Update { dir: FluxDir::X, st, flux: &ws.flux, src: None, mms, irange: istart..iend, nj: nr };
-    predict(&up, field, &mut ws.qbar, strided);
+    for rest in up.outside(&done) {
+        predict(&rest, field, &mut ws.qbar, strided);
+    }
     ledger.update += up.flops(opcount::COST_PREDICTOR);
     if edges.left {
         match &cfg.mms {
@@ -295,74 +255,32 @@ pub fn x_operator(
     }
 
     // --- stage 2: fluxes of the predictor state ----------------------------
-    if fused {
+    // corrector difference runs opposite to the predictor
+    let st = Stencil { forward: !st.forward, ..st };
+    let done = if fused {
+        let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut *field, correct: true };
         if viscous {
-            ws.timers.start("x:fused2");
-            kernels::fused_boundary_prims(&ws.qbar, &mut ws.prim, gas, &[0, nxl - 1], ledger);
-            ws.timers.pause();
-            halo.post_prims(&mut ws.prim);
-            ws.timers.start("x:fused2");
             // Stage 2 has no outflow update afterwards; only the edge-column
             // flux passes read primitives back from the AoS planes.
-            let mut x2_exports = [0usize; 2];
-            let mut n_exp = 0;
-            if !edges.left {
-                x2_exports[n_exp] = flo;
-                n_exp += 1;
-            }
-            if !edges.right {
-                x2_exports[n_exp] = fhi - 1;
-                n_exp += 1;
-            }
-            kernels::fused_sweep_version(
-                cfg.version,
-                cfg.tile_r,
-                &mut ws.soa,
-                FluxDir::X,
+            fused_x_stage(
+                "x:fused2",
+                cfg,
+                gas,
                 &ws.qbar,
                 &mut ws.prim,
-                edges,
-                gas,
                 &mut ws.flux_bar,
-                None,
-                1..nxl - 1,
-                flo..fhi,
-                Some(nxl - 1),
-                &x2_exports[..n_exp],
+                &mut ws.soa,
+                &mut ws.timers,
+                halo,
+                false,
+                pass,
                 ledger,
-            );
-            ws.timers.pause();
-            halo.finish_prims(&mut ws.prim);
-            ws.timers.start("x:fused2");
-            kernels::compute_flux_range(
-                cfg.version,
-                FluxDir::X,
-                &ws.prim,
-                &patch,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                0..flo,
-                ledger,
-            );
-            kernels::compute_flux_range(
-                cfg.version,
-                FluxDir::X,
-                &ws.prim,
-                &patch,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                fhi..nxl,
-                ledger,
-            );
+            )
         } else {
             // Euler needs no stencil neighbours: the whole stage fuses into
             // a single exchange-free sweep.
             ws.timers.start("x:fused2");
-            kernels::fused_sweep_version(
+            kernels::fused_pass_version(
                 cfg.version,
                 cfg.tile_r,
                 &mut ws.soa,
@@ -377,8 +295,9 @@ pub fn x_operator(
                 0..nxl,
                 None,
                 &[],
+                Some(pass),
                 ledger,
-            );
+            )
         }
     } else {
         ws.timers.start("x:prims2");
@@ -450,7 +369,8 @@ pub fn x_operator(
                 ledger,
             );
         }
-    }
+        istart..istart
+    };
     ws.timers.pause();
     halo.exchange_flux(&mut ws.flux_bar);
     ws.timers.start(if fused { "x:fused2" } else { "x:flux2" });
@@ -458,10 +378,10 @@ pub fn x_operator(
 
     // --- corrector ----------------------------------------------------------
     ws.timers.start("x:correct");
-    // corrector difference runs opposite to the predictor
-    let st = Stencil { forward: !st.forward, ..st };
     let up = Update { dir: FluxDir::X, st, flux: &ws.flux_bar, src: None, mms, irange: istart..iend, nj: nr };
-    correct(&up, field, &ws.qbar, strided);
+    for rest in up.outside(&done) {
+        correct(&rest, field, &ws.qbar, strided);
+    }
     ledger.update += up.flops(opcount::COST_CORRECTOR);
 
     if edges.left {
@@ -471,6 +391,79 @@ pub fn x_operator(
         }
     }
     ws.timers.pause();
+}
+
+/// One split-phase flux stage of the fused (V6+) axial operator: the two
+/// boundary primitive columns ahead of the halo post, the interior sweep
+/// while they are in flight — under V7 with `pass` riding inside it — then,
+/// once the receives complete, the edge columns whose stencils read the
+/// halo. `state` is the state differenced (`Q^n`, then the predictor
+/// state); `outflow` asks the sweep to also export the two stations the
+/// characteristic-outflow stencil reads. Returns the stations `pass` has
+/// already updated; the caller owes the rest of its window.
+#[allow(clippy::too_many_arguments)]
+fn fused_x_stage(
+    label: &'static str,
+    cfg: &SolverConfig,
+    gas: &GasModel,
+    state: &Field,
+    prim: &mut PrimField,
+    flux: &mut FluxField,
+    soa: &mut Option<Box<SoaWs>>,
+    timers: &mut PhaseTimer,
+    halo: &mut dyn XHalo,
+    outflow: bool,
+    pass: FusedUpdate<'_>,
+    ledger: &mut FlopLedger,
+) -> Range<usize> {
+    let patch = &state.patch;
+    let edges = EdgeFlags::of(patch);
+    let nxl = patch.nxl;
+    let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
+    timers.start(label);
+    kernels::fused_boundary_prims(state, prim, gas, &[0, nxl - 1], ledger);
+    timers.pause();
+    halo.post_prims(prim);
+    timers.start(label);
+    // Swept stations that later AoS consumers read back (V7 only): the
+    // post-halo edge-column flux passes stencil stations `flo`/`fhi - 1`.
+    let wanted = [
+        (!edges.left).then_some(flo),
+        (!edges.right).then_some(fhi - 1),
+        outflow.then_some(nxl.saturating_sub(2)),
+        outflow.then_some(nxl.saturating_sub(3)),
+    ];
+    let mut exports = [0usize; 4];
+    let mut n_exp = 0;
+    for station in wanted.into_iter().flatten() {
+        exports[n_exp] = station;
+        n_exp += 1;
+    }
+    let done = kernels::fused_pass_version(
+        cfg.version,
+        cfg.tile_r,
+        soa,
+        FluxDir::X,
+        state,
+        prim,
+        edges,
+        gas,
+        flux,
+        None,
+        1..nxl - 1,
+        flo..fhi,
+        Some(nxl - 1),
+        &exports[..n_exp],
+        Some(pass),
+        ledger,
+    );
+    timers.pause();
+    halo.finish_prims(prim);
+    timers.start(label);
+    for edge in [0..flo, fhi..nxl] {
+        kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
+    }
+    done
 }
 
 /// Apply the radial operator (`Q_t + G_r = S`) over one time step.
@@ -512,13 +505,19 @@ pub fn r_operator(
     let fused = cfg.version >= Version::V6;
     let strided = cfg.version <= Version::V2;
     let mms = ws.mms.as_deref().map(|m| &m.sr);
+    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
 
     // --- stage 1 -------------------------------------------------------------
-    if fused {
+    let done = if fused {
         // Comm-free sweep: fuse the whole stage (prims, radial ghosts, flux
-        // and source) into one pipelined pass over the axial stations.
+        // and source) into one pipelined pass over the axial stations. The
+        // radial stencil and the flux ghost fill stay inside one station's
+        // row, so under V7 the sweep also updates every station it emits
+        // ("r:fused*" then contains the whole update, and "r:predict" /
+        // "r:correct" only the far-field row copy and boundary model).
         ws.timers.start("r:fused");
-        kernels::fused_sweep_version(
+        let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut ws.qbar, correct: false };
+        kernels::fused_pass_version(
             cfg.version,
             cfg.tile_r,
             &mut ws.soa,
@@ -533,8 +532,9 @@ pub fn r_operator(
             0..nxl,
             None,
             &[],
+            Some(pass),
             ledger,
-        );
+        )
     } else {
         ws.timers.start("r:prims");
         kernels::compute_prims(cfg.version, field, &mut ws.prim, gas, ledger);
@@ -560,17 +560,22 @@ pub fn r_operator(
             Some(&mut ws.src),
             ledger,
         );
-    }
+        0..0
+    };
     ws.timers.pause();
     halo.exchange_flux_r(&mut ws.flux);
     ws.timers.start(if fused { "r:fused" } else { "r:flux" });
-    bc::fill_rflux_ghosts_sides(&mut ws.flux, nxl, nr, edges.bottom, edges.top, ledger);
+    // A sweep that updated its stations filled their flux ghosts row by row.
+    if done.is_empty() {
+        bc::fill_rflux_ghosts_sides(&mut ws.flux, nxl, nr, edges.bottom, edges.top, ledger);
+    }
 
     // --- predictor -------------------------------------------------------------
     ws.timers.start("r:predict");
-    let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
     let up = Update { dir: FluxDir::R, st, flux: &ws.flux, src: Some(&ws.src), mms, irange: 0..nxl, nj: jend };
-    predict(&up, field, &mut ws.qbar, strided);
+    for rest in up.outside(&done) {
+        predict(&rest, field, &mut ws.qbar, strided);
+    }
     ledger.update += up.flops(opcount::COST_PREDICTOR);
     if edges.top {
         for i in 0..nxl {
@@ -579,9 +584,11 @@ pub fn r_operator(
     }
 
     // --- stage 2 -------------------------------------------------------------
-    if fused {
+    let st = Stencil { forward: !st.forward, ..st };
+    let done = if fused {
         ws.timers.start("r:fused2");
-        kernels::fused_sweep_version(
+        let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut *field, correct: true };
+        kernels::fused_pass_version(
             cfg.version,
             cfg.tile_r,
             &mut ws.soa,
@@ -596,8 +603,9 @@ pub fn r_operator(
             0..nxl,
             None,
             &[],
+            Some(pass),
             ledger,
-        );
+        )
     } else {
         ws.timers.start("r:prims2");
         kernels::compute_prims(cfg.version, &ws.qbar, &mut ws.prim, gas, ledger);
@@ -623,17 +631,21 @@ pub fn r_operator(
             Some(&mut ws.src_bar),
             ledger,
         );
-    }
+        0..0
+    };
     ws.timers.pause();
     halo.exchange_flux_r(&mut ws.flux_bar);
     ws.timers.start(if fused { "r:fused2" } else { "r:flux2" });
-    bc::fill_rflux_ghosts_sides(&mut ws.flux_bar, nxl, nr, edges.bottom, edges.top, ledger);
+    if done.is_empty() {
+        bc::fill_rflux_ghosts_sides(&mut ws.flux_bar, nxl, nr, edges.bottom, edges.top, ledger);
+    }
 
     // --- corrector -------------------------------------------------------------
     ws.timers.start("r:correct");
-    let st = Stencil { forward: !st.forward, ..st };
     let up = Update { dir: FluxDir::R, st, flux: &ws.flux_bar, src: Some(&ws.src_bar), mms, irange: 0..nxl, nj: jend };
-    correct(&up, field, &ws.qbar, strided);
+    for rest in up.outside(&done) {
+        correct(&rest, field, &ws.qbar, strided);
+    }
     ledger.update += up.flops(opcount::COST_CORRECTOR);
 
     // Under MMS the top row keeps its exact manufactured data (the sweep
@@ -700,7 +712,18 @@ pub(crate) enum Src<'a> {
     Row(&'a [f64]),
 }
 
-impl Src<'_> {
+impl<'a> Src<'a> {
+    /// The term of component `c`, given the operator's source row (`None`
+    /// for the axial operator).
+    #[inline(always)]
+    fn of(row: Option<&'a [f64]>, c: usize) -> Self {
+        match row {
+            None => Src::None,
+            Some(s) if c == 2 => Src::Row(s),
+            Some(_) => Src::Zero,
+        }
+    }
+
     #[inline(always)]
     fn term(&self, k: usize, dt: f64) -> Option<f64> {
         match self {
@@ -803,7 +826,7 @@ pub(crate) struct Update<'a> {
     pub nj: usize,
 }
 
-impl Update<'_> {
+impl<'p> Update<'p> {
     /// Raw-index step `(di, dj)` from `f[k]` to `f[k±1]`.
     #[inline(always)]
     fn step(&self) -> (isize, isize) {
@@ -820,18 +843,21 @@ impl Update<'_> {
         let (di, dj) = self.step();
         let fc = &self.flux.c[c];
         let f = |k: isize| &fc.row((ii as isize + k * di) as usize)[(NG as isize + k * dj) as usize..];
-        let src = match self.src {
-            None => Src::None,
-            Some(s) if c == 2 => Src::Row(&s.row(ii)[NG..]),
-            Some(_) => Src::Zero,
-        };
         Row {
             q: &other.row(ii)[NG..],
             f: [f(0), f(1), f(2)],
             st: self.st,
-            src,
+            src: Src::of(self.src.map(|s| &s.row(ii)[NG..]), c),
             mms: self.mms.map(|m| &m[c].row(ii)[NG..]),
         }
+    }
+
+    /// The pass cut down to what a sweep that already updated the stations
+    /// `done` left of its window: the columns below and above them. (`done`
+    /// lies inside `irange`; empty, anchored anywhere in it, for a sweep
+    /// that updated nothing.)
+    pub(crate) fn outside(&self, done: &Range<usize>) -> [Update<'p>; 2] {
+        [self.irange.start..done.start, done.end..self.irange.end].map(|irange| Update { irange, ..*self })
     }
 
     /// FLOPs of the pass at `per_point` for the bare update; the radial
@@ -872,6 +898,80 @@ impl Update<'_> {
         for c in 0..4 {
             for ii in self.irange.start + NG..self.irange.end + NG {
                 row_kernel::<CORRECT>(&mut out.q[c].row_mut(ii)[NG..NG + self.nj], self.row(c, ii, &other.q[c]));
+            }
+        }
+    }
+}
+
+/// A predictor or corrector pass that rides inside a V7 sweep
+/// ([`crate::soa`]): the window and constants of an [`Update`], but no flux
+/// planes — the sweep hands [`FusedUpdate::station`] each station's flux rows
+/// out of its ring while they are still in cache. The state the pass reads
+/// (`q` in the predictor, `qbar` in the corrector) is the state the sweep
+/// differences, so the sweep supplies that too. Stations whose stencil
+/// reaches a flux the sweep does not emit itself (ghost columns, edge columns
+/// computed after the halo) are left to the caller: [`Update::outside`].
+pub(crate) struct FusedUpdate<'a> {
+    /// Stencil and step-size constants.
+    pub st: Stencil,
+    /// MMS forcing planes of this operator (verification runs only).
+    pub mms: Option<&'a [Array2; 4]>,
+    /// Owned axial columns updated.
+    pub irange: Range<usize>,
+    /// Number of radial rows updated, from row 0.
+    pub nj: usize,
+    /// Where the pass writes: `qbar` (predictor), the field itself (corrector).
+    pub out: &'a mut Field,
+    /// Corrector (in place on `out`) rather than predictor.
+    pub correct: bool,
+}
+
+impl FusedUpdate<'_> {
+    /// The stations of `irange` whose one-sided stencil (reach 2, whatever
+    /// the order) stays inside `emitted`, the flux stations the sweep
+    /// evaluates itself: those it can update from its ring. The radial
+    /// stencil stays inside one station.
+    pub(crate) fn fusable(&self, dir: FluxDir, emitted: &Range<usize>) -> Range<usize> {
+        let (lo, hi) = match (dir, self.st.forward) {
+            (FluxDir::R, _) => (emitted.start, emitted.end),
+            (FluxDir::X, true) => (emitted.start, emitted.end.saturating_sub(2)),
+            (FluxDir::X, false) => (emitted.start + 2, emitted.end),
+        };
+        let lo = lo.clamp(self.irange.start, self.irange.end);
+        lo..hi.clamp(lo, self.irange.end)
+    }
+
+    /// Update the raw columns `jj` of raw station `ii`: `state` is what the
+    /// sweep differences, `flux(c)` the slices `f[k]`, `f[k±1]`, `f[k±2]` of
+    /// component `c` and `src` the radial source row, all starting at
+    /// `jj.start` — the operands [`Update::row`] cuts out of the planes.
+    ///
+    /// Inlined, row kernels included, so that each instantiation of the
+    /// sweep compiles them for its own vector unit: measured faster on both
+    /// `step_*` workloads than a call out to the baseline [`predict_row`] /
+    /// [`correct_row`] (DESIGN §14.3), which every other rung keeps using.
+    #[inline(always)]
+    pub(crate) fn station<'f>(
+        &mut self,
+        state: &Field,
+        ii: usize,
+        jj: Range<usize>,
+        flux: impl Fn(usize) -> [&'f [f64]; 3],
+        src: Option<&[f64]>,
+    ) {
+        for c in 0..4 {
+            let row = Row {
+                q: &state.q[c].row(ii)[jj.start..],
+                f: flux(c),
+                st: self.st,
+                src: Src::of(src, c),
+                mms: self.mms.map(|m| &m[c].row(ii)[jj.start..]),
+            };
+            let out = &mut self.out.q[c].row_mut(ii)[jj.clone()];
+            if self.correct {
+                row_kernel::<true>(out, row);
+            } else {
+                row_kernel::<false>(out, row);
             }
         }
     }

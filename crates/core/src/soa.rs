@@ -48,19 +48,40 @@
 //! Direction, viscosity and source-plane presence are const generics of the
 //! flux body, so the hot loops carry no per-point branches.
 //!
+//! ## The update rides in the sweep
+//!
+//! A solver step does not sweep into the flux planes and read them back: its
+//! operators hand the sweep the predictor or corrector pass that consumes
+//! the flux (`fused_pass`, `scheme::FusedUpdate`). The sweep emits each
+//! station's flux rows into a three-station ring in [`SoaWs`] and updates a station
+//! from the ring as soon as its one-sided stencil is complete — the radial
+//! operator right behind the station's own flux (stencil and flux ghost fill
+//! stay inside the row), the axial one a station (backward difference) or
+//! three (forward) behind it — with the row kernels of [`crate::scheme`] on
+//! the operands the plane path gives them, so the bits are those of sweep →
+//! ghost fill → update. Stations whose stencil reaches a ghost flux (global
+//! edge extrapolation, neighbour exchange, edge columns computed after the
+//! halo) are *deferred*: the sweep writes the four stations at either end of
+//! the patch to the planes as well, and the caller runs the plane update
+//! over what is left of its window once the ghosts exist. [`fused_sweep`],
+//! the public entry benches and property tests call, is the same body with
+//! no pass attached: every station deferred, every flux row to the planes.
+//!
 //! ## ISA dispatch
 //!
-//! The sweep is one `#[inline(always)]` source body (`sweep`) instantiated
-//! twice: for the target's baseline vector unit inside [`fused_sweep`], and
-//! under `#[target_feature(enable = "avx2")]` on x86-64, picked per call by
-//! `is_x86_feature_detected!`. Only the register width differs — no `fma`,
-//! no intrinsics — so the two instantiations agree bit for bit (unit-tested
-//! against each other). This is the crate's one `unsafe` block (DESIGN
-//! §14.2).
+//! The sweep is one `#[inline(always)]` source body (`run`) instantiated
+//! twice per direction and regime: for the target's baseline vector unit,
+//! and under `#[target_feature(enable = "avx2")]` on x86-64, picked per call
+//! by `is_x86_feature_detected!`. Only the register width differs — no
+//! `fma`, no intrinsics — so the two instantiations agree bit for bit
+//! (unit-tested against each other). This is the crate's one `unsafe` block
+//! (DESIGN §14.2).
 
+use crate::bc;
 use crate::field::{Field, FluxField, Patch, PrimField, NG};
 use crate::kernels::{flux_needs, EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
+use crate::scheme::FusedUpdate;
 use ns_numerics::{Array2, GasModel};
 use std::ops::Range;
 
@@ -178,8 +199,11 @@ const P_T: usize = 4;
 impl SoaPrims {
     /// Zeroed arena shaped for `patch` (ghosts included).
     pub fn zeros(patch: &Patch) -> Self {
-        let ni = patch.nxl + 2 * NG;
-        let nj = patch.nr() + 2 * NG;
+        Self::with_stations(patch.nxl + 2 * NG, patch.nr() + 2 * NG)
+    }
+
+    /// Zeroed arena of `ni` stations of `nj`-point rows.
+    fn with_stations(ni: usize, nj: usize) -> Self {
         let stride = pad(nj);
         Self { data: vec![0.0; ni * 5 * stride], ni, nj, stride }
     }
@@ -235,9 +259,24 @@ impl SoaPrims {
     }
 }
 
-/// Reusable V7 sweep workspace: the primitive SoA arena and the padded
-/// radius tables of one patch. Created lazily by the first V7 sweep and kept
-/// in the solver [`Workspace`](crate::field::Workspace).
+/// Flux stations an axial pass keeps: the one-sided 2-4 stencil spans three.
+const RING: usize = 3;
+/// Row of the radial source inside a ring station, after the four flux rows.
+const R_SRC: usize = 4;
+/// Axial stations at either end of a patch whose flux an attached pass also
+/// writes to the flux planes: the four the cubic ghost extrapolation reads
+/// at a global edge, which cover the two the flux exchange sends at an
+/// internal one and every station a deferred update differences.
+const X_BAND: usize = 4;
+/// Radial points by which a tile's flux rows overlap its neighbours' when a
+/// radial pass is attached. The far-field extrapolation sets it: a tile that
+/// holds the last row fills the ghosts above it from the last four. The
+/// stencil reaches two, and the axis mirror wants row 1 beside row 0.
+const R_REACH: usize = 3;
+
+/// Reusable V7 sweep workspace: the primitive SoA arena, the flux ring and
+/// the padded radius tables of one patch. Created lazily by the first V7
+/// sweep and kept in the solver [`Workspace`](crate::field::Workspace).
 #[derive(Clone, Debug)]
 pub struct SoaWs {
     /// Recovered primitives (station-blocked). The conservative inputs are
@@ -245,6 +284,12 @@ pub struct SoaWs {
     /// lane loads need no padding, so a staged copy would only add a full
     /// extra round-trip of the field through memory per sweep.
     pub prims: SoaPrims,
+    /// The flux (and radial source) rows of the last [`RING`] stations a
+    /// sweep emitted, in the arena's station layout — four flux rows and
+    /// [`R_SRC`] where a primitive station has `rho, u, v, p, t` — each row
+    /// indexed like a flux-plane row: what an attached update reads instead
+    /// of the planes.
+    ring: SoaPrims,
     r_of: Vec<f64>,
     inv_r: Vec<f64>,
     /// The patch everything above was built from: the arena depends on its
@@ -265,7 +310,8 @@ impl SoaWs {
             *r = patch.r(j);
             *w = 1.0 / *r;
         }
-        Self { prims, r_of, inv_r, patch: patch.clone() }
+        let ring = SoaPrims::with_stations(RING, prims.nj);
+        Self { prims, ring, r_of, inv_r, patch: patch.clone() }
     }
 
     /// Rebuild if the workspace was built for another patch (a ten-word
@@ -498,7 +544,8 @@ fn flux_lane<const DIRX: bool, const VISC: bool, const N: usize>(
 }
 
 /// Evaluate one station's flux (and source, for radial sweeps) over the
-/// interior radial points `[jlo, jhi)` from the SoA primitive arena.
+/// interior radial points `[jlo, jhi)` from the SoA primitive arena into
+/// `f_rows` / `src_row`: the station's rows of the planes, or of the ring.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn flux_station_tile<const DIRX: bool, const VISC: bool>(
@@ -507,8 +554,8 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
     edges: EdgeFlags,
     c: &FluxConsts,
     inv_2dx: f64,
-    flux: &mut FluxField,
-    src: Option<&mut Array2>,
+    mut f_rows: [&mut [f64]; 4],
+    mut src_row: Option<&mut [f64]>,
     e: usize,
     jlo: usize,
     jhi: usize,
@@ -545,9 +592,6 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
         t_m: prims.row(cm, P_T),
         t_r: prims.row(cr, P_T),
     };
-    let [fa, fb, fc, fd] = &mut flux.c;
-    let mut f_rows: [&mut [f64]; 4] = [fa.row_mut(ii), fb.row_mut(ii), fc.row_mut(ii), fd.row_mut(ii)];
-    let mut src_row = src.map(|s| s.row_mut(ii));
 
     let mut j = jlo;
     while j + LANES <= jhi {
@@ -589,9 +633,13 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
 ///   AoS-resident),
 ///
 /// so from the outside the sweep is a drop-in replacement: bitwise-equal
-/// primitives where exported, bitwise-equal fluxes everywhere. Tile
-/// boundary columns are recomputed rather than carried between tiles, which
-/// is why any `tile_r >= 1` yields bit-identical results.
+/// primitives where exported, bitwise-equal fluxes on every station a later
+/// consumer reads — here, with no update attached, all of `flux_range`,
+/// every one deferred to the caller through the planes; the solver's V7
+/// operators attach their update (`fused_pass`) and get the planes written
+/// only where something still reads them. Tile boundary columns are
+/// recomputed rather than carried between tiles, which is why any
+/// `tile_r >= 1` yields bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_sweep(
     dir: FluxDir,
@@ -609,14 +657,74 @@ pub fn fused_sweep(
     tile_r: usize,
     ledger: &mut FlopLedger,
 ) {
-    let s = Sweep { field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger };
+    fused_pass(
+        dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, None, ledger,
+    );
+}
+
+/// [`fused_sweep`] with the predictor or corrector pass that consumes its
+/// flux run inside it: each station of `pass.irange` whose stencil the sweep
+/// emits itself ([`FusedUpdate::fusable`]) is updated from the flux ring in
+/// [`SoaWs`] as soon as its last flux station exists, while those rows are
+/// still in L1/L2 — the radial operator right after the station's own flux
+/// (its stencil and its flux ghost fill stay inside the row), the axial
+/// operator one station (backward difference) or three (forward) behind the
+/// flux. Returns the stations updated. What reaches the planes is only what
+/// a later consumer reads: the [`X_BAND`] axial stations at either end of
+/// the patch, which the flux exchange, the ghost extrapolation and the
+/// caller's deferred update of the remaining stations use; a radial pass
+/// writes no plane at all, `src` included (it owns both radial boundaries —
+/// pencils do not run the fused rungs), and charges the ghost fill to
+/// `ledger.boundary` as [`bc::fill_rflux_ghosts_sides`] does.
+///
+/// Bitwise the composition sweep → ghost fill → update through the planes:
+/// the same row kernels on the same operands. Without a pass this is
+/// [`fused_sweep`] and returns an empty range.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_pass(
+    dir: FluxDir,
+    field: &Field,
+    prim: &mut PrimField,
+    edges: EdgeFlags,
+    gas: &GasModel,
+    flux: &mut FluxField,
+    src: Option<&mut Array2>,
+    prim_range: Range<usize>,
+    flux_range: Range<usize>,
+    hi_pre: Option<usize>,
+    exports: &[usize],
+    ws: &mut SoaWs,
+    tile_r: usize,
+    pass: Option<FusedUpdate<'_>>,
+    ledger: &mut FlopLedger,
+) -> Range<usize> {
+    dispatch(
+        dir,
+        Sweep { field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, pass, ledger },
+    )
+}
+
+/// Call `$run::<DIRX, VISC>` for the direction and regime of a sweep.
+macro_rules! per_shape {
+    ($run:ident, $dir:expr, $s:expr) => {
+        match ($dir, !$s.gas.is_inviscid()) {
+            (FluxDir::X, true) => $run::<true, true>($s),
+            (FluxDir::X, false) => $run::<true, false>($s),
+            (FluxDir::R, true) => $run::<false, true>($s),
+            (FluxDir::R, false) => $run::<false, false>($s),
+        }
+    };
+}
+
+/// Run the sweep in the instantiation for the vector unit this host has.
+fn dispatch(dir: FluxDir, s: Sweep<'_>) -> Range<usize> {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `sweep_avx2` requires only that the CPU executes AVX2,
+        // SAFETY: `run_avx2` requires only that the CPU executes AVX2,
         // which the detection on the line above has just established.
-        return unsafe { sweep_avx2(dir, s) };
+        return unsafe { per_shape!(run_avx2, dir, s) };
     }
-    sweep(dir, s)
+    per_shape!(run_plain, dir, s)
 }
 
 /// The vector ISA [`fused_sweep`] runs on this host, e.g. `"x86_64+avx2"`,
@@ -645,40 +753,81 @@ struct Sweep<'a> {
     exports: &'a [usize],
     ws: &'a mut SoaWs,
     tile_r: usize,
+    pass: Option<FusedUpdate<'a>>,
     ledger: &'a mut FlopLedger,
 }
 
-/// [`sweep`] compiled for 256-bit vectors. `avx2` without `fma`: rustc never
+/// [`run`] compiled for 256-bit vectors. `avx2` without `fma`: rustc never
 /// contracts `a * b + c`, so every lane still evaluates the IEEE operations
 /// of the plain instantiation in the same order and no bit can differ.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2(dir: FluxDir, s: Sweep<'_>) {
-    sweep(dir, s)
+fn run_avx2<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
+    run::<DIRX, VISC>(s)
 }
 
-/// The one sweep body. `#[inline(always)]` all the way down to the
-/// [`LaneVec`] operators, so each caller — [`fused_sweep`] for the target's
-/// baseline ISA, [`sweep_avx2`] — compiles its own copy for its own vector
-/// unit; anything left out of line would stay baseline code.
+/// [`run`] compiled for the target's baseline vector unit. Out of line like
+/// [`run_avx2`], so that a stack frame holds one direction and regime: an
+/// unoptimised build gives every inlined local a slot of its own, and all
+/// four in one frame outgrew a 2 MB thread stack.
+#[inline(never)]
+fn run_plain<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
+    run::<DIRX, VISC>(s)
+}
+
+/// Recover one station's primitives over `[jlo, jhi)` and, on the tiles that
+/// reach them, its radial ghosts.
 #[inline(always)]
-fn sweep(dir: FluxDir, s: Sweep<'_>) {
-    match (dir, !s.gas.is_inviscid()) {
-        (FluxDir::X, true) => run::<true, true>(s),
-        (FluxDir::X, false) => run::<true, false>(s),
-        (FluxDir::R, true) => run::<false, true>(s),
-        (FluxDir::R, false) => run::<false, false>(s),
+#[allow(clippy::too_many_arguments)]
+fn recover_station(
+    field: &Field,
+    prims: &mut SoaPrims,
+    ii: usize,
+    jlo: usize,
+    jhi: usize,
+    gm1: f64,
+    inv_rgas: f64,
+    inv_r: &[f64],
+) {
+    let nr = field.nr();
+    let qrows = [field.q[0].row(ii), field.q[1].row(ii), field.q[2].row(ii), field.q[3].row(ii)];
+    prims_station_tile(qrows, prims, ii, jlo, jhi, gm1, inv_rgas, inv_r);
+    if jlo == 0 {
+        mirror_axis_station(prims, ii);
+    }
+    if jhi == nr {
+        extrap_top_station(prims, ii, nr);
     }
 }
 
+/// The one sweep body. `#[inline(always)]` all the way down to the
+/// [`LaneVec`] operators, so each caller — [`run_plain`], [`run_avx2`] —
+/// compiles its own copy for its own vector unit, the update row kernels of
+/// an attached pass included; anything left out of line would stay baseline
+/// code.
 #[inline(always)]
-fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) {
-    let Sweep { field, prim, edges, gas, flux, mut src, prim_range, flux_range, hi_pre, exports, ws, tile_r, ledger } =
-        s;
+fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
+    let Sweep {
+        field,
+        prim,
+        edges,
+        gas,
+        flux,
+        mut src,
+        prim_range,
+        flux_range,
+        hi_pre,
+        exports,
+        ws,
+        tile_r,
+        mut pass,
+        ledger,
+    } = s;
     let patch = &field.patch;
     let (nxl, nr) = (patch.nxl, patch.nr());
     debug_assert!(prim_range.end <= nxl && flux_range.end <= nxl);
     ws.ensure(patch);
+    let SoaWs { prims, ring, r_of, inv_r, .. } = ws;
     let tile_r = tile_r.max(1);
 
     let gm1 = gas.gamma - 1.0;
@@ -699,73 +848,97 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) {
     // primitive stores use the padded arena), so the sweep adds no extra
     // round-trip of the field through memory.
     for s in 0..prim_range.start {
-        ws.prims.import_station(prim, s + NG);
+        prims.import_station(prim, s + NG);
     }
     if let Some(h) = hi_pre {
         if !prim_range.contains(&h) {
-            ws.prims.import_station(prim, h + NG);
+            prims.import_station(prim, h + NG);
         }
     }
+
+    let dir = if DIRX { FluxDir::X } else { FluxDir::R };
+    // The stations an attached pass updates in here; it leaves the rest of
+    // its window to the caller.
+    let done = pass.as_ref().map_or(0..0, |p| p.fusable(dir, &flux_range));
+    // A radial pass differences along the row just computed, so its tiles
+    // evaluate the flux rows their stencil and ghost fills reach as well.
+    let reach = if !DIRX && pass.is_some() { R_REACH } else { 0 };
+    debug_assert!(reach == 0 || (edges.bottom && edges.top), "a fused radial pass owns both radial boundaries");
 
     let n_tiles = nr.div_ceil(tile_r);
     for t in 0..n_tiles {
         let jlo = t * tile_r;
         let jhi = (jlo + tile_r).min(nr);
-        // Prims extend one point past the flux tile so the radial stencil at
-        // the tile's top edge is satisfied; the overlap column is recomputed
-        // bit-identically by the next tile.
-        let pjhi = (jhi + 1).min(nr);
-        let (first, last) = (jlo == 0, jhi == nr);
+        let (fjlo, fjhi) = (jlo.saturating_sub(reach), (jhi + reach).min(nr));
+        // Prims extend one point past the flux rows so the radial stencil at
+        // their top edge is satisfied; the overlap is recomputed
+        // bit-identically by the next tile. Below `jlo` the arena still
+        // holds what the previous tile recovered for this station.
+        let pjhi = (fjhi + 1).min(nr);
 
-        let mut next_flux = flux_range.start;
-        for i in prim_range.clone() {
-            let qrows =
-                [field.q[0].row(i + NG), field.q[1].row(i + NG), field.q[2].row(i + NG), field.q[3].row(i + NG)];
-            prims_station_tile(qrows, &mut ws.prims, i + NG, jlo, pjhi, gm1, inv_rgas, &ws.inv_r);
-            if first {
-                mirror_axis_station(&mut ws.prims, i + NG);
+        let mut next_prim = prim_range.start;
+        for e in flux_range.clone() {
+            // Recover stations up to the last one this flux stencil reads;
+            // what it reads past `prim_range` was imported above.
+            let need = flux_needs(e, nxl, edges, VISC);
+            while next_prim < prim_range.end && next_prim <= need {
+                recover_station(field, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
+                next_prim += 1;
             }
-            if last {
-                extrap_top_station(&mut ws.prims, i + NG, nr);
-            }
-            while next_flux < flux_range.end {
-                let need = flux_needs(next_flux, nxl, edges, VISC);
-                if need > i && hi_pre != Some(need) {
-                    break;
-                }
+            let ii = e + NG;
+            // Two call sites on purpose: choosing the destination rows first
+            // and calling once measured 4-5 % slower on a 512x512 step.
+            let Some(pass) = pass.as_mut() else {
+                // No update attached: every station is the caller's, through
+                // the planes.
+                let [fa, fb, fc, fd] = &mut flux.c;
+                let f_rows = [fa.row_mut(ii), fb.row_mut(ii), fc.row_mut(ii), fd.row_mut(ii)];
+                let src_row = src.as_deref_mut().map(|s| s.row_mut(ii));
                 flux_station_tile::<DIRX, VISC>(
-                    &ws.prims,
-                    patch,
-                    edges,
-                    &consts,
-                    inv_2dx,
-                    flux,
-                    src.as_deref_mut(),
-                    next_flux,
-                    jlo,
-                    jhi,
-                    &ws.r_of,
-                    &ws.inv_r,
+                    prims, patch, edges, &consts, inv_2dx, f_rows, src_row, e, jlo, jhi, r_of, inv_r,
                 );
-                next_flux += 1;
+                continue;
+            };
+            let slot = if DIRX { e % RING } else { 0 };
+            let [f0, f1, f2, f3, src_row] = ring.station_rows_mut(slot);
+            let (f_rows, src_row) = ([f0, f1, f2, f3], (!DIRX).then_some(src_row));
+            flux_station_tile::<DIRX, VISC>(
+                prims, patch, edges, &consts, inv_2dx, f_rows, src_row, e, fjlo, fjhi, r_of, inv_r,
+            );
+            let forward = pass.st.forward;
+            let step = if forward { 1 } else { -1 };
+            if DIRX {
+                let jj = jlo + NG..jhi + NG;
+                if e < X_BAND || e + X_BAND >= nxl {
+                    for (plane, c) in flux.c.iter_mut().zip(0..) {
+                        plane.row_mut(ii)[jj.clone()].copy_from_slice(&ring.row(slot, c)[jj.clone()]);
+                    }
+                }
+                // Forward, the station two back has just received its last
+                // flux; backward, this one has.
+                let i = if forward { e.wrapping_sub(2) } else { e };
+                if done.contains(&i) {
+                    let at = jj.start;
+                    let f = |c| [0, 1, 2].map(|k| &ring.row((i as isize + k * step) as usize % RING, c)[at..]);
+                    pass.station(field, i + NG, jj, f, None);
+                }
+            } else {
+                let (bottom, top) = (edges.bottom && fjlo == 0, edges.top && fjhi == nr);
+                for (row, parity) in ring.station_rows_mut(slot).into_iter().zip(bc::G_PARITY) {
+                    bc::fill_rflux_ghost_row(row, parity, nr, bottom, top);
+                }
+                let jj = jlo + NG..jhi.min(pass.nj) + NG;
+                if done.contains(&e) && !jj.is_empty() {
+                    let at = jj.start;
+                    let f = |c| [0, 1, 2].map(|k| &ring.row(slot, c)[(at as isize + k * step) as usize..]);
+                    pass.station(field, ii, jj, f, Some(&ring.row(slot, R_SRC)[at..]));
+                }
             }
         }
-        while next_flux < flux_range.end {
-            flux_station_tile::<DIRX, VISC>(
-                &ws.prims,
-                patch,
-                edges,
-                &consts,
-                inv_2dx,
-                flux,
-                src.as_deref_mut(),
-                next_flux,
-                jlo,
-                jhi,
-                &ws.r_of,
-                &ws.inv_r,
-            );
-            next_flux += 1;
+        // Stations no flux of this call reads (the caller may export them).
+        while next_prim < prim_range.end {
+            recover_station(field, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
+            next_prim += 1;
         }
     }
 
@@ -775,7 +948,7 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) {
     // were never moved out of the AoS planes.
     for &s in exports {
         if prim_range.contains(&s) {
-            ws.prims.export_station(prim, s + NG);
+            prims.export_station(prim, s + NG);
         }
     }
 
@@ -786,15 +959,20 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) {
         (flux_range.len() * nr) as u64 * if VISC { opcount::COST_FLUX_VISCOUS } else { opcount::COST_FLUX_INVISCID };
     if !DIRX {
         ledger.source += (flux_range.len() * nr) as u64 * opcount::COST_SOURCE;
+        if pass.is_some() {
+            ledger.boundary += bc::rflux_ghost_flops(flux_range.len(), edges.bottom, edges.top);
+        }
     }
+    done
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Regime, SolverConfig, Version, DEFAULT_TILE_R};
+    use crate::config::{Regime, SchemeOrder, SolverConfig, Version, DEFAULT_TILE_R};
     use crate::driver::Solver;
     use crate::kernels;
+    use crate::scheme::{self, Stencil, Update};
     use ns_numerics::gas::Primitive;
     use ns_numerics::Grid;
 
@@ -853,24 +1031,24 @@ mod tests {
         if plain {
             let (prim, flux, exports, ledger) = (&mut prim, &mut flux, &exports[..], &mut ledger);
             let src = src_arg;
-            sweep(
-                dir,
-                Sweep {
-                    field,
-                    prim,
-                    edges,
-                    gas,
-                    flux,
-                    src,
-                    prim_range,
-                    flux_range,
-                    hi_pre,
-                    exports,
-                    ws,
-                    tile_r,
-                    ledger,
-                },
-            );
+            let pass = None;
+            let s = Sweep {
+                field,
+                prim,
+                edges,
+                gas,
+                flux,
+                src,
+                prim_range,
+                flux_range,
+                hi_pre,
+                exports,
+                ws,
+                tile_r,
+                pass,
+                ledger,
+            };
+            per_shape!(run_plain, dir, s);
         } else {
             fused_sweep(
                 dir,
@@ -911,29 +1089,348 @@ mod tests {
                         Shape::Split => (3, 10), // internal: no global x edges
                     };
                     let patch = Patch { grid: grid.clone(), i0, nxl, j0: 0, nrl };
+                    let forcing = forcing(&patch);
                     let mut field = smooth_field(&patch, &gas);
                     // One of each: a signed zero, a subnormal, a NaN payload.
                     // A single NaN, because where two different NaNs meet the
                     // survivor follows an operand order the compiler may pick
                     // differently per instantiation.
-                    field.q[2].set(1 + NG, NG, -0.0);
-                    field.q[1].set(7 + NG, nrl - 1 + NG, f64::from_bits(1234));
-                    field.q[3].set(4 + NG, 1 + NG, f64::from_bits(0x7ff8_dead_beef_0001));
+                    salt(&mut field);
                     for dir in [FluxDir::X, FluxDir::R] {
-                        for tile_r in [1, 3, LANES, DEFAULT_TILE_R] {
+                        for (t, tile_r) in [1, 3, LANES, DEFAULT_TILE_R].into_iter().enumerate() {
                             let mut ws = SoaWs::new(&patch);
                             let plain = sweep_bits(true, dir, &field, &gas, shape, tile_r, &mut ws);
                             let dispatched = sweep_bits(false, dir, &field, &gas, shape, tile_r, &mut ws);
-                            assert!(
-                                plain == dispatched,
-                                "{} differs from the plain instantiation: {regime:?} {dir:?} {shape:?} nr {nrl} tile {tile_r}",
-                                isa()
-                            );
+                            let what = format!("{regime:?} {dir:?} {shape:?} nr {nrl} tile {tile_r}");
+                            assert!(plain == dispatched, "{} differs from the plain instantiation: {what}", isa());
+                            // The update outputs of an attached pass (its row
+                            // kernels are inlined into both instantiations):
+                            // four of the sixteen passes per tile size, all
+                            // sixteen per shape.
+                            for k in (0..16).filter(|k| k % 4 == t) {
+                                let p = Pass::nth(k);
+                                let run = |how| stage_bits(how, dir, &field, &gas, shape, tile_r, p, &forcing);
+                                assert!(
+                                    run(How::FusedPlain) == run(How::Fused),
+                                    "{} differs from the plain instantiation with {p:?} attached: {what}",
+                                    isa()
+                                );
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    // --- the fused pass against the composition it replaces -----------------
+
+    /// A quiet NaN with a payload; the one NaN pattern in these tests (see
+    /// [`dispatched_instantiation_is_bitwise_the_plain_one`] for why one).
+    const SENTINEL: u64 = 0x7ff8_dead_beef_0001;
+
+    /// One of each into a sweep's input: a signed zero, a subnormal, a NaN
+    /// payload. The NaN goes into the energy of the top row: it reaches the
+    /// radial momentum flux `G_2` through the pressure in its own row only,
+    /// and a NaN in the first two rows of `G_2` would pass through the axis
+    /// mirror's `-1.0 * g`, which is a multiply (sign kept) or, where the
+    /// optimiser sees the constant, a negation (sign flipped) — a second NaN
+    /// pattern that depends on how each call site was compiled.
+    fn salt(field: &mut Field) {
+        let (nxl, nr) = (field.nxl(), field.nr());
+        field.q[2].set(1 + NG, NG, -0.0);
+        field.q[1].set(nxl - 2 + NG, NG, f64::from_bits(1234));
+        field.q[3].set(nxl / 2 + NG, nr - 1 + NG, f64::from_bits(SENTINEL));
+    }
+
+    /// The update a stage attaches to its sweep, or composes after it.
+    #[derive(Clone, Copy, Debug)]
+    struct Pass {
+        correct: bool,
+        forward: bool,
+        order: SchemeOrder,
+        mms: bool,
+    }
+
+    impl Pass {
+        /// The `k`-th of the sixteen passes.
+        fn nth(k: usize) -> Self {
+            let order = if k & 4 == 0 { SchemeOrder::TwoFour } else { SchemeOrder::TwoTwo };
+            Pass { correct: k & 1 != 0, forward: k & 2 != 0, order, mms: k & 8 != 0 }
+        }
+    }
+
+    /// How a stage is run.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum How {
+        /// Sweep into the planes, ghost fill, whole update through the
+        /// planes: what V1–V6 do and what V7 did.
+        Composed,
+        /// The pass inside the sweep ([`fused_pass`]), deferred stations after.
+        Fused,
+        /// The same through the plain instantiation of the body.
+        FusedPlain,
+    }
+
+    /// The window an operator updates on `patch` and the edge flags it sweeps
+    /// with: the axial one freezes owned inflow/outflow columns, the radial
+    /// one the far-field row and differences one-sidedly at every patch edge.
+    ///
+    /// The test patches are the first `nrl` rows of a taller grid (a `Grid`
+    /// has at least five) and stand for patches that span theirs: the fused
+    /// rungs are admitted on nothing else, so both radial boundaries count
+    /// as owned.
+    fn window(dir: FluxDir, patch: &Patch) -> (EdgeFlags, Range<usize>, usize) {
+        let own = EdgeFlags { bottom: true, top: true, ..EdgeFlags::of(patch) };
+        let (nxl, nr) = (patch.nxl, patch.nr());
+        match dir {
+            FluxDir::X => (own, usize::from(own.left)..nxl - usize::from(own.right), nr),
+            FluxDir::R => (EdgeFlags { left: true, right: true, ..own }, 0..nxl, nr - usize::from(own.top)),
+        }
+    }
+
+    /// One operator stage on `field`, as `scheme` runs it, and every bit it
+    /// leaves: the updated state (ghosts and frozen cells included), the
+    /// [`X_BAND`] stations of the flux planes later consumers read, the
+    /// ledger. The flux of edge columns and ghost columns a real run gets
+    /// after the halo (`finish_prims`, `exchange_flux`) is planted from a
+    /// formula, the same for every `how`: a station wrongly updated from the
+    /// ring instead of waiting for it shows as a difference.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_bits(
+        how: How,
+        dir: FluxDir,
+        field: &Field,
+        gas: &GasModel,
+        shape: Shape,
+        tile_r: usize,
+        p: Pass,
+        forcing: &[Array2; 4],
+    ) -> (Vec<u64>, FlopLedger) {
+        let patch = &field.patch;
+        let (nxl, nr) = (patch.nxl, patch.nr());
+        let (edges, irange, nj) = window(dir, patch);
+        let st = Stencil { forward: p.forward, order: p.order, lam: 0.37, dt: 0.013 };
+        let mms = p.mms.then_some(forcing);
+        // The state the pass writes: finite inside the window (the corrector
+        // reads it), a NaN payload everywhere else.
+        let mut out = Field::zeros(patch.clone());
+        for (c, plane) in out.q.iter_mut().enumerate() {
+            *plane = Array2::from_fn(nxl + 2 * NG, nr + 2 * NG, |ii, jj| {
+                if (irange.start + NG..irange.end + NG).contains(&ii) && (NG..nj + NG).contains(&jj) {
+                    0.3 + 0.01 * (c + 2 * ii + 3 * jj) as f64
+                } else {
+                    f64::from_bits(SENTINEL)
+                }
+            });
+        }
+        let before = out.clone();
+
+        let mut ledger = FlopLedger::default();
+        let mut prim = PrimField::zeros(patch);
+        let mut flux = FluxField::zeros(patch);
+        let mut src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
+        let mut ws = SoaWs::new(patch);
+        let (prim_range, flux_range, hi_pre) = match shape {
+            Shape::Whole => (0..nxl, 0..nxl, None),
+            Shape::Split => {
+                kernels::fused_boundary_prims(field, &mut prim, gas, &[0, nxl - 1], &mut ledger);
+                (1..nxl - 1, usize::from(!edges.left)..nxl - usize::from(!edges.right), Some(nxl - 1))
+            }
+        };
+        let emitted = flux_range.clone();
+        let done = if how == How::Composed {
+            let src = (dir == FluxDir::R).then_some(&mut src);
+            fused_sweep(
+                dir,
+                field,
+                &mut prim,
+                edges,
+                gas,
+                &mut flux,
+                src,
+                prim_range,
+                flux_range,
+                hi_pre,
+                &[],
+                &mut ws,
+                tile_r,
+                &mut ledger,
+            );
+            irange.start..irange.start
+        } else {
+            let pass = FusedUpdate { st, mms, irange: irange.clone(), nj, out: &mut out, correct: p.correct };
+            let (prim, flux, ws, ledger) = (&mut prim, &mut flux, &mut ws, &mut ledger);
+            if how == How::Fused {
+                fused_pass(
+                    dir,
+                    field,
+                    prim,
+                    edges,
+                    gas,
+                    flux,
+                    None,
+                    prim_range,
+                    flux_range,
+                    hi_pre,
+                    &[],
+                    ws,
+                    tile_r,
+                    Some(pass),
+                    ledger,
+                )
+            } else {
+                let (src, exports, pass) = (None, &[][..], Some(pass));
+                let s = Sweep {
+                    field,
+                    prim,
+                    edges,
+                    gas,
+                    flux,
+                    src,
+                    prim_range,
+                    flux_range,
+                    hi_pre,
+                    exports,
+                    ws,
+                    tile_r,
+                    pass,
+                    ledger,
+                };
+                per_shape!(run_plain, dir, s)
+            }
+        };
+        // Between sweep and update, as in `scheme`.
+        match dir {
+            FluxDir::X => {
+                let ghosts_l = if edges.left { 0 } else { NG as isize };
+                let ghosts_r = if edges.right { 0 } else { NG as isize };
+                for i in (-ghosts_l..nxl as isize + ghosts_r).filter(|&i| i < 0 || !emitted.contains(&(i as usize))) {
+                    for c in 0..4 {
+                        for j in 0..nr as isize {
+                            flux.set(c, i, j, 0.2 + 0.05 * ((3 * c as isize + 5 * i + 7 * j) % 11) as f64);
+                        }
+                    }
+                }
+                bc::extrap_flux_x(&mut flux, nxl, nr, edges.left, edges.right, &mut ledger);
+            }
+            FluxDir::R if done.is_empty() => {
+                bc::fill_rflux_ghosts_sides(&mut flux, nxl, nr, edges.bottom, edges.top, &mut ledger)
+            }
+            FluxDir::R => {}
+        }
+        let src = (dir == FluxDir::R).then_some(&src);
+        let up = Update { dir, st, flux: &flux, src, mms, irange: irange.clone(), nj };
+        for rest in up.outside(&done) {
+            if p.correct {
+                scheme::correct(&rest, &mut out, field, false);
+            } else {
+                scheme::predict(&rest, field, &mut out, false);
+            }
+        }
+
+        // Nothing outside the window was written.
+        for (plane, plane0) in out.q.iter().zip(&before.q) {
+            for (ii, jj) in (0..nxl + 2 * NG).flat_map(|ii| (0..nr + 2 * NG).map(move |jj| (ii, jj))) {
+                let planted = plane0.at(ii, jj).to_bits() == SENTINEL;
+                assert!(
+                    !planted || plane.at(ii, jj).to_bits() == SENTINEL,
+                    "{how:?} wrote ({ii},{jj}), outside its window"
+                );
+            }
+        }
+        let mut bits: Vec<u64> = out.q.iter().flat_map(|a| a.as_slice()).map(|v| v.to_bits()).collect();
+        if dir == FluxDir::X {
+            for ii in (0..nxl + 2 * NG).filter(|&ii| ii < NG + X_BAND || ii + NG + X_BAND >= nxl + 2 * NG) {
+                bits.extend(flux.c.iter().flat_map(|plane| &plane.row(ii)[NG..NG + nr]).map(|v| v.to_bits()));
+            }
+        }
+        (bits, ledger)
+    }
+
+    /// Patches `nr` rows tall on an `nx = 16` grid: its whole width and three
+    /// internal slabs (no global x edge) — one so narrow that every station
+    /// of either difference is deferred, one where exactly one is fused.
+    fn stage_patches(nr: usize) -> [Patch; 4] {
+        let grid = Grid::new(16, 24, 8.0, 2.4);
+        [(0, 16), (3, 4), (3, 5), (3, 9)].map(|(i0, nxl)| Patch { grid: grid.clone(), i0, nxl, j0: 0, nrl: nr })
+    }
+
+    /// MMS forcing planes for a stage test: any finite numbers will do.
+    fn forcing(patch: &Patch) -> [Array2; 4] {
+        std::array::from_fn(|c| {
+            Array2::from_fn(patch.nxl + 2 * NG, patch.nr() + 2 * NG, |ii, jj| {
+                0.1 * ((c + 3 * ii + 7 * jj) % 13) as f64 - 0.6
+            })
+        })
+    }
+
+    /// The tentpole's contract: a sweep with the update inside it, plus the
+    /// deferred stations afterwards, leaves the bits of sweep → ghost fill →
+    /// `predict`/`correct` through the planes — both directions and regimes,
+    /// predictor and corrector, forward and backward, both orders, forcing on
+    /// and off, radial sizes and tile sizes around the lane width, whole
+    /// patches and internal slabs, the axial operator's split shape and the
+    /// exchange-free Euler stage-2 shape; inputs carry a signed zero, a
+    /// subnormal and a NaN payload, and NaN payloads planted outside the
+    /// update window survive (checked inside [`stage_bits`]).
+    #[test]
+    fn fused_pass_is_bitwise_sweep_then_update_through_the_planes() {
+        let tiles = [1, 3, LANES, DEFAULT_TILE_R];
+        let mut cases = 0;
+        for regime in [Regime::NavierStokes, Regime::Euler] {
+            for nr in [3, 4, 5, 7, 8, 9, 24] {
+                for patch in stage_patches(nr) {
+                    let gas = SolverConfig::paper(patch.grid.clone(), regime).effective_gas();
+                    let mut field = smooth_field(&patch, &gas);
+                    salt(&mut field);
+                    let forcing = forcing(&patch);
+                    let mut shapes = vec![(FluxDir::R, Shape::Whole), (FluxDir::X, Shape::Split)];
+                    if regime == Regime::Euler {
+                        shapes.push((FluxDir::X, Shape::Whole));
+                    }
+                    for (dir, shape) in shapes {
+                        // Every pass meets every tile size; which of them on
+                        // this patch rotates from case to case.
+                        for k in 0..16 {
+                            let (p, tile_r) = (Pass::nth(k), tiles[(k + k / 4 + cases) % 4]);
+                            let run = |how| stage_bits(how, dir, &field, &gas, shape, tile_r, p, &forcing);
+                            let what =
+                                format!("{regime:?} {dir:?} {shape:?} nxl {} nr {nr} tile {tile_r} {p:?}", patch.nxl);
+                            assert!(
+                                run(How::Composed) == run(How::Fused),
+                                "fused pass differs from the composition: {what}"
+                            );
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The deferred-station rule, spelled out on the shapes the operators
+    /// use: which stations a sweep updates itself.
+    #[test]
+    fn fusable_stations_are_those_whose_stencil_the_sweep_emits() {
+        let mut field = Field::zeros(Patch::whole(Grid::small()));
+        let mut fusable = |dir, forward, irange: Range<usize>, emitted: Range<usize>| {
+            let st = Stencil { forward, order: SchemeOrder::TwoFour, lam: 1.0, dt: 1.0 };
+            FusedUpdate { st, mms: None, irange, nj: 1, out: &mut field, correct: false }.fusable(dir, &emitted)
+        };
+        // serial, nxl = 12: columns 0 and 11 frozen, all twelve flux stations emitted
+        assert_eq!(fusable(FluxDir::X, true, 1..11, 0..12), 1..10);
+        assert_eq!(fusable(FluxDir::X, false, 1..11, 0..12), 2..11);
+        // internal slab: edge columns 0 and nxl - 1 wait for the halo
+        assert_eq!(fusable(FluxDir::X, true, 0..12, 1..11), 1..9);
+        assert_eq!(fusable(FluxDir::X, false, 0..12, 1..11), 3..11);
+        // four columns: nothing; five: exactly one
+        assert!(fusable(FluxDir::X, true, 0..4, 1..3).is_empty());
+        assert!(fusable(FluxDir::X, false, 0..4, 1..3).is_empty());
+        assert_eq!(fusable(FluxDir::X, true, 0..5, 1..4), 1..2);
+        assert_eq!(fusable(FluxDir::X, false, 0..5, 1..4), 3..4);
+        // the radial stencil never leaves its station
+        assert_eq!(fusable(FluxDir::R, true, 0..12, 0..12), 0..12);
     }
 
     /// A workspace handed a same-shaped patch at another radial offset (or on
@@ -1142,11 +1639,13 @@ mod tests {
     }
 
     /// End-to-end: a serial V7 solver is bitwise a serial V6 solver, for both
-    /// regimes and a non-default tile size.
+    /// regimes and a non-default tile size, after an odd and an even number
+    /// of steps: both operator orders (`L1x L1r`, `L2r L2x`) and both
+    /// variants run, and a run may end on either.
     #[test]
     fn v7_solver_is_bitwise_v6() {
         for regime in [Regime::NavierStokes, Regime::Euler] {
-            for tile_r in [5, DEFAULT_TILE_R] {
+            for (tile_r, steps) in [(5, 3), (5, 4), (DEFAULT_TILE_R, 3), (DEFAULT_TILE_R, 4)] {
                 let mut c6 = SolverConfig::paper(Grid::small(), regime);
                 c6.version = Version::V6;
                 let mut c7 = c6.clone();
@@ -1154,20 +1653,20 @@ mod tests {
                 c7.tile_r = tile_r;
                 let mut s6 = Solver::new(c6);
                 let mut s7 = Solver::new(c7);
-                s6.run(4);
-                s7.run(4);
+                s6.run(steps);
+                s7.run(steps);
                 for c in 0..4 {
                     for i in 0..s6.field.nxl() {
                         for j in 0..s6.field.nr() {
                             assert_eq!(
                                 s6.field.q[c].at(i + NG, j + NG).to_bits(),
                                 s7.field.q[c].at(i + NG, j + NG).to_bits(),
-                                "{regime:?} tile {tile_r} comp {c} at ({i},{j})"
+                                "{regime:?} tile {tile_r} after {steps} steps, comp {c} at ({i},{j})"
                             );
                         }
                     }
                 }
-                assert_eq!(s6.ledger, s7.ledger, "{regime:?} tile {tile_r} FLOP ledger");
+                assert_eq!(s6.ledger, s7.ledger, "{regime:?} tile {tile_r} FLOP ledger after {steps} steps");
             }
         }
     }

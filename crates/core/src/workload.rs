@@ -272,7 +272,10 @@ pub fn step_workload_pencil(regime: Regime, grid: &Grid, nxl: usize, nrl: usize,
 /// vocabulary. V1–V5 share the prims/flux phase split; the fused V6 path
 /// merges primitive recovery into the flux sweep, so its timers report the
 /// combined phases as `r:fused` / `x:fused2` etc. The flops and the message
-/// protocol are identical across versions — only the labels change.
+/// protocol are identical across versions — only the labels change. (A live
+/// V7 solver spends most of its `*:predict` / `*:correct` flops inside the
+/// `*:fused*` sweeps — see [`crate::scheme::x_operator`]; the program here
+/// keeps them under the update labels, where the FLOP ledger counts them.)
 pub fn step_workload_versioned(
     regime: Regime,
     grid: &Grid,

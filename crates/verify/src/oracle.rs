@@ -9,7 +9,8 @@
 //!   versioned kernels);
 //! * `run_parallel_chaos` with a fault-free plan (the recovery machinery
 //!   must be a perfect no-op when nothing fails);
-//! * the comm-protocol versions V5/V6/V7 (physics-neutral by design).
+//! * the comm-protocol versions V5/V6/V7 (physics-neutral by design), under
+//!   the V5 kernels and under V7's, whose sweeps carry the update.
 //!
 //! Each cell asserts the *strongest* property the design guarantees:
 //! bitwise identity for V5<->V6<->V7 (plus identical FLOP ledgers — the
@@ -308,15 +309,26 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
             cells.push(compare(&chaos_key, &key, &chaos, &par, Expect::Bitwise));
         }
 
-        // --- comm-protocol versions (physics-neutral, V5 kernels, P=4) ----
-        let cfg = base_cfg(oc, regime, Version::V5);
-        let baseline = run_parallel(&cfg, 4, oc.steps, CommVersion::V5).gather_field();
-        let base_key = format!("{rk}/V5/parallel/p4");
-        for &cv in &oc.comm_versions {
-            let key = format!("{rk}/V5/parallel/p4/{}", comm_key(cv));
-            let mut f = run_parallel(&cfg, 4, oc.steps, cv).gather_field();
-            maybe_perturb(oc, &key, &mut f);
-            cells.push(compare(&key, &base_key, &f, &baseline, Expect::Bitwise));
+        // --- comm-protocol versions (physics-neutral, P=4) -----------------
+        // V5 kernels over the configured protocols. V7 kernels over both
+        // split-phase ones in every matrix: a V7 sweep updates the stations
+        // whose flux stencil it emits itself and defers the rest until the
+        // halo has landed, so the deferred-station rule is held against
+        // `post_prims`/`finish_prims` here, not only against comm V5.
+        let split_phase = [CommVersion::V6, CommVersion::V7];
+        for (kernel, comms) in [(Version::V5, &oc.comm_versions[..]), (Version::V7, &split_phase[..])] {
+            if !oc.versions.contains(&kernel) {
+                continue;
+            }
+            let cfg = base_cfg(oc, regime, kernel);
+            let baseline = run_parallel(&cfg, 4, oc.steps, CommVersion::V5).gather_field();
+            let base_key = format!("{rk}/{kernel:?}/parallel/p4");
+            for &cv in comms {
+                let key = format!("{base_key}/{}", comm_key(cv));
+                let mut f = run_parallel(&cfg, 4, oc.steps, cv).gather_field();
+                maybe_perturb(oc, &key, &mut f);
+                cells.push(compare(&key, &base_key, &f, &baseline, Expect::Bitwise));
+            }
         }
     }
     OracleReport { grid: [oc.grid.nx, oc.grid.nr], steps: oc.steps, cells, snapshots }

@@ -23,8 +23,13 @@ fn quick_matrix_is_green_and_golden_self_diff_passes() {
     assert!(failing.is_empty(), "oracle cells failed: {failing:?}");
     // quick matrix shape: per regime, {V6,V7}-vs-V5 serial (2) +
     // {V5,V6,V7} x {1,4} x {parallel,chaos} (12) +
-    // V5 x {1x4,2x2} x {pencil,chaos-pencil} (4) + comm V6 (1)
-    assert_eq!(report.cells.len(), 38);
+    // V5 x {1x4,2x2} x {pencil,chaos-pencil} (4) + V5 kernels under comm V6
+    // (1) + V7 kernels under comm V6 and V7 (2)
+    assert_eq!(report.cells.len(), 42);
+    for key in ["euler/V7/parallel/p4/commV6", "navier-stokes/V7/parallel/p4/commV7"] {
+        let cell = report.cells.iter().find(|c| c.key == key).unwrap_or_else(|| panic!("no cell {key}"));
+        assert_eq!((cell.expected.as_str(), cell.baseline.as_str()), ("bitwise", &key[..key.rfind('/').unwrap()]));
+    }
     assert_eq!(report.snapshots.len(), 2, "one serial V5 reference per regime");
 
     // the snapshots round-trip into a golden file that diffs clean against
