@@ -122,12 +122,14 @@ impl CpuSpec {
 /// tiles: the station's whole recover→flux working set stays in L1 and the
 /// branch-free lane loops retire more of the traffic from registers,
 /// trimming references-per-flop further (arithmetic still bit-identical).
-/// Since ISSUE 17 the V7 sweep also runs the predictor/corrector update of
-/// a station while its flux rows are in cache, so the flux and source
-/// planes are no longer written and re-read: the live solver now moves
-/// fewer references per flop than the 0.62 below was fitted for. The scale
-/// is deliberately left where it is — `BENCH_scaling.json` was produced
-/// with it — and is due for a refit against a live V7 step.
+/// Both reference scales predate the live rungs they stand for. 0.75 was
+/// fitted when V6 was a row-sliced fused sweep; the live V6 is now the SoA
+/// sweep 0.62 was fitted for, writing flux and source to the planes. The
+/// live V7 sweep also runs the predictor/corrector update of a station
+/// while its flux rows are in cache, so those planes are no longer written
+/// and re-read and it moves fewer references per flop than 0.62. The scales
+/// are deliberately left where they are — `BENCH_scaling.json` was produced
+/// with them — and are due for a refit against live V6 and V7 steps.
 pub fn version_params(v: Version) -> (SweepOrder, f64, f64) {
     match v {
         Version::V1 => (SweepOrder::Strided, 1.20, 1.0),

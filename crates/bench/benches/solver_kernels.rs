@@ -8,9 +8,14 @@ use ns_core::field::{Field, FluxField, Patch, PrimField, Workspace};
 use ns_core::kernels::{self, EdgeFlags, FluxDir};
 use ns_core::opcount::FlopLedger;
 use ns_core::scheme::{self, NoHalo, Variant};
+use ns_core::soa::{self, SoaWs};
 use ns_core::Solver;
 use ns_numerics::gas::Primitive;
 use ns_numerics::Grid;
+
+/// The rungs with standalone kernels of their own; V6/V7 exist only as the
+/// fused sweep (outside it they run the V5 row kernels).
+const STANDALONE: [Version; 5] = [Version::V1, Version::V2, Version::V3, Version::V4, Version::V5];
 
 fn setup(regime: Regime) -> (SolverConfig, Field, PrimField, FluxField, Patch) {
     let cfg = SolverConfig::paper(Grid::new(125, 50, 50.0, 5.0), regime);
@@ -32,7 +37,7 @@ fn bench_prims(c: &mut Criterion) {
     let gas = cfg.effective_gas();
     let mut g = c.benchmark_group("kernel_prims");
     g.throughput(Throughput::Elements((patch.nxl * patch.nr()) as u64));
-    for v in Version::ALL {
+    for v in STANDALONE {
         g.bench_with_input(BenchmarkId::from_parameter(format!("{v:?}")), &v, |b, &v| {
             let mut ledger = FlopLedger::default();
             b.iter(|| kernels::compute_prims(v, &field, &mut prim, &gas, &mut ledger));
@@ -52,7 +57,7 @@ fn bench_flux(c: &mut Criterion) {
         let edges = EdgeFlags::of(&patch);
         let mut g = c.benchmark_group(format!("kernel_xflux_{name}"));
         g.throughput(Throughput::Elements((patch.nxl * patch.nr()) as u64));
-        for v in Version::ALL {
+        for v in STANDALONE {
             g.bench_with_input(BenchmarkId::from_parameter(format!("{v:?}")), &v, |b, &v| {
                 let mut ledger = FlopLedger::default();
                 b.iter(|| {
@@ -96,10 +101,11 @@ fn bench_operators(c: &mut Criterion) {
     g.finish();
 }
 
-/// One prims+ghosts+flux plane sweep — the unit the V6 fusion optimizes.
-/// V1–V5 run the two-pass sequence; V6 runs the fused single sweep; V7
-/// runs the SoA lane-vectorized sweep over cache-blocked radial tiles
-/// (default tile size, no exports — the bench consumes only the flux).
+/// One prims+ghosts+flux plane sweep. V1–V5 run the two-pass sequence; V6
+/// runs the fused SoA sweep over cache-blocked radial tiles (default tile
+/// size, no exports — the bench consumes only the flux). A plane sweep cannot
+/// tell V6 from V7: what V7 adds is the update inside the sweep, which shows
+/// on `whole_step/250x100`.
 #[allow(clippy::too_many_arguments)]
 fn plane_sweep(
     v: Version,
@@ -109,14 +115,13 @@ fn plane_sweep(
     patch: &Patch,
     edges: EdgeFlags,
     gas: &ns_numerics::gas::GasModel,
-    soa: &mut Option<Box<ns_core::soa::SoaWs>>,
+    soa: &mut Option<Box<SoaWs>>,
     ledger: &mut FlopLedger,
 ) {
     if v >= Version::V6 {
-        kernels::fused_sweep_version(
-            v,
-            ns_core::config::DEFAULT_TILE_R,
-            soa,
+        let ws = soa.get_or_insert_with(|| Box::new(SoaWs::new(patch)));
+        let (all, tile_r) = (0..patch.nxl, ns_core::config::DEFAULT_TILE_R);
+        soa::fused_sweep(
             FluxDir::X,
             field,
             prim,
@@ -124,10 +129,12 @@ fn plane_sweep(
             gas,
             flux,
             None,
-            0..patch.nxl,
-            0..patch.nxl,
+            all.clone(),
+            all,
             None,
             &[],
+            ws,
+            tile_r,
             ledger,
         );
     } else {
@@ -145,6 +152,12 @@ fn plane_sweep(
 /// few-percent rung-to-rung deltas. Quick mode drops the large grid.
 fn json_ladder() {
     let mut h = MedianBench::from_env();
+    // The whole-step ladder goes first, and `main` runs this function before
+    // the Criterion groups: seven solvers allocated on an unchurned heap get
+    // their planes placed as a process that only steps a solver does. After
+    // the other groups have allocated and freed theirs, the same V6/V7 steps
+    // read 15-20 % slower against the same V5 (EXPERIMENTS.md, Figure 2).
+    whole_step_ladder(&mut h);
     let mut grids = vec![(Grid::new(125, 50, 50.0, 5.0), "125x50")];
     if !h.quick() {
         grids.push((Grid::paper(), "250x100"));
@@ -169,8 +182,10 @@ fn json_ladder() {
             plane_sweep(Version::V5, &field, &mut prim, &mut flux, &patch, edges, &gas, &mut None, &mut model);
             model.total() as f64
         };
+        // V1–V6: see `plane_sweep` for why there is no V7 row here.
         let mut items: Vec<ns_bench::GroupItem> = Version::ALL
             .iter()
+            .filter(|&&v| v <= Version::V6)
             .map(|&v| {
                 let mut prim = PrimField::zeros(&patch);
                 let mut flux = FluxField::zeros(&patch);
@@ -188,7 +203,6 @@ fn json_ladder() {
             .collect();
         h.measure_interleaved(&format!("prims_flux_sweep/{gname}"), &mut items);
     }
-    whole_step_ladder(&mut h);
     h.write_merged(&ns_bench::output_path()).expect("write BENCH_kernels.json");
 }
 
@@ -219,6 +233,6 @@ fn whole_step_ladder(h: &mut MedianBench) {
 criterion_group!(benches, bench_prims, bench_flux, bench_operators);
 
 fn main() {
-    benches();
     json_ladder();
+    benches();
 }

@@ -75,8 +75,8 @@ pub fn mirror_prims_axis(prim: &mut PrimField) {
 }
 
 /// Axis-symmetry ghost fill of one axial station `i` (raw index). The
-/// per-station building block of [`mirror_prims_axis`], used by the V6
-/// fused sweep to fill a station's ghosts while its row is still hot.
+/// per-station building block of [`mirror_prims_axis`], used on the two
+/// boundary stations a fused (V6/V7) axial stage computes ahead of its sweep.
 #[inline]
 pub fn mirror_prims_axis_row(prim: &mut PrimField, i: usize) {
     for g in 0..NG {

@@ -39,41 +39,41 @@ impl Regime {
 /// * `V4` — divisions replaced by reciprocal multiplications
 ///   (the paper reduced 5.5e9 divisions to 2.0e9).
 /// * `V5` — register/memory-layout optimization: the analogue of collapsing
-///   multiple COMMON blocks is a fused single-pass kernel that keeps
-///   per-point temporaries in registers instead of materializing
-///   intermediate stress arrays.
-/// * `V6` — beyond the paper's ladder: prims+flux loop fusion. The primitive
-///   recovery and the flux evaluation are performed in one sweep over each
-///   row-major plane (each radial line is consumed for fluxes while still
-///   hot in cache, halving the memory traffic of the V5 prims-then-flux
-///   sequence), with the inner loops iterated in fixed-width lanes over row
-///   slices so LLVM auto-vectorizes them. The per-point arithmetic is
-///   bit-identical to V5.
-/// * `V7` — structure-of-arrays compute path with explicit SIMD lanes and
-///   cache-blocked sweeps (see `crate::soa`). The fused sweep reads the AoS
-///   conservative rows in place (lane loads need no padding) and recovers
-///   primitives into a lane-padded SoA arena of per-station component
-///   blocks, so every inner loop is a whole number of
-///   [`crate::soa::LANES`]-wide `LaneVec` blocks (four points, V7's own
-///   width; V6 chunks by [`crate::kernels::LANES`]) — no scalar
-///   remainders, no per-point branches (direction/viscosity/source are const
-///   generics) — and the radial axis is tiled ([`SolverConfig::tile_r`]) so
-///   the recover→ghost-fill→flux pipeline of a station stays in L1. The
-///   sweep body is compiled twice from one source, for the target's
-///   baseline vector unit and for AVX2, and picked at run time
-///   ([`crate::soa::isa`]); the two agree bit for bit.
-///   Conversions between the AoS `Field` and the SoA arena happen only at
-///   sweep boundaries (adjacent to halo exchange / checkpoint), so comm,
-///   recovery and checkpoint layers are untouched. Inside a solver step the
-///   sweep also carries the predictor/corrector update that consumes its
-///   flux: each station is updated from a few-row flux ring while those
-///   rows are in cache (the radial operator right behind the station's own
-///   flux, the axial one a station or three behind), so the flux and source
-///   planes are written only at the few stations beside a patch edge whose
-///   update has to wait for ghost flux — the same row kernels on the same
-///   operands as the plane path V1–V6 keep. The per-point arithmetic
-///   is bit-identical to V6 (and hence V5): lanes are independent grid
-///   points and no reduction is ever reassociated across lanes.
+///   multiple COMMON blocks is one row kernel per phase
+///   (`kernels::prims_row`, `kernels::flux_row`) that binds its row slices
+///   once and keeps per-point temporaries in registers instead of
+///   materializing intermediate stress arrays.
+/// * `V6` — beyond the paper's ladder: prims+flux loop fusion on a
+///   structure-of-arrays compute path (see `crate::soa`). Primitive
+///   recovery, radial ghost fill and flux evaluation are one sweep over the
+///   axial stations, so each radial line is consumed for fluxes while still
+///   hot in cache instead of being round-tripped through memory between a
+///   whole-plane prims pass and a whole-plane flux pass. The sweep reads
+///   the AoS conservative rows in place (lane loads need no padding) and
+///   recovers primitives into a lane-padded SoA arena of per-station
+///   component blocks, so every inner loop is a whole number of
+///   [`crate::soa::LANES`]-wide `LaneVec` blocks — no scalar remainders, no
+///   per-point branches (direction/viscosity/source are const generics) —
+///   and the radial axis is tiled ([`SolverConfig::tile_r`]) so the
+///   recover→ghost-fill→flux pipeline of a station stays in L1. The sweep
+///   body is compiled twice from one source, for the target's baseline
+///   vector unit and for AVX2, and picked at run time
+///   ([`crate::soa::isa`]); the two agree bit for bit. Conversions between
+///   the AoS `Field` and the SoA arena happen only at sweep boundaries
+///   (adjacent to halo exchange / checkpoint), so comm, recovery and
+///   checkpoint layers are untouched. Flux and source go to the planes and
+///   the predictor/corrector update reads them back, as on V1–V5.
+/// * `V7` — the same sweep with the update inside it: each station is
+///   updated from a few-row flux ring while those rows are in cache (the
+///   radial operator right behind the station's own flux, the axial one a
+///   station or three behind), so the flux and source planes are written
+///   only at the few stations beside a patch edge whose update has to wait
+///   for ghost flux — the same row kernels on the same operands as the
+///   plane path V1–V6 keep.
+///
+/// The per-point arithmetic of V6 and V7 is bit-identical to V5: lanes are
+/// independent grid points and no reduction is ever reassociated across
+/// lanes.
 ///
 /// The *communication* variants with the same numbers (overlap,
 /// burst-splitting) are a separate axis and live in `ns-runtime`
@@ -88,17 +88,17 @@ pub enum Version {
     V3,
     /// + division -> reciprocal multiply.
     V4,
-    /// + fused kernels / register reuse.
+    /// + row-slice kernels / register reuse.
     V5,
-    /// + prims/flux single-sweep fusion with lane-chunked inner loops.
+    /// + prims/flux single-sweep fusion (SoA lanes, radial tiles, run-time ISA dispatch).
     V6,
-    /// + SoA layout, explicit `LaneVec` lanes, cache-blocked radial tiles.
+    /// + the predictor/corrector update inside the sweep.
     V7,
 }
 
 impl Version {
     /// All single-processor versions in ladder order (V1–V5 are the paper's
-    /// Figure 2 rungs; V6/V7 are this repo's fused and SoA extensions).
+    /// Figure 2 rungs; V6/V7 are this repo's fused-sweep extensions).
     pub const ALL: [Version; 7] =
         [Version::V1, Version::V2, Version::V3, Version::V4, Version::V5, Version::V6, Version::V7];
 
@@ -116,22 +116,24 @@ impl Version {
     }
 }
 
-/// Default V7 radial tile width (grid points), chosen from measurement.
+/// Default radial tile width of the V6/V7 sweep (grid points), chosen from
+/// measurement.
 /// Every tile multiplies the station pipeline's fixed per-station cost
 /// (row slicing, ghost fills, stencil bookkeeping) by the tile count, so
 /// blocking only pays once a tile's live rows outgrow the cache. Per
 /// station those are 4 conservative rows in, 3x5 stencil primitives, the
 /// flux ring (4 flux + source for the radial operator, 3x4 for the three
-/// stations the axial stencil spans) and, now that the update rides in the
-/// sweep, the 4 rows it writes plus, axially, the 4 state rows of the
+/// stations the axial stencil spans) and, under V7, whose update rides in
+/// the sweep, the 4 rows it writes plus, axially, the 4 state rows of the
 /// lagging station it updates: ≈ 28 rows of `tile_r` points radially, ≈ 39
 /// axially (≈ 640 KiB at 2048, still inside L2). The sweep alone, which
 /// the probe below timed, holds ≈ 24. On the committed grids (nr <= 100)
 /// and on the benchmark's 512 rows a single tile is
-/// fastest, and on a tall nr = 8192 probe the sweep bottoms out near
-/// `tile_r` = 2048 (≈ 380 KiB live, inside L2; 1.3x over the untiled V6
-/// sweep, vs 3.4x *slower* at `tile_r` = 64). 2048 keeps paper-scale grids
-/// single-tile while bounding the window for very tall ones. Any
+/// fastest, and on a tall nr = 8192 probe (viscous axial sweep, nx = 32
+/// and 125) the sweep bottoms out near `tile_r` = 2048 (≈ 380 KiB live,
+/// inside L2): level with a single 8192-row tile and 1.8x over the unfused
+/// V5 sequence, vs 1.5-2.6x *slower* at `tile_r` = 64. 2048 keeps paper-scale
+/// grids single-tile while bounding the window for very tall ones. Any
 /// `tile_r >= 1` is valid and bitwise-equivalent (tiles are independent
 /// grid points; boundary columns are recomputed, not carried).
 pub const DEFAULT_TILE_R: usize = 2048;
@@ -218,8 +220,8 @@ pub struct SolverConfig {
     /// and the analytic forcing from [`crate::mms`] is injected into both
     /// split operators. Production runs use `None`.
     pub mms: Option<crate::mms::MmsSpec>,
-    /// Radial tile width of the V7 cache-blocked sweep (grid points). Only
-    /// consulted when `version == V7`; any value `>= 1` yields bitwise
+    /// Radial tile width of the cache-blocked fused sweep (grid points). Only
+    /// consulted when `version >= V6`; any value `>= 1` yields bitwise
     /// identical results (property-tested), so this is purely a performance
     /// knob. See [`DEFAULT_TILE_R`] for the measured default.
     pub tile_r: usize,

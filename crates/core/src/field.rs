@@ -347,7 +347,7 @@ pub struct Workspace {
     /// `SolverConfig::mms` is set and `None` for production runs (the
     /// operators take the unforced code path without touching them).
     pub mms: Option<Box<crate::mms::MmsSources>>,
-    /// V7 SoA sweep workspace, armed lazily by the first V7 fused sweep and
+    /// SoA sweep workspace, armed lazily by the first fused (V6/V7) sweep and
     /// `None` for every other version (see [`crate::soa`]).
     pub soa: Option<Box<crate::soa::SoaWs>>,
 }

@@ -13,7 +13,8 @@
 //! | V3      | radial innermost | `x * x`  | `/`            | indexed    |
 //! | V4      | radial innermost | `x * x`  | reciprocal mul | indexed    |
 //! | V5      | radial innermost | `x * x`  | reciprocal mul | row slices |
-//! | V6      | fused prims+flux | `x * x`  | reciprocal mul | lane chunks|
+//! | V6      | fused sweep      | `x * x`  | reciprocal mul | SoA lanes; update through the planes |
+//! | V7      | fused sweep      | `x * x`  | reciprocal mul | SoA lanes; update inside the sweep   |
 //!
 //! Radial-innermost loops are stride-1 over the row-major planes (the loop
 //! interchange the paper credits with ~50% of the gain); V5's row-slice
@@ -21,16 +22,13 @@
 //! address computations, friendlier to the register allocator and the
 //! vectorizer).
 //!
-//! V6 goes one rung past the paper: primitive recovery, ghost fill and flux
-//! evaluation are *fused into one sweep* over the axial stations (see
-//! [`fused_sweep`]), so each radial line is consumed for fluxes while still
-//! hot in cache instead of being round-tripped through memory between a
-//! whole-plane prims pass and a whole-plane flux pass. Its inner loops are
-//! explicitly chunked into fixed-width lanes ([`LANES`]) over the stride-1
-//! row slices, giving LLVM constant trip counts to auto-vectorize. The
-//! per-point arithmetic is identical to V5 (same operations in the same
-//! order), so V6 results are bitwise equal to V5 — a property the tests
-//! assert exactly.
+//! Three sweep-phase bodies live in this crate, each for a reason: the
+//! `*_indexed` pair is V1–V4 (the paper's ladder, by const generics); the row
+//! pair [`prims_row`] / [`flux_row`] is V5, the shared-memory solver
+//! ([`crate::shared`]) and the few stations V6/V7 compute outside their
+//! sweep; the fused SoA sweep in [`crate::soa`] is V6/V7. The per-point
+//! arithmetic of the last two is the same expression tree, so V5, V6 and V7
+//! agree bit for bit — a property the tests assert exactly.
 
 use crate::config::Version;
 use crate::field::{Field, FluxField, Patch, PrimField, NG};
@@ -86,11 +84,8 @@ pub fn compute_prims(version: Version, field: &Field, prim: &mut PrimField, gas:
         Version::V2 => prims_indexed::<false, false, true>(field, prim, gas),
         Version::V3 => prims_indexed::<false, false, false>(field, prim, gas),
         Version::V4 => prims_indexed::<false, true, false>(field, prim, gas),
-        Version::V5 => prims_sliced(field, prim, gas),
-        // The standalone (non-sweep) entries share the V6 body: V7's SoA
-        // arena only pays off inside the tiled fused sweep, and the V6 body
-        // is already bitwise the V7 per-point tree.
-        Version::V6 | Version::V7 => prims_fused(field, prim, gas),
+        // V6/V7 have no standalone kernels: outside the fused sweep they are V5.
+        Version::V5 | Version::V6 | Version::V7 => prims_sliced(field, prim, gas, 0..field.nxl()),
     }
     ledger.prims += (field.nxl() * field.nr()) as u64 * opcount::COST_PRIMS;
 }
@@ -152,46 +147,44 @@ fn prims_indexed<const POWF: bool, const RECIP: bool, const IINNER: bool>(
     }
 }
 
-/// V5 primitive recovery: row-slice addressing, stride-1, reciprocals.
-fn prims_sliced(field: &Field, prim: &mut PrimField, gas: &GasModel) {
-    let (nxl, nr) = (field.nxl(), field.nr());
+/// Primitive recovery of one axial station, the V5 way: row-slice
+/// addressing, stride-1, reciprocals, per-point temporaries in registers. `q`
+/// and `out` are the station's rows of the conservative and primitive planes
+/// (ghosts included, interior written); `inv_r` has one entry per interior
+/// row. The one row-sliced primitive body outside the fused sweep. One loop
+/// on purpose: split into a weighting pass and a divide pass, the same
+/// expression tree measured 40 % slower on 24-point rows (four loop set-ups
+/// a row) and 6–10 % slower on 100-point ones.
+#[inline(always)]
+pub(crate) fn prims_row(q: [&[f64]; 4], out: [&mut [f64]; 5], inv_r: &[f64], gm1: f64, inv_rgas: f64) {
+    let nr = inv_r.len();
+    let [q0, q1, q2, q3] = q.map(|row| &row[NG..NG + nr]);
+    let [rho, u, v, p, t] = out.map(|row| &mut row[NG..NG + nr]);
+    for j in 0..nr {
+        let w = inv_r[j];
+        let rhoj = q0[j] * w;
+        let inv_rho = 1.0 / rhoj;
+        let (uj, vj) = ((q1[j] * w) * inv_rho, (q2[j] * w) * inv_rho);
+        let e = q3[j] * w;
+        let ke = 0.5 * rhoj * (uj * uj + vj * vj);
+        let pj = gm1 * (e - ke);
+        rho[j] = rhoj;
+        u[j] = uj;
+        v[j] = vj;
+        p[j] = pj;
+        t[j] = pj * inv_rho * inv_rgas;
+    }
+}
+
+/// V5 primitive recovery: [`prims_row`] at each of `stations`.
+fn prims_sliced(field: &Field, prim: &mut PrimField, gas: &GasModel, stations: impl Iterator<Item = usize>) {
     let gm1 = gas.gamma - 1.0;
     let inv_rgas = 1.0 / gas.r_gas;
-    let inv_r: Vec<f64> = (0..nr).map(|j| 1.0 / field.patch.r(j)).collect();
-
-    for i in 0..nxl {
-        let ii = i + NG;
-        let q0 = &field.q[0].row(ii)[NG..NG + nr];
-        let q1 = &field.q[1].row(ii)[NG..NG + nr];
-        let q2 = &field.q[2].row(ii)[NG..NG + nr];
-        let q3 = &field.q[3].row(ii)[NG..NG + nr];
-        // Split the destination rows so the borrows don't overlap.
-        let rho_row = &mut prim.rho.row_mut(ii)[NG..NG + nr];
-        for j in 0..nr {
-            rho_row[j] = q0[j] * inv_r[j];
-        }
-        let u_row = &mut prim.u.row_mut(ii)[NG..NG + nr];
-        for j in 0..nr {
-            u_row[j] = q1[j] * inv_r[j];
-        }
-        let v_row = &mut prim.v.row_mut(ii)[NG..NG + nr];
-        for j in 0..nr {
-            v_row[j] = q2[j] * inv_r[j];
-        }
-        // Second pass: divide by rho, recover p and T.
-        for j in 0..nr {
-            let rho = field.q[0].at(ii, j + NG) * inv_r[j];
-            let inv_rho = 1.0 / rho;
-            let u = prim.u.at(ii, j + NG) * inv_rho;
-            let v = prim.v.at(ii, j + NG) * inv_rho;
-            let e = q3[j] * inv_r[j];
-            let ke = 0.5 * rho * (u * u + v * v);
-            let p = gm1 * (e - ke);
-            prim.u.set(ii, j + NG, u);
-            prim.v.set(ii, j + NG, v);
-            prim.p.set(ii, j + NG, p);
-            prim.t.set(ii, j + NG, p * inv_rho * inv_rgas);
-        }
+    let inv_r: Vec<f64> = (0..field.nr()).map(|j| 1.0 / field.patch.r(j)).collect();
+    for ii in stations.map(|i| i + NG) {
+        let out =
+            [prim.rho.row_mut(ii), prim.u.row_mut(ii), prim.v.row_mut(ii), prim.p.row_mut(ii), prim.t.row_mut(ii)];
+        prims_row(field.q.each_ref().map(|c| c.row(ii)), out, &inv_r, gm1, inv_rgas);
     }
 }
 
@@ -263,7 +256,7 @@ pub fn compute_flux(
 }
 
 /// [`compute_flux`] restricted to the axial columns in `i_range` — the
-/// building block of the Version 6 overlap, which computes the interior
+/// building block of the comm Version 6 overlap, which computes the interior
 /// while the boundary primitive columns are in flight and finishes the
 /// edge columns afterwards.
 #[allow(clippy::too_many_arguments)]
@@ -290,10 +283,9 @@ pub fn compute_flux_range(
         Version::V2 => flux_indexed::<false, false, true>(dir, prim, patch, edges, gas, flux, src, i_range),
         Version::V3 => flux_indexed::<false, false, false>(dir, prim, patch, edges, gas, flux, src, i_range),
         Version::V4 => flux_indexed::<false, true, false>(dir, prim, patch, edges, gas, flux, src, i_range),
-        Version::V5 => flux_sliced(dir, prim, patch, edges, gas, flux, src, i_range),
-        // V7 edge columns use the V6 chunked body (bitwise-identical): the
-        // SoA tiled path only covers the fused interior sweep.
-        Version::V6 | Version::V7 => flux_chunked(dir, prim, patch, edges, gas, flux, src, i_range),
+        // V6/V7 have no standalone kernels: outside the fused sweep (the
+        // post-halo edge columns) they are V5.
+        Version::V5 | Version::V6 | Version::V7 => flux_sliced(dir, prim, patch, edges, gas, flux, src, i_range),
     }
     ledger.flux += pts * if viscous { opcount::COST_FLUX_VISCOUS } else { opcount::COST_FLUX_INVISCID };
     if dir == FluxDir::R {
@@ -368,226 +360,24 @@ fn flux_indexed<const POWF: bool, const RECIP: bool, const IINNER: bool>(
     }
 }
 
-/// V5 flux kernel: row-slice addressing over stride-1 inner loops.
+/// The flux (and, for radial sweeps, source) of one axial station `i`, the V5
+/// way: row-slice addressing over a stride-1 inner loop. `out` and `src_row`
+/// are the station's rows of the flux and source planes (ghosts included,
+/// interior written); `r_of` / `inv_r` have one entry per interior row. The
+/// one row-sliced flux body outside the fused sweep.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn flux_sliced(
+pub(crate) fn flux_row(
     dir: FluxDir,
     prim: &PrimField,
     patch: &Patch,
     edges: EdgeFlags,
     gas: &GasModel,
-    flux: &mut FluxField,
-    mut src: Option<&mut Array2>,
-    i_range: std::ops::Range<usize>,
-) {
-    let (nxl, nr) = (patch.nxl, patch.nr());
-    let inv_2dx = 1.0 / (2.0 * patch.grid.dx);
-    let inv_2dr = 1.0 / (2.0 * patch.grid.dr);
-    let inv_gm1 = 1.0 / (gas.gamma - 1.0);
-    let viscous = !gas.is_inviscid();
-    let mu = gas.mu;
-    let kappa = gas.kappa;
-    let r_of: Vec<f64> = (0..nr).map(|j| patch.r(j)).collect();
-    let inv_r: Vec<f64> = r_of.iter().map(|&r| 1.0 / r).collect();
-
-    for i in i_range {
-        let ii = i + NG;
-        // Row slices of the stencil neighborhood, bound once per row: the
-        // "collapse the COMMON blocks" analogue (single base pointer + offset
-        // addressing in the inner loop).
-        let u0 = prim.u.row(ii);
-        let v0 = prim.v.row(ii);
-        let t0 = prim.t.row(ii);
-        let rho0 = prim.rho.row(ii);
-        let p0 = prim.p.row(ii);
-        // x-stencil rows with one-sided fallback at owned global edges.
-        let (cl, cm, cr, wl, wm, wr);
-        if i == 0 && edges.left {
-            // -3 f0 + 4 f1 - f2 at (ii, ii+1, ii+2)
-            (cl, cm, cr) = (ii, ii + 1, ii + 2);
-            (wl, wm, wr) = (-3.0 * inv_2dx, 4.0 * inv_2dx, -inv_2dx);
-        } else if i == nxl - 1 && edges.right {
-            (cl, cm, cr) = (ii - 2, ii - 1, ii);
-            (wl, wm, wr) = (inv_2dx, -4.0 * inv_2dx, 3.0 * inv_2dx);
-        } else {
-            (cl, cm, cr) = (ii - 1, ii, ii + 1);
-            (wl, wm, wr) = (-inv_2dx, 0.0, inv_2dx);
-        }
-        let (u_l, u_m, u_r) = (prim.u.row(cl), prim.u.row(cm), prim.u.row(cr));
-        let (v_l, v_m, v_r) = (prim.v.row(cl), prim.v.row(cm), prim.v.row(cr));
-        let (t_l, t_m, t_r) = (prim.t.row(cl), prim.t.row(cm), prim.t.row(cr));
-
-        let f_rows: [&mut [f64]; 4] = {
-            let [a, b, c, d] = &mut flux.c;
-            [a.row_mut(ii), b.row_mut(ii), c.row_mut(ii), d.row_mut(ii)]
-        };
-        let src_row = src.as_deref_mut().map(|s| s.row_mut(ii));
-        let mut src_row = src_row;
-
-        for j in 0..nr {
-            let jj = j + NG;
-            let rho = rho0[jj];
-            let u = u0[jj];
-            let v = v0[jj];
-            let p = p0[jj];
-            let r = r_of[j];
-            let s = if viscous {
-                let ux = wl * u_l[jj] + wm * u_m[jj] + wr * u_r[jj];
-                let vx = wl * v_l[jj] + wm * v_m[jj] + wr * v_r[jj];
-                let tx = wl * t_l[jj] + wm * t_m[jj] + wr * t_r[jj];
-                let ur = (u0[jj + 1] - u0[jj - 1]) * inv_2dr;
-                let vr = (v0[jj + 1] - v0[jj - 1]) * inv_2dr;
-                let tr = (t0[jj + 1] - t0[jj - 1]) * inv_2dr;
-                let v_over_r = v * inv_r[j];
-                let div = ux + vr + v_over_r;
-                let lam_div = -(2.0 / 3.0) * mu * div;
-                physics::Stresses {
-                    txx: 2.0 * mu * ux + lam_div,
-                    trr: 2.0 * mu * vr + lam_div,
-                    ttt: 2.0 * mu * v_over_r + lam_div,
-                    txr: mu * (ur + vx),
-                    qx: -kappa * tx,
-                    qr: -kappa * tr,
-                }
-            } else {
-                Default::default()
-            };
-            let e = p * inv_gm1 + 0.5 * rho * (u * u + v * v);
-            let f = match dir {
-                FluxDir::X => physics::xflux(rho, u, v, p, e, &s),
-                FluxDir::R => physics::rflux(rho, u, v, p, e, &s),
-            };
-            f_rows[0][jj] = r * f[0];
-            f_rows[1][jj] = r * f[1];
-            f_rows[2][jj] = r * f[2];
-            f_rows[3][jj] = r * f[3];
-            if let Some(sr) = src_row.as_deref_mut() {
-                sr[jj] = physics::source3(p, &s);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// V6: fused single-sweep prims+flux with lane-chunked inner loops
-// ---------------------------------------------------------------------------
-
-/// Fixed inner-loop lane width of the V6 kernels. The chunked loops run in
-/// blocks of `LANES` contiguous radial points (constant trip count, stride-1)
-/// followed by a scalar remainder, which is the shape LLVM's auto-vectorizer
-/// handles best on every target we care about.
-pub const LANES: usize = 8;
-
-/// Reborrow `N` contiguous lanes of a row starting at `at` as a fixed-size
-/// array: constant-trip loops over these carry no bounds checks, which is
-/// what lets the chunked V6 bodies vectorize.
-#[inline(always)]
-fn lanes<const N: usize>(s: &[f64], at: usize) -> &[f64; N] {
-    s[at..at + N].try_into().unwrap()
-}
-
-/// Mutable counterpart of [`lanes`].
-#[inline(always)]
-fn lanes_mut<const N: usize>(s: &mut [f64], at: usize) -> &mut [f64; N] {
-    (&mut s[at..at + N]).try_into().unwrap()
-}
-
-/// V6 primitive recovery of one axial station `ii` (raw index): single pass
-/// over the row — V5 makes two (momenta first, then divide by `rho`), V6
-/// keeps the per-point temporaries in registers and touches each `q` row
-/// exactly once. Arithmetic is op-for-op identical to V5.
-#[inline(always)]
-fn prims_row_fused(field: &Field, prim: &mut PrimField, ii: usize, nr: usize, gm1: f64, inv_rgas: f64, inv_r: &[f64]) {
-    let q0 = &field.q[0].row(ii)[NG..NG + nr];
-    let q1 = &field.q[1].row(ii)[NG..NG + nr];
-    let q2 = &field.q[2].row(ii)[NG..NG + nr];
-    let q3 = &field.q[3].row(ii)[NG..NG + nr];
-    let rho_row = &mut prim.rho.row_mut(ii)[NG..NG + nr];
-    let u_row = &mut prim.u.row_mut(ii)[NG..NG + nr];
-    let v_row = &mut prim.v.row_mut(ii)[NG..NG + nr];
-    let p_row = &mut prim.p.row_mut(ii)[NG..NG + nr];
-    let t_row = &mut prim.t.row_mut(ii)[NG..NG + nr];
-
-    let mut base = 0;
-    while base + LANES <= nr {
-        let q0c = lanes::<LANES>(q0, base);
-        let q1c = lanes::<LANES>(q1, base);
-        let q2c = lanes::<LANES>(q2, base);
-        let q3c = lanes::<LANES>(q3, base);
-        let wc = lanes::<LANES>(inv_r, base);
-        let rhoc = lanes_mut::<LANES>(rho_row, base);
-        let uc = lanes_mut::<LANES>(u_row, base);
-        let vc = lanes_mut::<LANES>(v_row, base);
-        let pc = lanes_mut::<LANES>(p_row, base);
-        let tc = lanes_mut::<LANES>(t_row, base);
-        // Stage the reciprocals as a lane block so the divides issue as
-        // packed ops instead of serializing the main loop's chain.
-        let mut inv_rho = [0.0; LANES];
-        for l in 0..LANES {
-            rhoc[l] = q0c[l] * wc[l];
-            inv_rho[l] = 1.0 / rhoc[l];
-        }
-        for l in 0..LANES {
-            let w = wc[l];
-            let rho = rhoc[l];
-            let u = (q1c[l] * w) * inv_rho[l];
-            let v = (q2c[l] * w) * inv_rho[l];
-            let e = q3c[l] * w;
-            let ke = 0.5 * rho * (u * u + v * v);
-            let p = gm1 * (e - ke);
-            uc[l] = u;
-            vc[l] = v;
-            pc[l] = p;
-            tc[l] = p * inv_rho[l] * inv_rgas;
-        }
-        base += LANES;
-    }
-    for j in base..nr {
-        let w = inv_r[j];
-        let rho = q0[j] * w;
-        let inv_rho = 1.0 / rho;
-        let u = (q1[j] * w) * inv_rho;
-        let v = (q2[j] * w) * inv_rho;
-        let e = q3[j] * w;
-        let ke = 0.5 * rho * (u * u + v * v);
-        let p = gm1 * (e - ke);
-        rho_row[j] = rho;
-        u_row[j] = u;
-        v_row[j] = v;
-        p_row[j] = p;
-        t_row[j] = p * inv_rho * inv_rgas;
-    }
-}
-
-/// V6 plane-wide primitive recovery: one fused pass per row (the standalone
-/// entry used by [`compute_prims`]; the operator path goes through
-/// [`fused_sweep`] instead, which also emits the fluxes in the same sweep).
-fn prims_fused(field: &Field, prim: &mut PrimField, gas: &GasModel) {
-    let (nxl, nr) = (field.nxl(), field.nr());
-    let gm1 = gas.gamma - 1.0;
-    let inv_rgas = 1.0 / gas.r_gas;
-    let inv_r: Vec<f64> = (0..nr).map(|j| 1.0 / field.patch.r(j)).collect();
-    for i in 0..nxl {
-        prims_row_fused(field, prim, i + NG, nr, gm1, inv_rgas, &inv_r);
-    }
-}
-
-/// V6 flux evaluation of one axial station: the V5 row-slice body with the
-/// inner loop chunked into [`LANES`]-wide blocks. Per-point arithmetic is
-/// identical to [`flux_sliced`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn flux_row_chunked(
-    dir: FluxDir,
-    prim: &PrimField,
-    patch: &Patch,
-    edges: EdgeFlags,
-    gas: &GasModel,
-    flux: &mut FluxField,
-    src: Option<&mut Array2>,
-    i: usize,
     r_of: &[f64],
     inv_r: &[f64],
+    i: usize,
+    [f0, f1, f2, f3]: [&mut [f64]; 4],
+    mut src_row: Option<&mut [f64]>,
 ) {
     let (nxl, nr) = (patch.nxl, patch.nr());
     let inv_2dx = 1.0 / (2.0 * patch.grid.dx);
@@ -597,13 +387,14 @@ fn flux_row_chunked(
     let mu = gas.mu;
     let kappa = gas.kappa;
     let ii = i + NG;
-    let u0 = prim.u.row(ii);
-    let v0 = prim.v.row(ii);
-    let t0 = prim.t.row(ii);
-    let rho0 = prim.rho.row(ii);
-    let p0 = prim.p.row(ii);
+    // Row slices of the stencil neighborhood, bound once per row: the
+    // "collapse the COMMON blocks" analogue (single base pointer + offset
+    // addressing in the inner loop).
+    let (rho0, u0, v0, p0, t0) = (prim.rho.row(ii), prim.u.row(ii), prim.v.row(ii), prim.p.row(ii), prim.t.row(ii));
+    // x-stencil rows with one-sided fallback at owned global edges.
     let (cl, cm, cr, wl, wm, wr);
     if i == 0 && edges.left {
+        // -3 f0 + 4 f1 - f2 at (ii, ii+1, ii+2)
         (cl, cm, cr) = (ii, ii + 1, ii + 2);
         (wl, wm, wr) = (-3.0 * inv_2dx, 4.0 * inv_2dx, -inv_2dx);
     } else if i == nxl - 1 && edges.right {
@@ -617,73 +408,7 @@ fn flux_row_chunked(
     let (v_l, v_m, v_r) = (prim.v.row(cl), prim.v.row(cm), prim.v.row(cr));
     let (t_l, t_m, t_r) = (prim.t.row(cl), prim.t.row(cm), prim.t.row(cr));
 
-    let [fa, fb, fc, fd] = &mut flux.c;
-    let (f0_row, f1_row, f2_row, f3_row) = (fa.row_mut(ii), fb.row_mut(ii), fc.row_mut(ii), fd.row_mut(ii));
-    let mut src_row = src.map(|s| s.row_mut(ii));
-
-    let mut base = 0;
-    while base + LANES <= nr {
-        let at = base + NG;
-        let rhoc = lanes::<LANES>(rho0, at);
-        let uc = lanes::<LANES>(u0, at);
-        let vc = lanes::<LANES>(v0, at);
-        let pc = lanes::<LANES>(p0, at);
-        let rc = lanes::<LANES>(r_of, base);
-        let wc = lanes::<LANES>(inv_r, base);
-        // radial stencil neighbors as shifted windows of the same rows
-        let (u_dn, u_up) = (lanes::<LANES>(u0, at - 1), lanes::<LANES>(u0, at + 1));
-        let (v_dn, v_up) = (lanes::<LANES>(v0, at - 1), lanes::<LANES>(v0, at + 1));
-        let (t_dn, t_up) = (lanes::<LANES>(t0, at - 1), lanes::<LANES>(t0, at + 1));
-        let (ulc, umc, urc) = (lanes::<LANES>(u_l, at), lanes::<LANES>(u_m, at), lanes::<LANES>(u_r, at));
-        let (vlc, vmc, vrc) = (lanes::<LANES>(v_l, at), lanes::<LANES>(v_m, at), lanes::<LANES>(v_r, at));
-        let (tlc, tmc, trc) = (lanes::<LANES>(t_l, at), lanes::<LANES>(t_m, at), lanes::<LANES>(t_r, at));
-        let f0c = lanes_mut::<LANES>(&mut *f0_row, at);
-        let f1c = lanes_mut::<LANES>(&mut *f1_row, at);
-        let f2c = lanes_mut::<LANES>(&mut *f2_row, at);
-        let f3c = lanes_mut::<LANES>(&mut *f3_row, at);
-        for l in 0..LANES {
-            let rho = rhoc[l];
-            let u = uc[l];
-            let v = vc[l];
-            let p = pc[l];
-            let r = rc[l];
-            let s = if viscous {
-                let ux = wl * ulc[l] + wm * umc[l] + wr * urc[l];
-                let vx = wl * vlc[l] + wm * vmc[l] + wr * vrc[l];
-                let tx = wl * tlc[l] + wm * tmc[l] + wr * trc[l];
-                let ur = (u_up[l] - u_dn[l]) * inv_2dr;
-                let vr = (v_up[l] - v_dn[l]) * inv_2dr;
-                let tr = (t_up[l] - t_dn[l]) * inv_2dr;
-                let v_over_r = v * wc[l];
-                let div = ux + vr + v_over_r;
-                let lam_div = -(2.0 / 3.0) * mu * div;
-                physics::Stresses {
-                    txx: 2.0 * mu * ux + lam_div,
-                    trr: 2.0 * mu * vr + lam_div,
-                    ttt: 2.0 * mu * v_over_r + lam_div,
-                    txr: mu * (ur + vx),
-                    qx: -kappa * tx,
-                    qr: -kappa * tr,
-                }
-            } else {
-                Default::default()
-            };
-            let e = p * inv_gm1 + 0.5 * rho * (u * u + v * v);
-            let f = match dir {
-                FluxDir::X => physics::xflux(rho, u, v, p, e, &s),
-                FluxDir::R => physics::rflux(rho, u, v, p, e, &s),
-            };
-            f0c[l] = r * f[0];
-            f1c[l] = r * f[1];
-            f2c[l] = r * f[2];
-            f3c[l] = r * f[3];
-            if let Some(sr) = src_row.as_deref_mut() {
-                sr[base + NG + l] = physics::source3(p, &s);
-            }
-        }
-        base += LANES;
-    }
-    for j in base..nr {
+    for j in 0..nr {
         let jj = j + NG;
         let rho = rho0[jj];
         let u = u0[jj];
@@ -716,20 +441,19 @@ fn flux_row_chunked(
             FluxDir::X => physics::xflux(rho, u, v, p, e, &s),
             FluxDir::R => physics::rflux(rho, u, v, p, e, &s),
         };
-        f0_row[jj] = r * f[0];
-        f1_row[jj] = r * f[1];
-        f2_row[jj] = r * f[2];
-        f3_row[jj] = r * f[3];
+        f0[jj] = r * f[0];
+        f1[jj] = r * f[1];
+        f2[jj] = r * f[2];
+        f3[jj] = r * f[3];
         if let Some(sr) = src_row.as_deref_mut() {
             sr[jj] = physics::source3(p, &s);
         }
     }
 }
 
-/// V6 flux kernel over a station range (the standalone entry used by
-/// [`compute_flux_range`]; the operator path uses [`fused_sweep`]).
+/// V5 flux kernel: [`flux_row`] over the stations in `i_range`.
 #[allow(clippy::too_many_arguments)]
-fn flux_chunked(
+fn flux_sliced(
     dir: FluxDir,
     prim: &PrimField,
     patch: &Patch,
@@ -739,27 +463,20 @@ fn flux_chunked(
     mut src: Option<&mut Array2>,
     i_range: std::ops::Range<usize>,
 ) {
-    let nr = patch.nr();
-    let r_of: Vec<f64> = (0..nr).map(|j| patch.r(j)).collect();
+    let r_of: Vec<f64> = (0..patch.nr()).map(|j| patch.r(j)).collect();
     let inv_r: Vec<f64> = r_of.iter().map(|&r| 1.0 / r).collect();
     for i in i_range {
-        flux_row_chunked(dir, prim, patch, edges, gas, flux, src.as_deref_mut(), i, &r_of, &inv_r);
+        let out = flux.c.each_mut().map(|c| c.row_mut(i + NG));
+        let src_row = src.as_deref_mut().map(|s| s.row_mut(i + NG));
+        flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, i, out, src_row);
     }
 }
 
-/// Fill the radial ghost points of one freshly computed primitive station
-/// (axis mirror below, far-field extrapolation above) — exactly what the
-/// plane-wide `bc::mirror_prims_axis` / `bc::extrap_prims_top` pair does for
-/// this station, done while the row is still in cache.
-#[inline]
-fn fused_row_ghosts(prim: &mut PrimField, ii: usize, nr: usize) {
-    crate::bc::mirror_prims_axis_row(prim, ii);
-    crate::bc::extrap_prims_top_row(prim, ii, nr);
-}
-
-/// V6: recover primitives (plus their radial ghosts) for an explicit list of
-/// interior stations — the boundary stations an x-sweep must compute *before*
-/// posting the halo exchange, ahead of the fused interior sweep.
+/// Recover primitives (plus their radial ghosts) for an explicit list of
+/// interior stations — the boundary stations a fused (V6/V7) x-sweep must
+/// compute *before* posting the halo exchange, ahead of the interior sweep
+/// that imports them. Per station exactly what [`compute_prims`] and the
+/// plane-wide `bc::mirror_prims_axis` / `bc::extrap_prims_top` pair do.
 pub fn fused_boundary_prims(
     field: &Field,
     prim: &mut PrimField,
@@ -768,163 +485,12 @@ pub fn fused_boundary_prims(
     ledger: &mut FlopLedger,
 ) {
     let nr = field.nr();
-    let gm1 = gas.gamma - 1.0;
-    let inv_rgas = 1.0 / gas.r_gas;
-    let inv_r: Vec<f64> = (0..nr).map(|j| 1.0 / field.patch.r(j)).collect();
+    prims_sliced(field, prim, gas, stations.iter().copied());
     for &i in stations {
-        prims_row_fused(field, prim, i + NG, nr, gm1, inv_rgas, &inv_r);
-        fused_row_ghosts(prim, i + NG, nr);
+        crate::bc::mirror_prims_axis_row(prim, i + NG);
+        crate::bc::extrap_prims_top_row(prim, i + NG, nr);
     }
     ledger.prims += (stations.len() * nr) as u64 * opcount::COST_PRIMS;
-}
-
-/// Highest station whose primitives must be available before the flux at
-/// station `e` can be evaluated.
-#[inline]
-pub(crate) fn flux_needs(e: usize, nxl: usize, edges: EdgeFlags, viscous: bool) -> usize {
-    if !viscous {
-        e // inviscid fluxes are pointwise
-    } else if e == 0 && edges.left {
-        2 // one-sided forward stencil
-    } else if e == nxl - 1 && edges.right {
-        nxl - 1 // one-sided backward stencil
-    } else {
-        e + 1 // central stencil
-    }
-}
-
-/// The V6 tentpole: one fused sweep over the axial stations that recovers
-/// primitives, fills their radial ghosts, and evaluates fluxes as soon as
-/// each station's stencil becomes available — a software pipeline in `i`.
-///
-/// `prim_range` is swept in ascending order; stations below `prim_range.start`
-/// and the optional `hi_pre` station are assumed precomputed (by
-/// [`fused_boundary_prims`]). Flux stations in `flux_range` are emitted the
-/// moment their stencil is complete and any stragglers are flushed at the
-/// end, so callers may pass flux ranges that reach into halo-dependent
-/// stations only when those ghosts are already filled.
-///
-/// Ledger accounting matches the unfused V5 path exactly:
-/// `|prim_range| * nr` primitive points and `|flux_range| * nr` flux points.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_sweep(
-    dir: FluxDir,
-    field: &Field,
-    prim: &mut PrimField,
-    edges: EdgeFlags,
-    gas: &GasModel,
-    flux: &mut FluxField,
-    mut src: Option<&mut Array2>,
-    prim_range: std::ops::Range<usize>,
-    flux_range: std::ops::Range<usize>,
-    hi_pre: Option<usize>,
-    ledger: &mut FlopLedger,
-) {
-    let patch = &field.patch;
-    let (nxl, nr) = (patch.nxl, patch.nr());
-    debug_assert!(prim_range.end <= nxl && flux_range.end <= nxl);
-    let gm1 = gas.gamma - 1.0;
-    let inv_rgas = 1.0 / gas.r_gas;
-    let viscous = !gas.is_inviscid();
-    let r_of: Vec<f64> = (0..nr).map(|j| patch.r(j)).collect();
-    let inv_r: Vec<f64> = r_of.iter().map(|&r| 1.0 / r).collect();
-
-    let mut next_flux = flux_range.start;
-    for i in prim_range.clone() {
-        prims_row_fused(field, prim, i + NG, nr, gm1, inv_rgas, &inv_r);
-        fused_row_ghosts(prim, i + NG, nr);
-        while next_flux < flux_range.end {
-            let need = flux_needs(next_flux, nxl, edges, viscous);
-            if need > i && hi_pre != Some(need) {
-                break;
-            }
-            flux_row_chunked(dir, prim, patch, edges, gas, flux, src.as_deref_mut(), next_flux, &r_of, &inv_r);
-            next_flux += 1;
-        }
-    }
-    // Flush whatever the pipeline could not prove ready (short ranges, or
-    // flux stations whose stencil reaches into already-filled halo ghosts).
-    while next_flux < flux_range.end {
-        flux_row_chunked(dir, prim, patch, edges, gas, flux, src.as_deref_mut(), next_flux, &r_of, &inv_r);
-        next_flux += 1;
-    }
-
-    ledger.prims += (prim_range.len() * nr) as u64 * opcount::COST_PRIMS;
-    ledger.flux +=
-        (flux_range.len() * nr) as u64 * if viscous { opcount::COST_FLUX_VISCOUS } else { opcount::COST_FLUX_INVISCID };
-    if dir == FluxDir::R {
-        ledger.source += (flux_range.len() * nr) as u64 * opcount::COST_SOURCE;
-    }
-}
-
-/// Version dispatch for a fused sweep through the planes: V7 runs the SoA
-/// tiled sweep from [`crate::soa`] (lazily arming the sweep workspace in
-/// `soa`), every earlier fused version runs [`fused_sweep`]. Both are
-/// bitwise-equal drop-ins for each other (oracle- and property-tested).
-///
-/// `exports` lists the swept stations whose primitives must land back in
-/// the AoS `prim` planes for later consumers (edge-column flux passes, the
-/// characteristic-outflow stencil); V6 writes every station to AoS anyway,
-/// so the list only drives the V7 SoA→AoS boundary.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_sweep_version(
-    version: Version,
-    tile_r: usize,
-    soa: &mut Option<Box<crate::soa::SoaWs>>,
-    dir: FluxDir,
-    field: &Field,
-    prim: &mut PrimField,
-    edges: EdgeFlags,
-    gas: &GasModel,
-    flux: &mut FluxField,
-    src: Option<&mut Array2>,
-    prim_range: std::ops::Range<usize>,
-    flux_range: std::ops::Range<usize>,
-    hi_pre: Option<usize>,
-    exports: &[usize],
-    ledger: &mut FlopLedger,
-) {
-    fused_pass_version(
-        version, tile_r, soa, dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, None,
-        ledger,
-    );
-}
-
-/// [`fused_sweep_version`] as the operators call it: with the predictor or
-/// corrector pass that follows the sweep offered to it. V7 runs the pass
-/// inside the sweep on every station it can ([`crate::soa::fused_pass`])
-/// and returns those stations; V6 sweeps into the planes, leaves the pass
-/// alone and returns an empty range. Either way the caller owes the update
-/// of the rest of `pass.irange`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_pass_version(
-    version: Version,
-    tile_r: usize,
-    soa: &mut Option<Box<crate::soa::SoaWs>>,
-    dir: FluxDir,
-    field: &Field,
-    prim: &mut PrimField,
-    edges: EdgeFlags,
-    gas: &GasModel,
-    flux: &mut FluxField,
-    src: Option<&mut Array2>,
-    prim_range: std::ops::Range<usize>,
-    flux_range: std::ops::Range<usize>,
-    hi_pre: Option<usize>,
-    exports: &[usize],
-    pass: Option<crate::scheme::FusedUpdate<'_>>,
-    ledger: &mut FlopLedger,
-) -> std::ops::Range<usize> {
-    if version == Version::V7 {
-        let ws = soa.get_or_insert_with(|| Box::new(crate::soa::SoaWs::new(&field.patch)));
-        crate::soa::fused_pass(
-            dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, tile_r, pass, ledger,
-        )
-    } else {
-        fused_sweep(dir, field, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, ledger);
-        let start = pass.map_or(0, |p| p.irange.start);
-        start..start
-    }
 }
 
 #[cfg(test)]
@@ -1103,153 +669,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v6_prims_and_flux_are_bitwise_v5() {
-        for regime in [Regime::NavierStokes, Regime::Euler] {
-            let (field, _, gas, patch) = setup(regime);
-            let mut ledger = FlopLedger::default();
-            let mut p5 = PrimField::zeros(&patch);
-            let mut p6 = PrimField::zeros(&patch);
-            compute_prims(Version::V5, &field, &mut p5, &gas, &mut ledger);
-            compute_prims(Version::V6, &field, &mut p6, &gas, &mut ledger);
-            for i in 0..patch.nxl {
-                for j in 0..patch.nr() {
-                    let (ii, jj) = (i + NG, j + NG);
-                    for (a, b) in [(&p5.rho, &p6.rho), (&p5.u, &p6.u), (&p5.v, &p6.v), (&p5.p, &p6.p), (&p5.t, &p6.t)] {
-                        assert_eq!(a.at(ii, jj).to_bits(), b.at(ii, jj).to_bits(), "{regime:?} prim at ({i},{j})");
-                    }
-                }
-            }
-            fill_ghost_rows(&mut p5, patch.nxl, patch.nr());
-            let edges = EdgeFlags::of(&patch);
-            for dir in [FluxDir::X, FluxDir::R] {
-                let mut f5 = FluxField::zeros(&patch);
-                let mut f6 = FluxField::zeros(&patch);
-                let mut s5 = Array2::zeros(patch.nxl + 2 * NG, patch.nr() + 2 * NG);
-                let mut s6 = Array2::zeros(patch.nxl + 2 * NG, patch.nr() + 2 * NG);
-                compute_flux(Version::V5, dir, &p5, &patch, edges, &gas, &mut f5, Some(&mut s5), &mut ledger);
-                compute_flux(Version::V6, dir, &p5, &patch, edges, &gas, &mut f6, Some(&mut s6), &mut ledger);
-                for c in 0..4 {
-                    for i in 0..patch.nxl {
-                        for j in 0..patch.nr() {
-                            assert_eq!(
-                                f5.at(c, i as isize, j as isize).to_bits(),
-                                f6.at(c, i as isize, j as isize).to_bits(),
-                                "{regime:?} {dir:?} comp {c} at ({i},{j})"
-                            );
-                        }
-                    }
-                }
-                if dir == FluxDir::R {
-                    for i in 0..patch.nxl {
-                        for j in 0..patch.nr() {
-                            assert_eq!(s5.at(i + NG, j + NG).to_bits(), s6.at(i + NG, j + NG).to_bits());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+    /// The fused SoA sweep (V6, and the body V7 updates in) against a body it
+    /// shares no code with: whole-plane V5 prims, plane-wide ghost fill, V5
+    /// flux. Bit for bit on every flux and source point, on every primitive
+    /// station the sweep hands back to the AoS planes (radial ghosts
+    /// included) and in the ledger — for both regimes and directions, the
+    /// whole-patch shape and the x-operator's split shape (boundary stations
+    /// precomputed and imported, `hi_pre`, exports for the post-halo edge
+    /// columns), a whole patch and an internal slab, and any tile size (tile
+    /// boundaries are recomputation, not approximation).
     #[test]
     fn fused_sweep_is_bitwise_the_unfused_sequence() {
+        use crate::config::DEFAULT_TILE_R;
+        use crate::soa::{self, SoaWs};
+        let bits = |a: &Array2, ii: usize| a.row(ii).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for regime in [Regime::NavierStokes, Regime::Euler] {
-            let (field, _, gas, patch) = setup(regime);
-            let edges = EdgeFlags::of(&patch);
-            let (nxl, nr) = (patch.nxl, patch.nr());
+            let (whole, _, gas, patch) = setup(regime);
+            // internal: no global x edge, so only the split shape applies
+            let slab = Patch::block(patch.grid.clone(), 1, 3);
+            let internal = Field::from_primitives(slab.clone(), &gas, |x, r| Primitive {
+                rho: 1.0 + 0.07 * (0.31 * x).cos() * (0.8 * r).sin(),
+                u: 0.9 + 0.04 * (0.22 * x - r).sin(),
+                v: 0.015 * (0.45 * x).cos() * r.min(1.4),
+                p: 0.7 + 0.02 * (0.38 * x + 0.6 * r).cos(),
+            });
+            let cases = [
+                (&whole, FluxDir::X, false),
+                (&whole, FluxDir::X, true),
+                (&whole, FluxDir::R, false),
+                (&whole, FluxDir::R, true),
+                (&internal, FluxDir::X, true),
+            ];
+            for (field, dir, split) in cases {
+                let patch = &field.patch;
+                let edges = EdgeFlags::of(patch);
+                let (nxl, nr) = (patch.nxl, patch.nr());
+                let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
+                let (prim_range, hi_pre, exports) =
+                    if split { (1..nxl - 1, Some(nxl - 1), [1, nxl - 2]) } else { (0..nxl, None, [nxl - 2, nxl - 3]) };
 
-            // Reference: whole-plane V5 prims, plane-wide ghost fill, V5 flux.
-            let mut ref_ledger = FlopLedger::default();
-            let mut ref_prim = PrimField::zeros(&patch);
-            compute_prims(Version::V5, &field, &mut ref_prim, &gas, &mut ref_ledger);
-            crate::bc::mirror_prims_axis(&mut ref_prim);
-            crate::bc::extrap_prims_top(&mut ref_prim, nr);
-            for dir in [FluxDir::X, FluxDir::R] {
-                let mut ref_flux = FluxField::zeros(&patch);
+                let mut ref_ledger = FlopLedger::default();
+                let mut ref_prim = PrimField::zeros(patch);
+                let mut ref_flux = FluxField::zeros(patch);
                 let mut ref_src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
-                compute_flux(
-                    Version::V5,
-                    dir,
-                    &ref_prim,
-                    &patch,
-                    edges,
-                    &gas,
-                    &mut ref_flux,
-                    Some(&mut ref_src),
-                    &mut ref_ledger,
-                );
+                compute_prims(Version::V5, field, &mut ref_prim, &gas, &mut ref_ledger);
+                crate::bc::mirror_prims_axis(&mut ref_prim);
+                crate::bc::extrap_prims_top(&mut ref_prim, nr);
+                let src = (dir == FluxDir::R).then_some(&mut ref_src);
+                let (v5, range) = (Version::V5, flo..fhi);
+                compute_flux_range(v5, dir, &ref_prim, patch, edges, &gas, &mut ref_flux, src, range, &mut ref_ledger);
 
-                for split_boundary in [false, true] {
+                for tile_r in [1, 3, 7, soa::LANES, DEFAULT_TILE_R, 10_000] {
+                    let what = format!("{regime:?} {dir:?} nxl {nxl} split={split} tile {tile_r}");
                     let mut ledger = FlopLedger::default();
-                    let mut prim = PrimField::zeros(&patch);
-                    let mut flux = FluxField::zeros(&patch);
+                    let mut prim = PrimField::zeros(patch);
+                    let mut flux = FluxField::zeros(patch);
                     let mut src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
-                    if split_boundary {
-                        // x-operator shape: boundary stations first, then the
-                        // pipelined interior sweep.
-                        fused_boundary_prims(&field, &mut prim, &gas, &[0, nxl - 1], &mut ledger);
-                        fused_sweep(
-                            dir,
-                            &field,
-                            &mut prim,
-                            edges,
-                            &gas,
-                            &mut flux,
-                            Some(&mut src),
-                            1..nxl - 1,
-                            0..nxl,
-                            Some(nxl - 1),
-                            &mut ledger,
-                        );
-                    } else {
-                        fused_sweep(
-                            dir,
-                            &field,
-                            &mut prim,
-                            edges,
-                            &gas,
-                            &mut flux,
-                            Some(&mut src),
-                            0..nxl,
-                            0..nxl,
-                            None,
-                            &mut ledger,
-                        );
+                    let mut ws = SoaWs::new(patch);
+                    if split {
+                        fused_boundary_prims(field, &mut prim, &gas, &[0, nxl - 1], &mut ledger);
                     }
-                    // Interior stations (incl. their radial ghosts) and all
-                    // flux/source points must be bit-identical.
-                    for i in 0..nxl {
-                        let ii = i + NG;
-                        for jj in 0..nr + 2 * NG {
-                            assert_eq!(prim.p.at(ii, jj).to_bits(), ref_prim.p.at(ii, jj).to_bits());
-                            assert_eq!(prim.v.at(ii, jj).to_bits(), ref_prim.v.at(ii, jj).to_bits());
-                        }
-                    }
-                    for c in 0..4 {
-                        for i in 0..nxl {
-                            for j in 0..nr {
-                                assert_eq!(
-                                    flux.at(c, i as isize, j as isize).to_bits(),
-                                    ref_flux.at(c, i as isize, j as isize).to_bits(),
-                                    "{regime:?} {dir:?} split={split_boundary} comp {c} at ({i},{j})"
-                                );
-                            }
-                        }
-                    }
-                    if dir == FluxDir::R {
-                        for i in 0..nxl {
-                            for j in 0..nr {
-                                assert_eq!(src.at(i + NG, j + NG).to_bits(), ref_src.at(i + NG, j + NG).to_bits());
-                            }
-                        }
-                    }
-                    // Fused ledger accounting matches the unfused path.
-                    assert_eq!(ledger.prims, (nxl * nr) as u64 * opcount::COST_PRIMS);
-                    assert_eq!(
-                        ledger.flux,
-                        (nxl * nr) as u64
-                            * if gas.is_inviscid() { opcount::COST_FLUX_INVISCID } else { opcount::COST_FLUX_VISCOUS }
+                    soa::fused_sweep(
+                        dir,
+                        field,
+                        &mut prim,
+                        edges,
+                        &gas,
+                        &mut flux,
+                        (dir == FluxDir::R).then_some(&mut src),
+                        prim_range.clone(),
+                        flo..fhi,
+                        hi_pre,
+                        &exports,
+                        &mut ws,
+                        tile_r,
+                        &mut ledger,
                     );
+                    // Nothing was written outside `flo..fhi`, so whole planes compare.
+                    for ii in 0..nxl + 2 * NG {
+                        for (c, (got, want)) in flux.c.iter().zip(&ref_flux.c).enumerate() {
+                            assert!(bits(got, ii) == bits(want, ii), "{what}: flux {c} at raw station {ii}");
+                        }
+                        assert!(bits(&src, ii) == bits(&ref_src, ii), "{what}: source at raw station {ii}");
+                    }
+                    let precomputed = if split { vec![0, nxl - 1] } else { vec![] };
+                    for i in exports.into_iter().chain(precomputed) {
+                        let planes = [&prim.rho, &prim.u, &prim.v, &prim.p, &prim.t];
+                        let wants = [&ref_prim.rho, &ref_prim.u, &ref_prim.v, &ref_prim.p, &ref_prim.t];
+                        for (c, (got, want)) in planes.into_iter().zip(wants).enumerate() {
+                            assert!(bits(got, i + NG) == bits(want, i + NG), "{what}: primitive {c} at station {i}");
+                        }
+                    }
+                    assert_eq!(ledger, ref_ledger, "{what}: ledger");
                 }
             }
         }

@@ -129,8 +129,8 @@ mod tests {
     }
 
     /// The ledger counts the work the algorithm does, not how the kernels
-    /// schedule it: the fused V6 sweep and the SoA/tiled V7 sweep must
-    /// account exactly the FLOPs of the V5 two-pass baseline, class by
+    /// schedule it: the fused SoA sweep, with the update through the planes
+    /// (V6) and inside it (V7), must account exactly the FLOPs of the V5 two-pass baseline, class by
     /// class, for both regimes.
     #[test]
     fn fused_and_soa_rungs_account_identical_flops() {

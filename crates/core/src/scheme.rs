@@ -25,7 +25,7 @@ use crate::config::{SchemeOrder, SolverConfig, Version};
 use crate::field::{Field, FluxField, PrimField, Workspace, NG};
 use crate::kernels::{self, EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
-use crate::soa::SoaWs;
+use crate::soa::{self, SoaWs};
 use ns_numerics::{Array2, GasModel};
 use ns_telemetry::PhaseTimer;
 use std::ops::Range;
@@ -109,10 +109,9 @@ pub fn x_operator(
     dt: f64,
     ledger: &mut FlopLedger,
 ) {
-    let patch = field.patch.clone();
-    let edges = EdgeFlags::of(&patch);
-    let (nxl, nr) = (patch.nxl, patch.nr());
-    let lam = dt / (6.0 * patch.grid.dx);
+    let edges = EdgeFlags::of(&field.patch);
+    let (nxl, nr) = (field.patch.nxl, field.patch.nr());
+    let lam = dt / (6.0 * field.patch.grid.dx);
     let viscous = !gas.is_inviscid();
 
     // Phase attribution uses the labels of `crate::workload`, so measured
@@ -121,104 +120,32 @@ pub fn x_operator(
     // accounting, not to a compute phase.
 
     // V6+ fuses primitive recovery, ghost fill and flux evaluation into one
-    // sweep per stage; its phase labels ("x:fused", "x:fused2") replace the
-    // separate prims/flux pairs in the telemetry vocabulary. V7 shares the
-    // fused shape, running each sweep over the SoA tiled path — and running
-    // the predictor/corrector update of every station whose flux stencil the
-    // sweep itself emits *inside* that sweep ([`FusedUpdate`]), so under V7
-    // "x:fused*" contains the interior update and "x:predict"/"x:correct"
+    // SoA sweep per stage; its phase labels ("x:fused", "x:fused2") replace
+    // the separate prims/flux pairs in the telemetry vocabulary. V6 sweeps
+    // into the flux planes and updates from them like every earlier rung; V7
+    // runs the predictor/corrector update of every station whose flux stencil
+    // the sweep itself emits *inside* that sweep ([`FusedUpdate`]), so under
+    // V7 "x:fused*" contains the interior update and "x:predict"/"x:correct"
     // time only the deferred stations next to a patch edge.
     let fused = cfg.version >= Version::V6;
     // V1/V2 keep the axial-innermost update traversal (V3 = + loop interchange).
     let strided = cfg.version <= Version::V2;
     let mms = ws.mms.as_deref().map(|m| &m.sx);
-    let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
     // The update window: an owned inflow or outflow column is frozen.
     let (istart, iend) = (usize::from(edges.left), nxl - usize::from(edges.right));
     let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
 
     // --- stage 1: fluxes of Q^n -------------------------------------------
-    // Split-phase exchange: post the boundary columns, compute the columns
-    // whose stencils are fully local, complete the receives, finish the
-    // edge columns. With an overlapping transport this is exactly the
-    // paper's Version 6; with a plain transport (or serially) it degenerates
-    // to exchange-then-compute (Version 5) with identical arithmetic.
     let done = if fused {
         let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut ws.qbar, correct: false };
         // The characteristic-outflow derivative reads the time-n primitives
         // of stations nxl-2 / nxl-3 back from the AoS planes.
         let outflow = edges.right && cfg.mms.is_none();
-        fused_x_stage(
-            "x:fused",
-            cfg,
-            gas,
-            field,
-            &mut ws.prim,
-            &mut ws.flux,
-            &mut ws.soa,
-            &mut ws.timers,
-            halo,
-            outflow,
-            pass,
-            ledger,
-        )
+        let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.soa, &mut ws.timers);
+        fused_x_stage("x:fused", cfg, gas, field, prim, flux, soa, timers, halo, true, outflow, pass, ledger)
     } else {
-        ws.timers.start("x:prims");
-        kernels::compute_prims(cfg.version, field, &mut ws.prim, gas, ledger);
-        if edges.bottom {
-            bc::mirror_prims_axis(&mut ws.prim);
-        }
-        if edges.top {
-            bc::extrap_prims_top(&mut ws.prim, nr);
-        }
-        ws.timers.pause();
-        if viscous {
-            // The viscous x-flux takes radial derivatives of u, v, T; at
-            // internal radial edges those stencils read exchanged ghost rows
-            // (Euler's x-flux is point-local and skips the message).
-            halo.exchange_prims_r(&mut ws.prim);
-        }
-        halo.post_prims(&mut ws.prim);
-        ws.timers.start("x:flux");
-        kernels::compute_flux_range(
-            cfg.version,
-            FluxDir::X,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux,
-            None,
-            flo..fhi,
-            ledger,
-        );
-        ws.timers.pause();
-        halo.finish_prims(&mut ws.prim);
-        ws.timers.start("x:flux");
-        kernels::compute_flux_range(
-            cfg.version,
-            FluxDir::X,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux,
-            None,
-            0..flo,
-            ledger,
-        );
-        kernels::compute_flux_range(
-            cfg.version,
-            FluxDir::X,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux,
-            None,
-            fhi..nxl,
-            ledger,
-        );
+        let (prim, flux, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.timers);
+        plane_x_stage(["x:prims", "x:flux"], cfg, gas, field, prim, flux, timers, halo, true, ledger);
         istart..istart
     };
     ws.timers.pause();
@@ -255,120 +182,20 @@ pub fn x_operator(
     }
 
     // --- stage 2: fluxes of the predictor state ----------------------------
-    // corrector difference runs opposite to the predictor
+    // The corrector difference runs opposite to the predictor. Only the
+    // viscous stage exchanges primitives a second time: Euler's edge fluxes
+    // need no derivative stencils, which is why the paper's Euler run does
+    // 12 message start-ups per step against 16 for N-S.
     let st = Stencil { forward: !st.forward, ..st };
     let done = if fused {
         let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut *field, correct: true };
-        if viscous {
-            // Stage 2 has no outflow update afterwards; only the edge-column
-            // flux passes read primitives back from the AoS planes.
-            fused_x_stage(
-                "x:fused2",
-                cfg,
-                gas,
-                &ws.qbar,
-                &mut ws.prim,
-                &mut ws.flux_bar,
-                &mut ws.soa,
-                &mut ws.timers,
-                halo,
-                false,
-                pass,
-                ledger,
-            )
-        } else {
-            // Euler needs no stencil neighbours: the whole stage fuses into
-            // a single exchange-free sweep.
-            ws.timers.start("x:fused2");
-            kernels::fused_pass_version(
-                cfg.version,
-                cfg.tile_r,
-                &mut ws.soa,
-                FluxDir::X,
-                &ws.qbar,
-                &mut ws.prim,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                0..nxl,
-                0..nxl,
-                None,
-                &[],
-                Some(pass),
-                ledger,
-            )
-        }
+        // Stage 2 has no outflow update afterwards; only the edge-column
+        // flux passes read primitives back from the AoS planes.
+        let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.soa, &mut ws.timers);
+        fused_x_stage("x:fused2", cfg, gas, &ws.qbar, prim, flux, soa, timers, halo, viscous, false, pass, ledger)
     } else {
-        ws.timers.start("x:prims2");
-        kernels::compute_prims(cfg.version, &ws.qbar, &mut ws.prim, gas, ledger);
-        if edges.bottom {
-            bc::mirror_prims_axis(&mut ws.prim);
-        }
-        if edges.top {
-            bc::extrap_prims_top(&mut ws.prim, nr);
-        }
-        if viscous {
-            // The second grouped primitive exchange; Euler skips it (its edge
-            // fluxes need no derivative stencils), which is why the paper's
-            // Euler run does 12 message start-ups per step against 16 for N-S.
-            ws.timers.pause();
-            halo.exchange_prims_r(&mut ws.prim);
-            halo.post_prims(&mut ws.prim);
-            ws.timers.start("x:flux2");
-            kernels::compute_flux_range(
-                cfg.version,
-                FluxDir::X,
-                &ws.prim,
-                &patch,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                flo..fhi,
-                ledger,
-            );
-            ws.timers.pause();
-            halo.finish_prims(&mut ws.prim);
-            ws.timers.start("x:flux2");
-            kernels::compute_flux_range(
-                cfg.version,
-                FluxDir::X,
-                &ws.prim,
-                &patch,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                0..flo,
-                ledger,
-            );
-            kernels::compute_flux_range(
-                cfg.version,
-                FluxDir::X,
-                &ws.prim,
-                &patch,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                fhi..nxl,
-                ledger,
-            );
-        } else {
-            ws.timers.start("x:flux2");
-            kernels::compute_flux(
-                cfg.version,
-                FluxDir::X,
-                &ws.prim,
-                &patch,
-                edges,
-                gas,
-                &mut ws.flux_bar,
-                None,
-                ledger,
-            );
-        }
+        let (prim, flux, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.timers);
+        plane_x_stage(["x:prims2", "x:flux2"], cfg, gas, &ws.qbar, prim, flux, timers, halo, viscous, ledger);
         istart..istart
     };
     ws.timers.pause();
@@ -393,14 +220,54 @@ pub fn x_operator(
     ws.timers.pause();
 }
 
-/// One split-phase flux stage of the fused (V6+) axial operator: the two
-/// boundary primitive columns ahead of the halo post, the interior sweep
-/// while they are in flight — under V7 with `pass` riding inside it — then,
-/// once the receives complete, the edge columns whose stencils read the
-/// halo. `state` is the state differenced (`Q^n`, then the predictor
-/// state); `outflow` asks the sweep to also export the two stations the
-/// characteristic-outflow stencil reads. Returns the stations `pass` has
-/// already updated; the caller owes the rest of its window.
+/// One fused sweep as the V6/V7 operators run it — [`soa::fused_pass`] over
+/// the solver's sweep workspace, armed on first use — with the predictor or
+/// corrector pass that follows it offered to it. V7 runs the pass inside the
+/// sweep on every station it can and returns those stations; V6 sweeps into
+/// the planes, leaves the pass alone and returns an empty range. Either way
+/// the caller owes the update of the rest of `pass.irange`.
+#[allow(clippy::too_many_arguments)]
+fn fused_pass(
+    cfg: &SolverConfig,
+    soa: &mut Option<Box<SoaWs>>,
+    dir: FluxDir,
+    state: &Field,
+    prim: &mut PrimField,
+    edges: EdgeFlags,
+    gas: &GasModel,
+    flux: &mut FluxField,
+    src: Option<&mut Array2>,
+    prim_range: Range<usize>,
+    flux_range: Range<usize>,
+    hi_pre: Option<usize>,
+    exports: &[usize],
+    pass: FusedUpdate<'_>,
+    ledger: &mut FlopLedger,
+) -> Range<usize> {
+    let ws = soa.get_or_insert_with(|| Box::new(SoaWs::new(&state.patch)));
+    let inside = cfg.version == Version::V7;
+    let untouched = pass.irange.start..pass.irange.start;
+    let pass = inside.then_some(pass);
+    let done = soa::fused_pass(
+        dir, state, prim, edges, gas, flux, src, prim_range, flux_range, hi_pre, exports, ws, cfg.tile_r, pass, ledger,
+    );
+    if inside {
+        done
+    } else {
+        untouched
+    }
+}
+
+/// One flux stage of the fused (V6+) axial operator. `state` is the state
+/// differenced (`Q^n`, then the predictor state). A stage that exchanges
+/// primitives is split-phase: the two boundary primitive columns ahead of
+/// the halo post, the interior sweep while they are in flight — under V7
+/// with `pass` riding inside it — then, once the receives complete, the
+/// edge columns whose stencils read the halo; `outflow` asks the sweep to
+/// also export the two stations the characteristic-outflow stencil reads.
+/// Without `exchange` the whole stage is a single exchange-free sweep.
+/// Returns the stations `pass` has already updated; the caller owes the
+/// rest of its window.
 #[allow(clippy::too_many_arguments)]
 fn fused_x_stage(
     label: &'static str,
@@ -412,6 +279,7 @@ fn fused_x_stage(
     soa: &mut Option<Box<SoaWs>>,
     timers: &mut PhaseTimer,
     halo: &mut dyn XHalo,
+    exchange: bool,
     outflow: bool,
     pass: FusedUpdate<'_>,
     ledger: &mut FlopLedger,
@@ -419,17 +287,22 @@ fn fused_x_stage(
     let patch = &state.patch;
     let edges = EdgeFlags::of(patch);
     let nxl = patch.nxl;
-    let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
+    let (flo, fhi) = if exchange { (usize::from(!edges.left), nxl - usize::from(!edges.right)) } else { (0, nxl) };
     timers.start(label);
-    kernels::fused_boundary_prims(state, prim, gas, &[0, nxl - 1], ledger);
-    timers.pause();
-    halo.post_prims(prim);
-    timers.start(label);
-    // Swept stations that later AoS consumers read back (V7 only): the
-    // post-halo edge-column flux passes stencil stations `flo`/`fhi - 1`.
+    let (prim_range, hi_pre) = if exchange {
+        kernels::fused_boundary_prims(state, prim, gas, &[0, nxl - 1], ledger);
+        timers.pause();
+        halo.post_prims(prim);
+        timers.start(label);
+        (1..nxl - 1, Some(nxl - 1))
+    } else {
+        (0..nxl, None)
+    };
+    // Swept stations that later AoS consumers read back: the post-halo
+    // edge-column flux passes stencil stations `flo`/`fhi - 1`.
     let wanted = [
-        (!edges.left).then_some(flo),
-        (!edges.right).then_some(fhi - 1),
+        (flo > 0).then_some(flo),
+        (fhi < nxl).then_some(fhi - 1),
         outflow.then_some(nxl.saturating_sub(2)),
         outflow.then_some(nxl.saturating_sub(3)),
     ];
@@ -439,9 +312,8 @@ fn fused_x_stage(
         exports[n_exp] = station;
         n_exp += 1;
     }
-    let done = kernels::fused_pass_version(
-        cfg.version,
-        cfg.tile_r,
+    let done = fused_pass(
+        cfg,
         soa,
         FluxDir::X,
         state,
@@ -450,20 +322,83 @@ fn fused_x_stage(
         gas,
         flux,
         None,
-        1..nxl - 1,
+        prim_range,
         flo..fhi,
-        Some(nxl - 1),
+        hi_pre,
         &exports[..n_exp],
-        Some(pass),
+        pass,
         ledger,
     );
-    timers.pause();
-    halo.finish_prims(prim);
-    timers.start(label);
+    if exchange {
+        timers.pause();
+        halo.finish_prims(prim);
+        timers.start(label);
+    }
     for edge in [0..flo, fhi..nxl] {
         kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
     }
     done
+}
+
+/// The primitives of `state` on the plane path (V1–V5), with the radial
+/// ghosts of the global boundaries its patch owns.
+fn plane_prims(cfg: &SolverConfig, gas: &GasModel, state: &Field, prim: &mut PrimField, ledger: &mut FlopLedger) {
+    kernels::compute_prims(cfg.version, state, prim, gas, ledger);
+    if state.patch.is_global_bottom() {
+        bc::mirror_prims_axis(prim);
+    }
+    if state.patch.is_global_top() {
+        bc::extrap_prims_top(prim, state.nr());
+    }
+}
+
+/// One flux stage of the plane-path (V1–V5) axial operator, the twin of
+/// [`fused_x_stage`]: `labels` name its primitive and flux phases. A stage
+/// that exchanges primitives is split-phase: post the boundary columns,
+/// compute the columns whose stencils are fully local, complete the
+/// receives, finish the edge columns. With an overlapping transport this is
+/// exactly the paper's Version 6; with a plain transport (or serially) it
+/// degenerates to exchange-then-compute (Version 5) with identical
+/// arithmetic. Without `exchange` every column is local.
+#[allow(clippy::too_many_arguments)]
+fn plane_x_stage(
+    labels: [&'static str; 2],
+    cfg: &SolverConfig,
+    gas: &GasModel,
+    state: &Field,
+    prim: &mut PrimField,
+    flux: &mut FluxField,
+    timers: &mut PhaseTimer,
+    halo: &mut dyn XHalo,
+    exchange: bool,
+    ledger: &mut FlopLedger,
+) {
+    let patch = &state.patch;
+    let edges = EdgeFlags::of(patch);
+    let nxl = patch.nxl;
+    let (flo, fhi) = if exchange { (usize::from(!edges.left), nxl - usize::from(!edges.right)) } else { (0, nxl) };
+    timers.start(labels[0]);
+    plane_prims(cfg, gas, state, prim, ledger);
+    if exchange {
+        timers.pause();
+        if !gas.is_inviscid() {
+            // The viscous x-flux takes radial derivatives of u, v, T; at
+            // internal radial edges those stencils read exchanged ghost rows
+            // (Euler's x-flux is point-local and skips the message).
+            halo.exchange_prims_r(prim);
+        }
+        halo.post_prims(prim);
+    }
+    timers.start(labels[1]);
+    kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, flo..fhi, ledger);
+    if exchange {
+        timers.pause();
+        halo.finish_prims(prim);
+        timers.start(labels[1]);
+    }
+    for edge in [0..flo, fhi..nxl] {
+        kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
+    }
 }
 
 /// Apply the radial operator (`Q_t + G_r = S`) over one time step.
@@ -483,92 +418,22 @@ pub fn r_operator(
     dt: f64,
     ledger: &mut FlopLedger,
 ) {
-    let patch = field.patch.clone();
-    // The radial operator never communicates *axially* (the paper's protocol
-    // sends columns only around the axial sweeps), so the viscous
-    // cross-derivatives (u_x, v_x, T_x in tau_xr / tau_rr / tau_tt) must be
-    // evaluated from local data alone: one-sided stencils at *patch* edges,
-    // global or internal. On a whole-grid patch this coincides with the
-    // serial boundary treatment; on an internal axial edge it introduces the
-    // O(dx^2)-consistent difference the parallel-equivalence tests budget
-    // for (Euler, with no stress derivatives, stays bitwise identical, as do
-    // pure radial 1xP splits whose exchanged ghost rows feed the same
-    // central stencils the serial sweep uses).
-    let edges = EdgeFlags { left: true, right: true, bottom: patch.is_global_bottom(), top: patch.is_global_top() };
-    let (nxl, nr) = (patch.nxl, patch.nr());
-    let lam = dt / (6.0 * patch.grid.dr);
-    let viscous = !gas.is_inviscid();
+    let (nxl, nr) = (field.patch.nxl, field.patch.nr());
+    let lam = dt / (6.0 * field.patch.grid.dr);
     // The far-field row is frozen during the sweep and rebuilt by the BC;
     // patches that do not own it update every owned row.
-    let jend = nr - usize::from(edges.top);
+    let top = field.patch.is_global_top();
+    let jend = nr - usize::from(top);
 
-    let fused = cfg.version >= Version::V6;
     let strided = cfg.version <= Version::V2;
     let mms = ws.mms.as_deref().map(|m| &m.sr);
     let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
 
     // --- stage 1 -------------------------------------------------------------
-    let done = if fused {
-        // Comm-free sweep: fuse the whole stage (prims, radial ghosts, flux
-        // and source) into one pipelined pass over the axial stations. The
-        // radial stencil and the flux ghost fill stay inside one station's
-        // row, so under V7 the sweep also updates every station it emits
-        // ("r:fused*" then contains the whole update, and "r:predict" /
-        // "r:correct" only the far-field row copy and boundary model).
-        ws.timers.start("r:fused");
-        let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut ws.qbar, correct: false };
-        kernels::fused_pass_version(
-            cfg.version,
-            cfg.tile_r,
-            &mut ws.soa,
-            FluxDir::R,
-            field,
-            &mut ws.prim,
-            edges,
-            gas,
-            &mut ws.flux,
-            Some(&mut ws.src),
-            0..nxl,
-            0..nxl,
-            None,
-            &[],
-            Some(pass),
-            ledger,
-        )
-    } else {
-        ws.timers.start("r:prims");
-        kernels::compute_prims(cfg.version, field, &mut ws.prim, gas, ledger);
-        if edges.bottom {
-            bc::mirror_prims_axis(&mut ws.prim);
-        }
-        if edges.top {
-            bc::extrap_prims_top(&mut ws.prim, nr);
-        }
-        ws.timers.pause();
-        if viscous {
-            halo.exchange_prims_r(&mut ws.prim);
-        }
-        ws.timers.start("r:flux");
-        kernels::compute_flux(
-            cfg.version,
-            FluxDir::R,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux,
-            Some(&mut ws.src),
-            ledger,
-        );
-        0..0
-    };
-    ws.timers.pause();
-    halo.exchange_flux_r(&mut ws.flux);
-    ws.timers.start(if fused { "r:fused" } else { "r:flux" });
-    // A sweep that updated its stations filled their flux ghosts row by row.
-    if done.is_empty() {
-        bc::fill_rflux_ghosts_sides(&mut ws.flux, nxl, nr, edges.bottom, edges.top, ledger);
-    }
+    let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut ws.qbar, correct: false };
+    let (prim, flux, src, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.src, &mut ws.soa, &mut ws.timers);
+    let labels = ["r:fused", "r:prims", "r:flux"];
+    let done = r_stage(labels, cfg, gas, field, prim, flux, src, soa, timers, halo, pass, ledger);
 
     // --- predictor -------------------------------------------------------------
     ws.timers.start("r:predict");
@@ -577,7 +442,7 @@ pub fn r_operator(
         predict(&rest, field, &mut ws.qbar, strided);
     }
     ledger.update += up.flops(opcount::COST_PREDICTOR);
-    if edges.top {
+    if top {
         for i in 0..nxl {
             ws.qbar.set_qvec(i, nr - 1, field.qvec(i, nr - 1));
         }
@@ -585,60 +450,10 @@ pub fn r_operator(
 
     // --- stage 2 -------------------------------------------------------------
     let st = Stencil { forward: !st.forward, ..st };
-    let done = if fused {
-        ws.timers.start("r:fused2");
-        let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut *field, correct: true };
-        kernels::fused_pass_version(
-            cfg.version,
-            cfg.tile_r,
-            &mut ws.soa,
-            FluxDir::R,
-            &ws.qbar,
-            &mut ws.prim,
-            edges,
-            gas,
-            &mut ws.flux_bar,
-            Some(&mut ws.src_bar),
-            0..nxl,
-            0..nxl,
-            None,
-            &[],
-            Some(pass),
-            ledger,
-        )
-    } else {
-        ws.timers.start("r:prims2");
-        kernels::compute_prims(cfg.version, &ws.qbar, &mut ws.prim, gas, ledger);
-        if edges.bottom {
-            bc::mirror_prims_axis(&mut ws.prim);
-        }
-        if edges.top {
-            bc::extrap_prims_top(&mut ws.prim, nr);
-        }
-        ws.timers.pause();
-        if viscous {
-            halo.exchange_prims_r(&mut ws.prim);
-        }
-        ws.timers.start("r:flux2");
-        kernels::compute_flux(
-            cfg.version,
-            FluxDir::R,
-            &ws.prim,
-            &patch,
-            edges,
-            gas,
-            &mut ws.flux_bar,
-            Some(&mut ws.src_bar),
-            ledger,
-        );
-        0..0
-    };
-    ws.timers.pause();
-    halo.exchange_flux_r(&mut ws.flux_bar);
-    ws.timers.start(if fused { "r:fused2" } else { "r:flux2" });
-    if done.is_empty() {
-        bc::fill_rflux_ghosts_sides(&mut ws.flux_bar, nxl, nr, edges.bottom, edges.top, ledger);
-    }
+    let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut *field, correct: true };
+    let (prim, flux, src, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.src_bar, &mut ws.soa, &mut ws.timers);
+    let labels = ["r:fused2", "r:prims2", "r:flux2"];
+    let done = r_stage(labels, cfg, gas, &ws.qbar, prim, flux, src, soa, timers, halo, pass, ledger);
 
     // --- corrector -------------------------------------------------------------
     ws.timers.start("r:correct");
@@ -650,10 +465,76 @@ pub fn r_operator(
 
     // Under MMS the top row keeps its exact manufactured data (the sweep
     // above stops at nr-2); the far-field model is a jet boundary condition.
-    if edges.top && cfg.mms.is_none() {
+    if top && cfg.mms.is_none() {
         bc::farfield_top(field, gas, gas.pressure(1.0, cfg.jet.t_c), ledger);
     }
     ws.timers.pause();
+}
+
+/// One flux stage of the radial operator on `state` (`Q^n`, then the
+/// predictor state): flux and source into `flux` / `src`, flux ghosts
+/// filled. `labels` name the fused phase and the plane path's primitive and
+/// flux phases. Returns the stations `pass` has already updated (under V7
+/// all of them, so "r:fused*" contains the whole update and "r:predict" /
+/// "r:correct" only the far-field row copy and boundary model); the caller
+/// owes the rest of its window.
+#[allow(clippy::too_many_arguments)]
+fn r_stage(
+    labels: [&'static str; 3],
+    cfg: &SolverConfig,
+    gas: &GasModel,
+    state: &Field,
+    prim: &mut PrimField,
+    flux: &mut FluxField,
+    src: &mut Array2,
+    soa: &mut Option<Box<SoaWs>>,
+    timers: &mut PhaseTimer,
+    halo: &mut dyn XHalo,
+    pass: FusedUpdate<'_>,
+    ledger: &mut FlopLedger,
+) -> Range<usize> {
+    let patch = &state.patch;
+    let (nxl, nr) = (patch.nxl, patch.nr());
+    // The radial operator never communicates *axially* (the paper's protocol
+    // sends columns only around the axial sweeps), so the viscous
+    // cross-derivatives (u_x, v_x, T_x in tau_xr / tau_rr / tau_tt) must be
+    // evaluated from local data alone: one-sided stencils at *patch* edges,
+    // global or internal. On a whole-grid patch this coincides with the
+    // serial boundary treatment; on an internal axial edge it introduces the
+    // O(dx^2)-consistent difference the parallel-equivalence tests budget
+    // for (Euler, with no stress derivatives, stays bitwise identical, as do
+    // pure radial 1xP splits whose exchanged ghost rows feed the same
+    // central stencils the serial sweep uses).
+    let edges = EdgeFlags { left: true, right: true, bottom: patch.is_global_bottom(), top: patch.is_global_top() };
+    let [fused_label, prims_label, flux_label] = labels;
+    let fused = cfg.version >= Version::V6;
+    let done = if fused {
+        // Comm-free sweep: the whole stage (prims, radial ghosts, flux and
+        // source) is one pipelined pass over the axial stations. The radial
+        // stencil and the flux ghost fill stay inside one station's row, so
+        // under V7 the sweep also updates every station it emits.
+        timers.start(fused_label);
+        let (src, all) = (Some(src), 0..nxl);
+        fused_pass(cfg, soa, FluxDir::R, state, prim, edges, gas, flux, src, all.clone(), all, None, &[], pass, ledger)
+    } else {
+        timers.start(prims_label);
+        plane_prims(cfg, gas, state, prim, ledger);
+        timers.pause();
+        if !gas.is_inviscid() {
+            halo.exchange_prims_r(prim);
+        }
+        timers.start(flux_label);
+        kernels::compute_flux(cfg.version, FluxDir::R, prim, patch, edges, gas, flux, Some(src), ledger);
+        0..0
+    };
+    timers.pause();
+    halo.exchange_flux_r(flux);
+    timers.start(if fused { fused_label } else { flux_label });
+    // A sweep that updated its stations filled their flux ghosts row by row.
+    if done.is_empty() {
+        bc::fill_rflux_ghosts_sides(flux, nxl, nr, edges.bottom, edges.top, ledger);
+    }
+    done
 }
 
 /// Constants of one predictor or corrector pass.

@@ -17,9 +17,8 @@
 use crate::bc;
 use crate::config::SolverConfig;
 use crate::field::{Field, FluxField, Patch, PrimField, Workspace, NG};
-use crate::kernels::{EdgeFlags, FluxDir};
+use crate::kernels::{self, EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
-use crate::physics;
 use crate::scheme::{correct_row, predict_row, Stencil, Update, Variant};
 use ns_numerics::{Array2, GasModel};
 use rayon::prelude::*;
@@ -116,8 +115,8 @@ fn band(a: &mut Array2, nxl: usize) -> Vec<(usize, &mut [f64])> {
     a.as_mut_slice().chunks_mut(nj).enumerate().skip(NG).take(nxl).collect()
 }
 
-/// Parallel primitive recovery (row bands over the axial index); identical
-/// arithmetic to the serial V5 kernel.
+/// Parallel primitive recovery: the serial V5 row kernel
+/// ([`kernels::prims_row`]) with the stations spread over the pool.
 fn par_prims(field: &Field, prim: &mut PrimField, gas: &GasModel, ledger: &mut FlopLedger) {
     let (nxl, nr) = (field.nxl(), field.nr());
     let gm1 = gas.gamma - 1.0;
@@ -136,116 +135,14 @@ fn par_prims(field: &Field, prim: &mut PrimField, gas: &GasModel, ledger: &mut F
         .zip(v_rows.par_iter_mut())
         .zip(p_rows.par_iter_mut())
         .zip(t_rows.par_iter_mut())
-        .for_each(|(((((ii, rho_r), (_, u_r)), (_, v_r)), (_, p_r)), (_, t_r))| {
-            let ii = *ii;
-            let q0 = field.q[0].row(ii);
-            let q1 = field.q[1].row(ii);
-            let q2 = field.q[2].row(ii);
-            let q3 = field.q[3].row(ii);
-            // pass 1: the same (q * inv_r) products the sliced kernel stores
-            for j in 0..nr {
-                let jj = j + NG;
-                rho_r[jj] = q0[jj] * inv_r[j];
-                u_r[jj] = q1[jj] * inv_r[j];
-                v_r[jj] = q2[jj] * inv_r[j];
-            }
-            // pass 2: divide through by rho, recover p and T
-            for j in 0..nr {
-                let jj = j + NG;
-                let rho = q0[jj] * inv_r[j];
-                let inv_rho = 1.0 / rho;
-                let u = u_r[jj] * inv_rho;
-                let v = v_r[jj] * inv_rho;
-                let e = q3[jj] * inv_r[j];
-                let ke = 0.5 * rho * (u * u + v * v);
-                let p = gm1 * (e - ke);
-                u_r[jj] = u;
-                v_r[jj] = v;
-                p_r[jj] = p;
-                t_r[jj] = p * inv_rho * inv_rgas;
-            }
+        .for_each(|(((((ii, rho), (_, u)), (_, v)), (_, p)), (_, t))| {
+            kernels::prims_row(field.q.each_ref().map(|c| c.row(*ii)), [rho, u, v, p, t], &inv_r, gm1, inv_rgas);
         });
     ledger.prims += (nxl * nr) as u64 * opcount::COST_PRIMS;
 }
 
-/// Compute one flux row (V5 arithmetic) into four output row slices.
-#[allow(clippy::too_many_arguments)]
-fn flux_row(
-    dir: FluxDir,
-    prim: &PrimField,
-    patch: &Patch,
-    edges: EdgeFlags,
-    gas: &GasModel,
-    r_of: &[f64],
-    inv_r: &[f64],
-    ii: usize,
-    out: [&mut [f64]; 4],
-    mut src_row: Option<&mut [f64]>,
-) {
-    let (nxl, nr) = (patch.nxl, patch.nr());
-    let i = ii - NG;
-    let inv_2dx = 1.0 / (2.0 * patch.grid.dx);
-    let inv_2dr = 1.0 / (2.0 * patch.grid.dr);
-    let inv_gm1 = 1.0 / (gas.gamma - 1.0);
-    let viscous = !gas.is_inviscid();
-    let [o0, o1, o2, o3] = out;
-    let (cl, cm, cr, wl, wm, wr);
-    if i == 0 && edges.left {
-        (cl, cm, cr) = (ii, ii + 1, ii + 2);
-        (wl, wm, wr) = (-3.0 * inv_2dx, 4.0 * inv_2dx, -inv_2dx);
-    } else if i == nxl - 1 && edges.right {
-        (cl, cm, cr) = (ii - 2, ii - 1, ii);
-        (wl, wm, wr) = (inv_2dx, -4.0 * inv_2dx, 3.0 * inv_2dx);
-    } else {
-        (cl, cm, cr) = (ii - 1, ii, ii + 1);
-        (wl, wm, wr) = (-inv_2dx, 0.0, inv_2dx);
-    }
-    let (u0, v0, t0) = (prim.u.row(ii), prim.v.row(ii), prim.t.row(ii));
-    let (rho0, p0) = (prim.rho.row(ii), prim.p.row(ii));
-    let (u_l, u_m, u_r) = (prim.u.row(cl), prim.u.row(cm), prim.u.row(cr));
-    let (v_l, v_m, v_r) = (prim.v.row(cl), prim.v.row(cm), prim.v.row(cr));
-    let (t_l, t_m, t_r) = (prim.t.row(cl), prim.t.row(cm), prim.t.row(cr));
-    for j in 0..nr {
-        let jj = j + NG;
-        let (rho, u, v, p) = (rho0[jj], u0[jj], v0[jj], p0[jj]);
-        let s = if viscous {
-            let ux = wl * u_l[jj] + wm * u_m[jj] + wr * u_r[jj];
-            let vx = wl * v_l[jj] + wm * v_m[jj] + wr * v_r[jj];
-            let tx = wl * t_l[jj] + wm * t_m[jj] + wr * t_r[jj];
-            let ur = (u0[jj + 1] - u0[jj - 1]) * inv_2dr;
-            let vr = (v0[jj + 1] - v0[jj - 1]) * inv_2dr;
-            let tr = (t0[jj + 1] - t0[jj - 1]) * inv_2dr;
-            let v_over_r = v * inv_r[j];
-            let div = ux + vr + v_over_r;
-            let lam_div = -(2.0 / 3.0) * gas.mu * div;
-            physics::Stresses {
-                txx: 2.0 * gas.mu * ux + lam_div,
-                trr: 2.0 * gas.mu * vr + lam_div,
-                ttt: 2.0 * gas.mu * v_over_r + lam_div,
-                txr: gas.mu * (ur + vx),
-                qx: -gas.kappa * tx,
-                qr: -gas.kappa * tr,
-            }
-        } else {
-            Default::default()
-        };
-        let e = p * inv_gm1 + 0.5 * rho * (u * u + v * v);
-        let f = match dir {
-            FluxDir::X => physics::xflux(rho, u, v, p, e, &s),
-            FluxDir::R => physics::rflux(rho, u, v, p, e, &s),
-        };
-        let r = r_of[j];
-        o0[jj] = r * f[0];
-        o1[jj] = r * f[1];
-        o2[jj] = r * f[2];
-        o3[jj] = r * f[3];
-        if let Some(sr) = src_row.as_deref_mut() {
-            sr[jj] = physics::source3(p, &s);
-        }
-    }
-}
-
-/// Parallel flux kernel equivalent to the V5 sliced kernel.
+/// Parallel flux evaluation: the serial V5 row kernel
+/// ([`kernels::flux_row`]) with the stations spread over the pool.
 #[allow(clippy::too_many_arguments)]
 fn par_flux(
     dir: FluxDir,
@@ -276,12 +173,12 @@ fn par_flux(
             .zip(f3.par_iter_mut())
             .zip(srows.par_iter_mut())
             .for_each(|(((((ii, a), (_, b)), (_, c)), (_, d)), (_, s))| {
-                flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, *ii, [a, b, c, d], Some(s));
+                kernels::flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, *ii - NG, [a, b, c, d], Some(s));
             });
     } else {
         f0.par_iter_mut().zip(f1.par_iter_mut()).zip(f2.par_iter_mut()).zip(f3.par_iter_mut()).for_each(
             |((((ii, a), (_, b)), (_, c)), (_, d))| {
-                flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, *ii, [a, b, c, d], None);
+                kernels::flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, *ii - NG, [a, b, c, d], None);
             },
         );
     }

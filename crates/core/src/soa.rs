@@ -1,12 +1,13 @@
-//! V7 structure-of-arrays compute path: lane-aligned SoA buffers, explicit
-//! fixed-width [`LaneVec`] arithmetic, and cache-blocked (radially tiled)
-//! fused sweeps.
+//! The fused sweep of the V6 and V7 rungs on a structure-of-arrays compute
+//! path: lane-aligned SoA buffers, explicit fixed-width [`LaneVec`]
+//! arithmetic, cache-blocked (radially tiled) sweeps. V6 writes flux and
+//! source to the planes its update reads; V7 runs the update inside the sweep.
 //!
 //! ## Layout
 //!
 //! The solver state stays in the AoS-of-planes [`Field`]; this module owns a
 //! *sweep-scoped* SoA arena ([`SoaWs`]) for the recovered primitives that the
-//! V7 operator path converts out of only at sweep boundaries (immediately
+//! fused operator path converts out of only at sweep boundaries (immediately
 //! adjacent to the halo exchange, which is the only other place the rows are
 //! touched), so the runtime, comm framing, checkpoint and recovery layers
 //! never see it:
@@ -35,11 +36,11 @@
 //! [`LaneVec<N>`] is an explicit `[f64; N]` short-vector type (no nightly,
 //! no intrinsics) whose operators are fully unrolled elementwise loops with
 //! constant trip counts — the shape LLVM reliably turns into packed IEEE
-//! ops. Each lane is an independent grid point: V7 performs *exactly* the
-//! per-point expression trees of the V6 kernels (same operations, same
-//! association), never reassociates across lanes, and has no cross-lane
-//! reductions, so V7 results are bitwise equal to V6 (and hence V5) — the
-//! oracle and the property tests assert this exactly. Ranges that are not a
+//! ops. Each lane is an independent grid point: the sweep performs *exactly*
+//! the per-point expression trees of the V5 row kernels in [`crate::kernels`]
+//! (same operations, same association), never reassociates across lanes, and
+//! has no cross-lane reductions, so V6 and V7 results are bitwise equal to V5
+//! — the oracle and the property tests assert this exactly. Ranges that are not a
 //! whole number of lanes are finished by a *shifted* final lane block
 //! (recomputing up to `LANES - 1` points bit-identically) instead of a
 //! scalar remainder loop; ranges narrower than one lane fall back to
@@ -50,7 +51,7 @@
 //!
 //! ## The update rides in the sweep
 //!
-//! A solver step does not sweep into the flux planes and read them back: its
+//! A V7 step does not sweep into the flux planes and read them back: its
 //! operators hand the sweep the predictor or corrector pass that consumes
 //! the flux (`fused_pass`, `scheme::FusedUpdate`). The sweep emits each
 //! station's flux rows into a three-station ring in [`SoaWs`] and updates a station
@@ -63,9 +64,10 @@
 //! edge extrapolation, neighbour exchange, edge columns computed after the
 //! halo) are *deferred*: the sweep writes the four stations at either end of
 //! the patch to the planes as well, and the caller runs the plane update
-//! over what is left of its window once the ghosts exist. [`fused_sweep`],
-//! the public entry benches and property tests call, is the same body with
-//! no pass attached: every station deferred, every flux row to the planes.
+//! over what is left of its window once the ghosts exist. A V6 step, like the
+//! public [`fused_sweep`] that benches and property tests call, is the same
+//! body with no pass attached: every station deferred, every flux row to the
+//! planes.
 //!
 //! ## ISA dispatch
 //!
@@ -79,17 +81,16 @@
 
 use crate::bc;
 use crate::field::{Field, FluxField, Patch, PrimField, NG};
-use crate::kernels::{flux_needs, EdgeFlags, FluxDir};
+use crate::kernels::{EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
 use crate::scheme::FusedUpdate;
 use ns_numerics::{Array2, GasModel};
 use std::ops::Range;
 
-/// Lane width of the V7 sweep: four `f64` grid points, one 256-bit register
+/// Lane width of the sweep: four `f64` grid points, one 256-bit register
 /// per lane value under AVX2 (and two 128-bit ones on the SSE2 fallback).
-/// Eight lanes (the V6 chunk width, [`crate::kernels::LANES`]) hold more
-/// live values than either register file has and spill — measured slower on
-/// both paths (DESIGN §14.2).
+/// Eight lanes hold more live values than either register file has and
+/// spill — measured slower on both paths (DESIGN §14.2).
 pub const LANES: usize = 4;
 
 /// Round `n` up to the next multiple of [`LANES`].
@@ -178,7 +179,7 @@ impl<const N: usize> std::ops::Neg for LaneVec<N> {
 
 /// Primitive planes (`rho, u, v, p, t`) in a lane-aligned, station-blocked
 /// SoA arena: for each axial station (ghosts included) the five component
-/// rows sit contiguously, each padded to a whole number of lanes. The V7
+/// rows sit contiguously, each padded to a whole number of lanes. The
 /// sweep recovers into these and the flux stencils read them back while the
 /// station block is still in L1.
 #[derive(Clone, Debug)]
@@ -274,15 +275,13 @@ const X_BAND: usize = 4;
 /// stencil reaches two, and the axis mirror wants row 1 beside row 0.
 const R_REACH: usize = 3;
 
-/// Reusable V7 sweep workspace: the primitive SoA arena, the flux ring and
-/// the padded radius tables of one patch. Created lazily by the first V7
+/// Reusable sweep workspace: the primitive SoA arena, the flux ring and
+/// the padded radius tables of one patch. Created lazily by the first fused
 /// sweep and kept in the solver [`Workspace`](crate::field::Workspace).
 #[derive(Clone, Debug)]
 pub struct SoaWs {
-    /// Recovered primitives (station-blocked). The conservative inputs are
-    /// read straight out of the AoS field's contiguous component rows —
-    /// lane loads need no padding, so a staged copy would only add a full
-    /// extra round-trip of the field through memory per sweep.
+    /// Recovered primitives (station-blocked); the conservative inputs have
+    /// no mirror here (module docs, Layout).
     pub prims: SoaPrims,
     /// The flux (and radial source) rows of the last [`RING`] stations a
     /// sweep emitted, in the arena's station layout — four flux rows and
@@ -302,7 +301,7 @@ impl SoaWs {
     pub fn new(patch: &Patch) -> Self {
         let prims = SoaPrims::zeros(patch);
         let (nr, stride) = (patch.nr(), prims.stride);
-        // Identical expressions to the V5/V6 radius tables; padded entries
+        // Identical expressions to the V5 radius tables; padded entries
         // are never read (every lane block stays inside [0, nr)).
         let mut r_of = vec![1.0; stride];
         let mut inv_r = vec![1.0; stride];
@@ -325,11 +324,11 @@ impl SoaWs {
 }
 
 // ---------------------------------------------------------------------------
-// lane kernels (bit-identical per point to the V6 bodies)
+// lane kernels (bit-identical per point to the V5 row kernels)
 // ---------------------------------------------------------------------------
 
 /// One lane block of primitive recovery at interior radial index `j`
-/// (per-point expression tree identical to `prims_row_fused`).
+/// (per-point expression tree identical to [`crate::kernels::prims_row`]).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn prims_lane<const N: usize>(
@@ -426,7 +425,7 @@ fn extrap_top_station(prims: &mut SoaPrims, ii: usize, nr: usize) {
 }
 
 /// Loop-invariant scalar constants of a flux station (hoisted subtrees of
-/// the V6 per-point expressions — hoisting a subtree does not change the
+/// the V5 per-point expressions — hoisting a subtree does not change the
 /// per-point association).
 #[derive(Clone, Copy)]
 struct FluxConsts {
@@ -458,9 +457,9 @@ struct StencilRows<'a> {
     t_r: &'a [f64],
 }
 
-/// One lane block of the flux body at interior radial index `j` — the V6
-/// `flux_row_chunked` per-point arithmetic with direction and viscosity as
-/// const generics (no per-point branches).
+/// One lane block of the flux body at interior radial index `j` — the
+/// per-point arithmetic of [`crate::kernels::flux_row`] with direction and
+/// viscosity as const generics (no per-point branches).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn flux_lane<const DIRX: bool, const VISC: bool, const N: usize>(
@@ -508,8 +507,8 @@ fn flux_lane<const DIRX: bool, const VISC: bool, const N: usize>(
         qx = LaneVec::splat(c.neg_kappa) * tx;
         qr = LaneVec::splat(c.neg_kappa) * tr;
     } else {
-        // Inviscid: the V6 body still evaluates the flux expressions with
-        // the default (zero) stresses, so V7 does the same for bit parity.
+        // Inviscid: the V5 body still evaluates the flux expressions with
+        // the default (zero) stresses; so does the sweep, for bit parity.
         txx = LaneVec::splat(0.0);
         trr = LaneVec::splat(0.0);
         ttt = LaneVec::splat(0.0);
@@ -564,7 +563,7 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
 ) {
     let nxl = patch.nxl;
     let ii = e + NG;
-    // x-stencil stations and weights, exactly as in the V6 kernel.
+    // x-stencil stations and weights, exactly as in the V5 row kernel.
     let (cl, cm, cr, wl, wm, wr);
     if e == 0 && edges.left {
         (cl, cm, cr) = (ii, ii + 1, ii + 2);
@@ -611,16 +610,35 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
 }
 
 // ---------------------------------------------------------------------------
-// the V7 fused sweep
+// the fused sweep
 // ---------------------------------------------------------------------------
 
-/// The V7 rung: the fused recover→ghost-fill→flux pipeline of
-/// [`crate::kernels::fused_sweep`], run over the lane-aligned SoA arena with
-/// cache-blocked radial tiles, in the instantiation compiled for the vector
-/// unit this host has (see [`isa`]).
+/// Highest station whose primitives must be available before the flux at
+/// station `e` can be evaluated.
+#[inline]
+fn flux_needs(e: usize, nxl: usize, edges: EdgeFlags, viscous: bool) -> usize {
+    if !viscous {
+        e // inviscid fluxes are pointwise
+    } else if e == 0 && edges.left {
+        2 // one-sided forward stencil
+    } else if e == nxl - 1 && edges.right {
+        nxl - 1 // one-sided backward stencil
+    } else {
+        e + 1 // central stencil
+    }
+}
+
+/// The V6 rung, and the body V7 runs its update in: one sweep over the axial
+/// stations that recovers primitives, fills their radial ghosts and evaluates
+/// each station's flux as soon as its stencil is complete — a software
+/// pipeline in `i` over the lane-aligned SoA arena with cache-blocked radial
+/// tiles, in the instantiation compiled for this host's vector unit ([`isa`]).
 ///
-/// The call contract is identical to the V6 sweep (same `prim_range` /
-/// `flux_range` / `hi_pre` semantics, same ledger accounting); additionally:
+/// `prim_range` is swept in ascending order; stations below it and `hi_pre`
+/// are taken as precomputed ([`crate::kernels::fused_boundary_prims`]), and
+/// `flux_range` may reach halo-dependent stations only once those ghosts are
+/// filled. The ledger is charged as the unfused V5 sequence charges it;
+/// additionally:
 ///
 /// * the conservative rows of `prim_range` are read in place from the AoS
 ///   `field` (nothing is staged),
@@ -632,14 +650,14 @@ fn flux_station_tile<const DIRX: bool, const VISC: bool>(
 ///   will read; stations outside `prim_range` are ignored (they are still
 ///   AoS-resident),
 ///
-/// so from the outside the sweep is a drop-in replacement: bitwise-equal
-/// primitives where exported, bitwise-equal fluxes on every station a later
-/// consumer reads — here, with no update attached, all of `flux_range`,
-/// every one deferred to the caller through the planes; the solver's V7
-/// operators attach their update (`fused_pass`) and get the planes written
-/// only where something still reads them. Tile boundary columns are
-/// recomputed rather than carried between tiles, which is why any
-/// `tile_r >= 1` yields bit-identical results.
+/// so from the outside the sweep is a drop-in replacement for the unfused V5
+/// sequence: bitwise-equal primitives where exported, bitwise-equal fluxes
+/// on every station a later consumer reads — here, with no update attached,
+/// all of `flux_range`, every one deferred to the caller through the planes;
+/// the solver's V7 operators attach their update (`fused_pass`) and get the
+/// planes written only where something still reads them. Tile boundary
+/// columns are recomputed rather than carried between tiles, which is why
+/// any `tile_r >= 1` yields bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_sweep(
     dir: FluxDir,
@@ -842,11 +860,8 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
         neg_kappa: -gas.kappa,
     };
 
-    // AoS→SoA boundary: import the precomputed boundary primitive stations.
-    // The conservative rows are NOT staged — lane loads read the AoS field's
-    // contiguous component rows in place (loads need no padding; only the
-    // primitive stores use the padded arena), so the sweep adds no extra
-    // round-trip of the field through memory.
+    // AoS→SoA boundary: import the precomputed boundary primitive stations
+    // (the conservative rows are read in place, never staged).
     for s in 0..prim_range.start {
         prims.import_station(prim, s + NG);
     }
@@ -952,7 +967,7 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
         }
     }
 
-    // Ledger accounting identical to the V5/V6 paths (tile-overlap columns
+    // Ledger accounting identical to the V5 path (tile-overlap columns
     // are recomputation, not model work).
     ledger.prims += (prim_range.len() * nr) as u64 * opcount::COST_PRIMS;
     ledger.flux +=
@@ -983,13 +998,6 @@ mod tests {
             v: 0.02 * (0.5 * x).sin() * r.min(1.5),
             p: 0.714 + 0.03 * (0.4 * x - 0.7 * r).sin(),
         })
-    }
-
-    fn setup(regime: Regime) -> (Field, GasModel, Patch) {
-        let cfg = SolverConfig::paper(Grid::small(), regime);
-        let gas = cfg.effective_gas();
-        let patch = Patch::whole(cfg.grid.clone());
-        (smooth_field(&patch, &gas), gas, patch)
     }
 
     /// The two call shapes the operators use: one whole-patch pass, or the
@@ -1470,203 +1478,32 @@ mod tests {
         assert_eq!(LaneVec::<3>::splat(7.0).0, [7.0; 3]);
     }
 
-    /// The SoA tiled sweep must be bitwise the V6 fused sweep for every
-    /// direction, regime, sweep shape and tile size (tile boundaries are
-    /// recomputation, not approximation).
-    #[test]
-    fn soa_sweep_is_bitwise_v6_for_any_tile_size() {
-        for regime in [Regime::NavierStokes, Regime::Euler] {
-            let (field, gas, patch) = setup(regime);
-            let edges = EdgeFlags::of(&patch);
-            let (nxl, nr) = (patch.nxl, patch.nr());
-            for dir in [FluxDir::X, FluxDir::R] {
-                let mut ref_ledger = FlopLedger::default();
-                let mut ref_prim = PrimField::zeros(&patch);
-                let mut ref_flux = FluxField::zeros(&patch);
-                let mut ref_src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
-                kernels::fused_sweep(
-                    dir,
-                    &field,
-                    &mut ref_prim,
-                    edges,
-                    &gas,
-                    &mut ref_flux,
-                    Some(&mut ref_src),
-                    0..nxl,
-                    0..nxl,
-                    None,
-                    &mut ref_ledger,
-                );
-                for tile_r in [1, 3, LANES, DEFAULT_TILE_R, 10_000] {
-                    let mut ledger = FlopLedger::default();
-                    let mut prim = PrimField::zeros(&patch);
-                    let mut flux = FluxField::zeros(&patch);
-                    let mut src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
-                    let mut ws = SoaWs::new(&patch);
-                    fused_sweep(
-                        dir,
-                        &field,
-                        &mut prim,
-                        edges,
-                        &gas,
-                        &mut flux,
-                        Some(&mut src),
-                        0..nxl,
-                        0..nxl,
-                        None,
-                        &[],
-                        &mut ws,
-                        tile_r,
-                        &mut ledger,
-                    );
-                    for c in 0..4 {
-                        for i in 0..nxl {
-                            for j in 0..nr {
-                                assert_eq!(
-                                    flux.at(c, i as isize, j as isize).to_bits(),
-                                    ref_flux.at(c, i as isize, j as isize).to_bits(),
-                                    "{regime:?} {dir:?} tile {tile_r} comp {c} at ({i},{j})"
-                                );
-                            }
-                        }
-                    }
-                    if dir == FluxDir::R {
-                        for i in 0..nxl {
-                            for j in 0..nr {
-                                assert_eq!(
-                                    src.at(i + NG, j + NG).to_bits(),
-                                    ref_src.at(i + NG, j + NG).to_bits(),
-                                    "{regime:?} tile {tile_r} source at ({i},{j})"
-                                );
-                            }
-                        }
-                    }
-                    assert_eq!(ledger, ref_ledger, "{regime:?} {dir:?} tile {tile_r} ledger");
-                }
-            }
-        }
-    }
-
-    /// The x-operator's split shape on an internal patch: precomputed
-    /// boundary stations are imported, and the stations the post-halo
-    /// edge-column pass will stencil are exported back bitwise.
-    #[test]
-    fn split_shape_imports_and_exports_boundary_stations_bitwise() {
-        let grid = Grid::small();
-        let regime = Regime::NavierStokes;
-        let cfg = SolverConfig::paper(grid.clone(), regime);
-        let gas = cfg.effective_gas();
-        let patch = Patch::block(grid, 1, 3); // internal: no global edges
-        let field = Field::from_primitives(patch.clone(), &gas, |x, r| Primitive {
-            rho: 1.0 + 0.07 * (0.31 * x).cos() * (0.8 * r).sin(),
-            u: 0.9 + 0.04 * (0.22 * x - r).sin(),
-            v: 0.015 * (0.45 * x).cos() * r.min(1.4),
-            p: 0.7 + 0.02 * (0.38 * x + 0.6 * r).cos(),
-        });
-        let edges = EdgeFlags::of(&patch);
-        assert!(!edges.left && !edges.right);
-        let (nxl, nr) = (patch.nxl, patch.nr());
-        let (flo, fhi) = (1, nxl - 1);
-
-        let run = |tile: Option<usize>| {
-            let mut ledger = FlopLedger::default();
-            let mut prim = PrimField::zeros(&patch);
-            let mut flux = FluxField::zeros(&patch);
-            kernels::fused_boundary_prims(&field, &mut prim, &gas, &[0, nxl - 1], &mut ledger);
-            match tile {
-                None => kernels::fused_sweep(
-                    FluxDir::X,
-                    &field,
-                    &mut prim,
-                    edges,
-                    &gas,
-                    &mut flux,
-                    None,
-                    1..nxl - 1,
-                    flo..fhi,
-                    Some(nxl - 1),
-                    &mut ledger,
-                ),
-                Some(t) => {
-                    let mut ws = SoaWs::new(&patch);
-                    fused_sweep(
-                        FluxDir::X,
-                        &field,
-                        &mut prim,
-                        edges,
-                        &gas,
-                        &mut flux,
-                        None,
-                        1..nxl - 1,
-                        flo..fhi,
-                        Some(nxl - 1),
-                        &[flo, fhi - 1],
-                        &mut ws,
-                        t,
-                        &mut ledger,
-                    )
-                }
-            }
-            (prim, flux, ledger)
-        };
-
-        let (p6, f6, l6) = run(None);
-        for tile in [1, 7, DEFAULT_TILE_R] {
-            let (p7, f7, l7) = run(Some(tile));
-            assert_eq!(l6, l7, "tile {tile} ledger");
-            for c in 0..4 {
-                for i in flo..fhi {
-                    for j in 0..nr {
-                        assert_eq!(
-                            f6.at(c, i as isize, j as isize).to_bits(),
-                            f7.at(c, i as isize, j as isize).to_bits(),
-                            "tile {tile} comp {c} at ({i},{j})"
-                        );
-                    }
-                }
-            }
-            // The stations the AoS edge-column pass stencils (flo and fhi-1)
-            // must have been exported bitwise, radial ghosts included.
-            for s in [flo, fhi - 1] {
-                let ii = s + NG;
-                for jj in 0..nr + 2 * NG {
-                    for (a, b) in [(&p6.rho, &p7.rho), (&p6.u, &p7.u), (&p6.v, &p7.v), (&p6.p, &p7.p), (&p6.t, &p7.t)] {
-                        assert_eq!(a.at(ii, jj).to_bits(), b.at(ii, jj).to_bits(), "tile {tile} station {s} jj {jj}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// End-to-end: a serial V7 solver is bitwise a serial V6 solver, for both
-    /// regimes and a non-default tile size, after an odd and an even number
-    /// of steps: both operator orders (`L1x L1r`, `L2r L2x`) and both
-    /// variants run, and a run may end on either.
+    /// End-to-end, against a body the fused rungs share no sweep code with:
+    /// serial V5 (plane path, row kernels), V6 (the sweep, update through the
+    /// planes) and V7 (update inside the sweep) solvers agree bit for bit and
+    /// FLOP for FLOP, for both regimes and a non-default tile size, after an
+    /// odd and an even number of steps: both operator orders (`L1x L1r`,
+    /// `L2r L2x`) and both variants run, and a run may end on either.
     #[test]
     fn v7_solver_is_bitwise_v6() {
         for regime in [Regime::NavierStokes, Regime::Euler] {
             for (tile_r, steps) in [(5, 3), (5, 4), (DEFAULT_TILE_R, 3), (DEFAULT_TILE_R, 4)] {
-                let mut c6 = SolverConfig::paper(Grid::small(), regime);
-                c6.version = Version::V6;
-                let mut c7 = c6.clone();
-                c7.version = Version::V7;
-                c7.tile_r = tile_r;
-                let mut s6 = Solver::new(c6);
-                let mut s7 = Solver::new(c7);
-                s6.run(steps);
-                s7.run(steps);
-                for c in 0..4 {
-                    for i in 0..s6.field.nxl() {
-                        for j in 0..s6.field.nr() {
-                            assert_eq!(
-                                s6.field.q[c].at(i + NG, j + NG).to_bits(),
-                                s7.field.q[c].at(i + NG, j + NG).to_bits(),
-                                "{regime:?} tile {tile_r} after {steps} steps, comp {c} at ({i},{j})"
-                            );
-                        }
+                let [s5, s6, s7] = [Version::V5, Version::V6, Version::V7].map(|version| {
+                    let mut cfg = SolverConfig::paper(Grid::small(), regime);
+                    cfg.version = version;
+                    cfg.tile_r = tile_r;
+                    let mut solver = Solver::new(cfg);
+                    solver.run(steps);
+                    solver
+                });
+                for (s, v) in [(&s6, "V6"), (&s7, "V7")] {
+                    let what = format!("{regime:?} tile {tile_r} after {steps} steps: {v} against V5");
+                    for (c, (got, want)) in s.field.q.iter().zip(&s5.field.q).enumerate() {
+                        let same = got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{what}, component {c}");
                     }
+                    assert_eq!(s.ledger, s5.ledger, "{what}, FLOP ledger");
                 }
-                assert_eq!(s6.ledger, s7.ledger, "{regime:?} tile {tile_r} FLOP ledger after {steps} steps");
             }
         }
     }

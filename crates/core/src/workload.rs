@@ -269,7 +269,7 @@ pub fn step_workload_pencil(regime: Regime, grid: &Grid, nxl: usize, nrl: usize,
 }
 
 /// Build the per-step program with phase labels matching `version`'s timer
-/// vocabulary. V1–V5 share the prims/flux phase split; the fused V6 path
+/// vocabulary. V1–V5 share the prims/flux phase split; the fused V6/V7 path
 /// merges primitive recovery into the flux sweep, so its timers report the
 /// combined phases as `r:fused` / `x:fused2` etc. The flops and the message
 /// protocol are identical across versions — only the labels change. (A live
@@ -290,7 +290,7 @@ pub fn step_workload_versioned(
 }
 
 impl StepWorkload {
-    /// Rewrite the compute-phase labels to the fused V6 vocabulary (each
+    /// Rewrite the compute-phase labels to the fused V6/V7 vocabulary (each
     /// prims phase merges into the flux sweep that follows it).
     pub fn relabel_fused(&mut self) {
         for op in &mut self.ops {

@@ -35,7 +35,8 @@ pub enum DecompositionError {
         nr: usize,
     },
     /// Radial splits require the unfused kernel rungs (V1–V5): the fused
-    /// V6/V7 sweeps fill the radial boundary ghosts inline on every patch.
+    /// sweep V6 and V7 share (`ns_core::soa`) fills the radial boundary
+    /// ghosts inline on every patch.
     UnsupportedVersion {
         /// The offending kernel version.
         version: Version,

@@ -7,9 +7,9 @@
 //! rather than nested guards.
 //!
 //! Phase labels are `&'static str` and must come from the shared vocabulary
-//! defined by `ns_core::workload` (`r:prims`, `x:flux2`, …; the fused V6
-//! kernel path merges each prims phase into its flux sweep and reports the
-//! combined phases as `r:fused`, `r:fused2`, `x:fused`, `x:fused2`; under
+//! defined by `ns_core::workload` (`r:prims`, `x:flux2`, …; the fused
+//! V6/V7 kernel path merges each prims phase into its flux sweep and reports
+//! the combined phases as `r:fused`, `r:fused2`, `x:fused`, `x:fused2`; under
 //! V7 those sweeps also run the predictor/corrector update of every station
 //! whose flux stencil they emit themselves, so `*:fused*` then contains the
 //! interior update and `x:predict` / `x:correct` time only the deferred
