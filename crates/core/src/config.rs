@@ -24,6 +24,15 @@ impl Regime {
             Regime::Euler => "Euler",
         }
     }
+
+    /// Machine-readable key: what run summaries, job descriptions, case
+    /// names and golden-file entries spell the regime as.
+    pub fn key(self) -> &'static str {
+        match self {
+            Regime::NavierStokes => "navier-stokes",
+            Regime::Euler => "euler",
+        }
+    }
 }
 
 /// Single-processor optimization versions from the paper's Section 6 /

@@ -49,7 +49,7 @@ use ns_core::config::{Regime, SolverConfig};
 use ns_core::{diag, Solver};
 use ns_experiments::{bench_report, contour, extensions, fig_platforms, report, speedup};
 use ns_numerics::Grid;
-use ns_runtime::{run_parallel_instrumented, CommVersion, TelemetryOptions};
+use ns_runtime::{CartTopology, CommVersion, RunPlan, TelemetryOptions};
 use ns_telemetry::{to_chrome_trace, to_jsonl, HealthConfig, HealthMonitor};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -165,10 +165,7 @@ fn serial_summary(s: &Solver, mon: &HealthMonitor, requested: u64, taken: u64, w
     let mut summary = ns_telemetry::RunSummary {
         schema_version: ns_telemetry::RUN_SUMMARY_SCHEMA,
         case: "jet-serial".to_string(),
-        regime: match cfg.regime {
-            Regime::Euler => "euler".to_string(),
-            Regime::NavierStokes => "navier-stokes".to_string(),
-        },
+        regime: cfg.regime.key().to_string(),
         nx: cfg.grid.nx,
         nr: cfg.grid.nr,
         ranks: 1,
@@ -201,8 +198,15 @@ fn cmd_telemetry(args: &Args) -> ExitCode {
         ranks,
         health.cadence
     );
-    let opts = TelemetryOptions { phases: true, trace: true, health: Some(health), ..Default::default() };
-    let run = run_parallel_instrumented(&cfg, ranks, steps, CommVersion::V5, opts);
+    let telemetry = TelemetryOptions { phases: true, trace: true, health: Some(health) };
+    let plan = RunPlan { telemetry, ..RunPlan::new(&cfg, CartTopology::axial(ranks), steps, CommVersion::V5) };
+    let run = match ns_runtime::run(&plan) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("jetns telemetry: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // per-rank phase breakdown next to a simulated reference column that
     // uses the exact same label vocabulary
@@ -884,9 +888,8 @@ fn cmd_metrics(args: &Args) -> ExitCode {
     cfg.dissipation = 0.0;
     println!("metrics probe: {} ranks, {steps} steps on {}x{}…", ranks, cfg.grid.nx, cfg.grid.nr);
     let before = ns_metrics::Registry::global().snapshot();
-    let run = run_parallel_instrumented(&cfg, ranks, steps, CommVersion::V7, TelemetryOptions::default());
-    if let Some(reason) = run.aborted() {
-        eprintln!("jetns metrics: probe run aborted: {reason}");
+    if let Err(e) = ns_runtime::run(&RunPlan::new(&cfg, CartTopology::axial(ranks), steps, CommVersion::V7)) {
+        eprintln!("jetns metrics: {e}");
         return ExitCode::FAILURE;
     }
     let window = ns_metrics::Registry::global().snapshot().diff(&before);

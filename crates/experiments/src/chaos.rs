@@ -2,9 +2,9 @@
 //! verify that the recovery stack reproduces the fault-free answer *bitwise*,
 //! and measure what the healing cost in wall clock.
 //!
-//! Every cell of the sweep runs the same problem twice: once with the plain
-//! in-process runtime ([`ns_runtime::run_parallel`], no framing, no faults)
-//! as the reference, and once under [`ns_runtime::run_parallel_chaos`] with
+//! Every cell of the sweep runs the same [`RunPlan`] twice: once over the
+//! plain in-process runtime (`reliability: None` — no framing, no faults)
+//! as the reference, and once with `reliability` armed on
 //! a deterministic [`FaultPlan`] — message drops, bit corruption and
 //! duplication at the given rate, plus (optionally) one hard rank crash
 //! mid-run. The cell *survives* when the chaos run completes within its
@@ -15,7 +15,7 @@
 
 use ns_core::config::SolverConfig;
 use ns_metrics::FlightDump;
-use ns_runtime::{run_parallel, run_parallel_chaos, ChaosOptions, CommVersion, CrashSpec, FaultPlan};
+use ns_runtime::{run, CartTopology, ChaosOptions, CommVersion, CrashSpec, FaultPlan, RunPlan};
 use ns_telemetry::RecoverySummary;
 use serde::Serialize;
 
@@ -91,16 +91,16 @@ pub fn sweep(cfg: &SolverConfig, procs: &[usize], rates: &[f64], nsteps: u64, se
     let mut flight_dumps = Vec::new();
     for &rate in rates {
         for &p in procs {
+            let plain = RunPlan::new(cfg, CartTopology::axial(p), nsteps, CommVersion::V5);
             let clean_t = std::time::Instant::now();
-            let reference = run_parallel(cfg, p, nsteps, CommVersion::V5);
+            let reference = run(&plain).unwrap_or_else(|e| panic!("{e}"));
             let clean_seconds = clean_t.elapsed().as_secs_f64();
 
             let opts = ChaosOptions { plan: cell_plan(seed, rate, p, nsteps, crash), ..ChaosOptions::default() };
+            let faulty = RunPlan { reliability: Some(opts), ..plain };
             let chaos_t = std::time::Instant::now();
-            let chaos = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_parallel_chaos(cfg, p, nsteps, CommVersion::V5, &opts)
-            }))
-            .ok();
+            let recovered = || run(&faulty).expect("the reference ran on this topology");
+            let chaos = std::panic::catch_unwind(std::panic::AssertUnwindSafe(recovered)).ok();
             let chaos_seconds = chaos_t.elapsed().as_secs_f64();
 
             if let Some(run) = &chaos {

@@ -178,10 +178,28 @@ impl<'a> ThreadHalo<'a> {
         self.ep
     }
 
-    /// Mutably borrow the endpoint (out-of-band collectives between steps,
-    /// e.g. the health monitor's abort reduction).
+    /// Mutably borrow the endpoint.
     pub fn endpoint_mut(&mut self) -> &mut Endpoint {
         self.ep
+    }
+
+    /// Max-reduce `x` over every rank under `epoch`, through this halo's
+    /// failure policy: strict mode dies on a comm error, lenient mode
+    /// records it (see [`ThreadHalo::failure`]) and hands back the local
+    /// `x`, as a failed halo does for every further exchange. The adaptive
+    /// time step and the driver's between-step collectives (health abort,
+    /// cancellation, checkpoint barrier) all reduce here.
+    pub fn allreduce_max(&mut self, x: f64, epoch: u64, ctx: &'static str) -> f64 {
+        if self.failure.is_some() {
+            return x;
+        }
+        match crate::collectives::allreduce_max(self.ep, x, epoch) {
+            Ok(v) => v,
+            Err(e) => {
+                self.fail(ctx, e);
+                x
+            }
+        }
     }
 
     /// `(acquired, reused)` counters of the send-buffer pool — equal except
@@ -354,17 +372,8 @@ impl<'a> ThreadHalo<'a> {
 
 impl XHalo for ThreadHalo<'_> {
     fn reduce_max(&mut self, x: f64) -> f64 {
-        if self.failure.is_some() {
-            return x;
-        }
         // one reduction per step; the step number is the collective epoch
-        match crate::collectives::allreduce_max(self.ep, x, self.step) {
-            Ok(v) => v,
-            Err(e) => {
-                self.fail("adaptive-dt reduction", e);
-                x
-            }
-        }
+        self.allreduce_max(x, self.step, "adaptive-dt reduction")
     }
 
     fn post_prims(&mut self, prim: &mut PrimField) {

@@ -18,12 +18,16 @@
 //!   variant;
 //! * [`topology`] — the Cartesian `px × pr` pencil rank grid with typed
 //!   decomposition-plan validation;
-//! * [`parallel`] — the rank-per-thread driver with the paper's
-//!   busy/non-overlapped time breakdown;
+//! * [`parallel`] — the one rank-per-thread driver: a [`RunPlan`]
+//!   (topology, protocol, telemetry, cancellation, reliability, resume) goes
+//!   into [`run`], which reports the paper's busy/non-overlapped time
+//!   breakdown; `run_parallel`, `run_parallel_cart` and
+//!   `run_parallel_instrumented` are one-line plans over it;
 //! * [`fault`] — seeded, deterministic fault injection (drop / corrupt /
 //!   duplicate / delay / rank crash) for chaos testing;
-//! * [`recover`] — coordinated in-memory checkpoints and rollback/re-execute
-//!   recovery on top of [`parallel`].
+//! * [`recover`] — what `reliability: Some(..)` adds to the driver's
+//!   generation loop: coordinated in-memory checkpoints, the rollback
+//!   decision and its report.
 //!
 //! The distributed solver is *bitwise identical* to the serial solver for
 //! any processor count — asserted by tests — because the exchanged ghost
@@ -42,8 +46,8 @@ pub use comm::{CommStats, Endpoint, ReliableConfig};
 pub use fault::{CrashSpec, FaultInjector, FaultPlan, FaultStats};
 pub use halo::{CommVersion, ThreadHalo};
 pub use parallel::{
-    run_parallel, run_parallel_cart, run_parallel_from, run_parallel_instrumented, CancelToken, ParallelRun,
-    RankResult, TelemetryOptions,
+    run, run_parallel, run_parallel_cart, run_parallel_instrumented, CancelToken, ParallelRun, RankResult, RunPlan,
+    TelemetryOptions,
 };
-pub use recover::{run_parallel_chaos, run_parallel_chaos_cart, ChaosOptions, RecoveryReport};
+pub use recover::{ChaosOptions, RecoveryReport};
 pub use topology::{CartNeighbors, CartTopology, DecompositionError};

@@ -7,12 +7,14 @@
 //! communication time* (Figures 5, 6, 13), message start-ups and volume
 //! (Tables 1, 2).
 
-use crate::collectives;
-use crate::comm::{universe, CommStats};
+use crate::comm::{universe, CommError, CommStats, Endpoint};
+use crate::fault::FaultStats;
 use crate::halo::{CommVersion, ThreadHalo};
+use crate::recover::{ChaosOptions, Recovery, RecoveryReport};
 use crate::topology::{CartTopology, DecompositionError};
-use ns_core::config::{Regime, SolverConfig};
-use ns_core::field::{Field, Patch};
+use ns_core::checkpoint::Checkpoint;
+use ns_core::config::SolverConfig;
+use ns_core::field::{Field, Patch, NG};
 use ns_core::opcount::FlopLedger;
 use ns_core::Solver;
 use ns_metrics::{FlightDump, MetricsSummary, Registry};
@@ -63,19 +65,56 @@ pub struct TelemetryOptions {
     /// Sample the watchdogs on this cadence, with a collective early abort
     /// the moment any rank's sample violates the limits.
     pub health: Option<HealthConfig>,
-    /// Cooperative cancellation: when armed, every step starts with a
-    /// max-reduction of the token's flag, so all ranks stop together at the
-    /// same step boundary.
+}
+
+/// Everything one parallel run is given; [`run`] executes it.
+#[derive(Clone, Debug)]
+pub struct RunPlan<'a> {
+    /// Solver configuration, the same on every rank.
+    pub cfg: &'a SolverConfig,
+    /// The `px × pr` rank grid ([`CartTopology::axial`] is the paper's).
+    pub topology: CartTopology,
+    /// Steps to take (on top of `resume`'s, when resuming).
+    pub nsteps: u64,
+    /// Halo protocol variant.
+    pub comm: CommVersion,
+    /// Instruments to arm.
+    pub telemetry: TelemetryOptions,
+    /// When armed, every step starts with a max-reduction of the token's
+    /// flag, so all ranks stop together at the same step boundary.
     pub cancel: Option<CancelToken>,
+    /// `None`: plain channels, a comm error is fatal. `Some`: framed,
+    /// self-healing channels under this fault plan, with coordinated
+    /// checkpoints and rollback ([`crate::recover`]).
+    pub reliability: Option<ChaosOptions>,
+    /// Start from this whole-grid checkpoint, scattered over the ranks,
+    /// instead of the standard initial condition.
+    pub resume: Option<&'a Checkpoint>,
+}
+
+impl<'a> RunPlan<'a> {
+    /// A fault-free, uninstrumented run from the initial condition; arm the
+    /// rest with struct-update syntax.
+    pub fn new(cfg: &'a SolverConfig, topology: CartTopology, nsteps: u64, comm: CommVersion) -> Self {
+        let telemetry = TelemetryOptions::default();
+        Self { cfg, topology, nsteps, comm, telemetry, cancel: None, reliability: None, resume: None }
+    }
+
+    /// The global step the run starts at.
+    fn first_step(&self) -> u64 {
+        self.resume.map_or(0, |cp| cp.nstep)
+    }
 }
 
 /// Epoch namespace for the health monitor's abort reduction, disjoint from
 /// the adaptive-dt reduction (which uses the raw step number).
 const HEALTH_EPOCH: u64 = 1 << 62;
 
+/// Epoch namespace for the coordinated-checkpoint barriers.
+const CHECKPOINT_EPOCH: u64 = 1 << 61;
+
 /// Epoch namespace for the cancellation reduction, disjoint from the
-/// adaptive-dt (raw step), health (`1 << 62`) and checkpoint (`1 << 61`)
-/// namespaces.
+/// adaptive-dt (raw step), health and checkpoint namespaces.
 const CANCEL_EPOCH: u64 = 3 << 60;
 
 /// Result of one rank's run.
@@ -121,9 +160,9 @@ pub struct ParallelRun {
     pub cfg: SolverConfig,
     /// Steps taken.
     pub nsteps: u64,
-    /// Rollback/recovery accounting (populated only by
-    /// [`crate::recover::run_parallel_chaos`]).
-    pub recovery: Option<crate::recover::RecoveryReport>,
+    /// Rollback/recovery accounting (`Some` exactly when the plan armed
+    /// `reliability`).
+    pub recovery: Option<RecoveryReport>,
     /// Metrics recorded during this run: the after-minus-before diff of the
     /// process-wide registry, cut around the rank threads.
     pub metrics: MetricsSummary,
@@ -245,10 +284,7 @@ impl ParallelRun {
         let mut s = RunSummary {
             schema_version: RUN_SUMMARY_SCHEMA,
             case: case.to_string(),
-            regime: match self.cfg.regime {
-                Regime::Euler => "euler".to_string(),
-                Regime::NavierStokes => "navier-stokes".to_string(),
-            },
+            regime: self.cfg.regime.key().to_string(),
             nx: self.cfg.grid.nx,
             nr: self.cfg.grid.nr,
             ranks: self.ranks.len(),
@@ -289,28 +325,21 @@ impl ParallelRun {
 /// cubic boundary extrapolation (every rank needs at least 4 columns).
 /// [`run_parallel_cart`] is the non-panicking generalization.
 pub fn run_parallel(cfg: &SolverConfig, p: usize, nsteps: u64, version: CommVersion) -> ParallelRun {
-    run_parallel_from(cfg, p, nsteps, version, None)
+    run(&RunPlan::new(cfg, CartTopology::axial(p), nsteps, version)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run the solver over a 2-D pencil topology. The decomposition plan is
-/// validated up front — split fineness on both axes plus the kernel and
-/// comm-protocol restrictions of radial splits — and rejected as a typed
-/// [`DecompositionError`] instead of a panic mid-run.
+/// Run the solver over a 2-D pencil topology; a plan the decomposition
+/// cannot carry comes back as a typed [`DecompositionError`].
 pub fn run_parallel_cart(
     cfg: &SolverConfig,
     topo: CartTopology,
     nsteps: u64,
     version: CommVersion,
 ) -> Result<ParallelRun, DecompositionError> {
-    topo.validate(cfg, version)?;
-    Ok(run_impl(cfg, topo, nsteps, version, None, TelemetryOptions::default()))
+    run(&RunPlan::new(cfg, topo, nsteps, version))
 }
 
-/// Run the solver on `p` ranks with the requested telemetry armed: phase
-/// attribution, message/phase tracing on a shared timeline, and health
-/// sampling with a collective early abort (every rank stops within one
-/// cadence interval of the first violation, so no rank deadlocks waiting
-/// for a peer that bailed out).
+/// Run the solver on `p` axial ranks with the requested telemetry armed.
 pub fn run_parallel_instrumented(
     cfg: &SolverConfig,
     p: usize,
@@ -318,20 +347,121 @@ pub fn run_parallel_instrumented(
     version: CommVersion,
     opts: TelemetryOptions,
 ) -> ParallelRun {
-    run_impl(cfg, CartTopology::axial(p), nsteps, version, None, opts)
+    run(&RunPlan { telemetry: opts, ..RunPlan::new(cfg, CartTopology::axial(p), nsteps, version) })
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Restart a distributed run from a whole-grid checkpoint: the state is
-/// scattered over the ranks and the clock/step parity continue where the
-/// checkpoint left off. With `restart = None` this is a fresh run.
-pub fn run_parallel_from(
-    cfg: &SolverConfig,
-    p: usize,
-    nsteps: u64,
-    version: CommVersion,
-    restart: Option<&ns_core::checkpoint::Checkpoint>,
-) -> ParallelRun {
-    run_impl(cfg, CartTopology::axial(p), nsteps, version, restart, TelemetryOptions::default())
+/// The one parallel driver: validate the plan once, then run rank teams —
+/// one OS thread per rank — generation after generation until one comes
+/// through. Without `reliability` that is exactly one generation with a
+/// strict halo: a comm error is a panic, as a PVM task dies with its virtual
+/// machine. With it, a generation that lost a rank or exhausted a retry
+/// budget is rolled back ([`crate::recover`]) and the final field is bitwise
+/// the fault-free run's.
+///
+/// Telemetry spans the generations as `stats`/`wait`/`busy` do: counters,
+/// phase ledgers and trace events (one shared origin; spans carry the
+/// generation) accumulate, and health samples at or past the restart step
+/// are dropped on rollback, so each sampled step appears once. A health
+/// abort or a cancellation ends the run; only a comm failure rolls it back.
+///
+/// A plan that is too fine is a typed error; a wrong one (dissipation, a
+/// `resume` checkpoint that is not this grid's whole field) panics.
+pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
+    let RunPlan { cfg, topology: topo, nsteps, comm, .. } = *plan;
+    topo.validate(cfg, comm)?;
+    assert_eq!(cfg.dissipation, 0.0, "dissipation is serial-only (the paper's protocol has no smoothing halo)");
+    if let Some(cp) = plan.resume {
+        assert_eq!(cp.patch, Patch::whole(cfg.grid.clone()), "distributed restart needs a whole-grid checkpoint");
+    }
+    let p = topo.size();
+    let mut recovery = plan.reliability.as_ref().map(|opts| Recovery::new(opts, p, plan.first_step()));
+    let mut carries: Vec<Carry> =
+        (0..p).map(|_| Carry { mon: plan.telemetry.health.map(HealthMonitor::new), ..Default::default() }).collect();
+    // One origin for every rank's clock, so the per-rank timelines align.
+    let origin = Instant::now();
+    let metrics_before = Registry::global().snapshot();
+    let start = Instant::now();
+    let attempts = loop {
+        let mut endpoints = universe(p);
+        if let Some(rec) = &recovery {
+            rec.arm(&mut endpoints);
+        }
+        let rec = recovery.as_ref();
+        let mut attempts: Vec<Attempt> = std::thread::scope(|s| {
+            let handles: Vec<_> = endpoints
+                .into_iter()
+                .zip(&mut carries)
+                .map(|(ep, carry)| s.spawn(move || run_rank(plan, rec, ep, carry, origin)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+        });
+        let Some(restart) = recovery.as_mut().and_then(|rec| rec.settle(&mut attempts)) else {
+            break attempts;
+        };
+        // the next generation samples these steps again (and whatever a
+        // rank sampled after its halo went dead is past `restart` too)
+        for mon in carries.iter_mut().filter_map(|c| c.mon.as_mut()) {
+            mon.samples.retain(|s| s.step < restart);
+            mon.abort = None;
+        }
+    };
+    let elapsed = start.elapsed();
+    let first = plan.first_step();
+    let ranks = attempts
+        .into_iter()
+        .zip(carries)
+        .enumerate()
+        .map(|(rank, (a, c))| RankResult {
+            rank,
+            field: a.field,
+            stats: c.stats,
+            wait: c.wait,
+            busy: c.busy,
+            ledger: a.ledger,
+            phases: c.phases,
+            trace: c.trace,
+            health: c.mon.map_or_else(Vec::new, |m| m.samples),
+            steps: a.reached - first,
+            abort: a.abort,
+            flight: a.flight,
+        })
+        .collect();
+    // recovery accounting lands in the registry before the run's metrics
+    // window is cut, so the summary shows it
+    let recovery = recovery.map(Recovery::finish);
+    let metrics = MetricsSummary::from_snapshot(&Registry::global().snapshot().diff(&metrics_before));
+    Ok(ParallelRun { ranks, elapsed, cfg: cfg.clone(), nsteps, recovery, metrics })
+}
+
+/// What a rank accumulates over the generations of a run. The health
+/// monitor lives here too: its mass-drift reference is the run's first
+/// sample and must survive a rollback.
+#[derive(Default)]
+struct Carry {
+    stats: CommStats,
+    wait: Duration,
+    busy: Duration,
+    phases: PhaseLedger,
+    trace: Vec<TraceEvent>,
+    mon: Option<HealthMonitor>,
+}
+
+/// How one rank's generation ended.
+pub(crate) struct Attempt {
+    /// Final state: local field, FLOP ledger and the step reached.
+    field: Field,
+    ledger: FlopLedger,
+    pub(crate) reached: u64,
+    /// Coordinated checkpoints captured, oldest first.
+    pub(crate) cps: Vec<Checkpoint>,
+    pub(crate) crashed: bool,
+    pub(crate) failure: Option<CommError>,
+    /// Why the rank stopped early of its own accord (watchdog, cancel).
+    abort: Option<String>,
+    pub(crate) faults: Option<FaultStats>,
+    /// The frozen flight ring of a rank that did not finish.
+    pub(crate) flight: Option<FlightDump>,
 }
 
 /// One collective health check. Every rank samples at the same
@@ -339,14 +469,13 @@ pub fn run_parallel_from(
 /// decides for all of them, so the ranks always break out together instead
 /// of deadlocking on a peer that bailed out. Returns `true` while the run
 /// is globally healthy.
-fn health_check(solver: &Solver, halo: &mut ThreadHalo<'_>, mon: &mut HealthMonitor) -> bool {
-    if !mon.due(solver.nstep) {
+fn health_check(solver: &Solver, halo: &mut ThreadHalo<'_>, mon: &mut Option<HealthMonitor>) -> bool {
+    let Some(mon) = mon.as_mut().filter(|m| m.due(solver.nstep)) else {
         return true;
-    }
+    };
     let local_ok = mon.observe(solver.health_sample());
     let flag = if local_ok { 0.0 } else { 1.0 };
-    let global = collectives::allreduce_max(halo.endpoint_mut(), flag, HEALTH_EPOCH + solver.nstep)
-        .expect("health abort reduction failed");
+    let global = halo.allreduce_max(flag, HEALTH_EPOCH + solver.nstep, "health abort reduction");
     if global > 0.0 && mon.healthy() {
         mon.abort = Some(format!("stopped by peer rank abort at step {}", solver.nstep));
     }
@@ -359,154 +488,137 @@ fn health_check(solver: &Solver, halo: &mut ThreadHalo<'_>, mon: &mut HealthMoni
 /// split the team. Returns the abort reason once cancellation is global.
 fn cancel_check(solver: &Solver, halo: &mut ThreadHalo<'_>, tok: &CancelToken) -> Option<String> {
     let flag = if tok.is_cancelled() { 1.0 } else { 0.0 };
-    let global = collectives::allreduce_max(halo.endpoint_mut(), flag, CANCEL_EPOCH + solver.nstep)
-        .expect("cancellation reduction failed");
+    let global = halo.allreduce_max(flag, CANCEL_EPOCH + solver.nstep, "cancellation reduction");
     (global > 0.0).then(|| format!("cancelled at step {}", solver.nstep))
 }
 
-pub(crate) fn run_impl(
-    cfg: &SolverConfig,
-    topo: CartTopology,
-    nsteps: u64,
-    version: CommVersion,
-    restart: Option<&ns_core::checkpoint::Checkpoint>,
-    opts: TelemetryOptions,
-) -> ParallelRun {
-    let p = topo.size();
-    assert!(p >= 1);
-    assert_eq!(cfg.dissipation, 0.0, "dissipation is serial-only (the paper's protocol has no smoothing halo)");
-    // the panicking entry points route plan errors here; run_parallel_cart
-    // has already returned them as typed values
-    topo.validate(cfg, version).unwrap_or_else(|e| panic!("{e}"));
-
-    if let Some(cp) = restart {
-        assert_eq!(cp.patch.grid, cfg.grid, "checkpoint grid must match");
-        assert!(
-            cp.patch.nxl == cfg.grid.nx && cp.patch.nrl == cfg.grid.nr,
-            "distributed restart needs a whole-grid checkpoint"
-        );
+/// Scatter a whole-grid checkpoint into a rank's pencil; the clock and step
+/// parity continue where the checkpoint left off.
+fn scatter(cp: &Checkpoint, solver: &mut Solver) {
+    let patch = solver.field.patch.clone();
+    for c in 0..4 {
+        for i in 0..patch.nxl {
+            for j in 0..patch.nr() {
+                let v = cp.q[c].at(patch.i0 + i + NG, patch.j0 + j + NG);
+                solver.field.set(c, i as isize, j as isize, v);
+            }
+        }
     }
-    let endpoints = universe(p);
-    // shared by reference across the rank threads (the cancel token is a
-    // shared flag; cloning per rank would be equivalent but pointless)
-    let opts = &opts;
-    // One origin for every rank's clock, so the per-rank timelines align.
-    let trace_origin = Instant::now();
-    let metrics_before = Registry::global().snapshot();
-    let start = Instant::now();
-    let mut ranks: Vec<RankResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|mut ep| {
-                let cfg = cfg.clone();
-                s.spawn(move || {
-                    let rank = ep.rank();
-                    let patch = Patch::pencil(cfg.grid.clone(), topo.coords(rank), (topo.px, topo.pr));
-                    let nb = topo.neighbors(rank);
-                    let (nxl, nr) = (patch.nxl, patch.nr());
-                    let mut solver = Solver::on_patch(cfg, patch);
-                    if let Some(cp) = restart {
-                        // scatter the whole-grid state into this rank's pencil
-                        let (i0, j0) = (solver.field.patch.i0, solver.field.patch.j0);
-                        for c in 0..4 {
-                            for i in 0..nxl {
-                                for j in 0..nr {
-                                    let v = cp.q[c].at(i0 + i + ns_core::field::NG, j0 + j + ns_core::field::NG);
-                                    solver.field.set(c, i as isize, j as isize, v);
-                                }
-                            }
-                        }
-                        solver.t = cp.t;
-                        solver.nstep = cp.nstep;
-                    }
-                    if opts.trace {
-                        solver.enable_phase_trace(trace_origin);
-                        ep.tracer.enable(trace_origin);
-                    } else if opts.phases {
-                        solver.enable_phase_timing();
-                    }
-                    if opts.phases || opts.trace {
-                        ep.send_time = Some(Duration::ZERO);
-                    }
-                    ep.flight.set_origin(trace_origin);
-                    let mut mon = opts.health.map(HealthMonitor::new);
-                    let mut steps = 0u64;
-                    let mut cancelled: Option<String> = None;
-                    let t0 = Instant::now();
-                    {
-                        let mut halo = ThreadHalo::new_cart(&mut ep, nb, nxl, nr, version);
-                        let healthy_start = mon.as_mut().is_none_or(|m| health_check(&solver, &mut halo, m));
-                        if healthy_start {
-                            for _ in 0..nsteps {
-                                if let Some(tok) = opts.cancel.as_ref() {
-                                    cancelled = cancel_check(&solver, &mut halo, tok);
-                                    if cancelled.is_some() {
-                                        break;
-                                    }
-                                }
-                                halo.begin_step(solver.nstep);
-                                solver.step_with_halo(&mut halo);
-                                steps += 1;
-                                if let Some(m) = mon.as_mut() {
-                                    if !health_check(&solver, &mut halo, m) {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let wall = t0.elapsed();
-                    let wait = ep.wait_time;
-                    let (mut phases, phase_events) = solver.take_phase_telemetry();
-                    let mut trace: Vec<TraceEvent> = Vec::new();
-                    if opts.trace {
-                        trace.extend(phase_events.iter().map(|e| TraceEvent::from_phase(rank, e)));
-                        trace.append(&mut ep.tracer.take());
-                        trace.sort_by_key(|e| e.t_us);
-                    }
-                    if opts.phases || opts.trace {
-                        // The timer pauses around halo calls; the endpoint
-                        // measures blocking receive time and send time
-                        // instead (as `Duration`s: the trace events' whole
-                        // microseconds round a sub-µs send to nothing).
-                        phases.add("comm:recv", wait.as_secs_f64());
-                        if let Some(send) = ep.send_time.filter(|t| !t.is_zero()) {
-                            phases.add("comm:send", send.as_secs_f64());
-                        }
-                    }
-                    let (health, abort) = mon.map_or((Vec::new(), None), |m| (m.samples, m.abort));
-                    let was_cancelled = cancelled.is_some();
-                    let abort = abort.or(cancelled);
-                    // a rank that stopped early freezes its ring: the dump
-                    // is the black box for diagnosing why
-                    let flight = abort.as_ref().map(|reason| {
-                        let kind = if was_cancelled { "cancelled" } else { "watchdog-abort" };
-                        ep.flight.record(kind, reason.clone(), None, None, None, 0);
-                        ep.flight.dump(rank, kind)
-                    });
-                    RankResult {
-                        rank,
-                        field: solver.field,
-                        stats: ep.stats,
-                        wait,
-                        busy: wall.saturating_sub(wait),
-                        ledger: solver.ledger,
-                        phases,
-                        trace,
-                        health,
-                        steps,
-                        abort,
-                        flight,
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+    solver.t = cp.t;
+    solver.nstep = cp.nstep;
+}
+
+/// The rank body: one rank of one generation, from its starting state (the
+/// rollback checkpoint, else the plan's `resume` scattered, else the
+/// initial condition) through the step loop, adding what it measured to
+/// `carry`.
+fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mut Carry, origin: Instant) -> Attempt {
+    let RunPlan { cfg, topology: topo, comm, telemetry: ref tel, .. } = *plan;
+    let rank = ep.rank();
+    let mut solver = rec.and_then(|r| r.restore(rank)).unwrap_or_else(|| {
+        let patch = Patch::pencil(cfg.grid.clone(), topo.coords(rank), (topo.px, topo.pr));
+        let mut solver = Solver::on_patch(cfg.clone(), patch);
+        if let Some(cp) = plan.resume {
+            scatter(cp, &mut solver);
+        }
+        solver
     });
-    let elapsed = start.elapsed();
-    ranks.sort_by_key(|r| r.rank);
-    let metrics = MetricsSummary::from_snapshot(&Registry::global().snapshot().diff(&metrics_before));
-    ParallelRun { ranks, elapsed, cfg: cfg.clone(), nsteps, recovery: None, metrics }
+    let timed = tel.phases || tel.trace;
+    if tel.trace {
+        solver.enable_phase_trace(origin);
+        ep.tracer.enable(origin);
+    } else if tel.phases {
+        solver.enable_phase_timing();
+    }
+    ep.send_time = timed.then_some(Duration::ZERO);
+    ep.flight.set_origin(origin);
+    let last = plan.first_step() + plan.nsteps;
+    let (nxl, nr) = (solver.field.patch.nxl, solver.field.patch.nr());
+    let mut cps: Vec<Checkpoint> = Vec::new();
+    let mut crashed = false;
+    let mut cancelled: Option<String> = None;
+    let t0 = Instant::now();
+    let failure = {
+        let mut halo = ThreadHalo::new_cart(&mut ep, topo.neighbors(rank), nxl, nr, comm);
+        if let Some(rec) = rec {
+            halo.set_lenient();
+            halo.set_generation(u64::from(rec.generation()));
+        }
+        let mut healthy = health_check(&solver, &mut halo, &mut carry.mon);
+        while healthy && solver.nstep < last && halo.failure().is_none() {
+            if let Some(tok) = plan.cancel.as_ref() {
+                cancelled = cancel_check(&solver, &mut halo, tok);
+                if cancelled.is_some() {
+                    break;
+                }
+            }
+            if let Some(rec) = rec {
+                if solver.nstep.is_multiple_of(rec.opts.checkpoint_every) {
+                    // coordinated: agree the universe is intact, then
+                    // snapshot locally (bitwise, ghosts included)
+                    halo.allreduce_max(0.0, CHECKPOINT_EPOCH + solver.nstep, "checkpoint barrier");
+                    if halo.failure().is_some() {
+                        break;
+                    }
+                    cps.push(Checkpoint::capture(&solver));
+                }
+                if rec.plan.crash.is_some_and(|c| c.rank == rank && c.step == solver.nstep) {
+                    // die silently, like a hung workstation: the peers find
+                    // out through their timeouts. The crash is the last
+                    // thing the black box sees.
+                    let span = ns_metrics::span_id(u64::from(rec.generation()), solver.nstep);
+                    let what = format!("rank {rank} dead at step {}", solver.nstep);
+                    halo.endpoint_mut().flight.record("crash", what, None, None, Some(span), 0);
+                    crashed = true;
+                    break;
+                }
+            }
+            halo.begin_step(solver.nstep);
+            solver.step_with_halo(&mut halo);
+            healthy = health_check(&solver, &mut halo, &mut carry.mon);
+        }
+        halo.failure().cloned()
+    };
+    let wall = t0.elapsed();
+    let wait = ep.wait_time;
+    carry.stats.merge(&ep.stats);
+    carry.wait += wait;
+    carry.busy += wall.saturating_sub(wait);
+    let (mut phases, phase_events) = solver.take_phase_telemetry();
+    if tel.trace {
+        let from = carry.trace.len();
+        carry.trace.extend(phase_events.iter().map(|e| TraceEvent::from_phase(rank, e)));
+        carry.trace.append(&mut ep.tracer.take());
+        carry.trace[from..].sort_by_key(|e| e.t_us);
+    }
+    if timed {
+        // The timer pauses around halo calls; the endpoint measures
+        // blocking receive time and send time instead (as `Duration`s: the
+        // trace events' whole microseconds round a sub-µs send to nothing).
+        phases.add("comm:recv", wait.as_secs_f64());
+        if let Some(send) = ep.send_time.filter(|t| !t.is_zero()) {
+            phases.add("comm:send", send.as_secs_f64());
+        }
+    }
+    carry.phases.merge(&phases);
+    let was_cancelled = cancelled.is_some();
+    let abort = carry.mon.as_ref().and_then(|m| m.abort.clone()).or(cancelled);
+    // a rank that did not finish freezes its ring as the black box: the
+    // steps leading to the crash, the healing attempts before the rollback,
+    // or why it stopped
+    let flight = if crashed {
+        Some(ep.flight.dump(rank, "rank-crash"))
+    } else if failure.is_some() {
+        Some(ep.flight.dump(rank, "rollback"))
+    } else {
+        abort.as_ref().map(|reason| {
+            let kind = if was_cancelled { "cancelled" } else { "watchdog-abort" };
+            ep.flight.record(kind, reason.clone(), None, None, None, 0);
+            ep.flight.dump(rank, kind)
+        })
+    };
+    let Solver { field, ledger, nstep: reached, .. } = solver;
+    Attempt { field, ledger, reached, cps, crashed, failure, abort, faults: ep.fault_stats(), flight }
 }
 
 #[cfg(test)]
@@ -601,57 +713,64 @@ mod tests {
         // uninterrupted reference: 9 steps serial
         let mut reference = Solver::new(c.clone());
         reference.run(9);
-        // 4 serial steps, checkpoint, then 5 more on 3 ranks
+        // 4 serial steps, checkpoint, then 5 more on 3 slabs / 2x2 pencils
         let mut first = Solver::new(c.clone());
         first.run(4);
         let cp = Checkpoint::capture(&first);
-        let resumed = run_parallel_from(&c, 3, 5, CommVersion::V5, Some(&cp));
-        assert_eq!(reference.field.max_diff(&resumed.gather_field()), 0.0, "scatter restart is bitwise");
-        // the resumed ranks continued the global clock
-        assert!(resumed.ranks[0].ledger.total() > 0);
+        for topo in [CartTopology::axial(3), CartTopology::new(2, 2).unwrap()] {
+            let resumed = run(&RunPlan { resume: Some(&cp), ..RunPlan::new(&c, topo, 5, CommVersion::V5) }).unwrap();
+            assert_eq!(reference.field.max_diff(&resumed.gather_field()), 0.0, "{topo:?}: scatter restart is bitwise");
+            assert_eq!(resumed.steps_taken(), 5, "{topo:?}: nsteps count from the checkpoint");
+            // the resumed ranks continued the global clock
+            assert!(resumed.ranks[0].ledger.total() > 0);
+        }
     }
 
+    /// Slabs, a pure radial split and 2-D pencils all run the one rank
+    /// body, so every instrument works on every shape.
     #[test]
     fn instrumented_run_collects_phases_trace_and_health() {
         let c = cfg(Regime::NavierStokes);
-        let opts = TelemetryOptions {
+        let telemetry = TelemetryOptions {
             phases: true,
             trace: true,
             health: Some(ns_telemetry::HealthConfig { cadence: 2, ..Default::default() }),
-            ..Default::default()
         };
-        let run = run_parallel_instrumented(&c, 3, 4, CommVersion::V5, opts);
-        assert_eq!(run.steps_taken(), 4);
-        assert!(run.aborted().is_none());
-        // phases: the measured breakdown uses the simulator's vocabulary
-        let phases = run.phase_seconds();
-        for label in ["r:prims", "x:flux", "x:correct", "comm:recv"] {
-            assert!(phases.contains_key(label), "missing {label}");
+        for topo in [CartTopology::axial(3), CartTopology::new(1, 2).unwrap(), CartTopology::new(2, 2).unwrap()] {
+            let plan = RunPlan { telemetry: telemetry.clone(), ..RunPlan::new(&c, topo, 4, CommVersion::V5) };
+            let run = run(&plan).unwrap();
+            assert_eq!(run.steps_taken(), 4);
+            assert!(run.aborted().is_none());
+            // phases: the measured breakdown uses the simulator's vocabulary
+            let phases = run.phase_seconds();
+            for label in ["r:prims", "x:flux", "x:correct", "comm:recv"] {
+                assert!(phases.contains_key(label), "{topo:?}: missing {label}");
+            }
+            // per-rank breakdown exists
+            assert!(run.rank_phase_seconds(1).contains_key("x:flux2"));
+            // trace: phase spans and message events on one timeline, sorted
+            let trace = run.merged_trace();
+            assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Phase));
+            assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Send));
+            assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Recv));
+            assert!(trace.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+            // every rank appears on the timeline
+            for rank in 0..topo.size() {
+                assert!(trace.iter().any(|e| e.rank == rank), "{topo:?}: rank {rank} missing");
+            }
+            // health: sampled at steps 0, 2, 4 and merged over ranks
+            let health = run.merged_health();
+            assert_eq!(health.iter().map(|s| s.step).collect::<Vec<_>>(), vec![0, 2, 4]);
+            assert!(health.iter().all(|s| s.finite && s.min_p > 0.0));
+            // summary ties it all together and serializes
+            let summary = run.summary("test-case");
+            assert_eq!(summary.ranks, topo.size());
+            assert_eq!(summary.steps_taken, 4);
+            assert_eq!(summary.comm.sends, run.total_stats().sends);
+            let json = summary.to_json();
+            assert!(json.contains("\"phase_seconds\""));
+            assert!(json.contains("navier-stokes"));
         }
-        // per-rank breakdown exists and interior rank saw comm time
-        assert!(run.rank_phase_seconds(1).contains_key("x:flux2"));
-        // trace: phase spans and message events on one timeline, sorted
-        let trace = run.merged_trace();
-        assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Phase));
-        assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Send));
-        assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Recv));
-        assert!(trace.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-        // every rank appears on the timeline
-        for rank in 0..3 {
-            assert!(trace.iter().any(|e| e.rank == rank), "rank {rank} missing");
-        }
-        // health: sampled at steps 0, 2, 4 and merged over ranks
-        let health = run.merged_health();
-        assert_eq!(health.iter().map(|s| s.step).collect::<Vec<_>>(), vec![0, 2, 4]);
-        assert!(health.iter().all(|s| s.finite && s.min_p > 0.0));
-        // summary ties it all together and serializes
-        let summary = run.summary("test-case");
-        assert_eq!(summary.ranks, 3);
-        assert_eq!(summary.steps_taken, 4);
-        assert_eq!(summary.comm.sends, run.total_stats().sends);
-        let json = summary.to_json();
-        assert!(json.contains("\"phase_seconds\""));
-        assert!(json.contains("navier-stokes"));
     }
 
     /// `comm:send` comes from the endpoint's own clock, so it exists with
@@ -678,7 +797,7 @@ mod tests {
             2,
             3,
             CommVersion::V5,
-            TelemetryOptions { phases: true, trace: true, health: Some(Default::default()), ..Default::default() },
+            TelemetryOptions { phases: true, trace: true, health: Some(Default::default()) },
         );
         assert!(plain.ranks.iter().all(|r| r.phases.is_empty() && r.trace.is_empty() && r.health.is_empty()));
         // instrumentation observes, never perturbs
@@ -694,7 +813,6 @@ mod tests {
             phases: false,
             trace: false,
             health: Some(ns_telemetry::HealthConfig { cadence: 2, limits }),
-            ..Default::default()
         };
         let run = run_parallel_instrumented(&c, 3, 10, CommVersion::V5, opts);
         // the step-0 sample already violates, so nobody takes a step
@@ -705,27 +823,40 @@ mod tests {
         assert!(run.ranks.iter().all(|r| r.abort.is_some()));
     }
 
+    /// Plain and reliable channels alike: the collective reduction stops
+    /// every rank at one step boundary, and a cancellation is an abort of
+    /// the one generation, never a rollback.
     #[test]
     fn cancel_token_stops_all_ranks_together() {
         let c = cfg(Regime::Euler);
-        let tok = CancelToken::new();
-        let opts = TelemetryOptions { cancel: Some(tok.clone()), ..Default::default() };
-        let firer = tok.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            firer.cancel();
-        });
-        // far more steps than fit in 30ms: without cancellation this would
-        // run for minutes
-        let run = run_parallel_instrumented(&c, 3, 1_000_000, CommVersion::V5, opts);
-        h.join().unwrap();
-        assert!(run.steps_taken() < 1_000_000, "run must stop early");
-        // the collective reduction stops every rank at the same boundary
-        let steps: Vec<u64> = run.ranks.iter().map(|r| r.steps).collect();
-        assert!(steps.windows(2).all(|w| w[0] == w[1]), "ranks diverged: {steps:?}");
-        let reason = run.aborted().expect("cancellation is an abort");
-        assert!(reason.contains("cancelled"), "got: {reason}");
-        assert!(run.ranks.iter().all(|r| r.abort.is_some()), "every rank records the stop");
+        let fault_free = ChaosOptions { plan: crate::fault::FaultPlan::none(7), ..Default::default() };
+        for reliability in [None, Some(fault_free)] {
+            let tok = CancelToken::new();
+            let firer = tok.clone();
+            let h = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                firer.cancel();
+            });
+            // far more steps than fit in 30ms: without cancellation this
+            // would run for minutes
+            let plan = RunPlan {
+                cancel: Some(tok),
+                reliability,
+                ..RunPlan::new(&c, CartTopology::axial(3), 1_000_000, CommVersion::V5)
+            };
+            let run = run(&plan).unwrap();
+            h.join().unwrap();
+            assert!(run.steps_taken() < 1_000_000, "run must stop early");
+            let steps: Vec<u64> = run.ranks.iter().map(|r| r.steps).collect();
+            assert!(steps.windows(2).all(|w| w[0] == w[1]), "ranks diverged: {steps:?}");
+            let reason = run.aborted().expect("cancellation is an abort");
+            assert!(reason.contains("cancelled"), "got: {reason}");
+            assert!(run.ranks.iter().all(|r| r.abort.is_some()), "every rank records the stop");
+            assert_eq!(run.recovery.is_some(), plan.reliability.is_some());
+            if let Some(rec) = &run.recovery {
+                assert_eq!((rec.generations, rec.rollbacks), (1, 0), "a cancellation ends the run");
+            }
+        }
     }
 
     /// An armed but never-fired token must not perturb the run: same steps,
@@ -734,9 +865,11 @@ mod tests {
     fn armed_unfired_cancel_is_a_bitwise_noop() {
         let c = cfg(Regime::Euler);
         let plain = run_parallel(&c, 2, 4, CommVersion::V5);
-        let tok = CancelToken::new();
-        let opts = TelemetryOptions { cancel: Some(tok), ..Default::default() };
-        let armed = run_parallel_instrumented(&c, 2, 4, CommVersion::V5, opts);
+        let plan = RunPlan {
+            cancel: Some(CancelToken::new()),
+            ..RunPlan::new(&c, CartTopology::axial(2), 4, CommVersion::V5)
+        };
+        let armed = run(&plan).unwrap();
         assert_eq!(armed.steps_taken(), 4);
         assert!(armed.aborted().is_none());
         assert_eq!(plain.gather_field().max_diff(&armed.gather_field()), 0.0);
@@ -749,7 +882,7 @@ mod tests {
         let c = cfg(Regime::Euler);
         let partial = Solver::on_patch(c.clone(), Patch::block(c.grid.clone(), 0, 2));
         let cp = Checkpoint::capture(&partial);
-        let _ = run_parallel_from(&c, 2, 1, CommVersion::V5, Some(&cp));
+        let _ = run(&RunPlan { resume: Some(&cp), ..RunPlan::new(&c, CartTopology::axial(2), 1, CommVersion::V5) });
     }
 
     #[test]

@@ -15,25 +15,15 @@
 //! bitwise state is bitwise — so the final gathered field of a chaos run is
 //! **identical** to the fault-free run, which the tests assert.
 
-use crate::collectives;
-use crate::comm::{universe, CommError, CommStats, ReliableConfig};
+use crate::comm::{CommStats, Endpoint, ReliableConfig};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
-use crate::halo::{CommVersion, ThreadHalo};
-use crate::parallel::{ParallelRun, RankResult};
-use crate::topology::{CartTopology, DecompositionError};
+use crate::parallel::Attempt;
 use ns_core::checkpoint::Checkpoint;
-use ns_core::config::SolverConfig;
-use ns_core::field::{Field, Patch};
-use ns_core::opcount::FlopLedger;
 use ns_core::Solver;
-use ns_metrics::{FlightDump, MetricsSummary, Registry};
-use ns_telemetry::{PhaseLedger, RecoverySummary};
+use ns_metrics::{FlightDump, Registry};
+use ns_telemetry::RecoverySummary;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
-
-/// Epoch namespace for the coordinated-checkpoint barriers, disjoint from
-/// the adaptive-dt (raw step) and health (`1 << 62`) namespaces.
-const CHECKPOINT_EPOCH: u64 = 1 << 61;
+use std::time::Duration;
 
 /// Tuning of a chaos/recovery run.
 #[derive(Clone, Debug)]
@@ -103,301 +93,124 @@ impl RecoveryReport {
     }
 }
 
-/// One rank's result from one generation.
-struct GenOutcome {
-    rank: usize,
-    field: Field,
-    ledger: FlopLedger,
-    cps: Vec<Checkpoint>,
-    reached: u64,
-    crashed: bool,
-    failure: Option<CommError>,
-    stats: CommStats,
-    wait: Duration,
-    busy: Duration,
-    faults: Option<FaultStats>,
-    flight: Option<FlightDump>,
+/// The recovery side of [`crate::parallel::run`]'s generation loop: the
+/// live fault plan, where the next generation restarts, and the report.
+pub(crate) struct Recovery<'a> {
+    pub(crate) opts: &'a ChaosOptions,
+    /// The plan still to be injected (the crash is disarmed once it fired).
+    pub(crate) plan: FaultPlan,
+    /// Per-rank checkpoints the next generation restarts from; `None`
+    /// restarts from the run's own starting state.
+    resume: Option<Vec<Checkpoint>>,
+    /// The global step of that restart point.
+    resume_step: u64,
+    report: RecoveryReport,
 }
 
-/// Run the solver on `p` ranks under an unreliable network, surviving it.
-///
-/// Faults from `opts.plan` are injected into every data frame; the
-/// reliability layer heals what it can (drops, corruption, duplication,
-/// delay) and the generation loop here rolls the universe back to the last
-/// coordinated checkpoint for what it cannot (a rank crash, an exhausted
-/// retry budget). The returned run carries a populated
-/// [`ParallelRun::recovery`] block and a final field bitwise identical to
-/// the fault-free [`crate::parallel::run_parallel`] result.
-pub fn run_parallel_chaos(
-    cfg: &SolverConfig,
-    p: usize,
-    nsteps: u64,
-    version: CommVersion,
-    opts: &ChaosOptions,
-) -> ParallelRun {
-    assert!(p >= 1);
-    chaos_impl(cfg, CartTopology::axial(p), nsteps, version, opts)
-}
-
-/// [`run_parallel_chaos`] over a 2-D pencil topology, with the
-/// decomposition plan validated up front as a typed
-/// [`DecompositionError`] — the same admission check as
-/// [`crate::parallel::run_parallel_cart`].
-pub fn run_parallel_chaos_cart(
-    cfg: &SolverConfig,
-    topo: CartTopology,
-    nsteps: u64,
-    version: CommVersion,
-    opts: &ChaosOptions,
-) -> Result<ParallelRun, DecompositionError> {
-    topo.validate(cfg, version)?;
-    Ok(chaos_impl(cfg, topo, nsteps, version, opts))
-}
-
-fn chaos_impl(
-    cfg: &SolverConfig,
-    topo: CartTopology,
-    nsteps: u64,
-    version: CommVersion,
-    opts: &ChaosOptions,
-) -> ParallelRun {
-    let p = topo.size();
-    assert!(opts.checkpoint_every >= 1, "checkpoint cadence must be at least 1");
-    assert_eq!(cfg.dissipation, 0.0, "dissipation is serial-only (the paper's protocol has no smoothing halo)");
-    topo.validate(cfg, version).unwrap_or_else(|e| panic!("{e}"));
-    if let Some(c) = opts.plan.crash {
-        assert!(c.rank < p, "crash rank {} does not exist in a universe of {p}", c.rank);
+impl<'a> Recovery<'a> {
+    /// Recovery for a universe of `p` ranks whose run starts at `first_step`.
+    pub(crate) fn new(opts: &'a ChaosOptions, p: usize, first_step: u64) -> Self {
+        assert!(opts.checkpoint_every >= 1, "checkpoint cadence must be at least 1");
+        if let Some(c) = opts.plan.crash {
+            assert!(c.rank < p, "crash rank {} does not exist in a universe of {p}", c.rank);
+        }
+        Self { opts, plan: opts.plan.clone(), resume: None, resume_step: first_step, report: RecoveryReport::default() }
     }
 
-    let start = Instant::now();
-    let metrics_before = Registry::global().snapshot();
-    let mut plan = opts.plan.clone();
-    let mut resume: Option<Vec<Checkpoint>> = None;
-    let mut resume_step = 0u64;
-    let mut report = RecoveryReport::default();
-    let mut agg: Vec<(CommStats, Duration, Duration)> = vec![(CommStats::default(), Duration::ZERO, Duration::ZERO); p];
+    /// Index of the generation about to run or running (0 = first attempt).
+    pub(crate) fn generation(&self) -> u32 {
+        self.report.generations
+    }
 
-    loop {
-        let generation = report.generations;
-        report.generations += 1;
-        let outcomes = run_generation(cfg, topo, nsteps, version, opts, &plan, generation, resume.as_deref());
-        for o in &outcomes {
-            let a = &mut agg[o.rank];
-            a.0.merge(&o.stats);
-            a.1 += o.wait;
-            a.2 += o.busy;
-            if let Some(f) = &o.faults {
-                report.faults.merge(f);
+    /// Arm a fresh universe for this generation: framing, the generation's
+    /// fault injectors, and the receive deadline that detects dead ranks.
+    pub(crate) fn arm(&self, endpoints: &mut [Endpoint]) {
+        for (rank, ep) in endpoints.iter_mut().enumerate() {
+            ep.enable_reliability(self.opts.reliable);
+            if self.plan.has_message_faults() {
+                ep.set_fault_injector(FaultInjector::for_rank(&self.plan, rank, self.generation()));
             }
-            if let Some(d) = &o.flight {
-                report.flight_dumps.push(d.clone());
-            }
+            ep.timeout = self.opts.recv_timeout;
         }
-        report.checkpoints += outcomes[0].cps.len() as u64;
-        let crashed = outcomes.iter().any(|o| o.crashed);
-        if !crashed && outcomes.iter().all(|o| o.failure.is_none() && o.reached == nsteps) {
-            let ranks: Vec<RankResult> = outcomes
-                .into_iter()
-                .map(|o| {
-                    let (stats, wait, busy) = agg[o.rank];
-                    RankResult {
-                        rank: o.rank,
-                        field: o.field,
-                        stats,
-                        wait,
-                        busy,
-                        ledger: o.ledger,
-                        phases: PhaseLedger::default(),
-                        trace: Vec::new(),
-                        health: Vec::new(),
-                        steps: o.reached,
-                        abort: None,
-                        flight: None,
-                    }
-                })
-                .collect();
-            // recovery accounting lands in the registry before the run's
-            // metrics window is cut, so the summary shows it
-            let m = Registry::global();
-            m.counter("ns_recover_generations_total").add(u64::from(report.generations));
-            m.counter("ns_recover_rollbacks_total").add(u64::from(report.rollbacks));
-            m.counter("ns_recover_recomputed_steps_total").add(report.recomputed_steps);
-            m.counter("ns_recover_checkpoints_total").add(report.checkpoints);
-            m.counter("ns_recover_crashes_total").add(u64::from(report.crashes));
-            let metrics = MetricsSummary::from_snapshot(&m.snapshot().diff(&metrics_before));
-            return ParallelRun {
-                ranks,
-                elapsed: start.elapsed(),
-                cfg: cfg.clone(),
-                nsteps,
-                recovery: Some(report),
-                metrics,
-            };
+    }
+
+    /// The solver `rank` restarts from after a rollback, if one happened
+    /// and committed a checkpoint.
+    pub(crate) fn restore(&self, rank: usize) -> Option<Solver> {
+        self.resume.as_ref().map(|cps| cps[rank].clone().restore())
+    }
+
+    /// Account one finished generation. `None`: every rank came through and
+    /// the run is over. `Some(step)`: a rank crashed or a comm failure
+    /// outlived the retry budget, the universe is rolled back and the next
+    /// generation restarts at `step`.
+    pub(crate) fn settle(&mut self, attempts: &mut [Attempt]) -> Option<u64> {
+        self.report.generations += 1;
+        for f in attempts.iter().filter_map(|a| a.faults.as_ref()) {
+            self.report.faults.merge(f);
         }
-        // the generation died: roll the universe back
-        report.rollbacks += 1;
+        self.report.checkpoints += attempts[0].cps.len() as u64;
+        let crashed = attempts.iter().any(|a| a.crashed);
+        if !crashed && attempts.iter().all(|a| a.failure.is_none()) {
+            return None;
+        }
+        self.report.flight_dumps.extend(attempts.iter_mut().filter_map(|a| a.flight.take()));
+        self.report.rollbacks += 1;
         if crashed {
-            report.crashes += 1;
+            self.report.crashes += 1;
             // a workstation that died once is replaced, not re-crashed: the
             // re-executed timeline must be able to pass the crash step
-            plan = plan.disarmed();
+            self.plan = self.plan.disarmed();
         }
         assert!(
-            report.rollbacks <= opts.max_rollbacks,
+            self.report.rollbacks <= self.opts.max_rollbacks,
             "chaos run exceeded its rollback budget of {} (plan: {:?})",
-            opts.max_rollbacks,
-            opts.plan
+            self.opts.max_rollbacks,
+            self.opts.plan
         );
-        let furthest = outcomes.iter().map(|o| o.reached).max().unwrap_or(resume_step);
         // the newest checkpoint step EVERY rank holds from this generation;
         // a partially-committed newer checkpoint (some rank's barrier died
         // mid-capture) is ignored by the intersection
-        let mut common: Option<BTreeSet<u64>> = None;
-        for o in &outcomes {
-            let steps: BTreeSet<u64> = o.cps.iter().map(|c| c.nstep).collect();
-            common = Some(match common {
-                None => steps,
-                Some(prev) => prev.intersection(&steps).copied().collect(),
-            });
+        let common = attempts
+            .iter()
+            .map(|a| a.cps.iter().map(|c| c.nstep).collect::<BTreeSet<u64>>())
+            .reduce(|a, b| a.intersection(&b).copied().collect());
+        if let Some(best) = common.and_then(|steps| steps.into_iter().max()) {
+            let held = |a: &mut Attempt| a.cps.iter().position(|c| c.nstep == best).map(|at| a.cps.swap_remove(at));
+            self.resume = Some(attempts.iter_mut().map(|a| held(a).expect("step is in the intersection")).collect());
+            self.resume_step = best;
         }
-        if let Some(best) = common.and_then(|s| s.into_iter().max()) {
-            resume = Some(
-                outcomes
-                    .into_iter()
-                    .map(|o| o.cps.into_iter().find(|c| c.nstep == best).expect("step is in the intersection"))
-                    .collect(),
-            );
-            resume_step = best;
-        }
-        // else: keep the previous resume point (or scratch) — the failed
-        // generation committed nothing new
+        // else: keep the previous resume point (or the run's start) — the
+        // failed generation committed nothing new
         //
         // re-executed work, on the global timeline: the furthest any rank
         // got minus where the next generation restarts
-        report.recomputed_steps += furthest.saturating_sub(resume_step);
+        let furthest = attempts.iter().map(|a| a.reached).max().unwrap_or(self.resume_step);
+        self.report.recomputed_steps += furthest.saturating_sub(self.resume_step);
+        Some(self.resume_step)
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn run_generation(
-    cfg: &SolverConfig,
-    topo: CartTopology,
-    nsteps: u64,
-    version: CommVersion,
-    opts: &ChaosOptions,
-    plan: &FaultPlan,
-    generation: u32,
-    resume: Option<&[Checkpoint]>,
-) -> Vec<GenOutcome> {
-    let mut endpoints = universe(topo.size());
-    for (rank, ep) in endpoints.iter_mut().enumerate() {
-        ep.enable_reliability(opts.reliable);
-        if plan.has_message_faults() {
-            ep.set_fault_injector(FaultInjector::for_rank(plan, rank, generation));
-        }
-        ep.timeout = opts.recv_timeout;
+    /// Close the books: the report, with its totals added to the metrics
+    /// registry.
+    pub(crate) fn finish(self) -> RecoveryReport {
+        let (m, r) = (Registry::global(), self.report);
+        m.counter("ns_recover_generations_total").add(u64::from(r.generations));
+        m.counter("ns_recover_rollbacks_total").add(u64::from(r.rollbacks));
+        m.counter("ns_recover_recomputed_steps_total").add(r.recomputed_steps);
+        m.counter("ns_recover_checkpoints_total").add(r.checkpoints);
+        m.counter("ns_recover_crashes_total").add(u64::from(r.crashes));
+        r
     }
-    let mut outs: Vec<GenOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|mut ep| {
-                let cfg = cfg.clone();
-                s.spawn(move || {
-                    let rank = ep.rank();
-                    let patch = Patch::pencil(cfg.grid.clone(), topo.coords(rank), (topo.px, topo.pr));
-                    let nb = topo.neighbors(rank);
-                    let (nxl, nr) = (patch.nxl, patch.nr());
-                    let mut solver = match resume {
-                        Some(cps) => cps[rank].clone().restore(),
-                        None => Solver::on_patch(cfg, patch),
-                    };
-                    let mut cps: Vec<Checkpoint> = Vec::new();
-                    let mut crashed = false;
-                    let mut failure: Option<CommError> = None;
-                    let t0 = Instant::now();
-                    {
-                        let mut halo = ThreadHalo::new_cart(&mut ep, nb, nxl, nr, version);
-                        halo.set_lenient();
-                        halo.set_generation(u64::from(generation));
-                        while solver.nstep < nsteps {
-                            if solver.nstep.is_multiple_of(opts.checkpoint_every) {
-                                // coordinated: agree the universe is intact,
-                                // then snapshot locally (bitwise, ghosts
-                                // included)
-                                match collectives::barrier(halo.endpoint_mut(), CHECKPOINT_EPOCH + solver.nstep) {
-                                    Ok(()) => cps.push(Checkpoint::capture(&solver)),
-                                    Err(e) => {
-                                        failure = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            if plan.crash.is_some_and(|c| c.rank == rank && c.step == solver.nstep) {
-                                // die silently, like a hung workstation: the
-                                // peers find out through their timeouts. The
-                                // crash is the last thing the black box sees.
-                                halo.endpoint_mut().flight.record(
-                                    "crash",
-                                    format!("rank {rank} dead at step {}", solver.nstep),
-                                    None,
-                                    None,
-                                    Some(ns_metrics::span_id(u64::from(generation), solver.nstep)),
-                                    0,
-                                );
-                                crashed = true;
-                                break;
-                            }
-                            halo.begin_step(solver.nstep);
-                            solver.step_with_halo(&mut halo);
-                            if halo.failure().is_some() {
-                                failure = halo.failure().cloned();
-                                break;
-                            }
-                        }
-                        if failure.is_none() {
-                            failure = halo.failure().cloned();
-                        }
-                    }
-                    let wall = t0.elapsed();
-                    let wait = ep.wait_time;
-                    // a failing generation freezes its ring: the crashed
-                    // rank's dump reconstructs the steps leading to the
-                    // crash, the rolled-back peers' dumps show the healing
-                    // attempts that preceded the rollback
-                    let flight = if crashed {
-                        Some(ep.flight.dump(rank, "rank-crash"))
-                    } else {
-                        failure.as_ref().map(|_| ep.flight.dump(rank, "rollback"))
-                    };
-                    GenOutcome {
-                        rank,
-                        reached: solver.nstep,
-                        crashed,
-                        failure,
-                        stats: ep.stats,
-                        wait,
-                        busy: wall.saturating_sub(wait),
-                        faults: ep.fault_stats(),
-                        field: solver.field,
-                        ledger: solver.ledger,
-                        cps,
-                        flight,
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("chaos rank panicked")).collect()
-    });
-    outs.sort_by_key(|o| o.rank);
-    outs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::CrashSpec;
-    use crate::parallel::run_parallel;
-    use ns_core::config::Regime;
+    use crate::halo::CommVersion;
+    use crate::parallel::{run, run_parallel, ParallelRun, RunPlan, TelemetryOptions};
+    use crate::topology::CartTopology;
+    use ns_core::config::{Regime, SolverConfig};
     use ns_numerics::Grid;
 
     fn cfg(regime: Regime) -> SolverConfig {
@@ -414,11 +227,17 @@ mod tests {
         }
     }
 
+    /// `p` slabs under `plan`, recovery armed.
+    fn chaos_run(cfg: &SolverConfig, p: usize, nsteps: u64, plan: FaultPlan) -> ParallelRun {
+        let reliability = Some(fast_opts(plan));
+        run(&RunPlan { reliability, ..RunPlan::new(cfg, CartTopology::axial(p), nsteps, CommVersion::V5) }).unwrap()
+    }
+
     #[test]
     fn faultless_chaos_run_is_one_generation_and_bitwise() {
         let c = cfg(Regime::Euler);
         let reference = run_parallel(&c, 3, 6, CommVersion::V5);
-        let chaos = run_parallel_chaos(&c, 3, 6, CommVersion::V5, &fast_opts(FaultPlan::none(7)));
+        let chaos = chaos_run(&c, 3, 6, FaultPlan::none(7));
         assert_eq!(reference.gather_field().max_diff(&chaos.gather_field()), 0.0);
         let rep = chaos.recovery.expect("chaos runs always report recovery");
         assert_eq!(rep.generations, 1);
@@ -432,7 +251,7 @@ mod tests {
         let c = cfg(Regime::Euler);
         let reference = run_parallel(&c, 3, 6, CommVersion::V5);
         let plan = FaultPlan { seed: 42, drop_rate: 0.05, corrupt_rate: 0.03, dup_rate: 0.03, ..FaultPlan::default() };
-        let chaos = run_parallel_chaos(&c, 3, 6, CommVersion::V5, &fast_opts(plan));
+        let chaos = chaos_run(&c, 3, 6, plan);
         assert_eq!(
             reference.gather_field().max_diff(&chaos.gather_field()),
             0.0,
@@ -444,11 +263,19 @@ mod tests {
         assert!(stats.retries > 0 || stats.dup_frames > 0 || stats.corrupt_frames > 0, "healing left traces");
     }
 
+    /// Phases and health ride through the rollback: the ledgers accumulate
+    /// over both generations, the health series is the fault-free run's.
     #[test]
     fn rank_crash_rolls_back_and_recovers_bitwise() {
         let c = cfg(Regime::Euler);
         let nsteps = 8;
-        let reference = run_parallel(&c, 3, nsteps, CommVersion::V5);
+        let telemetry = TelemetryOptions {
+            phases: true,
+            health: Some(ns_telemetry::HealthConfig { cadence: 1, ..Default::default() }),
+            ..Default::default()
+        };
+        let plain = RunPlan { telemetry, ..RunPlan::new(&c, CartTopology::axial(3), nsteps, CommVersion::V5) };
+        let reference = run(&plain).unwrap();
         // drop >= 1% AND a mid-run crash, per the acceptance criteria
         let plan = FaultPlan {
             seed: 1234,
@@ -456,7 +283,7 @@ mod tests {
             crash: Some(CrashSpec { rank: 1, step: 5 }),
             ..FaultPlan::default()
         };
-        let chaos = run_parallel_chaos(&c, 3, nsteps, CommVersion::V5, &fast_opts(plan));
+        let chaos = run(&RunPlan { reliability: Some(fast_opts(plan)), ..plain.clone() }).unwrap();
         assert_eq!(
             reference.gather_field().max_diff(&chaos.gather_field()),
             0.0,
@@ -467,6 +294,12 @@ mod tests {
         assert!(rep.rollbacks >= 1);
         assert!(rep.generations >= 2);
         assert!(rep.recomputed_steps >= 1, "the rollback redid work");
+        // every sampled step once, re-executed steps included, and the
+        // samples are the ones the fault-free run took
+        let health = chaos.merged_health();
+        assert_eq!(health.iter().map(|s| s.step).collect::<Vec<_>>(), (0..=nsteps).collect::<Vec<_>>());
+        assert_eq!(health, reference.merged_health());
+        assert!(chaos.ranks.iter().all(|r| r.phases.seconds("comm:recv") > 0.0 && r.phases.seconds("x:flux") > 0.0));
         // the summary block is populated end to end
         let summary = chaos.summary("chaos-test");
         let rec = summary.recovery.expect("recovery block present");
@@ -486,7 +319,7 @@ mod tests {
                 crash: Some(CrashSpec { rank: p - 1, step: 3 }),
                 ..FaultPlan::default()
             };
-            let chaos = run_parallel_chaos(&c, p, nsteps, CommVersion::V5, &fast_opts(plan));
+            let chaos = chaos_run(&c, p, nsteps, plan);
             assert_eq!(reference.gather_field().max_diff(&chaos.gather_field()), 0.0, "p={p}");
         }
     }
@@ -495,7 +328,7 @@ mod tests {
     fn crash_dump_reconstructs_the_failing_generation() {
         let c = cfg(Regime::Euler);
         let plan = FaultPlan { seed: 5, crash: Some(CrashSpec { rank: 1, step: 5 }), ..FaultPlan::default() };
-        let chaos = run_parallel_chaos(&c, 3, 8, CommVersion::V5, &fast_opts(plan));
+        let chaos = chaos_run(&c, 3, 8, plan);
         let rep = chaos.recovery.clone().expect("chaos runs report recovery");
         let dump = rep.flight_dumps.iter().find(|d| d.reason == "rank-crash").expect("crashed rank froze its ring");
         assert_eq!(dump.rank, 1);
@@ -536,14 +369,15 @@ mod tests {
     fn pencil_chaos_recovers_bitwise() {
         let c = cfg(Regime::Euler);
         let topo = CartTopology::new(2, 2).unwrap();
-        let reference = crate::parallel::run_parallel_cart(&c, topo, 6, CommVersion::V5).unwrap();
+        let fault_free = RunPlan::new(&c, topo, 6, CommVersion::V5);
+        let reference = run(&fault_free).unwrap();
         let plan = FaultPlan {
             seed: 77,
             drop_rate: 0.02,
             crash: Some(CrashSpec { rank: 2, step: 3 }),
             ..FaultPlan::default()
         };
-        let chaos = run_parallel_chaos_cart(&c, topo, 6, CommVersion::V5, &fast_opts(plan)).unwrap();
+        let chaos = run(&RunPlan { reliability: Some(fast_opts(plan)), ..fault_free }).unwrap();
         assert_eq!(
             reference.gather_field().max_diff(&chaos.gather_field()),
             0.0,
@@ -559,6 +393,6 @@ mod tests {
     fn crash_outside_the_universe_is_rejected() {
         let c = cfg(Regime::Euler);
         let plan = FaultPlan { crash: Some(CrashSpec { rank: 7, step: 1 }), ..FaultPlan::none(0) };
-        let _ = run_parallel_chaos(&c, 2, 2, CommVersion::V5, &fast_opts(plan));
+        let _ = chaos_run(&c, 2, 2, plan);
     }
 }

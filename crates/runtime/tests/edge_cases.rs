@@ -10,8 +10,8 @@ use ns_numerics::Grid;
 use ns_runtime::collectives::{allreduce_max, allreduce_sum, barrier};
 use ns_runtime::comm::universe;
 use ns_runtime::{
-    run_parallel, run_parallel_cart, run_parallel_chaos, run_parallel_chaos_cart, CartTopology, ChaosOptions,
-    CommVersion, CrashSpec, FaultPlan, ReliableConfig, ThreadHalo,
+    run_parallel, run_parallel_cart, CartTopology, ChaosOptions, CommVersion, CrashSpec, FaultPlan, ReliableConfig,
+    RunPlan, ThreadHalo,
 };
 use std::thread;
 use std::time::Duration;
@@ -53,13 +53,10 @@ fn zero_step_runs_leave_the_initial_condition_untouched() {
     assert_eq!(t.sends, t.recvs, "even an empty run must balance its messages");
 
     // the chaos driver with nothing to do must also be a no-op
-    let chaos = run_parallel_chaos(
-        &cfg,
-        4,
-        0,
-        CommVersion::V5,
-        &ChaosOptions { plan: FaultPlan::none(7), ..Default::default() },
-    );
+    let reliability = Some(ChaosOptions { plan: FaultPlan::none(7), ..Default::default() });
+    let chaos =
+        ns_runtime::run(&RunPlan { reliability, ..RunPlan::new(&cfg, CartTopology::axial(4), 0, CommVersion::V5) })
+            .unwrap();
     assert_eq!(serial.field.max_diff(&chaos.gather_field()), 0.0);
 }
 
@@ -177,7 +174,8 @@ fn pencil_chaos_with_faults_replays_corner_strips_bitwise() {
         max_rollbacks: 8,
         recv_timeout: Duration::from_millis(250),
     };
-    let chaos = run_parallel_chaos_cart(&cfg, topo, 6, CommVersion::V5, &opts).unwrap();
+    let chaos =
+        ns_runtime::run(&RunPlan { reliability: Some(opts), ..RunPlan::new(&cfg, topo, 6, CommVersion::V5) }).unwrap();
     assert_eq!(reference.gather_field().max_diff(&chaos.gather_field()), 0.0);
     let rep = chaos.recovery.unwrap();
     assert_eq!(rep.crashes, 1, "the planned crash must have fired");

@@ -117,10 +117,12 @@ impl DaemonConfig {
     }
 }
 
-/// How a settled job is remembered for `Wait` clients.
+/// How a settled job is remembered for `Wait` clients. A done job keeps
+/// only how it was served: the payload stays in the result cache (resident
+/// or spilled), whose byte budget is then the daemon's bound on resident
+/// results however many keys have settled.
 enum Settled {
     Done {
-        run: Arc<CachedRun>,
         /// `"cold"` or `"hit"` (how the worker served it).
         cache: &'static str,
         queue_ms: f64,
@@ -357,7 +359,6 @@ fn outcome_pump(shared: &Shared, outcomes: &Receiver<Outcome>) {
                     shared,
                     res.key,
                     Settled::Done {
-                        run: Arc::clone(&res.run),
                         cache: if res.cache_hit { "hit" } else { "cold" },
                         queue_ms: res.queue_wait.as_secs_f64() * 1e3,
                         run_ms: res.run_wall.as_secs_f64() * 1e3,
@@ -491,20 +492,25 @@ fn wait(shared: &Shared, key_str: &str, timeout: Duration) -> Response {
     let deadline = Instant::now() + timeout;
     let mut settled = shared.hub.settled.lock().unwrap();
     loop {
-        match settled.get(&key) {
-            Some(Settled::Done { run, cache, queue_ms, run_ms }) => {
-                return done_response(key, run, cache, *queue_ms, *run_ms);
-            }
+        let served = match settled.get(&key) {
+            Some(Settled::Done { cache, queue_ms, run_ms }) => Some((*cache, *queue_ms, *run_ms)),
             Some(Settled::Failed(error)) => {
                 return Response::Failed { key: key_hex(key), error: error.clone() };
             }
-            None => {}
-        }
-        // a previous incarnation's result never enters the hub — check the
-        // durable cache too
+            None => None,
+        };
+        // the payload lives in the cache, resident or spilled; a previous
+        // incarnation's result never enters the hub and is answered from
+        // there too
         drop(settled);
         if let Some(run) = shared.cache.peek(key) {
-            return done_response(key, &run, "durable", 0.0, 0.0);
+            let (cache, queue_ms, run_ms) = served.unwrap_or(("durable", 0.0, 0.0));
+            return done_response(key, &run, cache, queue_ms, run_ms);
+        }
+        if served.is_some() {
+            // evicted, and the write-through to the spill had failed
+            let error = "result evicted and not in the spill store; resubmit".to_string();
+            return Response::Failed { key: key_hex(key), error };
         }
         settled = shared.hub.settled.lock().unwrap();
         let now = Instant::now();
@@ -532,5 +538,56 @@ fn status(shared: &Shared) -> Response {
             draining: shared.draining.load(Ordering::SeqCst),
             brownout,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{Backend, JobSpec};
+    use ns_core::config::{Regime, SolverConfig};
+    use ns_numerics::Grid;
+
+    /// The hub remembers how a job settled, not its payload: once the cache
+    /// evicts a settled key nothing else keeps the bytes resident (so the
+    /// byte budget bounds a long-lived daemon), and `Wait` still answers
+    /// them, from the spill.
+    #[test]
+    fn settled_payloads_are_owned_by_the_cache_alone() {
+        let dir = std::env::temp_dir().join(format!("ns-daemon-hub-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // a one-byte budget: every fill evicts everything but itself
+        let cfg = DaemonConfig { cache_budget_bytes: 1, sync: false, ..DaemonConfig::new(&dir) };
+        let daemon = Daemon::start(cfg).unwrap();
+        let shared = &daemon.shared;
+        let settle_job = |steps: u64| {
+            let mut spec = JobSpec::new(SolverConfig::paper(Grid::new(24, 10, 50.0, 5.0), Regime::Euler), steps, 1);
+            spec.backend = Backend::Serial;
+            let Response::Admitted { key, .. } = submit(shared, &JobDesc::from_spec(&spec)) else {
+                panic!("a fresh key is admitted");
+            };
+            match wait(shared, &key, Duration::from_secs(120)) {
+                Response::Done { cache, payload, .. } => (key, cache, payload),
+                other => panic!("job {key} must settle Done, got {other:?}"),
+            }
+        };
+        let (key, _, cold_payload) = settle_job(2);
+        let resident = Arc::downgrade(&shared.cache.peek(parse_key_hex(&key).unwrap()).expect("just filled"));
+        settle_job(3);
+        // the pump drops its outcome right after settling; give it a moment
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while resident.upgrade().is_some() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(resident.upgrade().is_none(), "an evicted payload has no owner left: the hub must not hold it");
+        match wait(shared, &key, Duration::from_secs(5)) {
+            Response::Done { cache, payload, .. } => {
+                assert_eq!(cache, "cold", "the hub still knows how the job was served");
+                assert_eq!(payload, cold_payload, "the spill answers the same bytes");
+            }
+            other => panic!("a settled key answers Done after eviction, got {other:?}"),
+        }
+        daemon.drain().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,6 +12,7 @@
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_numerics::Grid;
 use ns_runtime::CommVersion;
+use ns_verify::snapshot::{fnv1a, FNV_OFFSET};
 use serde::Serialize;
 
 /// Admission priority. Higher levels are served first; under overload the
@@ -61,7 +62,7 @@ impl Priority {
 pub enum Backend {
     /// Single-threaded reference solver.
     Serial,
-    /// Distributed-memory driver (`run_parallel`, one thread per rank).
+    /// Distributed-memory driver (`ns_runtime::run`, one thread per rank).
     Parallel,
     /// Distributed driver with the recovery machinery armed (fault-free
     /// plan: checkpoints are taken, nothing is injected).
@@ -127,18 +128,6 @@ pub struct JobSpec {
     pub deadline: Option<std::time::Duration>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 impl JobSpec {
     /// A job with defaults for everything but the physics: parallel
     /// backend, V5 comm, normal priority, canonical label.
@@ -181,12 +170,9 @@ impl JobSpec {
     /// `"euler/V5/parallel/p4/commV6/nx66x24/s6"`.
     pub fn case(&self) -> String {
         let c = self.canonical();
-        let rk = match c.cfg.regime {
-            Regime::Euler => "euler",
-            Regime::NavierStokes => "navier-stokes",
-        };
         format!(
-            "{rk}/{:?}/{}/p{}/{}/nx{}x{}/s{}",
+            "{}/{:?}/{}/p{}/{}/nx{}x{}/s{}",
+            c.cfg.regime.key(),
             c.cfg.version,
             c.backend.name(),
             c.procs,
@@ -203,10 +189,8 @@ impl JobSpec {
     pub fn canonical_key(&self) -> u64 {
         let c = self.canonical();
         let cfg_json = serde_json::to_string(&c.cfg).expect("solver config serializes");
-        let mut h = fnv1a(FNV_OFFSET, cfg_json.as_bytes());
         let shape = format!("|{}|{}|{}|{}", c.steps, c.procs, comm_name(c.comm), c.backend.name());
-        h = fnv1a(h, shape.as_bytes());
-        h
+        fnv1a(fnv1a(FNV_OFFSET, cfg_json.as_bytes()), shape.as_bytes())
     }
 
     /// A dimensionless work estimate for the job, used to scale the
@@ -327,11 +311,10 @@ impl serde::Deserialize for JobDesc {
 impl JobDesc {
     /// Resolve the description into an executable spec.
     pub fn to_spec(&self) -> Result<JobSpec, String> {
-        let regime = match self.regime.as_str() {
-            "euler" => Regime::Euler,
-            "navier-stokes" => Regime::NavierStokes,
-            other => return Err(format!("unknown regime {other:?} (expected euler|navier-stokes)")),
-        };
+        let regime = [Regime::Euler, Regime::NavierStokes]
+            .into_iter()
+            .find(|r| r.key() == self.regime)
+            .ok_or_else(|| format!("unknown regime {:?} (expected euler|navier-stokes)", self.regime))?;
         let version = Version::ALL
             .iter()
             .copied()
@@ -368,10 +351,7 @@ impl JobDesc {
     pub fn from_spec(spec: &JobSpec) -> Self {
         Self {
             label: if spec.label.is_empty() { None } else { Some(spec.label.clone()) },
-            regime: match spec.cfg.regime {
-                Regime::Euler => "euler".into(),
-                Regime::NavierStokes => "navier-stokes".into(),
-            },
+            regime: spec.cfg.regime.key().into(),
             nx: spec.cfg.grid.nx,
             nr: spec.cfg.grid.nr,
             steps: spec.steps,
@@ -395,6 +375,14 @@ mod tests {
 
     fn spec(nx: usize) -> JobSpec {
         JobSpec::new(SolverConfig::paper(Grid::new(nx, 16, 50.0, 5.0), Regime::Euler), 4, 2)
+    }
+
+    /// Cache keys name spill files and WAL records, so they outlive the
+    /// process: the value (taken before `fnv1a` moved to `ns-verify`) is
+    /// pinned, and a change to the hash or the canonical form shows here.
+    #[test]
+    fn canonical_key_value_is_pinned() {
+        assert_eq!(spec(48).canonical_key(), 0x209d_1f86_f7e9_a1d3);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   a team stops at the same step boundary.
 //! * **Sharding** — a bounded worker pool ([`server::Server`]) executes
 //!   jobs on the real backends: the serial [`ns_core::Solver`], the
-//!   message-passing `run_parallel` drivers (any comm protocol version),
-//!   the fault-tolerant chaos driver, and the shared-memory
+//!   message-passing driver [`ns_runtime::run`] (any comm protocol
+//!   version; the chaos backend is the same plan with the recovery
+//!   machinery armed), and the shared-memory
 //!   [`ns_core::shared::SharedSolver`].
 //! * **Result caching** — a content-addressed, single-flight cache
 //!   ([`cache::ResultCache`]) keyed by the canonical config hash

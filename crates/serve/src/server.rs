@@ -22,9 +22,7 @@ use ns_core::config::Regime;
 use ns_core::shared::SharedSolver;
 use ns_core::Solver;
 use ns_metrics::{Counter, Gauge, Histogram, Registry};
-use ns_runtime::{
-    run_parallel_chaos, run_parallel_instrumented, CancelToken, ChaosOptions, FaultPlan, TelemetryOptions,
-};
+use ns_runtime::{CancelToken, CartTopology, ChaosOptions, FaultPlan, RunPlan};
 use ns_telemetry::{RunSummary, ServeJobSummary, RUN_SUMMARY_SCHEMA};
 use ns_verify::snapshot::{field_hash, GoldenFile};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -598,10 +596,7 @@ fn process_summary(spec: &JobSpec, ranks: usize, steps: u64, wall: Duration) -> 
     RunSummary {
         schema_version: RUN_SUMMARY_SCHEMA,
         case: spec.case(),
-        regime: match spec.cfg.regime {
-            Regime::Euler => "euler".to_string(),
-            Regime::NavierStokes => "navier-stokes".to_string(),
-        },
+        regime: spec.cfg.regime.key().to_string(),
         nx: spec.cfg.grid.nx,
         nr: spec.cfg.grid.nr,
         ranks,
@@ -647,20 +642,20 @@ fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), St
             }
             Ok((process_summary(spec, 1, spec.steps, t0.elapsed()), field_hash(&solver.field)))
         }
-        Backend::Parallel => {
-            let opts = TelemetryOptions { cancel: Some(cancel.clone()), ..Default::default() };
-            let run = run_parallel_instrumented(&spec.cfg, spec.procs, spec.steps, spec.comm, opts);
-            if let Some(reason) = run.aborted() {
-                return Err(reason);
-            }
-            let hash = field_hash(&run.gather_field());
-            Ok((run.summary(&case), hash))
-        }
-        Backend::Chaos => {
-            // fault-free plan: the recovery machinery is armed (checkpoint
-            // cadence shorter than the run) but nothing is injected
-            let opts = ChaosOptions { plan: FaultPlan::none(42), checkpoint_every: 4, ..Default::default() };
-            let run = run_parallel_chaos(&spec.cfg, spec.procs, spec.steps, spec.comm, &opts);
+        Backend::Parallel | Backend::Chaos => {
+            // chaos is a fault-free plan: the recovery machinery is armed
+            // (checkpoint cadence shorter than the run) but nothing is injected
+            let reliability = (spec.backend == Backend::Chaos).then(|| ChaosOptions {
+                plan: FaultPlan::none(42),
+                checkpoint_every: 4,
+                ..Default::default()
+            });
+            let run = ns_runtime::run(&RunPlan {
+                cancel: Some(cancel.clone()),
+                reliability,
+                ..RunPlan::new(&spec.cfg, CartTopology::axial(spec.procs), spec.steps, spec.comm)
+            })
+            .map_err(|e| e.to_string())?;
             if let Some(reason) = run.aborted() {
                 return Err(reason);
             }
@@ -704,11 +699,7 @@ pub fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<
     if !bitwise {
         return None;
     }
-    let rk = match c.cfg.regime {
-        Regime::Euler => "euler",
-        Regime::NavierStokes => "navier-stokes",
-    };
-    golden.entries.get(&format!("{rk}/serial/V5")).map(|snap| snap.hash.as_str())
+    golden.entries.get(&format!("{}/serial/V5", c.cfg.regime.key())).map(|snap| snap.hash.as_str())
 }
 
 #[cfg(test)]

@@ -119,33 +119,37 @@ fn overload_sheds_lowest_priority_and_reports_it() {
 
 /// Immediate shutdown never abandons an in-flight rank team: the
 /// cooperative cancel token winds the team down together, the job reports
-/// as failed with a cancellation reason, and nothing hangs.
+/// as failed with a cancellation reason, and nothing hangs — with plain
+/// channels and with the recovery machinery armed alike.
 #[test]
 fn shutdown_now_cancels_in_flight_rank_teams_cleanly() {
-    let (server, rx) = Server::new(ServerConfig { workers: 1, queue_depth: 4, golden: None, ..Default::default() });
-    // a parallel job big enough that shutdown lands mid-run
-    let long = JobSpec::new(euler(64, 24), 100_000, 4);
-    server.submit(long).unwrap();
-    server.submit(serial_job(5, "queued-behind")).unwrap();
-    // let the worker pick the parallel job up
-    std::thread::sleep(Duration::from_millis(100));
-    let stats = server.shutdown_now();
-    assert_eq!(stats.shed, 1, "the queued job is drained as shed");
-    let mut cancelled = false;
-    let mut shed = 0;
-    while let Ok(outcome) = rx.recv_timeout(Duration::from_secs(60)) {
-        match outcome {
-            Outcome::Failed { error, .. } => {
-                assert!(error.contains("cancelled"), "the in-flight team reports cancellation, got {error:?}");
-                cancelled = true;
+    for backend in [Backend::Parallel, Backend::Chaos] {
+        let (server, rx) = Server::new(ServerConfig { workers: 1, queue_depth: 4, golden: None, ..Default::default() });
+        // a parallel job big enough that shutdown lands mid-run
+        let mut long = JobSpec::new(euler(64, 24), 100_000, 4);
+        long.backend = backend;
+        server.submit(long).unwrap();
+        server.submit(serial_job(5, "queued-behind")).unwrap();
+        // let the worker pick the parallel job up
+        std::thread::sleep(Duration::from_millis(100));
+        let stats = server.shutdown_now();
+        assert_eq!(stats.shed, 1, "{backend:?}: the queued job is drained as shed");
+        let mut cancelled = false;
+        let mut shed = 0;
+        while let Ok(outcome) = rx.recv_timeout(Duration::from_secs(60)) {
+            match outcome {
+                Outcome::Failed { error, .. } => {
+                    assert!(error.contains("cancelled"), "the in-flight team reports cancellation, got {error:?}");
+                    cancelled = true;
+                }
+                Outcome::Shed { .. } => shed += 1,
+                Outcome::Done(_) => panic!("a 100k-step run cannot complete in this test"),
             }
-            Outcome::Shed { .. } => shed += 1,
-            Outcome::Done(_) => panic!("a 100k-step run cannot complete in this test"),
         }
+        assert!(cancelled, "{backend:?}: the in-flight parallel job was cancelled, not abandoned");
+        assert_eq!(shed, 1);
+        assert_eq!(stats.failed, 1);
     }
-    assert!(cancelled, "the in-flight parallel job was cancelled, not abandoned");
-    assert_eq!(shed, 1);
-    assert_eq!(stats.failed, 1);
 }
 
 /// The loadgen acceptance sweep: mixed comm versions × rank counts with

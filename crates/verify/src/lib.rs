@@ -17,11 +17,11 @@
 //!    residual stays below tolerance over long runs.
 //! 3. **Differential oracle** ([`oracle`]) — one harness running the same
 //!    configuration across every kernel `Version` rung, processor counts,
-//!    serial vs `run_parallel` vs `run_parallel_chaos` (fault-free plan) and
-//!    comm protocol versions, asserting bitwise equality where the design
-//!    guarantees it and truncation-level agreement where it doesn't, plus
-//!    committed golden snapshots ([`snapshot`]) that future PRs regress
-//!    against.
+//!    pencil shapes, serial vs `ns_runtime::run` with and without the
+//!    recovery machinery armed (fault-free plan) and comm protocol
+//!    versions, asserting bitwise equality where the design guarantees it
+//!    and truncation-level agreement where it doesn't, plus committed
+//!    golden snapshots ([`snapshot`]) that future PRs regress against.
 //!
 //! The `jetns verify` subcommand drives all three and emits a
 //! machine-readable JSON report ([`report`]).

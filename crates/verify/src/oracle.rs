@@ -5,10 +5,10 @@
 //! whole equivalence matrix:
 //!
 //! * every kernel `Version` rung V1-V7, serially;
-//! * `run_parallel` over processor counts P (each rank running the same
-//!   versioned kernels);
-//! * `run_parallel_chaos` with a fault-free plan (the recovery machinery
-//!   must be a perfect no-op when nothing fails);
+//! * `ns_runtime::run` over processor counts P and pencil shapes (each rank
+//!   running the same versioned kernels);
+//! * the same plans with `reliability` armed on a fault-free plan (the
+//!   recovery machinery must be a perfect no-op when nothing fails);
 //! * the comm-protocol versions V5/V6/V7 (physics-neutral by design), under
 //!   the V5 kernels and under V7's, whose sweeps carry the update.
 //!
@@ -27,10 +27,7 @@ use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::driver::Solver;
 use ns_core::Field;
 use ns_numerics::Grid;
-use ns_runtime::{
-    run_parallel, run_parallel_cart, run_parallel_chaos, run_parallel_chaos_cart, CartTopology, ChaosOptions,
-    CommVersion, FaultPlan,
-};
+use ns_runtime::{CartTopology, ChaosOptions, CommVersion, FaultPlan, RunPlan};
 use serde::Serialize;
 
 use crate::snapshot::{self, FieldSnapshot};
@@ -158,13 +155,6 @@ impl OracleReport {
     }
 }
 
-fn regime_key(regime: Regime) -> &'static str {
-    match regime {
-        Regime::Euler => "euler",
-        Regime::NavierStokes => "navier-stokes",
-    }
-}
-
 fn comm_key(v: CommVersion) -> &'static str {
     match v {
         CommVersion::V5 => "commV5",
@@ -183,6 +173,13 @@ fn base_cfg(oc: &OracleConfig, regime: Regime, version: Version) -> SolverConfig
 /// shorter than the run) but no faults planned.
 fn chaos_opts() -> ChaosOptions {
     ChaosOptions { plan: FaultPlan::none(42), checkpoint_every: 3, ..Default::default() }
+}
+
+/// The gathered field of `cfg` run on `topo` through the one driver, over
+/// plain channels or (`chaos`) with the recovery machinery armed.
+fn distributed(cfg: &SolverConfig, topo: CartTopology, steps: u64, comm: CommVersion, chaos: bool) -> Field {
+    let plan = RunPlan { reliability: chaos.then(chaos_opts), ..RunPlan::new(cfg, topo, steps, comm) };
+    ns_runtime::run(&plan).unwrap_or_else(|e| panic!("{}x{} ranks: {e}", topo.px, topo.pr)).gather_field()
 }
 
 fn maybe_perturb(oc: &OracleConfig, key: &str, field: &mut Field) {
@@ -225,7 +222,7 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
     let mut cells = Vec::new();
     let mut snapshots = BTreeMap::new();
     for &regime in &oc.regimes {
-        let rk = regime_key(regime);
+        let rk = regime.key();
 
         // --- serial ladder ------------------------------------------------
         let mut serial: Vec<(Version, Field, ns_core::opcount::FlopLedger)> = Vec::new();
@@ -269,13 +266,14 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
             };
             for &p in &oc.procs {
                 let par_key = format!("{rk}/{v:?}/parallel/p{p}");
-                let mut par = run_parallel(&cfg, p, oc.steps, CommVersion::V5).gather_field();
+                let topo = CartTopology::axial(p);
+                let mut par = distributed(&cfg, topo, oc.steps, CommVersion::V5, false);
                 maybe_perturb(oc, &par_key, &mut par);
                 cells.push(compare(&par_key, &serial_key, &par, serial_field, par_expect));
 
                 // fault-free chaos must be a bitwise no-op on the parallel run
                 let chaos_key = format!("{rk}/{v:?}/chaos/p{p}");
-                let mut chaos = run_parallel_chaos(&cfg, p, oc.steps, CommVersion::V5, &chaos_opts()).gather_field();
+                let mut chaos = distributed(&cfg, topo, oc.steps, CommVersion::V5, true);
                 maybe_perturb(oc, &chaos_key, &mut chaos);
                 cells.push(compare(&chaos_key, &par_key, &chaos, &par, Expect::Bitwise));
             }
@@ -294,17 +292,13 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
                 Regime::NavierStokes => Expect::Rel(TOL_NS_PARALLEL),
             };
             let key = format!("{rk}/V5/pencil/{px}x{pr}");
-            let run = run_parallel_cart(&cfg, topo, oc.steps, CommVersion::V5)
-                .unwrap_or_else(|e| panic!("pencil {px}x{pr}: {e}"));
-            let mut par = run.gather_field();
+            let mut par = distributed(&cfg, topo, oc.steps, CommVersion::V5, false);
             maybe_perturb(oc, &key, &mut par);
             cells.push(compare(&key, &v5_key, &par, &v5_field, expect));
 
             // fault-free chaos over the same topology is a bitwise no-op
             let chaos_key = format!("{rk}/V5/chaos-pencil/{px}x{pr}");
-            let chaos_run = run_parallel_chaos_cart(&cfg, topo, oc.steps, CommVersion::V5, &chaos_opts())
-                .unwrap_or_else(|e| panic!("chaos pencil {px}x{pr}: {e}"));
-            let mut chaos = chaos_run.gather_field();
+            let mut chaos = distributed(&cfg, topo, oc.steps, CommVersion::V5, true);
             maybe_perturb(oc, &chaos_key, &mut chaos);
             cells.push(compare(&chaos_key, &key, &chaos, &par, Expect::Bitwise));
         }
@@ -321,11 +315,11 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
                 continue;
             }
             let cfg = base_cfg(oc, regime, kernel);
-            let baseline = run_parallel(&cfg, 4, oc.steps, CommVersion::V5).gather_field();
+            let baseline = distributed(&cfg, CartTopology::axial(4), oc.steps, CommVersion::V5, false);
             let base_key = format!("{rk}/{kernel:?}/parallel/p4");
             for &cv in comms {
                 let key = format!("{base_key}/{}", comm_key(cv));
-                let mut f = run_parallel(&cfg, 4, oc.steps, cv).gather_field();
+                let mut f = distributed(&cfg, CartTopology::axial(4), oc.steps, cv, false);
                 maybe_perturb(oc, &key, &mut f);
                 cells.push(compare(&key, &base_key, &f, &baseline, Expect::Bitwise));
             }

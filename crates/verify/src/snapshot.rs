@@ -24,17 +24,27 @@ use serde::{Deserialize, Serialize};
 /// Schema version of the golden file.
 pub const SCHEMA: u32 = 1;
 
+/// FNV-1a 64-bit offset basis: the `h` a fresh hash starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a 64-bit hash state `h`. The one plain FNV in
+/// the workspace: field fingerprints and the serve cache keys both run it.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// FNV-1a 64-bit hash over the interior values' bit patterns, in component
 ///-major, then row-major (axial-outer) order.
 pub fn field_hash(field: &Field) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for c in 0..4 {
         for i in 0..field.nxl() {
             for j in 0..field.nr() {
-                for b in field.at(c, i as isize, j as isize).to_bits().to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                h = fnv1a(h, &field.at(c, i as isize, j as isize).to_bits().to_le_bytes());
             }
         }
     }

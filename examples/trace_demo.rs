@@ -23,7 +23,6 @@ fn main() {
         phases: true,
         trace: true,
         health: Some(HealthConfig { cadence: 4, ..HealthConfig::default() }),
-        ..Default::default()
     };
     println!("instrumented {}-rank Navier-Stokes run, {steps} steps…\n", ranks);
     let run = run_parallel_instrumented(&cfg, ranks, steps, CommVersion::V5, opts);
