@@ -52,7 +52,6 @@ pub mod diag;
 pub mod dissipation;
 pub mod driver;
 pub mod field;
-pub mod jacobian;
 pub mod kernels;
 pub mod mms;
 pub mod opcount;

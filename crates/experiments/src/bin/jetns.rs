@@ -31,9 +31,9 @@
 //!                                                                      differential oracle, goldens
 //! jetns serve      --jobs FILE [--workers N] [--depth N]               run a JSON job list through
 //!                  [--golden FILE] [--out FILE]                        the sharded batch service
-//! jetns loadgen    [--quick] [--workers N] [--depth N] [--out FILE]   replay the sweep through the
-//!                  [--socket-mode]                                     service; report p50/p99,
-//!                                                                      throughput, cache hit rate
+//! jetns loadgen    [--quick] [--workers N] [--depth N]                 replay the sweep through a
+//!                                                                      daemon's socket: duplicates,
+//!                                                                      goldens, overload burst
 //! jetns served     --state DIR [--socket PATH] [--workers N]           crash-durable daemon: WAL-
 //!                  [--depth N] [--no-sync] [--golden FILE]             journaled jobs, spill-backed
 //!                                                                      cache, SIGTERM graceful drain
@@ -279,6 +279,7 @@ fn cmd_extensions() -> ExitCode {
         "{}",
         extensions::phase_profile(ns_archsim::Platform::lace560_allnode_s(), Regime::NavierStokes, &[1, 4, 16]).table()
     );
+    println!("{}", extensions::now_projection(Regime::NavierStokes).render());
     ExitCode::SUCCESS
 }
 
@@ -642,33 +643,33 @@ fn cmd_loadgen(args: &Args) -> ExitCode {
         workers: args.num("workers", 2usize).max(1),
         queue_depth: args.num("depth", 64usize).max(16),
     };
-    let socket_mode = args.has("socket-mode");
     println!(
-        "loadgen: {} sweep on {} workers (queue depth {}, {})…",
+        "loadgen: {} sweep through a daemon on {} workers (queue depth {})…",
         if opts.quick { "quick" } else { "full" },
         opts.workers,
         opts.queue_depth,
-        if socket_mode { "socket mode" } else { "in-process" },
     );
-    let report = if socket_mode {
-        match ns_serve::run_loadgen_socket(&opts, &std::env::temp_dir()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("jetns loadgen: socket mode failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let v = match ns_serve::run_loadgen(&opts, &std::env::temp_dir()) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("jetns loadgen: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        ns_serve::run_loadgen(&opts)
     };
-    print!("{}", ns_experiments::serve_report::render(&report));
-    let path = args.get("out").unwrap_or("SERVE_loadgen.json");
-    if let Err(e) = write_file(path, report.to_json()) {
-        eprintln!("jetns loadgen: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-    if report.pass() {
+    let b = v.burst;
+    println!("jobs: {} submitted, {} completed, {} failed", v.jobs_submitted, v.jobs_completed, v.jobs_failed);
+    println!(
+        "cache: {} hits (the daemon's Wait peeks count too), duplicates byte-identical: {}",
+        v.cache_hits,
+        if v.duplicates_byte_identical { "yes" } else { "NO" }
+    );
+    println!("golden cross-checks: {} checked, {} mismatched", v.golden_checked, v.golden_mismatches);
+    println!(
+        "burst: {} submitted -> {} admitted, {} rejected (min retry-after {:.0} ms), {} shed, {} completed",
+        b.submitted, b.admitted, b.rejected, b.min_retry_after_ms, b.shed, b.completed
+    );
+    println!("acceptance: {}", if v.pass() { "PASS" } else { "FAIL" });
+    if v.pass() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,21 +1,16 @@
 //! Figure 2: single-processor execution time of the optimization versions.
 //!
-//! Two complementary reproductions:
-//!
-//! * [`simulated_1995`] — the calibrated RS6000/560 model's wall time for
-//!   each version on the paper's full problem (matches Figure 2's absolute
-//!   scale by construction of the two anchors);
-//! * [`measured_host`] — real wall-clock of the actual Rust kernels, per
-//!   version, on this machine (the *shape* — loop interchange dominating,
-//!   V5 fastest — must and does survive three decades of hardware).
+//! [`simulated_1995`] is the calibrated RS6000/560 model's wall time for
+//! each version on the paper's full problem (it matches Figure 2's absolute
+//! scale by construction of the two anchors). The host's own ladder is
+//! measured by the `solver_kernels` bench and rendered by `jetns
+//! bench-report`.
 
 use crate::report::{Report, Series};
 use ns_archsim::{Calibration, CpuSpec};
-use ns_core::config::{Regime, SolverConfig, Version};
-use ns_core::driver::Solver;
+use ns_core::config::{Regime, Version};
 use ns_core::workload;
 use ns_numerics::Grid;
-use std::time::Instant;
 
 /// Simulated 1995 execution times (seconds, 5000 steps, 250x100) per
 /// version, for both applications.
@@ -34,28 +29,6 @@ pub fn simulated_1995() -> Report {
         r.series.push(Series::new(label, pts));
     }
     r.notes.push("paper anchors: N-S V1 ~15600 s (9.3 MFLOPS), V5 ~9060 s (16.0 MFLOPS)".into());
-    r
-}
-
-/// Measured wall time of the real Rust solver per version on the host
-/// (small grid, `steps` steps, scaled to per-step milliseconds).
-pub fn measured_host(grid: Grid, steps: u64) -> Report {
-    let mut r = Report::new("Figure 2 (host): measured Rust kernel time per version", "version", "ms per step");
-    for (regime, label) in [(Regime::NavierStokes, "Navier-Stokes"), (Regime::Euler, "Euler")] {
-        let mut pts = Vec::new();
-        for &v in &Version::ALL {
-            let mut cfg = SolverConfig::paper(grid.clone(), regime);
-            cfg.version = v;
-            let mut s = Solver::new(cfg);
-            s.run(2); // warm up
-            let t0 = Instant::now();
-            s.run(steps);
-            let dt = t0.elapsed().as_secs_f64();
-            pts.push((v.index() as f64, dt / steps as f64 * 1e3));
-        }
-        r.series.push(Series::new(label, pts));
-    }
-    r.notes.push("measured on this machine; absolute values are not comparable to 1995, the ordering is".into());
     r
 }
 

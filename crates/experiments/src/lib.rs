@@ -11,7 +11,7 @@
 //! | Table 1 | [`tables::table1`] |
 //! | Table 2 | [`tables::table2`] |
 //! | Figure 1 | [`fig_flow::excited_jet`] |
-//! | Figure 2 | [`fig_versions::simulated_1995`] / [`fig_versions::measured_host`] |
+//! | Figure 2 | [`fig_versions::simulated_1995`] (the host's ladder: [`bench_report`]) |
 //! | Figures 3-4 | [`fig_lace::fig3_4`] |
 //! | Figures 5-6 | [`fig_lace::fig5_6`] |
 //! | Figures 7-8 | [`fig_lace::fig7_8`] |
@@ -36,7 +36,6 @@ pub mod fig_platforms;
 pub mod fig_versions;
 pub mod report;
 pub mod scaling;
-pub mod serve_report;
 pub mod speedup;
 pub mod tables;
 pub mod validation;
@@ -45,7 +44,7 @@ pub use report::{Report, Series};
 
 /// Regenerate every simulated table/figure report (Figure 1 and the host
 /// measurements are excluded: they run the live solver and are exposed as
-/// examples/benches).
+/// examples, benches and `jetns` subcommands).
 pub fn all_reports() -> Vec<Report> {
     use ns_core::config::Regime::{Euler, NavierStokes};
     vec![

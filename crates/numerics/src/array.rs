@@ -137,12 +137,6 @@ impl Array2 {
         self.data.fill(v);
     }
 
-    /// Copy the contents of `other` (same shape) into `self`.
-    pub fn copy_from(&mut self, other: &Array2) {
-        assert_eq!((self.ni, self.nj), (other.ni, other.nj), "shape mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Elementwise maximum absolute value.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -151,12 +145,6 @@ impl Array2 {
     /// True if every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// Iterate `(i, j, value)` over all elements in storage order.
-    pub fn indexed_iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        let nj = self.nj;
-        self.data.iter().enumerate().map(move |(k, &v)| (k / nj, k % nj, v))
     }
 
     /// Extract the sub-block `i0..i0+ni`, `j0..j0+nj` as a new array.
@@ -245,20 +233,5 @@ mod tests {
         assert!(a.all_finite());
         a[(0, 1)] = f64::NAN;
         assert!(!a.all_finite());
-    }
-
-    #[test]
-    #[should_panic]
-    fn copy_from_rejects_shape_mismatch() {
-        let mut a = Array2::zeros(2, 2);
-        let b = Array2::zeros(2, 3);
-        a.copy_from(&b);
-    }
-
-    #[test]
-    fn indexed_iter_is_storage_order() {
-        let a = Array2::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        let v: Vec<_> = a.indexed_iter().collect();
-        assert_eq!(v, vec![(0, 0, 0.0), (0, 1, 1.0), (1, 0, 2.0), (1, 1, 3.0)]);
     }
 }

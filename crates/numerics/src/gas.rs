@@ -81,12 +81,6 @@ impl GasModel {
         (self.gamma - 1.0) * (e - 0.5 * (mx * mx + mr * mr) / rho)
     }
 
-    /// Specific total enthalpy `H = (E + p) / rho`.
-    #[inline(always)]
-    pub fn total_enthalpy(&self, rho: f64, e: f64, p: f64) -> f64 {
-        (e + p) / rho
-    }
-
     /// Specific heat at constant pressure.
     #[inline(always)]
     pub fn cp(&self) -> f64 {
@@ -186,16 +180,6 @@ mod tests {
         assert!((w.u - w2.u).abs() < 1e-13);
         assert!((w.v - w2.v).abs() < 1e-13);
         assert!((w.p - w2.p).abs() < 1e-13);
-    }
-
-    #[test]
-    fn enthalpy_consistent_with_energy() {
-        let g = gas();
-        let w = Primitive { rho: 2.0, u: 1.0, v: 0.5, p: 0.8 };
-        let q = w.to_conservative(&g);
-        let h = g.total_enthalpy(q[0], q[3], w.p);
-        // H = e + p/rho where e is specific total energy
-        assert!((h - (q[3] / q[0] + w.p / w.rho)).abs() < 1e-13);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl Grid {
     pub fn r_signed(&self, j: isize) -> f64 {
         (j as f64 + 0.5) * self.dr
     }
-
-    /// Total number of solution points.
-    #[inline(always)]
-    pub fn num_points(&self) -> usize {
-        self.nx * self.nr
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,6 @@ mod tests {
         assert_eq!(g.nr, 100);
         assert!((g.dx - 50.0 / 249.0).abs() < 1e-12);
         assert!((g.dr - 0.05).abs() < 1e-12);
-        assert_eq!(g.num_points(), 25_000);
     }
 
     #[test]

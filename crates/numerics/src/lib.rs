@@ -3,8 +3,8 @@
 //! # ns-numerics
 //!
 //! Foundation numerics for the jetns workspace: dense 2-D arrays, structured
-//! grids, perfect-gas thermodynamics, shear-layer profiles, one-sided /
-//! central difference stencils and cubic boundary extrapolation.
+//! grids, perfect-gas thermodynamics, shear-layer profiles and cubic
+//! boundary extrapolation.
 //!
 //! Everything here is deliberately dependency-light and allocation-aware:
 //! the hot solver loops in `ns-core` are built on [`Array2`], which is a
@@ -18,7 +18,6 @@ pub mod gas;
 pub mod grid;
 pub mod norms;
 pub mod profile;
-pub mod stencil;
 
 pub use array::Array2;
 pub use gas::GasModel;

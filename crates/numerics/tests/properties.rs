@@ -3,7 +3,6 @@
 use ns_numerics::extrap::{cubic_extrap_1, cubic_extrap_2, fill_left_ghosts, fill_right_ghosts};
 use ns_numerics::gas::{GasModel, Primitive};
 use ns_numerics::profile::ShearLayer;
-use ns_numerics::stencil;
 use ns_numerics::{norms, Array2};
 use proptest::prelude::*;
 
@@ -37,22 +36,6 @@ proptest! {
         fill_left_ghosts(&reversed, &mut left);
         prop_assert!((right[0] - left[0]).abs() < 1e-9);
         prop_assert!((right[1] - left[1]).abs() < 1e-9);
-    }
-
-    /// The averaged forward/backward 2-4 pair is exact on quadratics for any
-    /// spacing and offset.
-    #[test]
-    fn averaged_24_pair_exact_on_quadratics(
-        a in finite_f64(-2.0, 2.0),
-        b in finite_f64(-2.0, 2.0),
-        x in finite_f64(-5.0, 5.0),
-        h in finite_f64(0.01, 1.0),
-    ) {
-        let f = |t: f64| a * t * t + b * t;
-        let fwd = stencil::d_forward(f(x), f(x + h), f(x + 2.0 * h), h);
-        let bwd = stencil::d_backward(f(x - 2.0 * h), f(x - h), f(x), h);
-        let exact = 2.0 * a * x + b;
-        prop_assert!((0.5 * (fwd + bwd) - exact).abs() < 1e-7 * (1.0 + exact.abs()));
     }
 
     /// Primitive <-> conservative conversion round-trips for any physically

@@ -383,19 +383,7 @@ pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
     let metrics_before = Registry::global().snapshot();
     let start = Instant::now();
     let attempts = loop {
-        let mut endpoints = universe(p);
-        if let Some(rec) = &recovery {
-            rec.arm(&mut endpoints);
-        }
-        let rec = recovery.as_ref();
-        let mut attempts: Vec<Attempt> = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .zip(&mut carries)
-                .map(|(ep, carry)| s.spawn(move || run_rank(plan, rec, ep, carry, origin)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
-        });
+        let mut attempts = generation(plan, recovery.as_ref(), &mut carries, origin);
         let Some(restart) = recovery.as_mut().and_then(|rec| rec.settle(&mut attempts)) else {
             break attempts;
         };
@@ -434,6 +422,23 @@ pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
     Ok(ParallelRun { ranks, elapsed, cfg: cfg.clone(), nsteps, recovery, metrics })
 }
 
+/// One generation: a fresh universe, armed for recovery when there is one,
+/// and a rank team of one OS thread per rank.
+fn generation(plan: &RunPlan, rec: Option<&Recovery>, carries: &mut [Carry], origin: Instant) -> Vec<Attempt> {
+    let mut endpoints = universe(carries.len());
+    if let Some(rec) = rec {
+        rec.arm(&mut endpoints);
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .zip(carries)
+            .map(|(ep, carry)| s.spawn(move || run_rank(plan, rec, ep, carry, origin)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+    })
+}
+
 /// What a rank accumulates over the generations of a run. The health
 /// monitor lives here too: its mass-drift reference is the run's first
 /// sample and must survive a rollback.
@@ -453,8 +458,10 @@ pub(crate) struct Attempt {
     field: Field,
     ledger: FlopLedger,
     pub(crate) reached: u64,
-    /// Coordinated checkpoints captured, oldest first.
+    /// The newest two coordinated checkpoints captured, oldest first.
     pub(crate) cps: Vec<Checkpoint>,
+    /// Every checkpoint captured, including those `cps` let go.
+    pub(crate) captured: u64,
     pub(crate) crashed: bool,
     pub(crate) failure: Option<CommError>,
     /// Why the rank stopped early of its own accord (watchdog, cancel).
@@ -535,6 +542,7 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     let last = plan.first_step() + plan.nsteps;
     let (nxl, nr) = (solver.field.patch.nxl, solver.field.patch.nr());
     let mut cps: Vec<Checkpoint> = Vec::new();
+    let mut captured = 0;
     let mut crashed = false;
     let mut cancelled: Option<String> = None;
     let t0 = Instant::now();
@@ -560,7 +568,14 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
                     if halo.failure().is_some() {
                         break;
                     }
+                    // a rank past this barrier is at most one checkpoint
+                    // ahead of any other, so the newest two always hold the
+                    // newest step every rank has
+                    if cps.len() == 2 {
+                        cps.remove(0);
+                    }
                     cps.push(Checkpoint::capture(&solver));
+                    captured += 1;
                 }
                 if rec.plan.crash.is_some_and(|c| c.rank == rank && c.step == solver.nstep) {
                     // die silently, like a hung workstation: the peers find
@@ -618,12 +633,13 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         })
     };
     let Solver { field, ledger, nstep: reached, .. } = solver;
-    Attempt { field, ledger, reached, cps, crashed, failure, abort, faults: ep.fault_stats(), flight }
+    Attempt { field, ledger, reached, cps, captured, crashed, failure, abort, faults: ep.fault_stats(), flight }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use ns_core::config::Regime;
     use ns_core::workload;
     use ns_numerics::Grid;
@@ -962,5 +978,54 @@ mod tests {
             run_parallel_cart(&c, topo, 1, CommVersion::V5).unwrap_err(),
             DecompositionError::UnsupportedVersion { version: ns_core::config::Version::V6 }
         );
+    }
+
+    /// Two slabs under fault-free chaos, checkpointing every `every` steps.
+    fn chaos_plan(c: &SolverConfig, every: u64, nsteps: u64) -> (RunPlan<'_>, ChaosOptions) {
+        let opts = ChaosOptions { plan: FaultPlan::none(0), checkpoint_every: every, ..Default::default() };
+        let reliability = Some(opts.clone());
+        (RunPlan { reliability, ..RunPlan::new(c, CartTopology::axial(2), nsteps, CommVersion::V5) }, opts)
+    }
+
+    /// A chaos rank keeps its newest two checkpoints, not one per capture
+    /// (a 100 000-step served chaos job would hold 25 000 whole patches);
+    /// the report still counts every capture.
+    #[test]
+    fn a_chaos_rank_holds_at_most_two_checkpoints() {
+        let c = cfg(Regime::Euler);
+        let (plan, opts) = chaos_plan(&c, 1, 10);
+        let rec = Recovery::new(&opts, 2, 0);
+        let mut carries: Vec<Carry> = (0..2).map(|_| Carry::default()).collect();
+        for a in generation(&plan, Some(&rec), &mut carries, Instant::now()) {
+            assert_eq!(a.cps.iter().map(|cp| cp.nstep).collect::<Vec<_>>(), [8, 9]);
+            assert_eq!(a.captured, 10);
+        }
+        assert_eq!(run(&plan).unwrap().recovery.unwrap().checkpoints, 10, "every capture is counted");
+    }
+
+    /// A crash right after a partially committed checkpoint: rank 0 holds
+    /// step 6, rank 1 died before capturing it. The universe rolls back
+    /// bitwise to step 4, the newest step both still hold, and re-executes
+    /// onto the fault-free bits.
+    #[test]
+    fn crash_after_a_partial_checkpoint_rolls_back_to_the_newest_common_one() {
+        let c = cfg(Regime::Euler);
+        let (plan, opts) = chaos_plan(&c, 2, 8);
+        let mut rec = Recovery::new(&opts, 2, 0);
+        let mut carries: Vec<Carry> = (0..2).map(|_| Carry::default()).collect();
+        let origin = Instant::now();
+        let mut attempts = generation(&plan, Some(&rec), &mut carries, origin);
+        assert_eq!(attempts[1].cps.pop().map(|cp| cp.nstep), Some(6));
+        attempts[1].crashed = true;
+        assert_eq!(rec.settle(&mut attempts), Some(4));
+        let at_four = run_parallel(&c, 2, 4, CommVersion::V5);
+        for (rank, reference) in at_four.ranks.iter().enumerate() {
+            let restored = rec.restore(rank).expect("a common checkpoint was committed");
+            assert_eq!((restored.nstep, restored.field.max_diff(&reference.field)), (4, 0.0), "rank {rank}");
+        }
+        let fault_free = run_parallel(&c, 2, 8, CommVersion::V5);
+        for (a, reference) in generation(&plan, Some(&rec), &mut carries, origin).iter().zip(&fault_free.ranks) {
+            assert_eq!((a.reached, a.field.max_diff(&reference.field)), (8, 0.0), "rank {}", reference.rank);
+        }
     }
 }

@@ -149,7 +149,7 @@ impl<'a> Recovery<'a> {
         for f in attempts.iter().filter_map(|a| a.faults.as_ref()) {
             self.report.faults.merge(f);
         }
-        self.report.checkpoints += attempts[0].cps.len() as u64;
+        self.report.checkpoints += attempts[0].captured;
         let crashed = attempts.iter().any(|a| a.crashed);
         if !crashed && attempts.iter().all(|a| a.failure.is_none()) {
             return None;

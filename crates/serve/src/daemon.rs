@@ -490,36 +490,37 @@ fn wait(shared: &Shared, key_str: &str, timeout: Duration) -> Response {
         return Response::Invalid { reason: format!("malformed key {key_str:?}") };
     };
     let deadline = Instant::now() + timeout;
-    let mut settled = shared.hub.settled.lock().unwrap();
-    loop {
-        let served = match settled.get(&key) {
-            Some(Settled::Done { cache, queue_ms, run_ms }) => Some((*cache, *queue_ms, *run_ms)),
-            Some(Settled::Failed(error)) => {
-                return Response::Failed { key: key_hex(key), error: error.clone() };
-            }
-            None => None,
-        };
+    let (run, served) = loop {
         // the payload lives in the cache, resident or spilled; a previous
         // incarnation's result never enters the hub and is answered from
-        // there too
-        drop(settled);
-        if let Some(run) = shared.cache.peek(key) {
-            let (cache, queue_ms, run_ms) = served.unwrap_or(("durable", 0.0, 0.0));
-            return done_response(key, &run, cache, queue_ms, run_ms);
+        // there too. Peeked outside the hub lock: a peek may read the spill.
+        let run = shared.cache.peek(key);
+        let settled = shared.hub.settled.lock().unwrap();
+        let served = match settled.get(&key) {
+            Some(&Settled::Done { cache, queue_ms, run_ms }) => Some((cache, queue_ms, run_ms)),
+            Some(Settled::Failed(error)) => return Response::Failed { key: key_hex(key), error: error.clone() },
+            None => None,
+        };
+        if run.is_some() || served.is_some() {
+            break (run, served);
         }
-        if served.is_some() {
-            // evicted, and the write-through to the spill had failed
-            let error = "result evicted and not in the spill store; resubmit".to_string();
-            return Response::Failed { key: key_hex(key), error };
-        }
-        settled = shared.hub.settled.lock().unwrap();
+        // unsettled: wait under the lock acquisition that saw it so, so a
+        // settle cannot land unheard in between
         let now = Instant::now();
         if now >= deadline {
             return Response::TimedOut { key: key_hex(key) };
         }
-        let (guard, _timed_out) = shared.hub.cv.wait_timeout(settled, deadline - now).unwrap();
-        settled = guard;
-    }
+        drop(shared.hub.cv.wait_timeout(settled, deadline - now).unwrap());
+    };
+    // settled after the peek missed it: the cache fill precedes the settle,
+    // so a second peek finds it unless it was evicted and the write-through
+    // to the spill had failed
+    let Some(run) = run.or_else(|| shared.cache.peek(key)) else {
+        let error = "result evicted and not in the spill store; resubmit".to_string();
+        return Response::Failed { key: key_hex(key), error };
+    };
+    let (cache, queue_ms, run_ms) = served.unwrap_or(("durable", 0.0, 0.0));
+    done_response(key, &run, cache, queue_ms, run_ms)
 }
 
 fn status(shared: &Shared) -> Response {
@@ -586,6 +587,43 @@ mod tests {
                 assert_eq!(payload, cold_payload, "the spill answers the same bytes");
             }
             other => panic!("a settled key answers Done after eviction, got {other:?}"),
+        }
+        daemon.drain().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `wait` checks the hub and blocks under one lock acquisition, so a
+    /// settle that lands while it peeks the cache is heard at once, not a
+    /// whole timeout later. Each trial starts a settle a little later
+    /// relative to the wait, sweeping it across the peek.
+    #[test]
+    fn a_settle_racing_a_wait_is_answered_at_once() {
+        let dir = std::env::temp_dir().join(format!("ns-daemon-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig { sync: false, ..DaemonConfig::new(&dir) }).unwrap();
+        let shared = &*daemon.shared;
+        let timeout = Duration::from_secs(5);
+        for trial in 0..400u64 {
+            // never submitted: every peek misses and reads the spill
+            let key = u64::MAX - trial;
+            let go = AtomicBool::new(false);
+            let answered = std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !go.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    for _ in 0..trial % 50 * 20 {
+                        std::hint::spin_loop();
+                    }
+                    settle(shared, key, Settled::Failed("raced".into()));
+                });
+                go.store(true, Ordering::Release);
+                let t0 = Instant::now();
+                let response = wait(shared, &key_hex(key), timeout);
+                assert!(matches!(response, Response::Failed { .. }), "trial {trial}: {response:?}");
+                t0.elapsed()
+            });
+            assert!(answered < timeout / 10, "trial {trial}: a racing settle was answered after {answered:?}");
         }
         daemon.drain().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -46,9 +46,10 @@
 //!   graceful drain that finishes every admitted job, journals a
 //!   `CleanShutdown`, and dumps the flight recorder.
 //!
-//! [`loadgen`] replays the sweep through the server — in-process or over
-//! the socket — and writes the latency/throughput/cache artifact that
-//! `jetns loadgen` and CI gate on.
+//! [`loadgen`] replays the sweep through a daemon over its socket and
+//! returns the verdict (byte-identical duplicates, golden fingerprints, a
+//! rejected-then-drained overload burst) that `jetns loadgen` and CI gate
+//! on.
 
 #![warn(missing_docs)]
 
@@ -67,9 +68,7 @@ pub use cache::{CacheStats, CachedRun, Claim, ResultCache};
 pub use client::Client;
 pub use daemon::{Daemon, DaemonConfig};
 pub use job::{Backend, JobDesc, JobSpec, Priority};
-pub use loadgen::{
-    run_loadgen, run_loadgen_socket, sweep_jobs, BurstReport, JobRow, LatencyStats, LoadgenOptions, LoadgenReport,
-};
+pub use loadgen::{run_loadgen, sweep_jobs, BurstReport, LoadgenOptions, LoadgenVerdict};
 pub use proto::{DaemonStatus, Request, Response};
 pub use queue::{JobQueue, PushError, Pushed, QueuedJob};
 pub use server::{golden_expectation, JobResult, Outcome, ServeStats, Server, ServerConfig, SubmitError};

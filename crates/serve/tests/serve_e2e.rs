@@ -1,7 +1,7 @@
 //! End-to-end tests for the serve stack: admission control under a full
 //! queue, byte-identical cache hits, shedding order at the server level,
 //! cooperative cancellation of in-flight rank teams, and the loadgen
-//! acceptance sweep.
+//! acceptance sweep over a daemon's socket.
 
 use ns_core::config::{Regime, SolverConfig};
 use ns_numerics::Grid;
@@ -152,31 +152,29 @@ fn shutdown_now_cancels_in_flight_rank_teams_cleanly() {
     }
 }
 
-/// The loadgen acceptance sweep: mixed comm versions × rank counts with
-/// duplicates, cache-served byte-identical repeats, golden cross-checks,
-/// and an overload burst that rejects with retry-after and still drains.
+/// The loadgen acceptance sweep through a daemon's socket: mixed comm
+/// versions × rank counts with duplicates, cache-served byte-identical
+/// repeats, golden cross-checks, and an overload burst that rejects with
+/// retry-after and still drains.
 #[test]
 fn loadgen_quick_sweep_passes_its_own_acceptance_bar() {
-    let report = run_loadgen(&LoadgenOptions { quick: true, workers: 2, queue_depth: 64 });
+    let scratch = std::env::temp_dir().join(format!("ns-serve-e2e-loadgen-{}", std::process::id()));
+    let v = run_loadgen(&LoadgenOptions { quick: true, workers: 2, queue_depth: 64 }, &scratch).expect("daemon runs");
+    let _ = std::fs::remove_dir_all(&scratch);
     assert!(
-        report.pass(),
-        "loadgen acceptance failed: completed {}/{}, failed {}, hits {}, dup-identical {}, golden {}/{} mismatched, burst rejected {} retry_after_ms {}",
-        report.jobs_completed,
-        report.jobs_submitted,
-        report.jobs_failed,
-        report.cache_hits,
-        report.duplicates_byte_identical,
-        report.golden_mismatches,
-        report.golden_checked,
-        report.burst.rejected,
-        report.burst.min_retry_after_ms,
+        v.pass(),
+        "loadgen acceptance failed: completed {}/{}, failed {}, hits {}, dup-identical {}, golden {} checked/{} mismatched, burst rejected {} retry_after_ms {}",
+        v.jobs_completed,
+        v.jobs_submitted,
+        v.jobs_failed,
+        v.cache_hits,
+        v.duplicates_byte_identical,
+        v.golden_checked,
+        v.golden_mismatches,
+        v.burst.rejected,
+        v.burst.min_retry_after_ms,
     );
     // every duplicated cell means at least half the sweep can hit
-    assert!(report.cache_hit_rate >= 0.4, "hit rate {} too low for a fully duplicated sweep", report.cache_hit_rate);
-    assert!(report.latency.p99_ms >= report.latency.p50_ms);
-    assert!(report.throughput_jobs_per_sec > 0.0);
-    // the artifact serializes (this is what `jetns loadgen` writes)
-    let json = report.to_json();
-    assert!(json.contains("\"burst\""));
-    assert!(json.contains("\"p99_ms\""));
+    let hit_rate = v.cache_hits as f64 / v.jobs_completed as f64;
+    assert!(hit_rate >= 0.4, "hit rate {hit_rate} too low for a fully duplicated sweep");
 }
