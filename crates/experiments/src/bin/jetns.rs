@@ -29,8 +29,6 @@
 //! jetns verify     [--quick] [--bless] [--json FILE]                   correctness gate: MMS order
 //!                  [--golden FILE]                                     sweeps, conservation ledgers,
 //!                                                                      differential oracle, goldens
-//! jetns serve      --jobs FILE [--workers N] [--depth N]               run a JSON job list through
-//!                  [--golden FILE] [--out FILE]                        the sharded batch service
 //! jetns loadgen    [--quick] [--workers N] [--depth N]                 replay the sweep through a
 //!                                                                      daemon's socket: duplicates,
 //!                                                                      goldens, overload burst
@@ -509,131 +507,11 @@ fn serve_golden(args: &Args) -> Option<ns_verify::snapshot::GoldenFile> {
         Some(path) => match ns_verify::snapshot::GoldenFile::load(path) {
             Ok(g) => Some(g),
             Err(e) => {
-                eprintln!("jetns serve: {e}; running without golden cross-checks");
+                eprintln!("jetns served: {e}; running without golden cross-checks");
                 None
             }
         },
         None => ns_verify::snapshot::GoldenFile::load("GOLDEN_verify.json").ok(),
-    }
-}
-
-fn cmd_serve(args: &Args) -> ExitCode {
-    use ns_serve::{JobDesc, Outcome, Server, ServerConfig, SubmitError};
-    let Some(jobs_path) = args.get("jobs") else {
-        eprintln!("jetns serve requires --jobs FILE (a JSON array of job descriptions)");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(jobs_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("jetns serve: cannot read {jobs_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let descs: Vec<JobDesc> = match serde_json::from_str(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("jetns serve: bad job list {jobs_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = ServerConfig {
-        workers: args.num("workers", 2usize).max(1),
-        queue_depth: args.num("depth", 32usize).max(1),
-        golden: serve_golden(args),
-        ..Default::default()
-    };
-    println!("serving {} jobs on {} workers (queue depth {})…", descs.len(), cfg.workers, cfg.queue_depth);
-    let (server, rx) = Server::new(cfg);
-    let mut expected = 0u64;
-    for (i, desc) in descs.iter().enumerate() {
-        let spec = match desc.to_spec() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("jetns serve: job {i} is invalid: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        loop {
-            match server.submit(spec.clone()) {
-                Ok(_) => {
-                    expected += 1;
-                    break;
-                }
-                Err(SubmitError::Busy { retry_after, .. }) => {
-                    // a CLI batch has nowhere to go: honour our own hint
-                    std::thread::sleep(retry_after);
-                }
-                Err(e) => {
-                    eprintln!("jetns serve: job {i} rejected: {e:?}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    let mut payloads = Vec::new();
-    let mut failed = 0u64;
-    for _ in 0..expected {
-        match rx.recv() {
-            Ok(Outcome::Done(r)) => {
-                let golden = match r.run.golden {
-                    Some(true) => ", golden ok",
-                    Some(false) => ", GOLDEN MISMATCH",
-                    None => "",
-                };
-                println!(
-                    "done {:<28} [{}] queue {:.1} ms, run {:.1} ms{golden}",
-                    r.label,
-                    if r.cache_hit { "cache" } else { "cold " },
-                    r.queue_wait.as_secs_f64() * 1e3,
-                    r.run_wall.as_secs_f64() * 1e3,
-                );
-                payloads.push(r);
-            }
-            Ok(Outcome::Shed { label, .. }) => {
-                // queue sized by --depth; a shed batch job simply reports
-                eprintln!("shed {label} (outranked under a full queue)");
-            }
-            Ok(Outcome::Failed { label, error, .. }) => {
-                eprintln!("FAILED {label}: {error}");
-                failed += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    let stats = server.finish();
-    println!(
-        "served {} ({} cold, {} cache hits), {} failed, {} golden checks ({} mismatched)",
-        stats.completed,
-        stats.cache_misses,
-        stats.cache_hits,
-        stats.failed,
-        stats.golden_checked,
-        stats.golden_mismatches
-    );
-    if let Some(path) = args.get("out") {
-        // the out file is a JSON array of the jobs' RunSummary payloads
-        // (each already carries its serve block), spliced verbatim so a
-        // cache hit is byte-identical to its cold twin
-        let mut body = String::from("[\n");
-        for (i, r) in payloads.iter().enumerate() {
-            body.push_str(&r.run.payload);
-            if i + 1 < payloads.len() {
-                body.push(',');
-            }
-            body.push('\n');
-        }
-        body.push_str("]\n");
-        if let Err(e) = write_file(path, body) {
-            eprintln!("jetns serve: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    if failed == 0 && stats.golden_mismatches == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 
@@ -659,7 +537,7 @@ fn cmd_loadgen(args: &Args) -> ExitCode {
     let b = v.burst;
     println!("jobs: {} submitted, {} completed, {} failed", v.jobs_submitted, v.jobs_completed, v.jobs_failed);
     println!(
-        "cache: {} hits (the daemon's Wait peeks count too), duplicates byte-identical: {}",
+        "cache: {} hits, duplicates byte-identical: {}",
         v.cache_hits,
         if v.duplicates_byte_identical { "yes" } else { "NO" }
     );
@@ -850,8 +728,8 @@ fn cmd_submit(args: &Args) -> ExitCode {
             }
         }
         if let Some(path) = args.get("out") {
-            // same artifact shape as `jetns serve --out`: a JSON array of
-            // the jobs' RunSummary payloads, spliced verbatim
+            // a JSON array of the jobs' RunSummary payloads, spliced
+            // verbatim so a cache hit is byte-identical to its cold twin
             let mut body = String::from("[\n");
             for (i, p) in payloads.iter().enumerate() {
                 body.push_str(p);
@@ -945,7 +823,7 @@ fn cmd_bench_compare(args: &Args) -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: jetns <run|telemetry|figures|platforms|extensions|speedup|checkpoint|resume|bench-report|bench-compare|chaos|verify|serve|served|submit|loadgen|metrics> [flags]\n\
+        "usage: jetns <run|telemetry|figures|platforms|extensions|speedup|checkpoint|resume|bench-report|bench-compare|chaos|verify|served|submit|loadgen|metrics> [flags]\n\
          see the module docs in crates/experiments/src/bin/jetns.rs"
     );
     ExitCode::FAILURE
@@ -969,7 +847,6 @@ fn main() -> ExitCode {
         "bench-report" => cmd_bench_report(&args),
         "chaos" => cmd_chaos(&args),
         "verify" => cmd_verify(&args),
-        "serve" => cmd_serve(&args),
         "served" => cmd_served(&args),
         "submit" => cmd_submit(&args),
         "loadgen" => cmd_loadgen(&args),

@@ -106,8 +106,7 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// An unbounded in-memory cache (the PR 5 behaviour; tests and the
-    /// short-lived in-process serve path).
+    /// An unbounded in-memory cache.
     pub fn new() -> Self {
         Self::with_budget(usize::MAX)
     }
@@ -223,29 +222,43 @@ impl ResultCache {
     }
 
     /// Non-claiming lookup: the result if it is resident or spilled,
-    /// `None` if absent *or currently being computed*. Used by the daemon
-    /// to short-circuit submits and settle waits without ever becoming an
-    /// accidental owner.
+    /// `None` if absent *or currently being computed*. Counts nothing:
+    /// the daemon uses it to answer waits and check replayed keys without
+    /// ever becoming an accidental owner.
     pub fn peek(&self, key: u64) -> Option<Arc<CachedRun>> {
+        self.lookup(key, false)
+    }
+
+    /// [`ResultCache::peek`] for a request the result answers in place of
+    /// a run (the daemon's durable short-circuit): a found result counts
+    /// as a hit, and as a spill hit when promoted from disk.
+    pub fn serve(&self, key: u64) -> Option<Arc<CachedRun>> {
+        self.lookup(key, true)
+    }
+
+    fn lookup(&self, key: u64, count: bool) -> Option<Arc<CachedRun>> {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.slots.get_mut(&key) {
+        let (run, spilled) = match inner.slots.get_mut(&key) {
             Some(Slot::Ready { run, last_used, .. }) => {
                 *last_used = clock;
-                let run = Arc::clone(run);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(run)
+                (Arc::clone(run), false)
             }
-            Some(Slot::Pending) => None,
+            Some(Slot::Pending) => return None,
             None => {
                 let run = self.spill.as_ref().and_then(|s| s.load(key))?;
                 self.insert_ready(&mut inner, key, Arc::clone(&run));
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                (run, true)
+            }
+        };
+        if count {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if spilled {
                 self.spill_hits.fetch_add(1, Ordering::Relaxed);
-                Some(run)
             }
         }
+        Some(run)
     }
 
     /// Publish the owner's result and wake coalesced waiters. With a
@@ -410,7 +423,7 @@ mod tests {
         assert_eq!(st.misses, 2, "no recompute after eviction");
         // a fresh cache over the same spill dir sees previous results
         let c2 = ResultCache::with_spill(entry_cost * 10, spill);
-        assert!(c2.peek(2).is_some(), "restart serves from spill");
+        assert!(c2.serve(2).is_some(), "restart serves from spill");
         assert_eq!(c2.stats().spill_hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -424,5 +437,8 @@ mod tests {
         c.fill(1, run("a"));
         assert_eq!(c.peek(1).unwrap().case, "a");
         assert_eq!(c.stats().misses, 1, "peek never becomes an owner");
+        assert_eq!(c.stats().hits, 0, "peek counts no hit");
+        assert!(c.serve(1).is_some());
+        assert_eq!(c.stats().hits, 1, "serve counts one");
     }
 }

@@ -1,6 +1,6 @@
 //! `ns-served`: the crash-durable serve daemon.
 //!
-//! The daemon wraps the in-process [`Server`] with the three things a
+//! The daemon wraps the in-process `Server` with the three things a
 //! long campaign needs to survive shared infrastructure (the operating
 //! mode of the related-work sweep campaigns): a Unix-socket transport
 //! speaking the checksummed [`crate::proto`] frames, a write-ahead
@@ -14,9 +14,9 @@
 //!    sent (fsynced when `sync` is on). An acknowledged job therefore
 //!    survives `kill -9` and is re-enqueued on restart.
 //! 2. A cold result is written through to the spill *before* its
-//!    `Completed` record is appended (the cache fill happens before the
-//!    worker emits its outcome, and the pump journals from outcomes), so
-//!    a `Completed` record always points at durable bytes and a restart
+//!    `Completed` record is appended (the worker fills the cache, then
+//!    calls the settle hook that journals it: program order), so a
+//!    `Completed` record always points at durable bytes and a restart
 //!    never recomputes a completed cell.
 //! 3. Graceful drain: stop admitting → run everything still queued →
 //!    journal `CleanShutdown` → dump the flight recorder → remove the
@@ -27,19 +27,18 @@ use crate::cache::ResultCache;
 use crate::client::parse_key_hex;
 use crate::job::JobDesc;
 use crate::proto::{read_request, write_response, DaemonStatus, Request, Response};
-use crate::server::{Outcome, Server, ServerConfig, SubmitError};
+use crate::server::{Server, Settled, SubmitError};
 use crate::spill::Spill;
 use crate::wal::{key_hex, Wal, WalRecord, WalReplay};
 use crate::CachedRun;
-use crossbeam_channel::Receiver;
 use ns_metrics::{FlightDump, FlightRecorder, Registry};
 use ns_verify::snapshot::GoldenFile;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,8 +94,6 @@ pub struct DaemonConfig {
     /// fsync WAL admits and spill writes (turn off only in tests that
     /// don't exercise crash durability).
     pub sync: bool,
-    /// Brownout threshold as a fraction of `queue_depth`.
-    pub brownout_fraction: f64,
     /// Golden snapshots for cold-result cross-checks.
     pub golden: Option<GoldenFile>,
 }
@@ -111,28 +108,18 @@ impl DaemonConfig {
             queue_depth: 32,
             cache_budget_bytes: 64 << 20,
             sync: true,
-            brownout_fraction: 0.75,
             golden: None,
         }
     }
 }
 
-/// How a settled job is remembered for `Wait` clients. A done job keeps
-/// only how it was served: the payload stays in the result cache (resident
-/// or spilled), whose byte budget is then the daemon's bound on resident
-/// results however many keys have settled.
-enum Settled {
-    Done {
-        /// `"cold"` or `"hit"` (how the worker served it).
-        cache: &'static str,
-        queue_ms: f64,
-        run_ms: f64,
-    },
-    Failed(String),
-}
-
+/// Every key the daemon has admitted, and `Wait` clients blocked on it. A
+/// key maps to `None` while its job is pending, then to how it settled; a
+/// done job keeps only how it was served: the payload stays in the result
+/// cache (resident or spilled), whose byte budget is then the daemon's
+/// bound on resident results however many keys have settled.
 struct WaitHub {
-    settled: Mutex<HashMap<u64, Settled>>,
+    jobs: Mutex<HashMap<u64, Option<Settled>>>,
     cv: Condvar,
 }
 
@@ -141,7 +128,6 @@ struct Shared {
     cache: Arc<ResultCache>,
     wal: Mutex<Wal>,
     hub: WaitHub,
-    inflight: Mutex<HashSet<u64>>,
     draining: AtomicBool,
     flight: Mutex<FlightRecorder>,
     state_dir: PathBuf,
@@ -150,6 +136,11 @@ struct Shared {
 impl Shared {
     fn record(&self, kind: &str, label: &str, key: Option<u64>) {
         self.flight.lock().unwrap().record(kind, label, None, key, None, 0);
+    }
+
+    /// Jobs admitted and not yet settled.
+    fn inflight(&self) -> usize {
+        self.hub.jobs.lock().unwrap().values().filter(|how| how.is_none()).count()
     }
 
     fn dump_flight(&self, reason: &str) {
@@ -175,37 +166,37 @@ pub struct DrainReport {
 pub struct Daemon {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    pump_thread: Option<JoinHandle<()>>,
     socket_path: PathBuf,
     replay: WalReplay,
 }
 
 impl Daemon {
     /// Start the daemon: replay the journal, re-enqueue unsettled jobs,
-    /// bind the socket, start the accept loop and the outcome pump.
+    /// bind the socket, start the accept loop.
     pub fn start(cfg: DaemonConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let socket_path = cfg.socket.clone().unwrap_or_else(|| cfg.state_dir.join("served.sock"));
         let (wal, replay) = Wal::open(cfg.state_dir.join("jobs.wal"), cfg.sync)?;
         let spill = Spill::open(cfg.state_dir.join("spill"), cfg.sync)?;
-        let (server, outcomes) = Server::new(ServerConfig {
-            workers: cfg.workers,
-            queue_depth: cfg.queue_depth,
-            golden: cfg.golden.clone(),
-            cache_budget_bytes: cfg.cache_budget_bytes,
-            spill: Some(spill),
-            brownout_fraction: cfg.brownout_fraction,
-        });
-        let cache = server.cache_handle();
-        let shared = Arc::new(Shared {
-            server: Mutex::new(Some(server)),
-            cache,
-            wal: Mutex::new(wal),
-            hub: WaitHub { settled: Mutex::new(HashMap::new()), cv: Condvar::new() },
-            inflight: Mutex::new(HashSet::new()),
-            draining: AtomicBool::new(false),
-            flight: Mutex::new(FlightRecorder::default()),
-            state_dir: cfg.state_dir.clone(),
+        let shared = Arc::new_cyclic(|me: &Weak<Shared>| {
+            // workers settle their own jobs through this hook; nothing is
+            // queued before `new_cyclic` returns, so it always upgrades
+            let me = me.clone();
+            let hook = move |key: u64, label: &str, how: Settled| {
+                if let Some(shared) = me.upgrade() {
+                    settle(&shared, key, label, how);
+                }
+            };
+            let server = Server::new(&cfg, spill, Box::new(hook));
+            Shared {
+                cache: server.cache_handle(),
+                server: Mutex::new(Some(server)),
+                wal: Mutex::new(wal),
+                hub: WaitHub { jobs: Mutex::new(HashMap::new()), cv: Condvar::new() },
+                draining: AtomicBool::new(false),
+                flight: Mutex::new(FlightRecorder::default()),
+                state_dir: cfg.state_dir.clone(),
+            }
         });
 
         let unclean = !replay.pending.is_empty() || (replay.records > 0 && !replay.clean_shutdown);
@@ -214,13 +205,6 @@ impl Daemon {
             shared.dump_flight("unclean-restart");
             Registry::global().counter("ns_served_unclean_restarts_total").inc();
         }
-
-        // the pump journals settles and wakes Wait clients; started before
-        // replay so replayed jobs settle through the same path
-        let pump_thread = Some({
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || outcome_pump(&shared, &outcomes))
-        });
 
         // re-enqueue admitted-but-unsettled jobs from the previous
         // incarnation (already journaled: no second Admitted record)
@@ -234,7 +218,7 @@ impl Daemon {
                 let _ = wal.append(&WalRecord::Completed { key: key_str.clone() });
                 continue;
             }
-            shared.inflight.lock().unwrap().insert(key);
+            shared.hub.jobs.lock().unwrap().insert(key, None);
             resubmit_with_patience(&shared, key, desc);
             replayed.inc();
         }
@@ -247,7 +231,7 @@ impl Daemon {
             std::thread::spawn(move || accept_loop(&shared, &listener))
         });
 
-        Ok(Self { shared, accept_thread, pump_thread, socket_path, replay })
+        Ok(Self { shared, accept_thread, socket_path, replay })
     }
 
     /// What journal replay found at startup.
@@ -268,7 +252,7 @@ impl Daemon {
 
     /// Admitted-but-unsettled jobs currently tracked.
     pub fn inflight(&self) -> usize {
-        self.shared.inflight.lock().unwrap().len()
+        self.shared.inflight()
     }
 
     /// Graceful drain: stop admitting, finish every admitted job, journal
@@ -281,9 +265,6 @@ impl Daemon {
             Some(server) => server.finish(),
             None => Default::default(),
         };
-        if let Some(pump) = self.pump_thread.take() {
-            let _ = pump.join();
-        }
         if let Some(accept) = self.accept_thread.take() {
             let _ = accept.join();
         }
@@ -300,18 +281,16 @@ impl Daemon {
     }
 }
 
-/// Re-submit a replayed job, riding out `Busy` rejections: the restart
-/// backlog can exceed the queue depth, and workers are already chewing
-/// through it, so patience is all that's needed.
+/// Re-submit a replayed job (already `Pending` in the hub), riding out
+/// `Busy` rejections: the restart backlog can exceed the queue depth, and
+/// workers are already chewing through it, so patience is all that's
+/// needed.
 fn resubmit_with_patience(shared: &Shared, key: u64, desc: &JobDesc) {
     let spec = match desc.to_spec() {
         Ok(spec) => spec,
+        // journaled under an older validation regime
         Err(reason) => {
-            // journaled under an older validation regime: settle it
-            settle(shared, key, Settled::Failed(format!("replayed job no longer valid: {reason}")));
-            let mut wal = shared.wal.lock().unwrap();
-            let _ = wal.append(&WalRecord::Cancelled { key: key_hex(key), reason });
-            return;
+            return settle(shared, key, "", Settled::Failed(format!("replayed job no longer valid: {reason}")))
         }
     };
     loop {
@@ -319,71 +298,29 @@ fn resubmit_with_patience(shared: &Shared, key: u64, desc: &JobDesc) {
             let guard = shared.server.lock().unwrap();
             let Some(server) = guard.as_ref() else { return };
             match server.submit(spec.clone()) {
-                Ok(_) => return,
+                Ok(_) | Err(SubmitError::Closed) => return,
                 Err(SubmitError::Busy { retry_after, .. }) => retry_after.min(Duration::from_millis(200)),
-                Err(SubmitError::Closed) => return,
-                Err(SubmitError::Invalid(reason)) => {
-                    drop(guard);
-                    settle(shared, key, Settled::Failed(reason.clone()));
-                    let mut wal = shared.wal.lock().unwrap();
-                    let _ = wal.append(&WalRecord::Cancelled { key: key_hex(key), reason });
-                    return;
-                }
+                Err(SubmitError::Invalid(reason)) => return settle(shared, key, "", Settled::Failed(reason)),
             }
         };
         std::thread::sleep(backoff);
     }
 }
 
-fn settle(shared: &Shared, key: u64, how: Settled) {
-    shared.inflight.lock().unwrap().remove(&key);
-    shared.hub.settled.lock().unwrap().insert(key, how);
-    shared.hub.cv.notify_all();
-}
-
-/// Journal settles and wake waiters. Runs until the server (and with it
-/// every outcome sender) is gone.
-fn outcome_pump(shared: &Shared, outcomes: &Receiver<Outcome>) {
-    while let Ok(outcome) = outcomes.recv() {
-        match outcome {
-            Outcome::Done(res) => {
-                // ordering invariant 2: the worker filled the cache (spill
-                // write-through) before sending this outcome, so the
-                // Completed record below always points at durable bytes
-                {
-                    let mut wal = shared.wal.lock().unwrap();
-                    let _ = wal.append(&WalRecord::Completed { key: key_hex(res.key) });
-                }
-                shared.record("complete", &res.case, Some(res.key));
-                settle(
-                    shared,
-                    res.key,
-                    Settled::Done {
-                        cache: if res.cache_hit { "hit" } else { "cold" },
-                        queue_ms: res.queue_wait.as_secs_f64() * 1e3,
-                        run_ms: res.run_wall.as_secs_f64() * 1e3,
-                    },
-                );
-            }
-            Outcome::Failed { key, error, .. } => {
-                {
-                    let mut wal = shared.wal.lock().unwrap();
-                    let _ = wal.append(&WalRecord::Cancelled { key: key_hex(key), reason: error.clone() });
-                }
-                shared.record("fail", &error, Some(key));
-                settle(shared, key, Settled::Failed(error));
-            }
-            Outcome::Shed { key, label, .. } => {
-                let reason = format!("shed under load: {label}");
-                {
-                    let mut wal = shared.wal.lock().unwrap();
-                    let _ = wal.append(&WalRecord::Cancelled { key: key_hex(key), reason: reason.clone() });
-                }
-                shared.record("shed", &label, Some(key));
-                settle(shared, key, Settled::Failed(reason));
-            }
+/// The settle hook: journal how the job settled, record it in the flight
+/// ring (under `label` when done, its reason when failed) and wake `Wait`
+/// clients. Runs on the thread that settled the job.
+fn settle(shared: &Shared, key: u64, label: &str, how: Settled) {
+    let (record, kind, note) = match &how {
+        Settled::Done { .. } => (WalRecord::Completed { key: key_hex(key) }, "complete", label),
+        Settled::Failed(reason) => {
+            (WalRecord::Cancelled { key: key_hex(key), reason: reason.clone() }, "fail", reason.as_str())
         }
-    }
+    };
+    let _ = shared.wal.lock().unwrap().append(&record);
+    shared.record(kind, note, Some(key));
+    shared.hub.jobs.lock().unwrap().insert(key, Some(how));
+    shared.hub.cv.notify_all();
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
@@ -454,8 +391,9 @@ fn submit(shared: &Shared, desc: &JobDesc) -> Response {
     };
     let key = spec.canonical_key();
     // durable short-circuit: a key with a result (resident or spilled)
-    // answers immediately and is never journaled or queued again
-    if let Some(run) = shared.cache.peek(key) {
+    // answers immediately, as a cache hit, and is never journaled or
+    // queued again
+    if let Some(run) = shared.cache.serve(key) {
         shared.record("durable-hit", &run.case, Some(key));
         return done_response(key, &run, "durable", 0.0, 0.0);
     }
@@ -467,9 +405,22 @@ fn submit(shared: &Shared, desc: &JobDesc) -> Response {
     let Some(server) = guard.as_ref() else {
         return Response::Draining;
     };
-    match server.submit(spec) {
+    // pending before the push: a worker can settle the job before
+    // `submit` returns (a zero deadline expires at once). A rejection puts
+    // back what was there, e.g. a duplicate still pending.
+    let before = shared.hub.jobs.lock().unwrap().insert(key, None);
+    let admitted = server.submit(spec);
+    if admitted.is_err() {
+        let mut jobs = shared.hub.jobs.lock().unwrap();
+        if jobs.get(&key) == Some(&None) {
+            match before {
+                Some(how) => jobs.insert(key, how),
+                None => jobs.remove(&key),
+            };
+        }
+    }
+    match admitted {
         Ok(id) => {
-            shared.inflight.lock().unwrap().insert(key);
             let mut wal = shared.wal.lock().unwrap();
             if let Err(e) = wal.append(&WalRecord::Admitted { key: key_hex(key), desc: desc.clone() }) {
                 return Response::Failed { key: key_hex(key), error: format!("journal append failed: {e}") };
@@ -495,11 +446,11 @@ fn wait(shared: &Shared, key_str: &str, timeout: Duration) -> Response {
         // incarnation's result never enters the hub and is answered from
         // there too. Peeked outside the hub lock: a peek may read the spill.
         let run = shared.cache.peek(key);
-        let settled = shared.hub.settled.lock().unwrap();
-        let served = match settled.get(&key) {
-            Some(&Settled::Done { cache, queue_ms, run_ms }) => Some((cache, queue_ms, run_ms)),
-            Some(Settled::Failed(error)) => return Response::Failed { key: key_hex(key), error: error.clone() },
-            None => None,
+        let jobs = shared.hub.jobs.lock().unwrap();
+        let served = match jobs.get(&key) {
+            Some(&Some(Settled::Done { cache, queue_ms, run_ms })) => Some((cache, queue_ms, run_ms)),
+            Some(Some(Settled::Failed(error))) => return Response::Failed { key: key_hex(key), error: error.clone() },
+            Some(None) | None => None,
         };
         if run.is_some() || served.is_some() {
             break (run, served);
@@ -510,7 +461,7 @@ fn wait(shared: &Shared, key_str: &str, timeout: Duration) -> Response {
         if now >= deadline {
             return Response::TimedOut { key: key_hex(key) };
         }
-        drop(shared.hub.cv.wait_timeout(settled, deadline - now).unwrap());
+        drop(shared.hub.cv.wait_timeout(jobs, deadline - now).unwrap());
     };
     // settled after the peek missed it: the cache fill precedes the settle,
     // so a second peek finds it unless it was evicted and the write-through
@@ -534,7 +485,7 @@ fn status(shared: &Shared) -> Response {
         status: DaemonStatus {
             stats,
             queue_len,
-            inflight: shared.inflight.lock().unwrap().len() as u64,
+            inflight: shared.inflight() as u64,
             wal_records: shared.wal.lock().unwrap().records(),
             draining: shared.draining.load(Ordering::SeqCst),
             brownout,
@@ -575,7 +526,7 @@ mod tests {
         let (key, _, cold_payload) = settle_job(2);
         let resident = Arc::downgrade(&shared.cache.peek(parse_key_hex(&key).unwrap()).expect("just filled"));
         settle_job(3);
-        // the pump drops its outcome right after settling; give it a moment
+        // the worker drops its handle right after settling; give it a moment
         let deadline = Instant::now() + Duration::from_secs(10);
         while resident.upgrade().is_some() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
@@ -615,7 +566,7 @@ mod tests {
                     for _ in 0..trial % 50 * 20 {
                         std::hint::spin_loop();
                     }
-                    settle(shared, key, Settled::Failed("raced".into()));
+                    settle(shared, key, "raced", Settled::Failed("raced".into()));
                 });
                 go.store(true, Ordering::Release);
                 let t0 = Instant::now();
@@ -625,6 +576,66 @@ mod tests {
             });
             assert!(answered < timeout / 10, "trial {trial}: a racing settle was answered after {answered:?}");
         }
+        daemon.drain().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn serial_desc(steps: u64) -> JobDesc {
+        let mut spec = JobSpec::new(SolverConfig::paper(Grid::new(24, 10, 50.0, 5.0), Regime::Euler), steps, 1);
+        spec.backend = Backend::Serial;
+        JobDesc::from_spec(&spec)
+    }
+
+    fn daemon_status(shared: &Shared) -> DaemonStatus {
+        match status(shared) {
+            Response::Status { status } => status,
+            other => panic!("status answers Status, got {other:?}"),
+        }
+    }
+
+    /// A hit is a submit the cache answers in place of a run. Waiting on a
+    /// settled key reads the cache too, but serves nothing new.
+    #[test]
+    fn only_a_submit_answered_from_the_cache_counts_a_hit() {
+        let dir = std::env::temp_dir().join(format!("ns-daemon-hits-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig { sync: false, ..DaemonConfig::new(&dir) }).unwrap();
+        let shared = &daemon.shared;
+        let desc = serial_desc(2);
+        let Response::Admitted { key, .. } = submit(shared, &desc) else { panic!("a fresh key is admitted") };
+        for _ in 0..3 {
+            assert!(matches!(wait(shared, &key, Duration::from_secs(120)), Response::Done { .. }));
+        }
+        assert_eq!(daemon_status(shared).stats.cache_hits, 0, "waits count no hit");
+        assert!(matches!(submit(shared, &desc), Response::Done { .. }), "the repeat is answered at submit");
+        assert_eq!(daemon_status(shared).stats.cache_hits, 1, "one resubmit, one hit");
+        daemon.drain().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A zero deadline is valid on the wire and expires the moment a worker
+    /// pops the job, possibly before `submit` returns; the key must still
+    /// leave the in-flight count once it settles.
+    #[test]
+    fn jobs_settled_before_submit_returns_leave_nothing_in_flight() {
+        let dir = std::env::temp_dir().join(format!("ns-daemon-inflight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig { sync: false, workers: 4, ..DaemonConfig::new(&dir) }).unwrap();
+        let shared = &daemon.shared;
+        for steps in 1..=200 {
+            let desc = JobDesc { deadline_ms: Some(0), ..serial_desc(steps) };
+            let key = match submit(shared, &desc) {
+                Response::Admitted { key, .. } => key,
+                Response::Busy { .. } => continue,
+                other => panic!("a valid job is admitted or busy, got {other:?}"),
+            };
+            match wait(shared, &key, Duration::from_secs(60)) {
+                Response::Failed { error, .. } => assert!(error.contains("deadline exceeded"), "got {error:?}"),
+                other => panic!("a zero-deadline job expires, got {other:?}"),
+            }
+        }
+        assert_eq!(daemon_status(shared).inflight, 0, "every settled key left the in-flight count");
+        assert_eq!(daemon.inflight(), 0);
         daemon.drain().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

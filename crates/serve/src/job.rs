@@ -239,7 +239,7 @@ impl JobSpec {
     }
 }
 
-/// JSON-facing job description, the `jetns serve --jobs` wire format. Grid
+/// JSON-facing job description, the `jetns submit --jobs` wire format. Grid
 /// extents use the paper's domain (50 x 5 jet radii); everything beyond the
 /// physics shape has serve-appropriate defaults.
 #[derive(Clone, Debug, PartialEq, Serialize)]

@@ -13,7 +13,7 @@
 //!   abandoned — immediate shutdown uses the runtime's cooperative
 //!   [`ns_runtime::CancelToken`], a per-step collective, so every rank of
 //!   a team stops at the same step boundary.
-//! * **Sharding** — a bounded worker pool ([`server::Server`]) executes
+//! * **Sharding** — a bounded worker pool (the daemon's server) executes
 //!   jobs on the real backends: the serial [`ns_core::Solver`], the
 //!   message-passing driver [`ns_runtime::run`] (any comm protocol
 //!   version; the chaos backend is the same plan with the recovery
@@ -71,6 +71,6 @@ pub use job::{Backend, JobDesc, JobSpec, Priority};
 pub use loadgen::{run_loadgen, sweep_jobs, BurstReport, LoadgenOptions, LoadgenVerdict};
 pub use proto::{DaemonStatus, Request, Response};
 pub use queue::{JobQueue, PushError, Pushed, QueuedJob};
-pub use server::{golden_expectation, JobResult, Outcome, ServeStats, Server, ServerConfig, SubmitError};
+pub use server::ServeStats;
 pub use spill::Spill;
 pub use wal::{Wal, WalRecord, WalReplay};

@@ -25,7 +25,7 @@ pub enum Request {
     /// Submit a job for execution (idempotent by canonical key: a key
     /// that already has a durable result answers `Done` immediately).
     Submit {
-        /// The job description (the `jetns serve --jobs` wire format).
+        /// The job description (the `jetns submit --jobs` wire format).
         desc: crate::job::JobDesc,
     },
     /// Block until the keyed job settles (or the timeout passes).

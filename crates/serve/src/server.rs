@@ -9,15 +9,18 @@
 //! byte-for-byte; an owner executes the backend run, stamps the job-level
 //! telemetry into the `RunSummary`, optionally cross-checks the field
 //! fingerprint against the committed golden snapshots, and fills the
-//! cache. Shutdown is graceful by construction: cancellation is the
-//! cooperative collective token from `ns-runtime`, so an in-flight rank
-//! team always winds down together — it is never abandoned mid-exchange.
+//! cache. Whoever settles a job (the worker, or the submitter whose push
+//! shed it) reports it once through the `SettleHook` the daemon supplied
+//! when it built the server. Shutdown is graceful by construction:
+//! cancellation is the cooperative collective token from `ns-runtime`, so
+//! an in-flight rank team always winds down together — it is never
+//! abandoned mid-exchange.
 
 use crate::cache::{CacheStats, CachedRun, Claim, ResultCache};
+use crate::daemon::DaemonConfig;
 use crate::job::{Backend, JobSpec, Priority};
 use crate::queue::{JobQueue, PushError, Pushed, QueuedJob};
 use crate::spill::Spill;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use ns_core::config::Regime;
 use ns_core::shared::SharedSolver;
 use ns_core::Solver;
@@ -31,46 +34,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Server tuning.
-#[derive(Clone, Debug)]
-pub struct ServerConfig {
-    /// Worker threads (each runs one job at a time; a parallel job spawns
-    /// its rank team inside the worker).
-    pub workers: usize,
-    /// Admission-queue depth bound.
-    pub queue_depth: usize,
-    /// Golden snapshots to cross-check cold results against, where a cell's
-    /// shape matches the oracle's (see [`golden_expectation`]).
-    pub golden: Option<GoldenFile>,
-    /// Result-cache residency budget in bytes; LRU entries past it are
-    /// evicted (to the spill, when one is attached).
-    pub cache_budget_bytes: usize,
-    /// On-disk spill for the result cache: fills write through, misses
-    /// promote back. `None` keeps the cache memory-only.
-    pub spill: Option<Spill>,
-    /// Brownout threshold as a fraction of `queue_depth`: once the queue
-    /// is this full (or cache residency crosses 90% of budget), low-
-    /// priority submissions are rejected up front instead of admitted and
-    /// shed later.
-    pub brownout_fraction: f64,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            workers: 2,
-            queue_depth: 32,
-            golden: None,
-            cache_budget_bytes: 64 << 20,
-            spill: None,
-            brownout_fraction: 0.75,
-        }
-    }
-}
+/// Queue occupancy, as a fraction of its depth, past which low-priority
+/// submissions are rejected up front instead of admitted and shed later.
+const BROWNOUT_FRACTION: f64 = 0.75;
 
 /// Why a submission was not admitted.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SubmitError {
+pub(crate) enum SubmitError {
     /// Validation failed; nothing was queued.
     Invalid(String),
     /// Queue at capacity (and the job outranked nothing sheddable), or the
@@ -89,61 +59,28 @@ pub enum SubmitError {
     Closed,
 }
 
-/// A finished job.
-#[derive(Clone, Debug)]
-pub struct JobResult {
-    /// Server-assigned job id.
-    pub id: u64,
-    /// Canonical cache key of the cell (what the daemon journals by).
-    pub key: u64,
-    /// Reporting label (the spec's, or the canonical case when unset).
-    pub label: String,
-    /// Canonical case name of the cell.
-    pub case: String,
-    /// Admission priority.
-    pub priority: Priority,
-    /// Served from cache?
-    pub cache_hit: bool,
-    /// Time between admission and a worker claiming the job.
-    pub queue_wait: Duration,
-    /// Backend execution time (zero for cache hits).
-    pub run_wall: Duration,
-    /// The result: payload, field fingerprint, golden verdict. Hits share
-    /// the cold run's allocation, so duplicate cells are byte-identical by
-    /// construction.
-    pub run: Arc<CachedRun>,
+/// How a job settled.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Settled {
+    /// Completed, cold or from cache; the result is in the cache.
+    Done {
+        /// `"cold"` or `"hit"`.
+        cache: &'static str,
+        /// Time between admission and a worker claiming the job.
+        queue_ms: f64,
+        /// Backend execution time (zero for cache hits).
+        run_ms: f64,
+    },
+    /// Settled without a result: shed from the queue, expired there past
+    /// its deadline, or failed in a backend (panic, abort, cancellation).
+    Failed(String),
 }
 
-/// Everything a worker can report back.
-#[derive(Clone, Debug)]
-pub enum Outcome {
-    /// Completed (cold or from cache).
-    Done(JobResult),
-    /// Evicted from the queue to admit higher-priority work, or drained by
-    /// an immediate shutdown. Never an in-flight job.
-    Shed {
-        /// Job id.
-        id: u64,
-        /// Canonical cache key.
-        key: u64,
-        /// Reporting label.
-        label: String,
-        /// The shed job's priority.
-        priority: Priority,
-    },
-    /// The backend failed (panic, abort, cancellation, or a deadline that
-    /// expired while the job was still queued).
-    Failed {
-        /// Job id.
-        id: u64,
-        /// Canonical cache key.
-        key: u64,
-        /// Reporting label.
-        label: String,
-        /// What happened.
-        error: String,
-    },
-}
+/// Called once for every admitted job, with its canonical key, its
+/// reporting label and how it settled, on the thread that settled it: the
+/// worker, or the submitter whose push shed it. A `Done` job's result is
+/// already in the cache (and written through to the spill) when it runs.
+pub(crate) type SettleHook = Box<dyn Fn(u64, &str, Settled) + Send + Sync>;
 
 /// Monotonic server counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -224,7 +161,7 @@ impl ServeMetrics {
 }
 
 struct Inner {
-    outcomes: Sender<Outcome>,
+    settle: SettleHook,
     metrics: ServeMetrics,
     cancel: CancelToken,
     golden: Option<GoldenFile>,
@@ -272,31 +209,27 @@ impl Inner {
 
 /// The server. Dropping it without calling [`Server::finish`] or
 /// [`Server::shutdown_now`] joins nothing — call one of them.
-pub struct Server {
+pub(crate) struct Server {
     queue: Arc<JobQueue>,
     cache: Arc<ResultCache>,
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     queue_depth: usize,
-    brownout_fraction: f64,
 }
 
 impl Server {
-    /// Start a server and return it with the outcome stream.
-    pub fn new(cfg: ServerConfig) -> (Self, Receiver<Outcome>) {
+    /// Start the workers over a cache backed by `spill`; every admitted job
+    /// is reported to `settle` exactly once.
+    pub fn new(cfg: &DaemonConfig, spill: Spill, settle: SettleHook) -> Self {
         assert!(cfg.workers >= 1);
-        let (tx, rx) = unbounded();
         let queue = Arc::new(JobQueue::new(cfg.queue_depth));
-        let cache = Arc::new(match cfg.spill {
-            Some(spill) => ResultCache::with_spill(cfg.cache_budget_bytes, spill),
-            None => ResultCache::with_budget(cfg.cache_budget_bytes),
-        });
+        let cache = Arc::new(ResultCache::with_spill(cfg.cache_budget_bytes, spill));
         let inner = Arc::new(Inner {
-            outcomes: tx,
+            settle,
             metrics: ServeMetrics::new(),
             cancel: CancelToken::new(),
-            golden: cfg.golden,
+            golden: cfg.golden.clone(),
             workers: cfg.workers,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -317,18 +250,7 @@ impl Server {
                 std::thread::spawn(move || worker_loop(&queue, &cache, &inner))
             })
             .collect();
-        (
-            Self {
-                queue,
-                cache,
-                inner,
-                workers,
-                next_id: AtomicU64::new(1),
-                queue_depth: cfg.queue_depth,
-                brownout_fraction: cfg.brownout_fraction,
-            },
-            rx,
-        )
+        Self { queue, cache, inner, workers, next_id: AtomicU64::new(1), queue_depth: cfg.queue_depth }
     }
 
     /// A handle on the result cache (the daemon uses it to short-circuit
@@ -337,14 +259,12 @@ impl Server {
         Arc::clone(&self.cache)
     }
 
-    /// True when admission is under brownout: queue depth past the
-    /// configured fraction of capacity, or cache residency past 90% of its
-    /// byte budget. Low-priority submissions are rejected while this
+    /// True when admission is under brownout: queue depth past
+    /// [`BROWNOUT_FRACTION`] of capacity, or cache residency past 90% of
+    /// its byte budget. Low-priority submissions are rejected while this
     /// holds.
     pub fn brownout_active(&self) -> bool {
-        // fraction 0 means a zero threshold: every Low submission is
-        // rejected (useful for drain-like modes and deterministic tests)
-        let threshold = (self.brownout_fraction * self.queue_depth as f64).ceil() as usize;
+        let threshold = (BROWNOUT_FRACTION * self.queue_depth as f64).ceil() as usize;
         if self.queue.len() >= threshold {
             return true;
         }
@@ -364,16 +284,7 @@ impl Server {
         let job = QueuedJob { id, spec, submitted: Instant::now() };
         match self.queue.push(job) {
             Ok(Pushed::Admitted) => {}
-            Ok(Pushed::Shed(victim)) => {
-                self.inner.shed.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.shed.inc();
-                let _ = self.inner.outcomes.send(Outcome::Shed {
-                    id: victim.id,
-                    key: victim.spec.canonical_key(),
-                    label: label_of(&victim.spec),
-                    priority: victim.spec.priority,
-                });
-            }
+            Ok(Pushed::Shed(victim)) => self.shed(&victim),
             Err(PushError::Full(rejected)) => {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                 self.inner.metrics.rejected.inc();
@@ -439,19 +350,21 @@ impl Server {
         self.stats()
     }
 
+    /// Settle a queued job that will never run.
+    fn shed(&self, victim: &QueuedJob) {
+        self.inner.shed.fetch_add(1, Ordering::Relaxed);
+        self.inner.metrics.shed.inc();
+        let label = label_of(&victim.spec);
+        (self.inner.settle)(victim.spec.canonical_key(), &label, Settled::Failed(format!("shed under load: {label}")));
+    }
+
     /// Immediate shutdown: drain the queue (draining jobs are reported as
     /// shed), fire the cooperative cancel token so in-flight rank teams
     /// wind down together at the next step boundary, join the workers.
+    #[allow(dead_code, reason = "the daemon always drains; server::tests pins this cancel path")]
     pub fn shutdown_now(mut self) -> ServeStats {
         for victim in self.queue.drain() {
-            self.inner.shed.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.shed.inc();
-            let _ = self.inner.outcomes.send(Outcome::Shed {
-                id: victim.id,
-                key: victim.spec.canonical_key(),
-                label: label_of(&victim.spec),
-                priority: victim.spec.priority,
-            });
+            self.shed(&victim);
         }
         self.inner.metrics.queue_depth.set(0);
         self.inner.cancel.cancel();
@@ -473,109 +386,72 @@ fn label_of(spec: &JobSpec) -> String {
 fn worker_loop(queue: &JobQueue, cache: &ResultCache, inner: &Inner) {
     while let Some(job) = queue.pop() {
         inner.metrics.queue_depth.set(queue.len() as i64);
-        let queue_wait = job.submitted.elapsed();
         let key = job.spec.canonical_key();
-        let case = job.spec.case();
-        let label = label_of(&job.spec);
-        // deadline gate: a job that waited out its deadline in the queue is
-        // settled without running (and without touching the cache — the
-        // slot stays free for a live claimant)
-        if let Some(deadline) = job.spec.deadline {
-            if queue_wait > deadline {
-                inner.expired.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.expired.inc();
-                inner.failed.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.failed.inc();
-                let _ = inner.outcomes.send(Outcome::Failed {
-                    id: job.id,
-                    key,
-                    label,
-                    error: format!(
-                        "deadline exceeded: waited {:.1}ms of a {:.1}ms budget",
-                        queue_wait.as_secs_f64() * 1e3,
-                        deadline.as_secs_f64() * 1e3
-                    ),
-                });
-                continue;
-            }
-        }
-        match cache.claim(key) {
-            Claim::Hit(run) => {
-                inner.completed.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.completed.inc();
-                inner.metrics.cache_hits.inc();
-                let _ = inner.outcomes.send(Outcome::Done(JobResult {
-                    id: job.id,
-                    key,
-                    label,
-                    case,
-                    priority: job.spec.priority,
-                    cache_hit: true,
-                    queue_wait,
-                    run_wall: Duration::ZERO,
-                    run,
-                }));
-            }
-            Claim::Owner => {
-                inner.metrics.cache_misses.inc();
-                let busy = ServeMetrics::backend_busy(job.spec.backend);
-                let t0 = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| execute(&job.spec, &inner.cancel)));
-                let run_wall = t0.elapsed();
-                let run_us = run_wall.as_micros().min(u128::from(u64::MAX)) as u64;
-                inner.metrics.job_run_us.record(run_us);
-                busy.add(run_us);
-                let result = match outcome {
-                    Ok(r) => r,
-                    Err(panic) => Err(panic_message(&panic)),
-                };
-                match result {
-                    Ok((mut summary, hash)) => {
-                        inner.record_service_time(job.spec.priority, job.spec.cost_units(), run_wall);
-                        let golden =
-                            inner.golden.as_ref().and_then(|g| golden_expectation(g, &job.spec)).map(|expected| {
-                                inner.golden_checked.fetch_add(1, Ordering::Relaxed);
-                                let ok = expected == ns_verify::snapshot::hash_hex(hash);
-                                if !ok {
-                                    inner.golden_mismatches.fetch_add(1, Ordering::Relaxed);
-                                }
-                                ok
-                            });
-                        summary.serve = Some(ServeJobSummary {
-                            job_id: job.id,
-                            priority: job.spec.priority.level(),
-                            queue_wait_seconds: queue_wait.as_secs_f64(),
-                            run_seconds: run_wall.as_secs_f64(),
-                            cache: "cold".into(),
-                        });
-                        let run = cache.fill(
-                            key,
-                            CachedRun { case: case.clone(), payload: summary.to_json(), field_hash: hash, golden },
-                        );
-                        inner.completed.fetch_add(1, Ordering::Relaxed);
-                        inner.metrics.completed.inc();
-                        let _ = inner.outcomes.send(Outcome::Done(JobResult {
-                            id: job.id,
-                            key,
-                            label,
-                            case,
-                            priority: job.spec.priority,
-                            cache_hit: false,
-                            queue_wait,
-                            run_wall,
-                            run,
-                        }));
-                    }
-                    Err(error) => {
-                        // aborted/failed runs are never cached: clear the
-                        // slot so a waiter or retry can own the key
-                        cache.abandon(key);
-                        inner.failed.fetch_add(1, Ordering::Relaxed);
-                        inner.metrics.failed.inc();
-                        let _ = inner.outcomes.send(Outcome::Failed { id: job.id, key, label, error });
-                    }
+        let settled = serve(&job, key, cache, inner);
+        let (count, metric) = match settled {
+            Settled::Done { .. } => (&inner.completed, &inner.metrics.completed),
+            Settled::Failed(_) => (&inner.failed, &inner.metrics.failed),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        metric.inc();
+        (inner.settle)(key, &label_of(&job.spec), settled);
+    }
+}
+
+/// Run one popped job to its settled state: expired in the queue, served
+/// from the cache, or executed cold and filled into the cache.
+fn serve(job: &QueuedJob, key: u64, cache: &ResultCache, inner: &Inner) -> Settled {
+    let queue_wait = job.submitted.elapsed();
+    let queue_ms = queue_wait.as_secs_f64() * 1e3;
+    // deadline gate: a job that waited out its deadline in the queue is
+    // settled without running (and without touching the cache — the slot
+    // stays free for a live claimant)
+    if let Some(deadline) = job.spec.deadline.filter(|&d| queue_wait > d) {
+        inner.expired.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.expired.inc();
+        return Settled::Failed(format!(
+            "deadline exceeded: waited {queue_ms:.1}ms of a {:.1}ms budget",
+            deadline.as_secs_f64() * 1e3
+        ));
+    }
+    if let Claim::Hit(_) = cache.claim(key) {
+        inner.metrics.cache_hits.inc();
+        return Settled::Done { cache: "hit", queue_ms, run_ms: 0.0 };
+    }
+    inner.metrics.cache_misses.inc();
+    let busy = ServeMetrics::backend_busy(job.spec.backend);
+    let t0 = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute(&job.spec, &inner.cancel)));
+    let run_wall = t0.elapsed();
+    let run_us = run_wall.as_micros().min(u128::from(u64::MAX)) as u64;
+    inner.metrics.job_run_us.record(run_us);
+    busy.add(run_us);
+    match outcome.unwrap_or_else(|panic| Err(panic_message(&panic))) {
+        Ok((mut summary, hash)) => {
+            inner.record_service_time(job.spec.priority, job.spec.cost_units(), run_wall);
+            let golden = inner.golden.as_ref().and_then(|g| golden_expectation(g, &job.spec)).map(|expected| {
+                inner.golden_checked.fetch_add(1, Ordering::Relaxed);
+                let ok = expected == ns_verify::snapshot::hash_hex(hash);
+                if !ok {
+                    inner.golden_mismatches.fetch_add(1, Ordering::Relaxed);
                 }
-            }
+                ok
+            });
+            summary.serve = Some(ServeJobSummary {
+                job_id: job.id,
+                priority: job.spec.priority.level(),
+                queue_wait_seconds: queue_wait.as_secs_f64(),
+                run_seconds: run_wall.as_secs_f64(),
+                cache: "cold".into(),
+            });
+            cache.fill(key, CachedRun { case: job.spec.case(), payload: summary.to_json(), field_hash: hash, golden });
+            Settled::Done { cache: "cold", queue_ms, run_ms: run_wall.as_secs_f64() * 1e3 }
+        }
+        Err(error) => {
+            // aborted/failed runs are never cached: clear the slot so a
+            // waiter or retry can own the key
+            cache.abandon(key);
+            Settled::Failed(error)
         }
     }
 }
@@ -592,16 +468,16 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 
 /// A summary for the single-process backends (serial, shared), shaped like
 /// the parallel driver's.
-fn process_summary(spec: &JobSpec, ranks: usize, steps: u64, wall: Duration) -> RunSummary {
+fn process_summary(spec: &JobSpec, wall: Duration) -> RunSummary {
     RunSummary {
         schema_version: RUN_SUMMARY_SCHEMA,
         case: spec.case(),
         regime: spec.cfg.regime.key().to_string(),
         nx: spec.cfg.grid.nx,
         nr: spec.cfg.grid.nr,
-        ranks,
+        ranks: 1,
         steps_requested: spec.steps,
-        steps_taken: steps,
+        steps_taken: spec.steps,
         wall_seconds: wall.as_secs_f64(),
         aborted: None,
         phase_seconds: std::collections::BTreeMap::new(),
@@ -620,27 +496,18 @@ fn process_summary(spec: &JobSpec, ranks: usize, steps: u64, wall: Duration) -> 
 fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), String> {
     let case = spec.case();
     match spec.backend {
-        Backend::Serial => {
+        Backend::Serial | Backend::Shared => {
             let t0 = Instant::now();
-            let mut solver = Solver::new(spec.cfg.clone());
-            for _ in 0..spec.steps {
-                if cancel.is_cancelled() {
-                    return Err(format!("cancelled at step {}", solver.nstep));
-                }
-                solver.step();
-            }
-            Ok((process_summary(spec, 1, spec.steps, t0.elapsed()), field_hash(&solver.field)))
-        }
-        Backend::Shared => {
-            let t0 = Instant::now();
-            let mut solver = SharedSolver::new(spec.cfg.clone(), spec.procs);
-            for _ in 0..spec.steps {
-                if cancel.is_cancelled() {
-                    return Err(format!("cancelled at step {}", solver.nstep));
-                }
-                solver.step();
-            }
-            Ok((process_summary(spec, 1, spec.steps, t0.elapsed()), field_hash(&solver.field)))
+            let field = if spec.backend == Backend::Serial {
+                let mut solver = Solver::new(spec.cfg.clone());
+                step_until_cancelled(spec.steps, cancel, || solver.step())?;
+                solver.field
+            } else {
+                let mut solver = SharedSolver::new(spec.cfg.clone(), spec.procs);
+                step_until_cancelled(spec.steps, cancel, || solver.step())?;
+                solver.field
+            };
+            Ok((process_summary(spec, t0.elapsed()), field_hash(&field)))
         }
         Backend::Parallel | Backend::Chaos => {
             // chaos is a fault-free plan: the recovery machinery is armed
@@ -665,6 +532,18 @@ fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), St
     }
 }
 
+/// Take `steps` steps of a fresh single-process solver, polling the
+/// cooperative cancel token at every step boundary.
+fn step_until_cancelled(steps: u64, cancel: &CancelToken, mut step: impl FnMut()) -> Result<(), String> {
+    for n in 0..steps {
+        if cancel.is_cancelled() {
+            return Err(format!("cancelled at step {n}"));
+        }
+        step();
+    }
+    Ok(())
+}
+
 /// The golden fingerprint a cold result must reproduce, if the committed
 /// snapshots cover this cell. Applicability is deliberately conservative —
 /// exactly the cells the differential oracle guarantees *bitwise*: the
@@ -677,7 +556,7 @@ fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), St
 /// (property-tested), but the canonical-config comparison below is against
 /// the paper config, which carries the default, so such jobs simply fall
 /// outside the golden set — conservative, never wrong.
-pub fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<&'g str> {
+pub(crate) fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<&'g str> {
     let c = spec.canonical();
     if [c.cfg.grid.nx, c.cfg.grid.nr] != golden.grid || c.steps != golden.steps {
         return None;
@@ -705,9 +584,50 @@ pub fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam_channel::{unbounded, Receiver};
     use ns_core::config::SolverConfig;
     use ns_numerics::Grid;
     use ns_verify::snapshot;
+    use std::path::PathBuf;
+
+    /// A settle as the hook saw it: key, label, how.
+    type Settle = (u64, String, Settled);
+
+    /// A scratch state directory, removed on drop.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A server over a fresh spill whose settle hook sends every settle
+    /// down a channel (the daemon's hook journals it instead).
+    fn server(workers: usize, queue_depth: usize, golden: Option<GoldenFile>) -> (Server, Receiver<Settle>, Scratch) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ns-server-test-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DaemonConfig { workers, queue_depth, golden, sync: false, ..DaemonConfig::new(&dir) };
+        let spill = Spill::open(dir.join("spill"), false).unwrap();
+        let (tx, rx) = unbounded();
+        let hook = move |key: u64, label: &str, how: Settled| {
+            let _ = tx.send((key, label.to_string(), how));
+        };
+        (Server::new(&cfg, spill, Box::new(hook)), rx, Scratch(dir))
+    }
+
+    fn euler(nx: usize, nr: usize) -> SolverConfig {
+        SolverConfig::paper(Grid::new(nx, nr, 50.0, 5.0), Regime::Euler)
+    }
+
+    fn serial_job(steps: u64, label: &str) -> JobSpec {
+        let mut spec = JobSpec::new(euler(48, 16), steps, 1);
+        spec.backend = Backend::Serial;
+        spec.label = label.to_string();
+        spec
+    }
 
     fn oracle_shaped_golden() -> (GoldenFile, SolverConfig) {
         // a golden file built from a fresh serial V5 reference on a small
@@ -727,33 +647,20 @@ mod tests {
         let (golden, cfg) = oracle_shaped_golden();
         let spec = JobSpec::new(cfg.clone(), 4, 2); // parallel Euler: bitwise
         assert!(golden_expectation(&golden, &spec).is_some(), "oracle-shaped Euler parallel cell is covered");
-        let (server, rx) = Server::new(ServerConfig {
-            workers: 1,
-            queue_depth: 4,
-            golden: Some(golden.clone()),
-            ..Default::default()
-        });
-        server.submit(spec.clone()).unwrap();
-        let done = match rx.recv().unwrap() {
-            Outcome::Done(r) => r,
-            other => panic!("expected Done, got {other:?}"),
+        let verdict = |golden: GoldenFile| {
+            let (server, rx, _dir) = server(1, 4, Some(golden));
+            server.submit(spec.clone()).unwrap();
+            let (key, _, how) = rx.recv().unwrap();
+            assert!(matches!(how, Settled::Done { cache: "cold", .. }), "expected a cold Done, got {how:?}");
+            let golden = server.cache_handle().peek(key).unwrap().golden;
+            let stats = server.finish();
+            (golden, stats.golden_checked, stats.golden_mismatches)
         };
-        assert_eq!(done.run.golden, Some(true), "fresh run matches its golden fingerprint");
-        let stats = server.finish();
-        assert_eq!((stats.golden_checked, stats.golden_mismatches), (1, 0));
-
+        assert_eq!(verdict(golden.clone()), (Some(true), 1, 0), "fresh run matches its golden fingerprint");
         // corrupt the golden entry: the same cell must now be flagged
         let mut bad = golden;
         bad.entries.get_mut("euler/serial/V5").unwrap().hash = snapshot::hash_hex(0xdead_beef);
-        let (server, rx) =
-            Server::new(ServerConfig { workers: 1, queue_depth: 4, golden: Some(bad), ..Default::default() });
-        server.submit(spec).unwrap();
-        match rx.recv().unwrap() {
-            Outcome::Done(r) => assert_eq!(r.run.golden, Some(false)),
-            other => panic!("expected Done, got {other:?}"),
-        }
-        let stats = server.finish();
-        assert_eq!((stats.golden_checked, stats.golden_mismatches), (1, 1));
+        assert_eq!(verdict(bad), (Some(false), 1, 1));
     }
 
     #[test]
@@ -777,17 +684,13 @@ mod tests {
     #[test]
     fn serving_updates_the_global_metrics_registry() {
         let before = Registry::global().snapshot();
-        let grid = Grid::new(32, 12, 50.0, 5.0);
-        let cfg = SolverConfig::paper(grid, Regime::Euler);
-        let (server, rx) = Server::new(ServerConfig { workers: 1, queue_depth: 4, golden: None, ..Default::default() });
-        let spec = JobSpec::new(cfg, 2, 1);
+        let (server, rx, _dir) = server(1, 4, None);
+        let spec = JobSpec::new(euler(32, 12), 2, 1);
         server.submit(spec.clone()).unwrap();
         server.submit(spec).unwrap(); // duplicate cell: a hit once the cold run fills
-        let mut done = 0;
-        while done < 2 {
-            if let Outcome::Done(_) = rx.recv().unwrap() {
-                done += 1;
-            }
+        for _ in 0..2 {
+            let (_, _, how) = rx.recv().unwrap();
+            assert!(matches!(how, Settled::Done { .. }), "got {how:?}");
         }
         server.finish();
         let delta = Registry::global().snapshot().diff(&before);
@@ -805,16 +708,15 @@ mod tests {
 
     #[test]
     fn retry_after_scales_with_the_rejected_jobs_own_cost() {
-        // regression (ISSUE 8 satellite): the old hint was one global EWMA
-        // of service *time*, so a cheap job rejected behind expensive ones
-        // inherited their backoff wholesale. The rate-based hint scales by
-        // the rejected job's own cost estimate instead.
-        let (server, _rx) = Server::new(ServerConfig { workers: 1, queue_depth: 2, ..Default::default() });
+        // regression: the old hint was one global EWMA of service *time*,
+        // so a cheap job rejected behind expensive ones inherited their
+        // backoff wholesale. The rate-based hint scales by the rejected
+        // job's own cost estimate instead.
+        let (server, _rx, _dir) = server(1, 2, None);
         // seed the Normal lane's rate as if a fat cell took 1 s
-        let fat = JobSpec::new(SolverConfig::paper(Grid::new(64, 24, 50.0, 5.0), Regime::Euler), 100, 1);
+        let fat = JobSpec::new(euler(64, 24), 100, 1);
         server.inner.record_service_time(Priority::Normal, fat.cost_units(), Duration::from_secs(1));
-        let mut cheap = JobSpec::new(SolverConfig::paper(Grid::new(32, 12, 50.0, 5.0), Regime::Euler), 2, 1);
-        cheap.backend = Backend::Serial;
+        let cheap = serial_job(2, "cheap");
         let cheap_hint = server.retry_after(&cheap);
         let fat_hint = server.retry_after(&fat);
         assert!(
@@ -838,13 +740,18 @@ mod tests {
 
     #[test]
     fn brownout_rejects_low_priority_up_front() {
-        // brownout_fraction 0 = zero queue threshold, so brownout holds
-        // from the first submission on — deterministic without having to
-        // race a worker into keeping the queue deep
-        let (server, _rx) =
-            Server::new(ServerConfig { workers: 1, queue_depth: 8, brownout_fraction: 0.0, ..Default::default() });
-        let mut low = JobSpec::new(SolverConfig::paper(Grid::new(32, 12, 50.0, 5.0), Regime::Euler), 2, 1);
-        low.backend = Backend::Serial;
+        // depth 4 browns out at ceil(0.75 * 4) = 3 queued jobs: park the
+        // worker on a long occupant, then queue three fillers
+        let (server, _rx, _dir) = server(1, 4, None);
+        server.submit(serial_job(100_000, "occupant")).unwrap();
+        while server.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        for steps in 1..=3 {
+            server.submit(serial_job(steps, "filler")).unwrap();
+        }
+        assert!(server.brownout_active(), "3 of 4 queued is past the brownout fraction");
+        let mut low = serial_job(4, "low");
         low.priority = Priority::Low;
         match server.submit(low.clone()) {
             Err(SubmitError::Busy { brownout, .. }) => assert!(brownout, "rejection must be flagged as brownout"),
@@ -854,20 +761,20 @@ mod tests {
         let mut normal = low;
         normal.priority = Priority::Normal;
         server.submit(normal).unwrap();
-        let stats = server.finish();
+        // the occupant is cancelled, the queued jobs shed: nothing runs long
+        let stats = server.shutdown_now();
         assert_eq!(stats.brownout_rejected, 1);
-        assert_eq!(stats.submitted, 1);
+        assert_eq!(stats.submitted, 5);
     }
 
     #[test]
     fn queued_deadline_expiry_settles_without_running() {
-        let (server, rx) = Server::new(ServerConfig { workers: 1, queue_depth: 4, ..Default::default() });
-        let mut spec = JobSpec::new(SolverConfig::paper(Grid::new(32, 12, 50.0, 5.0), Regime::Euler), 2, 1);
-        spec.backend = Backend::Serial;
+        let (server, rx, _dir) = server(1, 4, None);
+        let mut spec = serial_job(2, "late");
         spec.deadline = Some(Duration::ZERO); // expired the moment it queues
         server.submit(spec).unwrap();
         match rx.recv().unwrap() {
-            Outcome::Failed { error, .. } => assert!(error.contains("deadline exceeded"), "got {error:?}"),
+            (_, _, Settled::Failed(error)) => assert!(error.contains("deadline exceeded"), "got {error:?}"),
             other => panic!("expected deadline failure, got {other:?}"),
         }
         let stats = server.finish();
@@ -877,8 +784,7 @@ mod tests {
 
     #[test]
     fn invalid_jobs_are_rejected_at_admission_not_in_a_worker() {
-        let (server, _rx) =
-            Server::new(ServerConfig { workers: 1, queue_depth: 2, golden: None, ..Default::default() });
+        let (server, _rx, _dir) = server(1, 2, None);
         let mut spec = JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 2, 20);
         assert!(matches!(server.submit(spec.clone()), Err(SubmitError::Invalid(_))));
         spec.procs = 2;
@@ -887,5 +793,136 @@ mod tests {
         let stats = server.finish();
         assert_eq!(stats.submitted, 0);
         assert_eq!(stats.failed, 0);
+    }
+
+    /// A full queue must reject with a positive retry-after hint, and the
+    /// rejections must not wedge the server: everything admitted still
+    /// completes and `finish` returns.
+    #[test]
+    fn full_queue_rejects_with_retry_after_and_no_deadlock() {
+        let (server, rx, _dir) = server(1, 2, None);
+        let mut admitted = 0u64;
+        let mut rejected = 0u64;
+        for i in 0..12u64 {
+            // distinct cells (steps differ) so the cache cannot absorb the burst
+            match server.submit(serial_job(20 + i, &format!("burst/{i}"))) {
+                Ok(_) => admitted += 1,
+                Err(SubmitError::Busy { retry_after, .. }) => {
+                    rejected += 1;
+                    assert!(retry_after > Duration::ZERO, "retry-after hint must be positive");
+                }
+                Err(e) => panic!("unexpected submit error: {e:?}"),
+            }
+        }
+        assert!(rejected > 0, "a depth-2 queue flooded with 12 jobs must reject some");
+        for _ in 0..admitted {
+            let (_, label, how) =
+                rx.recv_timeout(Duration::from_secs(60)).expect("admitted jobs complete; no deadlock");
+            assert!(matches!(how, Settled::Done { .. }), "burst jobs are valid and unshed: {label} {how:?}");
+        }
+        let stats = server.finish();
+        assert_eq!(stats.completed, admitted);
+        assert_eq!(stats.rejected, rejected);
+        assert_eq!(stats.failed, 0);
+    }
+
+    /// A repeated cell is served from cache: the cold run's payload, zero
+    /// run wall, and a priority or label change must not split the cache
+    /// key.
+    #[test]
+    fn duplicate_cells_hit_the_cache_byte_identically() {
+        let (server, rx, _dir) = server(1, 8, None);
+        let cold = JobSpec::new(euler(48, 16), 3, 2);
+        let mut dup = cold.clone();
+        dup.priority = Priority::High;
+        dup.label = "same cell, different urgency".into();
+        server.submit(cold).unwrap();
+        server.submit(dup).unwrap();
+        let (first_key, _, first) = rx.recv().unwrap();
+        let (second_key, _, second) = rx.recv().unwrap();
+        assert_eq!(first_key, second_key, "priority and label are not part of the key");
+        assert!(matches!(first, Settled::Done { cache: "cold", .. }), "first visit computes: {first:?}");
+        assert!(
+            matches!(second, Settled::Done { cache: "hit", run_ms, .. } if run_ms == 0.0),
+            "repeat visit is served from cache: {second:?}"
+        );
+        // both settles point at the one cached result: the cold summary
+        let run = server.cache_handle().peek(first_key).unwrap();
+        assert!(run.payload.contains("\"cache\": \"cold\""), "the shared payload is the cold run's summary");
+        let stats = server.finish();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    }
+
+    /// Under overload, queued low-priority work is shed to admit
+    /// high-priority work — and the shed job is settled, not silently
+    /// dropped.
+    #[test]
+    fn overload_sheds_lowest_priority_and_reports_it() {
+        let (server, rx, _dir) = server(1, 2, None);
+        // occupy the worker long enough that the queue stays full
+        server.submit(serial_job(60, "occupant")).unwrap();
+        // wait for the worker to claim it, so the queue below is exactly ours
+        while server.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        let mut low = serial_job(61, "backfill");
+        low.priority = Priority::Low;
+        server.submit(low).unwrap();
+        server.submit(serial_job(62, "steady")).unwrap();
+        let mut vip = serial_job(63, "urgent");
+        vip.priority = Priority::High;
+        server.submit(vip).unwrap();
+        let mut shed = Vec::new();
+        let mut done = Vec::new();
+        for _ in 0..4 {
+            match rx.recv_timeout(Duration::from_secs(60)).unwrap() {
+                (_, label, Settled::Failed(error)) => {
+                    assert!(error.starts_with("shed under load"), "no job should fail: {error}");
+                    shed.push(label);
+                }
+                (_, label, Settled::Done { .. }) => done.push(label),
+            }
+        }
+        assert_eq!(shed, ["backfill"], "the queued low job is the victim");
+        assert_eq!(done.len(), 3);
+        let stats = server.finish();
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.completed, 3);
+    }
+
+    /// Immediate shutdown never abandons an in-flight rank team: the
+    /// cooperative cancel token winds the team down together, the job
+    /// settles as failed with a cancellation reason, and nothing hangs —
+    /// with plain channels and with the recovery machinery armed alike.
+    #[test]
+    fn shutdown_now_cancels_in_flight_rank_teams_cleanly() {
+        for backend in [Backend::Parallel, Backend::Chaos] {
+            let (server, rx, _dir) = server(1, 4, None);
+            // a parallel job big enough that shutdown lands mid-run
+            let mut long = JobSpec::new(euler(64, 24), 100_000, 4);
+            long.backend = backend;
+            server.submit(long).unwrap();
+            server.submit(serial_job(5, "queued-behind")).unwrap();
+            // let the worker pick the parallel job up
+            std::thread::sleep(Duration::from_millis(100));
+            let stats = server.shutdown_now();
+            assert_eq!(stats.shed, 1, "{backend:?}: the queued job is drained as shed");
+            let mut cancelled = false;
+            let mut shed = 0;
+            // ends once the server, and with it the hook, is gone
+            while let Ok((_, _, how)) = rx.recv_timeout(Duration::from_secs(60)) {
+                match how {
+                    Settled::Failed(error) if error.starts_with("shed under load") => shed += 1,
+                    Settled::Failed(error) => {
+                        assert!(error.contains("cancelled"), "the in-flight team reports cancellation, got {error:?}");
+                        cancelled = true;
+                    }
+                    Settled::Done { .. } => panic!("a 100k-step run cannot complete in this test"),
+                }
+            }
+            assert!(cancelled, "{backend:?}: the in-flight parallel job was cancelled, not abandoned");
+            assert_eq!(shed, 1);
+            assert_eq!(stats.failed, 1);
+        }
     }
 }
