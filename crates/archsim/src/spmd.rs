@@ -19,7 +19,7 @@ use crate::platform::Platform;
 use ns_core::config::{Regime, Version};
 use ns_core::workload::{self, Decomposition, PhaseOp};
 use ns_numerics::Grid;
-use ns_telemetry::{EventKind, TraceEvent};
+use ns_telemetry::{Event, EventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -263,16 +263,16 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
 }
 
 /// Run the simulation and also return the virtual-time event trace: the
-/// same [`TraceEvent`] schema the live runtime records, so the simulated
+/// same [`Event`] type the live runtime records, so the simulated
 /// timeline opens in the same viewers (JSONL, Chrome `trace_event`, the
 /// ASCII Gantt). Timestamps are virtual microseconds over the `sim_steps`
 /// horizon — unlike the aggregate numbers in [`SimResult`], the trace is
 /// *not* scaled up to `report_steps`.
-pub fn simulate_traced(cfg: &SimConfig) -> (SimResult, Vec<TraceEvent>) {
+pub fn simulate_traced(cfg: &SimConfig) -> (SimResult, Vec<Event>) {
     simulate_impl(cfg, true)
 }
 
-fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<TraceEvent>) {
+fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
     assert!(cfg.nprocs >= 1 && cfg.nprocs <= cfg.platform.max_procs, "processor count out of range");
     assert!(cfg.sim_steps >= 1 && cfg.sim_steps <= cfg.report_steps);
     let cal = Calibration::standard();
@@ -304,7 +304,7 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<TraceEvent>) 
     let mut inflight: Vec<VecDeque<f64>> = vec![VecDeque::new(); cfg.nprocs * cfg.nprocs];
     let key = |src: usize, dst: usize| src * cfg.nprocs + dst;
     let mut phase_seconds: std::collections::BTreeMap<&'static str, f64> = std::collections::BTreeMap::new();
-    let mut trace: Vec<TraceEvent> = Vec::new();
+    let mut trace: Vec<Event> = Vec::new();
     let us = |secs: f64| (secs * 1e6).round() as u64;
 
     loop {
@@ -335,15 +335,16 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<TraceEvent>) 
                 procs[idx].busy += t;
                 *phase_seconds.entry(label).or_insert(0.0) += t;
                 if traced {
-                    trace.push(TraceEvent {
+                    trace.push(Event {
                         t_us: us(now),
                         dur_us: us(t),
                         rank: idx,
                         kind: EventKind::Phase,
-                        label: label.to_string(),
+                        label: label.into(),
                         peer: None,
-                        bytes: 0,
+                        seq: None,
                         span: None,
+                        bytes: 0,
                     });
                 }
             }
@@ -363,15 +364,16 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<TraceEvent>) 
                 }
                 inflight[key(idx, to)].push_back(delivery);
                 if traced {
-                    trace.push(TraceEvent {
+                    trace.push(Event {
                         t_us: us(now),
                         dur_us: us(stall),
                         rank: idx,
                         kind: EventKind::Send,
-                        label: "msg".to_string(),
+                        label: "msg".into(),
                         peer: Some(to),
-                        bytes,
+                        seq: None,
                         span: None,
+                        bytes,
                     });
                 }
             }
@@ -384,15 +386,16 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<TraceEvent>) 
                     procs[idx].clock = delivery;
                 }
                 if traced {
-                    trace.push(TraceEvent {
+                    trace.push(Event {
                         t_us: us(now),
                         dur_us: us((delivery - now).max(0.0)),
                         rank: idx,
                         kind: EventKind::Recv,
-                        label: "msg".to_string(),
+                        label: "msg".into(),
                         peer: Some(from),
-                        bytes: 0,
+                        seq: None,
                         span: None,
+                        bytes: 0,
                     });
                 }
             }

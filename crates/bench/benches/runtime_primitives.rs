@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use ns_bench::{GroupItem, MedianBench};
-use ns_metrics::{FlightRecorder, Registry};
+use ns_metrics::{EventKind, Recorder, Registry};
 use ns_runtime::collectives;
 use ns_runtime::comm::{universe, MsgKind, Tag};
 use ns_runtime::pack::{BufPool, PackBuf, UnpackBuf};
@@ -192,7 +192,10 @@ fn json_metrics_overhead(h: &mut MedianBench) {
     };
     let counter = Registry::global().counter("bench_overhead_counter");
     let histogram = Registry::global().histogram("bench_overhead_histogram");
-    let mut flight = FlightRecorder::default();
+    // a comm event is recorded from the start instant its call already
+    // holds, so the per-event cost is the recorder's one clock read + push
+    let start = std::time::Instant::now();
+    let mut recorder = Recorder::new(0, start);
     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut k = 0u64;
     let mut items = [
@@ -219,7 +222,7 @@ fn json_metrics_overhead(h: &mut MedianBench) {
             flops: None,
             f: Box::new(|| {
                 work(&mut a3);
-                flight.record("send", "Flux1", Some(1), Some(7), Some(9), 800);
+                recorder.record(EventKind::Send, "Flux1", start, Some(1), Some(7), Some(9), 800);
             }),
         },
     ];

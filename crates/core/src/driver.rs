@@ -239,10 +239,10 @@ impl Solver {
         self.ws.timers.enable();
     }
 
-    /// Turn on phase accumulation *and* timestamped span recording against
-    /// the shared origin `t0`.
-    pub fn enable_phase_trace(&mut self, t0: std::time::Instant) {
-        self.ws.timers.enable_traced(t0);
+    /// Turn on phase accumulation *and* span recording as `rank`'s events,
+    /// timestamped against the shared origin `t0`.
+    pub fn enable_phase_trace(&mut self, rank: usize, t0: std::time::Instant) {
+        self.ws.timers.enable_traced(rank, t0);
     }
 
     /// The accumulated per-phase costs so far.
@@ -252,7 +252,7 @@ impl Solver {
 
     /// Take the accumulated phase ledger and spans, leaving the timer
     /// running with empty accumulators.
-    pub fn take_phase_telemetry(&mut self) -> (ns_telemetry::PhaseLedger, Vec<ns_telemetry::PhaseEvent>) {
+    pub fn take_phase_telemetry(&mut self) -> (ns_telemetry::PhaseLedger, Vec<ns_telemetry::Event>) {
         self.ws.timers.take()
     }
 

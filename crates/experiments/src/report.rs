@@ -1,9 +1,9 @@
 //! Report formatting: series tables and ASCII log-log charts, so every
 //! regenerated figure prints both the numbers and the paper's visual shape.
 //! Also the telemetry renderers: per-rank [`phase_breakdown`] tables and the
-//! ASCII [`gantt`] timeline over a merged [`TraceEvent`] stream.
+//! ASCII [`gantt`] timeline over a merged [`Event`] stream.
 
-use ns_telemetry::{EventKind, TraceEvent};
+use ns_telemetry::{Event, EventKind};
 use std::collections::BTreeMap;
 
 /// One curve of a figure.
@@ -206,7 +206,9 @@ pub fn phase_breakdown(title: &str, columns: &[(String, BTreeMap<String, f64>)])
 /// * `s` — message sends, including `comm:send` / `comm:stall` phases
 /// * `w` — receive waits, including `comm:recv` phases
 /// * space — idle (nothing recorded)
-pub fn gantt<E: std::borrow::Borrow<TraceEvent>>(trace: &[E], nranks: usize, width: usize) -> String {
+///
+/// Lifecycle marks have no duration and are skipped.
+pub fn gantt<E: std::borrow::Borrow<Event>>(trace: &[E], nranks: usize, width: usize) -> String {
     if trace.is_empty() || nranks == 0 || width == 0 {
         return String::from("(empty trace)\n");
     }
@@ -223,6 +225,7 @@ pub fn gantt<E: std::borrow::Borrow<TraceEvent>>(trace: &[E], nranks: usize, wid
             continue;
         }
         let class = match e.kind {
+            EventKind::Mark => continue,
             EventKind::Send | EventKind::Fault => 3,
             EventKind::Recv => 4,
             EventKind::Phase if e.label.starts_with("r:") => 0,
@@ -356,27 +359,29 @@ mod tests {
 
     #[test]
     fn gantt_marks_dominant_activity_per_bucket() {
-        use ns_telemetry::EventKind;
-        let ev = |t_us, dur_us, rank, kind, label: &str| TraceEvent {
+        let ev = |t_us, dur_us, rank, kind, label: &'static str| Event {
             t_us,
             dur_us,
             rank,
             kind,
-            label: label.to_string(),
+            label: label.into(),
             peer: None,
-            bytes: 0,
+            seq: None,
             span: None,
+            bytes: 0,
         };
         let trace = vec![
             ev(0, 50, 0, EventKind::Phase, "x:flux"),
             ev(50, 50, 0, EventKind::Recv, "Flux1"),
             ev(0, 100, 1, EventKind::Phase, "r:prims"),
+            // a mark inside rank 1's phase does not repaint its bucket
+            ev(30, 0, 1, EventKind::Mark, "step"),
         ];
         let g = gantt(&trace, 2, 10);
         assert!(g.contains("rank   0 |xxxxxwwwww|"), "{g}");
         assert!(g.contains("rank   1 |rrrrrrrrrr|"), "{g}");
         assert!(g.contains("legend"));
-        assert!(gantt::<TraceEvent>(&[], 2, 10).contains("empty trace"));
+        assert!(gantt::<Event>(&[], 2, 10).contains("empty trace"));
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! * [`span`] — causal span IDs minted per `(generation, step)` and carried
 //!   inside the reliability layer's frame trailer, so a halo exchange or a
 //!   NACK/resend chain stitches into one cross-rank trace;
-//! * [`flight`] — a fixed-size per-rank ring buffer of recent events (comm
-//!   frames, faults, phase transitions) dumped to `FLIGHT_<rank>.json` when
-//!   a rank crashes, a rollback fires, a watchdog aborts, or a serve job is
-//!   cancelled — so chaos failures are diagnosable, not only survivable.
+//! * [`trace`] — the one [`Event`] type every timeline is made of (phase
+//!   spans, sends, receives, faults, lifecycle marks) with its JSONL and
+//!   Chrome `trace_event` exporters;
+//! * [`flight`] — the one per-rank [`Recorder`] those events go into: a
+//!   bounded ring dumped to `FLIGHT_<rank>.json` when a rank crashes, a
+//!   rollback fires, a watchdog aborts, or a serve job is cancelled, and
+//!   the whole run's timeline when tracing is on.
 //!
 //! The crate sits at the very bottom of the dependency graph (serde only):
 //! `ns-telemetry`, `ns-runtime`, `ns-core` and `ns-serve` all speak these
@@ -27,10 +30,12 @@
 pub mod flight;
 pub mod registry;
 pub mod span;
+pub mod trace;
 
-pub use flight::{FlightDump, FlightEvent, FlightRecorder, FLIGHT_SCHEMA};
+pub use flight::{FlightDump, Recorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, MetricsSummary, Registry,
     SNAPSHOT_SCHEMA,
 };
 pub use span::{span_generation, span_id, span_step};
+pub use trace::{to_chrome_trace, to_jsonl, trace_from_jsonl, Event, EventKind};

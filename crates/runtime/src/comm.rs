@@ -26,8 +26,9 @@
 //!   path needs no background thread).
 //!
 //! The healing work is visible in [`CommStats`] (`retries`, `resends`,
-//! `corrupt_frames`, `dup_frames`) and, when tracing is armed, as
-//! `EventKind::Fault` events on the shared timeline. The fault-free path is
+//! `corrupt_frames`, `dup_frames`) and as `EventKind::Fault` events in the
+//! endpoint's [`Recorder`], so in its flight dump and, when tracing is on,
+//! on the shared timeline. The fault-free path is
 //! untouched: reliability off costs one `Option` check per send and per
 //! arrival.
 //!
@@ -43,8 +44,7 @@ use crate::fault::{FaultAction, FaultInjector};
 use crate::pack::{open_frame, peek_span, PackBuf, UnpackBuf};
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use ns_metrics::{Counter, FlightRecorder, Registry};
-use ns_telemetry::{EventKind, Tracer};
+use ns_metrics::{Counter, EventKind, Recorder, Registry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -378,25 +378,21 @@ pub struct Endpoint {
     /// (0 = outside any step). Set per step by the halo layer.
     span: u64,
     metrics: CommMetrics,
-    /// Flight recorder: a bounded ring of recent comm events, dumped as the
-    /// rank's black box when something goes wrong.
-    pub flight: FlightRecorder,
+    /// Every send, receive and fault-layer event of this rank, recorded
+    /// once: a bounded ring dumped as the rank's black box when something
+    /// goes wrong, or the whole timeline when tracing is on.
+    pub recorder: Recorder,
     /// Accumulated statistics.
     pub stats: CommStats,
     /// Accumulated blocking time inside `recv` (the "non-overlapped
     /// communication" component of the paper's time breakdown).
     pub wait_time: Duration,
-    /// Accumulated time inside `send`, kept only while someone asked for it
-    /// (`Some`): the parallel driver arms it with phase timing or tracing,
-    /// so the plain path reads no timer for it. Whole microseconds of the
-    /// trace events cannot carry this — a send that wakes no parked peer
-    /// is well under one.
-    pub(crate) send_time: Option<Duration>,
+    /// Accumulated time inside `send`, from the duration each send's event
+    /// already measures. Whole microseconds of the events cannot carry
+    /// this — a send that wakes no parked peer is well under one.
+    pub(crate) send_time: Duration,
     /// Receive deadline; a hung peer surfaces as [`CommError::Timeout`].
     pub timeout: Duration,
-    /// Message-trace recorder (disabled by default; enable with a shared
-    /// origin to get timestamped send/recv events).
-    pub tracer: Tracer,
 }
 
 impl Endpoint {
@@ -411,12 +407,11 @@ impl Endpoint {
             reliability: None,
             span: 0,
             metrics: CommMetrics::new(),
-            flight: FlightRecorder::default(),
+            recorder: Recorder::new(rank, Instant::now()),
             stats: CommStats::default(),
             wait_time: Duration::ZERO,
-            send_time: None,
+            send_time: Duration::ZERO,
             timeout: Duration::from_secs(30),
-            tracer: Tracer::default(),
         }
     }
 
@@ -484,26 +479,16 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Count and trace a delivered hand-off. Only delivered ones: a
+    /// Count and record a delivered hand-off. Only delivered ones: a
     /// `Disconnected` error is not a start-up, and Tables 1-2 must not
     /// credit it as one.
     fn count_send(&mut self, to: usize, tag: Tag, seq: Option<u64>, bytes: u64, start: Instant) {
-        let span = span_opt(self.span);
         self.stats.sends += 1;
         self.stats.bytes_sent += bytes;
         self.metrics.sends.inc();
         self.metrics.bytes_sent.add(bytes);
-        self.flight.record("send", tag.kind.name(), Some(to), seq, span, bytes);
-        if self.send_time.is_none() && !self.tracer.enabled() {
-            return;
-        }
-        let dur = start.elapsed();
-        if let Some(total) = self.send_time.as_mut() {
-            *total += dur;
-        }
-        if self.tracer.enabled() {
-            self.tracer.record_spanned(EventKind::Send, self.rank, tag.kind.name(), Some(to), bytes, start, dur, span);
-        }
+        let span = span_opt(self.span);
+        self.send_time += self.recorder.record(EventKind::Send, tag.kind.name(), start, Some(to), seq, span, bytes);
     }
 
     /// Framed send: seal, cache for retransmission, then pass the wire copy
@@ -557,25 +542,14 @@ impl Endpoint {
     }
 
     fn trace_fault(&mut self, label: &'static str, peer: Option<usize>, seq: Option<u64>, bytes: u64, start: Instant) {
-        self.flight.record("fault", label, peer, seq, span_opt(self.span), bytes);
-        if self.tracer.enabled() {
-            self.tracer.record_spanned(
-                EventKind::Fault,
-                self.rank,
-                label,
-                peer,
-                bytes,
-                start,
-                start.elapsed(),
-                span_opt(self.span),
-            );
-        }
+        self.recorder.record(EventKind::Fault, label, start, peer, seq, span_opt(self.span), bytes);
     }
 
     /// Fire-and-forget control send (never framed, never counted as an
     /// application start-up). Errors are ignored: a NACK to a dead peer
     /// changes nothing.
     fn send_nack(&mut self, to: usize, wanted: Tag) {
+        let start = Instant::now();
         let mut b = PackBuf::new();
         b.pack_u64(wanted.kind.code());
         b.pack_u64(wanted.seq);
@@ -586,7 +560,7 @@ impl Endpoint {
         }
         self.stats.retries += 1;
         self.metrics.retries.inc();
-        self.trace_fault("fault:nack", Some(to), None, 0, Instant::now());
+        self.trace_fault("fault:nack", Some(to), None, 0, start);
     }
 
     /// Service a peer's NACK from the retransmit cache. A cache miss (frame
@@ -603,6 +577,7 @@ impl Endpoint {
         let wanted = Tag { kind, seq };
         let cached = self.reliability.as_ref().and_then(|r| r.cache.get(&(m.src, wanted)).cloned());
         if let Some(frame) = cached {
+            let start = Instant::now();
             let src = self.rank;
             // the resend serves the cached sealed bytes, so the frame's
             // original span rides along; label the resend with it too. A
@@ -622,20 +597,7 @@ impl Endpoint {
             }
             self.stats.resends += 1;
             self.metrics.resends.inc();
-            self.flight.record("fault", "fault:resend", Some(m.src), None, span_opt(frame_span), 0);
-            if self.tracer.enabled() {
-                let now = Instant::now();
-                self.tracer.record_spanned(
-                    EventKind::Fault,
-                    self.rank,
-                    "fault:resend",
-                    Some(m.src),
-                    0,
-                    now,
-                    now.elapsed(),
-                    span_opt(frame_span),
-                );
-            }
+            self.recorder.record(EventKind::Fault, "fault:resend", start, Some(m.src), None, span_opt(frame_span), 0);
         }
     }
 
@@ -724,7 +686,7 @@ impl Endpoint {
         // check the stash first
         if let Some(pos) = self.stash.iter().position(|m| m.src == from && m.tag == tag) {
             let m = self.stash.swap_remove(pos);
-            return Ok(self.deliver(m, start));
+            return Ok(self.deliver(m, start).0);
         }
         let deadline = self.recv_deadline(start);
         // the plain path has no retry schedule (a budget of zero NACKs): it
@@ -748,8 +710,9 @@ impl Endpoint {
                     let admitted = if reliable { self.admit_frame(m) } else { Some(m) };
                     if let Some(m) = admitted {
                         if m.src == from && m.tag == tag {
-                            self.wait_time += start.elapsed();
-                            return Ok(self.deliver(m, start));
+                            let (payload, waited) = self.deliver(m, start);
+                            self.wait_time += waited;
+                            return Ok(payload);
                         }
                         self.stash.push(m);
                     }
@@ -775,30 +738,20 @@ impl Endpoint {
         }
     }
 
-    /// Count and trace a matched message, returning its payload. The trace
-    /// and flight events carry the *sender's* span (recovered from the
-    /// frame trailer), which is what stitches the two rank timelines into
-    /// one causal trace.
-    fn deliver(&mut self, m: Message, start: Instant) -> Bytes {
+    /// Count and record a matched message of a receive that began at
+    /// `start`, returning its payload and how long the receive took. The
+    /// event is stamped at the receive's start and carries the *sender's*
+    /// span (recovered from the frame trailer), which is what stitches the
+    /// two rank timelines into one causal trace.
+    fn deliver(&mut self, m: Message, start: Instant) -> (Bytes, Duration) {
         let bytes = m.payload.len() as u64;
         self.stats.recvs += 1;
         self.stats.bytes_recvd += bytes;
         self.metrics.recvs.inc();
         self.metrics.bytes_recvd.add(bytes);
-        self.flight.record("recv", m.tag.kind.name(), Some(m.src), None, span_opt(m.span), bytes);
-        if self.tracer.enabled() {
-            self.tracer.record_spanned(
-                EventKind::Recv,
-                self.rank,
-                m.tag.kind.name(),
-                Some(m.src),
-                bytes,
-                start,
-                start.elapsed(),
-                span_opt(m.span),
-            );
-        }
-        m.payload
+        let span = span_opt(m.span);
+        let took = self.recorder.record(EventKind::Recv, m.tag.kind.name(), start, Some(m.src), None, span, bytes);
+        (m.payload, took)
     }
 }
 
@@ -903,25 +856,62 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_sends_and_receives() {
-        let t0 = Instant::now();
+    fn recorder_records_sends_and_receives() {
         let mut eps = universe(2);
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        a.tracer.enable(t0);
-        b.tracer.enable(t0);
+        a.recorder.trace();
+        b.recorder.trace();
         a.send(1, tag(MsgKind::Prims1, 3), buf(&[0.0; 5])).unwrap();
         let _ = b.recv(0, tag(MsgKind::Prims1, 3)).unwrap();
-        assert_eq!(a.tracer.events.len(), 1);
-        let s = &a.tracer.events[0];
-        assert_eq!(s.kind, ns_telemetry::EventKind::Send);
+        let sent = a.recorder.take();
+        assert_eq!(sent.len(), 1, "one send is one event");
+        let s = &sent[0];
+        assert_eq!(s.kind, EventKind::Send);
         assert_eq!(s.label, "Prims1");
         assert_eq!(s.peer, Some(1));
         assert_eq!(s.bytes, 40);
-        let r = &b.tracer.events[0];
-        assert_eq!(r.kind, ns_telemetry::EventKind::Recv);
+        let recvd = b.recorder.take();
+        assert_eq!(recvd.len(), 1, "one receive is one event");
+        let r = &recvd[0];
+        assert_eq!(r.kind, EventKind::Recv);
         assert_eq!((r.rank, r.peer), (1, Some(0)));
         assert_eq!(r.bytes, 40);
+        // the send's duration is the endpoint's send time, armed or not
+        assert!(a.send_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn waited_receive_is_one_event_stamped_at_its_start() {
+        // a receive that waits for a delayed send is recorded once: stamped
+        // when the receive began, lasting until the match was delivered,
+        // the same event in the black box and on the traced timeline
+        let mut eps = universe(2);
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let origin = Instant::now();
+        b.recorder.set_origin(origin);
+        b.recorder.trace();
+        let go = Gate::default();
+        let began = Instant::now();
+        thread::scope(|s| {
+            s.spawn(|| {
+                go.pass();
+                thread::sleep(Duration::from_millis(20));
+                a.send(1, tag(MsgKind::Flux2, 1), buf(&[1.0])).unwrap();
+            });
+            go.open();
+            b.recv(0, tag(MsgKind::Flux2, 1)).unwrap();
+        });
+        let dump = b.recorder.dump("test");
+        let traced = b.recorder.take();
+        assert_eq!(traced.len(), 1, "exactly one event for the receive: {traced:?}");
+        assert_eq!(dump.events, traced, "the dump and the trace hold the identical event");
+        let e = &traced[0];
+        let began_us = began.duration_since(origin).as_micros() as u64;
+        assert!(e.t_us >= began_us && e.t_us < began_us + 10_000, "stamped at the receive's start: {e:?}");
+        assert!(e.dur_us >= 5000, "the wait is the event's duration: {e:?}");
+        assert!(b.wait_time.as_micros() as u64 >= e.dur_us, "wait time and the event share one clock read");
     }
 
     #[test]
@@ -1518,25 +1508,25 @@ mod tests {
 
     #[test]
     fn span_rides_the_frame_trailer_to_the_receiver() {
-        let t0 = Instant::now();
         let mut eps = universe_reliable(2, ReliableConfig::default(), None);
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        b.tracer.enable(t0);
+        b.recorder.trace();
         let span = ns_metrics::span_id(2, 9);
         a.set_span(span);
         a.send(1, tag(MsgKind::Prims1, 9), buf(&[1.0])).unwrap();
         let _ = b.recv(0, tag(MsgKind::Prims1, 9)).unwrap();
-        // the receiver never called set_span: the span crossed on the wire
-        assert_eq!(b.tracer.events.len(), 1);
-        assert_eq!(b.tracer.events[0].span, Some(span));
-        // both flight recorders hold the same span
-        let da = a.flight.dump(0, "test");
-        let db = b.flight.dump(1, "test");
+        // both black boxes hold the same span
+        let da = a.recorder.dump("test");
+        let db = b.recorder.dump("test");
         assert_eq!(da.events_for_span(span).len(), 1, "sender recorded the spanned send");
         assert_eq!(db.events_for_span(span).len(), 1, "receiver recorded the spanned recv");
-        assert_eq!(da.events[0].kind, "send");
-        assert_eq!(db.events[0].kind, "recv");
+        assert_eq!(da.events[0].kind, EventKind::Send);
+        assert_eq!(db.events[0].kind, EventKind::Recv);
+        // the receiver never called set_span: the span crossed on the wire
+        let traced = b.recorder.take();
+        assert_eq!(traced.len(), 1);
+        assert_eq!(traced[0].span, Some(span));
     }
 
     #[test]
@@ -1555,8 +1545,10 @@ mod tests {
         let span = ns_metrics::span_id(1, 4);
         a.set_span(span);
         b.set_span(span);
-        a.tracer.enable(t0);
-        b.tracer.enable(t0);
+        for ep in [&mut a, &mut b] {
+            ep.recorder.set_origin(t0);
+            ep.recorder.trace();
+        }
         thread::scope(|s| {
             let ha = s.spawn(move || {
                 a.send(1, tag(MsgKind::Prims1, 4), buf(&[2.25])).unwrap();
@@ -1570,15 +1562,20 @@ mod tests {
                 assert_eq!(vals(got, 1), vec![2.25]);
                 b
             });
-            let a = ha.join().unwrap();
-            let b = hb.join().unwrap();
-            // every trace event on either rank that names the chain carries
+            let mut a = ha.join().unwrap();
+            let mut b = hb.join().unwrap();
+            // the two ranks' black boxes stitch on the span
+            let da = a.recorder.dump("test");
+            let db = b.recorder.dump("test");
+            assert!(da.events_for_span(span).iter().any(|e| e.label == "fault:resend"));
+            assert!(db.events_for_span(span).iter().any(|e| e.label == "fault:nack"));
+            assert!(db.events_for_span(span).iter().any(|e| e.kind == EventKind::Recv));
+            // every traced event on either rank that names the chain carries
             // the one span: the trace is a single connected component
-            let chain: Vec<&ns_telemetry::TraceEvent> = a
-                .tracer
-                .events
+            let (ta, tb) = (a.recorder.take(), b.recorder.take());
+            let chain: Vec<&ns_metrics::Event> = ta
                 .iter()
-                .chain(b.tracer.events.iter())
+                .chain(tb.iter())
                 .filter(|e| {
                     e.label == "Prims1"
                         || e.label == "fault:drop"
@@ -1588,12 +1585,6 @@ mod tests {
                 .collect();
             assert!(chain.len() >= 4, "send + drop + nack + resend + recv, got {}", chain.len());
             assert!(chain.iter().all(|e| e.span == Some(span)), "all chain events share the span: {chain:?}");
-            // the two ranks' flight dumps also stitch on the span
-            let da = a.flight.dump(0, "test");
-            let db = b.flight.dump(1, "test");
-            assert!(da.events_for_span(span).iter().any(|e| e.label == "fault:resend"));
-            assert!(db.events_for_span(span).iter().any(|e| e.label == "fault:nack"));
-            assert!(db.events_for_span(span).iter().any(|e| e.kind == "recv"));
         });
     }
 

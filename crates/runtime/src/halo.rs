@@ -170,7 +170,7 @@ impl<'a> ThreadHalo<'a> {
         self.flux_r_calls = 0;
         let span = ns_metrics::span_id(self.generation, step);
         self.ep.set_span(span);
-        self.ep.flight.record("step", "begin", None, None, Some(span), 0);
+        self.ep.recorder.mark("step", None, Some(span));
     }
 
     /// Borrow the endpoint (stats inspection).

@@ -19,7 +19,7 @@ use ns_core::opcount::FlopLedger;
 use ns_core::Solver;
 use ns_metrics::{FlightDump, MetricsSummary, Registry};
 use ns_telemetry::{
-    CommTotals, HealthConfig, HealthMonitor, HealthSample, PhaseLedger, RunSummary, TraceEvent, RUN_SUMMARY_SCHEMA,
+    CommTotals, Event, HealthConfig, HealthMonitor, HealthSample, PhaseLedger, RunSummary, RUN_SUMMARY_SCHEMA,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,7 +60,9 @@ impl CancelToken {
 pub struct TelemetryOptions {
     /// Attribute each rank's wall time to the solver's named phases.
     pub phases: bool,
-    /// Record timestamped phase/send/recv events on a shared timeline.
+    /// Keep every phase, message, fault and mark event on a shared timeline
+    /// (the ranks' recorders stop evicting, and the run hands the events
+    /// over in [`RankResult::trace`]).
     pub trace: bool,
     /// Sample the watchdogs on this cadence, with a collective early abort
     /// the moment any rank's sample violates the limits.
@@ -135,9 +137,10 @@ pub struct RankResult {
     pub ledger: FlopLedger,
     /// Per-phase wall time (empty unless phases/trace telemetry was on).
     pub phases: PhaseLedger,
-    /// This rank's timeline: phase spans and message events, sorted by
-    /// start time (empty unless trace telemetry was on).
-    pub trace: Vec<TraceEvent>,
+    /// This rank's timeline: phase spans, message and fault events and
+    /// lifecycle marks, sorted by start time (empty unless trace telemetry
+    /// was on).
+    pub trace: Vec<Event>,
     /// This rank's watchdog samples (empty unless health telemetry was on).
     pub health: Vec<HealthSample>,
     /// Steps this rank actually took (fewer than requested on abort).
@@ -224,8 +227,8 @@ impl ParallelRun {
     /// All ranks' trace events on the shared timeline, sorted by start.
     /// Borrows from the per-rank storage — the merged view costs one pointer
     /// per event, not a clone of every label/payload record.
-    pub fn merged_trace(&self) -> Vec<&TraceEvent> {
-        let mut evs: Vec<&TraceEvent> = self.ranks.iter().flat_map(|r| r.trace.iter()).collect();
+    pub fn merged_trace(&self) -> Vec<&Event> {
+        let mut evs: Vec<&Event> = self.ranks.iter().flat_map(|r| r.trace.iter()).collect();
         evs.sort_by_key(|e| (e.t_us, e.rank));
         evs
     }
@@ -448,7 +451,7 @@ struct Carry {
     wait: Duration,
     busy: Duration,
     phases: PhaseLedger,
-    trace: Vec<TraceEvent>,
+    trace: Vec<Event>,
     mon: Option<HealthMonitor>,
 }
 
@@ -531,14 +534,13 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         solver
     });
     let timed = tel.phases || tel.trace;
+    ep.recorder.set_origin(origin);
     if tel.trace {
-        solver.enable_phase_trace(origin);
-        ep.tracer.enable(origin);
+        solver.enable_phase_trace(rank, origin);
+        ep.recorder.trace();
     } else if tel.phases {
         solver.enable_phase_timing();
     }
-    ep.send_time = timed.then_some(Duration::ZERO);
-    ep.flight.set_origin(origin);
     let last = plan.first_step() + plan.nsteps;
     let (nxl, nr) = (solver.field.patch.nxl, solver.field.patch.nr());
     let mut cps: Vec<Checkpoint> = Vec::new();
@@ -582,8 +584,7 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
                     // out through their timeouts. The crash is the last
                     // thing the black box sees.
                     let span = ns_metrics::span_id(u64::from(rec.generation()), solver.nstep);
-                    let what = format!("rank {rank} dead at step {}", solver.nstep);
-                    halo.endpoint_mut().flight.record("crash", what, None, None, Some(span), 0);
+                    halo.endpoint_mut().recorder.mark("crash", None, Some(span));
                     crashed = true;
                     break;
                 }
@@ -600,20 +601,12 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     carry.wait += wait;
     carry.busy += wall.saturating_sub(wait);
     let (mut phases, phase_events) = solver.take_phase_telemetry();
-    if tel.trace {
-        let from = carry.trace.len();
-        carry.trace.extend(phase_events.iter().map(|e| TraceEvent::from_phase(rank, e)));
-        carry.trace.append(&mut ep.tracer.take());
-        carry.trace[from..].sort_by_key(|e| e.t_us);
-    }
     if timed {
         // The timer pauses around halo calls; the endpoint measures
         // blocking receive time and send time instead (as `Duration`s: the
-        // trace events' whole microseconds round a sub-µs send to nothing).
+        // events' whole microseconds round a sub-µs send to nothing).
         phases.add("comm:recv", wait.as_secs_f64());
-        if let Some(send) = ep.send_time.filter(|t| !t.is_zero()) {
-            phases.add("comm:send", send.as_secs_f64());
-        }
+        phases.add("comm:send", ep.send_time.as_secs_f64());
     }
     carry.phases.merge(&phases);
     let was_cancelled = cancelled.is_some();
@@ -622,16 +615,22 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     // steps leading to the crash, the healing attempts before the rollback,
     // or why it stopped
     let flight = if crashed {
-        Some(ep.flight.dump(rank, "rank-crash"))
+        Some(ep.recorder.dump("rank-crash"))
     } else if failure.is_some() {
-        Some(ep.flight.dump(rank, "rollback"))
+        Some(ep.recorder.dump("rollback"))
     } else {
         abort.as_ref().map(|reason| {
             let kind = if was_cancelled { "cancelled" } else { "watchdog-abort" };
-            ep.flight.record(kind, reason.clone(), None, None, None, 0);
-            ep.flight.dump(rank, kind)
+            ep.recorder.mark(format!("{kind}: {reason}"), None, None);
+            ep.recorder.dump(kind)
         })
     };
+    // the traced timeline is taken after the dump, so it ends with the
+    // same events the black box does
+    let from = carry.trace.len();
+    carry.trace.extend(phase_events);
+    carry.trace.append(&mut ep.recorder.take());
+    carry.trace[from..].sort_by_key(|e| e.t_us);
     let Solver { field, ledger, nstep: reached, .. } = solver;
     Attempt { field, ledger, reached, cps, captured, crashed, failure, abort, faults: ep.fault_stats(), flight }
 }

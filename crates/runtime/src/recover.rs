@@ -211,6 +211,7 @@ mod tests {
     use crate::parallel::{run, run_parallel, ParallelRun, RunPlan, TelemetryOptions};
     use crate::topology::CartTopology;
     use ns_core::config::{Regime, SolverConfig};
+    use ns_metrics::EventKind;
     use ns_numerics::Grid;
 
     fn cfg(regime: Regime) -> SolverConfig {
@@ -335,7 +336,7 @@ mod tests {
         // the final event is the crash itself, stamped with the span of the
         // step the rank died on, in generation 0
         let crash = dump.events.last().expect("ring is not empty");
-        assert_eq!(crash.kind, "crash");
+        assert_eq!((crash.kind, &*crash.label), (EventKind::Mark, "crash"));
         let span = crash.span.expect("crash event carries the step span");
         assert_eq!(ns_metrics::span_generation(span), 0);
         assert_eq!(ns_metrics::span_step(span), 5);
@@ -344,7 +345,7 @@ mod tests {
         let steps: Vec<u64> = dump
             .events
             .iter()
-            .filter(|e| e.kind == "step")
+            .filter(|e| e.kind == EventKind::Mark && e.label == "step")
             .map(|e| ns_metrics::span_step(e.span.expect("step events are spanned")))
             .collect();
         assert!(!steps.is_empty(), "the ring holds the steps before the crash");
@@ -352,7 +353,7 @@ mod tests {
         assert_eq!(*steps.last().unwrap(), 4, "last step begun before the step-5 crash");
         // the dead rank's halo traffic for its last step is in the ring,
         // spanned so it stitches with the peers' recorders
-        assert!(dump.events.iter().any(|e| e.kind == "send" && e.span == Some(ns_metrics::span_id(0, 4))));
+        assert!(dump.events.iter().any(|e| e.kind == EventKind::Send && e.span == Some(ns_metrics::span_id(0, 4))));
         // the surviving peers of the dead generation froze rollback dumps,
         // and the run-level accessor surfaces all of them
         assert!(rep.flight_dumps.iter().any(|d| d.reason == "rollback"));

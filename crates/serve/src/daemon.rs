@@ -31,7 +31,7 @@ use crate::server::{Server, Settled, SubmitError};
 use crate::spill::Spill;
 use crate::wal::{key_hex, Wal, WalRecord, WalReplay};
 use crate::CachedRun;
-use ns_metrics::{FlightDump, FlightRecorder, Registry};
+use ns_metrics::{FlightDump, Recorder, Registry};
 use ns_verify::snapshot::GoldenFile;
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -129,13 +129,14 @@ struct Shared {
     wal: Mutex<Wal>,
     hub: WaitHub,
     draining: AtomicBool,
-    flight: Mutex<FlightRecorder>,
+    recorder: Mutex<Recorder>,
     state_dir: PathBuf,
 }
 
 impl Shared {
-    fn record(&self, kind: &str, label: &str, key: Option<u64>) {
-        self.flight.lock().unwrap().record(kind, label, None, key, None, 0);
+    /// Mark a lifecycle note `kind: note` (`seq` = the job key, if any).
+    fn record(&self, kind: &str, note: &str, key: Option<u64>) {
+        self.recorder.lock().expect("recorder lock poisoned").mark(format!("{kind}: {note}"), key, None);
     }
 
     /// Jobs admitted and not yet settled.
@@ -144,7 +145,7 @@ impl Shared {
     }
 
     fn dump_flight(&self, reason: &str) {
-        let dump = self.flight.lock().unwrap().dump(0, reason);
+        let dump = self.recorder.lock().expect("recorder lock poisoned").dump(reason);
         let path = self.state_dir.join(FlightDump::file_name(0));
         let _ = std::fs::write(path, dump.to_json());
     }
@@ -194,7 +195,7 @@ impl Daemon {
                 wal: Mutex::new(wal),
                 hub: WaitHub { jobs: Mutex::new(HashMap::new()), cv: Condvar::new() },
                 draining: AtomicBool::new(false),
-                flight: Mutex::new(FlightRecorder::default()),
+                recorder: Mutex::new(Recorder::new(0, Instant::now())),
                 state_dir: cfg.state_dir.clone(),
             }
         });

@@ -23,6 +23,7 @@
 //! A disabled timer (the default) returns after a single branch, so leaving
 //! the instrumentation compiled into the hot path costs effectively nothing.
 
+use ns_metrics::{Event, Recorder};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -81,43 +82,17 @@ impl PhaseLedger {
     }
 }
 
-/// One timestamped phase span (recorded only in tracing mode).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
-pub struct PhaseEvent {
-    /// Phase label.
-    pub label: &'static str,
-    /// Start, microseconds since the trace origin.
-    pub t_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-}
-
 /// The phase profiler: disabled by default, accumulate-only when enabled,
-/// optionally also recording timestamped [`PhaseEvent`]s for Gantt-style
-/// timelines.
-#[derive(Clone, Debug)]
+/// optionally also recording every phase span as an [`Event`] for
+/// Gantt-style timelines.
+#[derive(Clone, Debug, Default)]
 pub struct PhaseTimer {
     on: bool,
-    tracing: bool,
-    t0: Instant,
     current: Option<(&'static str, Instant)>,
     /// Accumulated per-label costs.
     pub ledger: PhaseLedger,
-    /// Timestamped spans (tracing mode only).
-    pub events: Vec<PhaseEvent>,
-}
-
-impl Default for PhaseTimer {
-    fn default() -> Self {
-        Self {
-            on: false,
-            tracing: false,
-            t0: Instant::now(),
-            current: None,
-            ledger: PhaseLedger::default(),
-            events: Vec::new(),
-        }
-    }
+    /// Where the spans go (tracing mode only).
+    trace: Option<Recorder>,
 }
 
 impl PhaseTimer {
@@ -132,13 +107,14 @@ impl PhaseTimer {
         self.on = true;
     }
 
-    /// Turn on accumulation *and* timestamped span recording, with times
-    /// measured from `t0` (share one `t0` across ranks so their timelines
-    /// align).
-    pub fn enable_traced(&mut self, t0: Instant) {
+    /// Turn on accumulation *and* span recording as `rank`'s events, with
+    /// times measured from `t0` (share one `t0` across ranks so their
+    /// timelines align).
+    pub fn enable_traced(&mut self, rank: usize, t0: Instant) {
         self.on = true;
-        self.tracing = true;
-        self.t0 = t0;
+        let mut rec = Recorder::new(rank, t0);
+        rec.trace();
+        self.trace = Some(rec);
     }
 
     /// Begin the phase `label`, closing any phase already open.
@@ -167,21 +143,17 @@ impl PhaseTimer {
         if let Some((label, t)) = self.current.take() {
             let dur = now.saturating_duration_since(t);
             self.ledger.add(label, dur.as_secs_f64());
-            if self.tracing {
-                self.events.push(PhaseEvent {
-                    label,
-                    t_us: t.saturating_duration_since(self.t0).as_micros() as u64,
-                    dur_us: dur.as_micros() as u64,
-                });
+            if let Some(rec) = self.trace.as_mut() {
+                rec.phase(label, t, now);
             }
         }
     }
 
-    /// Take the collected ledger and events, leaving the timer running with
+    /// Take the collected ledger and spans, leaving the timer running with
     /// empty accumulators.
-    pub fn take(&mut self) -> (PhaseLedger, Vec<PhaseEvent>) {
+    pub fn take(&mut self) -> (PhaseLedger, Vec<Event>) {
         self.pause();
-        (std::mem::take(&mut self.ledger), std::mem::take(&mut self.events))
+        (std::mem::take(&mut self.ledger), self.trace.as_mut().map_or_else(Vec::new, Recorder::take))
     }
 }
 
@@ -196,7 +168,7 @@ mod tests {
         t.start("x:flux");
         t.pause();
         assert!(t.ledger.is_empty());
-        assert!(t.events.is_empty());
+        assert!(t.take().1.is_empty());
     }
 
     #[test]
@@ -216,21 +188,22 @@ mod tests {
         assert!(t.ledger.seconds("x:flux") >= 0.002);
         assert!((t.ledger.total_seconds() - (t.ledger.seconds("x:prims") + t.ledger.seconds("x:flux"))).abs() < 1e-15);
         // accumulate-only mode records no spans
-        assert!(t.events.is_empty());
+        assert!(t.take().1.is_empty());
     }
 
     #[test]
     fn traced_timer_records_ordered_spans() {
         let mut t = PhaseTimer::default();
-        t.enable_traced(Instant::now());
+        t.enable_traced(5, Instant::now());
         t.start("r:prims");
         std::thread::sleep(std::time::Duration::from_millis(1));
         t.start("r:flux");
         std::thread::sleep(std::time::Duration::from_millis(1));
-        t.pause();
-        assert_eq!(t.events.len(), 2);
-        assert_eq!(t.events[0].label, "r:prims");
-        assert!(t.events[1].t_us >= t.events[0].t_us + t.events[0].dur_us);
+        let (_, events) = t.take();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].label, "r:prims");
+        assert!(events.iter().all(|e| e.kind == ns_metrics::EventKind::Phase && e.rank == 5));
+        assert!(events[1].t_us >= events[0].t_us + events[0].dur_us);
     }
 
     #[test]
