@@ -27,6 +27,7 @@
 
 use crate::cache::{solver_miss_ratio, CacheGeometry, SweepOrder};
 use ns_core::config::{Regime, Version};
+use ns_core::field::Patch;
 use ns_core::workload;
 use ns_numerics::Grid;
 use serde::{Deserialize, Serialize};
@@ -199,8 +200,8 @@ impl Calibration {
             assert!(pen_cycles > 0.0 && base_cpi > 0.0, "calibration degenerate: pen={pen_cycles} base={base_cpi}");
             let penalty_ns = pen_cycles / cpu.clock_hz * 1e9;
             // flop_scale: V5 N-S on one 560 must take the paper's ~9062 s
-            let model_flops =
-                workload::step_workload(Regime::NavierStokes, &grid, grid.nx).compute_flops() as f64 * 5000.0;
+            let whole = Patch::whole(grid.clone());
+            let model_flops = workload::step_workload(Regime::NavierStokes, &whole).compute_flops() as f64 * 5000.0;
             let flop_scale = ANCHOR_V5_SECONDS * (ANCHOR_V5_MFLOPS * 1e6) / model_flops;
             Calibration { base_cpi, refs_per_flop, penalty_ns, flop_scale }
         })
@@ -305,7 +306,7 @@ mod tests {
     fn single_560_navier_stokes_takes_paper_hours() {
         let cal = Calibration::standard();
         let g = Grid::paper();
-        let w = ns_core::workload::step_workload(Regime::NavierStokes, &g, g.nx);
+        let w = workload::step_workload(Regime::NavierStokes, &Patch::whole(g.clone()));
         let secs = cal.seconds_for(&CpuSpec::rs6000_560(), Version::V5, g.nx, g.nr, w.compute_flops() * 5000);
         assert!((secs - ANCHOR_V5_SECONDS).abs() / ANCHOR_V5_SECONDS < 1e-9, "anchor seconds: {secs}");
     }
@@ -314,7 +315,7 @@ mod tests {
     fn ymp_scales_well_and_beats_everything() {
         let cal = Calibration::standard();
         let g = Grid::paper();
-        let w = ns_core::workload::step_workload(Regime::NavierStokes, &g, g.nx);
+        let w = workload::step_workload(Regime::NavierStokes, &Patch::whole(g.clone()));
         let flops = w.compute_flops() * 5000;
         let ymp = YmpModel::standard();
         let t1 = ymp.seconds_for(cal, 1, flops);

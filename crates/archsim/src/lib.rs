@@ -13,10 +13,11 @@
 //!   the ALLNODE switches, ATM, the SP switch and the T3D torus
 //!   ([`network`]), plus message-library software-cost models for PVM,
 //!   PVMe, MPL and Cray PVM ([`msglib`]).
-//! * **Program**: the solver's real per-step phase/message structure (from
-//!   `ns_core::workload`) executed by an event-driven SPMD engine
-//!   ([`spmd`]) that reports the paper's busy / non-overlapped-communication
-//!   decomposition.
+//! * **Program**: each rank of the runtime's `CartTopology` runs the
+//!   per-step phase/message program of its own pencil (one builder,
+//!   `ns_core::workload::step_workload`) under the runtime's `CommVersion`,
+//!   executed by an event-driven SPMD engine ([`spmd`]) that reports the
+//!   paper's busy / non-overlapped-communication split.
 //!
 //! The platform catalog ([`platform`]) names the paper's machines; the
 //! shared-memory Cray Y-MP uses the analytic [`cpu::YmpModel`].
@@ -33,4 +34,4 @@ pub use cpu::{Calibration, CpuSpec, YmpModel};
 pub use msglib::MsgLib;
 pub use network::{NetKind, Network};
 pub use platform::Platform;
-pub use spmd::{simulate, simulate_traced, CommMode, SimConfig, SimResult};
+pub use spmd::{simulate, simulate_traced, SimConfig, SimResult};

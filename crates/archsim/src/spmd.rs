@@ -1,12 +1,15 @@
 //! Discrete-event simulation of the SPMD solver on a modeled platform.
 //!
-//! Each rank executes the solver's real per-step program (from
-//! `ns_core::workload`): compute phases whose durations come from the
-//! calibrated CPU model, interleaved with the paper's message protocol whose
-//! software costs come from the library model and whose transport times come
-//! from the network model. The engine advances the globally earliest
-//! runnable rank, so shared-resource contention (the Ethernet bus, switch
-//! ports, torus links) is resolved in time order.
+//! Each rank of the runtime's own [`CartTopology`] executes the per-step
+//! program of its own pencil (one builder,
+//! `ns_core::workload::step_workload`): compute phases whose durations come
+//! from the calibrated CPU model, interleaved with the code's message
+//! protocol whose software costs come from the library model and whose
+//! transport times come from the network model. The comm variant is the
+//! runtime's [`CommVersion`], and a topology the runtime refuses is refused
+//! here too. The engine advances the globally earliest runnable rank, so
+//! shared-resource contention (the Ethernet bus, switch ports, torus links)
+//! is resolved in time order.
 //!
 //! Output is the paper's own decomposition: per-rank **processor busy time**
 //! (compute + message software overheads) and **non-overlapped communication
@@ -16,27 +19,14 @@ use crate::cpu::{Calibration, CpuSpec};
 use crate::msglib::MsgLib;
 
 use crate::platform::Platform;
-use ns_core::config::{Regime, Version};
-use ns_core::workload::{self, Decomposition, PhaseOp};
+use ns_core::config::{Regime, SolverConfig, Version};
+use ns_core::field::Patch;
+use ns_core::workload::{self, PhaseOp};
 use ns_numerics::Grid;
+use ns_runtime::{CartNeighbors, CartTopology, CommVersion};
 use ns_telemetry::{Event, EventKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
-
-/// Communication-structure variant (paper Versions 5-7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommMode {
-    /// Grouped sends, no overlap (the production version).
-    V5,
-    /// Overlap: post sends, compute the interior flux while boundary data is
-    /// in flight, then finish the edges. Splitting the loop costs setup
-    /// overhead and temporal locality (paper Section 6), modeled as a small
-    /// inflation of the split phases.
-    V6,
-    /// Split each two-column flux packet into two sends (less bursty, twice
-    /// the start-ups).
-    V7,
-}
 
 /// Low-level per-rank event.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,8 +47,9 @@ enum Ev {
 pub struct SimConfig {
     /// The platform to model.
     pub platform: Platform,
-    /// Processor count.
-    pub nprocs: usize,
+    /// Rank grid, axial × radial (`CartTopology::axial(p)` is the paper's
+    /// layout).
+    pub topology: CartTopology,
     /// Which equations (sets compute cost and protocol).
     pub regime: Regime,
     /// Grid (the paper's 250x100 unless studying something else).
@@ -71,43 +62,25 @@ pub struct SimConfig {
     pub sim_steps: u64,
     /// Single-processor code version (the parallel studies all use V5).
     pub version: Version,
-    /// Communication variant.
-    pub comm: CommMode,
-    /// Decomposition direction (the paper uses axial blocks; radial is the
-    /// future-work ablation).
-    pub decomposition: Decomposition,
-    /// 2-D pencil rank grid `(px, pr)`, axial-fastest numbering. When set
-    /// it overrides `decomposition` and must satisfy `px * pr == nprocs`;
-    /// `(nprocs, 1)` reproduces the axial layout exactly.
-    pub pencil: Option<(usize, usize)>,
+    /// Communication protocol variant (paper Versions 5-7).
+    pub comm: CommVersion,
 }
 
 impl SimConfig {
-    /// The paper's standard experiment on a platform: 5000 steps reported,
-    /// 50 simulated (stationary), V5 kernels.
+    /// The paper's standard experiment on a platform: `nprocs` axial
+    /// blocks, 5000 steps reported, 50 simulated (stationary), V5 kernels,
+    /// comm V5.
     pub fn paper(platform: Platform, nprocs: usize, regime: Regime) -> Self {
         Self {
             platform,
-            nprocs,
+            topology: CartTopology::axial(nprocs),
             regime,
             grid: Grid::paper(),
             report_steps: 5000,
             sim_steps: 50,
             version: Version::V5,
-            comm: CommMode::V5,
-            decomposition: Decomposition::Axial,
-            pencil: None,
+            comm: CommVersion::V5,
         }
-    }
-
-    /// The pencil scaling experiment: `px × pr` ranks on a platform, with
-    /// the grid chosen by the caller (strong-scaling studies outgrow the
-    /// paper's 250 × 100 domain).
-    pub fn pencil(platform: Platform, grid: Grid, px: usize, pr: usize, regime: Regime) -> Self {
-        let mut cfg = Self::paper(platform, px * pr, regime);
-        cfg.grid = grid;
-        cfg.pencil = Some((px, pr));
-        cfg
     }
 }
 
@@ -143,46 +116,16 @@ impl SimResult {
 }
 
 /// Compile one rank's per-step program into low-level events.
-#[allow(clippy::too_many_arguments)]
 fn compile_rank(cal: &Calibration, cpu: &CpuSpec, lib: &MsgLib, cfg: &SimConfig, rank: usize) -> Vec<Ev> {
-    // neighbours on the Cartesian rank grid (1-D layouts are the
-    // degenerate rows/columns of it), and the local subdomain shape seen by
-    // the cache model
-    let (left, right, down, up, nxl, nr, owns_top);
-    let mut w = match cfg.pencil {
-        Some((px, pr)) => {
-            assert_eq!(px * pr, cfg.nprocs, "pencil shape must cover the rank count");
-            let (cx, cr) = (rank % px, rank / px);
-            left = (cx > 0).then(|| rank - 1);
-            right = (cx + 1 < px).then(|| rank + 1);
-            down = (cr > 0).then(|| rank - px);
-            up = (cr + 1 < pr).then(|| rank + px);
-            nxl = workload::block_len(cfg.grid.nx, cx, px);
-            nr = workload::block_len(cfg.grid.nr, cr, pr);
-            owns_top = cr + 1 == pr;
-            workload::step_workload_pencil(cfg.regime, &cfg.grid, nxl, nr, owns_top)
-        }
-        None => {
-            left = (rank > 0).then(|| rank - 1);
-            right = (rank + 1 < cfg.nprocs).then_some(rank + 1);
-            (down, up) = (None, None);
-            let local;
-            (local, nxl, nr, owns_top) = match cfg.decomposition {
-                Decomposition::Axial => {
-                    let n = workload::block_len(cfg.grid.nx, rank, cfg.nprocs);
-                    (n, n, cfg.grid.nr, true)
-                }
-                Decomposition::Radial => {
-                    let n = workload::block_len(cfg.grid.nr, rank, cfg.nprocs);
-                    (n, cfg.grid.nx, n, rank + 1 == cfg.nprocs)
-                }
-            };
-            workload::step_workload_decomposed(cfg.regime, &cfg.grid, local, cfg.decomposition, owns_top)
-        }
-    };
+    let CartNeighbors { left, right, down, up } = cfg.topology.neighbors(rank);
+    let dims = (cfg.topology.px, cfg.topology.pr);
+    let patch = Patch::pencil(cfg.grid.clone(), cfg.topology.coords(rank), dims);
+    let mut w = workload::step_workload(cfg.regime, &patch);
     if cfg.version >= Version::V6 {
         w.relabel_fused();
     }
+    // the local subdomain shape seen by the cache model
+    let (nxl, nr) = (patch.nxl, patch.nrl);
     let busy_for = |flops: u64| cal.seconds_for(cpu, cfg.version, nxl, nr, flops);
 
     let mut evs: Vec<Ev> = Vec::new();
@@ -215,7 +158,7 @@ fn compile_rank(cal: &Calibration, cpu: &CpuSpec, lib: &MsgLib, cfg: &SimConfig,
                     ops.get(k + 1),
                     Some(PhaseOp::Compute { label, .. }) if label.contains("flux") || label.contains("fused")
                 );
-                if cfg.comm == CommMode::V6 && next_is_flux {
+                if cfg.comm == CommVersion::V6 && next_is_flux {
                     let Some(PhaseOp::Compute { label, flops }) = ops.get(k + 1) else { unreachable!() };
                     let flux_time = busy_for(*flops) * V6_SPLIT_PENALTY;
                     let interior = flux_time * (nxl.saturating_sub(2)) as f64 / nxl as f64;
@@ -238,11 +181,11 @@ fn compile_rank(cal: &Calibration, cpu: &CpuSpec, lib: &MsgLib, cfg: &SimConfig,
                 push_exchange(&mut evs, [left, right], *bytes, 1);
             }
             PhaseOp::ExchangeFlux { bytes } => {
-                let pieces = if cfg.comm == CommMode::V7 { 2 } else { 1 };
+                let pieces = if cfg.comm == CommVersion::V7 { 2 } else { 1 };
                 push_exchange(&mut evs, [left, right], *bytes, pieces);
             }
             // the radial row exchanges of the pencil protocol, always the
-            // grouped (V5) shape — validation restricts radial splits to it
+            // grouped (V5) shape — `validate` restricts radial splits to it
             PhaseOp::ExchangePrimsR { bytes } | PhaseOp::ExchangeFluxR { bytes } => {
                 push_exchange(&mut evs, [down, up], *bytes, 1);
             }
@@ -273,10 +216,14 @@ pub fn simulate_traced(cfg: &SimConfig) -> (SimResult, Vec<Event>) {
 }
 
 fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
-    assert!(cfg.nprocs >= 1 && cfg.nprocs <= cfg.platform.max_procs, "processor count out of range");
+    let nprocs = cfg.topology.size();
+    assert!(nprocs <= cfg.platform.max_procs, "processor count out of range");
+    let solver = SolverConfig { version: cfg.version, ..SolverConfig::paper(cfg.grid.clone(), cfg.regime) };
+    let admitted = cfg.topology.validate(&solver, cfg.comm);
+    assert!(admitted.is_ok(), "topology refused: {}", admitted.unwrap_err());
     assert!(cfg.sim_steps >= 1 && cfg.sim_steps <= cfg.report_steps);
     let cal = Calibration::standard();
-    let mut net = cfg.platform.net.build(cfg.nprocs);
+    let mut net = cfg.platform.net.build(nprocs);
     let lib = cfg.platform.lib;
 
     struct Proc {
@@ -289,7 +236,7 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
         bytes_sent: u64,
     }
 
-    let mut procs: Vec<Proc> = (0..cfg.nprocs)
+    let mut procs: Vec<Proc> = (0..nprocs)
         .map(|r| {
             let step_evs = compile_rank(cal, &cfg.platform.cpu, &lib, cfg, r);
             let mut evs = Vec::with_capacity(step_evs.len() * cfg.sim_steps as usize);
@@ -301,8 +248,8 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
         .collect();
 
     // in-flight deliveries per (src, dst)
-    let mut inflight: Vec<VecDeque<f64>> = vec![VecDeque::new(); cfg.nprocs * cfg.nprocs];
-    let key = |src: usize, dst: usize| src * cfg.nprocs + dst;
+    let mut inflight: Vec<VecDeque<f64>> = vec![VecDeque::new(); nprocs * nprocs];
+    let key = |src: usize, dst: usize| src * nprocs + dst;
     let mut phase_seconds: std::collections::BTreeMap<&'static str, f64> = std::collections::BTreeMap::new();
     let mut trace: Vec<Event> = Vec::new();
     let us = |secs: f64| (secs * 1e6).round() as u64;
@@ -479,7 +426,7 @@ mod tests {
         let mut cfg = SimConfig::paper(Platform::lace560_ethernet(), 8, Regime::NavierStokes);
         cfg.sim_steps = 5;
         let v5 = simulate(&cfg);
-        cfg.comm = CommMode::V7;
+        cfg.comm = CommVersion::V7;
         let v7 = simulate(&cfg);
         // V5: 16/step interior; V7 adds 2 flux messages/side/step -> 24/step
         assert_eq!(v5.startups[3], 80_000);
@@ -493,7 +440,7 @@ mod tests {
         let mut cfg = SimConfig::paper(Platform::lace560_allnode_s(), 8, Regime::NavierStokes);
         cfg.sim_steps = 10;
         let v5 = simulate(&cfg);
-        cfg.comm = CommMode::V6;
+        cfg.comm = CommVersion::V6;
         let v6 = simulate(&cfg);
         let rel = (v6.total - v5.total).abs() / v5.total;
         assert!(rel < 0.08, "V6 within a few percent of V5: {rel}");
@@ -544,12 +491,15 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_pencil_reproduces_axial_simulation() {
-        let mut axial = SimConfig::paper(Platform::lace560_allnode_s(), 8, Regime::NavierStokes);
-        axial.sim_steps = 5;
-        let mut pencil = axial.clone();
-        pencil.pencil = Some((8, 1));
-        assert_eq!(simulate(&axial), simulate(&pencil), "(P, 1) is the axial layout, not an approximation of it");
+    #[should_panic(expected = "fewer than 4 columns")]
+    fn simulator_refuses_what_the_runtime_refuses() {
+        // 64 axial blocks of 250 columns leave 3-4 columns a rank, which
+        // `CartTopology::validate` refuses for a live run
+        let mut t3d = Platform::cray_t3d();
+        t3d.max_procs = 64;
+        let mut cfg = SimConfig::paper(t3d, 64, Regime::NavierStokes);
+        cfg.sim_steps = 1;
+        simulate(&cfg);
     }
 
     #[test]
@@ -558,10 +508,13 @@ mod tests {
         // moves less halo data than either slab orientation
         let grid = Grid::new(512, 512, 50.0, 5.0);
         let run = |px: usize, pr: usize| {
-            let mut c = SimConfig::pencil(Platform::cluster_fat_tree(), grid.clone(), px, pr, Regime::NavierStokes);
-            c.sim_steps = 3;
-            c.report_steps = 3;
-            simulate(&c)
+            simulate(&SimConfig {
+                topology: CartTopology::new(px, pr).unwrap(),
+                grid: grid.clone(),
+                sim_steps: 3,
+                report_steps: 3,
+                ..SimConfig::paper(Platform::cluster_fat_tree(), 1, Regime::NavierStokes)
+            })
         };
         let radial = run(1, 64);
         let axial = run(64, 1);

@@ -2,9 +2,9 @@
 //! network causality and contention monotonicity, engine determinism.
 
 use ns_archsim::network::{Network, SharedBus, Torus3d};
-use ns_archsim::{simulate, CacheGeometry, CacheSim, CommMode, NetKind, Platform, SimConfig};
+use ns_archsim::{simulate, CacheGeometry, CacheSim, NetKind, Platform, SimConfig};
 use ns_core::config::Regime;
-use ns_core::workload::Decomposition;
+use ns_runtime::{CartTopology, CommVersion};
 use proptest::prelude::*;
 
 proptest! {
@@ -146,24 +146,29 @@ proptest! {
 
     /// The per-phase attribution is exhaustive: `phase_seconds` summed over
     /// labels equals busy time summed over ranks (blocking-send stalls are
-    /// charged to `comm:stall` *and* to busy, so both sides agree) for random
-    /// decompositions, comm modes and P ∈ {2, 4, 8, 16}.
+    /// charged to `comm:stall` *and* to busy, so both sides agree) for
+    /// P ∈ {2, 4, 8, 16} as `P × 1`, `1 × P` or `P/2 × 2` rank grids, under
+    /// every comm variant the runtime admits on that grid (V6/V7 overlap
+    /// only axial traffic, so they pair with `pr = 1` only).
     #[test]
     fn phase_seconds_sum_to_total_busy(
         pidx in 0usize..4,
         which in 0usize..8,
         viscous in prop::bool::ANY,
-        radial in prop::bool::ANY,
+        shape in 0usize..3,
         mode in 0usize..3,
     ) {
         let platform = Platform::all()[which];
         let p = [2usize, 4, 8, 16][pidx].min(platform.max_procs);
         let regime = if viscous { Regime::NavierStokes } else { Regime::Euler };
-        let mut cfg = SimConfig::paper(platform, p, regime);
-        cfg.sim_steps = 2;
-        cfg.decomposition = if radial { Decomposition::Radial } else { Decomposition::Axial };
-        cfg.comm = [CommMode::V5, CommMode::V6, CommMode::V7][mode];
-        let r = simulate(&cfg);
+        let (px, pr) = [(p, 1), (1, p), (p / 2, 2)][shape];
+        let comm = if pr == 1 { [CommVersion::V5, CommVersion::V6, CommVersion::V7][mode] } else { CommVersion::V5 };
+        let r = simulate(&SimConfig {
+            topology: CartTopology::new(px, pr).unwrap(),
+            comm,
+            sim_steps: 2,
+            ..SimConfig::paper(platform, p, regime)
+        });
         let busy: f64 = r.busy.iter().sum();
         let phases: f64 = r.phase_seconds.values().sum();
         prop_assert!(
@@ -174,19 +179,20 @@ proptest! {
     }
 
     /// V7 moves exactly the same volume as V5 with strictly more start-ups;
-    /// V6 moves the same volume with the same start-ups.
+    /// V6 moves the same volume with the same start-ups (on `P × 1`, the
+    /// only rank grids the runtime runs V6/V7 on).
     #[test]
     fn comm_mode_invariants(p in 2usize..12) {
-        let mk = |mode: CommMode| {
+        let mk = |mode: CommVersion| {
             let mut cfg = SimConfig::paper(Platform::lace560_allnode_s(), p, Regime::NavierStokes);
             cfg.sim_steps = 2;
             cfg.report_steps = 2;
             cfg.comm = mode;
             simulate(&cfg)
         };
-        let v5 = mk(CommMode::V5);
-        let v6 = mk(CommMode::V6);
-        let v7 = mk(CommMode::V7);
+        let v5 = mk(CommVersion::V5);
+        let v6 = mk(CommVersion::V6);
+        let v7 = mk(CommVersion::V7);
         for k in 0..p {
             prop_assert_eq!(v5.bytes_sent[k], v7.bytes_sent[k]);
             prop_assert_eq!(v5.bytes_sent[k], v6.bytes_sent[k]);

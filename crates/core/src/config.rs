@@ -85,8 +85,8 @@ impl Regime {
 /// lanes.
 ///
 /// The *communication* variants with the same numbers (overlap,
-/// burst-splitting) are a separate axis and live in `ns-runtime`
-/// (`CommVersion`) / `ns-archsim` (`CommMode`).
+/// burst-splitting) are a separate axis, `ns-runtime`'s `CommVersion`,
+/// which the platform simulator (`ns-archsim`) takes as it is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Version {
     /// Original code.

@@ -6,7 +6,6 @@ use ns_core::config::{Regime, SchemeOrder, SolverConfig, Version};
 use ns_core::field::{Field, FluxField, Patch, PrimField, NG};
 use ns_core::kernels::{self, EdgeFlags, FluxDir};
 use ns_core::opcount::FlopLedger;
-use ns_core::workload::Decomposition;
 use ns_core::{bc, workload};
 use ns_numerics::gas::Primitive;
 use ns_numerics::{Array2, Grid};
@@ -125,44 +124,24 @@ proptest! {
     }
 
     /// Workload compute flops are additive over a decomposition: the sum of
-    /// per-rank work equals the whole-grid work.
+    /// per-rank work equals the whole-grid work, for axial (`P × 1`), radial
+    /// (`1 × P`) and 2-D (`px × pr`) splits alike.
     #[test]
-    fn workload_is_additive_over_ranks(p in 1usize..16, viscous in prop::bool::ANY) {
+    fn workload_is_additive_over_ranks(
+        p in 1usize..16, px in 1usize..6, pr in 1usize..6, viscous in prop::bool::ANY,
+    ) {
         let grid = Grid::paper();
         let regime = if viscous { Regime::NavierStokes } else { Regime::Euler };
-        let whole = workload::step_workload(regime, &grid, grid.nx).compute_flops();
-        let mut sum = 0u64;
-        for rank in 0..p {
-            let patch = Patch::block(grid.clone(), rank, p);
-            sum += workload::step_workload(regime, &grid, patch.nxl).compute_flops();
+        let whole = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops();
+        for (px, pr) in [(p, 1), (1, p), (px, pr)] {
+            let sum: u64 = (0..px * pr)
+                .map(|rank| {
+                    let patch = Patch::pencil(grid.clone(), (rank % px, rank / px), (px, pr));
+                    workload::step_workload(regime, &patch).compute_flops()
+                })
+                .sum();
+            prop_assert_eq!(sum, whole, "{}x{}", px, pr);
         }
-        prop_assert_eq!(sum, whole);
-    }
-
-    /// Both decomposition directions describe the same total computation,
-    /// and the radial halo really carries nx points against nr axially.
-    #[test]
-    fn decompositions_agree_on_compute_and_differ_on_halo(p in 1usize..16, viscous in prop::bool::ANY) {
-        let grid = Grid::paper();
-        let regime = if viscous { Regime::NavierStokes } else { Regime::Euler };
-        let sum = |d: Decomposition, n: usize| -> u64 {
-            (0..p).map(|r| {
-                let local = workload::block_len(n, r, p);
-                let owns_top = d == Decomposition::Axial || r + 1 == p;
-                workload::step_workload_decomposed(regime, &grid, local, d, owns_top).compute_flops()
-            }).sum()
-        };
-        let ax = sum(Decomposition::Axial, grid.nx);
-        let ra = sum(Decomposition::Radial, grid.nr);
-        prop_assert_eq!(ax, ra, "identical total computation either way");
-        // halo volume ratio = nx / nr
-        let wa = workload::step_workload_decomposed(regime, &grid, 10, Decomposition::Axial, true);
-        let wr = workload::step_workload_decomposed(regime, &grid, 10, Decomposition::Radial, false);
-        let va = wa.bytes_sent_per_step(2) as f64;
-        let vr = wr.bytes_sent_per_step(2) as f64;
-        prop_assert!((vr / va - grid.nx as f64 / grid.nr as f64).abs() < 1e-12);
-        // start-up counts are decomposition independent
-        prop_assert_eq!(wa.startups_per_step(2), wr.startups_per_step(2));
     }
 
     /// Checkpoint/restore is bitwise transparent at any point in a run,

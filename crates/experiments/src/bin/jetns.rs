@@ -213,10 +213,15 @@ fn cmd_telemetry(args: &Args) -> ExitCode {
     };
     let mut columns: Vec<(String, BTreeMap<String, f64>)> =
         (0..ranks).map(|r| (format!("rank {r}"), owned(run.rank_phase_seconds(r)))).collect();
-    let mut scfg = ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, cfg.regime);
-    scfg.grid = cfg.grid.clone();
-    scfg.report_steps = run.steps_taken().max(1);
-    scfg.sim_steps = scfg.report_steps.min(4);
+    let report_steps = run.steps_taken().max(1);
+    let scfg = ns_archsim::SimConfig {
+        topology: plan.topology,
+        comm: plan.comm,
+        grid: cfg.grid.clone(),
+        report_steps,
+        sim_steps: report_steps.min(4),
+        ..ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, cfg.regime)
+    };
     columns.push(("LACE sim (ref)".to_string(), owned(ns_archsim::simulate(&scfg).phase_seconds)));
     println!("{}", report::phase_breakdown("Per-rank phase breakdown, live vs simulated LACE Allnode-S", &columns));
 

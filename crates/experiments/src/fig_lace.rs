@@ -8,8 +8,9 @@
 //!   Ethernet.
 
 use crate::report::{Report, Series};
-use ns_archsim::{simulate, CommMode, Platform, SimConfig};
+use ns_archsim::{simulate, Platform, SimConfig};
 use ns_core::config::Regime;
+use ns_runtime::CommVersion;
 
 /// Processor counts the paper sweeps on LACE.
 pub const LACE_PROCS: [usize; 7] = [1, 2, 4, 6, 8, 12, 16];
@@ -78,7 +79,9 @@ pub fn fig7_8(regime: Regime) -> Report {
         "processors",
         "seconds",
     );
-    for (mode, mname) in [(CommMode::V5, "Version 5"), (CommMode::V6, "Version 6"), (CommMode::V7, "Version 7")] {
+    for (mode, mname) in
+        [(CommVersion::V5, "Version 5"), (CommVersion::V6, "Version 6"), (CommVersion::V7, "Version 7")]
+    {
         for (platform, pname) in
             [(Platform::lace560_allnode_s(), "ALLNODE-S"), (Platform::lace560_ethernet(), "Ethernet")]
         {

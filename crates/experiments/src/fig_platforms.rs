@@ -3,6 +3,7 @@
 use crate::report::{Report, Series};
 use ns_archsim::{simulate, Calibration, Platform, SimConfig, YmpModel};
 use ns_core::config::Regime;
+use ns_core::field::Patch;
 use ns_core::workload;
 use ns_numerics::Grid;
 
@@ -20,7 +21,7 @@ pub fn fig9_10(regime: Regime) -> Report {
     // Cray Y-MP: analytic shared-memory model, up to its 8 CPUs
     let cal = Calibration::standard();
     let grid = Grid::paper();
-    let flops = workload::step_workload(regime, &grid, grid.nx).compute_flops() * 5000;
+    let flops = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops() * 5000;
     let ymp = YmpModel::standard();
     let ymp_pts = [1usize, 2, 4, 8].iter().map(|&p| (p as f64, ymp.seconds_for(cal, p, flops))).collect();
     r.series.push(Series::new("Cray Y-MP", ymp_pts));

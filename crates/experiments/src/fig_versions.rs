@@ -9,6 +9,7 @@
 use crate::report::{Report, Series};
 use ns_archsim::{Calibration, CpuSpec};
 use ns_core::config::{Regime, Version};
+use ns_core::field::Patch;
 use ns_core::workload;
 use ns_numerics::Grid;
 
@@ -21,7 +22,7 @@ pub fn simulated_1995() -> Report {
     let mut r =
         Report::new("Figure 2: Execution time on a single processor (RS6000/560)", "version", "seconds (5000 steps)");
     for (regime, label) in [(Regime::NavierStokes, "Navier-Stokes"), (Regime::Euler, "Euler")] {
-        let flops = workload::step_workload(regime, &grid, grid.nx).compute_flops() * 5000;
+        let flops = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops() * 5000;
         let pts = Version::ALL
             .iter()
             .map(|&v| (v.index() as f64, cal.seconds_for(&cpu, v, grid.nx, grid.nr, flops)))

@@ -74,18 +74,21 @@ pub fn scaling_grid() -> Grid {
     Grid::new(512, 512, 50.0, 5.0)
 }
 
-fn cell(platform: Platform, grid: &Grid, px: usize, pr: usize) -> ScalingCell {
-    let mut cfg = SimConfig::pencil(platform, grid.clone(), px, pr, Regime::NavierStokes);
-    cfg.report_steps = 1000;
-    cfg.sim_steps = 5;
-    let r = simulate(&cfg);
+fn cell(platform: Platform, grid: &Grid, topology: CartTopology) -> ScalingCell {
+    let r = simulate(&SimConfig {
+        topology,
+        grid: grid.clone(),
+        report_steps: 1000,
+        sim_steps: 5,
+        ..SimConfig::paper(platform, 1, Regime::NavierStokes)
+    });
     let comm: f64 = r.wait.iter().sum::<f64>()
         + ["comm:send", "comm:recv", "comm:stall"].iter().filter_map(|l| r.phase_seconds.get(l)).sum::<f64>();
     ScalingCell {
         platform: platform.name.to_string(),
-        procs: px * pr,
-        px,
-        pr,
+        procs: topology.size(),
+        px: topology.px,
+        pr: topology.pr,
         total_seconds: r.total,
         busy_mean_seconds: r.mean_busy(),
         comm_seconds: comm,
@@ -97,11 +100,11 @@ fn cell(platform: Platform, grid: &Grid, px: usize, pr: usize) -> ScalingCell {
 
 /// The three shapes compared at each processor count: the pure radial slab,
 /// the paper's axial slab, and the surface-minimizing near-square pencil.
-pub fn shapes(p: usize, grid: &Grid) -> Vec<(usize, usize)> {
-    let mut out = vec![(1, p), (p, 1)];
+pub fn shapes(p: usize, grid: &Grid) -> Vec<CartTopology> {
+    let mut out = vec![CartTopology { px: 1, pr: p }, CartTopology::axial(p)];
     if let Ok(t) = CartTopology::factor(p, grid.nx, grid.nr) {
-        if !out.contains(&(t.px, t.pr)) {
-            out.push((t.px, t.pr));
+        if !out.contains(&t) {
+            out.push(t);
         }
     }
     out
@@ -115,8 +118,8 @@ pub fn sweep(quick: bool) -> ScalingData {
     let mut cells = Vec::new();
     for platform in [Platform::cluster_fat_tree(), Platform::torus_cluster()] {
         for &p in procs {
-            for (px, pr) in shapes(p, &grid) {
-                cells.push(cell(platform, &grid, px, pr));
+            for topology in shapes(p, &grid) {
+                cells.push(cell(platform, &grid, topology));
             }
         }
     }
@@ -219,8 +222,8 @@ mod tests {
         // source so the committed BENCH_scaling.json cannot silently rot
         let grid = scaling_grid();
         let fat = Platform::cluster_fat_tree();
-        let square = cell(fat, &grid, 8, 8);
-        let radial = cell(fat, &grid, 1, 64);
+        let square = cell(fat, &grid, CartTopology { px: 8, pr: 8 });
+        let radial = cell(fat, &grid, CartTopology { px: 1, pr: 64 });
         assert!(
             square.comm_seconds < radial.comm_seconds,
             "8x8 comm {} must beat 1x64 comm {}",
@@ -233,7 +236,8 @@ mod tests {
     #[test]
     fn factored_shape_is_near_square_on_the_square_grid() {
         let grid = scaling_grid();
-        assert_eq!(shapes(64, &grid), vec![(1, 64), (64, 1), (8, 8)]);
-        assert_eq!(shapes(128, &grid), vec![(1, 128), (128, 1), (16, 8)]);
+        let dims = |p| shapes(p, &grid).iter().map(|t| (t.px, t.pr)).collect::<Vec<_>>();
+        assert_eq!(dims(64), vec![(1, 64), (64, 1), (8, 8)]);
+        assert_eq!(dims(128), vec![(1, 128), (128, 1), (16, 8)]);
     }
 }

@@ -4,6 +4,7 @@
 use crate::report::{Report, Series};
 use ns_archsim::Calibration;
 use ns_core::config::{Regime, SolverConfig};
+use ns_core::field::Patch;
 use ns_core::workload;
 use ns_numerics::Grid;
 use ns_runtime::{run_parallel, CommStats, CommVersion};
@@ -46,15 +47,16 @@ pub fn characteristics(regime: Regime) -> AppCharacteristics {
     let grid = Grid::paper();
     let steps = 5000u64;
     let cal = Calibration::standard();
-    let whole = workload::step_workload(regime, &grid, grid.nx);
-    let per_proc = workload::step_workload(regime, &grid, grid.nx / 16);
+    let whole = workload::step_workload(regime, &Patch::whole(grid.clone()));
+    // an interior rank of the paper's 16 axial blocks
+    let per_proc = workload::step_workload(regime, &Patch::block(grid, 8, 16));
     let flops_canonical = whole.compute_flops() as f64 * steps as f64;
     AppCharacteristics {
         regime,
         flops_canonical,
         flops_scaled: flops_canonical * cal.flop_scale,
-        startups_per_proc: per_proc.startups_per_step(2) * steps,
-        volume_per_proc: per_proc.bytes_sent_per_step(2) * steps,
+        startups_per_proc: per_proc.startups_per_step(2, 0) * steps,
+        volume_per_proc: per_proc.bytes_sent_per_step(2, 0) * steps,
     }
 }
 
@@ -217,9 +219,9 @@ mod tests {
         // N-S: 4 exchanges/step (prims, flux, prims2, flux2); Euler: 3
         for (regime, exchanges) in [(Regime::NavierStokes, 4u64), (Regime::Euler, 3u64)] {
             let live = measured_comm_per_step(regime, 4);
-            let w = workload::step_workload(regime, &grid, grid.nx / 4);
-            assert_eq!(live.startups(), w.startups_per_step(2), "{regime:?} start-ups");
-            assert_eq!(live.bytes_sent, w.bytes_sent_per_step(2), "{regime:?} bytes");
+            let w = workload::step_workload(regime, &Patch::block(grid.clone(), 2, 4));
+            assert_eq!(live.startups(), w.startups_per_step(2, 0), "{regime:?} start-ups");
+            assert_eq!(live.bytes_sent, w.bytes_sent_per_step(2, 0), "{regime:?} bytes");
             assert_eq!(live.sends, exchanges * 2, "{regime:?} one send per exchange per neighbour");
             assert_eq!(live.recvs, live.sends);
             assert_eq!(live.bytes_recvd, live.bytes_sent);

@@ -4,6 +4,7 @@
 
 use ns_core::config::{Regime, SolverConfig};
 use ns_core::driver::Solver;
+use ns_core::field::Patch;
 use ns_core::workload;
 use ns_numerics::Grid;
 
@@ -19,7 +20,7 @@ pub fn workload_vs_ledger_error(grid: Grid, regime: Regime, steps: u64) -> f64 {
     let interior_measured = (s.ledger.prims + s.ledger.flux + s.ledger.source + s.ledger.update)
         - (before.prims + before.flux + before.source + before.update);
     let per_step_measured = interior_measured as f64 / steps as f64;
-    let model = workload::step_workload(regime, &grid, grid.nx).compute_flops() as f64;
+    let model = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops() as f64;
     (per_step_measured - model).abs() / model
 }
 

@@ -702,8 +702,8 @@ mod tests {
         let nsteps = 3;
         let c = cfg(Regime::NavierStokes);
         let run = run_parallel(&c, 4, nsteps, CommVersion::V5);
-        let w = workload::step_workload(Regime::NavierStokes, &c.grid, c.grid.nx / 4);
-        let expected_interior = w.bytes_sent_per_step(2) * nsteps;
+        let w = workload::step_workload(Regime::NavierStokes, &Patch::block(c.grid.clone(), 1, 4));
+        let expected_interior = w.bytes_sent_per_step(2, 0) * nsteps;
         assert_eq!(run.ranks[1].stats.bytes_sent, expected_interior);
         assert_eq!(run.ranks[0].stats.bytes_sent, expected_interior / 2);
     }

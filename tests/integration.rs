@@ -5,45 +5,45 @@
 use ns_archsim::{simulate, Platform, SimConfig};
 use ns_core::config::{Regime, SolverConfig};
 use ns_core::driver::Solver;
+use ns_core::field::Patch;
 use ns_core::workload;
 use ns_experiments::{all_reports, fig_flow};
 use ns_numerics::Grid;
-use ns_runtime::{run_parallel, CommVersion};
+use ns_runtime::{run_parallel, CartTopology, CommVersion, RunPlan};
 
 #[test]
 fn live_runtime_and_simulator_agree_on_protocol_counts() {
-    // the same (regime, P) must produce identical start-up and byte counts
-    // in the real thread runtime and in the discrete-event simulator
+    // every rank of every rank grid must make the same start-ups and send
+    // the same bytes in the real thread runtime, in the discrete-event
+    // simulator and in the step program the simulator bills
     let grid = Grid::new(64, 24, 50.0, 5.0);
-    for regime in [Regime::NavierStokes, Regime::Euler] {
-        let cfg = SolverConfig::paper(grid.clone(), regime);
-        let steps = 4u64;
-        let live = run_parallel(&cfg, 4, steps, CommVersion::V5);
-
-        let mut sim_cfg = SimConfig::paper(Platform::lace560_allnode_s(), 4, regime);
-        sim_cfg.grid = grid.clone();
-        sim_cfg.report_steps = steps;
-        sim_cfg.sim_steps = steps;
-        let sim = simulate(&sim_cfg);
-
-        for rank in 0..4 {
-            assert_eq!(
-                live.ranks[rank].stats.sends + live.ranks[rank].stats.recvs,
-                sim.startups[rank],
-                "{regime:?} rank {rank} start-ups"
-            );
-            assert_eq!(live.ranks[rank].stats.bytes_sent, sim.bytes_sent[rank], "{regime:?} rank {rank} bytes");
+    let steps = 4u64;
+    for (px, pr) in [(4, 1), (1, 2), (2, 2), (1, 4), (2, 3)] {
+        let topology = CartTopology::new(px, pr).unwrap();
+        for regime in [Regime::NavierStokes, Regime::Euler] {
+            let cfg = SolverConfig::paper(grid.clone(), regime);
+            let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, CommVersion::V5)).unwrap();
+            let sim = simulate(&SimConfig {
+                topology,
+                grid: grid.clone(),
+                report_steps: steps,
+                sim_steps: steps,
+                ..SimConfig::paper(Platform::lace560_allnode_s(), 1, regime)
+            });
+            for rank in 0..topology.size() {
+                let stats = live.ranks[rank].stats;
+                let what = format!("{regime:?} {px}x{pr} rank {rank}");
+                assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{what} start-ups");
+                assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{what} bytes");
+                let nb = topology.neighbors(rank);
+                let axial = usize::from(nb.left.is_some()) + usize::from(nb.right.is_some());
+                let radial = usize::from(nb.down.is_some()) + usize::from(nb.up.is_some());
+                let patch = Patch::pencil(grid.clone(), topology.coords(rank), (px, pr));
+                let model = workload::step_workload(regime, &patch);
+                assert_eq!(stats.bytes_sent, model.bytes_sent_per_step(axial, radial) * steps, "{what} model bytes");
+            }
         }
     }
-}
-
-#[test]
-fn workload_model_matches_live_message_sizes() {
-    let grid = Grid::new(64, 24, 50.0, 5.0);
-    let cfg = SolverConfig::paper(grid.clone(), Regime::NavierStokes);
-    let live = run_parallel(&cfg, 4, 3, CommVersion::V5);
-    let w = workload::step_workload(Regime::NavierStokes, &grid, grid.nx / 4);
-    assert_eq!(live.ranks[1].stats.bytes_sent, w.bytes_sent_per_step(2) * 3);
 }
 
 #[test]
@@ -59,7 +59,7 @@ fn ledger_flops_feed_the_simulator_consistently() {
     s.run(2);
     let measured = (s.ledger.prims + s.ledger.flux + s.ledger.source + s.ledger.update)
         - (before.prims + before.flux + before.source + before.update);
-    let model = workload::step_workload(Regime::Euler, &grid, grid.nx).compute_flops() * 2;
+    let model = workload::step_workload(Regime::Euler, &Patch::whole(grid)).compute_flops() * 2;
     let rel = (measured as f64 - model as f64).abs() / model as f64;
     assert!(rel < 0.01, "ledger vs model: {rel}");
 }
