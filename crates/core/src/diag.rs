@@ -19,6 +19,23 @@ pub struct Invariants {
     pub energy: f64,
 }
 
+impl Invariants {
+    fn to_array(self) -> [f64; 4] {
+        [self.mass, self.x_momentum, self.r_momentum, self.energy]
+    }
+}
+
+/// Invariants, budgets and their integrals are sums over cells, so the
+/// patches of a decomposition add up to the whole grid.
+impl std::ops::AddAssign for Invariants {
+    fn add_assign(&mut self, o: Self) {
+        self.mass += o.mass;
+        self.x_momentum += o.x_momentum;
+        self.r_momentum += o.r_momentum;
+        self.energy += o.energy;
+    }
+}
+
 /// Compute the integrated invariants.
 pub fn invariants(field: &Field) -> Invariants {
     Invariants {
@@ -43,6 +60,9 @@ pub fn invariants(field: &Field) -> Invariants {
 /// Only inviscid fluxes are accounted: the neglected viscous surface work
 /// and heat flux are O(mu) (mu ~ 2.5e-6 at the paper's Reynolds number),
 /// far below the drift tolerances the verification suite asserts.
+///
+/// On a patch of a decomposition only the global surfaces it owns are
+/// billed, so the patches' budgets sum to the whole grid's.
 pub fn boundary_budget(field: &Field, gas: &GasModel) -> Invariants {
     let patch = &field.patch;
     let (dx, dr) = (patch.grid.dx, patch.grid.dr);
@@ -81,11 +101,13 @@ pub fn boundary_budget(field: &Field, gas: &GasModel) -> Invariants {
             }
         }
     }
-    for i in 0..nxl {
-        let g0 = gvec(i, nr - 1);
-        let g1 = gvec(i, nr - 2);
-        for c in 0..4 {
-            rate[c] -= (1.5 * g0[c] - 0.5 * g1[c]) * dx;
+    if patch.is_global_top() {
+        for i in 0..nxl {
+            let g0 = gvec(i, nr - 1);
+            let g1 = gvec(i, nr - 2);
+            for c in 0..4 {
+                rate[c] -= (1.5 * g0[c] - 0.5 * g1[c]) * dx;
+            }
         }
     }
     // The radial momentum equation has the geometric source S_3 = p (plus
@@ -111,10 +133,16 @@ pub fn boundary_budget(field: &Field, gas: &GasModel) -> Invariants {
 /// second-order time accuracy); the *unexplained residual* — drift minus
 /// integrated budget — is the conservation defect the verification suite
 /// bounds.
+///
+/// Every term is a sum over cells, so the ledgers a decomposition's ranks
+/// keep over their own patches [`merge`](Self::merge) into the whole grid's.
+#[derive(Clone, Debug)]
 pub struct ConservationLedger {
-    inv0: Invariants,
-    prev_budget: Invariants,
-    /// Time-integrated budget per component (trapezoid rule).
+    /// Per component (mass, x-mom, r-mom, energy): the invariants at open,
+    /// the latest boundary budget, and the time-integrated budget
+    /// (trapezoid rule).
+    inv0: [f64; 4],
+    prev_budget: [f64; 4],
     acc: [f64; 4],
     steps: u64,
 }
@@ -122,35 +150,43 @@ pub struct ConservationLedger {
 impl ConservationLedger {
     /// Open the ledger on a field's current state.
     pub fn open(field: &Field, gas: &GasModel) -> Self {
-        Self { inv0: invariants(field), prev_budget: boundary_budget(field, gas), acc: [0.0; 4], steps: 0 }
+        let (inv0, prev_budget) = (invariants(field).to_array(), boundary_budget(field, gas).to_array());
+        Self { inv0, prev_budget, acc: [0.0; 4], steps: 0 }
     }
 
     /// Record one completed step of size `dt`.
     pub fn record(&mut self, field: &Field, gas: &GasModel, dt: f64) {
-        let b = boundary_budget(field, gas);
-        let prev =
-            [self.prev_budget.mass, self.prev_budget.x_momentum, self.prev_budget.r_momentum, self.prev_budget.energy];
-        let cur = [b.mass, b.x_momentum, b.r_momentum, b.energy];
+        let cur = boundary_budget(field, gas).to_array();
         for c in 0..4 {
-            self.acc[c] += 0.5 * dt * (prev[c] + cur[c]);
+            self.acc[c] += 0.5 * dt * (self.prev_budget[c] + cur[c]);
         }
-        self.prev_budget = b;
+        self.prev_budget = cur;
         self.steps += 1;
     }
 
-    /// Close the ledger: relative raw drift and unexplained residual per
-    /// component. Radial momentum is scaled by the mass invariant (its own
-    /// initial value is rounding-level zero), axial momentum by the larger
-    /// of its own magnitude and the mass.
+    /// Add another patch's ledger, kept over the same steps.
+    pub fn merge(&mut self, other: &Self) {
+        assert_eq!(self.steps, other.steps, "merged ledgers must cover the same steps");
+        for c in 0..4 {
+            self.inv0[c] += other.inv0[c];
+            self.prev_budget[c] += other.prev_budget[c];
+            self.acc[c] += other.acc[c];
+        }
+    }
+
+    /// Close the ledger on `field`'s state (see [`Self::close_on`]).
     pub fn close(&self, field: &Field) -> ClosedLedger {
-        let now = invariants(field);
-        let drift = [
-            now.mass - self.inv0.mass,
-            now.x_momentum - self.inv0.x_momentum,
-            now.r_momentum - self.inv0.r_momentum,
-            now.energy - self.inv0.energy,
-        ];
-        let scale = [self.inv0.mass, self.inv0.x_momentum.abs().max(self.inv0.mass), self.inv0.mass, self.inv0.energy];
+        self.close_on(invariants(field))
+    }
+
+    /// Close the ledger on the invariants `now`: relative raw drift and
+    /// unexplained residual per component. Radial momentum is scaled by the
+    /// mass invariant (its own initial value is rounding-level zero), axial
+    /// momentum by the larger of its own magnitude and the mass.
+    pub fn close_on(&self, now: Invariants) -> ClosedLedger {
+        let (now, inv0) = (now.to_array(), self.inv0);
+        let drift: [f64; 4] = std::array::from_fn(|c| now[c] - inv0[c]);
+        let scale = [inv0[0], inv0[1].abs().max(inv0[0]), inv0[0], inv0[3]];
         let mut drift_rel = [0.0; 4];
         let mut residual_rel = [0.0; 4];
         for c in 0..4 {
@@ -213,6 +249,13 @@ pub struct Watchdogs {
     /// False when any interior primitive is NaN/inf. The extrema above
     /// cannot signal this themselves: `f64::max`/`min` silently drop NaNs.
     pub finite: bool,
+}
+
+impl Watchdogs {
+    /// True while the state is finite and positivity holds.
+    pub fn healthy(&self) -> bool {
+        self.finite && self.min_rho > 0.0 && self.min_p > 0.0
+    }
 }
 
 /// Compute every watchdog in a single sweep. The health monitor samples
@@ -301,6 +344,35 @@ mod tests {
             [("mass", b.mass), ("x_momentum", b.x_momentum), ("r_momentum", b.r_momentum), ("energy", b.energy)]
         {
             assert!(v.abs() < 1e-10, "{name} budget of uniform flow = {v}");
+        }
+    }
+
+    /// Each pencil bills only the global surfaces it owns, so the budgets
+    /// of a decomposition sum to the whole grid's (a radial split used to
+    /// bill its internal top edge as far field).
+    #[test]
+    fn pencil_budgets_sum_to_the_whole_grid_budget() {
+        let gas = GasModel::air(1.2e6, 1.5);
+        let grid = Grid::small();
+        let state = |x: f64, r: f64| Primitive {
+            rho: 1.0 + 0.1 * r * (0.3 * x).sin(),
+            u: 1.5 / (1.0 + r * r),
+            v: 0.05 * r * (0.2 * x).cos(),
+            p: gas.pressure(1.0, 1.0) * (1.0 + 0.02 * r),
+        };
+        let whole = boundary_budget(&Field::from_primitives(Patch::whole(grid.clone()), &gas, state), &gas);
+        let scale = whole.to_array().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (px, pr) in [(1, 2), (2, 2)] {
+            let mut sum = Invariants::default();
+            for cr in 0..pr {
+                for cx in 0..px {
+                    let patch = Patch::pencil(grid.clone(), (cx, cr), (px, pr));
+                    sum += boundary_budget(&Field::from_primitives(patch, &gas, state), &gas);
+                }
+            }
+            for (c, (s, w)) in sum.to_array().into_iter().zip(whole.to_array()).enumerate() {
+                assert!((s - w).abs() <= 1e-12 * scale, "{px}x{pr} component {c}: {s} vs whole-grid {w}");
+            }
         }
     }
 

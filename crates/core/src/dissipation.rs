@@ -5,8 +5,9 @@
 //! `M_c = 1.5` eventually steepen, so we provide a conventional explicit
 //! fourth-difference smoother for the flow-physics examples. It is **off**
 //! (`dissipation = 0`) in every performance experiment and is only available
-//! in the serial driver (the parallel drivers assert it is disabled, since
-//! the paper's message protocol carries no smoothing halo).
+//! on a whole-grid patch: the serial solver, or a 1×1 rank grid (a finer
+//! decomposition is refused at plan validation, since the paper's message
+//! protocol carries no smoothing halo).
 
 use crate::bc::Q_PARITY;
 use crate::field::Field;

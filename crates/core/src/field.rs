@@ -115,6 +115,12 @@ impl Patch {
     pub fn is_global_top(&self) -> bool {
         self.j0 + self.nrl == self.grid.nr
     }
+
+    /// Does this patch own all four global boundaries, i.e. the whole grid?
+    #[inline(always)]
+    pub fn is_whole_grid(&self) -> bool {
+        self.is_global_left() && self.is_global_right() && self.is_global_bottom() && self.is_global_top()
+    }
 }
 
 /// Map a signed local index (ghosts at negative indices) to array index.

@@ -1,16 +1,18 @@
 //! `jetns` — command-line front end to the reproduction.
 //!
 //! ```text
-//! jetns run        [--steps N] [--nx N] [--nr N] [--euler] [--eps E]   run the jet, print contour
-//!                  [--cadence N] [--summary FILE]                      …with health sampling
-//! jetns telemetry  [--ranks P] [--steps N] [--cadence N] [--out DIR]   instrumented parallel run:
-//!                                                                      phase table, Gantt, traces
+//! jetns run        [--topology PXxPR] [--comm V5|V6|V7] [--steps N]    one run on any rank grid
+//!                  [--nx N] [--nr N] [--euler] [--eps E] [--cadence N] (1x1, the serial run, by
+//!                  [--resume FILE] [--trace DIR] [--prom FILE]         default): contour, health,
+//!                  [--summary FILE]                                    conservation ledger; --trace
+//!                                                                      adds the phase table, Gantt
+//!                                                                      and trace files, --prom the
+//!                                                                      registry window
 //! jetns figures    [--only NAME]                                       regenerate all tables/figures
 //! jetns platforms                                                      Figures 9/10/13
 //! jetns extensions                                                     future-work studies
-//! jetns speedup    [--steps N]                                         host wall-clock scaling
 //! jetns checkpoint --out FILE [--steps N]                              run and write a restart file
-//! jetns resume     --from FILE [--steps N]                             continue from a restart file
+//!                                                                      (`run --resume` continues it)
 //! jetns bench-report [--file PATH]                                     render the measured V1→V7
 //!                                                                      MFLOPS ladder (Figure 2
 //!                                                                      analogue) from BENCH_kernels.json
@@ -37,19 +39,15 @@
 //!                                                                      cache, SIGTERM graceful drain
 //! jetns submit     --socket PATH (--jobs FILE [--wait] [--out FILE]    submit a JSON job list to a
 //!                  | --status | --drain)                               running daemon over its socket
-//! jetns metrics    [--ranks P] [--steps N] [--nx N] [--nr N]           short instrumented run, then
-//!                  [--prom FILE] [--json FILE]                         the live registry window in
-//!                                                                      Prometheus text / JSON
 //! ```
 
 use ns_core::checkpoint::Checkpoint;
 use ns_core::config::{Regime, SolverConfig};
 use ns_core::{diag, Solver};
-use ns_experiments::{bench_report, contour, extensions, fig_platforms, report, speedup};
+use ns_experiments::{bench_report, contour, extensions, fig_platforms, report};
 use ns_numerics::Grid;
 use ns_runtime::{CartTopology, CommVersion, RunPlan, TelemetryOptions};
-use ns_telemetry::{to_chrome_trace, to_jsonl, HealthConfig, HealthMonitor};
-use std::collections::BTreeMap;
+use ns_telemetry::{to_chrome_trace, to_jsonl, HealthConfig};
 use std::process::ExitCode;
 
 struct Args {
@@ -97,161 +95,113 @@ fn config(args: &Args) -> SolverConfig {
     let nx = args.num("nx", 125usize).max(8);
     let nr = args.num("nr", 50usize).max(8);
     let regime = if args.has("euler") { Regime::Euler } else { Regime::NavierStokes };
-    let mut cfg = SolverConfig::paper(Grid::new(nx, nr, 50.0, 5.0), regime);
-    cfg.dissipation = args.num("eps", 0.002f64);
-    cfg
+    SolverConfig::paper(Grid::new(nx, nr, 50.0, 5.0), regime)
 }
+
+/// Artificial dissipation the flow-physics runs damp with by default; only
+/// a whole-grid (1×1) run can carry it.
+const DEFAULT_EPS: f64 = 0.002;
 
 fn cmd_run(args: &Args) -> ExitCode {
-    let cfg = config(args);
+    run(args).unwrap_or_else(|e| {
+        eprintln!("jetns run: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// One plan through the one driver, on any rank grid: the contour and the
+/// health line, then the artifacts the flags ask for.
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let spec = args.get("topology").unwrap_or("1x1");
+    let (px, pr) = spec
+        .split_once('x')
+        .and_then(|(px, pr)| Some((px.parse().ok()?, pr.parse().ok()?)))
+        .ok_or_else(|| format!("bad --topology {spec:?} (expected PXxPR, e.g. 2x1)"))?;
+    let topology = CartTopology::new(px, pr).map_err(|e| e.to_string())?;
+    let name = args.get("comm").unwrap_or("V5");
+    let comm = [CommVersion::V5, CommVersion::V6, CommVersion::V7]
+        .into_iter()
+        .find(|v| format!("{v:?}") == name)
+        .ok_or_else(|| format!("unknown --comm {name:?} (expected V5|V6|V7)"))?;
+    let checkpoint = args.get("resume").map(|path| {
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        Checkpoint::from_bytes(&bytes).map_err(|e| format!("bad checkpoint {path}: {e}"))
+    });
+    let checkpoint = checkpoint.transpose()?;
+    // a checkpoint fixes the grid and the physics; dissipation stays a flag
+    let mut cfg = checkpoint.as_ref().map_or_else(|| config(args), |cp| cp.cfg.clone());
+    cfg.dissipation = args.num("eps", if topology.size() == 1 { DEFAULT_EPS } else { 0.0 });
     let steps = args.num("steps", 500u64);
-    println!("running {} on {}x{} for {steps} steps…", cfg.regime.name(), cfg.grid.nx, cfg.grid.nr);
-    let mut s = Solver::new(cfg);
-    s.enable_phase_timing();
-    let health = HealthConfig { cadence: args.num("cadence", 50u64), ..HealthConfig::default() };
-    let mut mon = HealthMonitor::new(health);
-    let gas = *s.gas();
-    let mut ledger = diag::ConservationLedger::open(&s.field, &gas);
-    let metrics_before = ns_metrics::Registry::global().snapshot();
-    let t0 = std::time::Instant::now();
-    let mut taken = 0;
-    let aborted_at_start = mon.due(s.nstep) && !mon.observe(s.health_sample());
-    if !aborted_at_start {
-        for _ in 0..steps {
-            s.step();
-            ledger.record(&s.field, &gas, s.dt());
-            taken += 1;
-            if mon.due(s.nstep) && !mon.observe(s.health_sample()) {
-                break;
-            }
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
+    let trace_dir = args.get("trace");
+    let telemetry = TelemetryOptions {
+        phases: trace_dir.is_some() || args.has("summary"),
+        trace: trace_dir.is_some(),
+        health: Some(HealthConfig { cadence: args.num("cadence", 50u64), ..HealthConfig::default() }),
+    };
+    println!(
+        "running {} on {}x{} for {steps} steps over {px}x{pr} ranks…",
+        cfg.regime.name(),
+        cfg.grid.nx,
+        cfg.grid.nr
+    );
+    let before = ns_metrics::Registry::global().snapshot();
+    let plan = RunPlan { telemetry, resume: checkpoint.as_ref(), ..RunPlan::new(&cfg, topology, steps, comm) };
+    let run = ns_runtime::run(&plan).map_err(|e| e.to_string())?;
+    let window = ns_metrics::Registry::global().snapshot().diff(&before);
+
+    let field = run.gather_field();
+    let gas = cfg.effective_gas();
+    let watch = diag::watchdogs(&field, &gas);
     println!(
         "t = {:.2}, healthy = {}, max Mach = {:.2} ({} health samples)",
-        s.t,
-        s.healthy(),
-        diag::max_mach(&s.field, &gas),
-        mon.samples.len()
+        run.ranks[0].t,
+        watch.healthy(),
+        watch.max_mach,
+        run.merged_health().len()
     );
-    if let Some(reason) = &mon.abort {
-        eprintln!("early abort after {taken} steps: {reason}");
+    if let Some(reason) = run.aborted() {
+        eprintln!("early abort after {} steps: {reason}", run.steps_taken());
     }
-    print!("{}", contour::ascii(&diag::axial_momentum(&s.field, &gas), 100, 20));
+    print!("{}", contour::ascii(&diag::axial_momentum(&field, &gas), 100, 20));
+
+    let summary = run.summary(&format!("jet-{px}x{pr}"));
+    if let Some(dir) = trace_dir {
+        print_phases(&run, &plan);
+        let trace = run.merged_trace();
+        print!("{}", report::gantt(&trace, topology.size(), 100));
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+        write_file(&format!("{dir}/trace.jsonl"), to_jsonl(&trace))?;
+        write_file(&format!("{dir}/trace_chrome.json"), to_chrome_trace(&trace))?;
+        write_file(&format!("{dir}/run_summary.json"), summary.to_json())?;
+        println!("\nwrote {dir}/trace.jsonl, {dir}/trace_chrome.json, {dir}/run_summary.json");
+    }
     if let Some(path) = args.get("summary") {
-        let mut summary = serial_summary(&s, &mon, steps, taken, wall);
-        summary.conservation = Some(ledger.close(&s.field).to_summary());
-        let window = ns_metrics::Registry::global().snapshot().diff(&metrics_before);
-        let metrics = ns_metrics::MetricsSummary::from_snapshot(&window);
-        summary.metrics = (!metrics.is_empty()).then_some(metrics);
-        if let Err(e) = write_file(path, summary.to_json()) {
-            eprintln!("jetns run: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, summary.to_json())?;
         println!("wrote {path}");
     }
-    if s.healthy() && mon.abort.is_none() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if let Some(path) = args.get("prom") {
+        write_file(path, window.to_prometheus())?;
+        println!("wrote {path}");
     }
+    Ok(if watch.healthy() && run.aborted().is_none() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// Machine-readable summary of a serial (single-rank) run.
-fn serial_summary(s: &Solver, mon: &HealthMonitor, requested: u64, taken: u64, wall: f64) -> ns_telemetry::RunSummary {
-    let cfg = &s.cfg;
-    let mut summary = ns_telemetry::RunSummary {
-        schema_version: ns_telemetry::RUN_SUMMARY_SCHEMA,
-        case: "jet-serial".to_string(),
-        regime: cfg.regime.key().to_string(),
-        nx: cfg.grid.nx,
-        nr: cfg.grid.nr,
-        ranks: 1,
-        steps_requested: requested,
-        steps_taken: taken,
-        wall_seconds: wall,
-        aborted: mon.abort.clone(),
-        phase_seconds: BTreeMap::new(),
-        comm: ns_telemetry::CommTotals::default(),
-        recovery: None,
-        conservation: None,
-        serve: None,
-        metrics: None,
-        health: mon.samples.clone(),
-    };
-    summary.set_phases(s.phase_ledger());
-    summary
-}
-
-fn cmd_telemetry(args: &Args) -> ExitCode {
-    let ranks = args.num("ranks", 4usize).max(2);
-    let steps = args.num("steps", 100u64);
-    let outdir = args.get("out").unwrap_or("telemetry-out").to_string();
-    let mut cfg = config(args);
-    cfg.dissipation = 0.0; // artificial smoothing is serial-only; the parallel driver asserts this
-    let health = HealthConfig { cadence: args.num("cadence", 10u64), ..HealthConfig::default() };
-    println!(
-        "instrumented {} run: {} ranks, {steps} steps, health cadence {}…",
-        cfg.regime.name(),
-        ranks,
-        health.cadence
-    );
-    let telemetry = TelemetryOptions { phases: true, trace: true, health: Some(health) };
-    let plan = RunPlan { telemetry, ..RunPlan::new(&cfg, CartTopology::axial(ranks), steps, CommVersion::V5) };
-    let run = match ns_runtime::run(&plan) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("jetns telemetry: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // per-rank phase breakdown next to a simulated reference column that
-    // uses the exact same label vocabulary
-    let owned = |m: BTreeMap<&'static str, f64>| -> BTreeMap<String, f64> {
-        m.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
-    };
-    let mut columns: Vec<(String, BTreeMap<String, f64>)> =
-        (0..ranks).map(|r| (format!("rank {r}"), owned(run.rank_phase_seconds(r)))).collect();
+/// The per-rank phase breakdown next to a simulated reference column that
+/// uses the exact same label vocabulary.
+fn print_phases(run: &ns_runtime::ParallelRun, plan: &RunPlan) {
+    let ranks = plan.topology.size();
+    let mut columns: Vec<_> = (0..ranks).map(|r| (format!("rank {r}"), run.rank_phase_seconds(r))).collect();
     let report_steps = run.steps_taken().max(1);
     let scfg = ns_archsim::SimConfig {
         topology: plan.topology,
         comm: plan.comm,
-        grid: cfg.grid.clone(),
+        grid: plan.cfg.grid.clone(),
         report_steps,
         sim_steps: report_steps.min(4),
-        ..ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, cfg.regime)
+        ..ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, plan.cfg.regime)
     };
-    columns.push(("LACE sim (ref)".to_string(), owned(ns_archsim::simulate(&scfg).phase_seconds)));
+    columns.push(("LACE sim (ref)".to_string(), ns_archsim::simulate(&scfg).phase_seconds));
     println!("{}", report::phase_breakdown("Per-rank phase breakdown, live vs simulated LACE Allnode-S", &columns));
-
-    let trace = run.merged_trace();
-    print!("{}", report::gantt(&trace, ranks, 100));
-
-    if let Err(e) = std::fs::create_dir_all(&outdir) {
-        eprintln!("cannot create {outdir}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut summary = run.summary("jet-parallel");
-    summary.case = format!("jet-parallel-p{ranks}");
-    let writes = [
-        ("trace.jsonl", to_jsonl(&trace)),
-        ("trace_chrome.json", to_chrome_trace(&trace)),
-        ("run_summary.json", summary.to_json()),
-    ];
-    for (name, content) in writes {
-        let path = format!("{outdir}/{name}");
-        if let Err(e) = write_file(&path, content) {
-            eprintln!("jetns telemetry: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    println!("\nwrote {outdir}/trace.jsonl, {outdir}/trace_chrome.json, {outdir}/run_summary.json");
-    if let Some(reason) = run.aborted() {
-        eprintln!("run aborted early: {reason}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_figures(args: &Args) -> ExitCode {
@@ -286,22 +236,13 @@ fn cmd_extensions() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_speedup(args: &Args) -> ExitCode {
-    let steps = args.num("steps", 40u64);
-    let grid = Grid::new(200, 80, 50.0, 5.0);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let counts: Vec<usize> = [2usize, 4, 8].into_iter().filter(|&p| p <= cores.max(2)).collect();
-    println!("{}", speedup::message_passing_speedup(grid.clone(), steps, &counts, Regime::NavierStokes).table());
-    println!("{}", speedup::shared_memory_speedup(grid, steps, &counts, Regime::NavierStokes).table());
-    ExitCode::SUCCESS
-}
-
 fn cmd_checkpoint(args: &Args) -> ExitCode {
     let Some(path) = args.get("out") else {
         eprintln!("checkpoint requires --out FILE");
         return ExitCode::FAILURE;
     };
-    let cfg = config(args);
+    let mut cfg = config(args);
+    cfg.dissipation = args.num("eps", DEFAULT_EPS);
     let steps = args.num("steps", 200u64);
     let mut s = Solver::new(cfg);
     s.run(steps);
@@ -319,33 +260,6 @@ fn cmd_checkpoint(args: &Args) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn cmd_resume(args: &Args) -> ExitCode {
-    let Some(path) = args.get("from") else {
-        eprintln!("resume requires --from FILE");
-        return ExitCode::FAILURE;
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut s = match Checkpoint::from_bytes(&bytes) {
-        Ok(cp) => cp.restore(),
-        Err(e) => {
-            eprintln!("bad checkpoint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let steps = args.num("steps", 200u64);
-    println!("resumed at t = {:.3}, step {}; running {steps} more…", s.t, s.nstep);
-    s.run(steps);
-    let gas = *s.gas();
-    println!("now t = {:.3}, healthy = {}, max Mach = {:.2}", s.t, s.healthy(), diag::max_mach(&s.field, &gas));
-    ExitCode::SUCCESS
 }
 
 fn cmd_bench_report(args: &Args) -> ExitCode {
@@ -758,43 +672,6 @@ fn cmd_submit(args: &Args) -> ExitCode {
     }
 }
 
-/// Run a short instrumented workload and expose the live registry: every
-/// subsystem the tentpole instruments (comm, driver, recovery) feeds the
-/// process-global registry, so a fresh CLI process must generate traffic
-/// before there is anything to report.
-fn cmd_metrics(args: &Args) -> ExitCode {
-    let ranks = args.num("ranks", 2usize).max(2);
-    let steps = args.num("steps", 8u64).max(1);
-    let mut cfg = SolverConfig::paper(
-        Grid::new(args.num("nx", 48usize).max(16), args.num("nr", 16usize).max(8), 20.0, 4.0),
-        Regime::Euler,
-    );
-    cfg.dissipation = 0.0;
-    println!("metrics probe: {} ranks, {steps} steps on {}x{}…", ranks, cfg.grid.nx, cfg.grid.nr);
-    let before = ns_metrics::Registry::global().snapshot();
-    if let Err(e) = ns_runtime::run(&RunPlan::new(&cfg, CartTopology::axial(ranks), steps, CommVersion::V7)) {
-        eprintln!("jetns metrics: {e}");
-        return ExitCode::FAILURE;
-    }
-    let window = ns_metrics::Registry::global().snapshot().diff(&before);
-    print!("{}", window.to_prometheus());
-    if let Some(path) = args.get("prom") {
-        if let Err(e) = write_file(path, window.to_prometheus()) {
-            eprintln!("jetns metrics: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    if let Some(path) = args.get("json") {
-        if let Err(e) = write_file(path, window.to_json()) {
-            eprintln!("jetns metrics: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
-}
-
 /// The bench regression gate: compare a (typically quick-mode) candidate
 /// MedianBench file against the committed full-mode baseline.
 fn cmd_bench_compare(args: &Args) -> ExitCode {
@@ -828,7 +705,7 @@ fn cmd_bench_compare(args: &Args) -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: jetns <run|telemetry|figures|platforms|extensions|speedup|checkpoint|resume|bench-report|bench-compare|chaos|verify|served|submit|loadgen|metrics> [flags]\n\
+        "usage: jetns <run|figures|platforms|extensions|checkpoint|bench-report|bench-compare|scaling-sweep|scaling-report|chaos|verify|loadgen|served|submit> [flags]\n\
          see the module docs in crates/experiments/src/bin/jetns.rs"
     );
     ExitCode::FAILURE
@@ -842,20 +719,16 @@ fn main() -> ExitCode {
     let args = Args::parse(&raw[1..]);
     match cmd.as_str() {
         "run" => cmd_run(&args),
-        "telemetry" => cmd_telemetry(&args),
         "figures" => cmd_figures(&args),
         "platforms" => cmd_platforms(),
         "extensions" => cmd_extensions(),
-        "speedup" => cmd_speedup(&args),
         "checkpoint" => cmd_checkpoint(&args),
-        "resume" => cmd_resume(&args),
         "bench-report" => cmd_bench_report(&args),
         "chaos" => cmd_chaos(&args),
         "verify" => cmd_verify(&args),
         "served" => cmd_served(&args),
         "submit" => cmd_submit(&args),
         "loadgen" => cmd_loadgen(&args),
-        "metrics" => cmd_metrics(&args),
         "bench-compare" => cmd_bench_compare(&args),
         "scaling-sweep" => cmd_scaling_sweep(&args),
         "scaling-report" => cmd_scaling_report(&args),

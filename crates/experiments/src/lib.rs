@@ -19,10 +19,12 @@
 //! | Figures 11-12 | [`fig_msglib::fig11_12`] |
 //! | Figure 13 | [`fig_platforms::fig13`] |
 //!
-//! [`speedup`] adds the modern real-host scalability check, [`validation`]
-//! pins the analytic workload model to the live solver, and [`extensions`]
-//! runs the studies the paper's conclusion names as future work (radial
-//! decomposition, larger machines, weak scaling).
+//! [`validation`] pins the analytic workload model to the live solver, and
+//! [`extensions`] runs the studies the paper's conclusion names as future
+//! work (radial decomposition, larger machines, weak scaling). Live runs on
+//! any rank grid, the serial one included, are `jetns run --topology PXxPR`
+//! (one `ns_runtime::run` plan; the repo benchmark's `par_*` workloads
+//! time them).
 
 pub mod acoustics;
 pub mod bench_report;
@@ -36,7 +38,6 @@ pub mod fig_platforms;
 pub mod fig_versions;
 pub mod report;
 pub mod scaling;
-pub mod speedup;
 pub mod tables;
 pub mod validation;
 

@@ -152,11 +152,11 @@ impl Report {
 /// reference column built from `SimResult::phase_seconds` (both use the
 /// same label vocabulary, which is the whole point). Cells show the time
 /// and each label's share of its column's total.
-pub fn phase_breakdown(title: &str, columns: &[(String, BTreeMap<String, f64>)]) -> String {
+pub fn phase_breakdown(title: &str, columns: &[(String, BTreeMap<&str, f64>)]) -> String {
     let mut labels: Vec<&str> = Vec::new();
     for (_, col) in columns {
-        for l in col.keys() {
-            if !labels.iter().any(|x| x == l) {
+        for &l in col.keys() {
+            if !labels.contains(&l) {
                 labels.push(l);
             }
         }
@@ -176,7 +176,7 @@ pub fn phase_breakdown(title: &str, columns: &[(String, BTreeMap<String, f64>)])
     for label in &labels {
         let mut row = format!("{label:>14}");
         for ((_, col), &total) in columns.iter().zip(&totals) {
-            match col.get(*label) {
+            match col.get(label) {
                 Some(&v) => {
                     let pct = if total > 0.0 { 100.0 * v / total } else { 0.0 };
                     row.push_str(&format!(" | {:>11} {pct:>4.1}%", fmt_secs(v)));
@@ -338,11 +338,11 @@ mod tests {
     #[test]
     fn phase_breakdown_lists_union_of_labels_with_totals() {
         let mut a = BTreeMap::new();
-        a.insert("x:flux".to_string(), 0.2);
-        a.insert("comm:recv".to_string(), 0.05);
+        a.insert("x:flux", 0.2);
+        a.insert("comm:recv", 0.05);
         let mut b = BTreeMap::new();
-        b.insert("x:flux".to_string(), 0.3);
-        b.insert("r:prims".to_string(), 0.1);
+        b.insert("x:flux", 0.3);
+        b.insert("r:prims", 0.1);
         let t = phase_breakdown("phases", &[("rank 0".into(), a), ("LACE sim".into(), b)]);
         assert!(t.contains("x:flux"));
         assert!(t.contains("comm:recv"));

@@ -1,6 +1,8 @@
 //! The distributed-memory parallel driver: one OS thread per rank, the
 //! paper's axial block decomposition generalized to 2-D pencils over a
 //! [`CartTopology`], real message passing through the in-process endpoints.
+//! It is also the serial driver: a 1×1 plan runs its one rank on the
+//! calling thread, bitwise [`Solver::step`].
 //!
 //! Beyond real wall-clock speedup, the driver records the same breakdown the
 //! paper plots: per-rank *processor busy time* and *non-overlapped
@@ -14,6 +16,7 @@ use crate::recover::{ChaosOptions, Recovery, RecoveryReport};
 use crate::topology::{CartTopology, DecompositionError};
 use ns_core::checkpoint::Checkpoint;
 use ns_core::config::SolverConfig;
+use ns_core::diag::{self, ClosedLedger, ConservationLedger};
 use ns_core::field::{Field, Patch, NG};
 use ns_core::opcount::FlopLedger;
 use ns_core::Solver;
@@ -65,7 +68,8 @@ pub struct TelemetryOptions {
     /// over in [`RankResult::trace`]).
     pub trace: bool,
     /// Sample the watchdogs on this cadence, with a collective early abort
-    /// the moment any rank's sample violates the limits.
+    /// the moment any rank's sample violates the limits; every rank also
+    /// keeps a conservation ledger over its patch, recorded every step.
     pub health: Option<HealthConfig>,
 }
 
@@ -126,6 +130,8 @@ pub struct RankResult {
     pub rank: usize,
     /// Final local field (interior is authoritative).
     pub field: Field,
+    /// Physical time the rank's clock reached.
+    pub t: f64,
     /// Communication statistics.
     pub stats: CommStats,
     /// Time blocked in receives (non-overlapped communication).
@@ -143,6 +149,10 @@ pub struct RankResult {
     pub trace: Vec<Event>,
     /// This rank's watchdog samples (empty unless health telemetry was on).
     pub health: Vec<HealthSample>,
+    /// This rank's conservation ledger over its own patch, opened on the
+    /// final generation's starting state (`None` unless health telemetry
+    /// was on).
+    pub conservation: Option<ConservationLedger>,
     /// Steps this rank actually took (fewer than requested on abort).
     pub steps: u64,
     /// Why this rank stopped early, if it did.
@@ -256,6 +266,22 @@ impl ParallelRun {
         by_step.into_values().collect()
     }
 
+    /// The whole grid's conservation ledger, closed on the final state:
+    /// the ranks' patch ledgers and final invariants summed (`None` unless
+    /// health telemetry was on). Invariants, owned-boundary fluxes and
+    /// their time integrals are all sums over patches.
+    pub fn conservation(&self) -> Option<ClosedLedger> {
+        let mut parts = self.ranks.iter().map(|r| Some((r.conservation.as_ref()?, diag::invariants(&r.field))));
+        let (first, mut now) = parts.next()??;
+        let mut whole = first.clone();
+        for part in parts {
+            let (ledger, inv) = part?;
+            whole.merge(ledger);
+            now += inv;
+        }
+        Some(whole.close_on(now))
+    }
+
     /// Why the run aborted early, if any rank did.
     pub fn aborted(&self) -> Option<String> {
         // prefer a rank that saw the violation itself over peers that were
@@ -307,7 +333,7 @@ impl ParallelRun {
                 dup_frames: stats.dup_frames,
             },
             recovery: self.recovery.as_ref().map(|r| r.to_summary(&stats)),
-            conservation: None,
+            conservation: self.conservation().map(ClosedLedger::to_summary),
             serve: None,
             metrics: (!self.metrics.is_empty()).then(|| self.metrics.clone()),
             health: self.merged_health(),
@@ -354,11 +380,11 @@ pub fn run_parallel_instrumented(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The one parallel driver: validate the plan once, then run rank teams —
-/// one OS thread per rank — generation after generation until one comes
-/// through. Without `reliability` that is exactly one generation with a
-/// strict halo: a comm error is a panic, as a PVM task dies with its virtual
-/// machine. With it, a generation that lost a rank or exhausted a retry
+/// The one driver: validate the plan once, then run rank teams — one OS
+/// thread per rank, rank 0 on the caller's — generation after generation
+/// until one comes through. Without `reliability` that is exactly one
+/// generation with a strict halo: a comm error is a panic, as a PVM task
+/// dies with its virtual machine. With it, a generation that lost a rank or exhausted a retry
 /// budget is rolled back ([`crate::recover`]) and the final field is bitwise
 /// the fault-free run's.
 ///
@@ -368,12 +394,12 @@ pub fn run_parallel_instrumented(
 /// are dropped on rollback, so each sampled step appears once. A health
 /// abort or a cancellation ends the run; only a comm failure rolls it back.
 ///
-/// A plan that is too fine is a typed error; a wrong one (dissipation, a
-/// `resume` checkpoint that is not this grid's whole field) panics.
+/// A plan the decomposition cannot carry (too fine, or dissipation on more
+/// than one rank) is a typed error; a wrong one (a `resume` checkpoint that
+/// is not this grid's whole field) panics.
 pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
     let RunPlan { cfg, topology: topo, nsteps, comm, .. } = *plan;
     topo.validate(cfg, comm)?;
-    assert_eq!(cfg.dissipation, 0.0, "dissipation is serial-only (the paper's protocol has no smoothing halo)");
     if let Some(cp) = plan.resume {
         assert_eq!(cp.patch, Patch::whole(cfg.grid.clone()), "distributed restart needs a whole-grid checkpoint");
     }
@@ -406,6 +432,7 @@ pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
         .map(|(rank, (a, c))| RankResult {
             rank,
             field: a.field,
+            t: a.t,
             stats: c.stats,
             wait: c.wait,
             busy: c.busy,
@@ -413,6 +440,7 @@ pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
             phases: c.phases,
             trace: c.trace,
             health: c.mon.map_or_else(Vec::new, |m| m.samples),
+            conservation: a.conservation,
             steps: a.reached - first,
             abort: a.abort,
             flight: a.flight,
@@ -426,19 +454,20 @@ pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
 }
 
 /// One generation: a fresh universe, armed for recovery when there is one,
-/// and a rank team of one OS thread per rank.
+/// and a rank team of one OS thread per rank. Rank 0 runs on the calling
+/// thread, so a 1×1 plan spawns nothing.
 fn generation(plan: &RunPlan, rec: Option<&Recovery>, carries: &mut [Carry], origin: Instant) -> Vec<Attempt> {
     let mut endpoints = universe(carries.len());
     if let Some(rec) = rec {
         rec.arm(&mut endpoints);
     }
+    let mut ranks = endpoints.into_iter().zip(carries);
+    let (ep0, carry0) = ranks.next().expect("a plan has at least one rank");
     std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .zip(carries)
-            .map(|(ep, carry)| s.spawn(move || run_rank(plan, rec, ep, carry, origin)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+        let handles: Vec<_> =
+            ranks.map(|(ep, carry)| s.spawn(move || run_rank(plan, rec, ep, carry, origin))).collect();
+        let first = run_rank(plan, rec, ep0, carry0, origin);
+        std::iter::once(first).chain(handles.into_iter().map(|h| h.join().expect("rank panicked"))).collect()
     })
 }
 
@@ -457,10 +486,13 @@ struct Carry {
 
 /// How one rank's generation ended.
 pub(crate) struct Attempt {
-    /// Final state: local field, FLOP ledger and the step reached.
+    /// Final state: local field, FLOP ledger, clock and the step reached.
     field: Field,
     ledger: FlopLedger,
+    t: f64,
     pub(crate) reached: u64,
+    /// The patch's conservation ledger over this generation's steps.
+    conservation: Option<ConservationLedger>,
     /// The newest two coordinated checkpoints captured, oldest first.
     pub(crate) cps: Vec<Checkpoint>,
     /// Every checkpoint captured, including those `cps` let go.
@@ -534,6 +566,7 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         solver
     });
     let timed = tel.phases || tel.trace;
+    let mut conservation = tel.health.is_some().then(|| ConservationLedger::open(&solver.field, solver.gas()));
     ep.recorder.set_origin(origin);
     if tel.trace {
         solver.enable_phase_trace(rank, origin);
@@ -591,6 +624,9 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
             }
             halo.begin_step(solver.nstep);
             solver.step_with_halo(&mut halo);
+            if let Some(ledger) = conservation.as_mut() {
+                ledger.record(&solver.field, solver.gas(), solver.dt());
+            }
             healthy = health_check(&solver, &mut halo, &mut carry.mon);
         }
         halo.failure().cloned()
@@ -631,8 +667,9 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     carry.trace.extend(phase_events);
     carry.trace.append(&mut ep.recorder.take());
     carry.trace[from..].sort_by_key(|e| e.t_us);
-    let Solver { field, ledger, nstep: reached, .. } = solver;
-    Attempt { field, ledger, reached, cps, captured, crashed, failure, abort, faults: ep.fault_stats(), flight }
+    let Solver { field, ledger, t, nstep: reached, .. } = solver;
+    let faults = ep.fault_stats();
+    Attempt { field, ledger, t, reached, conservation, cps, captured, crashed, failure, abort, faults, flight }
 }
 
 #[cfg(test)]
@@ -721,28 +758,41 @@ mod tests {
         assert!((par - ser).abs() / ser < 0.05, "serial {ser} vs parallel {par}");
     }
 
+    /// A resumed plan is the uninterrupted run, bitwise: Euler on every
+    /// shape, and both regimes on the 1×1 plan (the serial restart).
     #[test]
     fn distributed_restart_is_transparent() {
-        use ns_core::checkpoint::Checkpoint;
-        let c = cfg(Regime::Euler);
-        // uninterrupted reference: 9 steps serial
-        let mut reference = Solver::new(c.clone());
-        reference.run(9);
-        // 4 serial steps, checkpoint, then 5 more on 3 slabs / 2x2 pencils
-        let mut first = Solver::new(c.clone());
-        first.run(4);
-        let cp = Checkpoint::capture(&first);
-        for topo in [CartTopology::axial(3), CartTopology::new(2, 2).unwrap()] {
-            let resumed = run(&RunPlan { resume: Some(&cp), ..RunPlan::new(&c, topo, 5, CommVersion::V5) }).unwrap();
-            assert_eq!(reference.field.max_diff(&resumed.gather_field()), 0.0, "{topo:?}: scatter restart is bitwise");
-            assert_eq!(resumed.steps_taken(), 5, "{topo:?}: nsteps count from the checkpoint");
-            // the resumed ranks continued the global clock
-            assert!(resumed.ranks[0].ledger.total() > 0);
+        let slabs_and_pencils = [CartTopology::axial(1), CartTopology::axial(3), CartTopology::new(2, 2).unwrap()];
+        for (regime, topologies) in
+            [(Regime::Euler, &slabs_and_pencils[..]), (Regime::NavierStokes, &[CartTopology::axial(1)])]
+        {
+            let c = cfg(regime);
+            // uninterrupted reference: 9 steps serial
+            let mut reference = Solver::new(c.clone());
+            reference.run(9);
+            // 4 serial steps, checkpoint, then 5 more on the plan
+            let mut first = Solver::new(c.clone());
+            first.run(4);
+            let cp = Checkpoint::capture(&first);
+            for &topo in topologies {
+                let plan = RunPlan { resume: Some(&cp), ..RunPlan::new(&c, topo, 5, CommVersion::V5) };
+                let resumed = run(&plan).unwrap();
+                let what = format!("{regime:?} {topo:?}");
+                assert_eq!(
+                    reference.field.max_diff(&resumed.gather_field()),
+                    0.0,
+                    "{what}: scatter restart is bitwise"
+                );
+                assert_eq!(resumed.steps_taken(), 5, "{what}: nsteps count from the checkpoint");
+                // the resumed ranks continued the global clock
+                assert_eq!(resumed.ranks[0].t, reference.t, "{what}");
+                assert!(resumed.ranks[0].ledger.total() > 0);
+            }
         }
     }
 
-    /// Slabs, a pure radial split and 2-D pencils all run the one rank
-    /// body, so every instrument works on every shape.
+    /// The serial run, slabs, a pure radial split and 2-D pencils all run
+    /// the one rank body, so every instrument works on every shape.
     #[test]
     fn instrumented_run_collects_phases_trace_and_health() {
         let c = cfg(Regime::NavierStokes);
@@ -751,23 +801,47 @@ mod tests {
             trace: true,
             health: Some(ns_telemetry::HealthConfig { cadence: 2, ..Default::default() }),
         };
-        for topo in [CartTopology::axial(3), CartTopology::new(1, 2).unwrap(), CartTopology::new(2, 2).unwrap()] {
+        let shapes = [
+            CartTopology::axial(1),
+            CartTopology::axial(3),
+            CartTopology::new(1, 2).unwrap(),
+            CartTopology::new(2, 2).unwrap(),
+        ];
+        for topo in shapes {
             let plan = RunPlan { telemetry: telemetry.clone(), ..RunPlan::new(&c, topo, 4, CommVersion::V5) };
             let run = run(&plan).unwrap();
             assert_eq!(run.steps_taken(), 4);
             assert!(run.aborted().is_none());
-            // phases: the measured breakdown uses the simulator's vocabulary
+            // phases: the measured breakdown uses the simulator's
+            // vocabulary, every phase of the workload model included
             let phases = run.phase_seconds();
-            for label in ["r:prims", "x:flux", "x:correct", "comm:recv"] {
+            for label in [
+                "r:prims",
+                "r:flux",
+                "r:predict",
+                "r:prims2",
+                "r:flux2",
+                "r:correct",
+                "x:prims",
+                "x:flux",
+                "x:predict",
+                "x:prims2",
+                "x:flux2",
+                "x:correct",
+                "bc:step",
+                "comm:recv",
+            ] {
                 assert!(phases.contains_key(label), "{topo:?}: missing {label}");
             }
             // per-rank breakdown exists
-            assert!(run.rank_phase_seconds(1).contains_key("x:flux2"));
+            assert!(run.rank_phase_seconds(topo.size() - 1).contains_key("x:flux2"));
             // trace: phase spans and message events on one timeline, sorted
             let trace = run.merged_trace();
             assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Phase));
-            assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Send));
-            assert!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Recv));
+            // (a 1×1 plan has no neighbour to message)
+            let messages = topo.size() > 1;
+            assert_eq!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Send), messages, "{topo:?}");
+            assert_eq!(trace.iter().any(|e| e.kind == ns_telemetry::EventKind::Recv), messages, "{topo:?}");
             assert!(trace.windows(2).all(|w| w[0].t_us <= w[1].t_us));
             // every rank appears on the timeline
             for rank in 0..topo.size() {
@@ -781,6 +855,7 @@ mod tests {
             let summary = run.summary("test-case");
             assert_eq!(summary.ranks, topo.size());
             assert_eq!(summary.steps_taken, 4);
+            assert_eq!(summary.conservation.map(|l| l.steps), Some(4), "{topo:?}: one ledger over the run");
             assert_eq!(summary.comm.sends, run.total_stats().sends);
             let json = summary.to_json();
             assert!(json.contains("\"phase_seconds\""));
@@ -829,13 +904,16 @@ mod tests {
             trace: false,
             health: Some(ns_telemetry::HealthConfig { cadence: 2, limits }),
         };
-        let run = run_parallel_instrumented(&c, 3, 10, CommVersion::V5, opts);
-        // the step-0 sample already violates, so nobody takes a step
-        assert_eq!(run.steps_taken(), 0);
-        let reason = run.aborted().expect("must abort");
-        assert!(reason.contains("Mach"), "got: {reason}");
-        // every rank stopped, none deadlocked
-        assert!(run.ranks.iter().all(|r| r.abort.is_some()));
+        for topo in [CartTopology::axial(1), CartTopology::axial(3)] {
+            let run = run(&RunPlan { telemetry: opts.clone(), ..RunPlan::new(&c, topo, 10, CommVersion::V5) }).unwrap();
+            // the step-0 sample already violates, so nobody takes a step
+            assert_eq!(run.steps_taken(), 0, "{topo:?}");
+            let reason = run.aborted().expect("must abort");
+            assert!(reason.contains("Mach"), "got: {reason}");
+            // every rank stopped, none deadlocked
+            assert!(run.ranks.iter().all(|r| r.abort.is_some()));
+            assert_eq!(run.conservation().map(|l| l.steps), Some(0), "{topo:?}: the ledger opened and closed");
+        }
     }
 
     /// Plain and reliable channels alike: the collective reduction stops
@@ -931,8 +1009,8 @@ mod tests {
     }
 
     /// The degenerate pencil shapes reproduce the 1-D drivers bitwise:
-    /// `P × 1` is the existing axial path by construction, `1 × 1` a true
-    /// single-rank no-op.
+    /// `P × 1` is the existing axial path by construction, `1 × 1` the
+    /// serial run.
     #[test]
     fn degenerate_pencils_reproduce_axial_path() {
         let c = cfg(Regime::NavierStokes);
@@ -977,6 +1055,93 @@ mod tests {
             run_parallel_cart(&c, topo, 1, CommVersion::V5).unwrap_err(),
             DecompositionError::UnsupportedVersion { version: ns_core::config::Version::V6 }
         );
+    }
+
+    /// A config with the given kernel rung and dissipation.
+    fn tuned(regime: Regime, version: ns_core::config::Version, eps: f64) -> SolverConfig {
+        SolverConfig { version, dissipation: eps, ..cfg(regime) }
+    }
+
+    /// The serial reference: `Solver::step` with the conservation ledger
+    /// recorded after every step, as a 1×1 plan's rank records it.
+    fn serial_with_ledger(c: &SolverConfig, nsteps: u64) -> (Solver, ClosedLedger) {
+        let mut s = Solver::new(c.clone());
+        let gas = *s.gas();
+        let mut ledger = ConservationLedger::open(&s.field, &gas);
+        for _ in 0..nsteps {
+            s.step();
+            ledger.record(&s.field, &gas, s.dt());
+        }
+        let closed = ledger.close(&s.field);
+        (s, closed)
+    }
+
+    fn monitored(c: &SolverConfig, topo: CartTopology, nsteps: u64) -> RunPlan<'_> {
+        let telemetry = TelemetryOptions { health: Some(Default::default()), ..Default::default() };
+        RunPlan { telemetry, ..RunPlan::new(c, topo, nsteps, CommVersion::V5) }
+    }
+
+    /// A 1×1 plan is the serial run: the field, the clock and the closed
+    /// conservation ledger are bitwise `Solver::step`'s for both regimes,
+    /// the plane and the fused-sweep kernels, with and without dissipation,
+    /// and with the adaptive time step.
+    #[test]
+    fn a_one_by_one_plan_is_the_serial_run() {
+        use ns_core::config::Version;
+        let mut cases = Vec::new();
+        for regime in [Regime::Euler, Regime::NavierStokes] {
+            for version in [Version::V5, Version::V7] {
+                for eps in [0.0, 0.002] {
+                    cases.push(tuned(regime, version, eps));
+                }
+            }
+        }
+        cases.push(SolverConfig { adaptive_dt: true, ..cfg(Regime::NavierStokes) });
+        for c in &cases {
+            let (serial, ledger) = serial_with_ledger(c, 6);
+            let run = run(&monitored(c, CartTopology::axial(1), 6)).unwrap();
+            let what = format!("{:?} {:?} eps {} adaptive {}", c.regime, c.version, c.dissipation, c.adaptive_dt);
+            assert_eq!(serial.field.max_diff(&run.gather_field()), 0.0, "{what}: field");
+            // on one rank the comm protocol has nothing to move
+            for comm in [CommVersion::V6, CommVersion::V7] {
+                let other = run_parallel_cart(c, CartTopology::axial(1), 6, comm).unwrap();
+                assert_eq!(serial.field.max_diff(&other.gather_field()), 0.0, "{what}: comm {comm:?}");
+            }
+            assert_eq!(run.ranks[0].t.to_bits(), serial.t.to_bits(), "{what}: clock");
+            let closed = run.conservation().expect("health armed: the ledger is kept");
+            assert_eq!(closed.steps, ledger.steps, "{what}");
+            let bits = |l: &ClosedLedger| [l.drift_rel, l.residual_rel].map(|a| a.map(f64::to_bits));
+            assert_eq!(bits(&closed), bits(&ledger), "{what}: closed ledger");
+        }
+    }
+
+    /// The ranks' patch ledgers sum to the serial ledger: Euler is bitwise
+    /// at every shape, so only the order of the sums differs.
+    #[test]
+    fn summed_rank_ledgers_match_the_serial_ledger() {
+        let c = cfg(Regime::Euler);
+        let (_, serial) = serial_with_ledger(&c, 6);
+        for (px, pr) in [(2, 1), (1, 2), (2, 2)] {
+            let run = run(&monitored(&c, CartTopology::new(px, pr).unwrap(), 6)).unwrap();
+            let closed = run.conservation().unwrap();
+            assert_eq!(closed.steps, 6);
+            for (par, ser) in [(closed.drift_rel, serial.drift_rel), (closed.residual_rel, serial.residual_rel)] {
+                for (p, s) in par.iter().zip(ser) {
+                    assert!((p - s).abs() <= 1e-12, "{px}x{pr}: {p} vs serial {s}");
+                }
+            }
+        }
+    }
+
+    /// Dissipation needs the whole grid on one rank; any finer plan is
+    /// refused up front with a typed error.
+    #[test]
+    fn dissipation_on_more_than_one_rank_is_a_typed_error() {
+        let c = tuned(Regime::Euler, ns_core::config::Version::V5, 0.002);
+        for topo in [CartTopology::axial(2), CartTopology::new(1, 2).unwrap()] {
+            let err = run(&RunPlan::new(&c, topo, 1, CommVersion::V5)).unwrap_err();
+            assert_eq!(err, DecompositionError::UnsupportedDissipation, "{topo:?}");
+        }
     }
 
     /// Two slabs under fault-free chaos, checkpointing every `every` steps.

@@ -264,8 +264,9 @@ mod tests {
         assert!(stats.retries > 0 || stats.dup_frames > 0 || stats.corrupt_frames > 0, "healing left traces");
     }
 
-    /// Phases and health ride through the rollback: the ledgers accumulate
-    /// over both generations, the health series is the fault-free run's.
+    /// Phases and health ride through the rollback: the phase ledgers
+    /// accumulate over both generations, the health series is the
+    /// fault-free run's, the conservation ledger is the final generation's.
     #[test]
     fn rank_crash_rolls_back_and_recovers_bitwise() {
         let c = cfg(Regime::Euler);
@@ -301,8 +302,14 @@ mod tests {
         assert_eq!(health.iter().map(|s| s.step).collect::<Vec<_>>(), (0..=nsteps).collect::<Vec<_>>());
         assert_eq!(health, reference.merged_health());
         assert!(chaos.ranks.iter().all(|r| r.phases.seconds("comm:recv") > 0.0 && r.phases.seconds("x:flux") > 0.0));
+        // the conservation ledger covers the final generation only, which
+        // restarted from a checkpoint at or past the crash's (step 4)
+        let window = chaos.conservation().expect("health armed: ledgers kept").steps;
+        let restart = nsteps - window;
+        assert!(restart >= 4 && restart % 2 == 0, "window of {window} steps from step {restart}");
         // the summary block is populated end to end
         let summary = chaos.summary("chaos-test");
+        assert_eq!(summary.conservation.map(|l| l.steps), Some(window));
         let rec = summary.recovery.expect("recovery block present");
         assert_eq!(rec.crashes, 1);
         assert!(summary.to_json().contains("\"recovery\""));

@@ -44,6 +44,9 @@ pub enum DecompositionError {
     /// Radial splits require the grouped exchange-then-compute comm
     /// protocol (V5); the split-phase orderings overlap only axial traffic.
     UnsupportedComm,
+    /// Artificial dissipation needs the whole grid on one rank: the
+    /// smoothing stops short of every patch edge and no halo carries it.
+    UnsupportedDissipation,
 }
 
 impl fmt::Display for DecompositionError {
@@ -62,6 +65,7 @@ impl fmt::Display for DecompositionError {
             DecompositionError::UnsupportedComm => {
                 write!(f, "radial splits need the grouped comm protocol (V5)")
             }
+            DecompositionError::UnsupportedDissipation => write!(f, "artificial dissipation needs a 1x1 rank grid"),
         }
     }
 }
@@ -143,9 +147,10 @@ impl CartTopology {
     }
 
     /// Validate this topology against a solver configuration: split
-    /// fineness on both axes plus the kernel/protocol restrictions of
-    /// radial splits. This is the admission check `ns-serve` runs before
-    /// accepting a job, so a daemon never takes work it would panic on.
+    /// fineness on both axes, the kernel/protocol restrictions of radial
+    /// splits, and artificial dissipation only on a 1×1 grid. This is the
+    /// admission check `ns-serve` runs before accepting a job, so a daemon
+    /// never takes work it would panic on.
     pub fn validate(&self, cfg: &SolverConfig, comm: crate::halo::CommVersion) -> Result<(), DecompositionError> {
         if self.px == 0 || self.pr == 0 {
             return Err(DecompositionError::ZeroRanks);
@@ -163,6 +168,9 @@ impl CartTopology {
             if comm != crate::halo::CommVersion::V5 {
                 return Err(DecompositionError::UnsupportedComm);
             }
+        }
+        if cfg.dissipation != 0.0 && self.size() > 1 {
+            return Err(DecompositionError::UnsupportedDissipation);
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_numerics::Grid;
-use ns_runtime::CommVersion;
+use ns_runtime::{CartTopology, CommVersion};
 use ns_verify::snapshot::{fnv1a, FNV_OFFSET};
 use serde::Serialize;
 
@@ -60,7 +60,7 @@ impl Priority {
 /// Which execution backend runs the job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Single-threaded reference solver.
+    /// Single-threaded reference solver: the driver's 1×1 plan.
     Serial,
     /// Distributed-memory driver (`ns_runtime::run`, one thread per rank).
     Parallel,
@@ -202,6 +202,12 @@ impl JobSpec {
         cells.saturating_mul(self.steps).max(1)
     }
 
+    /// The rank grid the driver runs a serial, parallel or chaos job on: a
+    /// serial job is the 1×1 plan, where the comm protocol moves nothing.
+    pub(crate) fn topology(&self) -> CartTopology {
+        CartTopology::axial(if self.backend == Backend::Serial { 1 } else { self.procs })
+    }
+
     /// Admission-time validation: reject jobs the backends would panic on,
     /// so a bad request costs an error payload, not a worker.
     pub fn validate(&self) -> Result<(), String> {
@@ -212,15 +218,10 @@ impl JobSpec {
             return Err("procs must be >= 1".into());
         }
         match self.backend {
-            Backend::Parallel | Backend::Chaos => {
-                if self.cfg.dissipation != 0.0 {
-                    return Err("dissipation is serial-only; the parallel drivers reject it".into());
-                }
-                // the same typed plan validation the drivers run, so a
+            Backend::Serial | Backend::Parallel | Backend::Chaos => {
+                // the same typed plan validation the driver runs, so a
                 // daemon never admits work it would panic on
-                ns_runtime::CartTopology::axial(self.procs)
-                    .validate(&self.cfg, self.comm)
-                    .map_err(|e| e.to_string())?;
+                self.topology().validate(&self.cfg, self.comm).map_err(|e| e.to_string())?;
             }
             Backend::Shared => {
                 if self.cfg.dissipation != 0.0 {
@@ -233,7 +234,6 @@ impl JobSpec {
                     return Err("the shared driver implements the 2-4 scheme only".into());
                 }
             }
-            Backend::Serial => {}
         }
         Ok(())
     }
@@ -444,8 +444,22 @@ mod tests {
         let mut zero_steps = spec(48);
         zero_steps.steps = 0;
         assert!(zero_steps.validate().is_err());
+    }
+
+    /// Dissipation is refused on more than one rank by the driver's own
+    /// plan validation, word for word, and admitted on one.
+    #[test]
+    fn dissipation_is_admitted_on_one_rank_only() {
+        use ns_runtime::{CartTopology, RunPlan};
         let mut dissipative = spec(48);
-        dissipative.cfg.dissipation = 0.1;
+        dissipative.cfg.dissipation = 0.002;
+        let refused = ns_runtime::run(&RunPlan::new(&dissipative.cfg, CartTopology::axial(2), 1, CommVersion::V5));
+        assert_eq!(dissipative.validate().unwrap_err(), refused.unwrap_err().to_string());
+        dissipative.procs = 1;
+        assert_eq!(dissipative.validate(), Ok(()));
+        dissipative.backend = Backend::Serial;
+        assert_eq!(dissipative.validate(), Ok(()));
+        dissipative.backend = Backend::Shared;
         assert!(dissipative.validate().unwrap_err().contains("serial-only"));
     }
 

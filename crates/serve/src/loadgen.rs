@@ -222,7 +222,15 @@ pub fn run_loadgen(opts: &LoadgenOptions, scratch_root: &Path) -> io::Result<Loa
             other => panic!("sweep wait must settle within the timeout: {other:?}"),
         }
     }
-    let stats = client.status()?.stats;
+    // a duplicate queued behind its twin claims its cache hit only when a
+    // worker pops it, maybe after the twin's wait: let every job settle
+    let stats = loop {
+        let stats = client.status()?.stats;
+        if stats.completed + stats.failed + stats.shed >= stats.submitted {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     verdict.cache_hits = stats.cache_hits;
     verdict.golden_checked = stats.golden_checked;
     verdict.golden_mismatches = stats.golden_mismatches;

@@ -23,9 +23,8 @@ use crate::queue::{JobQueue, PushError, Pushed, QueuedJob};
 use crate::spill::Spill;
 use ns_core::config::Regime;
 use ns_core::shared::SharedSolver;
-use ns_core::Solver;
 use ns_metrics::{Counter, Gauge, Histogram, Registry};
-use ns_runtime::{CancelToken, CartTopology, ChaosOptions, FaultPlan, RunPlan};
+use ns_runtime::{CancelToken, ChaosOptions, FaultPlan, RunPlan};
 use ns_telemetry::{RunSummary, ServeJobSummary, RUN_SUMMARY_SCHEMA};
 use ns_verify::snapshot::{field_hash, GoldenFile};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -437,6 +436,11 @@ fn serve(job: &QueuedJob, key: u64, cache: &ResultCache, inner: &Inner) -> Settl
                 }
                 ok
             });
+            // the registry window stays out of a served result: it is
+            // process-global, so with several workers it mixes concurrent
+            // jobs, and every hit, spill load and reply would carry it (a
+            // fifth of a tiny serial job's payload)
+            summary.metrics = None;
             summary.serve = Some(ServeJobSummary {
                 job_id: job.id,
                 priority: job.spec.priority.level(),
@@ -466,8 +470,7 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A summary for the single-process backends (serial, shared), shaped like
-/// the parallel driver's.
+/// A summary for the shared-memory backend, shaped like the driver's.
 fn process_summary(spec: &JobSpec, wall: Duration) -> RunSummary {
     RunSummary {
         schema_version: RUN_SUMMARY_SCHEMA,
@@ -494,22 +497,14 @@ fn process_summary(spec: &JobSpec, wall: Duration) -> RunSummary {
 /// block, stamped by the worker) and the final field's fingerprint, or the
 /// abort/cancellation reason.
 fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), String> {
-    let case = spec.case();
     match spec.backend {
-        Backend::Serial | Backend::Shared => {
+        Backend::Shared => {
             let t0 = Instant::now();
-            let field = if spec.backend == Backend::Serial {
-                let mut solver = Solver::new(spec.cfg.clone());
-                step_until_cancelled(spec.steps, cancel, || solver.step())?;
-                solver.field
-            } else {
-                let mut solver = SharedSolver::new(spec.cfg.clone(), spec.procs);
-                step_until_cancelled(spec.steps, cancel, || solver.step())?;
-                solver.field
-            };
-            Ok((process_summary(spec, t0.elapsed()), field_hash(&field)))
+            let mut solver = SharedSolver::new(spec.cfg.clone(), spec.procs);
+            step_until_cancelled(spec.steps, cancel, || solver.step())?;
+            Ok((process_summary(spec, t0.elapsed()), field_hash(&solver.field)))
         }
-        Backend::Parallel | Backend::Chaos => {
+        Backend::Serial | Backend::Parallel | Backend::Chaos => {
             // chaos is a fault-free plan: the recovery machinery is armed
             // (checkpoint cadence shorter than the run) but nothing is injected
             let reliability = (spec.backend == Backend::Chaos).then(|| ChaosOptions {
@@ -520,19 +515,19 @@ fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), St
             let run = ns_runtime::run(&RunPlan {
                 cancel: Some(cancel.clone()),
                 reliability,
-                ..RunPlan::new(&spec.cfg, CartTopology::axial(spec.procs), spec.steps, spec.comm)
+                ..RunPlan::new(&spec.cfg, spec.topology(), spec.steps, spec.comm)
             })
             .map_err(|e| e.to_string())?;
             if let Some(reason) = run.aborted() {
                 return Err(reason);
             }
             let hash = field_hash(&run.gather_field());
-            Ok((run.summary(&case), hash))
+            Ok((run.summary(&spec.case()), hash))
         }
     }
 }
 
-/// Take `steps` steps of a fresh single-process solver, polling the
+/// Take `steps` steps of a fresh shared-memory solver, polling the
 /// cooperative cancel token at every step boundary.
 fn step_until_cancelled(steps: u64, cancel: &CancelToken, mut step: impl FnMut()) -> Result<(), String> {
     for n in 0..steps {
@@ -586,6 +581,7 @@ mod tests {
     use super::*;
     use crossbeam_channel::{unbounded, Receiver};
     use ns_core::config::SolverConfig;
+    use ns_core::Solver;
     use ns_numerics::Grid;
     use ns_verify::snapshot;
     use std::path::PathBuf;
@@ -661,6 +657,31 @@ mod tests {
         let mut bad = golden;
         bad.entries.get_mut("euler/serial/V5").unwrap().hash = snapshot::hash_hex(0xdead_beef);
         assert_eq!(verdict(bad), (Some(false), 1, 1));
+    }
+
+    /// A serial job is the 1×1 plan, so a one-rank parallel job with
+    /// dissipation is admitted and computes the serial job's field.
+    #[test]
+    fn one_rank_parallel_job_with_dissipation_is_the_serial_job() {
+        let (server, rx, _dir) = server(1, 4, None);
+        let mut parallel = JobSpec::new(euler(48, 16), 5, 1);
+        parallel.cfg.dissipation = 0.002;
+        let mut serial = parallel.clone();
+        serial.backend = Backend::Serial;
+        let admitted = [server.submit(parallel).map(|_| ()), server.submit(serial).map(|_| ())];
+        assert_eq!(admitted, [Ok(()), Ok(())], "both are admitted");
+        let mut hashes = Vec::new();
+        for _ in 0..2 {
+            let (key, _, how) = rx.recv().unwrap();
+            assert!(matches!(how, Settled::Done { cache: "cold", .. }), "distinct backends, distinct keys: {how:?}");
+            hashes.push(server.cache_handle().peek(key).unwrap().field_hash);
+        }
+        assert_eq!(hashes[0], hashes[1]);
+        // and that field is the damped serial solver's
+        let mut reference = Solver::new(SolverConfig { dissipation: 0.002, ..euler(48, 16) });
+        reference.run(5);
+        assert_eq!(hashes[0], field_hash(&reference.field));
+        server.finish();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end tour of the telemetry stack: run the distributed jet with
 //! every instrument armed, print the per-rank phase breakdown next to the
 //! simulated LACE reference (same label vocabulary), draw the ASCII Gantt
-//! timeline, and show the three machine-readable exports the `jetns
-//! telemetry` subcommand writes to disk.
+//! timeline, and show the three machine-readable exports `jetns run
+//! --trace DIR` writes to disk.
 //!
 //! ```text
 //! cargo run --release --example trace_demo
@@ -13,7 +13,6 @@ use ns_experiments::report;
 use ns_numerics::Grid;
 use ns_runtime::{run_parallel_instrumented, CommVersion, TelemetryOptions};
 use ns_telemetry::{to_chrome_trace, to_jsonl, trace_from_jsonl, HealthConfig};
-use std::collections::BTreeMap;
 
 fn main() {
     let ranks = 3;
@@ -29,16 +28,12 @@ fn main() {
 
     // 1. phase attribution: live ranks vs the architecture simulator,
     //    comparable because both sides use the same phase labels
-    let owned = |m: BTreeMap<&'static str, f64>| -> BTreeMap<String, f64> {
-        m.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
-    };
-    let mut columns: Vec<(String, BTreeMap<String, f64>)> =
-        (0..ranks).map(|r| (format!("rank {r}"), owned(run.rank_phase_seconds(r)))).collect();
+    let mut columns: Vec<_> = (0..ranks).map(|r| (format!("rank {r}"), run.rank_phase_seconds(r))).collect();
     let mut scfg = ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, cfg.regime);
     scfg.grid = cfg.grid.clone();
     scfg.report_steps = steps;
     scfg.sim_steps = steps.min(4);
-    columns.push(("LACE sim".to_string(), owned(ns_archsim::simulate(&scfg).phase_seconds)));
+    columns.push(("LACE sim".to_string(), ns_archsim::simulate(&scfg).phase_seconds));
     println!("{}", report::phase_breakdown("Phase breakdown: live host vs simulated LACE", &columns));
 
     // 2. the merged message/phase timeline as an ASCII Gantt chart
