@@ -255,7 +255,9 @@ impl Field {
         true
     }
 
-    /// Max absolute interior difference to another same-shape field.
+    /// Max absolute interior difference to another same-shape field; NaN
+    /// when either field holds a NaN (`f64::max` would drop it and read the
+    /// point as equal).
     pub fn max_diff(&self, other: &Field) -> f64 {
         assert_eq!(self.nxl(), other.nxl());
         assert_eq!(self.nr(), other.nr());
@@ -263,7 +265,11 @@ impl Field {
         for c in 0..4 {
             for i in 0..self.nxl() {
                 for j in 0..self.nr() {
-                    m = m.max((self.at(c, i as isize, j as isize) - other.at(c, i as isize, j as isize)).abs());
+                    let d = (self.at(c, i as isize, j as isize) - other.at(c, i as isize, j as isize)).abs();
+                    if d.is_nan() {
+                        return f64::NAN;
+                    }
+                    m = m.max(d);
                 }
             }
         }

@@ -46,9 +46,6 @@ pub enum Variant {
 /// grouped "velocity and temperature" send), then the two-column flux
 /// packet after each flux evaluation.
 pub trait XHalo {
-    /// Fill the axial ghost columns of the primitive planes from the
-    /// neighbouring subdomains (no-op at owned global boundaries).
-    fn exchange_prims(&mut self, prim: &mut PrimField);
     /// Fill the two axial ghost flux columns on each internal edge.
     fn exchange_flux(&mut self, flux: &mut FluxField);
     /// Global max-reduction (identity for the serial solver); used by
@@ -56,9 +53,10 @@ pub trait XHalo {
     fn reduce_max(&mut self, x: f64) -> f64 {
         x
     }
-    /// Split-phase primitive exchange, part 1: post the sends (and, for a
-    /// non-overlapping transport, complete the receives too). No-op
-    /// serially.
+    /// Fill the axial ghost columns of the primitive planes from the
+    /// neighbouring subdomains (no-op at owned global boundaries), part 1:
+    /// post the sends (and, for a non-overlapping transport, complete the
+    /// receives too). No-op serially.
     fn post_prims(&mut self, prim: &mut PrimField) {
         let _ = prim;
     }
@@ -89,7 +87,6 @@ pub trait XHalo {
 pub struct NoHalo;
 
 impl XHalo for NoHalo {
-    fn exchange_prims(&mut self, _prim: &mut PrimField) {}
     fn exchange_flux(&mut self, _flux: &mut FluxField) {}
 }
 

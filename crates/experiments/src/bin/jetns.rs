@@ -118,11 +118,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         .and_then(|(px, pr)| Some((px.parse().ok()?, pr.parse().ok()?)))
         .ok_or_else(|| format!("bad --topology {spec:?} (expected PXxPR, e.g. 2x1)"))?;
     let topology = CartTopology::new(px, pr).map_err(|e| e.to_string())?;
-    let name = args.get("comm").unwrap_or("V5");
-    let comm = [CommVersion::V5, CommVersion::V6, CommVersion::V7]
-        .into_iter()
-        .find(|v| format!("{v:?}") == name)
-        .ok_or_else(|| format!("unknown --comm {name:?} (expected V5|V6|V7)"))?;
+    let comm = CommVersion::parse(args.get("comm").unwrap_or("V5"))?;
     let checkpoint = args.get("resume").map(|path| {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         Checkpoint::from_bytes(&bytes).map_err(|e| format!("bad checkpoint {path}: {e}"))

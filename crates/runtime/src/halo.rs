@@ -36,6 +36,28 @@ pub enum CommVersion {
     V7,
 }
 
+impl CommVersion {
+    /// Every protocol, in rung order.
+    pub const ALL: [CommVersion; 3] = [CommVersion::V5, CommVersion::V6, CommVersion::V7];
+
+    /// Stable name: `"V5"`, `"V6"` or `"V7"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CommVersion::V5 => "V5",
+            CommVersion::V6 => "V6",
+            CommVersion::V7 => "V7",
+        }
+    }
+
+    /// Parse a [`CommVersion::name`].
+    pub fn parse(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| format!("unknown comm version {s:?} (expected V5|V6|V7)"))
+    }
+}
+
 /// Thread-backed halo exchanger for one rank.
 pub struct ThreadHalo<'a> {
     ep: &'a mut Endpoint,
@@ -74,18 +96,6 @@ pub struct ThreadHalo<'a> {
 }
 
 impl<'a> ThreadHalo<'a> {
-    /// Create the halo for a rank of the paper's 1-D axial decomposition.
-    pub fn new(
-        ep: &'a mut Endpoint,
-        left: Option<usize>,
-        right: Option<usize>,
-        nxl: usize,
-        nr: usize,
-        version: CommVersion,
-    ) -> Self {
-        Self::new_cart(ep, CartNeighbors { left, right, down: None, up: None }, nxl, nr, version)
-    }
-
     /// Create the halo for a pencil with the given face neighbours.
     pub fn new_cart(ep: &'a mut Endpoint, nb: CartNeighbors, nxl: usize, nr: usize, version: CommVersion) -> Self {
         let mut pool = BufPool::new();
@@ -413,11 +423,6 @@ impl XHalo for ThreadHalo<'_> {
         self.receive_prims(prim, tag);
     }
 
-    fn exchange_prims(&mut self, prim: &mut PrimField) {
-        self.post_prims(prim);
-        self.finish_prims(prim);
-    }
-
     fn exchange_flux(&mut self, flux: &mut FluxField) {
         let kind = if self.flux_calls == 0 { MsgKind::Flux1 } else { MsgKind::Flux2 };
         self.flux_calls += 1;
@@ -558,6 +563,17 @@ mod tests {
     use ns_numerics::Grid;
     use std::thread;
 
+    /// Face neighbours of a rank of the paper's 1-D axial decomposition.
+    fn axial(left: Option<usize>, right: Option<usize>) -> CartNeighbors {
+        CartNeighbors { left, right, down: None, up: None }
+    }
+
+    /// The solver's primitive exchange: post, then finish.
+    fn exchange_prims(halo: &mut ThreadHalo<'_>, prim: &mut PrimField) {
+        halo.post_prims(prim);
+        halo.finish_prims(prim);
+    }
+
     /// Two ranks exchange hand-built planes; each side must see exactly the
     /// other's edge columns in its ghosts.
     #[test]
@@ -583,9 +599,10 @@ mod tests {
                                 prim.u.set(i + NG, j + NG, (rank * 1000 + i) as f64);
                             }
                         }
-                        let mut halo = ThreadHalo::new(&mut ep, left, right, patch.nxl, nr, CommVersion::V5);
+                        let mut halo =
+                            ThreadHalo::new_cart(&mut ep, axial(left, right), patch.nxl, nr, CommVersion::V5);
                         halo.begin_step(0);
-                        halo.exchange_prims(&mut prim);
+                        exchange_prims(&mut halo, &mut prim);
                         if rank == 0 {
                             // ghost col nxl must hold rank 1's column 0
                             (prim.u.at(NG + patch.nxl, NG), f64::NAN)
@@ -633,7 +650,7 @@ mod tests {
                                     }
                                 }
                             }
-                            let mut halo = ThreadHalo::new(&mut ep, left, right, patch.nxl, nr, version);
+                            let mut halo = ThreadHalo::new_cart(&mut ep, axial(left, right), patch.nxl, nr, version);
                             halo.begin_step(3);
                             halo.exchange_flux(&mut flux);
                             let ghosts = if rank == 0 {
@@ -670,10 +687,10 @@ mod tests {
         ep.timeout = std::time::Duration::from_millis(20);
         let mut prim = PrimField::zeros(&patch);
         let mut flux = FluxField::zeros(&patch);
-        let mut halo = ThreadHalo::new(&mut ep, None, Some(1), patch.nxl, grid.nr, CommVersion::V5);
+        let mut halo = ThreadHalo::new_cart(&mut ep, axial(None, Some(1)), patch.nxl, grid.nr, CommVersion::V5);
         halo.set_lenient();
         halo.begin_step(0);
-        halo.exchange_prims(&mut prim);
+        exchange_prims(&mut halo, &mut prim);
         assert_eq!(halo.failure(), Some(&CommError::Timeout), "silent peer must surface as Timeout");
         let stats = halo.endpoint().stats;
 
@@ -683,9 +700,9 @@ mod tests {
         halo.right = Some(7);
         let t0 = std::time::Instant::now();
         halo.begin_step(1);
-        halo.exchange_prims(&mut prim);
+        exchange_prims(&mut halo, &mut prim);
         halo.exchange_flux(&mut flux);
-        halo.exchange_prims(&mut prim);
+        exchange_prims(&mut halo, &mut prim);
         halo.exchange_flux(&mut flux);
         assert_eq!(halo.reduce_max(3.5), 3.5, "post-failure reduction is identity");
         assert_eq!(halo.endpoint().stats, stats, "no sends or recvs after the first failure");
@@ -703,7 +720,7 @@ mod tests {
         let mut ep = eps.remove(0);
         ep.timeout = std::time::Duration::from_millis(20);
         let mut prim = PrimField::zeros(&patch);
-        let mut halo = ThreadHalo::new(&mut ep, None, Some(1), patch.nxl, grid.nr, CommVersion::V6);
+        let mut halo = ThreadHalo::new_cart(&mut ep, axial(None, Some(1)), patch.nxl, grid.nr, CommVersion::V6);
         halo.set_lenient();
         halo.begin_step(0);
         halo.post_prims(&mut prim); // send posted, receive pending
@@ -734,13 +751,13 @@ mod tests {
         b.pack_f64(1.0);
         peer.send(0, Tag { kind: MsgKind::Prims1, seq: 0 }, b).unwrap();
         let mut prim = PrimField::zeros(&patch);
-        let mut halo = ThreadHalo::new(&mut ep, None, Some(1), patch.nxl, grid.nr, CommVersion::V5);
+        let mut halo = ThreadHalo::new_cart(&mut ep, axial(None, Some(1)), patch.nxl, grid.nr, CommVersion::V5);
         halo.set_lenient();
         halo.begin_step(0);
-        halo.exchange_prims(&mut prim);
+        exchange_prims(&mut halo, &mut prim);
         assert_eq!(halo.failure(), Some(&CommError::Malformed));
         let stats = halo.endpoint().stats;
-        halo.exchange_prims(&mut prim);
+        exchange_prims(&mut halo, &mut prim);
         assert_eq!(halo.endpoint().stats, stats, "exchanges after a malformed payload are no-ops");
     }
 
@@ -757,9 +774,9 @@ mod tests {
         b.pack_f64(1.0);
         peer.send(0, Tag { kind: MsgKind::Prims1, seq: 0 }, b).unwrap();
         let mut prim = PrimField::zeros(&patch);
-        let mut halo = ThreadHalo::new(&mut ep, None, Some(1), patch.nxl, grid.nr, CommVersion::V5);
+        let mut halo = ThreadHalo::new_cart(&mut ep, axial(None, Some(1)), patch.nxl, grid.nr, CommVersion::V5);
         halo.begin_step(0);
-        halo.exchange_prims(&mut prim);
+        exchange_prims(&mut halo, &mut prim);
     }
 
     /// The pool is pre-warmed to the halo working set, so *every* pooled
@@ -782,13 +799,14 @@ mod tests {
                         let (left, right) = if rank == 0 { (None, Some(1)) } else { (Some(0), None) };
                         let mut prim = PrimField::zeros(&patch);
                         let mut flux = FluxField::zeros(&patch);
-                        let mut halo = ThreadHalo::new(&mut ep, left, right, patch.nxl, nr, CommVersion::V5);
+                        let mut halo =
+                            ThreadHalo::new_cart(&mut ep, axial(left, right), patch.nxl, nr, CommVersion::V5);
                         let steps = 8;
                         for step in 0..steps {
                             halo.begin_step(step);
-                            halo.exchange_prims(&mut prim);
+                            exchange_prims(&mut halo, &mut prim);
                             halo.exchange_flux(&mut flux);
-                            halo.exchange_prims(&mut prim);
+                            exchange_prims(&mut halo, &mut prim);
                             halo.exchange_flux(&mut flux);
                         }
                         halo.pool_stats()

@@ -69,9 +69,10 @@ fn halo_with_no_neighbours_is_a_no_op() {
     let mut flux = FluxField::zeros(&patch);
     {
         use ns_core::scheme::XHalo;
-        let mut halo = ThreadHalo::new(&mut eps[0], None, None, patch.nxl, nr, CommVersion::V7);
+        let mut halo = ThreadHalo::new_cart(&mut eps[0], Default::default(), patch.nxl, nr, CommVersion::V7);
         halo.begin_step(0);
-        halo.exchange_prims(&mut prim);
+        halo.post_prims(&mut prim);
+        halo.finish_prims(&mut prim);
         halo.exchange_flux(&mut flux);
         assert_eq!(halo.reduce_max(2.5), 2.5, "P=1 reduction is the identity");
     }

@@ -11,7 +11,7 @@
 
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_numerics::Grid;
-use ns_runtime::{CartTopology, CommVersion};
+use ns_runtime::{CartTopology, ChaosOptions, CommVersion, FaultPlan, RunPlan};
 use ns_verify::snapshot::{fnv1a, FNV_OFFSET};
 use serde::Serialize;
 
@@ -94,15 +94,6 @@ impl Backend {
     }
 }
 
-/// Stable name of a comm protocol version.
-pub fn comm_name(v: CommVersion) -> &'static str {
-    match v {
-        CommVersion::V5 => "commV5",
-        CommVersion::V6 => "commV6",
-        CommVersion::V7 => "commV7",
-    }
-}
-
 /// One simulation job: the full solver configuration plus the run shape.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
@@ -171,12 +162,12 @@ impl JobSpec {
     pub fn case(&self) -> String {
         let c = self.canonical();
         format!(
-            "{}/{:?}/{}/p{}/{}/nx{}x{}/s{}",
+            "{}/{:?}/{}/p{}/comm{}/nx{}x{}/s{}",
             c.cfg.regime.key(),
             c.cfg.version,
             c.backend.name(),
             c.procs,
-            comm_name(c.comm),
+            c.comm.name(),
             c.cfg.grid.nx,
             c.cfg.grid.nr,
             c.steps
@@ -189,7 +180,7 @@ impl JobSpec {
     pub fn canonical_key(&self) -> u64 {
         let c = self.canonical();
         let cfg_json = serde_json::to_string(&c.cfg).expect("solver config serializes");
-        let shape = format!("|{}|{}|{}|{}", c.steps, c.procs, comm_name(c.comm), c.backend.name());
+        let shape = format!("|{}|{}|comm{}|{}", c.steps, c.procs, c.comm.name(), c.backend.name());
         fnv1a(fnv1a(FNV_OFFSET, cfg_json.as_bytes()), shape.as_bytes())
     }
 
@@ -202,10 +193,19 @@ impl JobSpec {
         cells.saturating_mul(self.steps).max(1)
     }
 
-    /// The rank grid the driver runs a serial, parallel or chaos job on: a
-    /// serial job is the 1×1 plan, where the comm protocol moves nothing.
-    pub(crate) fn topology(&self) -> CartTopology {
-        CartTopology::axial(if self.backend == Backend::Serial { 1 } else { self.procs })
+    /// The plan the driver runs this job as. A serial job is the 1×1 plan,
+    /// where the comm protocol moves nothing; a chaos job arms the recovery
+    /// machinery on a fault-free plan (checkpoints shorter than the run,
+    /// nothing injected); a shared job computes the 1×1 plan's answer on
+    /// threads.
+    pub(crate) fn plan(&self) -> RunPlan<'_> {
+        let ranks = if matches!(self.backend, Backend::Serial | Backend::Shared) { 1 } else { self.procs };
+        let reliability = (self.backend == Backend::Chaos).then(|| ChaosOptions {
+            plan: FaultPlan::none(42),
+            checkpoint_every: 4,
+            ..Default::default()
+        });
+        RunPlan { reliability, ..RunPlan::new(&self.cfg, CartTopology { px: ranks, pr: 1 }, self.steps, self.comm) }
     }
 
     /// Admission-time validation: reject jobs the backends would panic on,
@@ -214,16 +214,17 @@ impl JobSpec {
         if self.steps == 0 {
             return Err("steps must be >= 1".into());
         }
-        if self.procs == 0 {
-            return Err("procs must be >= 1".into());
-        }
         match self.backend {
             Backend::Serial | Backend::Parallel | Backend::Chaos => {
                 // the same typed plan validation the driver runs, so a
                 // daemon never admits work it would panic on
-                self.topology().validate(&self.cfg, self.comm).map_err(|e| e.to_string())?;
+                let plan = self.plan();
+                plan.topology.validate(plan.cfg, plan.comm).map_err(|e| e.to_string())?;
             }
             Backend::Shared => {
+                if self.procs == 0 {
+                    return Err("procs must be >= 1".into());
+                }
                 if self.cfg.dissipation != 0.0 {
                     return Err("dissipation is serial-only; the shared driver rejects it".into());
                 }
@@ -320,12 +321,7 @@ impl JobDesc {
             .copied()
             .find(|v| format!("{v:?}") == self.version)
             .ok_or_else(|| format!("unknown kernel version {:?} (expected V1..V7)", self.version))?;
-        let comm = match self.comm.as_str() {
-            "V5" => CommVersion::V5,
-            "V6" => CommVersion::V6,
-            "V7" => CommVersion::V7,
-            other => return Err(format!("unknown comm version {other:?} (expected V5|V6|V7)")),
-        };
+        let comm = CommVersion::parse(&self.comm)?;
         let mut cfg = SolverConfig::paper(Grid::new(self.nx, self.nr, 50.0, 5.0), regime);
         cfg.version = version;
         let spec = JobSpec {
@@ -357,11 +353,7 @@ impl JobDesc {
             steps: spec.steps,
             version: format!("{:?}", spec.cfg.version),
             procs: spec.procs,
-            comm: match spec.comm {
-                CommVersion::V5 => "V5".into(),
-                CommVersion::V6 => "V6".into(),
-                CommVersion::V7 => "V7".into(),
-            },
+            comm: spec.comm.name().into(),
             backend: spec.backend.name().into(),
             priority: spec.priority.name().into(),
             deadline_ms: spec.deadline.map(|d| d.as_millis() as u64),

@@ -21,11 +21,12 @@ use crate::daemon::DaemonConfig;
 use crate::job::{Backend, JobSpec, Priority};
 use crate::queue::{JobQueue, PushError, Pushed, QueuedJob};
 use crate::spill::Spill;
-use ns_core::config::Regime;
+use ns_core::config::SolverConfig;
 use ns_core::shared::SharedSolver;
 use ns_metrics::{Counter, Gauge, Histogram, Registry};
-use ns_runtime::{CancelToken, ChaosOptions, FaultPlan, RunPlan};
+use ns_runtime::{CancelToken, CartTopology, CommVersion, RunPlan};
 use ns_telemetry::{RunSummary, ServeJobSummary, RUN_SUMMARY_SCHEMA};
+use ns_verify::oracle;
 use ns_verify::snapshot::{field_hash, GoldenFile};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -505,19 +506,8 @@ fn execute(spec: &JobSpec, cancel: &CancelToken) -> Result<(RunSummary, u64), St
             Ok((process_summary(spec, t0.elapsed()), field_hash(&solver.field)))
         }
         Backend::Serial | Backend::Parallel | Backend::Chaos => {
-            // chaos is a fault-free plan: the recovery machinery is armed
-            // (checkpoint cadence shorter than the run) but nothing is injected
-            let reliability = (spec.backend == Backend::Chaos).then(|| ChaosOptions {
-                plan: FaultPlan::none(42),
-                checkpoint_every: 4,
-                ..Default::default()
-            });
-            let run = ns_runtime::run(&RunPlan {
-                cancel: Some(cancel.clone()),
-                reliability,
-                ..RunPlan::new(&spec.cfg, spec.topology(), spec.steps, spec.comm)
-            })
-            .map_err(|e| e.to_string())?;
+            let run =
+                ns_runtime::run(&RunPlan { cancel: Some(cancel.clone()), ..spec.plan() }).map_err(|e| e.to_string())?;
             if let Some(reason) = run.aborted() {
                 return Err(reason);
             }
@@ -540,39 +530,18 @@ fn step_until_cancelled(steps: u64, cancel: &CancelToken, mut step: impl FnMut()
 }
 
 /// The golden fingerprint a cold result must reproduce, if the committed
-/// snapshots cover this cell. Applicability is deliberately conservative —
-/// exactly the cells the differential oracle guarantees *bitwise*: the
-/// oracle's grid/steps/paper-config shape, kernel V5, V6 or V7 (the fused
-/// V6 and SoA V7 rungs are bitwise-V5 by design), and a backend that is
-/// bitwise against the serial reference for the regime (Euler: all of
-/// them; Navier-Stokes: only the serial and shared drivers — the
-/// distributed radial stencils differ at truncation level). A V7 job with
-/// a non-default `tile_r` still matches: any tile size is bitwise
-/// (property-tested), but the canonical-config comparison below is against
-/// the paper config, which carries the default, so such jobs simply fall
-/// outside the golden set — conservative, never wrong.
+/// snapshots cover this cell: the golden grid and steps, the paper config
+/// up to the kernel version, and a job plan that `oracle::expect` holds
+/// bitwise against the serial V5 plan the snapshots were taken from. A
+/// shared job's plan is the 1×1 V5 plan its canonical form forces.
 pub(crate) fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<&'g str> {
     let c = spec.canonical();
     if [c.cfg.grid.nx, c.cfg.grid.nr] != golden.grid || c.steps != golden.steps {
         return None;
     }
-    use ns_core::config::Version;
-    if !matches!(c.cfg.version, Version::V5 | Version::V6 | Version::V7) {
-        return None;
-    }
-    // the rest of the config must be exactly the oracle's paper config
-    let mut reference = ns_core::config::SolverConfig::paper(c.cfg.grid.clone(), c.cfg.regime);
-    reference.version = c.cfg.version;
-    if c.cfg != reference {
-        return None;
-    }
-    let bitwise = match c.cfg.regime {
-        Regime::Euler => true,
-        Regime::NavierStokes => matches!(c.backend, Backend::Serial | Backend::Shared),
-    };
-    if !bitwise {
-        return None;
-    }
+    let serial = SolverConfig::paper(c.cfg.grid.clone(), c.cfg.regime);
+    let baseline = RunPlan::new(&serial, CartTopology::axial(1), c.steps, CommVersion::V5);
+    oracle::expect(&c.plan(), &baseline).filter(|e| e.is_bitwise())?;
     golden.entries.get(&format!("{}/serial/V5", c.cfg.regime.key())).map(|snap| snap.hash.as_str())
 }
 
@@ -580,7 +549,7 @@ pub(crate) fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> 
 mod tests {
     use super::*;
     use crossbeam_channel::{unbounded, Receiver};
-    use ns_core::config::SolverConfig;
+    use ns_core::config::Regime;
     use ns_core::Solver;
     use ns_numerics::Grid;
     use ns_verify::snapshot;
@@ -700,6 +669,49 @@ mod tests {
         let mut tweaked = cfg;
         tweaked.adaptive_dt = !tweaked.adaptive_dt;
         assert!(golden_expectation(&golden, &JobSpec::new(tweaked, 4, 2)).is_none());
+    }
+
+    /// The golden check asks the oracle: Navier-Stokes on one rank is the
+    /// serial plan and is checked, an axial N-S split or a V1-V4 kernel is
+    /// tolerance-bounded and is not.
+    #[test]
+    fn golden_cells_are_the_ones_the_oracle_holds_bitwise() {
+        let grid = Grid::new(48, 16, 50.0, 5.0);
+        let mut entries = std::collections::BTreeMap::new();
+        for regime in [Regime::Euler, Regime::NavierStokes] {
+            let mut reference = Solver::new(SolverConfig::paper(grid.clone(), regime));
+            reference.run(4);
+            entries.insert(format!("{}/serial/V5", regime.key()), snapshot::of(&reference.field));
+        }
+        let golden = GoldenFile { schema: snapshot::SCHEMA, grid: [48, 16], steps: 4, entries };
+        let job = |regime, procs, backend, version, comm| {
+            let mut spec = JobSpec::new(SolverConfig::paper(grid.clone(), regime), 4, procs);
+            (spec.backend, spec.cfg.version, spec.comm) = (backend, version, comm);
+            spec
+        };
+        use ns_core::config::Version::{V3, V5, V7};
+        use CommVersion::{V5 as C5, V7 as C7};
+        let ns = Regime::NavierStokes;
+        let covered = [
+            job(ns, 1, Backend::Parallel, V7, C7),
+            job(ns, 3, Backend::Serial, V5, C5),
+            job(ns, 2, Backend::Shared, V7, C5),
+            job(Regime::Euler, 2, Backend::Chaos, V7, C7),
+        ];
+        for spec in &covered {
+            assert!(golden_expectation(&golden, spec).is_some(), "{} is bitwise serial V5", spec.case());
+        }
+        for spec in [job(ns, 2, Backend::Parallel, V5, C5), job(Regime::Euler, 1, Backend::Parallel, V3, C5)] {
+            assert!(golden_expectation(&golden, &spec).is_none(), "{} is tolerance-bounded", spec.case());
+        }
+        // and a served one-rank N-S job does reproduce the serial fingerprint
+        let (server, rx, _dir) = server(1, 4, Some(golden));
+        server.submit(covered[0].clone()).unwrap();
+        let (key, _, how) = rx.recv().unwrap();
+        assert!(matches!(how, Settled::Done { cache: "cold", .. }), "got {how:?}");
+        assert_eq!(server.cache_handle().peek(key).unwrap().golden, Some(true));
+        let stats = server.finish();
+        assert_eq!((stats.golden_checked, stats.golden_mismatches), (1, 0));
     }
 
     #[test]

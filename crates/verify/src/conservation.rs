@@ -7,9 +7,9 @@
 //! what unexplained residual is acceptable.
 
 use ns_core::config::{Regime, SolverConfig};
-use ns_core::diag::ConservationLedger;
-use ns_core::driver::Solver;
 use ns_numerics::Grid;
+use ns_runtime::{CartTopology, CommVersion, RunPlan, TelemetryOptions};
+use ns_telemetry::HealthConfig;
 use serde::Serialize;
 
 /// Tolerance on the relative unexplained residual for a uniform stream
@@ -62,21 +62,23 @@ fn jet_cfg(regime: Regime) -> SolverConfig {
     SolverConfig::paper(Grid::small(), regime)
 }
 
-/// Run one case.
+/// Run one case: the 1×1 plan with health armed, which keeps the ledger.
+/// A run the watchdogs stop early fails the case, whatever its ledger says:
+/// the audit covers the whole window or nothing.
 pub fn run_case(name: &str, cfg: SolverConfig, steps: u64, tolerance: f64) -> ConservationCase {
-    let regime = cfg.regime.name().to_string();
-    let mut solver = Solver::new(cfg);
-    let gas = *solver.gas();
-    let mut ledger = ConservationLedger::open(&solver.field, &gas);
-    for _ in 0..steps {
-        solver.step();
-        ledger.record(&solver.field, &gas, solver.dt());
-    }
-    let closed = ledger.close(&solver.field);
-    let pass = closed.residual_rel.iter().all(|&r| r <= tolerance);
+    audit(name, cfg, steps, tolerance, HealthConfig::default())
+}
+
+fn audit(name: &str, cfg: SolverConfig, steps: u64, tolerance: f64, health: HealthConfig) -> ConservationCase {
+    let telemetry = TelemetryOptions { health: Some(health), ..Default::default() };
+    let plan = RunPlan { telemetry, ..RunPlan::new(&cfg, CartTopology::axial(1), steps, CommVersion::V5) };
+    let run = ns_runtime::run(&plan).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let closed = run.conservation().expect("health armed: the ledger is kept");
+    let whole_window = run.aborted().is_none() && closed.steps == steps;
+    let pass = whole_window && closed.residual_rel.iter().all(|&r| r <= tolerance);
     ConservationCase {
         name: name.to_string(),
-        regime,
+        regime: cfg.regime.name().to_string(),
         steps: closed.steps,
         drift_rel: closed.drift_rel,
         residual_rel: closed.residual_rel,
@@ -101,5 +103,23 @@ pub fn run_cases(quick: bool) -> Vec<ConservationCase> {
             run_case("jet/euler", jet_cfg(Regime::Euler), long, TOL_JET),
             run_case("jet/navier-stokes", jet_cfg(Regime::NavierStokes), long, TOL_JET),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ns_telemetry::HealthLimits;
+
+    /// A run the watchdogs stop before the window ends audits only the
+    /// steps it took; however clean that short ledger is, the case fails.
+    #[test]
+    fn a_health_abort_fails_the_case() {
+        let health = HealthConfig { cadence: 2, limits: HealthLimits { max_mach: 0.5, ..Default::default() } };
+        let case = audit("jet/euler", jet_cfg(Regime::Euler), 8, TOL_JET, health);
+        assert_eq!(case.steps, 0, "the jet core is Mach 1.5: the step-0 sample stops the run");
+        assert!(case.residual_rel.iter().all(|&r| r <= TOL_JET), "the empty ledger is clean");
+        assert!(!case.pass, "a shortened window must not pass");
+        assert!(run_case("jet/euler", jet_cfg(Regime::Euler), 8, TOL_JET).pass);
     }
 }

@@ -16,12 +16,13 @@
 //!    from `ns_core::diag::boundary_budget`, asserting the unexplained
 //!    residual stays below tolerance over long runs.
 //! 3. **Differential oracle** ([`oracle`]) — one harness running the same
-//!    configuration across every kernel `Version` rung, processor counts,
-//!    pencil shapes, serial vs `ns_runtime::run` with and without the
-//!    recovery machinery armed (fault-free plan) and comm protocol
-//!    versions, asserting bitwise equality where the design guarantees it
-//!    and truncation-level agreement where it doesn't, plus committed
-//!    golden snapshots ([`snapshot`]) that future PRs regress against.
+//!    configuration through `ns_runtime::run` across every kernel
+//!    `Version` rung, rank grids (1×1 is the serial run), the recovery
+//!    machinery armed on a fault-free plan and comm protocol versions,
+//!    asserting the verdict [`oracle::expect`] derives from each plan
+//!    pair: bitwise equality where the design guarantees it and
+//!    truncation-level agreement where it doesn't; plus committed golden
+//!    snapshots ([`snapshot`]) that future PRs regress against.
 //!
 //! The `jetns verify` subcommand drives all three and emits a
 //! machine-readable JSON report ([`report`]).

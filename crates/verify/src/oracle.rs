@@ -1,30 +1,30 @@
 //! The cross-version / cross-P / cross-driver differential oracle.
 //!
 //! One fixed configuration (66 x 24 grid, excited jet, 6 steps — even, so
-//! runs end on a completed `L1`/`L2` alternation) is executed across the
-//! whole equivalence matrix:
+//! runs end on a completed `L1`/`L2` alternation) is run as a list of
+//! `(run, baseline)` pairs, every run — the serial one is the 1×1 plan —
+//! through `ns_runtime::run`:
 //!
-//! * every kernel `Version` rung V1-V7, serially;
-//! * `ns_runtime::run` over processor counts P and pencil shapes (each rank
-//!   running the same versioned kernels);
+//! * every kernel `Version` rung against V5, serially;
+//! * each rung on P axial ranks and the V5 rung on 2-D pencils, against
+//!   serial;
 //! * the same plans with `reliability` armed on a fault-free plan (the
 //!   recovery machinery must be a perfect no-op when nothing fails);
-//! * the comm-protocol versions V5/V6/V7 (physics-neutral by design), under
-//!   the V5 kernels and under V7's, whose sweeps carry the update.
+//! * the comm-protocol versions V5/V6/V7, under the V5 kernels and under
+//!   V7's, whose sweeps carry the update.
 //!
-//! Each cell asserts the *strongest* property the design guarantees:
-//! bitwise identity for V5<->V6<->V7 (plus identical FLOP ledgers — the
-//! fused and SoA rungs re-order memory, never arithmetic), for Euler
-//! serial<->parallel, for chaos<->parallel and for comm protocols;
-//! truncation-level agreement (documented tolerance) for V1-V4 (different
-//! operation orderings round differently) and for Navier-Stokes
-//! serial<->parallel (the radial operator's one-sided viscous
-//! cross-derivative stencils at internal patch edges).
+//! A pair does not say what it must hold: [`expect`] derives the verdict
+//! from the two plans, and it is the only code that chooses one. Bitwise
+//! identity is the design wherever no arithmetic is re-ordered (V5<->V6<->V7,
+//! plus identical FLOP ledgers; Euler on any rank grid; chaos; comm
+//! protocols); a documented tolerance covers V1-V4 (different operation
+//! orderings round differently) and Navier-Stokes split axially (the
+//! viscous cross-derivative stencils at internal patch edges).
 
 use std::collections::BTreeMap;
 
 use ns_core::config::{Regime, SolverConfig, Version};
-use ns_core::driver::Solver;
+use ns_core::opcount::FlopLedger;
 use ns_core::Field;
 use ns_numerics::Grid;
 use ns_runtime::{CartTopology, ChaosOptions, CommVersion, FaultPlan, RunPlan};
@@ -48,6 +48,44 @@ pub enum Expect {
     Rel(f64),
 }
 
+impl Expect {
+    /// Whether this is the bitwise verdict.
+    pub fn is_bitwise(self) -> bool {
+        match self {
+            Expect::Bitwise => true,
+            Expect::Rel(_) => false,
+        }
+    }
+}
+
+/// The verdict the design guarantees between two plans of the same physics:
+/// one rule per axis on which they differ, the tolerances summed, bitwise
+/// only when every axis is.
+///
+/// * kernel version: V5, V6 and V7 re-order memory, never arithmetic, so
+///   any two of them are bitwise; any other pair is [`TOL_VERSION`];
+/// * rank grid: the same rank grid on both sides, Euler, or both plans
+///   unsplit axially (`px == 1`), is bitwise; Navier-Stokes split axially
+///   on different grids is [`TOL_NS_PARALLEL`];
+/// * comm protocol and `reliability` move the same data: bitwise.
+///
+/// `None` when the plans differ in anything else (the rest of the solver
+/// configuration, the step count): no contract relates those runs.
+pub fn expect(plan: &RunPlan<'_>, baseline: &RunPlan<'_>) -> Option<Expect> {
+    let (a, b) = (plan.cfg, baseline.cfg);
+    if plan.nsteps != baseline.nsteps || *a != (SolverConfig { version: a.version, ..b.clone() }) {
+        return None;
+    }
+    let bitwise_rung = |v: Version| v >= Version::V5;
+    let same_arithmetic = a.version == b.version || (bitwise_rung(a.version) && bitwise_rung(b.version));
+    let version = if same_arithmetic { 0.0 } else { TOL_VERSION };
+    let (p, q) = (plan.topology, baseline.topology);
+    let axial_unsplit = p.px == 1 && q.px == 1;
+    let topology = if p == q || a.regime == Regime::Euler || axial_unsplit { 0.0 } else { TOL_NS_PARALLEL };
+    let tol = version + topology;
+    Some(if tol == 0.0 { Expect::Bitwise } else { Expect::Rel(tol) })
+}
+
 /// A deliberate single-ulp perturbation of one run, used by the oracle's
 /// own negative-path tests to prove the harness can fail.
 #[derive(Clone, Debug)]
@@ -62,24 +100,65 @@ pub struct Perturb {
     pub j: usize,
 }
 
-/// Oracle configuration: the run matrix and the fixed run shape.
+/// One run of the matrix: the oracle's configuration in `regime` under
+/// kernel `version`, on `topology` over `comm`, with the recovery machinery
+/// armed on a fault-free plan when `chaos`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Run {
+    /// Governing equations.
+    pub regime: Regime,
+    /// Kernel version.
+    pub version: Version,
+    /// Rank grid (1×1 is the serial run).
+    pub topology: CartTopology,
+    /// Halo protocol.
+    pub comm: CommVersion,
+    /// Recovery machinery armed, nothing injected.
+    pub chaos: bool,
+}
+
+impl Run {
+    /// The serial run: the 1×1 plan over comm V5.
+    pub fn serial(regime: Regime, version: Version) -> Self {
+        Self { regime, version, topology: CartTopology::axial(1), comm: CommVersion::V5, chaos: false }
+    }
+
+    /// Cell key, e.g. `"euler/V6/serial"`, `"euler/V7/parallel/p4/commV6"`
+    /// or `"navier-stokes/V5/chaos-pencil/2x2"`.
+    pub fn key(&self) -> String {
+        let CartTopology { px, pr } = self.topology;
+        let shape = match (px * pr, pr, self.chaos) {
+            (1, _, false) => "serial".to_string(),
+            (_, 1, false) => format!("parallel/p{px}"),
+            (_, 1, true) => format!("chaos/p{px}"),
+            (_, _, false) => format!("pencil/{px}x{pr}"),
+            (_, _, true) => format!("chaos-pencil/{px}x{pr}"),
+        };
+        let comm = if self.comm == CommVersion::V5 { String::new() } else { format!("/comm{}", self.comm.name()) };
+        format!("{}/{:?}/{shape}{comm}", self.regime.key(), self.version)
+    }
+
+    fn cfg(&self, grid: &Grid) -> SolverConfig {
+        SolverConfig { version: self.version, ..SolverConfig::paper(grid.clone(), self.regime) }
+    }
+
+    fn plan<'a>(&self, cfg: &'a SolverConfig, steps: u64) -> RunPlan<'a> {
+        // a checkpoint cadence shorter than the run, no faults planned
+        let chaos = || ChaosOptions { plan: FaultPlan::none(42), checkpoint_every: 3, ..Default::default() };
+        RunPlan { reliability: self.chaos.then(chaos), ..RunPlan::new(cfg, self.topology, steps, self.comm) }
+    }
+}
+
+/// Oracle configuration: the fixed run shape and the pairs to compare.
 #[derive(Clone, Debug)]
 pub struct OracleConfig {
     /// Grid (identical for every cell; golden snapshots pin it).
     pub grid: Grid,
     /// Steps per run (even, fixed across quick/full so goldens match).
     pub steps: u64,
-    /// Kernel versions to cover (must include V5, the baseline).
-    pub versions: Vec<Version>,
-    /// Processor counts for the distributed drivers.
-    pub procs: Vec<usize>,
-    /// 2-D pencil shapes `(px, pr)` for the Cartesian drivers (run on the
-    /// V5 baseline kernel, the rung radial splits support).
-    pub pencil_shapes: Vec<(usize, usize)>,
-    /// Governing equations to cover.
-    pub regimes: Vec<Regime>,
-    /// Non-baseline comm protocols to cover (baseline is V5).
-    pub comm_versions: Vec<CommVersion>,
+    /// `(run, baseline)` pairs, one cell each; runs are keyed by
+    /// [`Run::key`], so a run shared by several pairs is executed once.
+    pub pairs: Vec<(Run, Run)>,
     /// Fault injection for negative-path tests (`None` in production).
     pub perturb: Option<Perturb>,
 }
@@ -87,33 +166,48 @@ pub struct OracleConfig {
 impl OracleConfig {
     /// The standard matrix. `quick` trims to the corners that catch nearly
     /// everything (V5/V6/V7, P in {1,4}, comm V6) for the CI gate; the full
-    /// matrix is the issue's exhaustive V1-V7 x {1,2,4,8,16} x all drivers.
+    /// matrix is V1-V7 x P {1,2,4,8,16} x all drivers.
     pub fn standard(quick: bool) -> Self {
-        let grid = Grid::new(66, 24, 50.0, 5.0);
-        let regimes = vec![Regime::Euler, Regime::NavierStokes];
-        if quick {
-            Self {
-                grid,
-                steps: 6,
-                versions: vec![Version::V5, Version::V6, Version::V7],
-                procs: vec![1, 4],
-                pencil_shapes: vec![(1, 4), (2, 2)],
-                regimes,
-                comm_versions: vec![CommVersion::V6],
-                perturb: None,
-            }
+        use CommVersion as C;
+        type Axes = (&'static [Version], &'static [usize], &'static [(usize, usize)], &'static [CommVersion]);
+        let (versions, procs, pencils, comms): Axes = if quick {
+            (&[Version::V5, Version::V6, Version::V7], &[1, 4], &[(1, 4), (2, 2)], &[C::V6])
         } else {
-            Self {
-                grid,
-                steps: 6,
-                versions: Version::ALL.to_vec(),
-                procs: vec![1, 2, 4, 8, 16],
-                pencil_shapes: vec![(1, 4), (4, 1), (2, 2), (4, 2)],
-                regimes,
-                comm_versions: vec![CommVersion::V6, CommVersion::V7],
-                perturb: None,
+            (&Version::ALL, &[1, 2, 4, 8, 16], &[(1, 4), (2, 2), (4, 2)], &[C::V6, C::V7])
+        };
+        let mut pairs = Vec::new();
+        for regime in [Regime::Euler, Regime::NavierStokes] {
+            let serial = |v| Run::serial(regime, v);
+            for &v in versions.iter().filter(|&&v| v != Version::V5) {
+                pairs.push((serial(v), serial(Version::V5)));
+            }
+            // on one rank the plan is the serial run itself: only its
+            // chaos twin is a cell
+            for &v in versions {
+                for &p in procs {
+                    let par = Run { topology: CartTopology::axial(p), ..serial(v) };
+                    if p > 1 {
+                        pairs.push((par, serial(v)));
+                    }
+                    pairs.push((Run { chaos: true, ..par }, par));
+                }
+            }
+            // radial splits run the unfused rungs; V5 is the baseline one
+            for &(px, pr) in pencils {
+                let topology = CartTopology::new(px, pr).expect("pencil shape");
+                let pencil = Run { topology, ..serial(Version::V5) };
+                pairs.push((pencil, serial(Version::V5)));
+                pairs.push((Run { chaos: true, ..pencil }, pencil));
+            }
+            // V7's sweeps update the stations whose flux stencil they emit
+            // and defer the rest until the halo has landed, so V7 kernels
+            // run under both split-phase protocols in every matrix
+            for (kernel, comms) in [(Version::V5, comms), (Version::V7, &[C::V6, C::V7][..])] {
+                let base = Run { topology: CartTopology::axial(4), ..serial(kernel) };
+                pairs.extend(comms.iter().map(|&comm| (Run { comm, ..base }, base)));
             }
         }
+        Self { grid: Grid::new(66, 24, 50.0, 5.0), steps: 6, pairs, perturb: None }
     }
 }
 
@@ -155,59 +249,25 @@ impl OracleReport {
     }
 }
 
-fn comm_key(v: CommVersion) -> &'static str {
-    match v {
-        CommVersion::V5 => "commV5",
-        CommVersion::V6 => "commV6",
-        CommVersion::V7 => "commV7",
+/// The gathered field and per-rank FLOP ledgers of one run, perturbed
+/// when the config names its key.
+fn execute(oc: &OracleConfig, run: &Run) -> (Field, Vec<FlopLedger>) {
+    let cfg = run.cfg(&oc.grid);
+    let out = ns_runtime::run(&run.plan(&cfg, oc.steps)).unwrap_or_else(|e| panic!("{}: {e}", run.key()));
+    let mut field = out.gather_field();
+    if let Some(p) = oc.perturb.as_ref().filter(|p| p.key == run.key()) {
+        let v = field.at(p.component, p.i as isize, p.j as isize);
+        field.set(p.component, p.i as isize, p.j as isize, f64::from_bits(v.to_bits() ^ 1));
     }
-}
-
-fn base_cfg(oc: &OracleConfig, regime: Regime, version: Version) -> SolverConfig {
-    let mut cfg = SolverConfig::paper(oc.grid.clone(), regime);
-    cfg.version = version;
-    cfg
-}
-
-/// Fault-free chaos options: recovery machinery armed (checkpoint cadence
-/// shorter than the run) but no faults planned.
-fn chaos_opts() -> ChaosOptions {
-    ChaosOptions { plan: FaultPlan::none(42), checkpoint_every: 3, ..Default::default() }
-}
-
-/// The gathered field of `cfg` run on `topo` through the one driver, over
-/// plain channels or (`chaos`) with the recovery machinery armed.
-fn distributed(cfg: &SolverConfig, topo: CartTopology, steps: u64, comm: CommVersion, chaos: bool) -> Field {
-    let plan = RunPlan { reliability: chaos.then(chaos_opts), ..RunPlan::new(cfg, topo, steps, comm) };
-    ns_runtime::run(&plan).unwrap_or_else(|e| panic!("{}x{} ranks: {e}", topo.px, topo.pr)).gather_field()
-}
-
-fn maybe_perturb(oc: &OracleConfig, key: &str, field: &mut Field) {
-    if let Some(p) = &oc.perturb {
-        if p.key == key {
-            let v = field.at(p.component, p.i as isize, p.j as isize);
-            field.set(p.component, p.i as isize, p.j as isize, f64::from_bits(v.to_bits() ^ 1));
-        }
-    }
-}
-
-/// Max interior magnitude of the baseline, the scale for relative diffs.
-fn field_scale(field: &Field) -> f64 {
-    let mut m = 0.0f64;
-    for c in 0..4 {
-        for i in 0..field.nxl() {
-            for j in 0..field.nr() {
-                m = m.max(field.at(c, i as isize, j as isize).abs());
-            }
-        }
-    }
-    m
+    (field, out.ranks.iter().map(|r| r.ledger).collect())
 }
 
 fn compare(key: &str, baseline: &str, a: &Field, b: &Field, expect: Expect) -> OracleCell {
     let max_abs_diff = a.max_diff(b);
-    let scale = field_scale(b).max(f64::MIN_POSITIVE);
-    let rel_diff = max_abs_diff / scale;
+    // the baseline's largest interior magnitude (NaN when it holds one)
+    let scale = b.max_diff(&Field::zeros(b.patch.clone()));
+    let rel_diff = max_abs_diff / if scale == 0.0 { f64::MIN_POSITIVE } else { scale };
+    // a NaN difference meets neither verdict
     let (expected, pass) = match expect {
         Expect::Bitwise => ("bitwise".to_string(), max_abs_diff == 0.0),
         Expect::Rel(tol) => (format!("rel<={tol:e}"), rel_diff <= tol),
@@ -215,115 +275,106 @@ fn compare(key: &str, baseline: &str, a: &Field, b: &Field, expect: Expect) -> O
     OracleCell { key: key.to_string(), baseline: baseline.to_string(), expected, max_abs_diff, rel_diff, pass }
 }
 
-/// Run the full differential-oracle matrix.
+/// Run the differential-oracle matrix: every pair's run against its
+/// baseline, under the verdict [`expect`] derives from the two plans.
 pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
-    assert!(oc.versions.contains(&Version::V5), "the oracle baseline is V5");
     assert!(oc.steps.is_multiple_of(2), "runs must end on a completed L1/L2 alternation");
+    let mut runs = BTreeMap::new();
     let mut cells = Vec::new();
-    let mut snapshots = BTreeMap::new();
-    for &regime in &oc.regimes {
-        let rk = regime.key();
-
-        // --- serial ladder ------------------------------------------------
-        let mut serial: Vec<(Version, Field, ns_core::opcount::FlopLedger)> = Vec::new();
-        for &v in &oc.versions {
-            let mut solver = Solver::new(base_cfg(oc, regime, v));
-            solver.run(oc.steps);
-            let mut field = solver.field.clone();
-            maybe_perturb(oc, &format!("{rk}/{v:?}/serial"), &mut field);
-            serial.push((v, field, solver.ledger));
+    for (run, base) in &oc.pairs {
+        for r in [run, base] {
+            runs.entry(r.key()).or_insert_with(|| execute(oc, r));
         }
-        let (v5_field, v5_ledger) = {
-            let e = serial.iter().find(|(v, _, _)| *v == Version::V5).unwrap();
-            (e.1.clone(), e.2)
-        };
-        snapshots.insert(format!("{rk}/serial/V5"), snapshot::of(&v5_field));
-
-        let v5_key = format!("{rk}/V5/serial");
-        for (v, field, ledger) in &serial {
-            if *v == Version::V5 {
-                continue;
-            }
-            let key = format!("{rk}/{v:?}/serial");
-            let bitwise_rung = matches!(*v, Version::V6 | Version::V7);
-            let expect = if bitwise_rung { Expect::Bitwise } else { Expect::Rel(TOL_VERSION) };
-            let mut cell = compare(&key, &v5_key, field, &v5_field, expect);
-            if bitwise_rung && *ledger != v5_ledger {
-                // the fused/SoA paths must also account identical FLOPs
-                cell.pass = false;
-                cell.expected = "bitwise+ledger".to_string();
-            }
-            cells.push(cell);
+        let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
+        let expect = expect(&run.plan(&cfg, oc.steps), &base.plan(&base_cfg, oc.steps))
+            .unwrap_or_else(|| panic!("{}: no contract relates it to {}", run.key(), base.key()));
+        let ((field, ledgers), (base_field, base_ledgers)) = (&runs[&run.key()], &runs[&base.key()]);
+        let mut cell = compare(&run.key(), &base.key(), field, base_field, expect);
+        // the fused and SoA rungs must also account identical FLOPs
+        let same_grid_other_rung = run.version != base.version && run.topology == base.topology;
+        if expect.is_bitwise() && same_grid_other_rung && ledgers != base_ledgers {
+            cell.pass = false;
+            cell.expected = "bitwise+ledger".to_string();
         }
+        cells.push(cell);
+    }
+    let snapshots = [Regime::Euler, Regime::NavierStokes]
+        .into_iter()
+        .filter_map(|regime| {
+            let (field, _) = runs.get(&Run::serial(regime, Version::V5).key())?;
+            Some((format!("{}/serial/V5", regime.key()), snapshot::of(field)))
+        })
+        .collect();
+    OracleReport { grid: [oc.grid.nx, oc.grid.nr], steps: oc.steps, cells, snapshots }
+}
 
-        // --- distributed drivers ------------------------------------------
-        for (v, serial_field, _) in &serial {
-            let cfg = base_cfg(oc, regime, *v);
-            let serial_key = format!("{rk}/{v:?}/serial");
-            let par_expect = match regime {
-                Regime::Euler => Expect::Bitwise,
-                Regime::NavierStokes => Expect::Rel(TOL_NS_PARALLEL),
-            };
-            for &p in &oc.procs {
-                let par_key = format!("{rk}/{v:?}/parallel/p{p}");
-                let topo = CartTopology::axial(p);
-                let mut par = distributed(&cfg, topo, oc.steps, CommVersion::V5, false);
-                maybe_perturb(oc, &par_key, &mut par);
-                cells.push(compare(&par_key, &serial_key, &par, serial_field, par_expect));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ns_core::field::Patch;
 
-                // fault-free chaos must be a bitwise no-op on the parallel run
-                let chaos_key = format!("{rk}/{v:?}/chaos/p{p}");
-                let mut chaos = distributed(&cfg, topo, oc.steps, CommVersion::V5, true);
-                maybe_perturb(oc, &chaos_key, &mut chaos);
-                cells.push(compare(&chaos_key, &par_key, &chaos, &par, Expect::Bitwise));
-            }
+    fn plan(cfg: &SolverConfig, px: usize, pr: usize) -> RunPlan<'_> {
+        RunPlan::new(cfg, CartTopology::new(px, pr).unwrap(), 6, CommVersion::V5)
+    }
+
+    fn cfg(regime: Regime, version: Version) -> SolverConfig {
+        Run::serial(regime, version).cfg(&Grid::new(66, 24, 50.0, 5.0))
+    }
+
+    /// `f64::max` returns its non-NaN operand, so a fold over it reads a
+    /// NaN point as "no difference" and passes it as bitwise.
+    #[test]
+    fn a_nan_point_fails_every_verdict() {
+        let clean = Field::zeros(Patch::whole(Grid::small()));
+        let mut nan = clean.clone();
+        nan.set(1, 3, 4, f64::NAN);
+        assert!(nan.max_diff(&clean).is_nan() && clean.max_diff(&nan).is_nan());
+        for expect in [Expect::Bitwise, Expect::Rel(1.0)] {
+            assert!(!compare("nan", "clean", &nan, &clean, expect).pass, "{expect:?}: NaN run passed");
+            assert!(!compare("clean", "nan", &clean, &nan, expect).pass, "{expect:?}: NaN baseline passed");
         }
+        assert!(compare("clean", "clean", &clean, &clean, Expect::Bitwise).pass);
+    }
 
-        // --- 2-D pencil decompositions (V5 kernels, grouped comm) ---------
-        // Euler pencils are bitwise against serial for every shape; N-S is
-        // bitwise only for pure radial splits (px = 1), where no one-sided
-        // viscous axial stencils appear at internal edges.
-        let cfg = base_cfg(oc, regime, Version::V5);
-        for &(px, pr) in &oc.pencil_shapes {
-            let topo = CartTopology::new(px, pr).unwrap_or_else(|e| panic!("pencil shape {px}x{pr}: {e}"));
-            let expect = match regime {
-                Regime::Euler => Expect::Bitwise,
-                Regime::NavierStokes if px == 1 => Expect::Bitwise,
-                Regime::NavierStokes => Expect::Rel(TOL_NS_PARALLEL),
-            };
-            let key = format!("{rk}/V5/pencil/{px}x{pr}");
-            let mut par = distributed(&cfg, topo, oc.steps, CommVersion::V5, false);
-            maybe_perturb(oc, &key, &mut par);
-            cells.push(compare(&key, &v5_key, &par, &v5_field, expect));
+    #[test]
+    fn expect_composes_one_rule_per_axis() {
+        let (euler, ns) = (cfg(Regime::Euler, Version::V5), cfg(Regime::NavierStokes, Version::V5));
+        let (ns_v3, ns_v7) = (cfg(Regime::NavierStokes, Version::V3), cfg(Regime::NavierStokes, Version::V7));
+        let serial = plan(&ns, 1, 1);
+        // kernel version
+        assert_eq!(expect(&plan(&ns_v7, 1, 1), &serial), Some(Expect::Bitwise));
+        assert_eq!(expect(&plan(&ns_v3, 1, 1), &serial), Some(Expect::Rel(TOL_VERSION)));
+        // rank grid
+        assert_eq!(expect(&plan(&euler, 2, 2), &plan(&euler, 1, 1)), Some(Expect::Bitwise));
+        assert_eq!(expect(&plan(&ns, 1, 4), &serial), Some(Expect::Bitwise));
+        assert_eq!(expect(&plan(&ns, 2, 1), &serial), Some(Expect::Rel(TOL_NS_PARALLEL)));
+        assert_eq!(expect(&plan(&ns, 2, 2), &plan(&ns, 2, 1)), Some(Expect::Rel(TOL_NS_PARALLEL)));
+        assert_eq!(expect(&plan(&ns_v7, 2, 2), &plan(&ns, 2, 2)), Some(Expect::Bitwise), "same rank grid");
+        // comm and reliability
+        let chaos = ChaosOptions { plan: FaultPlan::none(1), ..Default::default() };
+        let twin = RunPlan { comm: CommVersion::V7, reliability: Some(chaos), ..plan(&ns, 4, 1) };
+        assert_eq!(expect(&twin, &plan(&ns, 4, 1)), Some(Expect::Bitwise));
+        // several axes: the tolerances add up
+        assert_eq!(expect(&plan(&ns_v3, 2, 2), &serial), Some(Expect::Rel(TOL_VERSION + TOL_NS_PARALLEL)));
+        assert_eq!(expect(&plan(&ns_v7, 1, 4), &serial), Some(Expect::Bitwise));
+    }
 
-            // fault-free chaos over the same topology is a bitwise no-op
-            let chaos_key = format!("{rk}/V5/chaos-pencil/{px}x{pr}");
-            let mut chaos = distributed(&cfg, topo, oc.steps, CommVersion::V5, true);
-            maybe_perturb(oc, &chaos_key, &mut chaos);
-            cells.push(compare(&chaos_key, &key, &chaos, &par, Expect::Bitwise));
-        }
+    #[test]
+    fn expect_relates_no_pairs_of_different_physics() {
+        let (euler, ns) = (cfg(Regime::Euler, Version::V5), cfg(Regime::NavierStokes, Version::V5));
+        assert_eq!(expect(&plan(&euler, 1, 1), &plan(&ns, 1, 1)), None);
+        let longer = RunPlan { nsteps: 8, ..plan(&ns, 1, 1) };
+        assert_eq!(expect(&longer, &plan(&ns, 1, 1)), None);
+    }
 
-        // --- comm-protocol versions (physics-neutral, P=4) -----------------
-        // V5 kernels over the configured protocols. V7 kernels over both
-        // split-phase ones in every matrix: a V7 sweep updates the stations
-        // whose flux stencil it emits itself and defers the rest until the
-        // halo has landed, so the deferred-station rule is held against
-        // `post_prims`/`finish_prims` here, not only against comm V5.
-        let split_phase = [CommVersion::V6, CommVersion::V7];
-        for (kernel, comms) in [(Version::V5, &oc.comm_versions[..]), (Version::V7, &split_phase[..])] {
-            if !oc.versions.contains(&kernel) {
-                continue;
-            }
-            let cfg = base_cfg(oc, regime, kernel);
-            let baseline = distributed(&cfg, CartTopology::axial(4), oc.steps, CommVersion::V5, false);
-            let base_key = format!("{rk}/{kernel:?}/parallel/p4");
-            for &cv in comms {
-                let key = format!("{base_key}/{}", comm_key(cv));
-                let mut f = distributed(&cfg, CartTopology::axial(4), oc.steps, cv, false);
-                maybe_perturb(oc, &key, &mut f);
-                cells.push(compare(&key, &base_key, &f, &baseline, Expect::Bitwise));
-            }
+    #[test]
+    fn standard_matrices_key_every_run_once() {
+        for (quick, cells) in [(true, 36), (false, 158)] {
+            let oc = OracleConfig::standard(quick);
+            assert_eq!(oc.pairs.len(), cells);
+            let keys: std::collections::BTreeSet<_> = oc.pairs.iter().map(|(run, _)| run.key()).collect();
+            assert_eq!(keys.len(), cells, "one cell per run");
+            assert!(oc.pairs.iter().all(|(run, base)| run != base), "no run is its own baseline");
         }
     }
-    OracleReport { grid: [oc.grid.nx, oc.grid.nr], steps: oc.steps, cells, snapshots }
 }

@@ -161,3 +161,48 @@ fn simulator_handles_every_platform_at_every_p() {
         }
     }
 }
+
+/// Every rank grid a plan can be refused on is refused with one error,
+/// word for word, by the live driver, the simulator and serve admission
+/// (the last on the axial shapes a job can express).
+#[test]
+fn refusals_agree_everywhere() {
+    use ns_runtime::DecompositionError as E;
+    use ns_serve::JobSpec;
+    let grid = Grid::new(66, 24, 50.0, 5.0);
+    let paper = SolverConfig::paper(grid.clone(), Regime::NavierStokes);
+    let damped = SolverConfig { dissipation: 0.002, ..paper.clone() };
+    let v6 = SolverConfig { version: ns_core::config::Version::V6, ..paper.clone() };
+    let cases = [
+        (E::ZeroRanks, &paper, (0, 1), CommVersion::V5),
+        (E::TooFewColumns { px: 20, nx: 66 }, &paper, (20, 1), CommVersion::V5),
+        (E::TooFewRows { pr: 7, nr: 24 }, &paper, (1, 7), CommVersion::V5),
+        (E::UnsupportedVersion { version: v6.version }, &v6, (1, 2), CommVersion::V5),
+        (E::UnsupportedComm, &paper, (1, 2), CommVersion::V6),
+        (E::UnsupportedDissipation, &damped, (2, 1), CommVersion::V5),
+    ];
+    for (error, cfg, (px, pr), comm) in cases {
+        let topology = CartTopology { px, pr };
+        let refused = ns_runtime::run(&RunPlan::new(cfg, topology, 2, comm)).err();
+        assert_eq!(refused, Some(error.clone()), "{px}x{pr}: the driver");
+        // the simulator runs the paper config: it has no dissipation to refuse
+        if cfg.dissipation == 0.0 {
+            let sim = SimConfig {
+                topology,
+                grid: grid.clone(),
+                version: cfg.version,
+                comm,
+                sim_steps: 1,
+                report_steps: 1,
+                ..SimConfig::paper(Platform::cluster_fat_tree(), 1, cfg.regime)
+            };
+            let panic = std::panic::catch_unwind(|| simulate(&sim)).expect_err("the simulator must refuse");
+            let text = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(text, Some(format!("topology refused: {error}").as_str()), "{px}x{pr}: the simulator");
+        }
+        if pr == 1 {
+            let job = JobSpec { comm, ..JobSpec::new(cfg.clone(), 2, px) };
+            assert_eq!(job.validate(), Err(error.to_string()), "{px}x1: serve admission");
+        }
+    }
+}

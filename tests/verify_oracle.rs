@@ -8,12 +8,14 @@
 //! instruments can fail: an oracle that stays green under a deliberate
 //! perturbation verifies nothing.
 
+use ns_core::config::Version;
 use ns_core::config::{Regime, SchemeOrder, SolverConfig};
 use ns_core::diag::ConservationLedger;
 use ns_core::driver::Solver;
 use ns_core::mms;
 use ns_numerics::Grid;
-use ns_verify::oracle::{self, OracleConfig, Perturb};
+use ns_runtime::{CartTopology, CommVersion};
+use ns_verify::oracle::{self, OracleConfig, Perturb, Run};
 use ns_verify::snapshot::{GoldenFile, SCHEMA};
 
 #[test]
@@ -22,10 +24,10 @@ fn quick_matrix_is_green_and_golden_self_diff_passes() {
     let failing: Vec<_> = report.cells.iter().filter(|c| !c.pass).map(|c| c.key.clone()).collect();
     assert!(failing.is_empty(), "oracle cells failed: {failing:?}");
     // quick matrix shape: per regime, {V6,V7}-vs-V5 serial (2) +
-    // {V5,V6,V7} x {1,4} x {parallel,chaos} (12) +
-    // V5 x {1x4,2x2} x {pencil,chaos-pencil} (4) + V5 kernels under comm V6
-    // (1) + V7 kernels under comm V6 and V7 (2)
-    assert_eq!(report.cells.len(), 42);
+    // {V5,V6,V7} x {p4 parallel, p1 chaos, p4 chaos} (9; the p1 plan is
+    // the serial run itself) + V5 x {1x4,2x2} x {pencil,chaos-pencil} (4) +
+    // V5 kernels under comm V6 (1) + V7 kernels under comm V6 and V7 (2)
+    assert_eq!(report.cells.len(), 36);
     for key in ["euler/V7/parallel/p4/commV6", "navier-stokes/V7/parallel/p4/commV7"] {
         let cell = report.cells.iter().find(|c| c.key == key).unwrap_or_else(|| panic!("no cell {key}"));
         assert_eq!((cell.expected.as_str(), cell.baseline.as_str()), ("bitwise", &key[..key.rfind('/').unwrap()]));
@@ -61,9 +63,13 @@ fn oracle_catches_single_ulp_parallel_perturbation() {
     oc.perturb = Some(Perturb { key: "euler/V5/parallel/p4".into(), component: 0, i: 33, j: 11 });
     let report = oracle::run_matrix(&oc);
     let failing: Vec<_> = report.cells.iter().filter(|c| !c.pass).map(|c| c.key.as_str()).collect();
-    // the perturbed run fails against serial, and the chaos run (compared
-    // against it) fails too
-    assert_eq!(failing, vec!["euler/V5/parallel/p4", "euler/V5/chaos/p4"], "failing: {failing:?}");
+    // the perturbed run fails against serial, and the chaos and comm-V6
+    // runs (compared against it) fail too
+    assert_eq!(
+        failing,
+        vec!["euler/V5/parallel/p4", "euler/V5/chaos/p4", "euler/V5/parallel/p4/commV6"],
+        "failing: {failing:?}"
+    );
 }
 
 #[test]
@@ -120,4 +126,44 @@ fn mms_norms_detect_a_perturbed_solution() {
         linf_bad > 10.0 * linf_clean.max(1e-6),
         "a perturbed cell must dominate the max-norm: {linf_bad} vs clean {linf_clean}"
     );
+}
+
+/// Every plan `validate` admits on the oracle grid meets the contract
+/// `oracle::expect` states against the serial V5 run: both regimes, every
+/// kernel version, every `px × pr` partition with `px <= 16` and `pr <= 4`,
+/// every comm protocol, and each plan's fault-free chaos twin. The space is
+/// small enough to enumerate, so it is enumerated rather than sampled; the
+/// serial baselines run once per regime.
+#[test]
+fn every_admitted_plan_meets_its_contract() {
+    let oc = OracleConfig::standard(true);
+    let mut pairs = Vec::new();
+    for regime in [Regime::Euler, Regime::NavierStokes] {
+        let serial = Run::serial(regime, Version::V5);
+        for version in Version::ALL {
+            let cfg = SolverConfig { version, ..SolverConfig::paper(oc.grid.clone(), regime) };
+            for (px, pr) in (1..=16).flat_map(|px| (1..=4).map(move |pr| (px, pr))) {
+                let topology = CartTopology::new(px, pr).unwrap();
+                for comm in CommVersion::ALL {
+                    if topology.validate(&cfg, comm).is_err() {
+                        continue;
+                    }
+                    for chaos in [false, true] {
+                        let run = Run { regime, version, topology, comm, chaos };
+                        if run != serial {
+                            pairs.push((run, serial));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let report = oracle::run_matrix(&OracleConfig { pairs, ..oc });
+    let failing: Vec<_> = report
+        .cells
+        .iter()
+        .filter(|c| !c.pass)
+        .map(|c| format!("{}: expected {}, max abs diff {:e}", c.key, c.expected, c.max_abs_diff))
+        .collect();
+    assert!(failing.is_empty(), "{} of {} plans broke their contract: {failing:#?}", failing.len(), report.cells.len());
 }
