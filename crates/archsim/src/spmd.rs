@@ -184,8 +184,8 @@ fn compile_rank(cal: &Calibration, cpu: &CpuSpec, lib: &MsgLib, cfg: &SimConfig,
                 let pieces = if cfg.comm == CommVersion::V7 { 2 } else { 1 };
                 push_exchange(&mut evs, [left, right], *bytes, pieces);
             }
-            // the radial row exchanges of the pencil protocol, always the
-            // grouped (V5) shape — `validate` restricts radial splits to it
+            // the radial row exchanges of the pencil protocol: the runtime
+            // sends them as grouped (V5-shaped) packets under every protocol
             PhaseOp::ExchangePrimsR { bytes } | PhaseOp::ExchangeFluxR { bytes } => {
                 push_exchange(&mut evs, [down, up], *bytes, 1);
             }
@@ -219,7 +219,7 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
     let nprocs = cfg.topology.size();
     assert!(nprocs <= cfg.platform.max_procs, "processor count out of range");
     let solver = SolverConfig { version: cfg.version, ..SolverConfig::paper(cfg.grid.clone(), cfg.regime) };
-    let admitted = cfg.topology.validate(&solver, cfg.comm);
+    let admitted = cfg.topology.validate(&solver);
     assert!(admitted.is_ok(), "topology refused: {}", admitted.unwrap_err());
     assert!(cfg.sim_steps >= 1 && cfg.sim_steps <= cfg.report_steps);
     let cal = Calibration::standard();

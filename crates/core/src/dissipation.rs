@@ -4,18 +4,21 @@
 //! one-sided differences; the paper adds none. Long excited-jet runs at
 //! `M_c = 1.5` eventually steepen, so we provide a conventional explicit
 //! fourth-difference smoother for the flow-physics examples. It is **off**
-//! (`dissipation = 0`) in every performance experiment and is only available
-//! on a whole-grid patch: the serial solver, or a 1×1 rank grid (a finer
-//! decomposition is refused at plan validation, since the paper's message
-//! protocol carries no smoothing halo).
+//! (`dissipation = 0`) in every performance experiment, and runs on every
+//! rank grid: after the step each rank swaps the two edge lines of its
+//! smoothing snapshot with its face neighbours
+//! ([`crate::scheme::XHalo::exchange_state`]) and smooths the
+//! global-interior points it owns with the serial per-point arithmetic, so
+//! a damped decomposed run is bitwise the damped serial run of the same
+//! field.
 
-use crate::bc::Q_PARITY;
-use crate::field::Field;
+use crate::field::{gi, Field};
 use crate::opcount::{self, FlopLedger};
+use ns_numerics::Array2;
 
-/// Apply one explicit smoothing pass `Q <- Q - eps D4(Q')` with the
-/// fourth-difference operator in both directions, where `Q'` is the
-/// *fluctuation* `Q - Q_base` when a base field is supplied.
+/// Apply one explicit smoothing pass `Q <- Q - eps D4(Q')` to a whole-grid
+/// field with the fourth-difference operator in both directions, where `Q'`
+/// is the *fluctuation* `Q - Q_base` when a base field is supplied.
 ///
 /// Smoothing the raw state erodes the tanh shear layer itself while the
 /// Dirichlet inflow keeps re-imposing the sharp profile — the growing
@@ -23,63 +26,66 @@ use crate::opcount::{self, FlopLedger};
 /// steps. Smoothing the fluctuation about the initial (parallel-jet) base
 /// flow preserves the mean exactly and damps only what the excitation and
 /// rollup create, which is precisely what the long Figure 1 run needs.
-/// Radial ghosts use the axis parity mirror; the axial stencil is
-/// restricted to columns with a full interior stencil.
+/// A decomposed step runs the two halves itself, [`fluctuation`] then
+/// [`smooth`], with the state halo swapped in between.
 pub fn apply_about(field: &mut Field, base: Option<&Field>, eps: f64, ledger: &mut FlopLedger) {
-    if eps == 0.0 {
-        return;
+    if eps != 0.0 {
+        let snap = fluctuation(field, base);
+        smooth(field, &snap, eps, ledger);
     }
-    assert!(eps < 1.0 / 16.0, "explicit fourth-difference smoothing requires eps < 1/16");
-    let (nxl, nr) = (field.nxl(), field.nr());
-    let mut snap = field.clone();
+}
+
+/// The smoothing snapshot: the state planes, less the base when there is
+/// one. Its ghost lines are whatever the field's were; a decomposed step
+/// fills those at internal patch edges before [`smooth`] reads them.
+pub fn fluctuation(field: &Field, base: Option<&Field>) -> [Array2; 4] {
+    let mut snap = field.q.clone();
     if let Some(b) = base {
-        assert_eq!(b.nxl(), nxl);
-        for c in 0..4 {
-            for (dst, src) in snap.q[c].as_mut_slice().iter_mut().zip(b.q[c].as_slice()) {
+        assert_eq!(b.patch, field.patch);
+        for (plane, base_plane) in snap.iter_mut().zip(&b.q) {
+            for (dst, src) in plane.as_mut_slice().iter_mut().zip(base_plane.as_slice()) {
                 *dst -= src;
             }
         }
     }
-    // mirror radial ghosts of the snapshot so D4 is defined down to j = 0
-    for c in 0..4 {
-        let s = Q_PARITY[c];
-        for i in 0..nxl as isize {
-            for g in 0..2_isize {
-                snap.set(c, i, -1 - g, s * snap.at(c, i, g));
-            }
-        }
-    }
+    snap
+}
+
+/// `Q <- Q - eps D4(snap)` at every global-interior point the field's patch
+/// owns (global `2 <= i < nx - 2`, `2 <= j < nr - 3`). Both stencils stay
+/// inside the global interior, so no boundary ghost is read: a patch edge
+/// reads the snapshot's ghost lines, which hold the neighbour's edge lines.
+pub fn smooth(field: &mut Field, snap: &[Array2; 4], eps: f64, ledger: &mut FlopLedger) {
+    assert!(eps < 1.0 / 16.0, "explicit fourth-difference smoothing requires eps < 1/16");
     // Smoothing is confined to points whose full 5-point stencils are
     // interior: touching the Dirichlet inflow column, the characteristic
     // outflow column, the far-field rows or the axis-mirror closure injects
     // boundary-incompatible perturbations (the mirrored closure in
     // particular is not dissipative for all axis modes) which the
     // low-dissipation 2-4 scheme then amplifies.
-    for c in 0..4 {
-        for i in 2..nxl.saturating_sub(2) {
+    let p = &field.patch;
+    // the local indices of the owned points `[o, o + n)` in the global `[lo, hi)`
+    let owned = |o: usize, n: usize, lo: usize, hi: usize| lo.max(o) - o..hi.min(o + n).saturating_sub(o);
+    let is = owned(p.i0, p.nxl, 2, p.grid.nx.saturating_sub(2));
+    let js = owned(p.j0, p.nrl, 2, p.grid.nr.saturating_sub(3));
+    let cells = (p.nxl * p.nrl) as u64;
+    for (c, s) in snap.iter().enumerate() {
+        let at = |i: isize, j: isize| s.at(gi(i), gi(j));
+        for i in is.clone() {
             let si = i as isize;
-            for j in 2..nr.saturating_sub(3) {
+            for j in js.clone() {
                 let sj = j as isize;
                 let mut d4 = 0.0;
-                // radial stencil (ghosts valid below the axis, interior above)
-                d4 += snap.at(c, si, sj - 2) - 4.0 * snap.at(c, si, sj - 1) + 6.0 * snap.at(c, si, sj)
-                    - 4.0 * snap.at(c, si, sj + 1)
-                    + snap.at(c, si, sj + 2);
+                // radial stencil
+                d4 += at(si, sj - 2) - 4.0 * at(si, sj - 1) + 6.0 * at(si, sj) - 4.0 * at(si, sj + 1) + at(si, sj + 2);
                 // axial stencil
-                d4 += snap.at(c, si - 2, sj) - 4.0 * snap.at(c, si - 1, sj) + 6.0 * snap.at(c, si, sj)
-                    - 4.0 * snap.at(c, si + 1, sj)
-                    + snap.at(c, si + 2, sj);
+                d4 += at(si - 2, sj) - 4.0 * at(si - 1, sj) + 6.0 * at(si, sj) - 4.0 * at(si + 1, sj) + at(si + 2, sj);
                 let v = field.at(c, si, sj) - eps * d4;
                 field.set(c, si, sj, v);
             }
         }
     }
-    ledger.dissipation += (nxl * nr) as u64 * opcount::COST_DISSIPATION;
-}
-
-/// Smoothing of the raw state (no base field); see [`apply_about`].
-pub fn apply(field: &mut Field, eps: f64, ledger: &mut FlopLedger) {
-    apply_about(field, None, eps, ledger);
+    ledger.dissipation += cells * opcount::COST_DISSIPATION;
 }
 
 #[cfg(test)]
@@ -104,7 +110,7 @@ mod tests {
         });
         let before = f.clone();
         let mut ledger = FlopLedger::default();
-        apply(&mut f, 0.0, &mut ledger);
+        apply_about(&mut f, None, 0.0, &mut ledger);
         assert_eq!(f.max_diff(&before), 0.0);
         assert_eq!(ledger.dissipation, 0);
     }
@@ -123,7 +129,7 @@ mod tests {
             }
         }
         let mut ledger = FlopLedger::default();
-        apply(&mut f, 0.01, &mut ledger);
+        apply_about(&mut f, None, 0.01, &mut ledger);
         // measure the oscillation amplitude at an interior point
         let a = f.at(3, 10, 8);
         let b = f.at(3, 10, 9);
@@ -148,7 +154,7 @@ mod tests {
         }
         let before = f.clone();
         let mut ledger = FlopLedger::default();
-        apply(&mut f, 0.02, &mut ledger);
+        apply_about(&mut f, None, 0.02, &mut ledger);
         // columns with full axial stencils and rows away from the axis
         for i in 4..nxl - 4 {
             for j in 4..nr - 4 {
@@ -169,6 +175,6 @@ mod tests {
             p: 0.7,
         });
         let mut ledger = FlopLedger::default();
-        apply(&mut f, 0.5, &mut ledger);
+        apply_about(&mut f, None, 0.5, &mut ledger);
     }
 }

@@ -48,6 +48,21 @@ pub fn initial_field(cfg: &SolverConfig, patch: Patch) -> Field {
     })
 }
 
+/// The state at `t = 0` on a patch — the initial field with the `t = 0`
+/// inflow applied on the patch owning the inflow column (its excited column
+/// 0 differs from the initial field) — and, when damped, a copy of it: the
+/// base the smoothing damps the fluctuation about. A fresh solver and a
+/// restored one both take their base from here, so a damped run resumes
+/// bitwise.
+pub fn start_field(cfg: &SolverConfig, patch: Patch, ledger: &mut FlopLedger) -> (Field, Option<Box<Field>>) {
+    let mut field = initial_field(cfg, patch);
+    if field.patch.is_global_left() && cfg.mms.is_none() {
+        bc::apply_inflow(&mut field, cfg, &cfg.effective_gas(), 0.0, ledger);
+    }
+    let base = (cfg.dissipation != 0.0).then(|| Box::new(field.clone()));
+    (field, base)
+}
+
 /// The jet solver: state, scratch, clock and instrumentation for one patch.
 pub struct Solver {
     /// Configuration (grid, regime, version, jet, excitation…).
@@ -63,7 +78,7 @@ pub struct Solver {
     /// FLOP ledger (Table 1 input).
     pub ledger: FlopLedger,
     dt: f64,
-    /// Base (initial) field kept for mean-preserving dissipation.
+    /// Base (`t = 0`) field kept for mean-preserving dissipation.
     base: Option<Box<Field>>,
 }
 
@@ -78,18 +93,14 @@ impl Solver {
     pub fn on_patch(cfg: SolverConfig, patch: Patch) -> Self {
         assert_eq!(patch.grid, cfg.grid, "patch must belong to the configured grid");
         let gas = cfg.effective_gas();
-        let mut field = initial_field(&cfg, patch);
+        let mut ledger = FlopLedger::default();
+        let (field, base) = start_field(&cfg, patch, &mut ledger);
         let mut ws = Workspace::new(&field.patch);
         if let Some(spec) = &cfg.mms {
             assert_eq!(cfg.dissipation, 0.0, "MMS verification runs exclude artificial dissipation");
             ws.mms = Some(Box::new(crate::mms::sources(spec, &field.patch, &gas)));
         }
         let dt = cfg.time_step();
-        let mut ledger = FlopLedger::default();
-        if field.patch.is_global_left() && cfg.mms.is_none() {
-            bc::apply_inflow(&mut field, &cfg, &gas, 0.0, &mut ledger);
-        }
-        let base = (cfg.dissipation != 0.0).then(|| Box::new(field.clone()));
         Self { cfg, gas, field, ws, t: 0.0, nstep: 0, ledger, dt, base }
     }
 
@@ -112,7 +123,7 @@ impl Solver {
             }
         }
         let dt = cfg.time_step();
-        let base = (cfg.dissipation != 0.0).then(|| Box::new(initial_field(&cfg, field.patch.clone())));
+        let (_, base) = start_field(&cfg, field.patch.clone(), &mut FlopLedger::default());
         Self { cfg, gas, field, ws, t, nstep, ledger, dt, base }
     }
 
@@ -191,11 +202,13 @@ impl Solver {
             bc::axis_regularize(&mut self.field, &self.gas, &mut self.ledger);
         }
         if cfg.dissipation != 0.0 {
-            // the smoothing stops two cells short of every patch edge, so
-            // a partial patch would leave undamped seams at its internal
-            // edges (no halo carries the smoothing)
-            assert!(self.field.patch.is_whole_grid(), "artificial dissipation needs a whole-grid patch");
-            dissipation::apply_about(&mut self.field, self.base.as_deref(), cfg.dissipation, &mut self.ledger);
+            // the smoothing halo: the snapshot's edge lines, swapped with
+            // the face neighbours (timer paused, as around every halo call)
+            let mut snap = dissipation::fluctuation(&self.field, self.base.as_deref());
+            self.ws.timers.pause();
+            halo.exchange_state(&mut snap);
+            self.ws.timers.start("bc:step");
+            dissipation::smooth(&mut self.field, &snap, cfg.dissipation, &mut self.ledger);
         }
         self.ws.timers.pause();
         self.t += dt;
@@ -352,18 +365,6 @@ mod tests {
         let wave = diag::max_wave_speed(&s.field, &gas);
         let cfl_eff = s.dt() * wave / s.cfg.grid.dx.min(s.cfg.grid.dr);
         assert!(cfl_eff <= s.cfg.cfl * 1.0001, "effective CFL {cfl_eff}");
-    }
-
-    /// The fence holds on a radial-split patch too: it owns its left and
-    /// right edges but not the far field, so a damped step must refuse it.
-    #[test]
-    #[should_panic(expected = "artificial dissipation needs a whole-grid patch")]
-    fn dissipation_refuses_a_radial_pencil() {
-        let mut cfg = SolverConfig::paper(Grid::small(), Regime::Euler);
-        cfg.dissipation = 0.002;
-        let patch = Patch::pencil(cfg.grid.clone(), (0, 0), (1, 2));
-        let mut s = Solver::on_patch(cfg, patch);
-        s.step_with_halo(&mut NoHalo);
     }
 
     #[test]

@@ -79,6 +79,11 @@ pub trait XHalo {
     fn exchange_flux_r(&mut self, flux: &mut FluxField) {
         let _ = flux;
     }
+    /// Fill the two ghost lines at every internal edge of the state planes
+    /// `q`: a damped step's smoothing halo (a five-point cross, no corners).
+    fn exchange_state(&mut self, q: &mut [Array2; 4]) {
+        let _ = q;
+    }
 }
 
 /// Serial stand-in: a single patch owns both global boundaries, so there is

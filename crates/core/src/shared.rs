@@ -39,6 +39,8 @@ pub struct SharedSolver {
     /// FLOP ledger.
     pub ledger: FlopLedger,
     dt: f64,
+    /// Base (`t = 0`) field kept for mean-preserving dissipation.
+    base: Option<Box<Field>>,
     pool: rayon::ThreadPool,
 }
 
@@ -47,7 +49,6 @@ impl SharedSolver {
     pub fn new(mut cfg: SolverConfig, threads: usize) -> Self {
         cfg.version = crate::config::Version::V5;
         assert!(cfg.mms.is_none(), "MMS verification runs use the serial or distributed drivers");
-        assert_eq!(cfg.dissipation, 0.0, "dissipation is a serial-only feature");
         assert_eq!(
             cfg.scheme,
             crate::config::SchemeOrder::TwoFour,
@@ -56,12 +57,11 @@ impl SharedSolver {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("rayon pool");
         let gas = cfg.effective_gas();
         let patch = Patch::whole(cfg.grid.clone());
-        let mut field = crate::driver::initial_field(&cfg, patch);
+        let mut ledger = FlopLedger::default();
+        let (field, base) = crate::driver::start_field(&cfg, patch, &mut ledger);
         let ws = Workspace::new(&field.patch);
         let dt = cfg.time_step();
-        let mut ledger = FlopLedger::default();
-        bc::apply_inflow(&mut field, &cfg, &gas, 0.0, &mut ledger);
-        Self { cfg, gas, field, ws, t: 0.0, nstep: 0, ledger, dt, pool }
+        Self { cfg, gas, field, ws, t: 0.0, nstep: 0, ledger, dt, base, pool }
     }
 
     /// Effective gas model.
@@ -85,7 +85,7 @@ impl SharedSolver {
         let dt = self.dt;
         let t = self.t;
         let even = self.nstep.is_multiple_of(2);
-        let Self { gas, field, ws, ledger, pool, .. } = self;
+        let Self { gas, field, ws, ledger, base, pool, .. } = self;
         pool.install(|| {
             if even {
                 par_r_operator(Variant::L1, field, ws, &cfg, gas, dt, ledger);
@@ -97,6 +97,8 @@ impl SharedSolver {
             bc::apply_inflow(field, &cfg, gas, t + dt, ledger);
             bc::axis_regularize(field, gas, ledger);
         });
+        // the serial driver's smoothing, after the step, on the whole grid
+        crate::dissipation::apply_about(field, base.as_deref(), cfg.dissipation, ledger);
         self.t += dt;
         self.nstep += 1;
     }
@@ -314,13 +316,16 @@ mod tests {
     #[test]
     fn shared_solver_matches_serial_v5_exactly() {
         for regime in [Regime::Euler, Regime::NavierStokes] {
-            let cfg = SolverConfig::paper(Grid::small(), regime);
-            let mut serial = Solver::new(cfg.clone());
-            let mut shared = SharedSolver::new(cfg, 4);
-            serial.run(6);
-            shared.run(6);
-            let d = serial.field.max_diff(&shared.field);
-            assert_eq!(d, 0.0, "{regime:?}: shared-memory result must be bitwise identical, diff {d}");
+            for dissipation in [0.0, 0.002] {
+                let cfg = SolverConfig { dissipation, ..SolverConfig::paper(Grid::small(), regime) };
+                let mut serial = Solver::new(cfg.clone());
+                let mut shared = SharedSolver::new(cfg, 4);
+                serial.run(6);
+                shared.run(6);
+                let d = serial.field.max_diff(&shared.field);
+                assert_eq!(d, 0.0, "{regime:?} eps {dissipation}: shared-memory result must be bitwise identical");
+                assert_eq!(serial.ledger.dissipation, shared.ledger.dissipation);
+            }
         }
     }
 

@@ -265,9 +265,9 @@ proptest! {
         };
         let mut ledger = FlopLedger::default();
         let mut fa = mk();
-        ns_core::dissipation::apply(&mut fa, e1, &mut ledger);
+        ns_core::dissipation::apply_about(&mut fa, None, e1, &mut ledger);
         let mut fb = mk();
-        ns_core::dissipation::apply(&mut fb, e2, &mut ledger);
+        ns_core::dissipation::apply_about(&mut fb, None, e2, &mut ledger);
         let base = roughness(&mk());
         let ra = roughness(&fa);
         let rb = roughness(&fb);

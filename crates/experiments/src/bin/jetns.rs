@@ -98,8 +98,7 @@ fn config(args: &Args) -> SolverConfig {
     SolverConfig::paper(Grid::new(nx, nr, 50.0, 5.0), regime)
 }
 
-/// Artificial dissipation the flow-physics runs damp with by default; only
-/// a whole-grid (1×1) run can carry it.
+/// Artificial dissipation the flow-physics runs damp with by default.
 const DEFAULT_EPS: f64 = 0.002;
 
 fn cmd_run(args: &Args) -> ExitCode {
@@ -126,7 +125,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     let checkpoint = checkpoint.transpose()?;
     // a checkpoint fixes the grid and the physics; dissipation stays a flag
     let mut cfg = checkpoint.as_ref().map_or_else(|| config(args), |cp| cp.cfg.clone());
-    cfg.dissipation = args.num("eps", if topology.size() == 1 { DEFAULT_EPS } else { 0.0 });
+    cfg.dissipation = args.num("eps", DEFAULT_EPS);
     let steps = args.num("steps", 500u64);
     let trace_dir = args.get("trace");
     let telemetry = TelemetryOptions {
@@ -335,10 +334,7 @@ fn cmd_chaos(args: &Args) -> ExitCode {
         eprintln!("jetns chaos: --procs and --rates must be comma-separated numbers");
         return ExitCode::FAILURE;
     }
-    // the distributed protocol has no smoothing halo, and recovery needs
-    // the bitwise-reproducible path, so dissipation stays off here
-    let mut cfg = SolverConfig::paper(Grid::new(nx, nr, 20.0, 4.0), Regime::NavierStokes);
-    cfg.dissipation = 0.0;
+    let cfg = SolverConfig::paper(Grid::new(nx, nr, 20.0, 4.0), Regime::NavierStokes);
     if let Some(&p) = procs.iter().max() {
         if nx / p < 4 {
             eprintln!("jetns chaos: {nx} columns cannot feed {p} ranks (need >= 4 each)");

@@ -84,8 +84,7 @@ pub fn cell_plan(seed: u64, rate: f64, p: usize, nsteps: u64, crash: bool) -> Fa
 
 /// Run the sweep: `rates` × `procs`, `nsteps` steps each, on `cfg`'s grid.
 ///
-/// `cfg.dissipation` must be 0 (the distributed protocol has no smoothing
-/// halo) and every rank needs at least 4 interior columns.
+/// Every rank needs at least 4 interior columns.
 pub fn sweep(cfg: &SolverConfig, procs: &[usize], rates: &[f64], nsteps: u64, seed: u64, crash: bool) -> ChaosSweep {
     let mut cells = Vec::new();
     let mut flight_dumps = Vec::new();
@@ -193,9 +192,7 @@ mod tests {
     use ns_numerics::Grid;
 
     fn tiny_cfg() -> SolverConfig {
-        let mut cfg = SolverConfig::paper(Grid::new(24, 10, 8.0, 2.0), Regime::Euler);
-        cfg.dissipation = 0.0;
-        cfg
+        SolverConfig::paper(Grid::new(24, 10, 8.0, 2.0), Regime::Euler)
     }
 
     #[test]

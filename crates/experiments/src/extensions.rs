@@ -55,7 +55,7 @@ pub fn decomposition_ablation(regime: Regime) -> Report {
 /// [`CartTopology::factor`]'s surface-minimizing pencil.
 fn admitted_topology(p: usize, grid: &Grid, regime: Regime) -> CartTopology {
     let axial = CartTopology::axial(p);
-    match axial.validate(&SolverConfig::paper(grid.clone(), regime), ns_runtime::CommVersion::V5) {
+    match axial.validate(&SolverConfig::paper(grid.clone(), regime)) {
         Ok(()) => axial,
         Err(_) => CartTopology::factor(p, grid.nx, grid.nr).expect("some pencil is admitted"),
     }

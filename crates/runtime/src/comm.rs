@@ -114,6 +114,9 @@ pub enum MsgKind {
     PrimsR,
     /// Two-row flux packet exchanged with a radial neighbour.
     FluxR,
+    /// Two-line packet of the state fluctuation planes, the smoothing halo
+    /// of a damped step (grouped under every protocol; one per neighbour).
+    State,
 }
 
 impl MsgKind {
@@ -130,6 +133,7 @@ impl MsgKind {
             MsgKind::Nack => "Nack",
             MsgKind::PrimsR => "PrimsR",
             MsgKind::FluxR => "FluxR",
+            MsgKind::State => "State",
         }
     }
 
@@ -146,6 +150,7 @@ impl MsgKind {
             MsgKind::Nack => 7,
             MsgKind::PrimsR => 8,
             MsgKind::FluxR => 9,
+            MsgKind::State => 10,
         }
     }
 
@@ -162,6 +167,7 @@ impl MsgKind {
             7 => MsgKind::Nack,
             8 => MsgKind::PrimsR,
             9 => MsgKind::FluxR,
+            10 => MsgKind::State,
             _ => return None,
         })
     }

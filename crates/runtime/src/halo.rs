@@ -15,12 +15,19 @@
 //! packet into two single-column sends, doubling the start-ups — supported
 //! here with [`CommVersion::V7`] so its cost shows up in the live runtime,
 //! not just the simulator.
+//!
+//! One line swap per axis carries every halo: the primitive columns and
+//! rows (one line deep, three planes), the flux packets (two lines, four
+//! planes) and, on damped runs, the smoothing halo of the state planes
+//! ([`XHalo::exchange_state`]), which is the grouped packet under every
+//! protocol.
 
 use crate::comm::{CommError, Endpoint, MsgKind, Tag};
 use crate::pack::{BufPool, PackBuf, UnpackBuf};
 use crate::topology::CartNeighbors;
 use ns_core::field::{gi, FluxField, PrimField, NG};
 use ns_core::scheme::XHalo;
+use ns_numerics::Array2;
 
 /// Communication protocol variant (paper Versions 5-7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,7 +157,7 @@ impl<'a> ThreadHalo<'a> {
     }
 
     /// Record a failure (lenient) or die (strict).
-    fn fail(&mut self, ctx: &'static str, e: CommError) {
+    fn fail(&mut self, ctx: &str, e: CommError) {
         if self.strict {
             panic!("{ctx}: {e}");
         }
@@ -218,166 +225,174 @@ impl<'a> ThreadHalo<'a> {
         self.pool.stats()
     }
 
-    /// An axial halo column is contiguous in memory (`Array2` is row-major
-    /// in `j`): the interior of raw row `i_local + NG`, packed as one slice
-    /// per plane.
-    fn pack_prim_col(&mut self, prim: &PrimField, i_local: usize) -> PackBuf {
-        let mut b = self.pool.acquire_f64(3 * self.nr);
-        for plane in [&prim.u, &prim.v, &prim.t] {
-            b.pack_f64_slice(&plane.row(i_local + NG)[NG..NG + self.nr]);
-        }
-        b
-    }
-
-    /// Unpack a received primitive column. A payload that does not match
-    /// this rank's geometry (a peer in an inconsistent state) is a recorded
-    /// [`CommError::Malformed`] failure in lenient mode — not a panic — so
-    /// the no-op contract holds even against a misbehaving peer.
-    fn unpack_prim_col(&mut self, prim: &mut PrimField, ii: usize, payload: bytes::Bytes) {
-        let mut u = UnpackBuf::new(payload);
-        for plane in [&mut prim.u, &mut prim.v, &mut prim.t] {
-            if u.unpack_f64_slice(&mut plane.row_mut(ii)[NG..NG + self.nr]).is_err() {
-                self.fail("prim halo payload", CommError::Malformed);
-                return;
-            }
-        }
-        match u.finish() {
-            Ok(b) => self.pool.recycle(b),
-            Err(_) => self.fail("prim halo framing", CommError::Malformed),
-        }
-    }
-
-    fn pack_flux_cols(&mut self, flux: &FluxField, cols: &[usize]) -> PackBuf {
-        let mut b = self.pool.acquire_f64(4 * cols.len() * self.nr);
-        for plane in &flux.c {
-            for &i_local in cols {
-                b.pack_f64_slice(&plane.row(i_local + NG)[NG..NG + self.nr]);
-            }
-        }
-        b
-    }
-
     /// Send unless already failed; strict mode panics on error.
-    fn try_send(&mut self, to: usize, tag: Tag, b: PackBuf, ctx: &'static str) {
+    fn try_send(&mut self, to: usize, tag: Tag, b: PackBuf, what: &str) {
         if self.failure.is_some() {
             return;
         }
         if let Err(e) = self.ep.send(to, tag, b) {
-            self.fail(ctx, e);
+            self.fail(&format!("{what} halo send to rank {to}"), e);
         }
     }
 
     /// Receive unless already failed; strict mode panics on error.
-    fn try_recv(&mut self, from: usize, tag: Tag, ctx: &'static str) -> Option<bytes::Bytes> {
+    fn try_recv(&mut self, from: usize, tag: Tag, what: &str) -> Option<bytes::Bytes> {
         if self.failure.is_some() {
             return None;
         }
         match self.ep.recv(from, tag) {
             Ok(p) => Some(p),
             Err(e) => {
-                self.fail(ctx, e);
+                self.fail(&format!("{what} halo recv from rank {from}"), e);
                 None
             }
         }
     }
 
-    fn receive_prims(&mut self, prim: &mut PrimField, tag: Tag) {
+    /// Pack interior columns `first + k` (`k` in `cols`) of `planes`,
+    /// plane-major. An axial halo column is contiguous in memory (`Array2`
+    /// is row-major in `j`), so each is one slice.
+    fn pack_cols(&mut self, planes: &[&mut Array2], first: usize, cols: &[usize]) -> PackBuf {
+        let mut b = self.pool.acquire_f64(planes.len() * cols.len() * self.nr);
+        for plane in planes {
+            for &k in cols {
+                b.pack_f64_slice(&plane.row(first + k + NG)[NG..NG + self.nr]);
+            }
+        }
+        b
+    }
+
+    /// Unpack received ghost columns `first + k` (signed local indices) of
+    /// `planes`. A payload that does not match this rank's geometry (a peer
+    /// in an inconsistent state) is a recorded [`CommError::Malformed`]
+    /// failure in lenient mode — not a panic — so the no-op contract holds
+    /// even against a misbehaving peer.
+    fn unpack_cols(&mut self, planes: &mut [&mut Array2], first: isize, cols: &[usize], p: bytes::Bytes, what: &str) {
+        let mut u = UnpackBuf::new(p);
+        for plane in planes {
+            for &k in cols {
+                if u.unpack_f64_slice(&mut plane.row_mut(gi(first + k as isize))[NG..NG + self.nr]).is_err() {
+                    return self.fail(&format!("{what} halo payload"), CommError::Malformed);
+                }
+            }
+        }
+        match u.finish() {
+            Ok(b) => self.pool.recycle(b),
+            Err(_) => self.fail(&format!("{what} halo payload framing"), CommError::Malformed),
+        }
+    }
+
+    /// Pack rows `first + k` of `planes` across the *full padded width* —
+    /// the axial ghost columns at a row's ends are the corner strips,
+    /// delivered to the radial neighbour in the same message.
+    fn pack_rows(&mut self, planes: &[&mut Array2], first: usize, rows: &[usize]) -> PackBuf {
+        let width = self.nxl + 2 * NG;
+        let mut b = self.pool.acquire_f64(planes.len() * rows.len() * width);
+        for plane in planes {
+            for &k in rows {
+                for ii in 0..width {
+                    b.pack_f64(plane.at(ii, first + k + NG));
+                }
+            }
+        }
+        b
+    }
+
+    /// Unpack received ghost rows `first + k` (signed local indices) of
+    /// `planes`; see [`ThreadHalo::unpack_cols`] for malformed payloads.
+    fn unpack_rows(&mut self, planes: &mut [&mut Array2], first: isize, rows: &[usize], p: bytes::Bytes, what: &str) {
+        let mut u = UnpackBuf::new(p);
+        for plane in planes {
+            for &k in rows {
+                if u.unpack_f64_slice(&mut self.row_scratch).is_err() {
+                    return self.fail(&format!("{what} row halo payload"), CommError::Malformed);
+                }
+                for (ii, &v) in self.row_scratch.iter().enumerate() {
+                    plane.set(ii, gi(first + k as isize), v);
+                }
+            }
+        }
+        match u.finish() {
+            Ok(b) => self.pool.recycle(b),
+            Err(_) => self.fail(&format!("{what} row halo payload framing"), CommError::Malformed),
+        }
+    }
+
+    /// Send the `depth` edge columns of `planes` to both axial neighbours,
+    /// one message per piece `(tag, left, right)`: `left` indexes the first
+    /// `depth` columns (sent left), `right` the last `depth` (sent right).
+    /// `(tag, &[0, 1], &[0, 1])` is the grouped two-column packet.
+    fn send_cols(&mut self, planes: &[&mut Array2], depth: usize, pieces: &[Piece<'_>], what: &str) {
         if let Some(l) = self.left {
-            if let Some(payload) = self.try_recv(l, tag, "prim halo recv left") {
-                self.unpack_prim_col(prim, NG - 1, payload);
+            for &(tag, cols, _) in pieces {
+                let b = self.pack_cols(planes, 0, cols);
+                self.try_send(l, tag, b, what);
             }
         }
         if let Some(r) = self.right {
-            if let Some(payload) = self.try_recv(r, tag, "prim halo recv right") {
-                self.unpack_prim_col(prim, NG + self.nxl, payload);
+            for &(tag, _, cols) in pieces {
+                let b = self.pack_cols(planes, self.nxl - depth, cols);
+                self.try_send(r, tag, b, what);
             }
         }
     }
 
-    /// Unpack received ghost flux columns; malformed payloads are recorded
-    /// failures in lenient mode (see [`ThreadHalo::unpack_prim_col`]).
-    fn unpack_flux_cols(&mut self, flux: &mut FluxField, ghost_cols: &[isize], payload: bytes::Bytes) {
-        let mut u = UnpackBuf::new(payload);
-        for plane in &mut flux.c {
-            for &col in ghost_cols {
-                if u.unpack_f64_slice(&mut plane.row_mut(gi(col))[NG..NG + self.nr]).is_err() {
-                    self.fail("flux halo payload", CommError::Malformed);
-                    return;
+    /// Receive what the neighbours' [`ThreadHalo::send_cols`] of the same
+    /// pieces sent into the `depth` ghost columns on each side: a piece's
+    /// `right` indexes the ghosts before the left edge, its `left` those
+    /// past the right edge. Each link sees the pieces in send order.
+    fn recv_cols(&mut self, planes: &mut [&mut Array2], depth: usize, pieces: &[Piece<'_>], what: &str) {
+        if let Some(l) = self.left {
+            for &(tag, _, ghosts) in pieces {
+                if let Some(p) = self.try_recv(l, tag, what) {
+                    self.unpack_cols(planes, -(depth as isize), ghosts, p, what);
                 }
             }
         }
-        match u.finish() {
-            Ok(b) => self.pool.recycle(b),
-            Err(_) => self.fail("flux halo framing", CommError::Malformed),
-        }
-    }
-
-    /// Pack one primitive ghost row (3 planes) across the *full padded
-    /// width* — the axial ghost columns at the row's ends are the corner
-    /// strips, delivered to the radial neighbour in the same message.
-    fn pack_prim_row(&mut self, prim: &PrimField, j_local: usize) -> PackBuf {
-        let width = self.nxl + 2 * NG;
-        let mut b = self.pool.acquire_f64(3 * width);
-        let jj = j_local + NG;
-        for plane in [&prim.u, &prim.v, &prim.t] {
-            for ii in 0..width {
-                b.pack_f64(plane.at(ii, jj));
-            }
-        }
-        b
-    }
-
-    /// Unpack a received primitive ghost row into raw row `jj`.
-    fn unpack_prim_row(&mut self, prim: &mut PrimField, jj: usize, payload: bytes::Bytes) {
-        let mut u = UnpackBuf::new(payload);
-        for plane in [&mut prim.u, &mut prim.v, &mut prim.t] {
-            if u.unpack_f64_slice(&mut self.row_scratch).is_err() {
-                self.fail("prim row halo payload", CommError::Malformed);
-                return;
-            }
-            for (ii, &v) in self.row_scratch.iter().enumerate() {
-                plane.set(ii, jj, v);
-            }
-        }
-        match u.finish() {
-            Ok(b) => self.pool.recycle(b),
-            Err(_) => self.fail("prim row halo framing", CommError::Malformed),
-        }
-    }
-
-    /// Pack flux rows (4 components, padded width, corner strips included).
-    fn pack_flux_rows(&mut self, flux: &FluxField, rows: &[usize]) -> PackBuf {
-        let width = self.nxl + 2 * NG;
-        let mut b = self.pool.acquire_f64(4 * rows.len() * width);
-        for c in 0..4 {
-            for &j_local in rows {
-                for ii in 0..width {
-                    b.pack_f64(flux.at(c, ii as isize - NG as isize, j_local as isize));
+        if let Some(r) = self.right {
+            for &(tag, ghosts, _) in pieces {
+                if let Some(p) = self.try_recv(r, tag, what) {
+                    self.unpack_cols(planes, self.nxl as isize, ghosts, p, what);
                 }
             }
         }
-        b
     }
 
-    /// Unpack received ghost flux rows (signed local row indices).
-    fn unpack_flux_rows(&mut self, flux: &mut FluxField, ghost_rows: &[isize], payload: bytes::Bytes) {
-        let mut u = UnpackBuf::new(payload);
-        for c in 0..4 {
-            for &gj in ghost_rows {
-                if u.unpack_f64_slice(&mut self.row_scratch).is_err() {
-                    self.fail("flux row halo payload", CommError::Malformed);
-                    return;
-                }
-                for (ii, &v) in self.row_scratch.iter().enumerate() {
-                    flux.set(c, ii as isize - NG as isize, gj, v);
-                }
+    /// Swap the `depth` edge rows of `planes` with both radial neighbours,
+    /// one grouped message a side.
+    fn swap_rows(&mut self, planes: &mut [&mut Array2], depth: usize, tag: Tag, what: &str) {
+        let (n, rows) = (self.nr, &LINES[..depth]);
+        if let Some(d) = self.down {
+            let b = self.pack_rows(planes, 0, rows);
+            self.try_send(d, tag, b, what);
+        }
+        if let Some(u) = self.up {
+            let b = self.pack_rows(planes, n - depth, rows);
+            self.try_send(u, tag, b, what);
+        }
+        if let Some(d) = self.down {
+            if let Some(p) = self.try_recv(d, tag, what) {
+                self.unpack_rows(planes, -(depth as isize), rows, p, what);
             }
         }
-        match u.finish() {
-            Ok(b) => self.pool.recycle(b),
-            Err(_) => self.fail("flux row halo framing", CommError::Malformed),
+        if let Some(u) = self.up {
+            if let Some(p) = self.try_recv(u, tag, what) {
+                self.unpack_rows(planes, n as isize, rows, p, what);
+            }
         }
     }
+}
+
+/// One message of an axial swap: its tag and the edge-line indices it
+/// carries leftwards and rightwards (see [`ThreadHalo::send_cols`]).
+type Piece<'a> = (Tag, &'a [usize], &'a [usize]);
+
+/// Line indices `0..depth` of a swap `depth` lines deep.
+const LINES: [usize; 2] = [0, 1];
+
+/// The one primitive column each side, grouped (`u, v, T`).
+fn prim_piece(tag: Tag) -> [Piece<'static>; 1] {
+    [(tag, &[0], &[0])]
 }
 
 impl XHalo for ThreadHalo<'_> {
@@ -394,20 +409,14 @@ impl XHalo for ThreadHalo<'_> {
             return;
         }
         // post sends first (buffered, deadlock free)
-        if let Some(l) = self.left {
-            let b = self.pack_prim_col(prim, 0);
-            self.try_send(l, tag, b, "prim halo send left");
-        }
-        if let Some(r) = self.right {
-            let b = self.pack_prim_col(prim, self.nxl - 1);
-            self.try_send(r, tag, b, "prim halo send right");
-        }
+        let planes = &mut [&mut prim.u, &mut prim.v, &mut prim.t];
+        self.send_cols(planes, 1, &prim_piece(tag), "prim");
         if self.version == CommVersion::V6 {
             // Version 6: let the caller compute the interior while the
             // boundary columns are in flight
             self.pending_prims = Some(tag);
         } else {
-            self.receive_prims(prim, tag);
+            self.recv_cols(planes, 1, &prim_piece(tag), "prim");
         }
     }
 
@@ -420,7 +429,7 @@ impl XHalo for ThreadHalo<'_> {
         if self.failure.is_some() {
             return;
         }
-        self.receive_prims(prim, tag);
+        self.recv_cols(&mut [&mut prim.u, &mut prim.v, &mut prim.t], 1, &prim_piece(tag), "prim");
     }
 
     fn exchange_flux(&mut self, flux: &mut FluxField) {
@@ -428,67 +437,19 @@ impl XHalo for ThreadHalo<'_> {
         self.flux_calls += 1;
         let tag = Tag { kind, seq: self.step };
         let split_tag = Tag { kind: MsgKind::FluxSplit, seq: self.step * 2 + u64::from(self.flux_calls) };
-        let n = self.nxl;
         if self.failure.is_some() {
             return;
         }
-        match self.version {
+        let pieces: &[Piece<'_>] = match self.version {
             // flux packets are never overlapped (the predictor needs them
             // whole), so V6 sends them exactly like V5
-            CommVersion::V5 | CommVersion::V6 => {
-                if let Some(l) = self.left {
-                    let b = self.pack_flux_cols(flux, &[0, 1]);
-                    self.try_send(l, tag, b, "flux halo send left");
-                }
-                if let Some(r) = self.right {
-                    let b = self.pack_flux_cols(flux, &[n - 2, n - 1]);
-                    self.try_send(r, tag, b, "flux halo send right");
-                }
-                if let Some(l) = self.left {
-                    if let Some(payload) = self.try_recv(l, tag, "flux halo recv left") {
-                        self.unpack_flux_cols(flux, &[-2, -1], payload);
-                    }
-                }
-                if let Some(r) = self.right {
-                    if let Some(payload) = self.try_recv(r, tag, "flux halo recv right") {
-                        self.unpack_flux_cols(flux, &[n as isize, n as isize + 1], payload);
-                    }
-                }
-            }
-            CommVersion::V7 => {
-                // one column per message: twice the start-ups, half the burst
-                // (unreachable for radial pencils, which validation restricts
-                // to the grouped V5 protocol)
-                if let Some(l) = self.left {
-                    let b = self.pack_flux_cols(flux, &[1]);
-                    self.try_send(l, tag, b, "flux send");
-                    let b = self.pack_flux_cols(flux, &[0]);
-                    self.try_send(l, split_tag, b, "flux send");
-                }
-                if let Some(r) = self.right {
-                    let b = self.pack_flux_cols(flux, &[n - 2]);
-                    self.try_send(r, tag, b, "flux send");
-                    let b = self.pack_flux_cols(flux, &[n - 1]);
-                    self.try_send(r, split_tag, b, "flux send");
-                }
-                if let Some(l) = self.left {
-                    if let Some(p1) = self.try_recv(l, tag, "flux recv") {
-                        self.unpack_flux_cols(flux, &[-2], p1);
-                    }
-                    if let Some(p2) = self.try_recv(l, split_tag, "flux recv") {
-                        self.unpack_flux_cols(flux, &[-1], p2);
-                    }
-                }
-                if let Some(r) = self.right {
-                    if let Some(p1) = self.try_recv(r, tag, "flux recv") {
-                        self.unpack_flux_cols(flux, &[n as isize + 1], p1);
-                    }
-                    if let Some(p2) = self.try_recv(r, split_tag, "flux recv") {
-                        self.unpack_flux_cols(flux, &[n as isize], p2);
-                    }
-                }
-            }
-        }
+            CommVersion::V5 | CommVersion::V6 => &[(tag, &LINES, &LINES)],
+            // one column per message: twice the start-ups, half the burst
+            CommVersion::V7 => &[(tag, &[1], &[0]), (split_tag, &[0], &[1])],
+        };
+        let planes = &mut flux.c.each_mut();
+        self.send_cols(planes, 2, pieces, "flux");
+        self.recv_cols(planes, 2, pieces, "flux");
     }
 
     fn exchange_prims_r(&mut self, prim: &mut PrimField) {
@@ -503,24 +464,7 @@ impl XHalo for ThreadHalo<'_> {
         if self.failure.is_some() {
             return;
         }
-        if let Some(d) = self.down {
-            let b = self.pack_prim_row(prim, 0);
-            self.try_send(d, tag, b, "prim row halo send down");
-        }
-        if let Some(u) = self.up {
-            let b = self.pack_prim_row(prim, self.nr - 1);
-            self.try_send(u, tag, b, "prim row halo send up");
-        }
-        if let Some(d) = self.down {
-            if let Some(payload) = self.try_recv(d, tag, "prim row halo recv down") {
-                self.unpack_prim_row(prim, NG - 1, payload);
-            }
-        }
-        if let Some(u) = self.up {
-            if let Some(payload) = self.try_recv(u, tag, "prim row halo recv up") {
-                self.unpack_prim_row(prim, NG + self.nr, payload);
-            }
-        }
+        self.swap_rows(&mut [&mut prim.u, &mut prim.v, &mut prim.t], 1, tag, "prim");
     }
 
     fn exchange_flux_r(&mut self, flux: &mut FluxField) {
@@ -530,28 +474,23 @@ impl XHalo for ThreadHalo<'_> {
         let call = self.flux_r_calls;
         self.flux_r_calls += 1;
         let tag = Tag { kind: MsgKind::FluxR, seq: self.step * 2 + u64::from(call) };
-        let n = self.nr;
         if self.failure.is_some() {
             return;
         }
-        if let Some(d) = self.down {
-            let b = self.pack_flux_rows(flux, &[0, 1]);
-            self.try_send(d, tag, b, "flux row halo send down");
+        self.swap_rows(&mut flux.c.each_mut(), 2, tag, "flux");
+    }
+
+    fn exchange_state(&mut self, q: &mut [Array2; 4]) {
+        let tag = Tag { kind: MsgKind::State, seq: self.step };
+        if self.failure.is_some() {
+            return;
         }
-        if let Some(u) = self.up {
-            let b = self.pack_flux_rows(flux, &[n - 2, n - 1]);
-            self.try_send(u, tag, b, "flux row halo send up");
-        }
-        if let Some(d) = self.down {
-            if let Some(payload) = self.try_recv(d, tag, "flux row halo recv down") {
-                self.unpack_flux_rows(flux, &[-2, -1], payload);
-            }
-        }
-        if let Some(u) = self.up {
-            if let Some(payload) = self.try_recv(u, tag, "flux row halo recv up") {
-                self.unpack_flux_rows(flux, &[n as isize, n as isize + 1], payload);
-            }
-        }
+        // grouped under every protocol: one packet per neighbour and axis
+        let planes = &mut q.each_mut();
+        let pieces = [(tag, &LINES[..], &LINES[..])];
+        self.send_cols(planes, 2, &pieces, "state");
+        self.recv_cols(planes, 2, &pieces, "state");
+        self.swap_rows(planes, 2, tag, "state");
     }
 }
 

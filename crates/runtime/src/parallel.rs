@@ -394,12 +394,12 @@ pub fn run_parallel_instrumented(
 /// are dropped on rollback, so each sampled step appears once. A health
 /// abort or a cancellation ends the run; only a comm failure rolls it back.
 ///
-/// A plan the decomposition cannot carry (too fine, or dissipation on more
-/// than one rank) is a typed error; a wrong one (a `resume` checkpoint that
+/// A plan the decomposition cannot carry (too fine, or a fused kernel on a
+/// radial split) is a typed error; a wrong one (a `resume` checkpoint that
 /// is not this grid's whole field) panics.
 pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
-    let RunPlan { cfg, topology: topo, nsteps, comm, .. } = *plan;
-    topo.validate(cfg, comm)?;
+    let RunPlan { cfg, topology: topo, nsteps, .. } = *plan;
+    topo.validate(cfg)?;
     if let Some(cp) = plan.resume {
         assert_eq!(cp.patch, Patch::whole(cfg.grid.clone()), "distributed restart needs a whole-grid checkpoint");
     }
@@ -1043,13 +1043,13 @@ mod tests {
         assert_eq!(err, DecompositionError::TooFewRows { pr: 8, nr: 20 });
     }
 
-    /// Radial splits are restricted to the unfused kernels and the grouped
-    /// comm protocol; both restrictions surface as typed plan errors.
+    /// Radial splits are restricted to the unfused kernels, a typed plan
+    /// error; every comm protocol runs on them.
     #[test]
     fn radial_split_restrictions_are_typed_errors() {
         let mut c = cfg(Regime::Euler);
         let topo = CartTopology::new(1, 2).unwrap();
-        assert_eq!(run_parallel_cart(&c, topo, 1, CommVersion::V7).unwrap_err(), DecompositionError::UnsupportedComm);
+        assert!(run_parallel_cart(&c, topo, 1, CommVersion::V7).is_ok());
         c.version = ns_core::config::Version::V6;
         assert_eq!(
             run_parallel_cart(&c, topo, 1, CommVersion::V5).unwrap_err(),
@@ -1133,15 +1133,38 @@ mod tests {
         }
     }
 
-    /// Dissipation needs the whole grid on one rank; any finer plan is
-    /// refused up front with a typed error.
+    /// A damped run on any rank grid is bitwise the damped serial run: the
+    /// state halo carries the snapshot's edge lines, each rank smooths the
+    /// global-interior points it owns, and the ranks bill the serial
+    /// smoothing FLOPs between them.
     #[test]
-    fn dissipation_on_more_than_one_rank_is_a_typed_error() {
+    fn damped_ranks_equal_serial() {
         let c = tuned(Regime::Euler, ns_core::config::Version::V5, 0.002);
-        for topo in [CartTopology::axial(2), CartTopology::new(1, 2).unwrap()] {
-            let err = run(&RunPlan::new(&c, topo, 1, CommVersion::V5)).unwrap_err();
-            assert_eq!(err, DecompositionError::UnsupportedDissipation, "{topo:?}");
+        let mut serial = Solver::new(c.clone());
+        serial.run(6);
+        let mut undamped = Solver::new(cfg(Regime::Euler));
+        undamped.run(6);
+        assert!(serial.field.max_diff(&undamped.field) > 0.0, "the smoothing acts within six steps");
+        for (px, pr) in [(2, 1), (4, 1), (1, 2), (2, 2)] {
+            let run = run_parallel_cart(&c, CartTopology::new(px, pr).unwrap(), 6, CommVersion::V5).unwrap();
+            assert_eq!(serial.field.max_diff(&run.gather_field()), 0.0, "{px}x{pr}");
+            let billed: u64 = run.ranks.iter().map(|r| r.ledger.dissipation).sum();
+            assert_eq!(billed, serial.ledger.dissipation, "{px}x{pr}");
         }
+    }
+
+    /// The coarse N-S jet the undamped scheme loses (serial, ε = 0, first
+    /// unhealthy at step 1113) stays healthy past step 1500 on two damped
+    /// slabs: the smoothing now runs wherever the run does.
+    #[test]
+    fn damped_coarse_navier_stokes_slabs_stay_healthy() {
+        let c = SolverConfig {
+            dissipation: 0.002,
+            ..SolverConfig::paper(Grid::new(66, 24, 50.0, 5.0), Regime::NavierStokes)
+        };
+        let run = run(&monitored(&c, CartTopology::axial(2), 1500)).unwrap();
+        assert_eq!((run.aborted(), run.steps_taken()), (None, 1500));
+        assert!(ns_core::diag::watchdogs(&run.gather_field(), &c.effective_gas()).healthy());
     }
 
     /// Two slabs under fault-free chaos, checkpointing every `every` steps.

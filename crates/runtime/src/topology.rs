@@ -41,12 +41,6 @@ pub enum DecompositionError {
         /// The offending kernel version.
         version: Version,
     },
-    /// Radial splits require the grouped exchange-then-compute comm
-    /// protocol (V5); the split-phase orderings overlap only axial traffic.
-    UnsupportedComm,
-    /// Artificial dissipation needs the whole grid on one rank: the
-    /// smoothing stops short of every patch edge and no halo carries it.
-    UnsupportedDissipation,
 }
 
 impl fmt::Display for DecompositionError {
@@ -62,10 +56,6 @@ impl fmt::Display for DecompositionError {
             DecompositionError::UnsupportedVersion { version } => {
                 write!(f, "radial splits need the unfused kernel rungs (V1-V5), got {version:?}")
             }
-            DecompositionError::UnsupportedComm => {
-                write!(f, "radial splits need the grouped comm protocol (V5)")
-            }
-            DecompositionError::UnsupportedDissipation => write!(f, "artificial dissipation needs a 1x1 rank grid"),
         }
     }
 }
@@ -147,11 +137,12 @@ impl CartTopology {
     }
 
     /// Validate this topology against a solver configuration: split
-    /// fineness on both axes, the kernel/protocol restrictions of radial
-    /// splits, and artificial dissipation only on a 1×1 grid. This is the
-    /// admission check `ns-serve` runs before accepting a job, so a daemon
-    /// never takes work it would panic on.
-    pub fn validate(&self, cfg: &SolverConfig, comm: crate::halo::CommVersion) -> Result<(), DecompositionError> {
+    /// fineness on both axes, and the one kernel restriction of radial
+    /// splits. Every comm protocol and every dissipation coefficient runs
+    /// on every admitted shape. This is the admission check `ns-serve`
+    /// runs before accepting a job, so a daemon never takes work it would
+    /// panic on.
+    pub fn validate(&self, cfg: &SolverConfig) -> Result<(), DecompositionError> {
         if self.px == 0 || self.pr == 0 {
             return Err(DecompositionError::ZeroRanks);
         }
@@ -165,12 +156,6 @@ impl CartTopology {
             if cfg.version >= Version::V6 {
                 return Err(DecompositionError::UnsupportedVersion { version: cfg.version });
             }
-            if comm != crate::halo::CommVersion::V5 {
-                return Err(DecompositionError::UnsupportedComm);
-            }
-        }
-        if cfg.dissipation != 0.0 && self.size() > 1 {
-            return Err(DecompositionError::UnsupportedDissipation);
         }
         Ok(())
     }

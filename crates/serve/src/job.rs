@@ -219,14 +219,11 @@ impl JobSpec {
                 // the same typed plan validation the driver runs, so a
                 // daemon never admits work it would panic on
                 let plan = self.plan();
-                plan.topology.validate(plan.cfg, plan.comm).map_err(|e| e.to_string())?;
+                plan.topology.validate(plan.cfg).map_err(|e| e.to_string())?;
             }
             Backend::Shared => {
                 if self.procs == 0 {
                     return Err("procs must be >= 1".into());
-                }
-                if self.cfg.dissipation != 0.0 {
-                    return Err("dissipation is serial-only; the shared driver rejects it".into());
                 }
                 if self.cfg.mms.is_some() {
                     return Err("MMS runs use the serial or distributed drivers".into());
@@ -438,21 +435,20 @@ mod tests {
         assert!(zero_steps.validate().is_err());
     }
 
-    /// Dissipation is refused on more than one rank by the driver's own
-    /// plan validation, word for word, and admitted on one.
+    /// Dissipation is admitted on every backend, at every rank count and
+    /// under every comm protocol.
     #[test]
-    fn dissipation_is_admitted_on_one_rank_only() {
-        use ns_runtime::{CartTopology, RunPlan};
+    fn dissipation_is_admitted_on_every_backend() {
         let mut dissipative = spec(48);
         dissipative.cfg.dissipation = 0.002;
-        let refused = ns_runtime::run(&RunPlan::new(&dissipative.cfg, CartTopology::axial(2), 1, CommVersion::V5));
-        assert_eq!(dissipative.validate().unwrap_err(), refused.unwrap_err().to_string());
-        dissipative.procs = 1;
-        assert_eq!(dissipative.validate(), Ok(()));
-        dissipative.backend = Backend::Serial;
-        assert_eq!(dissipative.validate(), Ok(()));
-        dissipative.backend = Backend::Shared;
-        assert!(dissipative.validate().unwrap_err().contains("serial-only"));
+        for backend in [Backend::Serial, Backend::Parallel, Backend::Shared, Backend::Chaos] {
+            for procs in [1, 2, 4] {
+                for comm in CommVersion::ALL {
+                    let job = JobSpec { backend, procs, comm, ..dissipative.clone() };
+                    assert_eq!(job.validate(), Ok(()), "{backend:?} on {procs} under {comm:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -629,7 +629,8 @@ mod tests {
     }
 
     /// A serial job is the 1×1 plan, so a one-rank parallel job with
-    /// dissipation is admitted and computes the serial job's field.
+    /// dissipation is admitted and computes the serial job's field; a damped
+    /// Euler job on two ranks computes it too, bitwise.
     #[test]
     fn one_rank_parallel_job_with_dissipation_is_the_serial_job() {
         let (server, rx, _dir) = server(1, 4, None);
@@ -637,15 +638,16 @@ mod tests {
         parallel.cfg.dissipation = 0.002;
         let mut serial = parallel.clone();
         serial.backend = Backend::Serial;
-        let admitted = [server.submit(parallel).map(|_| ()), server.submit(serial).map(|_| ())];
-        assert_eq!(admitted, [Ok(()), Ok(())], "both are admitted");
+        let two_ranks = JobSpec { procs: 2, ..parallel.clone() };
+        let admitted = [parallel, serial, two_ranks].map(|job| server.submit(job).map(|_| ()));
+        assert_eq!(admitted, [Ok(()), Ok(()), Ok(())], "all are admitted");
         let mut hashes = Vec::new();
-        for _ in 0..2 {
+        for _ in 0..3 {
             let (key, _, how) = rx.recv().unwrap();
             assert!(matches!(how, Settled::Done { cache: "cold", .. }), "distinct backends, distinct keys: {how:?}");
             hashes.push(server.cache_handle().peek(key).unwrap().field_hash);
         }
-        assert_eq!(hashes[0], hashes[1]);
+        assert!(hashes.iter().all(|&h| h == hashes[0]), "{hashes:?}");
         // and that field is the damped serial solver's
         let mut reference = Solver::new(SolverConfig { dissipation: 0.002, ..euler(48, 16) });
         reference.run(5);

@@ -18,7 +18,8 @@
 //! 3. **Differential oracle** ([`oracle`]) — one harness running the same
 //!    configuration through `ns_runtime::run` across every kernel
 //!    `Version` rung, rank grids (1×1 is the serial run), the recovery
-//!    machinery armed on a fault-free plan and comm protocol versions,
+//!    machinery armed on a fault-free plan, comm protocol versions and
+//!    artificial dissipation,
 //!    asserting the verdict [`oracle::expect`] derives from each plan
 //!    pair: bitwise equality where the design guarantees it and
 //!    truncation-level agreement where it doesn't; plus committed golden

@@ -11,7 +11,9 @@
 //! * the same plans with `reliability` armed on a fault-free plan (the
 //!   recovery machinery must be a perfect no-op when nothing fails);
 //! * the comm-protocol versions V5/V6/V7, under the V5 kernels and under
-//!   V7's, whose sweeps carry the update.
+//!   V7's, whose sweeps carry the update;
+//! * damped Euler (artificial dissipation [`DAMPED`]) on slabs, a pencil
+//!   and under recovery, against the damped serial run.
 //!
 //! A pair does not say what it must hold: [`expect`] derives the verdict
 //! from the two plans, and it is the only code that chooses one. Bitwise
@@ -38,6 +40,10 @@ pub const TOL_VERSION: f64 = 1e-9;
 /// Tolerance for Navier-Stokes serial-vs-parallel: truncation-level viscous
 /// edge stencils, still far below any physical scale.
 pub const TOL_NS_PARALLEL: f64 = 1e-8;
+
+/// The artificial dissipation of the oracle's damped runs (the flow-physics
+/// default of `jetns run`).
+pub const DAMPED: f64 = 0.002;
 
 /// What a cell is allowed to differ by from its baseline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,8 +107,9 @@ pub struct Perturb {
 }
 
 /// One run of the matrix: the oracle's configuration in `regime` under
-/// kernel `version`, on `topology` over `comm`, with the recovery machinery
-/// armed on a fault-free plan when `chaos`.
+/// kernel `version` with artificial dissipation `dissipation`, on
+/// `topology` over `comm`, with the recovery machinery armed on a
+/// fault-free plan when `chaos`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Run {
     /// Governing equations.
@@ -115,16 +122,19 @@ pub struct Run {
     pub comm: CommVersion,
     /// Recovery machinery armed, nothing injected.
     pub chaos: bool,
+    /// Artificial dissipation coefficient (0: the paper's undamped scheme).
+    pub dissipation: f64,
 }
 
 impl Run {
     /// The serial run: the 1×1 plan over comm V5.
     pub fn serial(regime: Regime, version: Version) -> Self {
-        Self { regime, version, topology: CartTopology::axial(1), comm: CommVersion::V5, chaos: false }
+        let topology = CartTopology::axial(1);
+        Self { regime, version, topology, comm: CommVersion::V5, chaos: false, dissipation: 0.0 }
     }
 
-    /// Cell key, e.g. `"euler/V6/serial"`, `"euler/V7/parallel/p4/commV6"`
-    /// or `"navier-stokes/V5/chaos-pencil/2x2"`.
+    /// Cell key, e.g. `"euler/V6/serial"`, `"euler/V7/parallel/p4/commV6"`,
+    /// `"navier-stokes/V5/chaos-pencil/2x2"` or `"euler/V5/parallel/p4/eps0.002"`.
     pub fn key(&self) -> String {
         let CartTopology { px, pr } = self.topology;
         let shape = match (px * pr, pr, self.chaos) {
@@ -135,11 +145,13 @@ impl Run {
             (_, _, true) => format!("chaos-pencil/{px}x{pr}"),
         };
         let comm = if self.comm == CommVersion::V5 { String::new() } else { format!("/comm{}", self.comm.name()) };
-        format!("{}/{:?}/{shape}{comm}", self.regime.key(), self.version)
+        let eps = if self.dissipation == 0.0 { String::new() } else { format!("/eps{}", self.dissipation) };
+        format!("{}/{:?}/{shape}{comm}{eps}", self.regime.key(), self.version)
     }
 
     fn cfg(&self, grid: &Grid) -> SolverConfig {
-        SolverConfig { version: self.version, ..SolverConfig::paper(grid.clone(), self.regime) }
+        let paper = SolverConfig::paper(grid.clone(), self.regime);
+        SolverConfig { version: self.version, dissipation: self.dissipation, ..paper }
     }
 
     fn plan<'a>(&self, cfg: &'a SolverConfig, steps: u64) -> RunPlan<'a> {
@@ -166,7 +178,8 @@ pub struct OracleConfig {
 impl OracleConfig {
     /// The standard matrix. `quick` trims to the corners that catch nearly
     /// everything (V5/V6/V7, P in {1,4}, comm V6) for the CI gate; the full
-    /// matrix is V1-V7 x P {1,2,4,8,16} x all drivers.
+    /// matrix is V1-V7 x P {1,2,4,8,16} x all drivers. Both carry the
+    /// three damped Euler cells.
     pub fn standard(quick: bool) -> Self {
         use CommVersion as C;
         type Axes = (&'static [Version], &'static [usize], &'static [(usize, usize)], &'static [CommVersion]);
@@ -207,6 +220,12 @@ impl OracleConfig {
                 pairs.extend(comms.iter().map(|&comm| (Run { comm, ..base }, base)));
             }
         }
+        // the smoothing halo: damped Euler on slabs, a pencil and under
+        // recovery, each bitwise its damped baseline
+        let damped = Run { dissipation: DAMPED, ..Run::serial(Regime::Euler, Version::V5) };
+        let p4 = Run { topology: CartTopology::axial(4), ..damped };
+        let pencil = Run { topology: CartTopology::new(2, 2).expect("pencil shape"), ..damped };
+        pairs.extend([(p4, damped), (pencil, damped), (Run { chaos: true, ..p4 }, p4)]);
         Self { grid: Grid::new(66, 24, 50.0, 5.0), steps: 6, pairs, perturb: None }
     }
 }
@@ -369,7 +388,7 @@ mod tests {
 
     #[test]
     fn standard_matrices_key_every_run_once() {
-        for (quick, cells) in [(true, 36), (false, 158)] {
+        for (quick, cells) in [(true, 39), (false, 161)] {
             let oc = OracleConfig::standard(quick);
             assert_eq!(oc.pairs.len(), cells);
             let keys: std::collections::BTreeSet<_> = oc.pairs.iter().map(|(run, _)| run.key()).collect();

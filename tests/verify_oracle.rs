@@ -26,8 +26,9 @@ fn quick_matrix_is_green_and_golden_self_diff_passes() {
     // quick matrix shape: per regime, {V6,V7}-vs-V5 serial (2) +
     // {V5,V6,V7} x {p4 parallel, p1 chaos, p4 chaos} (9; the p1 plan is
     // the serial run itself) + V5 x {1x4,2x2} x {pencil,chaos-pencil} (4) +
-    // V5 kernels under comm V6 (1) + V7 kernels under comm V6 and V7 (2)
-    assert_eq!(report.cells.len(), 36);
+    // V5 kernels under comm V6 (1) + V7 kernels under comm V6 and V7 (2);
+    // plus damped Euler p4, 2x2 pencil and p4 chaos twin (3)
+    assert_eq!(report.cells.len(), 39);
     for key in ["euler/V7/parallel/p4/commV6", "navier-stokes/V7/parallel/p4/commV7"] {
         let cell = report.cells.iter().find(|c| c.key == key).unwrap_or_else(|| panic!("no cell {key}"));
         assert_eq!((cell.expected.as_str(), cell.baseline.as_str()), ("bitwise", &key[..key.rfind('/').unwrap()]));
@@ -131,33 +132,42 @@ fn mms_norms_detect_a_perturbed_solution() {
 /// Every plan `validate` admits on the oracle grid meets the contract
 /// `oracle::expect` states against the serial V5 run: both regimes, every
 /// kernel version, every `px × pr` partition with `px <= 16` and `pr <= 4`,
-/// every comm protocol, and each plan's fault-free chaos twin. The space is
-/// small enough to enumerate, so it is enumerated rather than sampled; the
-/// serial baselines run once per regime.
+/// every comm protocol, and each plan's fault-free chaos twin. The damped
+/// plans (ε = `oracle::DAMPED`) run every admitted shape at kernels V5 and
+/// V7 under comm V5, with and without the twin, against the damped serial
+/// V5 run: the smoothing runs after the step and swaps the grouped packet
+/// under every protocol, so other rungs and protocols add no path. The
+/// space is small enough to enumerate, so it is enumerated rather than
+/// sampled; each serial baseline runs once.
 #[test]
 fn every_admitted_plan_meets_its_contract() {
     let oc = OracleConfig::standard(true);
+    let shapes = || (1..=16).flat_map(|px| (1..=4).map(move |pr| CartTopology::new(px, pr).unwrap()));
     let mut pairs = Vec::new();
     for regime in [Regime::Euler, Regime::NavierStokes] {
-        let serial = Run::serial(regime, Version::V5);
-        for version in Version::ALL {
-            let cfg = SolverConfig { version, ..SolverConfig::paper(oc.grid.clone(), regime) };
-            for (px, pr) in (1..=16).flat_map(|px| (1..=4).map(move |pr| (px, pr))) {
-                let topology = CartTopology::new(px, pr).unwrap();
-                for comm in CommVersion::ALL {
-                    if topology.validate(&cfg, comm).is_err() {
-                        continue;
-                    }
-                    for chaos in [false, true] {
-                        let run = Run { regime, version, topology, comm, chaos };
-                        if run != serial {
-                            pairs.push((run, serial));
+        for dissipation in [0.0, oracle::DAMPED] {
+            let serial = Run { dissipation, ..Run::serial(regime, Version::V5) };
+            let (versions, comms): (&[Version], &[CommVersion]) = if dissipation == 0.0 {
+                (&Version::ALL, &CommVersion::ALL)
+            } else {
+                (&[Version::V5, Version::V7], &[CommVersion::V5])
+            };
+            for &version in versions {
+                let cfg = SolverConfig { version, dissipation, ..SolverConfig::paper(oc.grid.clone(), regime) };
+                for topology in shapes().filter(|t| t.validate(&cfg).is_ok()) {
+                    for &comm in comms {
+                        for chaos in [false, true] {
+                            let run = Run { version, topology, comm, chaos, ..serial };
+                            if run != serial {
+                                pairs.push((run, serial));
+                            }
                         }
                     }
                 }
             }
         }
     }
+    assert_eq!(pairs.len(), 2 * (2112 + 160 - 2), "4224 undamped and 320 damped plans, less the serial runs");
     let report = oracle::run_matrix(&OracleConfig { pairs, ..oc });
     let failing: Vec<_> = report
         .cells
