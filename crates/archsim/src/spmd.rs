@@ -19,7 +19,7 @@ use crate::cpu::{Calibration, CpuSpec};
 use crate::msglib::MsgLib;
 
 use crate::platform::Platform;
-use ns_core::config::{Regime, SolverConfig, Version};
+use ns_core::config::{Regime, Version};
 use ns_core::field::Patch;
 use ns_core::workload::{self, PhaseOp};
 use ns_numerics::Grid;
@@ -218,8 +218,7 @@ pub fn simulate_traced(cfg: &SimConfig) -> (SimResult, Vec<Event>) {
 fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
     let nprocs = cfg.topology.size();
     assert!(nprocs <= cfg.platform.max_procs, "processor count out of range");
-    let solver = SolverConfig { version: cfg.version, ..SolverConfig::paper(cfg.grid.clone(), cfg.regime) };
-    let admitted = cfg.topology.validate(&solver);
+    let admitted = cfg.topology.validate(&cfg.grid);
     assert!(admitted.is_ok(), "topology refused: {}", admitted.unwrap_err());
     assert!(cfg.sim_steps >= 1 && cfg.sim_steps <= cfg.report_steps);
     let cal = Calibration::standard();

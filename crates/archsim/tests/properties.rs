@@ -3,7 +3,7 @@
 
 use ns_archsim::network::{Network, SharedBus, Torus3d};
 use ns_archsim::{simulate, CacheGeometry, CacheSim, NetKind, Platform, SimConfig};
-use ns_core::config::Regime;
+use ns_core::config::{Regime, Version};
 use ns_runtime::{CartTopology, CommVersion};
 use proptest::prelude::*;
 
@@ -148,8 +148,7 @@ proptest! {
     /// labels equals busy time summed over ranks (blocking-send stalls are
     /// charged to `comm:stall` *and* to busy, so both sides agree) for
     /// P ∈ {2, 4, 8, 16} as `P × 1`, `1 × P` or `P/2 × 2` rank grids, under
-    /// every comm variant the runtime admits on that grid (V6/V7 overlap
-    /// only axial traffic, so they pair with `pr = 1` only).
+    /// every comm variant, and with kernel V7 on the pencil shapes.
     #[test]
     fn phase_seconds_sum_to_total_busy(
         pidx in 0usize..4,
@@ -162,10 +161,11 @@ proptest! {
         let p = [2usize, 4, 8, 16][pidx].min(platform.max_procs);
         let regime = if viscous { Regime::NavierStokes } else { Regime::Euler };
         let (px, pr) = [(p, 1), (1, p), (p / 2, 2)][shape];
-        let comm = if pr == 1 { [CommVersion::V5, CommVersion::V6, CommVersion::V7][mode] } else { CommVersion::V5 };
+        let version = if pr == 1 { Version::V5 } else { Version::V7 };
         let r = simulate(&SimConfig {
             topology: CartTopology::new(px, pr).unwrap(),
-            comm,
+            comm: [CommVersion::V5, CommVersion::V6, CommVersion::V7][mode],
+            version,
             sim_steps: 2,
             ..SimConfig::paper(platform, p, regime)
         });
@@ -179,8 +179,8 @@ proptest! {
     }
 
     /// V7 moves exactly the same volume as V5 with strictly more start-ups;
-    /// V6 moves the same volume with the same start-ups (on `P × 1`, the
-    /// only rank grids the runtime runs V6/V7 on).
+    /// V6 moves the same volume with the same start-ups (on `P × 1`, where
+    /// every interior rank has two axial neighbours).
     #[test]
     fn comm_mode_invariants(p in 2usize..12) {
         let mk = |mode: CommVersion| {

@@ -85,7 +85,7 @@ pub fn compute_prims(version: Version, field: &Field, prim: &mut PrimField, gas:
         Version::V3 => prims_indexed::<false, false, false>(field, prim, gas),
         Version::V4 => prims_indexed::<false, true, false>(field, prim, gas),
         // V6/V7 have no standalone kernels: outside the fused sweep they are V5.
-        Version::V5 | Version::V6 | Version::V7 => prims_sliced(field, prim, gas, 0..field.nxl()),
+        Version::V5 | Version::V6 | Version::V7 => prims_sliced(field, prim, gas, 0..field.nxl(), 0..field.nr()),
     }
     ledger.prims += (field.nxl() * field.nr()) as u64 * opcount::COST_PRIMS;
 }
@@ -176,15 +176,22 @@ pub(crate) fn prims_row(q: [&[f64]; 4], out: [&mut [f64]; 5], inv_r: &[f64], gm1
     }
 }
 
-/// V5 primitive recovery: [`prims_row`] at each of `stations`.
-fn prims_sliced(field: &Field, prim: &mut PrimField, gas: &GasModel, stations: impl Iterator<Item = usize>) {
+/// V5 primitive recovery: [`prims_row`] at each of `stations`, over the
+/// interior rows `rows`.
+fn prims_sliced(
+    field: &Field,
+    prim: &mut PrimField,
+    gas: &GasModel,
+    stations: impl Iterator<Item = usize>,
+    rows: std::ops::Range<usize>,
+) {
     let gm1 = gas.gamma - 1.0;
     let inv_rgas = 1.0 / gas.r_gas;
-    let inv_r: Vec<f64> = (0..field.nr()).map(|j| 1.0 / field.patch.r(j)).collect();
+    let inv_r: Vec<f64> = rows.clone().map(|j| 1.0 / field.patch.r(j)).collect();
     for ii in stations.map(|i| i + NG) {
-        let out =
-            [prim.rho.row_mut(ii), prim.u.row_mut(ii), prim.v.row_mut(ii), prim.p.row_mut(ii), prim.t.row_mut(ii)];
-        prims_row(field.q.each_ref().map(|c| c.row(ii)), out, &inv_r, gm1, inv_rgas);
+        let out = [&mut prim.rho, &mut prim.u, &mut prim.v, &mut prim.p, &mut prim.t]
+            .map(|c| &mut c.row_mut(ii)[rows.start..]);
+        prims_row(field.q.each_ref().map(|c| &c.row(ii)[rows.start..]), out, &inv_r, gm1, inv_rgas);
     }
 }
 
@@ -472,11 +479,11 @@ fn flux_sliced(
     }
 }
 
-/// Recover primitives (plus their radial ghosts) for an explicit list of
-/// interior stations — the boundary stations a fused (V6/V7) x-sweep must
-/// compute *before* posting the halo exchange, ahead of the interior sweep
-/// that imports them. Per station exactly what [`compute_prims`] and the
-/// plane-wide `bc::mirror_prims_axis` / `bc::extrap_prims_top` pair do.
+/// Recover primitives (plus their radial ghosts at owned global edges) for
+/// an explicit list of interior stations — the boundary stations a fused
+/// (V6/V7) x-sweep must compute *before* posting the halo exchange, ahead
+/// of the interior sweep that imports them. Per station exactly what the
+/// plane path's [`compute_prims`] and owned-edge `bc` fills do.
 pub fn fused_boundary_prims(
     field: &Field,
     prim: &mut PrimField,
@@ -485,12 +492,25 @@ pub fn fused_boundary_prims(
     ledger: &mut FlopLedger,
 ) {
     let nr = field.nr();
-    prims_sliced(field, prim, gas, stations.iter().copied());
+    prims_sliced(field, prim, gas, stations.iter().copied(), 0..nr);
     for &i in stations {
-        crate::bc::mirror_prims_axis_row(prim, i + NG);
-        crate::bc::extrap_prims_top_row(prim, i + NG, nr);
+        if field.patch.is_global_bottom() {
+            crate::bc::mirror_prims_axis_row(prim, i + NG);
+        }
+        if field.patch.is_global_top() {
+            crate::bc::extrap_prims_top_row(prim, i + NG, nr);
+        }
     }
     ledger.prims += (stations.len() * nr) as u64 * opcount::COST_PRIMS;
+}
+
+/// The primitives of the radial edge rows `0` and `nr - 1` at every
+/// station: what a fused (V6/V7) stage sends its radial neighbours ahead of
+/// its sweep. Not charged to the ledger: the sweep recovers them again.
+pub(crate) fn edge_row_prims(field: &Field, prim: &mut PrimField, gas: &GasModel) {
+    for j in [0, field.nr() - 1] {
+        prims_sliced(field, prim, gas, 0..field.nxl(), j..j + 1);
+    }
 }
 
 #[cfg(test)]

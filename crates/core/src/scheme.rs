@@ -138,18 +138,13 @@ pub fn x_operator(
     let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
 
     // --- stage 1: fluxes of Q^n -------------------------------------------
-    let done = if fused {
-        let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut ws.qbar, correct: false };
-        // The characteristic-outflow derivative reads the time-n primitives
-        // of stations nxl-2 / nxl-3 back from the AoS planes.
-        let outflow = edges.right && cfg.mms.is_none();
-        let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.soa, &mut ws.timers);
-        fused_x_stage("x:fused", cfg, gas, field, prim, flux, soa, timers, halo, true, outflow, pass, ledger)
-    } else {
-        let (prim, flux, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.timers);
-        plane_x_stage(["x:prims", "x:flux"], cfg, gas, field, prim, flux, timers, halo, true, ledger);
-        istart..istart
-    };
+    let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut ws.qbar, correct: false };
+    // The characteristic-outflow derivative reads the time-n primitives of
+    // stations nxl-2 / nxl-3 back from the AoS planes.
+    let outflow = edges.right && cfg.mms.is_none();
+    let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.soa, &mut ws.timers);
+    let labels = ["x:fused", "x:prims", "x:flux"];
+    let done = x_stage(labels, cfg, gas, field, prim, flux, soa, timers, halo, true, outflow, pass, ledger);
     ws.timers.pause();
     halo.exchange_flux(&mut ws.flux);
     ws.timers.start(if fused { "x:fused" } else { "x:flux" });
@@ -189,17 +184,11 @@ pub fn x_operator(
     // need no derivative stencils, which is why the paper's Euler run does
     // 12 message start-ups per step against 16 for N-S.
     let st = Stencil { forward: !st.forward, ..st };
-    let done = if fused {
-        let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut *field, correct: true };
-        // Stage 2 has no outflow update afterwards; only the edge-column
-        // flux passes read primitives back from the AoS planes.
-        let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.soa, &mut ws.timers);
-        fused_x_stage("x:fused2", cfg, gas, &ws.qbar, prim, flux, soa, timers, halo, viscous, false, pass, ledger)
-    } else {
-        let (prim, flux, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.timers);
-        plane_x_stage(["x:prims2", "x:flux2"], cfg, gas, &ws.qbar, prim, flux, timers, halo, viscous, ledger);
-        istart..istart
-    };
+    let pass = FusedUpdate { st, mms, irange: istart..iend, nj: nr, out: &mut *field, correct: true };
+    // Stage 2 has no outflow update afterwards.
+    let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.soa, &mut ws.timers);
+    let labels = ["x:fused2", "x:prims2", "x:flux2"];
+    let done = x_stage(labels, cfg, gas, &ws.qbar, prim, flux, soa, timers, halo, viscous, false, pass, ledger);
     ws.timers.pause();
     halo.exchange_flux(&mut ws.flux_bar);
     ws.timers.start(if fused { "x:fused2" } else { "x:flux2" });
@@ -225,9 +214,10 @@ pub fn x_operator(
 /// One fused sweep as the V6/V7 operators run it — [`soa::fused_pass`] over
 /// the solver's sweep workspace, armed on first use — with the predictor or
 /// corrector pass that follows it offered to it. V7 runs the pass inside the
-/// sweep on every station it can and returns those stations; V6 sweeps into
-/// the planes, leaves the pass alone and returns an empty range. Either way
-/// the caller owes the update of the rest of `pass.irange`.
+/// sweep on every station it can and returns those stations; V6 (and V7's
+/// radial stage on a pencil) sweeps into the planes, leaves the pass alone
+/// and returns an empty range. Either way the caller owes the update of the
+/// rest of `pass.irange`.
 #[allow(clippy::too_many_arguments)]
 fn fused_pass(
     cfg: &SolverConfig,
@@ -247,7 +237,10 @@ fn fused_pass(
     ledger: &mut FlopLedger,
 ) -> Range<usize> {
     let ws = soa.get_or_insert_with(|| Box::new(SoaWs::new(&state.patch)));
-    let inside = cfg.version == Version::V7;
+    // A radial pass fills its flux ghosts inside the sweep, which only a
+    // patch owning both radial boundaries can: a pencil's radial stage runs
+    // as V6, its flux ghosts from the exchange.
+    let inside = cfg.version == Version::V7 && (dir == FluxDir::X || (edges.bottom && edges.top));
     let untouched = pass.irange.start..pass.irange.start;
     let pass = inside.then_some(pass);
     let done = soa::fused_pass(
@@ -260,19 +253,24 @@ fn fused_pass(
     }
 }
 
-/// One flux stage of the fused (V6+) axial operator. `state` is the state
-/// differenced (`Q^n`, then the predictor state). A stage that exchanges
-/// primitives is split-phase: the two boundary primitive columns ahead of
-/// the halo post, the interior sweep while they are in flight — under V7
-/// with `pass` riding inside it — then, once the receives complete, the
-/// edge columns whose stencils read the halo; `outflow` asks the sweep to
-/// also export the two stations the characteristic-outflow stencil reads.
-/// Without `exchange` the whole stage is a single exchange-free sweep.
-/// Returns the stations `pass` has already updated; the caller owes the
-/// rest of its window.
+/// One flux stage of the axial operator on `state` (`Q^n`, then the
+/// predictor state), flux into `flux`. `labels` name the fused phase and the
+/// plane path's primitive and flux phases; the two paths make the same halo
+/// calls in the same order and differ only in the kernels. A stage that
+/// exchanges primitives is split-phase: the primitives the halo sends (the
+/// plane path recovers every station, the sweep the two boundary columns
+/// ahead of the post), the radial ghost rows, the post, the interior flux
+/// while the columns are in flight — under V7 with `pass` riding inside the
+/// sweep — then, once the receives complete, the edge columns whose stencils
+/// read the halo. With an overlapping transport this is exactly the paper's
+/// Version 6; with a plain one it degenerates to exchange-then-compute
+/// (Version 5) with identical arithmetic. `outflow` asks the sweep to also
+/// export the two stations the characteristic-outflow stencil reads.
+/// Without `exchange` the whole stage is local. Returns the stations `pass`
+/// has already updated; the caller owes the rest of its window.
 #[allow(clippy::too_many_arguments)]
-fn fused_x_stage(
-    label: &'static str,
+fn x_stage(
+    labels: [&'static str; 3],
     cfg: &SolverConfig,
     gas: &GasModel,
     state: &Field,
@@ -289,52 +287,54 @@ fn fused_x_stage(
     let patch = &state.patch;
     let edges = EdgeFlags::of(patch);
     let nxl = patch.nxl;
+    let [fused_label, prims_label, flux_label] = labels;
+    let fused = cfg.version >= Version::V6;
+    let sweep_label = if fused { fused_label } else { flux_label };
     let (flo, fhi) = if exchange { (usize::from(!edges.left), nxl - usize::from(!edges.right)) } else { (0, nxl) };
-    timers.start(label);
-    let (prim_range, hi_pre) = if exchange {
+    timers.start(if fused { fused_label } else { prims_label });
+    if !fused {
+        plane_prims(cfg, gas, state, prim, ledger);
+    } else if exchange {
         kernels::fused_boundary_prims(state, prim, gas, &[0, nxl - 1], ledger);
+    }
+    if exchange {
+        swap_edge_rows(fused, gas, state, prim, timers, halo);
         timers.pause();
         halo.post_prims(prim);
-        timers.start(label);
-        (1..nxl - 1, Some(nxl - 1))
-    } else {
-        (0..nxl, None)
-    };
-    // Swept stations that later AoS consumers read back: the post-halo
-    // edge-column flux passes stencil stations `flo`/`fhi - 1`.
-    let wanted = [
-        (flo > 0).then_some(flo),
-        (fhi < nxl).then_some(fhi - 1),
-        outflow.then_some(nxl.saturating_sub(2)),
-        outflow.then_some(nxl.saturating_sub(3)),
-    ];
-    let mut exports = [0usize; 4];
-    let mut n_exp = 0;
-    for station in wanted.into_iter().flatten() {
-        exports[n_exp] = station;
-        n_exp += 1;
     }
-    let done = fused_pass(
-        cfg,
-        soa,
-        FluxDir::X,
-        state,
-        prim,
-        edges,
-        gas,
-        flux,
-        None,
-        prim_range,
-        flo..fhi,
-        hi_pre,
-        &exports[..n_exp],
-        pass,
-        ledger,
-    );
+    // A fused stage that exchanged nothing is still in its one phase.
+    if exchange || !fused {
+        timers.start(sweep_label);
+    }
+    let done = if fused {
+        let (prim_range, hi_pre) = if exchange { (1..nxl - 1, Some(nxl - 1)) } else { (0..nxl, None) };
+        // Swept stations that later AoS consumers read back: the post-halo
+        // edge-column flux passes stencil stations `flo`/`fhi - 1`.
+        let wanted = [
+            (flo > 0).then_some(flo),
+            (fhi < nxl).then_some(fhi - 1),
+            outflow.then_some(nxl.saturating_sub(2)),
+            outflow.then_some(nxl.saturating_sub(3)),
+        ];
+        let mut exports = [0usize; 4];
+        let mut n_exp = 0;
+        for station in wanted.into_iter().flatten() {
+            exports[n_exp] = station;
+            n_exp += 1;
+        }
+        let exports = &exports[..n_exp];
+        let (dir, fluxes) = (FluxDir::X, flo..fhi);
+        fused_pass(
+            cfg, soa, dir, state, prim, edges, gas, flux, None, prim_range, fluxes, hi_pre, exports, pass, ledger,
+        )
+    } else {
+        kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, flo..fhi, ledger);
+        pass.irange.start..pass.irange.start
+    };
     if exchange {
         timers.pause();
         halo.finish_prims(prim);
-        timers.start(label);
+        timers.start(sweep_label);
     }
     for edge in [0..flo, fhi..nxl] {
         kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
@@ -354,53 +354,30 @@ fn plane_prims(cfg: &SolverConfig, gas: &GasModel, state: &Field, prim: &mut Pri
     }
 }
 
-/// One flux stage of the plane-path (V1–V5) axial operator, the twin of
-/// [`fused_x_stage`]: `labels` name its primitive and flux phases. A stage
-/// that exchanges primitives is split-phase: post the boundary columns,
-/// compute the columns whose stencils are fully local, complete the
-/// receives, finish the edge columns. With an overlapping transport this is
-/// exactly the paper's Version 6; with a plain transport (or serially) it
-/// degenerates to exchange-then-compute (Version 5) with identical
-/// arithmetic. Without `exchange` every column is local.
-#[allow(clippy::too_many_arguments)]
-fn plane_x_stage(
-    labels: [&'static str; 2],
-    cfg: &SolverConfig,
+/// Fill the primitive ghost rows at internal radial edges from the radial
+/// neighbours, when the fluxes read them (viscous only: Euler's fluxes are
+/// point-local in `r` and skip the message). The plane path has every row
+/// in the planes already; the sweep recovers the two edge rows it sends
+/// first, and imports the rows it receives station by station. Returns
+/// whether it exchanged, pausing `timers` around the halo call.
+fn swap_edge_rows(
+    fused: bool,
     gas: &GasModel,
     state: &Field,
     prim: &mut PrimField,
-    flux: &mut FluxField,
     timers: &mut PhaseTimer,
     halo: &mut dyn XHalo,
-    exchange: bool,
-    ledger: &mut FlopLedger,
-) {
+) -> bool {
     let patch = &state.patch;
-    let edges = EdgeFlags::of(patch);
-    let nxl = patch.nxl;
-    let (flo, fhi) = if exchange { (usize::from(!edges.left), nxl - usize::from(!edges.right)) } else { (0, nxl) };
-    timers.start(labels[0]);
-    plane_prims(cfg, gas, state, prim, ledger);
-    if exchange {
-        timers.pause();
-        if !gas.is_inviscid() {
-            // The viscous x-flux takes radial derivatives of u, v, T; at
-            // internal radial edges those stencils read exchanged ghost rows
-            // (Euler's x-flux is point-local and skips the message).
-            halo.exchange_prims_r(prim);
-        }
-        halo.post_prims(prim);
+    if gas.is_inviscid() || (patch.is_global_bottom() && patch.is_global_top()) {
+        return false;
     }
-    timers.start(labels[1]);
-    kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, flo..fhi, ledger);
-    if exchange {
-        timers.pause();
-        halo.finish_prims(prim);
-        timers.start(labels[1]);
+    if fused {
+        kernels::edge_row_prims(state, prim, gas);
     }
-    for edge in [0..flo, fhi..nxl] {
-        kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
-    }
+    timers.pause();
+    halo.exchange_prims_r(prim);
+    true
 }
 
 /// Apply the radial operator (`Q_t + G_r = S`) over one time step.
@@ -510,28 +487,29 @@ fn r_stage(
     let edges = EdgeFlags { left: true, right: true, bottom: patch.is_global_bottom(), top: patch.is_global_top() };
     let [fused_label, prims_label, flux_label] = labels;
     let fused = cfg.version >= Version::V6;
+    let sweep_label = if fused { fused_label } else { flux_label };
+    timers.start(if fused { fused_label } else { prims_label });
+    if !fused {
+        plane_prims(cfg, gas, state, prim, ledger);
+    }
+    if swap_edge_rows(fused, gas, state, prim, timers, halo) || !fused {
+        timers.start(sweep_label);
+    }
     let done = if fused {
-        // Comm-free sweep: the whole stage (prims, radial ghosts, flux and
-        // source) is one pipelined pass over the axial stations. The radial
-        // stencil and the flux ghost fill stay inside one station's row, so
-        // under V7 the sweep also updates every station it emits.
-        timers.start(fused_label);
+        // The whole stage (prims, radial ghosts, flux and source) is one
+        // pipelined pass over the axial stations. On a patch owning both
+        // radial boundaries the radial stencil and the flux ghost fill stay
+        // inside one station's row, so under V7 the sweep also updates every
+        // station it emits.
         let (src, all) = (Some(src), 0..nxl);
         fused_pass(cfg, soa, FluxDir::R, state, prim, edges, gas, flux, src, all.clone(), all, None, &[], pass, ledger)
     } else {
-        timers.start(prims_label);
-        plane_prims(cfg, gas, state, prim, ledger);
-        timers.pause();
-        if !gas.is_inviscid() {
-            halo.exchange_prims_r(prim);
-        }
-        timers.start(flux_label);
         kernels::compute_flux(cfg.version, FluxDir::R, prim, patch, edges, gas, flux, Some(src), ledger);
         0..0
     };
     timers.pause();
     halo.exchange_flux_r(flux);
-    timers.start(if fused { fused_label } else { flux_label });
+    timers.start(sweep_label);
     // A sweep that updated its stations filled their flux ghosts row by row.
     if done.is_empty() {
         bc::fill_rflux_ghosts_sides(flux, nxl, nr, edges.bottom, edges.top, ledger);

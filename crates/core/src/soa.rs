@@ -248,6 +248,15 @@ impl SoaPrims {
         t[..nj].copy_from_slice(prim.t.row(ii));
     }
 
+    /// Import one radial ghost entry (raw row `jj`) of station `ii` from the
+    /// AoS planes: the exchanged row at an internal radial edge.
+    fn import_ghost(&mut self, prim: &PrimField, ii: usize, jj: usize) {
+        let planes = [&prim.rho, &prim.u, &prim.v, &prim.p, &prim.t];
+        for (row, plane) in self.station_rows_mut(ii).into_iter().zip(planes) {
+            row[jj] = plane.at(ii, jj);
+        }
+    }
+
     /// Export one swept station back to the AoS planes (ghost rows included)
     /// — the stations the post-halo edge-column flux pass will read.
     fn export_station(&self, prim: &mut PrimField, ii: usize) {
@@ -629,10 +638,12 @@ fn flux_needs(e: usize, nxl: usize, edges: EdgeFlags, viscous: bool) -> usize {
 }
 
 /// The V6 rung, and the body V7 runs its update in: one sweep over the axial
-/// stations that recovers primitives, fills their radial ghosts and evaluates
-/// each station's flux as soon as its stencil is complete — a software
-/// pipeline in `i` over the lane-aligned SoA arena with cache-blocked radial
-/// tiles, in the instantiation compiled for this host's vector unit ([`isa`]).
+/// stations that recovers primitives, fills their radial ghosts (boundary
+/// conditions at owned edges, the exchanged rows of `prim` at internal ones)
+/// and evaluates each station's flux as soon as its stencil is complete — a
+/// software pipeline in `i` over the lane-aligned SoA arena with
+/// cache-blocked radial tiles, in the instantiation compiled for this host's
+/// vector unit ([`isa`]).
 ///
 /// `prim_range` is swept in ascending order; stations below it and `hi_pre`
 /// are taken as precomputed ([`crate::kernels::fused_boundary_prims`]), and
@@ -691,9 +702,10 @@ pub fn fused_sweep(
 /// a later consumer reads: the [`X_BAND`] axial stations at either end of
 /// the patch, which the flux exchange, the ghost extrapolation and the
 /// caller's deferred update of the remaining stations use; a radial pass
-/// writes no plane at all, `src` included (it owns both radial boundaries —
-/// pencils do not run the fused rungs), and charges the ghost fill to
-/// `ledger.boundary` as [`bc::fill_rflux_ghosts_sides`] does.
+/// writes no plane at all, `src` included (it is attached only on a patch
+/// that owns both radial boundaries, so its flux ghosts are all boundary
+/// fills), and charges the ghost fill to `ledger.boundary` as
+/// [`bc::fill_rflux_ghosts_sides`] does.
 ///
 /// Bitwise the composition sweep → ghost fill → update through the planes:
 /// the same row kernels on the same operands. Without a pass this is
@@ -794,11 +806,14 @@ fn run_plain<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
 }
 
 /// Recover one station's primitives over `[jlo, jhi)` and, on the tiles that
-/// reach them, its radial ghosts.
+/// reach them, its radial ghosts: the boundary condition fills an owned
+/// edge's, an internal edge's are the exchanged rows in the AoS `prim`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn recover_station(
     field: &Field,
+    prim: &PrimField,
+    edges: EdgeFlags,
     prims: &mut SoaPrims,
     ii: usize,
     jlo: usize,
@@ -811,10 +826,18 @@ fn recover_station(
     let qrows = [field.q[0].row(ii), field.q[1].row(ii), field.q[2].row(ii), field.q[3].row(ii)];
     prims_station_tile(qrows, prims, ii, jlo, jhi, gm1, inv_rgas, inv_r);
     if jlo == 0 {
-        mirror_axis_station(prims, ii);
+        if edges.bottom {
+            mirror_axis_station(prims, ii);
+        } else {
+            prims.import_ghost(prim, ii, NG - 1);
+        }
     }
     if jhi == nr {
-        extrap_top_station(prims, ii, nr);
+        if edges.top {
+            extrap_top_station(prims, ii, nr);
+        } else {
+            prims.import_ghost(prim, ii, NG + nr);
+        }
     }
 }
 
@@ -897,7 +920,7 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
             // what it reads past `prim_range` was imported above.
             let need = flux_needs(e, nxl, edges, VISC);
             while next_prim < prim_range.end && next_prim <= need {
-                recover_station(field, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
+                recover_station(field, prim, edges, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
                 next_prim += 1;
             }
             let ii = e + NG;
@@ -952,7 +975,7 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
         }
         // Stations no flux of this call reads (the caller may export them).
         while next_prim < prim_range.end {
-            recover_station(field, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
+            recover_station(field, prim, edges, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
             next_prim += 1;
         }
     }
@@ -1185,9 +1208,9 @@ mod tests {
     /// one the far-field row and differences one-sidedly at every patch edge.
     ///
     /// The test patches are the first `nrl` rows of a taller grid (a `Grid`
-    /// has at least five) and stand for patches that span theirs: the fused
-    /// rungs are admitted on nothing else, so both radial boundaries count
-    /// as owned.
+    /// has at least five) and stand for patches that span theirs, the only
+    /// ones a radial pass is attached on: both radial boundaries count as
+    /// owned.
     fn window(dir: FluxDir, patch: &Patch) -> (EdgeFlags, Range<usize>, usize) {
         let own = EdgeFlags { bottom: true, top: true, ..EdgeFlags::of(patch) };
         let (nxl, nr) = (patch.nxl, patch.nr());

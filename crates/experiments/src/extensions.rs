@@ -5,7 +5,7 @@
 
 use crate::report::{Report, Series};
 use ns_archsim::{simulate, Platform, SimConfig};
-use ns_core::config::{Regime, SolverConfig};
+use ns_core::config::Regime;
 use ns_core::field::{Patch, NG};
 use ns_core::workload;
 use ns_numerics::Grid;
@@ -53,9 +53,9 @@ pub fn decomposition_ablation(regime: Regime) -> Report {
 
 /// The axial layout of `p` ranks when the runtime admits it on `grid`, else
 /// [`CartTopology::factor`]'s surface-minimizing pencil.
-fn admitted_topology(p: usize, grid: &Grid, regime: Regime) -> CartTopology {
+fn admitted_topology(p: usize, grid: &Grid) -> CartTopology {
     let axial = CartTopology::axial(p);
-    match axial.validate(&SolverConfig::paper(grid.clone(), regime)) {
+    match axial.validate(grid) {
         Ok(()) => axial,
         Err(_) => CartTopology::factor(p, grid.nx, grid.nr).expect("some pencil is admitted"),
     }
@@ -72,7 +72,7 @@ pub fn extended_scaling(regime: Regime) -> Report {
         Report::new(format!("Extension: scaling to the full 64-node T3D ({})", regime.name()), "processors", "seconds");
     let grid = Grid::paper();
     let shapes: Vec<(usize, CartTopology)> =
-        [1usize, 2, 4, 8, 16, 32, 64].iter().map(|&p| (p, admitted_topology(p, &grid, regime))).collect();
+        [1usize, 2, 4, 8, 16, 32, 64].iter().map(|&p| (p, admitted_topology(p, &grid))).collect();
     let mut t3d = Platform::cray_t3d();
     t3d.max_procs = 64;
     let mut allnode = Platform::lace560_allnode_s();

@@ -394,12 +394,12 @@ pub fn run_parallel_instrumented(
 /// are dropped on rollback, so each sampled step appears once. A health
 /// abort or a cancellation ends the run; only a comm failure rolls it back.
 ///
-/// A plan the decomposition cannot carry (too fine, or a fused kernel on a
-/// radial split) is a typed error; a wrong one (a `resume` checkpoint that
-/// is not this grid's whole field) panics.
+/// A plan the decomposition cannot carry (too fine) is a typed error; a
+/// wrong one (a `resume` checkpoint that is not this grid's whole field)
+/// panics.
 pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
     let RunPlan { cfg, topology: topo, nsteps, .. } = *plan;
-    topo.validate(cfg)?;
+    topo.validate(&cfg.grid)?;
     if let Some(cp) = plan.resume {
         assert_eq!(cp.patch, Patch::whole(cfg.grid.clone()), "distributed restart needs a whole-grid checkpoint");
     }
@@ -1043,18 +1043,33 @@ mod tests {
         assert_eq!(err, DecompositionError::TooFewRows { pr: 8, nr: 20 });
     }
 
-    /// Radial splits are restricted to the unfused kernels, a typed plan
-    /// error; every comm protocol runs on them.
+    /// The fused rungs run on radial splits: at an internal radial edge the
+    /// sweep takes its ghost rows from the exchange, so V6 and V7 pencils
+    /// are bitwise their V5 twin in both regimes, with the same FLOPs, the
+    /// same start-ups and the same bytes on every rank — on 1×2, 2×2 and a
+    /// 1×5 split that leaves each rank four rows.
     #[test]
-    fn radial_split_restrictions_are_typed_errors() {
-        let mut c = cfg(Regime::Euler);
-        let topo = CartTopology::new(1, 2).unwrap();
-        assert!(run_parallel_cart(&c, topo, 1, CommVersion::V7).is_ok());
-        c.version = ns_core::config::Version::V6;
-        assert_eq!(
-            run_parallel_cart(&c, topo, 1, CommVersion::V5).unwrap_err(),
-            DecompositionError::UnsupportedVersion { version: ns_core::config::Version::V6 }
-        );
+    fn fused_rungs_on_radial_splits_are_bitwise_their_v5_twin() {
+        use ns_core::config::Version;
+        for regime in [Regime::Euler, Regime::NavierStokes] {
+            for (px, pr) in [(1, 2), (2, 2), (1, 5)] {
+                let topo = CartTopology::new(px, pr).unwrap();
+                let [v5, v6, v7] = [Version::V5, Version::V6, Version::V7]
+                    .map(|version| run_parallel_cart(&tuned(regime, version, 0.0), topo, 6, CommVersion::V5).unwrap());
+                let field = v5.gather_field();
+                for (fused, name) in [(&v6, "V6"), (&v7, "V7")] {
+                    let what = format!("{regime:?} {px}x{pr} {name}");
+                    let bits =
+                        |f: &Field| f.q.iter().flat_map(|a| a.as_slice()).map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert!(bits(&fused.gather_field()) == bits(&field), "{what}: field");
+                    for (a, b) in fused.ranks.iter().zip(&v5.ranks) {
+                        assert_eq!(a.ledger, b.ledger, "{what} rank {}: FLOP ledger", a.rank);
+                        assert_eq!(a.stats.startups(), b.stats.startups(), "{what} rank {}: start-ups", a.rank);
+                        assert_eq!(a.stats.bytes_sent, b.stats.bytes_sent, "{what} rank {}: bytes", a.rank);
+                    }
+                }
+            }
+        }
     }
 
     /// A config with the given kernel rung and dissipation.

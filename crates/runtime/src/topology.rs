@@ -8,8 +8,8 @@
 //! the existing 1-D rank numbering exactly and every axial-only code path
 //! is the degenerate case, not a special one.
 
-use ns_core::config::{SolverConfig, Version};
 use ns_core::field::NG;
+use ns_numerics::Grid;
 use std::fmt;
 
 /// Why a decomposition plan was rejected at validation time (instead of a
@@ -34,13 +34,6 @@ pub enum DecompositionError {
         /// Grid rows being split.
         nr: usize,
     },
-    /// Radial splits require the unfused kernel rungs (V1–V5): the fused
-    /// sweep V6 and V7 share (`ns_core::soa`) fills the radial boundary
-    /// ghosts inline on every patch.
-    UnsupportedVersion {
-        /// The offending kernel version.
-        version: Version,
-    },
 }
 
 impl fmt::Display for DecompositionError {
@@ -52,9 +45,6 @@ impl fmt::Display for DecompositionError {
             }
             DecompositionError::TooFewRows { pr, nr } => {
                 write!(f, "{pr} radial ranks over {nr} rows leaves ranks with fewer than {MIN_ROWS} rows")
-            }
-            DecompositionError::UnsupportedVersion { version } => {
-                write!(f, "radial splits need the unfused kernel rungs (V1-V5), got {version:?}")
             }
         }
     }
@@ -136,26 +126,20 @@ impl CartTopology {
         }
     }
 
-    /// Validate this topology against a solver configuration: split
-    /// fineness on both axes, and the one kernel restriction of radial
-    /// splits. Every comm protocol and every dissipation coefficient runs
-    /// on every admitted shape. This is the admission check `ns-serve`
-    /// runs before accepting a job, so a daemon never takes work it would
-    /// panic on.
-    pub fn validate(&self, cfg: &SolverConfig) -> Result<(), DecompositionError> {
+    /// Validate this topology against the grid it splits: split fineness
+    /// on both axes, nothing else. Every kernel rung, comm protocol and
+    /// dissipation coefficient runs on every admitted shape. This is the
+    /// admission check `ns-serve` runs before accepting a job, so a daemon
+    /// never takes work it would panic on.
+    pub fn validate(&self, grid: &Grid) -> Result<(), DecompositionError> {
         if self.px == 0 || self.pr == 0 {
             return Err(DecompositionError::ZeroRanks);
         }
-        if cfg.grid.nx / self.px < MIN_COLS {
-            return Err(DecompositionError::TooFewColumns { px: self.px, nx: cfg.grid.nx });
+        if grid.nx / self.px < MIN_COLS {
+            return Err(DecompositionError::TooFewColumns { px: self.px, nx: grid.nx });
         }
-        if self.pr > 1 {
-            if cfg.grid.nr / self.pr < MIN_ROWS {
-                return Err(DecompositionError::TooFewRows { pr: self.pr, nr: cfg.grid.nr });
-            }
-            if cfg.version >= Version::V6 {
-                return Err(DecompositionError::UnsupportedVersion { version: cfg.version });
-            }
+        if self.pr > 1 && grid.nr / self.pr < MIN_ROWS {
+            return Err(DecompositionError::TooFewRows { pr: self.pr, nr: grid.nr });
         }
         Ok(())
     }

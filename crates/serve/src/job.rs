@@ -219,7 +219,7 @@ impl JobSpec {
                 // the same typed plan validation the driver runs, so a
                 // daemon never admits work it would panic on
                 let plan = self.plan();
-                plan.topology.validate(plan.cfg).map_err(|e| e.to_string())?;
+                plan.topology.validate(&plan.cfg.grid).map_err(|e| e.to_string())?;
             }
             Backend::Shared => {
                 if self.procs == 0 {

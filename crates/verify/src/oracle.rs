@@ -177,9 +177,10 @@ pub struct OracleConfig {
 
 impl OracleConfig {
     /// The standard matrix. `quick` trims to the corners that catch nearly
-    /// everything (V5/V6/V7, P in {1,4}, comm V6) for the CI gate; the full
-    /// matrix is V1-V7 x P {1,2,4,8,16} x all drivers. Both carry the
-    /// three damped Euler cells.
+    /// everything (V5/V6/V7 on P in {1,4} and the 1x4, 2x2 pencils, comm V6)
+    /// for the CI gate; the full matrix is V1-V7 x {P x 1 for P in
+    /// {1,2,4,8,16}, 1x4, 2x2, 4x2} x all drivers. Both carry the three
+    /// damped Euler cells.
     pub fn standard(quick: bool) -> Self {
         use CommVersion as C;
         type Axes = (&'static [Version], &'static [usize], &'static [(usize, usize)], &'static [CommVersion]);
@@ -194,23 +195,17 @@ impl OracleConfig {
             for &v in versions.iter().filter(|&&v| v != Version::V5) {
                 pairs.push((serial(v), serial(Version::V5)));
             }
-            // on one rank the plan is the serial run itself: only its
-            // chaos twin is a cell
+            // every rung on every slab and pencil; on one rank the plan is
+            // the serial run itself, so only its chaos twin is a cell
+            let slabs = procs.iter().map(|&p| (p, 1));
             for &v in versions {
-                for &p in procs {
-                    let par = Run { topology: CartTopology::axial(p), ..serial(v) };
-                    if p > 1 {
-                        pairs.push((par, serial(v)));
+                for (px, pr) in slabs.clone().chain(pencils.iter().copied()) {
+                    let split = Run { topology: CartTopology::new(px, pr).expect("rank grid"), ..serial(v) };
+                    if px * pr > 1 {
+                        pairs.push((split, serial(v)));
                     }
-                    pairs.push((Run { chaos: true, ..par }, par));
+                    pairs.push((Run { chaos: true, ..split }, split));
                 }
-            }
-            // radial splits run the unfused rungs; V5 is the baseline one
-            for &(px, pr) in pencils {
-                let topology = CartTopology::new(px, pr).expect("pencil shape");
-                let pencil = Run { topology, ..serial(Version::V5) };
-                pairs.push((pencil, serial(Version::V5)));
-                pairs.push((Run { chaos: true, ..pencil }, pencil));
             }
             // V7's sweeps update the stations whose flux stencil they emit
             // and defer the rest until the halo has landed, so V7 kernels
@@ -388,7 +383,7 @@ mod tests {
 
     #[test]
     fn standard_matrices_key_every_run_once() {
-        for (quick, cells) in [(true, 39), (false, 161)] {
+        for (quick, cells) in [(true, 55), (false, 233)] {
             let oc = OracleConfig::standard(quick);
             assert_eq!(oc.pairs.len(), cells);
             let keys: std::collections::BTreeSet<_> = oc.pairs.iter().map(|(run, _)| run.key()).collect();

@@ -3,7 +3,7 @@
 //! measured runtime statistics must line up with both.
 
 use ns_archsim::{simulate, Platform, SimConfig};
-use ns_core::config::{Regime, SolverConfig};
+use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::driver::Solver;
 use ns_core::field::Patch;
 use ns_core::workload;
@@ -15,32 +15,40 @@ use ns_runtime::{run_parallel, CartTopology, CommVersion, RunPlan};
 fn live_runtime_and_simulator_agree_on_protocol_counts() {
     // every rank of every rank grid must make the same start-ups and send
     // the same bytes in the real thread runtime, in the discrete-event
-    // simulator and in the step program the simulator bills
+    // simulator and in the step program the simulator bills, under the
+    // plane kernels and the fused sweep alike
     let grid = Grid::new(64, 24, 50.0, 5.0);
     let steps = 4u64;
     for (px, pr) in [(4, 1), (1, 2), (2, 2), (1, 4), (2, 3)] {
         let topology = CartTopology::new(px, pr).unwrap();
         for regime in [Regime::NavierStokes, Regime::Euler] {
-            let cfg = SolverConfig::paper(grid.clone(), regime);
-            let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, CommVersion::V5)).unwrap();
-            let sim = simulate(&SimConfig {
-                topology,
-                grid: grid.clone(),
-                report_steps: steps,
-                sim_steps: steps,
-                ..SimConfig::paper(Platform::lace560_allnode_s(), 1, regime)
-            });
-            for rank in 0..topology.size() {
-                let stats = live.ranks[rank].stats;
-                let what = format!("{regime:?} {px}x{pr} rank {rank}");
-                assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{what} start-ups");
-                assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{what} bytes");
-                let nb = topology.neighbors(rank);
-                let axial = usize::from(nb.left.is_some()) + usize::from(nb.right.is_some());
-                let radial = usize::from(nb.down.is_some()) + usize::from(nb.up.is_some());
-                let patch = Patch::pencil(grid.clone(), topology.coords(rank), (px, pr));
-                let model = workload::step_workload(regime, &patch);
-                assert_eq!(stats.bytes_sent, model.bytes_sent_per_step(axial, radial) * steps, "{what} model bytes");
+            for version in [Version::V5, Version::V7] {
+                let cfg = SolverConfig { version, ..SolverConfig::paper(grid.clone(), regime) };
+                let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, CommVersion::V5)).unwrap();
+                let sim = simulate(&SimConfig {
+                    topology,
+                    grid: grid.clone(),
+                    version,
+                    report_steps: steps,
+                    sim_steps: steps,
+                    ..SimConfig::paper(Platform::lace560_allnode_s(), 1, regime)
+                });
+                for rank in 0..topology.size() {
+                    let stats = live.ranks[rank].stats;
+                    let what = format!("{regime:?} {version:?} {px}x{pr} rank {rank}");
+                    assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{what} start-ups");
+                    assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{what} bytes");
+                    let nb = topology.neighbors(rank);
+                    let axial = usize::from(nb.left.is_some()) + usize::from(nb.right.is_some());
+                    let radial = usize::from(nb.down.is_some()) + usize::from(nb.up.is_some());
+                    let patch = Patch::pencil(grid.clone(), topology.coords(rank), (px, pr));
+                    let model = workload::step_workload(regime, &patch);
+                    assert_eq!(
+                        stats.bytes_sent,
+                        model.bytes_sent_per_step(axial, radial) * steps,
+                        "{what} model bytes"
+                    );
+                }
             }
         }
     }
@@ -164,38 +172,42 @@ fn simulator_handles_every_platform_at_every_p() {
 
 /// Every rank grid a plan can be refused on is refused with one error,
 /// word for word, by the live driver, the simulator and serve admission
-/// (the last on the axial shapes a job can express).
+/// (the last on the axial shapes a job can express). Only shapes are
+/// refused: the fused kernel V7 on a radial split is admitted by the driver
+/// and the simulator alike.
 #[test]
 fn refusals_agree_everywhere() {
     use ns_runtime::DecompositionError as E;
     use ns_serve::JobSpec;
     let grid = Grid::new(66, 24, 50.0, 5.0);
     let paper = SolverConfig::paper(grid.clone(), Regime::NavierStokes);
-    let v6 = SolverConfig { version: ns_core::config::Version::V6, ..paper.clone() };
+    let sim = |topology, version| SimConfig {
+        topology,
+        grid: grid.clone(),
+        version,
+        sim_steps: 1,
+        report_steps: 1,
+        ..SimConfig::paper(Platform::cluster_fat_tree(), 1, paper.regime)
+    };
     let cases = [
-        (E::ZeroRanks, &paper, (0, 1)),
-        (E::TooFewColumns { px: 20, nx: 66 }, &paper, (20, 1)),
-        (E::TooFewRows { pr: 7, nr: 24 }, &paper, (1, 7)),
-        (E::UnsupportedVersion { version: v6.version }, &v6, (1, 2)),
+        (E::ZeroRanks, (0, 1)),
+        (E::TooFewColumns { px: 20, nx: 66 }, (20, 1)),
+        (E::TooFewRows { pr: 7, nr: 24 }, (1, 7)),
     ];
-    for (error, cfg, (px, pr)) in cases {
+    for (error, (px, pr)) in cases {
         let topology = CartTopology { px, pr };
-        let refused = ns_runtime::run(&RunPlan::new(cfg, topology, 2, CommVersion::V5)).err();
+        let refused = ns_runtime::run(&RunPlan::new(&paper, topology, 2, CommVersion::V5)).err();
         assert_eq!(refused, Some(error.clone()), "{px}x{pr}: the driver");
-        let sim = SimConfig {
-            topology,
-            grid: grid.clone(),
-            version: cfg.version,
-            sim_steps: 1,
-            report_steps: 1,
-            ..SimConfig::paper(Platform::cluster_fat_tree(), 1, cfg.regime)
-        };
-        let panic = std::panic::catch_unwind(|| simulate(&sim)).expect_err("the simulator must refuse");
+        let refusal = sim(topology, paper.version);
+        let panic = std::panic::catch_unwind(|| simulate(&refusal)).expect_err("the simulator must refuse");
         let text = panic.downcast_ref::<String>().map(String::as_str);
         assert_eq!(text, Some(format!("topology refused: {error}").as_str()), "{px}x{pr}: the simulator");
         if pr == 1 {
-            let job = JobSpec::new(cfg.clone(), 2, px);
+            let job = JobSpec::new(paper.clone(), 2, px);
             assert_eq!(job.validate(), Err(error.to_string()), "{px}x1: serve admission");
         }
     }
+    let (pencil, v7) = (CartTopology { px: 1, pr: 2 }, SolverConfig { version: Version::V7, ..paper.clone() });
+    assert!(ns_runtime::run(&RunPlan::new(&v7, pencil, 2, CommVersion::V5)).is_ok(), "V7 1x2: the driver");
+    assert_eq!(simulate(&sim(pencil, Version::V7)).startups.len(), 2, "V7 1x2: the simulator");
 }
