@@ -15,13 +15,13 @@
 //!    integrals reconciled against time-integrated boundary-flux budgets
 //!    from `ns_core::diag::boundary_budget`, asserting the unexplained
 //!    residual stays below tolerance over long runs.
-//! 3. **Differential oracle** ([`oracle`]) — one harness running the same
-//!    configuration through `ns_runtime::run` across every kernel
-//!    `Version` rung, rank grids (1×1 is the serial run), the recovery
-//!    machinery armed on a fault-free plan, comm protocol versions and
-//!    artificial dissipation,
-//!    asserting the verdict [`oracle::expect`] derives from each plan
-//!    pair: bitwise equality where the design guarantees it and
+//! 3. **Differential oracle** ([`oracle`]) — one generated list of plan
+//!    pairs ([`oracle::plan_space`]) run through `ns_runtime::run`: every
+//!    plan `validate` admits on the oracle grid (every kernel rung, rank
+//!    grid — 1×1 is the serial run —, comm protocol, chaos twin and
+//!    dissipation) against each of its one-axis resets and serial V5,
+//!    asserting the verdict [`oracle::expect`] derives from each pair:
+//!    bitwise equality where the design guarantees it and
 //!    truncation-level agreement where it doesn't; plus committed golden
 //!    snapshots ([`snapshot`]) that future PRs regress against.
 //!

@@ -1,27 +1,24 @@
 //! The cross-version / cross-P / cross-driver differential oracle.
 //!
 //! One fixed configuration (66 x 24 grid, excited jet, 6 steps — even, so
-//! runs end on a completed `L1`/`L2` alternation) is run as a list of
-//! `(run, baseline)` pairs, every run — the serial one is the 1×1 plan —
-//! through `ns_runtime::run`:
+//! runs end on a completed `L1`/`L2` alternation) is run as one generated
+//! list of `(run, baseline)` pairs, [`plan_space`]: every plan `validate`
+//! admits, each against its [`Run::resets`], every run — the serial one
+//! is the 1×1 plan — through `ns_runtime::run`. The resets are
 //!
-//! * every kernel `Version` rung against V5, serially;
-//! * each rung on P axial ranks and the V5 rung on 2-D pencils, against
-//!   serial;
-//! * the same plans with `reliability` armed on a fault-free plan (the
-//!   recovery machinery must be a perfect no-op when nothing fails);
-//! * the comm-protocol versions V5/V6/V7, under the V5 kernels and under
-//!   V7's, whose sweeps carry the update;
-//! * damped Euler (artificial dissipation [`DAMPED`]) on slabs, a pencil
-//!   and under recovery, against the damped serial run.
+//! * the one-axis resets: kernel → V5, rank grid → 1×1, comm → V5,
+//!   chaos → off (the recovery machinery armed on a fault-free plan must
+//!   be a perfect no-op);
+//! * the all-axes reset: the serial V5 run at the same dissipation.
 //!
 //! A pair does not say what it must hold: [`expect`] derives the verdict
 //! from the two plans, and it is the only code that chooses one. Bitwise
 //! identity is the design wherever no arithmetic is re-ordered (V5<->V6<->V7,
-//! plus identical FLOP ledgers; Euler on any rank grid; chaos; comm
-//! protocols); a documented tolerance covers V1-V4 (different operation
-//! orderings round differently) and Navier-Stokes split axially (the
-//! viscous cross-derivative stencils at internal patch edges).
+//! plus identical FLOP ledgers on the same rank grid; Euler on any rank
+//! grid; chaos; comm protocols); a documented tolerance covers V1-V4
+//! (different operation orderings round differently) and Navier-Stokes
+//! split axially (the viscous cross-derivative stencils at internal patch
+//! edges).
 
 use std::collections::BTreeMap;
 
@@ -128,9 +125,28 @@ pub struct Run {
 
 impl Run {
     /// The serial run: the 1×1 plan over comm V5.
-    pub fn serial(regime: Regime, version: Version) -> Self {
+    fn serial(regime: Regime, version: Version) -> Self {
         let topology = CartTopology::axial(1);
         Self { regime, version, topology, comm: CommVersion::V5, chaos: false, dissipation: 0.0 }
+    }
+
+    /// The runs this one is checked against: its one-axis resets and its
+    /// all-axes reset (see the module doc), itself and duplicates dropped.
+    pub fn resets(&self) -> Vec<Run> {
+        let serial = Run { dissipation: self.dissipation, ..Run::serial(self.regime, Version::V5) };
+        let mut resets: Vec<_> = [
+            Run { version: serial.version, ..*self },
+            Run { topology: serial.topology, ..*self },
+            Run { comm: serial.comm, ..*self },
+            Run { chaos: false, ..*self },
+            serial,
+        ]
+        .into_iter()
+        .filter(|reset| reset != self)
+        .collect();
+        // one axis off the serial run, that axis's reset is the serial run
+        resets.dedup();
+        resets
     }
 
     /// Cell key, e.g. `"euler/V6/serial"`, `"euler/V7/parallel/p4/commV6"`,
@@ -166,7 +182,7 @@ impl Run {
 pub struct OracleConfig {
     /// Grid (identical for every cell; golden snapshots pin it).
     pub grid: Grid,
-    /// Steps per run (even, fixed across quick/full so goldens match).
+    /// Steps per run (even, so runs end on a completed `L1`/`L2` alternation).
     pub steps: u64,
     /// `(run, baseline)` pairs, one cell each; runs are keyed by
     /// [`Run::key`], so a run shared by several pairs is executed once.
@@ -176,53 +192,37 @@ pub struct OracleConfig {
 }
 
 impl OracleConfig {
-    /// The standard matrix. `quick` trims to the corners that catch nearly
-    /// everything (V5/V6/V7 on P in {1,4} and the 1x4, 2x2 pencils, comm V6)
-    /// for the CI gate; the full matrix is V1-V7 x {P x 1 for P in
-    /// {1,2,4,8,16}, 1x4, 2x2, 4x2} x all drivers. Both carry the three
-    /// damped Euler cells.
-    pub fn standard(quick: bool) -> Self {
-        use CommVersion as C;
-        type Axes = (&'static [Version], &'static [usize], &'static [(usize, usize)], &'static [CommVersion]);
-        let (versions, procs, pencils, comms): Axes = if quick {
-            (&[Version::V5, Version::V6, Version::V7], &[1, 4], &[(1, 4), (2, 2)], &[C::V6])
-        } else {
-            (&Version::ALL, &[1, 2, 4, 8, 16], &[(1, 4), (2, 2), (4, 2)], &[C::V6, C::V7])
-        };
-        let mut pairs = Vec::new();
-        for regime in [Regime::Euler, Regime::NavierStokes] {
-            let serial = |v| Run::serial(regime, v);
-            for &v in versions.iter().filter(|&&v| v != Version::V5) {
-                pairs.push((serial(v), serial(Version::V5)));
-            }
-            // every rung on every slab and pencil; on one rank the plan is
-            // the serial run itself, so only its chaos twin is a cell
-            let slabs = procs.iter().map(|&p| (p, 1));
-            for &v in versions {
-                for (px, pr) in slabs.clone().chain(pencils.iter().copied()) {
-                    let split = Run { topology: CartTopology::new(px, pr).expect("rank grid"), ..serial(v) };
-                    if px * pr > 1 {
-                        pairs.push((split, serial(v)));
-                    }
-                    pairs.push((Run { chaos: true, ..split }, split));
-                }
-            }
-            // V7's sweeps update the stations whose flux stencil they emit
-            // and defer the rest until the halo has landed, so V7 kernels
-            // run under both split-phase protocols in every matrix
-            for (kernel, comms) in [(Version::V5, comms), (Version::V7, &[C::V6, C::V7][..])] {
-                let base = Run { topology: CartTopology::axial(4), ..serial(kernel) };
-                pairs.extend(comms.iter().map(|&comm| (Run { comm, ..base }, base)));
-            }
-        }
-        // the smoothing halo: damped Euler on slabs, a pencil and under
-        // recovery, each bitwise its damped baseline
-        let damped = Run { dissipation: DAMPED, ..Run::serial(Regime::Euler, Version::V5) };
-        let p4 = Run { topology: CartTopology::axial(4), ..damped };
-        let pencil = Run { topology: CartTopology::new(2, 2).expect("pencil shape"), ..damped };
-        pairs.extend([(p4, damped), (pencil, damped), (Run { chaos: true, ..p4 }, p4)]);
-        Self { grid: Grid::new(66, 24, 50.0, 5.0), steps: 6, pairs, perturb: None }
+    /// The oracle: [`plan_space`] on the 66 x 24 grid, 6 steps.
+    pub fn standard() -> Self {
+        let grid = Grid::new(66, 24, 50.0, 5.0);
+        Self { pairs: plan_space(&grid), grid, steps: 6, perturb: None }
     }
+}
+
+/// Every plan `validate` admits on `grid`, each paired with every one of
+/// its [`Run::resets`]: both regimes, every kernel version, every `px × pr`
+/// rank grid with `px <= 16` and `pr <= 4`, every comm protocol, chaos on
+/// and off, each undamped and damped ([`DAMPED`]). The space is small
+/// enough to enumerate, so it is enumerated rather than sampled.
+pub fn plan_space(grid: &Grid) -> Vec<(Run, Run)> {
+    let topologies: Vec<_> = (1..=16)
+        .flat_map(|px| (1..=4).map(move |pr| CartTopology::new(px, pr).expect("rank grid")))
+        .filter(|t| t.validate(grid).is_ok())
+        .collect();
+    [Regime::Euler, Regime::NavierStokes]
+        .into_iter()
+        .flat_map(|regime| [0.0, DAMPED].map(|dissipation| Run { dissipation, ..Run::serial(regime, Version::V5) }))
+        .flat_map(|run| Version::ALL.map(|version| Run { version, ..run }))
+        .flat_map(|run| topologies.iter().map(move |&topology| Run { topology, ..run }))
+        .flat_map(|run| CommVersion::ALL.map(|comm| Run { comm, ..run }))
+        .flat_map(|run| [false, true].map(|chaos| Run { chaos, ..run }))
+        // the smoothing runs after the step and swaps the grouped packet
+        // under every protocol: V5 and V7 under comm V5 cover its paths
+        .filter(|run| {
+            run.dissipation == 0.0 || (matches!(run.version, Version::V5 | Version::V7) && run.comm == CommVersion::V5)
+        })
+        .flat_map(|run| run.resets().into_iter().map(move |base| (run, base)))
+        .collect()
 }
 
 /// One comparison in the matrix.
@@ -304,9 +304,8 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
             .unwrap_or_else(|| panic!("{}: no contract relates it to {}", run.key(), base.key()));
         let ((field, ledgers), (base_field, base_ledgers)) = (&runs[&run.key()], &runs[&base.key()]);
         let mut cell = compare(&run.key(), &base.key(), field, base_field, expect);
-        // the fused and SoA rungs must also account identical FLOPs
-        let same_grid_other_rung = run.version != base.version && run.topology == base.topology;
-        if expect.is_bitwise() && same_grid_other_rung && ledgers != base_ledgers {
+        // a bitwise twin on the same rank grid must also account identical FLOPs
+        if expect.is_bitwise() && run.topology == base.topology && ledgers != base_ledgers {
             cell.pass = false;
             cell.expected = "bitwise+ledger".to_string();
         }
@@ -382,13 +381,74 @@ mod tests {
     }
 
     #[test]
-    fn standard_matrices_key_every_run_once() {
-        for (quick, cells) in [(true, 55), (false, 233)] {
-            let oc = OracleConfig::standard(quick);
-            assert_eq!(oc.pairs.len(), cells);
-            let keys: std::collections::BTreeSet<_> = oc.pairs.iter().map(|(run, _)| run.key()).collect();
-            assert_eq!(keys.len(), cells, "one cell per run");
-            assert!(oc.pairs.iter().all(|(run, base)| run != base), "no run is its own baseline");
+    fn resets_reset_one_axis_each_then_all() {
+        let keys = |run: Run| run.resets().iter().map(Run::key).collect::<Vec<_>>();
+        assert!(keys(Run::serial(Regime::Euler, Version::V5)).is_empty(), "the serial V5 run is every reset");
+        assert_eq!(keys(Run::serial(Regime::Euler, Version::V3)), ["euler/V5/serial"], "one axis: one reset");
+        let pencil = CartTopology::new(2, 2).unwrap();
+        let twin = Run {
+            topology: pencil,
+            comm: CommVersion::V6,
+            chaos: true,
+            ..Run::serial(Regime::NavierStokes, Version::V7)
+        };
+        assert_eq!(
+            keys(twin),
+            [
+                "navier-stokes/V5/chaos-pencil/2x2/commV6",
+                "navier-stokes/V7/chaos/p1/commV6",
+                "navier-stokes/V7/chaos-pencil/2x2",
+                "navier-stokes/V7/pencil/2x2/commV6",
+                "navier-stokes/V5/serial",
+            ]
+        );
+        let damped =
+            Run { topology: CartTopology::axial(4), dissipation: DAMPED, ..Run::serial(Regime::Euler, Version::V7) };
+        assert_eq!(
+            keys(damped),
+            ["euler/V5/parallel/p4/eps0.002", "euler/V7/serial/eps0.002", "euler/V5/serial/eps0.002"]
+        );
+    }
+
+    #[test]
+    fn plan_space_pairs_every_plan_with_its_resets() {
+        let oc = OracleConfig::standard();
+        assert_eq!(oc.pairs.len(), 22_798);
+        let mut baselines: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for (run, base) in &oc.pairs {
+            assert_ne!(run, base, "no run is its own baseline");
+            let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
+            let verdict = expect(&run.plan(&cfg, oc.steps), &base.plan(&base_cfg, oc.steps));
+            assert!(verdict.is_some(), "{} vs {}: no contract", run.key(), base.key());
+            baselines.entry(base.key()).or_default();
+            baselines.entry(run.key()).or_default().push(base.key());
         }
+        assert_eq!(baselines.len(), 5_888, "2 x (7*64*3*2) undamped and 2 x (2*64*2) damped runs");
+        // every run is paired with each of its resets, once, and with
+        // nothing else: the list holds every pair the hand-kept matrices
+        // and the tier-1 enumeration held
+        for (run, _) in &oc.pairs {
+            let mut got = baselines[&run.key()].clone();
+            let mut want: Vec<_> = run.resets().iter().map(Run::key).collect();
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "{}", run.key());
+        }
+        // V1-V4 on any Euler rank grid are bitwise their own serial run,
+        // and the V6/V7 pencils their V5 twins
+        let verdict = |key: &str, base: &str| {
+            let (run, base) = oc.pairs.iter().find(|(r, b)| r.key() == key && b.key() == base).expect("pair");
+            let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
+            expect(&run.plan(&cfg, oc.steps), &base.plan(&base_cfg, oc.steps))
+        };
+        assert_eq!(verdict("euler/V3/pencil/4x2", "euler/V3/serial"), Some(Expect::Bitwise));
+        assert_eq!(
+            verdict("navier-stokes/V7/chaos-pencil/2x2/commV6", "navier-stokes/V5/chaos-pencil/2x2/commV6"),
+            Some(Expect::Bitwise)
+        );
+        assert_eq!(
+            verdict("navier-stokes/V3/pencil/4x2", "navier-stokes/V5/serial"),
+            Some(Expect::Rel(TOL_VERSION + TOL_NS_PARALLEL))
+        );
     }
 }

@@ -11,9 +11,9 @@ use crate::snapshot::GoldenDiff;
 /// What to run.
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyConfig {
-    /// Quick mode: the CI-gate subset (one MMS ladder, two conservation
-    /// cases, the V5/V6/V7 x {1,4} oracle corner). Full mode is the issue's
-    /// exhaustive matrix.
+    /// Quick mode: one MMS ladder and two conservation cases instead of
+    /// every ladder and case. The oracle runs its one plan list
+    /// ([`OracleConfig::standard`]) in both modes.
     pub quick: bool,
 }
 
@@ -109,6 +109,6 @@ impl VerifyReport {
 pub fn run(cfg: &VerifyConfig) -> VerifyReport {
     let mms = mms::run_sweeps(cfg.quick);
     let conservation = conservation::run_cases(cfg.quick);
-    let oracle = oracle::run_matrix(&OracleConfig::standard(cfg.quick));
+    let oracle = oracle::run_matrix(&OracleConfig::standard());
     VerifyReport { quick: cfg.quick, mms, conservation, oracle, golden: None }
 }

@@ -1,76 +1,77 @@
 //! The ns-verify differential oracle as a tier-1 test, plus its
 //! negative paths.
 //!
-//! The quick matrix here *is* the promoted form of the former ad-hoc
-//! equivalence tests (serial vs parallel vs chaos, V5 vs V6, comm-protocol
-//! neutrality) that used to live scattered across `crates/core` and
-//! `tests/parallel_consistency.rs`. The negative-path tests prove the
-//! instruments can fail: an oracle that stays green under a deliberate
-//! perturbation verifies nothing.
+//! The oracle's one plan list (`oracle::plan_space`) *is* the promoted form
+//! of the former ad-hoc equivalence tests (serial vs parallel vs chaos, V5
+//! vs V6, comm-protocol neutrality) that used to live scattered across
+//! `crates/core` and `tests/parallel_consistency.rs`. The negative-path
+//! tests prove the instruments can fail: an oracle that stays green under a
+//! deliberate perturbation verifies nothing.
 
-use ns_core::config::Version;
 use ns_core::config::{Regime, SchemeOrder, SolverConfig};
 use ns_core::diag::ConservationLedger;
 use ns_core::driver::Solver;
 use ns_core::mms;
 use ns_numerics::Grid;
-use ns_runtime::{CartTopology, CommVersion};
-use ns_verify::oracle::{self, OracleConfig, Perturb, Run};
+use ns_runtime::CartTopology;
+use ns_verify::oracle::{self, OracleConfig, Perturb};
 use ns_verify::snapshot::{GoldenFile, SCHEMA};
 
-#[test]
-fn quick_matrix_is_green_and_golden_self_diff_passes() {
-    let report = oracle::run_matrix(&OracleConfig::standard(true));
-    let failing: Vec<_> = report.cells.iter().filter(|c| !c.pass).map(|c| c.key.clone()).collect();
-    assert!(failing.is_empty(), "oracle cells failed: {failing:?}");
-    // quick matrix shape: per regime, {V6,V7}-vs-V5 serial (2) +
-    // {V5,V6,V7} x {p4 parallel, p1 chaos, p4 chaos} (9; the p1 plan is
-    // the serial run itself) + {V5,V6,V7} x {1x4,2x2} x {pencil,
-    // chaos-pencil} (12) + V5 kernels under comm V6 (1) + V7 kernels under
-    // comm V6 and V7 (2); plus damped Euler p4, 2x2 pencil and p4 chaos
-    // twin (3)
-    assert_eq!(report.cells.len(), 55);
-    for key in ["euler/V7/parallel/p4/commV6", "navier-stokes/V7/parallel/p4/commV7"] {
-        let cell = report.cells.iter().find(|c| c.key == key).unwrap_or_else(|| panic!("no cell {key}"));
-        assert_eq!((cell.expected.as_str(), cell.baseline.as_str()), ("bitwise", &key[..key.rfind('/').unwrap()]));
-    }
-    assert_eq!(report.snapshots.len(), 2, "one serial V5 reference per regime");
+/// The pairs of the one list whose run and baseline both lie on 1×1, 4×1
+/// or 2×2, one ulp flipped in the run `key`: the `(run, baseline)` keys of
+/// the cells that fail.
+fn failing_on_the_corner(key: &str, component: usize, i: usize, j: usize) -> Vec<(String, String)> {
+    let mut oc = OracleConfig::standard();
+    let corner = |t: CartTopology| [(1, 1), (4, 1), (2, 2)].contains(&(t.px, t.pr));
+    oc.pairs.retain(|(run, base)| corner(run.topology) && corner(base.topology));
+    assert_eq!(oc.pairs.len(), 960);
+    oc.perturb = Some(Perturb { key: key.into(), component, i, j });
+    let report = oracle::run_matrix(&oc);
+    let mut failing: Vec<_> =
+        report.cells.iter().filter(|c| !c.pass).map(|c| (c.key.clone(), c.baseline.clone())).collect();
+    failing.sort();
+    failing
+}
 
-    // the snapshots round-trip into a golden file that diffs clean against
-    // itself, and a tampered hash is caught
-    let golden =
-        GoldenFile { schema: SCHEMA, grid: report.grid, steps: report.steps, entries: report.snapshots.clone() };
-    assert!(golden.diff(&golden).pass);
-    let mut tampered = golden.clone();
-    tampered.entries.get_mut("euler/serial/V5").unwrap().hash = "0000000000000000".into();
-    assert!(!golden.diff(&tampered).pass);
+fn pairs(cells: &[(&str, &str)]) -> Vec<(String, String)> {
+    let mut pairs: Vec<_> = cells.iter().map(|&(run, base)| (run.to_string(), base.to_string())).collect();
+    pairs.sort();
+    pairs
 }
 
 #[test]
 fn oracle_catches_single_ulp_serial_perturbation() {
-    let mut oc = OracleConfig::standard(true);
-    oc.perturb = Some(Perturb { key: "euler/V6/serial".into(), component: 2, i: 20, j: 7 });
-    let report = oracle::run_matrix(&oc);
-    assert!(!report.pass(), "a single-ulp flip must break a bitwise cell");
-    let failing: Vec<_> = report.cells.iter().filter(|c| !c.pass).map(|c| c.key.as_str()).collect();
-    assert!(failing.contains(&"euler/V6/serial"), "failing cells: {failing:?}");
-    // the perturbed serial field is also the baseline for V6's distributed
-    // cells — every failure must trace back to it, nothing else
-    assert!(failing.iter().all(|k| k.starts_with("euler/V6/")), "unrelated cells failed: {failing:?}");
+    // the perturbed run fails against serial V5, and every run whose
+    // baseline it is fails too (V6's distributed, chaos and comm twins);
+    // nothing else does
+    assert_eq!(
+        failing_on_the_corner("euler/V6/serial", 2, 20, 7),
+        pairs(&[
+            ("euler/V6/serial", "euler/V5/serial"),
+            ("euler/V6/chaos/p1", "euler/V6/serial"),
+            ("euler/V6/serial/commV6", "euler/V6/serial"),
+            ("euler/V6/serial/commV7", "euler/V6/serial"),
+            ("euler/V6/pencil/2x2", "euler/V6/serial"),
+            ("euler/V6/parallel/p4", "euler/V6/serial"),
+        ])
+    );
 }
 
 #[test]
 fn oracle_catches_single_ulp_parallel_perturbation() {
-    let mut oc = OracleConfig::standard(true);
-    oc.perturb = Some(Perturb { key: "euler/V5/parallel/p4".into(), component: 0, i: 33, j: 11 });
-    let report = oracle::run_matrix(&oc);
-    let failing: Vec<_> = report.cells.iter().filter(|c| !c.pass).map(|c| c.key.as_str()).collect();
-    // the perturbed run fails against serial, and the chaos and comm-V6
-    // runs (compared against it) fail too
+    // the perturbed run fails against serial, and its chaos and comm twins
+    // and the V6/V7 runs on its grid (compared against it) fail too; the
+    // V1-V4 runs on its grid hold it only to a tolerance, so they pass
     assert_eq!(
-        failing,
-        vec!["euler/V5/parallel/p4", "euler/V5/chaos/p4", "euler/V5/parallel/p4/commV6"],
-        "failing: {failing:?}"
+        failing_on_the_corner("euler/V5/parallel/p4", 0, 33, 11),
+        pairs(&[
+            ("euler/V5/parallel/p4", "euler/V5/serial"),
+            ("euler/V5/chaos/p4", "euler/V5/parallel/p4"),
+            ("euler/V5/parallel/p4/commV6", "euler/V5/parallel/p4"),
+            ("euler/V5/parallel/p4/commV7", "euler/V5/parallel/p4"),
+            ("euler/V6/parallel/p4", "euler/V5/parallel/p4"),
+            ("euler/V7/parallel/p4", "euler/V5/parallel/p4"),
+        ])
     );
 }
 
@@ -131,59 +132,39 @@ fn mms_norms_detect_a_perturbed_solution() {
 }
 
 /// Every plan `validate` admits on the oracle grid meets the contract
-/// `oracle::expect` states against its baseline: both regimes, every kernel
-/// version, every `px × pr` partition with `px <= 16` and `pr <= 4`, every
-/// comm protocol, and each plan's fault-free chaos twin. The damped plans
-/// (ε = `oracle::DAMPED`) run every admitted shape at kernels V5 and V7
-/// under comm V5, with and without the twin: the smoothing runs after the
-/// step and swaps the grouped packet under every protocol, so other rungs
-/// and protocols add no path. A V1–V5 plan is compared with the serial V5
-/// run (damped or not); a V6/V7 plan with its V5 twin — the same rank grid,
-/// comm, chaos and ε — which `expect` holds bitwise and `run_matrix` holds
+/// `oracle::expect` states against each of its resets: the one generated
+/// list, `oracle::plan_space`, that `jetns verify` and CI's gate run too.
+/// A V6/V7 plan against its V5 twin is held bitwise and, by `run_matrix`,
 /// to the same per-rank FLOP ledgers, so a wrong ghost row on a pencil
-/// cannot hide inside `TOL_NS_PARALLEL`; the twin's own cell carries the
-/// serial contract. The space is small enough to enumerate, so it is
-/// enumerated rather than sampled; each run executes once.
+/// cannot hide inside `TOL_NS_PARALLEL`; each run executes once. The
+/// serial V5 snapshots round-trip into a golden file.
 #[test]
 fn every_admitted_plan_meets_its_contract() {
-    let oc = OracleConfig::standard(true);
-    let shapes = || (1..=16).flat_map(|px| (1..=4).map(move |pr| CartTopology::new(px, pr).unwrap()));
-    let mut pairs = Vec::new();
-    for regime in [Regime::Euler, Regime::NavierStokes] {
-        for dissipation in [0.0, oracle::DAMPED] {
-            let serial = Run { dissipation, ..Run::serial(regime, Version::V5) };
-            let (versions, comms): (&[Version], &[CommVersion]) = if dissipation == 0.0 {
-                (&Version::ALL, &CommVersion::ALL)
-            } else {
-                (&[Version::V5, Version::V7], &[CommVersion::V5])
-            };
-            for &version in versions {
-                for topology in shapes().filter(|t| t.validate(&oc.grid).is_ok()) {
-                    for &comm in comms {
-                        for chaos in [false, true] {
-                            let run = Run { version, topology, comm, chaos, ..serial };
-                            let base =
-                                if version >= Version::V6 { Run { version: Version::V5, ..run } } else { serial };
-                            if run != serial {
-                                pairs.push((run, base));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(
-        pairs.len(),
-        5884,
-        "2 x (7*64*3*2 - 1) undamped and 2 x (2*64*2 - 1) damped plans, less the serial runs"
-    );
-    let report = oracle::run_matrix(&OracleConfig { pairs, ..oc });
+    let report = oracle::run_matrix(&OracleConfig::standard());
     let failing: Vec<_> = report
         .cells
         .iter()
         .filter(|c| !c.pass)
-        .map(|c| format!("{}: expected {}, max abs diff {:e}", c.key, c.expected, c.max_abs_diff))
+        .map(|c| format!("{} vs {}: expected {}, max abs diff {:e}", c.key, c.baseline, c.expected, c.max_abs_diff))
         .collect();
-    assert!(failing.is_empty(), "{} of {} plans broke their contract: {failing:#?}", failing.len(), report.cells.len());
+    assert!(failing.is_empty(), "{} of {} cells broke their contract: {failing:#?}", failing.len(), report.cells.len());
+    assert_eq!(report.cells.len(), 22_798);
+    // V7's sweeps update the stations whose flux stencil they emit and
+    // defer the rest until the halo has landed: bitwise under both
+    // split-phase protocols
+    for key in ["euler/V7/parallel/p4/commV6", "navier-stokes/V7/parallel/p4/commV7"] {
+        let base = &key[..key.rfind('/').unwrap()];
+        let cell = report.cells.iter().find(|c| c.key == key && c.baseline == base);
+        assert_eq!(cell.map(|c| c.expected.as_str()), Some("bitwise"), "{key} vs {base}");
+    }
+    assert_eq!(report.snapshots.len(), 2, "one serial V5 reference per regime");
+
+    // the snapshots round-trip into a golden file that diffs clean against
+    // itself, and a tampered hash is caught
+    let golden =
+        GoldenFile { schema: SCHEMA, grid: report.grid, steps: report.steps, entries: report.snapshots.clone() };
+    assert!(golden.diff(&golden).pass);
+    let mut tampered = golden.clone();
+    tampered.entries.get_mut("euler/serial/V5").unwrap().hash = "0000000000000000".into();
+    assert!(!golden.diff(&tampered).pass);
 }
