@@ -5,7 +5,7 @@
 //! By default the recorder is a bounded ring (old events fall off the
 //! back, with a drop counter so the dump says how much history was lost)
 //! and nothing is written anywhere until something goes wrong: a rank
-//! crash, a rollback, a watchdog abort or a serve-job cancellation freezes
+//! crash, a rollback, a watchdog abort or a serve daemon's drain freezes
 //! the ring into a [`FlightDump`], which the CLI writes as
 //! `FLIGHT_<rank>.json`. The dump is the black box that makes a chaos
 //! failure diagnosable after the fact: the event sequence reconstructs
@@ -165,7 +165,7 @@ pub struct FlightDump {
     /// Rank the recorder belonged to.
     pub rank: usize,
     /// Why the dump was taken (`"rank-crash"`, `"rollback"`,
-    /// `"watchdog-abort"`, `"cancelled"`, `"drain"`, `"unclean-restart"`).
+    /// `"watchdog-abort"`, `"drain"`, `"unclean-restart"`).
     pub reason: String,
     /// Events that fell off the back of the ring before the dump.
     pub dropped: u64,

@@ -20,8 +20,8 @@
 //!   Chrome `trace_event` exporters;
 //! * [`flight`] — the one per-rank [`Recorder`] those events go into: a
 //!   bounded ring dumped to `FLIGHT_<rank>.json` when a rank crashes, a
-//!   rollback fires, a watchdog aborts, or a serve job is cancelled, and
-//!   the whole run's timeline when tracing is on.
+//!   rollback fires, a watchdog aborts, or a serve daemon drains or
+//!   restarts uncleanly, and the whole run's timeline when tracing is on.
 //!
 //! The crate sits at the very bottom of the dependency graph (serde only):
 //! `ns-telemetry`, `ns-runtime`, `ns-core` and `ns-serve` all speak these

@@ -25,7 +25,7 @@ pub enum EventKind {
     /// discard.
     Fault,
     /// A lifecycle note with no duration: a step beginning, a rank crash, a
-    /// cancellation or watchdog abort, a serve job admitted, completed,
+    /// watchdog abort, a serve job admitted, completed,
     /// failed or served durably, a daemon drain or unclean restart. The
     /// label starts with the note's name (`step`, `crash`, `admit: …`).
     Mark,

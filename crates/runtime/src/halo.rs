@@ -205,7 +205,7 @@ impl<'a> ThreadHalo<'a> {
     /// records it (see [`ThreadHalo::failure`]) and hands back the local
     /// `x`, as a failed halo does for every further exchange. The adaptive
     /// time step and the driver's between-step collectives (health abort,
-    /// cancellation, checkpoint barrier) all reduce here.
+    /// checkpoint barrier) all reduce here.
     pub fn allreduce_max(&mut self, x: f64, epoch: u64, ctx: &'static str) -> f64 {
         if self.failure.is_some() {
             return x;

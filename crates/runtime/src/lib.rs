@@ -19,7 +19,7 @@
 //! * [`topology`] — the Cartesian `px × pr` pencil rank grid with typed
 //!   decomposition-plan validation;
 //! * [`parallel`] — the one rank-per-thread driver: a [`RunPlan`]
-//!   (topology, protocol, telemetry, cancellation, reliability, resume) goes
+//!   (topology, protocol, telemetry, reliability, resume) goes
 //!   into [`run`], which reports the paper's busy/non-overlapped time
 //!   breakdown; `run_parallel`, `run_parallel_cart` and
 //!   `run_parallel_instrumented` are one-line plans over it;
@@ -46,8 +46,7 @@ pub use comm::{CommStats, Endpoint, ReliableConfig};
 pub use fault::{CrashSpec, FaultInjector, FaultPlan, FaultStats};
 pub use halo::{CommVersion, ThreadHalo};
 pub use parallel::{
-    run, run_parallel, run_parallel_cart, run_parallel_instrumented, CancelToken, ParallelRun, RankResult, RunPlan,
-    TelemetryOptions,
+    run, run_parallel, run_parallel_cart, run_parallel_instrumented, ParallelRun, RankResult, RunPlan, TelemetryOptions,
 };
 pub use recover::{ChaosOptions, RecoveryReport};
 pub use topology::{CartNeighbors, CartTopology, DecompositionError};

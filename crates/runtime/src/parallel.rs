@@ -25,37 +25,7 @@ use ns_telemetry::{
     CommTotals, Event, HealthConfig, HealthMonitor, HealthSample, PhaseLedger, RunSummary, RUN_SUMMARY_SCHEMA,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cooperative cancellation handle for an in-flight parallel run. Cloning
-/// shares the flag; [`CancelToken::cancel`] asks every rank to stop at the
-/// next step boundary. The stop is *collective*: each step the ranks
-/// max-reduce their local view of the flag (under its own epoch namespace),
-/// so they always break out of the step loop together — an in-flight rank
-/// team is wound down, never abandoned mid-exchange.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-fired token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request the run stop at the next step boundary.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Has cancellation been requested?
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
 
 /// Which telemetry instruments to arm for a parallel run. Everything is off
 /// by default; the uninstrumented paths pay one branch per hook.
@@ -86,9 +56,6 @@ pub struct RunPlan<'a> {
     pub comm: CommVersion,
     /// Instruments to arm.
     pub telemetry: TelemetryOptions,
-    /// When armed, every step starts with a max-reduction of the token's
-    /// flag, so all ranks stop together at the same step boundary.
-    pub cancel: Option<CancelToken>,
     /// `None`: plain channels, a comm error is fatal. `Some`: framed,
     /// self-healing channels under this fault plan, with coordinated
     /// checkpoints and rollback ([`crate::recover`]).
@@ -103,7 +70,7 @@ impl<'a> RunPlan<'a> {
     /// rest with struct-update syntax.
     pub fn new(cfg: &'a SolverConfig, topology: CartTopology, nsteps: u64, comm: CommVersion) -> Self {
         let telemetry = TelemetryOptions::default();
-        Self { cfg, topology, nsteps, comm, telemetry, cancel: None, reliability: None, resume: None }
+        Self { cfg, topology, nsteps, comm, telemetry, reliability: None, resume: None }
     }
 
     /// The global step the run starts at.
@@ -118,10 +85,6 @@ const HEALTH_EPOCH: u64 = 1 << 62;
 
 /// Epoch namespace for the coordinated-checkpoint barriers.
 const CHECKPOINT_EPOCH: u64 = 1 << 61;
-
-/// Epoch namespace for the cancellation reduction, disjoint from the
-/// adaptive-dt (raw step), health and checkpoint namespaces.
-const CANCEL_EPOCH: u64 = 3 << 60;
 
 /// Result of one rank's run.
 #[derive(Debug)]
@@ -158,7 +121,7 @@ pub struct RankResult {
     /// Why this rank stopped early, if it did.
     pub abort: Option<String>,
     /// Flight-recorder dump, taken only when this rank stopped early (a
-    /// watchdog abort or cancellation freezes the ring as the black box).
+    /// watchdog abort freezes the ring as the black box).
     pub flight: Option<FlightDump>,
 }
 
@@ -392,7 +355,7 @@ pub fn run_parallel_instrumented(
 /// phase ledgers and trace events (one shared origin; spans carry the
 /// generation) accumulate, and health samples at or past the restart step
 /// are dropped on rollback, so each sampled step appears once. A health
-/// abort or a cancellation ends the run; only a comm failure rolls it back.
+/// abort ends the run; only a comm failure rolls it back.
 ///
 /// A plan the decomposition cannot carry (too fine) is a typed error; a
 /// wrong one (a `resume` checkpoint that is not this grid's whole field)
@@ -499,7 +462,7 @@ pub(crate) struct Attempt {
     pub(crate) captured: u64,
     pub(crate) crashed: bool,
     pub(crate) failure: Option<CommError>,
-    /// Why the rank stopped early of its own accord (watchdog, cancel).
+    /// Why the rank stopped early of its own accord (the watchdog).
     abort: Option<String>,
     pub(crate) faults: Option<FaultStats>,
     /// The frozen flight ring of a rank that did not finish.
@@ -522,16 +485,6 @@ fn health_check(solver: &Solver, halo: &mut ThreadHalo<'_>, mon: &mut Option<Hea
         mon.abort = Some(format!("stopped by peer rank abort at step {}", solver.nstep));
     }
     global == 0.0
-}
-
-/// One collective cancellation check at a step boundary. Same collective
-/// shape as [`health_check`]: a max-reduction of the local flag decides for
-/// every rank at once, so a token fired between two ranks' checks can never
-/// split the team. Returns the abort reason once cancellation is global.
-fn cancel_check(solver: &Solver, halo: &mut ThreadHalo<'_>, tok: &CancelToken) -> Option<String> {
-    let flag = if tok.is_cancelled() { 1.0 } else { 0.0 };
-    let global = halo.allreduce_max(flag, CANCEL_EPOCH + solver.nstep, "cancellation reduction");
-    (global > 0.0).then(|| format!("cancelled at step {}", solver.nstep))
 }
 
 /// Scatter a whole-grid checkpoint into a rank's pencil; the clock and step
@@ -579,7 +532,6 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     let mut cps: Vec<Checkpoint> = Vec::new();
     let mut captured = 0;
     let mut crashed = false;
-    let mut cancelled: Option<String> = None;
     let t0 = Instant::now();
     let failure = {
         let mut halo = ThreadHalo::new_cart(&mut ep, topo.neighbors(rank), nxl, nr, comm);
@@ -589,12 +541,6 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         }
         let mut healthy = health_check(&solver, &mut halo, &mut carry.mon);
         while healthy && solver.nstep < last && halo.failure().is_none() {
-            if let Some(tok) = plan.cancel.as_ref() {
-                cancelled = cancel_check(&solver, &mut halo, tok);
-                if cancelled.is_some() {
-                    break;
-                }
-            }
             if let Some(rec) = rec {
                 if solver.nstep.is_multiple_of(rec.opts.checkpoint_every) {
                     // coordinated: agree the universe is intact, then
@@ -645,8 +591,7 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         phases.add("comm:send", ep.send_time.as_secs_f64());
     }
     carry.phases.merge(&phases);
-    let was_cancelled = cancelled.is_some();
-    let abort = carry.mon.as_ref().and_then(|m| m.abort.clone()).or(cancelled);
+    let abort = carry.mon.as_ref().and_then(|m| m.abort.clone());
     // a rank that did not finish freezes its ring as the black box: the
     // steps leading to the crash, the healing attempts before the rollback,
     // or why it stopped
@@ -656,9 +601,8 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         Some(ep.recorder.dump("rollback"))
     } else {
         abort.as_ref().map(|reason| {
-            let kind = if was_cancelled { "cancelled" } else { "watchdog-abort" };
-            ep.recorder.mark(format!("{kind}: {reason}"), None, None);
-            ep.recorder.dump(kind)
+            ep.recorder.mark(format!("watchdog-abort: {reason}"), None, None);
+            ep.recorder.dump("watchdog-abort")
         })
     };
     // the traced timeline is taken after the dump, so it ends with the
@@ -914,58 +858,6 @@ mod tests {
             assert!(run.ranks.iter().all(|r| r.abort.is_some()));
             assert_eq!(run.conservation().map(|l| l.steps), Some(0), "{topo:?}: the ledger opened and closed");
         }
-    }
-
-    /// Plain and reliable channels alike: the collective reduction stops
-    /// every rank at one step boundary, and a cancellation is an abort of
-    /// the one generation, never a rollback.
-    #[test]
-    fn cancel_token_stops_all_ranks_together() {
-        let c = cfg(Regime::Euler);
-        let fault_free = ChaosOptions { plan: crate::fault::FaultPlan::none(7), ..Default::default() };
-        for reliability in [None, Some(fault_free)] {
-            let tok = CancelToken::new();
-            let firer = tok.clone();
-            let h = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                firer.cancel();
-            });
-            // far more steps than fit in 30ms: without cancellation this
-            // would run for minutes
-            let plan = RunPlan {
-                cancel: Some(tok),
-                reliability,
-                ..RunPlan::new(&c, CartTopology::axial(3), 1_000_000, CommVersion::V5)
-            };
-            let run = run(&plan).unwrap();
-            h.join().unwrap();
-            assert!(run.steps_taken() < 1_000_000, "run must stop early");
-            let steps: Vec<u64> = run.ranks.iter().map(|r| r.steps).collect();
-            assert!(steps.windows(2).all(|w| w[0] == w[1]), "ranks diverged: {steps:?}");
-            let reason = run.aborted().expect("cancellation is an abort");
-            assert!(reason.contains("cancelled"), "got: {reason}");
-            assert!(run.ranks.iter().all(|r| r.abort.is_some()), "every rank records the stop");
-            assert_eq!(run.recovery.is_some(), plan.reliability.is_some());
-            if let Some(rec) = &run.recovery {
-                assert_eq!((rec.generations, rec.rollbacks), (1, 0), "a cancellation ends the run");
-            }
-        }
-    }
-
-    /// An armed but never-fired token must not perturb the run: same steps,
-    /// bitwise-identical field, no abort.
-    #[test]
-    fn armed_unfired_cancel_is_a_bitwise_noop() {
-        let c = cfg(Regime::Euler);
-        let plain = run_parallel(&c, 2, 4, CommVersion::V5);
-        let plan = RunPlan {
-            cancel: Some(CancelToken::new()),
-            ..RunPlan::new(&c, CartTopology::axial(2), 4, CommVersion::V5)
-        };
-        let armed = run(&plan).unwrap();
-        assert_eq!(armed.steps_taken(), 4);
-        assert!(armed.aborted().is_none());
-        assert_eq!(plain.gather_field().max_diff(&armed.gather_field()), 0.0);
     }
 
     #[test]

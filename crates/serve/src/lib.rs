@@ -1,24 +1,23 @@
-//! ns-serve: a sharded batch-run service over the solver drivers.
+//! ns-serve: a batch-run service over the solver drivers.
 //!
 //! The paper's experiments (Figures 3–6) are parameter sweeps: the same
 //! jet case run across optimization versions, communication protocols and
 //! processor counts, many cells repeated. This crate serves that workload
-//! as jobs rather than scripts:
+//! as jobs rather than scripts, through one crash-durable daemon
+//! ([`daemon::Daemon`], `ns-served`, surfaced as `jetns served`) that owns
+//! every piece below:
 //!
 //! * **Admission control** — a bounded priority queue
 //!   ([`queue::JobQueue`]). A full queue sheds a strictly lower-priority
 //!   queued job to admit higher-priority work, or rejects the newcomer
 //!   with a retry-after hint derived from observed service time. Only
-//!   *queued* jobs are ever shed; an in-flight rank team is never
-//!   abandoned — immediate shutdown uses the runtime's cooperative
-//!   [`ns_runtime::CancelToken`], a per-step collective, so every rank of
-//!   a team stops at the same step boundary.
-//! * **Sharding** — a bounded worker pool (the daemon's server) executes
-//!   jobs on the real backends: the serial [`ns_core::Solver`], the
-//!   message-passing driver [`ns_runtime::run`] (any comm protocol
-//!   version; the chaos backend is the same plan with the recovery
-//!   machinery armed), and the shared-memory
-//!   [`ns_core::shared::SharedSolver`].
+//!   *queued* jobs are ever shed; an in-flight run always finishes, so a
+//!   rank team is never abandoned mid-exchange.
+//! * **Execution** — a bounded worker pool runs jobs on the real
+//!   backends: the message-passing driver [`ns_runtime::run`] (the serial
+//!   job is its 1×1 plan; any comm protocol version; the chaos backend is
+//!   the same plan with the recovery machinery armed), and the
+//!   shared-memory [`ns_core::shared::SharedSolver`].
 //! * **Result caching** — a content-addressed, single-flight cache
 //!   ([`cache::ResultCache`]) keyed by the canonical config hash
 //!   ([`job::JobSpec::canonical_key`]). A repeated sweep cell is served
@@ -28,10 +27,6 @@
 //! * **Telemetry** — per-job queue wait, run wall and cache disposition
 //!   are folded into the ns-telemetry [`ns_telemetry::RunSummary`] as its
 //!   `serve` block.
-//!
-//! The crate also hosts the crash-durable daemon (`ns-served`, surfaced
-//! as `jetns served`):
-//!
 //! * **Durability** — every admitted job is journaled in a checksummed
 //!   write-ahead log ([`wal::Wal`], PR 3 frame machinery on disk) before
 //!   the client's admit is acknowledged, and completed results are
@@ -60,17 +55,15 @@ pub mod job;
 pub mod loadgen;
 pub mod proto;
 pub mod queue;
-pub mod server;
 pub mod spill;
 pub mod wal;
 
 pub use cache::{CacheStats, CachedRun, Claim, ResultCache};
 pub use client::Client;
-pub use daemon::{Daemon, DaemonConfig};
+pub use daemon::{Daemon, DaemonConfig, ServeStats};
 pub use job::{Backend, JobDesc, JobSpec, Priority};
 pub use loadgen::{run_loadgen, sweep_jobs, BurstReport, LoadgenOptions, LoadgenVerdict};
 pub use proto::{DaemonStatus, Request, Response};
 pub use queue::{JobQueue, PushError, Pushed, QueuedJob};
-pub use server::ServeStats;
 pub use spill::Spill;
 pub use wal::{Wal, WalRecord, WalReplay};

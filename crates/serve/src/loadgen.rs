@@ -306,7 +306,7 @@ fn run_burst(scratch_root: &Path) -> io::Result<BurstReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::golden_expectation;
+    use crate::daemon::golden_expectation;
 
     #[test]
     fn sweep_covers_three_comm_versions_three_rank_counts_with_duplicates() {

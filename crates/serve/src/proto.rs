@@ -45,8 +45,8 @@ pub enum Request {
 /// Daemon status snapshot returned by [`Request::Status`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DaemonStatus {
-    /// Server counters (submissions, completions, cache, brownout...).
-    pub stats: crate::server::ServeStats,
+    /// Daemon counters (submissions, completions, cache, brownout...).
+    pub stats: crate::daemon::ServeStats,
     /// Jobs currently queued.
     pub queue_len: u64,
     /// Admitted-but-unsettled jobs the daemon is tracking (queued or

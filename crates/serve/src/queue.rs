@@ -3,7 +3,7 @@
 //! Depth is a hard bound — admission control, not a hint. A push onto a
 //! full queue either *sheds* a strictly lower-priority queued job to make
 //! room (lowest level first; within a level the newest job goes, so older
-//! jobs keep their queue progress) or is rejected outright, and the server
+//! jobs keep their queue progress) or is rejected outright, and the daemon
 //! turns the rejection into a retry-after hint. Dispatch order is highest
 //! priority first, FIFO within a priority level.
 
@@ -27,7 +27,7 @@ pub struct QueuedJob {
 #[derive(Debug)]
 pub enum PushError {
     /// Queue at capacity and nothing queued is lower-priority than the
-    /// newcomer. The rejected job rides back so the server can derive a
+    /// newcomer. The rejected job rides back so the daemon can derive a
     /// retry-after hint from *its* shape, not from some global average.
     Full(Box<QueuedJob>),
     /// The queue has been closed for new work.
@@ -40,7 +40,7 @@ pub enum Pushed {
     /// There was room.
     Admitted,
     /// The queue was full; this lower-priority job was evicted to make
-    /// room (the server reports it as shed). Boxed: a `QueuedJob` carries a
+    /// room (the daemon settles it as shed). Boxed: a `QueuedJob` carries a
     /// whole solver config, which would dwarf the `Admitted` variant.
     Shed(Box<QueuedJob>),
 }
@@ -129,16 +129,6 @@ impl JobQueue {
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.cv.notify_all();
-    }
-
-    /// Close and empty the queue, returning everything still waiting (the
-    /// server reports them as shed on immediate shutdown).
-    pub fn drain(&self) -> Vec<QueuedJob> {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        let jobs = std::mem::take(&mut st.jobs);
-        self.cv.notify_all();
-        jobs
     }
 }
 

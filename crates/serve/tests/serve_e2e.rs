@@ -1,7 +1,7 @@
 //! End-to-end test for the serve stack: the loadgen acceptance sweep over
-//! a daemon's socket. The server-level cases (admission under a full
-//! queue, byte-identical hits, shed order, cooperative cancellation) live
-//! in `server::tests`, next to the one settle hook they drive.
+//! a daemon's socket. The serving cases (admission under a full queue,
+//! byte-identical hits, shed order, brownout, the drain fence) live in
+//! `daemon::tests`, next to the `submit`, `wait` and `settle` they drive.
 
 use ns_serve::{run_loadgen, LoadgenOptions};
 
