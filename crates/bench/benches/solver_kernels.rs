@@ -40,7 +40,7 @@ fn bench_prims(c: &mut Criterion) {
     for v in STANDALONE {
         g.bench_with_input(BenchmarkId::from_parameter(format!("{v:?}")), &v, |b, &v| {
             let mut ledger = FlopLedger::default();
-            b.iter(|| kernels::compute_prims(v, &field, &mut prim, &gas, &mut ledger));
+            b.iter(|| kernels::compute_prims(v, None, &field, &mut prim, &gas, &mut ledger));
         });
     }
     g.finish();
@@ -51,7 +51,7 @@ fn bench_flux(c: &mut Criterion) {
         let (cfg, field, mut prim, mut flux, patch) = setup(regime);
         let gas = cfg.effective_gas();
         let mut ledger = FlopLedger::default();
-        kernels::compute_prims(Version::V5, &field, &mut prim, &gas, &mut ledger);
+        kernels::compute_prims(Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         ns_core::bc::mirror_prims_axis(&mut prim);
         ns_core::bc::extrap_prims_top(&mut prim, patch.nr());
         let edges = EdgeFlags::of(&patch);
@@ -61,7 +61,7 @@ fn bench_flux(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::from_parameter(format!("{v:?}")), &v, |b, &v| {
                 let mut ledger = FlopLedger::default();
                 b.iter(|| {
-                    kernels::compute_flux(v, FluxDir::X, &prim, &patch, edges, &gas, &mut flux, None, &mut ledger)
+                    kernels::compute_flux(v, None, FluxDir::X, &prim, &patch, edges, &gas, &mut flux, None, &mut ledger)
                 });
             });
         }
@@ -138,10 +138,10 @@ fn plane_sweep(
             ledger,
         );
     } else {
-        kernels::compute_prims(v, field, prim, gas, ledger);
+        kernels::compute_prims(v, None, field, prim, gas, ledger);
         ns_core::bc::mirror_prims_axis(prim);
         ns_core::bc::extrap_prims_top(prim, patch.nr());
-        kernels::compute_flux(v, FluxDir::X, prim, patch, edges, gas, flux, None, ledger);
+        kernels::compute_flux(v, None, FluxDir::X, prim, patch, edges, gas, flux, None, ledger);
     }
 }
 

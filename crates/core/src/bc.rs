@@ -402,7 +402,7 @@ mod tests {
         let mut field = Field::from_primitives(patch.clone(), &gas, |_, _| w0);
         let mut prim = PrimField::zeros(&patch);
         let mut ledger = FlopLedger::default();
-        crate::kernels::compute_prims(crate::config::Version::V5, &field, &mut prim, &gas, &mut ledger);
+        crate::kernels::compute_prims(crate::config::Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         let before = field.clone();
         outflow_characteristic(&mut field, &prim, &gas, 1e-2, &mut ledger);
         assert!(field.max_diff(&before) < 1e-13, "uniform flow must not change");
@@ -425,7 +425,7 @@ mod tests {
         });
         let mut prim = PrimField::zeros(&patch);
         let mut ledger = FlopLedger::default();
-        crate::kernels::compute_prims(crate::config::Version::V5, &field, &mut prim, &gas, &mut ledger);
+        crate::kernels::compute_prims(crate::config::Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         let i = field.nxl() - 1;
         let rho_before = field.primitive(i, 3, &gas).rho;
         outflow_characteristic(&mut field, &prim, &gas, 1e-2, &mut ledger);

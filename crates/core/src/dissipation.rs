@@ -16,9 +16,8 @@ use crate::field::{gi, Field};
 use crate::opcount::{self, FlopLedger};
 use ns_numerics::Array2;
 
-/// Apply one explicit smoothing pass `Q <- Q - eps D4(Q')` to a whole-grid
-/// field with the fourth-difference operator in both directions, where `Q'`
-/// is the *fluctuation* `Q - Q_base` when a base field is supplied.
+/// The smoothing snapshot `Q'`: the state planes, less the base when there
+/// is one — the *fluctuation* `Q - Q_base` the step smooths.
 ///
 /// Smoothing the raw state erodes the tanh shear layer itself while the
 /// Dirichlet inflow keeps re-imposing the sharp profile — the growing
@@ -26,18 +25,8 @@ use ns_numerics::Array2;
 /// steps. Smoothing the fluctuation about the initial (parallel-jet) base
 /// flow preserves the mean exactly and damps only what the excitation and
 /// rollup create, which is precisely what the long Figure 1 run needs.
-/// A decomposed step runs the two halves itself, [`fluctuation`] then
-/// [`smooth`], with the state halo swapped in between.
-pub fn apply_about(field: &mut Field, base: Option<&Field>, eps: f64, ledger: &mut FlopLedger) {
-    if eps != 0.0 {
-        let snap = fluctuation(field, base);
-        smooth(field, &snap, eps, ledger);
-    }
-}
-
-/// The smoothing snapshot: the state planes, less the base when there is
-/// one. Its ghost lines are whatever the field's were; a decomposed step
-/// fills those at internal patch edges before [`smooth`] reads them.
+/// Its ghost lines are whatever the field's were; a decomposed step fills
+/// those at internal patch edges before [`smooth`] reads them.
 pub fn fluctuation(field: &Field, base: Option<&Field>) -> [Array2; 4] {
     let mut snap = field.q.clone();
     if let Some(b) = base {
@@ -99,6 +88,12 @@ mod tests {
         GasModel::air(1.2e6, 1.5)
     }
 
+    /// One smoothing pass of the raw state, as a whole-grid step runs it.
+    fn apply(f: &mut Field, eps: f64, ledger: &mut FlopLedger) {
+        let snap = fluctuation(f, None);
+        smooth(f, &snap, eps, ledger);
+    }
+
     #[test]
     fn zero_eps_is_noop() {
         let g = gas();
@@ -109,10 +104,13 @@ mod tests {
             p: 0.7,
         });
         let before = f.clone();
-        let mut ledger = FlopLedger::default();
-        apply_about(&mut f, None, 0.0, &mut ledger);
+        apply(&mut f, 0.0, &mut FlopLedger::default());
         assert_eq!(f.max_diff(&before), 0.0);
-        assert_eq!(ledger.dissipation, 0);
+        // and an undamped step skips the pass: no smoothing is charged
+        let cfg = crate::config::SolverConfig::paper(Grid::small(), crate::config::Regime::Euler);
+        let mut s = crate::driver::Solver::new(crate::config::SolverConfig { dissipation: 0.0, ..cfg });
+        s.run(2);
+        assert_eq!(s.ledger.dissipation, 0);
     }
 
     #[test]
@@ -129,7 +127,7 @@ mod tests {
             }
         }
         let mut ledger = FlopLedger::default();
-        apply_about(&mut f, None, 0.01, &mut ledger);
+        apply(&mut f, 0.01, &mut ledger);
         // measure the oscillation amplitude at an interior point
         let a = f.at(3, 10, 8);
         let b = f.at(3, 10, 9);
@@ -154,7 +152,7 @@ mod tests {
         }
         let before = f.clone();
         let mut ledger = FlopLedger::default();
-        apply_about(&mut f, None, 0.02, &mut ledger);
+        apply(&mut f, 0.02, &mut ledger);
         // columns with full axial stencils and rows away from the axis
         for i in 4..nxl - 4 {
             for j in 4..nr - 4 {
@@ -174,7 +172,6 @@ mod tests {
             v: 0.0,
             p: 0.7,
         });
-        let mut ledger = FlopLedger::default();
-        apply_about(&mut f, None, 0.5, &mut ledger);
+        apply(&mut f, 0.5, &mut FlopLedger::default());
     }
 }

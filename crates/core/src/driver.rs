@@ -9,8 +9,10 @@
 //! ```
 //!
 //! The same driver advances the serial solver (one patch spanning the grid,
-//! [`NoHalo`]) and each rank of the distributed solver (a block patch and a
-//! real halo exchanger from `ns-runtime`).
+//! [`NoHalo`]), the shared-memory solver (the serial solver with its V5
+//! station loops on a DOALL team, [`Solver::shared`]) and each rank of the
+//! distributed solver (a block patch and a real halo exchanger from
+//! `ns-runtime`).
 
 use crate::config::SolverConfig;
 use crate::field::{Field, Patch, Workspace};
@@ -87,6 +89,21 @@ impl Solver {
     pub fn new(cfg: SolverConfig) -> Self {
         let patch = Patch::whole(cfg.grid.clone());
         Self::on_patch(cfg, patch)
+    }
+
+    /// The shared-memory solver, the analogue of the paper's Cray Y-MP
+    /// version: its serial code with DOALL directives on the loops. This is
+    /// the serial solver at V5 (the paper parallelized its fully optimized
+    /// code) with every V5 station loop — primitive recovery, flux
+    /// evaluation, predictor and corrector — spread over a team of
+    /// `threads`; boundary fills and smoothing stay on the calling thread.
+    /// Stations are independent, so it is bitwise [`Solver::new`] at V5.
+    pub fn shared(mut cfg: SolverConfig, threads: usize) -> Self {
+        cfg.version = crate::config::Version::V5;
+        let mut solver = Self::new(cfg);
+        let team = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("rayon pool");
+        solver.ws.team = Some(Arc::new(team));
+        solver
     }
 
     /// Solver over an axial block (one rank of the distributed solver).

@@ -362,6 +362,9 @@ pub struct Workspace {
     /// SoA sweep workspace, armed lazily by the first fused (V6/V7) sweep and
     /// `None` for every other version (see [`crate::soa`]).
     pub soa: Option<Box<crate::soa::SoaWs>>,
+    /// The DOALL team V5's station loops run on (`None`: the calling
+    /// thread); set by [`crate::driver::Solver::shared`].
+    pub(crate) team: Option<std::sync::Arc<rayon::ThreadPool>>,
 }
 
 impl Workspace {
@@ -377,6 +380,7 @@ impl Workspace {
             timers: ns_telemetry::PhaseTimer::default(),
             mms: None,
             soa: None,
+            team: None,
         }
     }
 }

@@ -24,17 +24,49 @@
 //!
 //! Three sweep-phase bodies live in this crate, each for a reason: the
 //! `*_indexed` pair is V1–V4 (the paper's ladder, by const generics); the row
-//! pair [`prims_row`] / [`flux_row`] is V5, the shared-memory solver
-//! ([`crate::shared`]) and the few stations V6/V7 compute outside their
-//! sweep; the fused SoA sweep in [`crate::soa`] is V6/V7. The per-point
-//! arithmetic of the last two is the same expression tree, so V5, V6 and V7
-//! agree bit for bit — a property the tests assert exactly.
+//! pair `prims_row` / `flux_row` is V5 — serial or on a DOALL team
+//! (`doall`) — and the few stations V6/V7 compute outside their sweep; the
+//! fused SoA sweep in [`crate::soa`] is V6/V7. The per-point arithmetic of
+//! the last two is the same expression tree, so V5, V6 and V7 agree bit for
+//! bit — a property the tests assert exactly.
 
 use crate::config::Version;
 use crate::field::{Field, FluxField, Patch, PrimField, NG};
 use crate::opcount::{self, FlopLedger};
 use crate::physics::{self, Derivs};
 use ns_numerics::{Array2, GasModel};
+use rayon::prelude::*;
+use rayon::ThreadPool;
+use std::ops::Range;
+
+/// A DOALL loop over the raw stations `rows` of `N` planes: `body(ii, r)`
+/// gets `r`, each plane's row `ii`, and every station writes only its rows —
+/// the paper's Y-MP parallelization, a DOALL directive on the station loop.
+/// Without a team, or for fewer than two stations, it is a plain loop on the
+/// calling thread in station order, allocating nothing; with one, the team
+/// runs its contiguous chunks of stations in one fork-join. Rows are
+/// independent, so the result does not depend on the team.
+pub(crate) fn doall<const N: usize>(
+    team: Option<&ThreadPool>,
+    mut planes: [&mut Array2; N],
+    rows: Range<usize>,
+    body: impl Fn(usize, [&mut [f64]; N]) + Sync,
+) {
+    let team = team.filter(|t| rows.len() > 1 && t.current_num_threads() > 1);
+    let Some(team) = team else {
+        for ii in rows {
+            body(ii, planes.each_mut().map(|p| p.row_mut(ii)));
+        }
+        return;
+    };
+    let mut bands = planes.map(|p| {
+        let nj = p.nj();
+        p.as_mut_slice()[rows.start * nj..rows.end * nj].chunks_mut(nj)
+    });
+    let mut stations: Vec<_> =
+        rows.map(|ii| (ii, bands.each_mut().map(|b| b.next().expect("one row per station")))).collect();
+    team.install(|| stations.par_iter_mut().for_each(|(ii, r)| body(*ii, r.each_mut().map(|row| &mut **row))));
+}
 
 /// Square helper: `powf` for V1, multiplication for the rest.
 #[inline(always)]
@@ -77,15 +109,23 @@ impl EdgeFlags {
 // ---------------------------------------------------------------------------
 
 /// Recover primitives `rho, u, v, p, T` from the r-weighted conservative
-/// field on the interior `[0, nxl) x [0, nr)`.
-pub fn compute_prims(version: Version, field: &Field, prim: &mut PrimField, gas: &GasModel, ledger: &mut FlopLedger) {
+/// field on the interior `[0, nxl) x [0, nr)`. A `team` spreads V5's
+/// stations over its threads (a DOALL loop); the other rungs ignore it.
+pub fn compute_prims(
+    version: Version,
+    team: Option<&ThreadPool>,
+    field: &Field,
+    prim: &mut PrimField,
+    gas: &GasModel,
+    ledger: &mut FlopLedger,
+) {
     match version {
         Version::V1 => prims_indexed::<true, false, true>(field, prim, gas),
         Version::V2 => prims_indexed::<false, false, true>(field, prim, gas),
         Version::V3 => prims_indexed::<false, false, false>(field, prim, gas),
         Version::V4 => prims_indexed::<false, true, false>(field, prim, gas),
         // V6/V7 have no standalone kernels: outside the fused sweep they are V5.
-        Version::V5 | Version::V6 | Version::V7 => prims_sliced(field, prim, gas, 0..field.nxl(), 0..field.nr()),
+        Version::V5 | Version::V6 | Version::V7 => prims_sliced(team, field, prim, gas, 0..field.nxl(), 0..field.nr()),
     }
     ledger.prims += (field.nxl() * field.nr()) as u64 * opcount::COST_PRIMS;
 }
@@ -177,22 +217,23 @@ pub(crate) fn prims_row(q: [&[f64]; 4], out: [&mut [f64]; 5], inv_r: &[f64], gm1
 }
 
 /// V5 primitive recovery: [`prims_row`] at each of `stations`, over the
-/// interior rows `rows`.
+/// interior rows `rows`, on `team` if there is one.
 fn prims_sliced(
+    team: Option<&ThreadPool>,
     field: &Field,
     prim: &mut PrimField,
     gas: &GasModel,
-    stations: impl Iterator<Item = usize>,
-    rows: std::ops::Range<usize>,
+    stations: Range<usize>,
+    rows: Range<usize>,
 ) {
     let gm1 = gas.gamma - 1.0;
     let inv_rgas = 1.0 / gas.r_gas;
     let inv_r: Vec<f64> = rows.clone().map(|j| 1.0 / field.patch.r(j)).collect();
-    for ii in stations.map(|i| i + NG) {
-        let out = [&mut prim.rho, &mut prim.u, &mut prim.v, &mut prim.p, &mut prim.t]
-            .map(|c| &mut c.row_mut(ii)[rows.start..]);
-        prims_row(field.q.each_ref().map(|c| &c.row(ii)[rows.start..]), out, &inv_r, gm1, inv_rgas);
-    }
+    let planes = [&mut prim.rho, &mut prim.u, &mut prim.v, &mut prim.p, &mut prim.t];
+    doall(team, planes, stations.start + NG..stations.end + NG, |ii, out| {
+        let q = field.q.each_ref().map(|c| &c.row(ii)[rows.start..]);
+        prims_row(q, out.map(|row| &mut row[rows.start..]), &inv_r, gm1, inv_rgas);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -250,6 +291,7 @@ pub enum FluxDir {
 #[allow(clippy::too_many_arguments)]
 pub fn compute_flux(
     version: Version,
+    team: Option<&ThreadPool>,
     dir: FluxDir,
     prim: &PrimField,
     patch: &Patch,
@@ -259,7 +301,7 @@ pub fn compute_flux(
     src: Option<&mut Array2>,
     ledger: &mut FlopLedger,
 ) {
-    compute_flux_range(version, dir, prim, patch, edges, gas, flux, src, 0..patch.nxl, ledger);
+    compute_flux_range(version, team, dir, prim, patch, edges, gas, flux, src, 0..patch.nxl, ledger);
 }
 
 /// [`compute_flux`] restricted to the axial columns in `i_range` — the
@@ -269,6 +311,7 @@ pub fn compute_flux(
 #[allow(clippy::too_many_arguments)]
 pub fn compute_flux_range(
     version: Version,
+    team: Option<&ThreadPool>,
     dir: FluxDir,
     prim: &PrimField,
     patch: &Patch,
@@ -292,7 +335,7 @@ pub fn compute_flux_range(
         Version::V4 => flux_indexed::<false, true, false>(dir, prim, patch, edges, gas, flux, src, i_range),
         // V6/V7 have no standalone kernels: outside the fused sweep (the
         // post-halo edge columns) they are V5.
-        Version::V5 | Version::V6 | Version::V7 => flux_sliced(dir, prim, patch, edges, gas, flux, src, i_range),
+        Version::V5 | Version::V6 | Version::V7 => flux_sliced(team, dir, prim, patch, edges, gas, flux, src, i_range),
     }
     ledger.flux += pts * if viscous { opcount::COST_FLUX_VISCOUS } else { opcount::COST_FLUX_INVISCID };
     if dir == FluxDir::R {
@@ -458,24 +501,32 @@ pub(crate) fn flux_row(
     }
 }
 
-/// V5 flux kernel: [`flux_row`] over the stations in `i_range`.
+/// V5 flux kernel: [`flux_row`] over the stations in `i_range`, on `team` if
+/// there is one.
 #[allow(clippy::too_many_arguments)]
 fn flux_sliced(
+    team: Option<&ThreadPool>,
     dir: FluxDir,
     prim: &PrimField,
     patch: &Patch,
     edges: EdgeFlags,
     gas: &GasModel,
     flux: &mut FluxField,
-    mut src: Option<&mut Array2>,
-    i_range: std::ops::Range<usize>,
+    src: Option<&mut Array2>,
+    i_range: Range<usize>,
 ) {
     let r_of: Vec<f64> = (0..patch.nr()).map(|j| patch.r(j)).collect();
     let inv_r: Vec<f64> = r_of.iter().map(|&r| 1.0 / r).collect();
-    for i in i_range {
-        let out = flux.c.each_mut().map(|c| c.row_mut(i + NG));
-        let src_row = src.as_deref_mut().map(|s| s.row_mut(i + NG));
-        flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, i, out, src_row);
+    let row = |ii: usize, out: [&mut [f64]; 4], src_row: Option<&mut [f64]>| {
+        flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, ii - NG, out, src_row)
+    };
+    let rows = i_range.start + NG..i_range.end + NG;
+    match src {
+        Some(sp) => {
+            let [c0, c1, c2, c3] = &mut flux.c;
+            doall(team, [c0, c1, c2, c3, sp], rows, |ii, [a, b, c, d, s]| row(ii, [a, b, c, d], Some(s)));
+        }
+        None => doall(team, flux.c.each_mut(), rows, |ii, out| row(ii, out, None)),
     }
 }
 
@@ -492,8 +543,8 @@ pub fn fused_boundary_prims(
     ledger: &mut FlopLedger,
 ) {
     let nr = field.nr();
-    prims_sliced(field, prim, gas, stations.iter().copied(), 0..nr);
     for &i in stations {
+        prims_sliced(None, field, prim, gas, i..i + 1, 0..nr);
         if field.patch.is_global_bottom() {
             crate::bc::mirror_prims_axis_row(prim, i + NG);
         }
@@ -509,7 +560,7 @@ pub fn fused_boundary_prims(
 /// its sweep. Not charged to the ledger: the sweep recovers them again.
 pub(crate) fn edge_row_prims(field: &Field, prim: &mut PrimField, gas: &GasModel) {
     for j in [0, field.nr() - 1] {
-        prims_sliced(field, prim, gas, 0..field.nxl(), j..j + 1);
+        prims_sliced(None, field, prim, gas, 0..field.nxl(), j..j + 1);
     }
 }
 
@@ -563,10 +614,10 @@ mod tests {
         let (field, _, gas, patch) = setup(Regime::NavierStokes);
         let mut ledger = FlopLedger::default();
         let mut reference = PrimField::zeros(&patch);
-        compute_prims(Version::V5, &field, &mut reference, &gas, &mut ledger);
+        compute_prims(Version::V5, None, &field, &mut reference, &gas, &mut ledger);
         for v in Version::ALL {
             let mut prim = PrimField::zeros(&patch);
-            compute_prims(v, &field, &mut prim, &gas, &mut ledger);
+            compute_prims(v, None, &field, &mut prim, &gas, &mut ledger);
             for i in 0..field.nxl() {
                 for j in 0..field.nr() {
                     let (ii, jj) = (i + NG, j + NG);
@@ -582,7 +633,7 @@ mod tests {
     fn prims_invert_set_primitive() {
         let (field, mut prim, gas, _) = setup(Regime::NavierStokes);
         let mut ledger = FlopLedger::default();
-        compute_prims(Version::V5, &field, &mut prim, &gas, &mut ledger);
+        compute_prims(Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         let w = field.primitive(7, 9, &gas);
         assert!((prim.rho.at(7 + NG, 9 + NG) - w.rho).abs() < 1e-12);
         assert!((prim.u.at(7 + NG, 9 + NG) - w.u).abs() < 1e-12);
@@ -594,7 +645,7 @@ mod tests {
         for regime in [Regime::NavierStokes, Regime::Euler] {
             let (field, mut prim, gas, patch) = setup(regime);
             let mut ledger = FlopLedger::default();
-            compute_prims(Version::V5, &field, &mut prim, &gas, &mut ledger);
+            compute_prims(Version::V5, None, &field, &mut prim, &gas, &mut ledger);
             fill_ghost_rows(&mut prim, patch.nxl, patch.nr());
             let edges = EdgeFlags::of(&patch);
             for dir in [FluxDir::X, FluxDir::R] {
@@ -602,6 +653,7 @@ mod tests {
                 let mut src_ref = Array2::zeros(patch.nxl + 2 * NG, patch.nr() + 2 * NG);
                 compute_flux(
                     Version::V5,
+                    None,
                     dir,
                     &prim,
                     &patch,
@@ -614,7 +666,7 @@ mod tests {
                 for v in Version::ALL {
                     let mut flux = FluxField::zeros(&patch);
                     let mut src = Array2::zeros(patch.nxl + 2 * NG, patch.nr() + 2 * NG);
-                    compute_flux(v, dir, &prim, &patch, edges, &gas, &mut flux, Some(&mut src), &mut ledger);
+                    compute_flux(v, None, dir, &prim, &patch, edges, &gas, &mut flux, Some(&mut src), &mut ledger);
                     for c in 0..4 {
                         for i in 0..patch.nxl {
                             for j in 0..patch.nr() {
@@ -647,10 +699,21 @@ mod tests {
         let field = Field::from_primitives(patch.clone(), &gas, |_, _| Primitive { rho: 1.0, u: 0.5, v: 0.0, p: 0.7 });
         let mut prim = PrimField::zeros(&patch);
         let mut ledger = FlopLedger::default();
-        compute_prims(Version::V5, &field, &mut prim, &gas, &mut ledger);
+        compute_prims(Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         fill_ghost_rows(&mut prim, patch.nxl, patch.nr());
         let mut flux = FluxField::zeros(&patch);
-        compute_flux(Version::V5, FluxDir::X, &prim, &patch, EdgeFlags::of(&patch), &gas, &mut flux, None, &mut ledger);
+        compute_flux(
+            Version::V5,
+            None,
+            FluxDir::X,
+            &prim,
+            &patch,
+            EdgeFlags::of(&patch),
+            &gas,
+            &mut flux,
+            None,
+            &mut ledger,
+        );
         for c in 0..4 {
             for j in 0..patch.nr() {
                 let a = flux.at(c, 10, j as isize);
@@ -665,12 +728,13 @@ mod tests {
         let (field, mut prim, gas, patch) = setup(Regime::Euler);
         assert!(gas.is_inviscid());
         let mut ledger = FlopLedger::default();
-        compute_prims(Version::V5, &field, &mut prim, &gas, &mut ledger);
+        compute_prims(Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         fill_ghost_rows(&mut prim, patch.nxl, patch.nr());
         let mut flux = FluxField::zeros(&patch);
         let mut src = Array2::zeros(patch.nxl + 2 * NG, patch.nr() + 2 * NG);
         compute_flux(
             Version::V5,
+            None,
             FluxDir::R,
             &prim,
             &patch,
@@ -732,12 +796,24 @@ mod tests {
                 let mut ref_prim = PrimField::zeros(patch);
                 let mut ref_flux = FluxField::zeros(patch);
                 let mut ref_src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
-                compute_prims(Version::V5, field, &mut ref_prim, &gas, &mut ref_ledger);
+                compute_prims(Version::V5, None, field, &mut ref_prim, &gas, &mut ref_ledger);
                 crate::bc::mirror_prims_axis(&mut ref_prim);
                 crate::bc::extrap_prims_top(&mut ref_prim, nr);
                 let src = (dir == FluxDir::R).then_some(&mut ref_src);
                 let (v5, range) = (Version::V5, flo..fhi);
-                compute_flux_range(v5, dir, &ref_prim, patch, edges, &gas, &mut ref_flux, src, range, &mut ref_ledger);
+                compute_flux_range(
+                    v5,
+                    None,
+                    dir,
+                    &ref_prim,
+                    patch,
+                    edges,
+                    &gas,
+                    &mut ref_flux,
+                    src,
+                    range,
+                    &mut ref_ledger,
+                );
 
                 for tile_r in [1, 3, 7, soa::LANES, DEFAULT_TILE_R, 10_000] {
                     let what = format!("{regime:?} {dir:?} nxl {nxl} split={split} tile {tile_r}");
@@ -790,12 +866,23 @@ mod tests {
     fn ledger_accumulates_flux_costs() {
         let (field, mut prim, gas, patch) = setup(Regime::NavierStokes);
         let mut ledger = FlopLedger::default();
-        compute_prims(Version::V5, &field, &mut prim, &gas, &mut ledger);
+        compute_prims(Version::V5, None, &field, &mut prim, &gas, &mut ledger);
         fill_ghost_rows(&mut prim, patch.nxl, patch.nr());
         let pts = (patch.nxl * patch.nr()) as u64;
         assert_eq!(ledger.prims, pts * opcount::COST_PRIMS);
         let mut flux = FluxField::zeros(&patch);
-        compute_flux(Version::V5, FluxDir::X, &prim, &patch, EdgeFlags::of(&patch), &gas, &mut flux, None, &mut ledger);
+        compute_flux(
+            Version::V5,
+            None,
+            FluxDir::X,
+            &prim,
+            &patch,
+            EdgeFlags::of(&patch),
+            &gas,
+            &mut flux,
+            None,
+            &mut ledger,
+        );
         assert_eq!(ledger.flux, pts * opcount::COST_FLUX_VISCOUS);
         assert_eq!(ledger.source, 0);
     }

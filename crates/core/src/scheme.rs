@@ -28,6 +28,7 @@ use crate::opcount::{self, FlopLedger};
 use crate::soa::{self, SoaWs};
 use ns_numerics::{Array2, GasModel};
 use ns_telemetry::PhaseTimer;
+use rayon::ThreadPool;
 use std::ops::Range;
 
 /// Which symmetric variant of the predictor/corrector pair to apply.
@@ -132,6 +133,7 @@ pub fn x_operator(
     let fused = cfg.version >= Version::V6;
     // V1/V2 keep the axial-innermost update traversal (V3 = + loop interchange).
     let strided = cfg.version <= Version::V2;
+    let team = ws.team.as_deref();
     let mms = ws.mms.as_deref().map(|m| &m.sx);
     // The update window: an owned inflow or outflow column is frozen.
     let (istart, iend) = (usize::from(edges.left), nxl - usize::from(edges.right));
@@ -144,7 +146,7 @@ pub fn x_operator(
     let outflow = edges.right && cfg.mms.is_none();
     let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.soa, &mut ws.timers);
     let labels = ["x:fused", "x:prims", "x:flux"];
-    let done = x_stage(labels, cfg, gas, field, prim, flux, soa, timers, halo, true, outflow, pass, ledger);
+    let done = x_stage(labels, cfg, gas, field, prim, flux, soa, timers, team, halo, true, outflow, pass, ledger);
     ws.timers.pause();
     halo.exchange_flux(&mut ws.flux);
     ws.timers.start(if fused { "x:fused" } else { "x:flux" });
@@ -163,7 +165,7 @@ pub fn x_operator(
     ws.timers.start("x:predict");
     let up = Update { dir: FluxDir::X, st, flux: &ws.flux, src: None, mms, irange: istart..iend, nj: nr };
     for rest in up.outside(&done) {
-        predict(&rest, field, &mut ws.qbar, strided);
+        predict(&rest, field, &mut ws.qbar, strided, team);
     }
     ledger.update += up.flops(opcount::COST_PREDICTOR);
     if edges.left {
@@ -188,7 +190,7 @@ pub fn x_operator(
     // Stage 2 has no outflow update afterwards.
     let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.soa, &mut ws.timers);
     let labels = ["x:fused2", "x:prims2", "x:flux2"];
-    let done = x_stage(labels, cfg, gas, &ws.qbar, prim, flux, soa, timers, halo, viscous, false, pass, ledger);
+    let done = x_stage(labels, cfg, gas, &ws.qbar, prim, flux, soa, timers, team, halo, viscous, false, pass, ledger);
     ws.timers.pause();
     halo.exchange_flux(&mut ws.flux_bar);
     ws.timers.start(if fused { "x:fused2" } else { "x:flux2" });
@@ -198,7 +200,7 @@ pub fn x_operator(
     ws.timers.start("x:correct");
     let up = Update { dir: FluxDir::X, st, flux: &ws.flux_bar, src: None, mms, irange: istart..iend, nj: nr };
     for rest in up.outside(&done) {
-        correct(&rest, field, &ws.qbar, strided);
+        correct(&rest, field, &ws.qbar, strided, team);
     }
     ledger.update += up.flops(opcount::COST_CORRECTOR);
 
@@ -278,6 +280,7 @@ fn x_stage(
     flux: &mut FluxField,
     soa: &mut Option<Box<SoaWs>>,
     timers: &mut PhaseTimer,
+    team: Option<&ThreadPool>,
     halo: &mut dyn XHalo,
     exchange: bool,
     outflow: bool,
@@ -293,7 +296,7 @@ fn x_stage(
     let (flo, fhi) = if exchange { (usize::from(!edges.left), nxl - usize::from(!edges.right)) } else { (0, nxl) };
     timers.start(if fused { fused_label } else { prims_label });
     if !fused {
-        plane_prims(cfg, gas, state, prim, ledger);
+        plane_prims(cfg, team, gas, state, prim, ledger);
     } else if exchange {
         kernels::fused_boundary_prims(state, prim, gas, &[0, nxl - 1], ledger);
     }
@@ -328,7 +331,8 @@ fn x_stage(
             cfg, soa, dir, state, prim, edges, gas, flux, None, prim_range, fluxes, hi_pre, exports, pass, ledger,
         )
     } else {
-        kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, flo..fhi, ledger);
+        let (v, x) = (cfg.version, FluxDir::X);
+        kernels::compute_flux_range(v, team, x, prim, patch, edges, gas, flux, None, flo..fhi, ledger);
         pass.irange.start..pass.irange.start
     };
     if exchange {
@@ -337,15 +341,22 @@ fn x_stage(
         timers.start(sweep_label);
     }
     for edge in [0..flo, fhi..nxl] {
-        kernels::compute_flux_range(cfg.version, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
+        kernels::compute_flux_range(cfg.version, team, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
     }
     done
 }
 
 /// The primitives of `state` on the plane path (V1–V5), with the radial
 /// ghosts of the global boundaries its patch owns.
-fn plane_prims(cfg: &SolverConfig, gas: &GasModel, state: &Field, prim: &mut PrimField, ledger: &mut FlopLedger) {
-    kernels::compute_prims(cfg.version, state, prim, gas, ledger);
+fn plane_prims(
+    cfg: &SolverConfig,
+    team: Option<&ThreadPool>,
+    gas: &GasModel,
+    state: &Field,
+    prim: &mut PrimField,
+    ledger: &mut FlopLedger,
+) {
+    kernels::compute_prims(cfg.version, team, state, prim, gas, ledger);
     if state.patch.is_global_bottom() {
         bc::mirror_prims_axis(prim);
     }
@@ -405,6 +416,7 @@ pub fn r_operator(
     let jend = nr - usize::from(top);
 
     let strided = cfg.version <= Version::V2;
+    let team = ws.team.as_deref();
     let mms = ws.mms.as_deref().map(|m| &m.sr);
     let st = Stencil { forward: variant == Variant::L1, order: cfg.scheme, lam, dt };
 
@@ -412,13 +424,13 @@ pub fn r_operator(
     let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut ws.qbar, correct: false };
     let (prim, flux, src, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.src, &mut ws.soa, &mut ws.timers);
     let labels = ["r:fused", "r:prims", "r:flux"];
-    let done = r_stage(labels, cfg, gas, field, prim, flux, src, soa, timers, halo, pass, ledger);
+    let done = r_stage(labels, cfg, gas, field, prim, flux, src, soa, timers, team, halo, pass, ledger);
 
     // --- predictor -------------------------------------------------------------
     ws.timers.start("r:predict");
     let up = Update { dir: FluxDir::R, st, flux: &ws.flux, src: Some(&ws.src), mms, irange: 0..nxl, nj: jend };
     for rest in up.outside(&done) {
-        predict(&rest, field, &mut ws.qbar, strided);
+        predict(&rest, field, &mut ws.qbar, strided, team);
     }
     ledger.update += up.flops(opcount::COST_PREDICTOR);
     if top {
@@ -432,13 +444,13 @@ pub fn r_operator(
     let pass = FusedUpdate { st, mms, irange: 0..nxl, nj: jend, out: &mut *field, correct: true };
     let (prim, flux, src, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.src_bar, &mut ws.soa, &mut ws.timers);
     let labels = ["r:fused2", "r:prims2", "r:flux2"];
-    let done = r_stage(labels, cfg, gas, &ws.qbar, prim, flux, src, soa, timers, halo, pass, ledger);
+    let done = r_stage(labels, cfg, gas, &ws.qbar, prim, flux, src, soa, timers, team, halo, pass, ledger);
 
     // --- corrector -------------------------------------------------------------
     ws.timers.start("r:correct");
     let up = Update { dir: FluxDir::R, st, flux: &ws.flux_bar, src: Some(&ws.src_bar), mms, irange: 0..nxl, nj: jend };
     for rest in up.outside(&done) {
-        correct(&rest, field, &ws.qbar, strided);
+        correct(&rest, field, &ws.qbar, strided, team);
     }
     ledger.update += up.flops(opcount::COST_CORRECTOR);
 
@@ -468,6 +480,7 @@ fn r_stage(
     src: &mut Array2,
     soa: &mut Option<Box<SoaWs>>,
     timers: &mut PhaseTimer,
+    team: Option<&ThreadPool>,
     halo: &mut dyn XHalo,
     pass: FusedUpdate<'_>,
     ledger: &mut FlopLedger,
@@ -490,7 +503,7 @@ fn r_stage(
     let sweep_label = if fused { fused_label } else { flux_label };
     timers.start(if fused { fused_label } else { prims_label });
     if !fused {
-        plane_prims(cfg, gas, state, prim, ledger);
+        plane_prims(cfg, team, gas, state, prim, ledger);
     }
     if swap_edge_rows(fused, gas, state, prim, timers, halo) || !fused {
         timers.start(sweep_label);
@@ -504,7 +517,7 @@ fn r_stage(
         let (src, all) = (Some(src), 0..nxl);
         fused_pass(cfg, soa, FluxDir::R, state, prim, edges, gas, flux, src, all.clone(), all, None, &[], pass, ledger)
     } else {
-        kernels::compute_flux(cfg.version, FluxDir::R, prim, patch, edges, gas, flux, Some(src), ledger);
+        kernels::compute_flux(cfg.version, team, FluxDir::R, prim, patch, edges, gas, flux, Some(src), ledger);
         0..0
     };
     timers.pause();
@@ -656,18 +669,6 @@ fn row_kernel<const CORRECT: bool>(out: &mut [f64], r: Row) {
     }
 }
 
-/// Predictor over one component row: `out[k] = q[k] - lam d_k [+ sc] [+ dt m]`
-/// with `d_k` the one-sided difference of `f[0][k], f[1][k], f[2][k]`.
-pub(crate) fn predict_row(out: &mut [f64], r: Row) {
-    row_kernel::<false>(out, r);
-}
-
-/// Corrector over one component row, in place:
-/// `q[k] = 0.5 (q[k] + qbar[k] - lam d_k [+ sc] [+ dt m])`.
-pub(crate) fn correct_row(q: &mut [f64], r: Row) {
-    row_kernel::<true>(q, r);
-}
-
 /// One predictor or corrector pass over the window `irange x [0, nj)`; cells
 /// outside it (ghosts, frozen outflow column, far-field row) are not written.
 pub(crate) struct Update<'a> {
@@ -741,8 +742,9 @@ impl<'p> Update<'p> {
     /// `CORRECT`, `out = 0.5 (out + other - lam d + ...)` in place. `strided`
     /// is the V1/V2 traversal — axial index innermost, stride `nj`, which
     /// *is* those rungs — through the same element formula; V3+ go row by
-    /// row through the row kernels, one component plane at a time.
-    fn run<const CORRECT: bool>(&self, out: &mut Field, other: &Field, strided: bool) {
+    /// row through the row kernels, one component plane at a time, each plane
+    /// a DOALL loop over the stations on `team` if there is one.
+    fn run<const CORRECT: bool>(&self, out: &mut Field, other: &Field, strided: bool, team: Option<&ThreadPool>) {
         if strided {
             for jj in NG..self.nj + NG {
                 for ii in self.irange.start + NG..self.irange.end + NG {
@@ -757,9 +759,10 @@ impl<'p> Update<'p> {
             return;
         }
         for c in 0..4 {
-            for ii in self.irange.start + NG..self.irange.end + NG {
-                row_kernel::<CORRECT>(&mut out.q[c].row_mut(ii)[NG..NG + self.nj], self.row(c, ii, &other.q[c]));
-            }
+            let rows = self.irange.start + NG..self.irange.end + NG;
+            kernels::doall(team, [&mut out.q[c]], rows, |ii, [row]| {
+                row_kernel::<CORRECT>(&mut row[NG..NG + self.nj], self.row(c, ii, &other.q[c]));
+            });
         }
     }
 }
@@ -809,8 +812,8 @@ impl FusedUpdate<'_> {
     ///
     /// Inlined, row kernels included, so that each instantiation of the
     /// sweep compiles them for its own vector unit: measured faster on both
-    /// `step_*` workloads than a call out to the baseline [`predict_row`] /
-    /// [`correct_row`] (DESIGN §14.3), which every other rung keeps using.
+    /// `step_*` workloads than a call out to the baseline row kernels
+    /// (DESIGN §14.3), which every other rung keeps using.
     #[inline(always)]
     pub(crate) fn station<'f>(
         &mut self,
@@ -839,13 +842,13 @@ impl FusedUpdate<'_> {
 }
 
 /// Predictor pass `out = base - lam d + ...` (see [`Update::run`]).
-pub(crate) fn predict(up: &Update, base: &Field, out: &mut Field, strided: bool) {
-    up.run::<false>(out, base, strided);
+pub(crate) fn predict(up: &Update, base: &Field, out: &mut Field, strided: bool, team: Option<&ThreadPool>) {
+    up.run::<false>(out, base, strided, team);
 }
 
 /// Corrector pass `field = 0.5 (field + qbar - lam d + ...)`, in place.
-pub(crate) fn correct(up: &Update, field: &mut Field, qbar: &Field, strided: bool) {
-    up.run::<true>(field, qbar, strided);
+pub(crate) fn correct(up: &Update, field: &mut Field, qbar: &Field, strided: bool, team: Option<&ThreadPool>) {
+    up.run::<true>(field, qbar, strided, team);
 }
 
 #[cfg(test)]
@@ -1132,12 +1135,12 @@ mod tests {
             let up = p.update(if radial { FluxDir::R } else { FluxDir::X }, st, mms, irange, nj);
 
             let (mut got, mut want) = (p.qbar.clone(), p.qbar.clone());
-            predict(&up, &p.field, &mut got, strided);
+            predict(&up, &p.field, &mut got, strided, None);
             ref_predict(&up, &p.field, &mut want);
             prop_assert_eq!(bits(&got), bits(&want), "predictor");
 
             let (mut got, mut want) = (p.field.clone(), p.field.clone());
-            correct(&up, &mut got, &p.qbar, strided);
+            correct(&up, &mut got, &p.qbar, strided, None);
             ref_correct(&up, &mut want, &p.qbar);
             prop_assert_eq!(bits(&got), bits(&want), "corrector");
         }
@@ -1160,8 +1163,8 @@ mod tests {
             for strided in [false, true] {
                 let up = p.update(dir, st, false, 0..9, 7);
                 let (mut pred, mut corr) = (p.qbar.clone(), p.field.clone());
-                predict(&up, &p.field, &mut pred, strided);
-                correct(&up, &mut corr, &p.qbar, strided);
+                predict(&up, &p.field, &mut pred, strided, None);
+                correct(&up, &mut corr, &p.qbar, strided, None);
                 for c in 0..4 {
                     for f in [&pred, &corr] {
                         assert_eq!(f.at(c, 4, 3).to_bits(), want.to_bits(), "{dir:?} c={c} strided={strided}");
@@ -1202,9 +1205,9 @@ mod tests {
                     });
                 }
                 if corrector {
-                    correct(&up, &mut out, &p.qbar, strided);
+                    correct(&up, &mut out, &p.qbar, strided, None);
                 } else {
-                    predict(&up, &p.field, &mut out, strided);
+                    predict(&up, &p.field, &mut out, strided, None);
                 }
                 for (c, plane) in out.q.iter().enumerate() {
                     for ii in 0..nx + 2 * NG {

@@ -1354,9 +1354,9 @@ mod tests {
         let up = Update { dir, st, flux: &flux, src, mms, irange: irange.clone(), nj };
         for rest in up.outside(&done) {
             if p.correct {
-                scheme::correct(&rest, &mut out, field, false);
+                scheme::correct(&rest, &mut out, field, false, None);
             } else {
-                scheme::predict(&rest, field, &mut out, false);
+                scheme::predict(&rest, field, &mut out, false, None);
             }
         }
 

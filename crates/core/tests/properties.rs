@@ -32,7 +32,7 @@ fn random_field(patch: &Patch, gas: &ns_numerics::GasModel, seed: [f64; 4]) -> F
 fn prepare_prims(field: &Field, gas: &ns_numerics::GasModel, version: Version) -> PrimField {
     let mut prim = PrimField::zeros(&field.patch);
     let mut ledger = FlopLedger::default();
-    kernels::compute_prims(version, field, &mut prim, gas, &mut ledger);
+    kernels::compute_prims(version, None, field, &mut prim, gas, &mut ledger);
     bc::mirror_prims_axis(&mut prim);
     bc::extrap_prims_top(&mut prim, field.nr());
     prim
@@ -81,10 +81,10 @@ proptest! {
         let edges = EdgeFlags::of(&patch);
         let mut reference = FluxField::zeros(&patch);
         let mut ledger = FlopLedger::default();
-        kernels::compute_flux(Version::V5, FluxDir::X, &prim, &patch, edges, &gas, &mut reference, None, &mut ledger);
+        kernels::compute_flux(Version::V5, None, FluxDir::X, &prim, &patch, edges, &gas, &mut reference, None, &mut ledger);
         for v in STANDALONE {
             let mut flux = FluxField::zeros(&patch);
-            kernels::compute_flux(v, FluxDir::X, &prim, &patch, edges, &gas, &mut flux, None, &mut ledger);
+            kernels::compute_flux(v, None, FluxDir::X, &prim, &patch, edges, &gas, &mut flux, None, &mut ledger);
             for c in 0..4 {
                 for i in 0..patch.nxl {
                     for j in 0..patch.nr() {
@@ -264,10 +264,10 @@ proptest! {
             s
         };
         let mut ledger = FlopLedger::default();
-        let mut fa = mk();
-        ns_core::dissipation::apply_about(&mut fa, None, e1, &mut ledger);
-        let mut fb = mk();
-        ns_core::dissipation::apply_about(&mut fb, None, e2, &mut ledger);
+        let (mut fa, mut fb) = (mk(), mk());
+        let snap = ns_core::dissipation::fluctuation(&fa, None);
+        ns_core::dissipation::smooth(&mut fa, &snap, e1, &mut ledger);
+        ns_core::dissipation::smooth(&mut fb, &snap, e2, &mut ledger);
         let base = roughness(&mk());
         let ra = roughness(&fa);
         let rb = roughness(&fb);
@@ -298,7 +298,7 @@ proptest! {
         let mut flux = FluxField::zeros(&patch);
         let mut src = Array2::zeros(patch.nxl + 2 * NG, patch.nr() + 2 * NG);
         let mut ledger = FlopLedger::default();
-        kernels::compute_flux(Version::V5, FluxDir::R, &prim, &patch, EdgeFlags::of(&patch), &gas, &mut flux, Some(&mut src), &mut ledger);
+        kernels::compute_flux(Version::V5, None, FluxDir::R, &prim, &patch, EdgeFlags::of(&patch), &gas, &mut flux, Some(&mut src), &mut ledger);
         for i in 0..patch.nxl {
             for j in 0..patch.nr() {
                 let p = prim.p.at(i + NG, j + NG);

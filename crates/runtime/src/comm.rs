@@ -37,7 +37,7 @@
 //! Every receive — plain or reliable, and so every collective and halo
 //! exchange above it — waits for its inbox through one routine that spins
 //! briefly, then polls while yielding the core, and parks only when the
-//! message is more than [`POLL_BUDGET`] away (see `next_arrival`). All of it
+//! message is more than `POLL_BUDGET` away (see `next_arrival`). All of it
 //! is charged to [`Endpoint::wait_time`].
 
 use crate::fault::{FaultAction, FaultInjector};

@@ -306,7 +306,7 @@ mod tests {
         // restarted from a checkpoint at or past the crash's (step 4)
         let window = chaos.conservation().expect("health armed: ledgers kept").steps;
         let restart = nsteps - window;
-        assert!(restart >= 4 && restart % 2 == 0, "window of {window} steps from step {restart}");
+        assert!(restart >= 4 && restart.is_multiple_of(2), "window of {window} steps from step {restart}");
         // the summary block is populated end to end
         let summary = chaos.summary("chaos-test");
         assert_eq!(summary.conservation.map(|l| l.steps), Some(window));

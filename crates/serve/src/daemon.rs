@@ -47,14 +47,13 @@ use crate::queue::{JobQueue, PushError, Pushed, QueuedJob};
 use crate::spill::Spill;
 use crate::wal::{key_hex, Wal, WalRecord, WalReplay};
 use ns_core::config::SolverConfig;
-use ns_core::shared::SharedSolver;
+use ns_core::Solver;
 use ns_metrics::{Counter, FlightDump, Gauge, Histogram, Recorder, Registry};
 use ns_runtime::{CartTopology, CommVersion, RunPlan};
 use ns_telemetry::{RunSummary, ServeJobSummary, RUN_SUMMARY_SCHEMA};
 use ns_verify::oracle;
 use ns_verify::snapshot::{field_hash, GoldenFile};
 use std::collections::HashMap;
-use std::io::ErrorKind;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -452,7 +451,6 @@ impl Daemon {
 
         let _ = std::fs::remove_file(&socket_path);
         let listener = UnixListener::bind(&socket_path)?;
-        listener.set_nonblocking(true)?;
         let accept_thread = Some({
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&shared, &listener))
@@ -497,8 +495,13 @@ impl Daemon {
             let _ = worker.join();
         }
         let stats = self.shared.stats();
+        // wake the blocked accept with a connection of our own; if that
+        // fails the thread stays blocked, so leave it detached rather than
+        // hang the drain (it dies with the process)
         if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
+            if UnixStream::connect(&self.socket_path).is_ok() {
+                let _ = accept.join();
+            }
         }
         let wal_records = {
             let mut wal = self.shared.wal.lock().unwrap();
@@ -548,24 +551,18 @@ fn settle(shared: &Shared, key: u64, label: &str, how: Settled) {
     shared.hub.cv.notify_all();
 }
 
+/// Accept connections until the daemon drains: a blocking accept, which
+/// [`Daemon::drain`] wakes by connecting once `draining` is set.
 fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
-    loop {
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { return };
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let shared = Arc::clone(shared);
-                // detached: a connection never blocks the drain (drained
-                // daemons answer `Draining` to submits)
-                std::thread::spawn(move || connection(&shared, stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => return,
-        }
+        let shared = Arc::clone(shared);
+        // detached: a connection never blocks the drain (drained daemons
+        // answer `Draining` to submits)
+        std::thread::spawn(move || connection(&shared, stream));
     }
 }
 
@@ -858,7 +855,7 @@ fn execute(spec: &JobSpec) -> Result<(RunSummary, u64), String> {
     match spec.backend {
         Backend::Shared => {
             let t0 = Instant::now();
-            let mut solver = SharedSolver::new(spec.cfg.clone(), spec.procs);
+            let mut solver = Solver::shared(spec.cfg.clone(), spec.procs);
             solver.run(spec.steps);
             Ok((process_summary(spec, t0.elapsed()), field_hash(&solver.field)))
         }
@@ -1162,6 +1159,12 @@ mod tests {
                             }
                         }
                     });
+                }
+                // the drain lands among live submits: once a client is in
+                // (a fixed sleep alone raced the clients' start under load)
+                let t0 = Instant::now();
+                while admitted.lock().unwrap().is_empty() && t0.elapsed() < Duration::from_secs(10) {
+                    std::thread::yield_now();
                 }
                 std::thread::sleep(Duration::from_millis(1 + life % 5));
                 daemon.drain().unwrap();

@@ -67,7 +67,8 @@ pub enum Backend {
     /// Distributed driver with the recovery machinery armed (fault-free
     /// plan: checkpoints are taken, nothing is injected).
     Chaos,
-    /// Shared-memory driver (`SharedSolver`, Rayon row bands).
+    /// Shared-memory solver (`Solver::shared`: the serial V5 solver with its
+    /// station loops on a DOALL team of `procs` threads).
     Shared,
 }
 

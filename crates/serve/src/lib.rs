@@ -17,7 +17,8 @@
 //!   backends: the message-passing driver [`ns_runtime::run`] (the serial
 //!   job is its 1×1 plan; any comm protocol version; the chaos backend is
 //!   the same plan with the recovery machinery armed), and the
-//!   shared-memory [`ns_core::shared::SharedSolver`].
+//!   shared-memory solver [`ns_core::Solver::shared`] (the serial V5
+//!   solver with its station loops on a DOALL thread team).
 //! * **Result caching** — a content-addressed, single-flight cache
 //!   ([`cache::ResultCache`]) keyed by the canonical config hash
 //!   ([`job::JobSpec::canonical_key`]). A repeated sweep cell is served

@@ -11,7 +11,7 @@
 //! The on-disk format reuses the PR 3 frame machinery: each record is a
 //! `[u32 len][sealed frame]` where the frame body is the record's JSON and
 //! the trailer carries the record index as its sequence number plus the
-//! FNV checksum ([`ns_runtime::pack::seal_frame`] /
+//! FNV checksum ([`ns_runtime::pack::PackBuf::seal_frame`] /
 //! [`ns_runtime::pack::open_frame`]). Replay is torn-write-safe in the
 //! spirit of `core::checkpoint`: it stops at the first record that is
 //! short, fails its checksum, or carries an out-of-order sequence number

@@ -10,7 +10,7 @@
 
 use ns_core::config::{Regime, SolverConfig};
 use ns_core::driver::Solver;
-use ns_core::shared::SharedSolver;
+
 use ns_numerics::Grid;
 use ns_runtime::{run_parallel, CommVersion};
 
@@ -26,7 +26,7 @@ fn shared_memory_driver_is_bitwise_serial() {
     let mut serial = Solver::new(cfg.clone());
     serial.run(steps);
     for t in [1, 3, 8] {
-        let mut sh = SharedSolver::new(cfg.clone(), t);
+        let mut sh = Solver::shared(cfg.clone(), t);
         sh.run(steps);
         assert_eq!(serial.field.max_diff(&sh.field), 0.0, "threads={t}");
     }
@@ -54,7 +54,7 @@ fn adaptive_dt_is_identical_serial_and_parallel() {
         assert_eq!(serial.field.max_diff(&run.gather_field()), 0.0, "p={p}");
     }
     // shared-memory driver too
-    let mut sh = SharedSolver::new(cfg, 4);
+    let mut sh = Solver::shared(cfg, 4);
     sh.run(6);
     assert_eq!(serial.field.max_diff(&sh.field), 0.0);
 }
