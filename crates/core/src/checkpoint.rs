@@ -65,6 +65,11 @@ impl From<serde_json::Error> for CheckpointError {
 /// Current checkpoint format version.
 pub const FORMAT: u32 = 1;
 
+/// Largest step count or FLOP counter a checkpoint may carry: 2^60, 36
+/// years of FLOPs at 1 GFLOP/s, and far enough below `u64::MAX` that
+/// stepping on, or summing the six ledger counters, cannot overflow.
+const COUNTER_LIMIT: u64 = 1 << 60;
+
 impl Checkpoint {
     /// Capture a solver's state.
     pub fn capture(solver: &Solver) -> Self {
@@ -84,24 +89,49 @@ impl Checkpoint {
         Ok(serde_json::to_vec(self)?)
     }
 
-    /// Deserialize from JSON bytes with validation.
+    /// Deserialize from JSON bytes with validation: whatever the bytes, the
+    /// result is an error or a checkpoint whose [`restore`](Self::restore)
+    /// steps without panicking.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        use crate::field::NG;
         let cp: Checkpoint = serde_json::from_slice(bytes)?;
         if cp.format != FORMAT {
             return Err(CheckpointError::BadFormat(cp.format));
         }
-        let expect_ni = cp.patch.nxl + 2 * crate::field::NG;
-        let expect_nj = cp.patch.nr() + 2 * crate::field::NG;
+        if cp.patch.grid != cp.cfg.grid {
+            return Err(CheckpointError::Corrupt("patch grid does not match the configuration"));
+        }
+        let grid = &cp.cfg.grid;
+        if grid.nx < 5 || grid.nr < 5 {
+            return Err(CheckpointError::Corrupt("grid smaller than the scheme's 5 points per direction"));
+        }
+        // What restores is a serial solver, and a distributed restart
+        // scatters the whole field: a checkpoint covers its grid.
+        if cp.patch != Patch::whole(grid.clone()) {
+            return Err(CheckpointError::Corrupt("patch is not the whole of its grid"));
+        }
+        // Checked: a grid as wide as `usize` has a ghosted width that
+        // overflows.
+        let (ni, nj) = (grid.nx.checked_add(2 * NG), grid.nr.checked_add(2 * NG));
         for plane in &cp.q {
-            if plane.ni() != expect_ni || plane.nj() != expect_nj {
+            if Some(plane.ni()) != ni || Some(plane.nj()) != nj {
                 return Err(CheckpointError::Corrupt("field plane shape does not match the patch"));
+            }
+            if Some(plane.len()) != plane.ni().checked_mul(plane.nj()) {
+                return Err(CheckpointError::Corrupt("field plane data does not match its shape"));
             }
             if !plane.all_finite() {
                 return Err(CheckpointError::Corrupt("non-finite state"));
             }
         }
-        if cp.patch.grid != cp.cfg.grid {
-            return Err(CheckpointError::Corrupt("patch grid does not match the configuration"));
+        // A smoothing coefficient the step would refuse mid-run.
+        if !crate::dissipation::admissible(cp.cfg.dissipation) {
+            return Err(CheckpointError::Corrupt("smoothing coefficient not below 1/16"));
+        }
+        let l = &cp.ledger;
+        let counters = [cp.nstep, l.prims, l.flux, l.source, l.update, l.boundary, l.dissipation];
+        if counters.iter().any(|&c| c > COUNTER_LIMIT) {
+            return Err(CheckpointError::Corrupt("step or FLOP count out of range"));
         }
         Ok(cp)
     }

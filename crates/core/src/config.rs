@@ -59,7 +59,7 @@ impl Regime {
 ///   hot in cache instead of being round-tripped through memory between a
 ///   whole-plane prims pass and a whole-plane flux pass. The sweep reads
 ///   the AoS conservative rows in place (lane loads need no padding) and
-///   recovers primitives into a lane-padded SoA arena of per-station
+///   recovers primitives into a lane-padded SoA ring of four per-station
 ///   component blocks, so every inner loop is a whole number of
 ///   [`crate::soa::LANES`]-wide `LaneVec` blocks — no scalar remainders, no
 ///   per-point branches (direction/viscosity/source are const generics) —
@@ -68,7 +68,7 @@ impl Regime {
 ///   body is compiled twice from one source, for the target's baseline
 ///   vector unit and for AVX2, and picked at run time
 ///   ([`crate::soa::isa`]); the two agree bit for bit. Conversions between
-///   the AoS `Field` and the SoA arena happen only at sweep boundaries
+///   the AoS `Field` and the SoA ring happen only at sweep boundaries
 ///   (adjacent to halo exchange / checkpoint), so comm, recovery and
 ///   checkpoint layers are untouched. Flux and source go to the planes and
 ///   the predictor/corrector update reads them back, as on V1–V5.
@@ -129,14 +129,18 @@ impl Version {
 /// measurement.
 /// Every tile multiplies the station pipeline's fixed per-station cost
 /// (row slicing, ghost fills, stencil bookkeeping) by the tile count, so
-/// blocking only pays once a tile's live rows outgrow the cache. Per
-/// station those are 4 conservative rows in, 3x5 stencil primitives, the
-/// flux ring (4 flux + source for the radial operator, 3x4 for the three
-/// stations the axial stencil spans) and, under V7, whose update rides in
-/// the sweep, the 4 rows it writes plus, axially, the 4 state rows of the
-/// lagging station it updates: ≈ 28 rows of `tile_r` points radially, ≈ 39
-/// axially (≈ 640 KiB at 2048, still inside L2). The sweep alone, which
-/// the probe below timed, holds ≈ 24. On the committed grids (nr <= 100)
+/// blocking only pays once a tile's resident rows outgrow the cache. Per
+/// station those are 4 conservative rows in, the primitive ring (4
+/// stations x 5 rows, three of them the stencil's), the flux ring (4 flux +
+/// source for the radial operator; 4 stations x 4 rows axially, three of
+/// them the stencil's) and, under V7, whose update rides in the sweep, the
+/// 4 rows it writes plus, axially, the 4 state rows of the lagging station
+/// it updates: ≈ 33 rows of `tile_r` points radially, ≈ 48 axially
+/// (≈ 770 KiB at 2048, still inside a 2 MiB L2), of which ≈ 28 and ≈ 39 are
+/// touched per station. The sweep alone holds ≈ 29 (≈ 24 touched). The
+/// probe below timed the sweep with a whole-patch primitive arena, whose
+/// rows a station touched once and left behind; the ring has not been
+/// re-probed on a tall grid. On the committed grids (nr <= 100)
 /// and on the benchmark's 512 rows a single tile is
 /// fastest, and on a tall nr = 8192 probe (viscous axial sweep, nx = 32
 /// and 125) the sweep bottoms out near `tile_r` = 2048 (≈ 380 KiB live,

@@ -40,12 +40,18 @@ pub fn fluctuation(field: &Field, base: Option<&Field>) -> [Array2; 4] {
     snap
 }
 
+/// Whether [`smooth`] takes `eps`: the explicit fourth-difference
+/// smoothing is stable only below 1/16.
+pub fn admissible(eps: f64) -> bool {
+    eps < 1.0 / 16.0
+}
+
 /// `Q <- Q - eps D4(snap)` at every global-interior point the field's patch
 /// owns (global `2 <= i < nx - 2`, `2 <= j < nr - 3`). Both stencils stay
 /// inside the global interior, so no boundary ghost is read: a patch edge
 /// reads the snapshot's ghost lines, which hold the neighbour's edge lines.
 pub fn smooth(field: &mut Field, snap: &[Array2; 4], eps: f64, ledger: &mut FlopLedger) {
-    assert!(eps < 1.0 / 16.0, "explicit fourth-difference smoothing requires eps < 1/16");
+    assert!(admissible(eps), "explicit fourth-difference smoothing requires eps < 1/16");
     // Smoothing is confined to points whose full 5-point stencils are
     // interior: touching the Dirichlet inflow column, the characteristic
     // outflow column, the far-field rows or the axis-mirror closure injects

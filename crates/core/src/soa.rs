@@ -6,20 +6,23 @@
 //! ## Layout
 //!
 //! The solver state stays in the AoS-of-planes [`Field`]; this module owns a
-//! *sweep-scoped* SoA arena ([`SoaWs`]) for the recovered primitives that the
-//! fused operator path converts out of only at sweep boundaries (immediately
-//! adjacent to the halo exchange, which is the only other place the rows are
-//! touched), so the runtime, comm framing, checkpoint and recovery layers
-//! never see it:
+//! *sweep-scoped* SoA workspace ([`SoaWs`]) for the recovered primitives
+//! that the fused operator path converts out of only at sweep boundaries
+//! (immediately adjacent to the halo exchange, which is the only other
+//! place the rows are touched), so the runtime, comm framing, checkpoint
+//! and recovery layers never see it. The primitives live in a ring of four
+//! stations, whatever the patch width: the flux stencil reads the three
+//! newest, and the fourth slot is the one the next station overwrites.
 //!
 //! ```text
 //!            AoS Field (per component, rows strided nr + 2 NG)
 //!   q[0]: [..|................|..]   <- read in place by lane loads
 //!   q[1]: [..|................|..]      (loads need no padding)
 //!
-//!            SoA arena (station-blocked, stride = round_up(nr + 2 NG, LANES))
-//!   prims i:     [rho pad][u pad][v pad][p pad][t pad]
-//!   prims i+1:   [rho pad][u pad][v pad][p pad][t pad]
+//!            SoA primitive ring (4 stations, stride = round_up(nr + 2 NG, LANES))
+//!   slot i & 3:       [rho pad][u pad][v pad][p pad][t pad]   <- station i
+//!   slot (i + 1) & 3: [rho pad][u pad][v pad][p pad][t pad]   <- station i + 1
+//!   ...               (station i + 4 reuses station i's slot)
 //! ```
 //!
 //! The conservative inputs are deliberately *not* copied into an SoA mirror:
@@ -29,7 +32,11 @@
 //! recover→ghost-fill→flux pipeline touches is a handful of *contiguous*
 //! rows, and the radial axis is tiled
 //! ([`SolverConfig::tile_r`](crate::config::SolverConfig::tile_r)) so those
-//! rows stay cache-resident even on tall grids.
+//! rows stay cache-resident even on tall grids. A ring keeps nothing from
+//! one radial tile to the next, so each tile recovers one primitive row
+//! below its flux rows as well as one above, imports a precomputed boundary
+//! station when the sweep reaches it, and exports a listed station as soon
+//! as it is recovered.
 //!
 //! ## Lanes and bitwise policy
 //!
@@ -54,7 +61,7 @@
 //! A V7 step does not sweep into the flux planes and read them back: its
 //! operators hand the sweep the predictor or corrector pass that consumes
 //! the flux (`fused_pass`, `scheme::FusedUpdate`). The sweep emits each
-//! station's flux rows into a three-station ring in [`SoaWs`] and updates a station
+//! station's flux rows into a flux ring in [`SoaWs`] and updates a station
 //! from the ring as soon as its one-sided stencil is complete — the radial
 //! operator right behind the station's own flux (stencil and flux ghost fill
 //! stay inside the row), the axial one a station (backward difference) or
@@ -177,16 +184,20 @@ impl<const N: usize> std::ops::Neg for LaneVec<N> {
 // SoA containers
 // ---------------------------------------------------------------------------
 
-/// Primitive planes (`rho, u, v, p, t`) in a lane-aligned, station-blocked
-/// SoA arena: for each axial station (ghosts included) the five component
-/// rows sit contiguously, each padded to a whole number of lanes. The
-/// sweep recovers into these and the flux stencils read them back while the
-/// station block is still in L1.
+/// Stations a ring holds. The flux stencil reads three consecutive stations
+/// of primitives and the axial update three of flux; a fourth slot makes
+/// the slot of raw station `ii` the mask `ii & 3`.
+const SLOTS: usize = 4;
+
+/// A ring of [`SLOTS`] stations of lane-aligned SoA rows: raw station `ii`
+/// lives in slot `ii % SLOTS`, its rows contiguous, each padded to a whole
+/// number of lanes. As the primitive ring it holds `rho, u, v, p, t`: the
+/// sweep recovers a station into it and the flux stencils read it back
+/// while the block is still in L1, until the station four on reuses the
+/// slot. Its size depends on the patch height alone.
 #[derive(Clone, Debug)]
-pub struct SoaPrims {
+struct SoaPrims {
     data: Vec<f64>,
-    ni: usize,
-    nj: usize,
     stride: usize,
 }
 
@@ -198,24 +209,19 @@ const P_P: usize = 3;
 const P_T: usize = 4;
 
 impl SoaPrims {
-    /// Zeroed arena shaped for `patch` (ghosts included).
-    pub fn zeros(patch: &Patch) -> Self {
-        Self::with_stations(patch.nxl + 2 * NG, patch.nr() + 2 * NG)
-    }
-
-    /// Zeroed arena of `ni` stations of `nj`-point rows.
-    fn with_stations(ni: usize, nj: usize) -> Self {
+    /// Zeroed ring of `nj`-point rows.
+    fn new(nj: usize) -> Self {
         let stride = pad(nj);
-        Self { data: vec![0.0; ni * 5 * stride], ni, nj, stride }
+        Self { data: vec![0.0; SLOTS * 5 * stride], stride }
     }
 
     #[inline(always)]
     fn base(&self, ii: usize, comp: usize) -> usize {
-        debug_assert!(ii < self.ni && comp < 5);
-        (ii * 5 + comp) * self.stride
+        debug_assert!(comp < 5);
+        ((ii % SLOTS) * 5 + comp) * self.stride
     }
 
-    /// Row of primitive component `comp` at raw station `ii`.
+    /// Row of component `comp` of raw station `ii`.
     #[inline(always)]
     fn row(&self, ii: usize, comp: usize) -> &[f64] {
         let b = self.base(ii, comp);
@@ -235,17 +241,14 @@ impl SoaPrims {
         [rho, u, v, p, t]
     }
 
-    /// Import one precomputed AoS primitive station (ghost rows included) —
-    /// used for the boundary stations that [`crate::kernels::fused_boundary_prims`]
+    /// Import raw rows `rows` of one precomputed AoS primitive station —
+    /// the boundary stations that [`crate::kernels::fused_boundary_prims`]
     /// computed ahead of the halo post.
-    fn import_station(&mut self, prim: &PrimField, ii: usize) {
-        let nj = self.nj;
-        let [rho, u, v, p, t] = self.station_rows_mut(ii);
-        rho[..nj].copy_from_slice(prim.rho.row(ii));
-        u[..nj].copy_from_slice(prim.u.row(ii));
-        v[..nj].copy_from_slice(prim.v.row(ii));
-        p[..nj].copy_from_slice(prim.p.row(ii));
-        t[..nj].copy_from_slice(prim.t.row(ii));
+    fn import_station(&mut self, prim: &PrimField, ii: usize, rows: Range<usize>) {
+        let planes = [&prim.rho, &prim.u, &prim.v, &prim.p, &prim.t];
+        for (row, plane) in self.station_rows_mut(ii).into_iter().zip(planes) {
+            row[rows.clone()].copy_from_slice(&plane.row(ii)[rows.clone()]);
+        }
     }
 
     /// Import one radial ghost entry (raw row `jj`) of station `ii` from the
@@ -257,20 +260,16 @@ impl SoaPrims {
         }
     }
 
-    /// Export one swept station back to the AoS planes (ghost rows included)
-    /// — the stations the post-halo edge-column flux pass will read.
-    fn export_station(&self, prim: &mut PrimField, ii: usize) {
-        let nj = self.nj;
-        prim.rho.row_mut(ii).copy_from_slice(&self.row(ii, P_RHO)[..nj]);
-        prim.u.row_mut(ii).copy_from_slice(&self.row(ii, P_U)[..nj]);
-        prim.v.row_mut(ii).copy_from_slice(&self.row(ii, P_V)[..nj]);
-        prim.p.row_mut(ii).copy_from_slice(&self.row(ii, P_P)[..nj]);
-        prim.t.row_mut(ii).copy_from_slice(&self.row(ii, P_T)[..nj]);
+    /// Export raw rows `rows` of one swept station back to the AoS planes —
+    /// the stations the post-halo edge-column flux pass will read.
+    fn export_station(&self, prim: &mut PrimField, ii: usize, rows: Range<usize>) {
+        let planes = [&mut prim.rho, &mut prim.u, &mut prim.v, &mut prim.p, &mut prim.t];
+        for (comp, plane) in planes.into_iter().enumerate() {
+            plane.row_mut(ii)[rows.clone()].copy_from_slice(&self.row(ii, comp)[rows.clone()]);
+        }
     }
 }
 
-/// Flux stations an axial pass keeps: the one-sided 2-4 stencil spans three.
-const RING: usize = 3;
 /// Row of the radial source inside a ring station, after the four flux rows.
 const R_SRC: usize = 4;
 /// Axial stations at either end of a patch whose flux an attached pass also
@@ -284,41 +283,43 @@ const X_BAND: usize = 4;
 /// stencil reaches two, and the axis mirror wants row 1 beside row 0.
 const R_REACH: usize = 3;
 
-/// Reusable sweep workspace: the primitive SoA arena, the flux ring and
-/// the padded radius tables of one patch. Created lazily by the first fused
-/// sweep and kept in the solver [`Workspace`](crate::field::Workspace).
+/// Reusable sweep workspace: the primitive ring, the flux ring and the
+/// padded radius tables of one patch — four stations each, so its size
+/// depends on the patch height, not its width. Created lazily by the first
+/// fused sweep and kept in the solver [`Workspace`](crate::field::Workspace).
 #[derive(Clone, Debug)]
 pub struct SoaWs {
-    /// Recovered primitives (station-blocked); the conservative inputs have
-    /// no mirror here (module docs, Layout).
-    pub prims: SoaPrims,
-    /// The flux (and radial source) rows of the last [`RING`] stations a
-    /// sweep emitted, in the arena's station layout — four flux rows and
+    /// Recovered primitives of the last [`SLOTS`] stations a sweep brought
+    /// in; the conservative inputs have no mirror here (module docs,
+    /// Layout).
+    prims: SoaPrims,
+    /// The flux (and radial source) rows of the last stations a sweep
+    /// emitted, in the primitive ring's station layout — four flux rows and
     /// [`R_SRC`] where a primitive station has `rho, u, v, p, t` — each row
     /// indexed like a flux-plane row: what an attached update reads instead
     /// of the planes.
     ring: SoaPrims,
     r_of: Vec<f64>,
     inv_r: Vec<f64>,
-    /// The patch everything above was built from: the arena depends on its
-    /// shape, the radius tables on `j0` and `grid.dr` as well.
+    /// The patch everything above was built from: the rings depend on its
+    /// height, the radius tables on `j0` and `grid.dr` as well.
     patch: Patch,
 }
 
 impl SoaWs {
     /// Build a workspace for `patch`.
     pub fn new(patch: &Patch) -> Self {
-        let prims = SoaPrims::zeros(patch);
-        let (nr, stride) = (patch.nr(), prims.stride);
+        let (nr, nj) = (patch.nr(), patch.nr() + 2 * NG);
+        let prims = SoaPrims::new(nj);
         // Identical expressions to the V5 radius tables; padded entries
         // are never read (every lane block stays inside [0, nr)).
-        let mut r_of = vec![1.0; stride];
-        let mut inv_r = vec![1.0; stride];
+        let mut r_of = vec![1.0; prims.stride];
+        let mut inv_r = vec![1.0; prims.stride];
         for (j, (r, w)) in r_of.iter_mut().zip(inv_r.iter_mut()).enumerate().take(nr) {
             *r = patch.r(j);
             *w = 1.0 / *r;
         }
-        let ring = SoaPrims::with_stations(RING, prims.nj);
+        let ring = SoaPrims::new(nj);
         Self { prims, ring, r_of, inv_r, patch: patch.clone() }
     }
 
@@ -552,7 +553,7 @@ fn flux_lane<const DIRX: bool, const VISC: bool, const N: usize>(
 }
 
 /// Evaluate one station's flux (and source, for radial sweeps) over the
-/// interior radial points `[jlo, jhi)` from the SoA primitive arena into
+/// interior radial points `[jlo, jhi)` from the SoA primitive ring into
 /// `f_rows` / `src_row`: the station's rows of the planes, or of the ring.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -641,7 +642,7 @@ fn flux_needs(e: usize, nxl: usize, edges: EdgeFlags, viscous: bool) -> usize {
 /// stations that recovers primitives, fills their radial ghosts (boundary
 /// conditions at owned edges, the exchanged rows of `prim` at internal ones)
 /// and evaluates each station's flux as soon as its stencil is complete — a
-/// software pipeline in `i` over the lane-aligned SoA arena with
+/// software pipeline in `i` over a lane-aligned four-station SoA ring with
 /// cache-blocked radial tiles, in the instantiation compiled for this host's
 /// vector unit ([`isa`]).
 ///
@@ -654,12 +655,15 @@ fn flux_needs(e: usize, nxl: usize, edges: EdgeFlags, viscous: bool) -> usize {
 /// * the conservative rows of `prim_range` are read in place from the AoS
 ///   `field` (nothing is staged),
 /// * precomputed boundary stations (below `prim_range` and `hi_pre`) are
-///   imported from the AoS `prim` planes,
+///   imported from the AoS `prim` planes, tile by tile as the sweep
+///   reaches them,
 /// * the swept stations named in `exports` are copied back to the AoS
-///   `prim` planes on exit — the caller lists exactly the stations a later
-///   AoS consumer (edge-column flux pass, characteristic outflow stencil)
-///   will read; stations outside `prim_range` are ignored (they are still
-///   AoS-resident),
+///   `prim` planes tile by tile as soon as they are recovered — their
+///   interior rows, and the ghost rows of the radial edges the patch owns
+///   (an internal edge's are the exchanged rows, already there). The
+///   caller lists exactly the stations a later AoS consumer (edge-column
+///   flux pass, characteristic outflow stencil) will read; stations
+///   outside `prim_range` are ignored (they are still AoS-resident),
 ///
 /// so from the outside the sweep is a drop-in replacement for the unfused V5
 /// sequence: bitwise-equal primitives where exported, bitwise-equal fluxes
@@ -805,40 +809,77 @@ fn run_plain<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
     run::<DIRX, VISC>(s)
 }
 
-/// Recover one station's primitives over `[jlo, jhi)` and, on the tiles that
-/// reach them, its radial ghosts: the boundary condition fills an owned
-/// edge's, an internal edge's are the exchanged rows in the AoS `prim`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn recover_station(
-    field: &Field,
-    prim: &PrimField,
+/// What brings a station into the primitive ring, and what a swept station
+/// owes the AoS planes: the loop invariants of one sweep call.
+struct Intake<'a> {
+    field: &'a Field,
     edges: EdgeFlags,
-    prims: &mut SoaPrims,
-    ii: usize,
-    jlo: usize,
-    jhi: usize,
     gm1: f64,
     inv_rgas: f64,
-    inv_r: &[f64],
-) {
-    let nr = field.nr();
-    let qrows = [field.q[0].row(ii), field.q[1].row(ii), field.q[2].row(ii), field.q[3].row(ii)];
-    prims_station_tile(qrows, prims, ii, jlo, jhi, gm1, inv_rgas, inv_r);
-    if jlo == 0 {
-        if edges.bottom {
-            mirror_axis_station(prims, ii);
-        } else {
-            prims.import_ghost(prim, ii, NG - 1);
+    inv_r: &'a [f64],
+    prim_range: Range<usize>,
+    hi_pre: Option<usize>,
+    exports: &'a [usize],
+}
+
+impl Intake<'_> {
+    /// Bring station `s` into the ring for the tile that recovers interior
+    /// rows `[jlo, jhi)`. A swept station is recovered there, with its radial
+    /// ghosts on the tiles that reach them (the boundary condition fills an
+    /// owned edge's, an internal edge's are the exchanged rows in the AoS
+    /// `prim`), and exported at once if listed: before the call ends its
+    /// slot holds another station. A precomputed boundary station (below
+    /// `prim_range`, or `hi_pre`) is imported over the same rows. No flux
+    /// reads any other station.
+    #[inline(always)]
+    fn load(&self, prim: &mut PrimField, prims: &mut SoaPrims, s: usize, jlo: usize, jhi: usize) {
+        let (ii, nr, edges) = (s + NG, self.field.nr(), self.edges);
+        let rows = resident_rows(jlo, jhi, nr, edges);
+        if self.prim_range.contains(&s) {
+            let q = &self.field.q;
+            let qrows = [q[0].row(ii), q[1].row(ii), q[2].row(ii), q[3].row(ii)];
+            prims_station_tile(qrows, prims, ii, jlo, jhi, self.gm1, self.inv_rgas, self.inv_r);
+            if jlo == 0 {
+                if edges.bottom {
+                    mirror_axis_station(prims, ii);
+                } else {
+                    prims.import_ghost(prim, ii, NG - 1);
+                }
+            }
+            if jhi == nr {
+                if edges.top {
+                    extrap_top_station(prims, ii, nr);
+                } else {
+                    prims.import_ghost(prim, ii, NG + nr);
+                }
+            }
+            if self.exports.contains(&s) {
+                prims.export_station(prim, ii, rows);
+            }
+        } else if s < self.prim_range.start || self.hi_pre == Some(s) {
+            prims.import_station(prim, ii, rows);
         }
     }
-    if jhi == nr {
-        if edges.top {
-            extrap_top_station(prims, ii, nr);
-        } else {
-            prims.import_ghost(prim, ii, NG + nr);
-        }
-    }
+}
+
+/// The raw rows of a station the ring holds for a tile recovering interior
+/// rows `[jlo, jhi)`: those, and on an edge tile the ghost rows past them —
+/// all of them at an owned edge (the boundary condition's), the one the
+/// radial stencil reads at an internal edge (the exchanged row).
+fn resident_rows(jlo: usize, jhi: usize, nr: usize, edges: EdgeFlags) -> Range<usize> {
+    let lo = match jlo {
+        0 if edges.bottom => 0,
+        0 => NG - 1,
+        _ => jlo + NG,
+    };
+    let hi = if jhi < nr {
+        jhi + NG
+    } else if edges.top {
+        nr + 2 * NG
+    } else {
+        nr + NG + 1
+    };
+    lo..hi
 }
 
 /// The one sweep body. `#[inline(always)]` all the way down to the
@@ -883,16 +924,10 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
         neg_kappa: -gas.kappa,
     };
 
-    // AoS→SoA boundary: import the precomputed boundary primitive stations
-    // (the conservative rows are read in place, never staged).
-    for s in 0..prim_range.start {
-        prims.import_station(prim, s + NG);
-    }
-    if let Some(h) = hi_pre {
-        if !prim_range.contains(&h) {
-            prims.import_station(prim, h + NG);
-        }
-    }
+    // The conservative rows are read in place, never staged; the boundary
+    // stations precomputed in the AoS `prim` planes are imported, and the
+    // listed ones exported, tile by tile as the sweep reaches them.
+    let intake = Intake { field, edges, gm1, inv_rgas, inv_r, prim_range: prim_range.clone(), hi_pre, exports };
 
     let dir = if DIRX { FluxDir::X } else { FluxDir::R };
     // The stations an attached pass updates in here; it leaves the rest of
@@ -908,20 +943,19 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
         let jlo = t * tile_r;
         let jhi = (jlo + tile_r).min(nr);
         let (fjlo, fjhi) = (jlo.saturating_sub(reach), (jhi + reach).min(nr));
-        // Prims extend one point past the flux rows so the radial stencil at
-        // their top edge is satisfied; the overlap is recomputed
-        // bit-identically by the next tile. Below `jlo` the arena still
-        // holds what the previous tile recovered for this station.
-        let pjhi = (fjhi + 1).min(nr);
+        // Prims extend one point past the flux rows on either side so the
+        // radial stencil at their edges is satisfied. The ring keeps nothing
+        // of an earlier tile: each recomputes its overlap bit-identically.
+        let (pjlo, pjhi) = (fjlo.saturating_sub(1), (fjhi + 1).min(nr));
 
-        let mut next_prim = prim_range.start;
+        let mut next = 0;
         for e in flux_range.clone() {
-            // Recover stations up to the last one this flux stencil reads;
-            // what it reads past `prim_range` was imported above.
+            // Bring in the stations up to the last one this flux stencil
+            // reads; the ring then holds all three it reads.
             let need = flux_needs(e, nxl, edges, VISC);
-            while next_prim < prim_range.end && next_prim <= need {
-                recover_station(field, prim, edges, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
-                next_prim += 1;
+            while next <= need {
+                intake.load(prim, prims, next, pjlo, pjhi);
+                next += 1;
             }
             let ii = e + NG;
             // Two call sites on purpose: choosing the destination rows first
@@ -937,7 +971,7 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
                 );
                 continue;
             };
-            let slot = if DIRX { e % RING } else { 0 };
+            let slot = if DIRX { ii } else { 0 };
             let [f0, f1, f2, f3, src_row] = ring.station_rows_mut(slot);
             let (f_rows, src_row) = ([f0, f1, f2, f3], (!DIRX).then_some(src_row));
             flux_station_tile::<DIRX, VISC>(
@@ -957,7 +991,7 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
                 let i = if forward { e.wrapping_sub(2) } else { e };
                 if done.contains(&i) {
                     let at = jj.start;
-                    let f = |c| [0, 1, 2].map(|k| &ring.row((i as isize + k * step) as usize % RING, c)[at..]);
+                    let f = |c| [0, 1, 2].map(|k| &ring.row((i + NG).wrapping_add_signed(k * step), c)[at..]);
                     pass.station(field, i + NG, jj, f, None);
                 }
             } else {
@@ -974,19 +1008,9 @@ fn run<const DIRX: bool, const VISC: bool>(s: Sweep<'_>) -> Range<usize> {
             }
         }
         // Stations no flux of this call reads (the caller may export them).
-        while next_prim < prim_range.end {
-            recover_station(field, prim, edges, prims, next_prim + NG, jlo, pjhi, gm1, inv_rgas, inv_r);
-            next_prim += 1;
-        }
-    }
-
-    // SoA→AoS boundary: export the swept stations whose primitives a later
-    // AoS consumer will read (edge-column flux pass after `finish_prims`,
-    // the characteristic-outflow stencil). Stations outside `prim_range`
-    // were never moved out of the AoS planes.
-    for &s in exports {
-        if prim_range.contains(&s) {
-            prims.export_station(prim, s + NG);
+        while next < prim_range.end {
+            intake.load(prim, prims, next, pjlo, pjhi);
+            next += 1;
         }
     }
 
@@ -1026,7 +1050,7 @@ mod tests {
     /// The two call shapes the operators use: one whole-patch pass, or the
     /// x-operator's split pass (boundary stations precomputed and imported,
     /// `hi_pre`, exports for the post-halo edge columns).
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, PartialEq)]
     enum Shape {
         Whole,
         Split,
@@ -1194,8 +1218,8 @@ mod tests {
     /// How a stage is run.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum How {
-        /// Sweep into the planes, ghost fill, whole update through the
-        /// planes: what V1–V6 do and what V7 did.
+        /// The V5 plane path — primitives and flux into the planes — then
+        /// the ghost fill and the whole update through the planes.
         Composed,
         /// The pass inside the sweep ([`fused_pass`]), deferred stations after.
         Fused,
@@ -1207,12 +1231,16 @@ mod tests {
     /// with: the axial one freezes owned inflow/outflow columns, the radial
     /// one the far-field row and differences one-sidedly at every patch edge.
     ///
-    /// The test patches are the first `nrl` rows of a taller grid (a `Grid`
-    /// has at least five) and stand for patches that span theirs, the only
-    /// ones a radial pass is attached on: both radial boundaries count as
-    /// owned.
+    /// The test patches at `j0 = 0` are the first `nrl` rows of a taller
+    /// grid (a `Grid` has at least five) and stand for patches that span
+    /// theirs, the only ones a radial pass is attached on: both radial
+    /// boundaries count as owned. A patch above the axis is a pencil, both
+    /// its radial edges internal.
     fn window(dir: FluxDir, patch: &Patch) -> (EdgeFlags, Range<usize>, usize) {
-        let own = EdgeFlags { bottom: true, top: true, ..EdgeFlags::of(patch) };
+        let own = match patch.j0 {
+            0 => EdgeFlags { bottom: true, top: true, ..EdgeFlags::of(patch) },
+            _ => EdgeFlags::of(patch),
+        };
         let (nxl, nr) = (patch.nxl, patch.nr());
         match dir {
             FluxDir::X => (own, usize::from(own.left)..nxl - usize::from(own.right), nr),
@@ -1223,10 +1251,13 @@ mod tests {
     /// One operator stage on `field`, as `scheme` runs it, and every bit it
     /// leaves: the updated state (ghosts and frozen cells included), the
     /// [`X_BAND`] stations of the flux planes later consumers read, the
-    /// ledger. The flux of edge columns and ghost columns a real run gets
-    /// after the halo (`finish_prims`, `exchange_flux`) is planted from a
-    /// formula, the same for every `how`: a station wrongly updated from the
-    /// ring instead of waiting for it shows as a difference.
+    /// primitive stations the sweep exports (the post-halo edge columns'
+    /// stencils and the outflow's), the ledger. The flux of edge columns
+    /// and ghost columns a real run gets after the halo (`finish_prims`,
+    /// `exchange_flux`) is planted from a formula, the same for every
+    /// `how`, as are the primitive ghost rows the radial exchange fills at
+    /// a pencil's internal edges: a station wrongly updated from the ring
+    /// instead of waiting for it shows as a difference.
     #[allow(clippy::too_many_arguments)]
     fn stage_bits(
         how: How,
@@ -1259,39 +1290,61 @@ mod tests {
 
         let mut ledger = FlopLedger::default();
         let mut prim = PrimField::zeros(patch);
+        for (c, plane) in [&mut prim.rho, &mut prim.u, &mut prim.v, &mut prim.p, &mut prim.t].into_iter().enumerate() {
+            for ii in 0..nxl + 2 * NG {
+                for jj in (0..NG).chain(NG + nr..nr + 2 * NG) {
+                    plane.set(ii, jj, 0.4 + 0.01 * ((c + ii + 3 * jj) % 7) as f64);
+                }
+            }
+        }
         let mut flux = FluxField::zeros(patch);
         let mut src = Array2::zeros(nxl + 2 * NG, nr + 2 * NG);
         let mut ws = SoaWs::new(patch);
-        let (prim_range, flux_range, hi_pre) = match shape {
-            Shape::Whole => (0..nxl, 0..nxl, None),
+        let (prim_range, flux_range, hi_pre, exports) = match shape {
+            Shape::Whole => (0..nxl, 0..nxl, None, vec![nxl - 2, nxl - 3]),
             Shape::Split => {
-                kernels::fused_boundary_prims(field, &mut prim, gas, &[0, nxl - 1], &mut ledger);
-                (1..nxl - 1, usize::from(!edges.left)..nxl - usize::from(!edges.right), Some(nxl - 1))
+                let (flo, fhi) = (usize::from(!edges.left), nxl - usize::from(!edges.right));
+                (1..nxl - 1, flo..fhi, Some(nxl - 1), vec![flo, fhi - 1, nxl - 2, nxl - 3])
             }
         };
         let emitted = flux_range.clone();
         let done = if how == How::Composed {
+            // The plane path the sweep replaces: V5 primitives of every
+            // station, plane-wide ghost fills, V5 flux.
+            kernels::compute_prims(Version::V5, None, field, &mut prim, gas, &mut ledger);
+            if edges.bottom {
+                bc::mirror_prims_axis(&mut prim);
+            }
+            if edges.top {
+                bc::extrap_prims_top(&mut prim, nr);
+            }
             let src = (dir == FluxDir::R).then_some(&mut src);
-            fused_sweep(
+            kernels::compute_flux_range(
+                Version::V5,
+                None,
                 dir,
-                field,
-                &mut prim,
+                &prim,
+                patch,
                 edges,
                 gas,
                 &mut flux,
                 src,
-                prim_range,
                 flux_range,
-                hi_pre,
-                &[],
-                &mut ws,
-                tile_r,
                 &mut ledger,
             );
             irange.start..irange.start
         } else {
+            if shape == Shape::Split {
+                kernels::fused_boundary_prims(field, &mut prim, gas, &[0, nxl - 1], &mut ledger);
+                // The far-field row a stand-in patch owns but does not reach.
+                if edges.top && !patch.is_global_top() {
+                    for ii in [NG, nxl - 1 + NG] {
+                        bc::extrap_prims_top_row(&mut prim, ii, nr);
+                    }
+                }
+            }
             let pass = FusedUpdate { st, mms, irange: irange.clone(), nj, out: &mut out, correct: p.correct };
-            let (prim, flux, ws, ledger) = (&mut prim, &mut flux, &mut ws, &mut ledger);
+            let (prim, flux, ws, ledger, exports) = (&mut prim, &mut flux, &mut ws, &mut ledger, &exports[..]);
             if how == How::Fused {
                 fused_pass(
                     dir,
@@ -1304,14 +1357,14 @@ mod tests {
                     prim_range,
                     flux_range,
                     hi_pre,
-                    &[],
+                    exports,
                     ws,
                     tile_r,
                     Some(pass),
                     ledger,
                 )
             } else {
-                let (src, exports, pass) = (None, &[][..], Some(pass));
+                let (src, pass) = (None, Some(pass));
                 let s = Sweep {
                     field,
                     prim,
@@ -1371,6 +1424,10 @@ mod tests {
             }
         }
         let mut bits: Vec<u64> = out.q.iter().flat_map(|a| a.as_slice()).map(|v| v.to_bits()).collect();
+        for ii in exports.into_iter().map(|s| s + NG) {
+            let planes = [&prim.rho, &prim.u, &prim.v, &prim.p, &prim.t];
+            bits.extend(planes.into_iter().flat_map(|plane| plane.row(ii)).map(|v| v.to_bits()));
+        }
         if dir == FluxDir::X {
             for ii in (0..nxl + 2 * NG).filter(|&ii| ii < NG + X_BAND || ii + NG + X_BAND >= nxl + 2 * NG) {
                 bits.extend(flux.c.iter().flat_map(|plane| &plane.row(ii)[NG..NG + nr]).map(|v| v.to_bits()));
@@ -1381,10 +1438,15 @@ mod tests {
 
     /// Patches `nr` rows tall on an `nx = 16` grid: its whole width and three
     /// internal slabs (no global x edge) — one so narrow that every station
-    /// of either difference is deferred, one where exactly one is fused.
-    fn stage_patches(nr: usize) -> [Patch; 4] {
+    /// of either difference is deferred, one where exactly one is fused —
+    /// and, where the grid's 24 rows leave room above them, two pencils two
+    /// rows up, whose radial ghosts the sweep imports from the exchange.
+    fn stage_patches(nr: usize) -> Vec<Patch> {
         let grid = Grid::new(16, 24, 8.0, 2.4);
-        [(0, 16), (3, 4), (3, 5), (3, 9)].map(|(i0, nxl)| Patch { grid: grid.clone(), i0, nxl, j0: 0, nrl: nr })
+        let spanning = [(0, 16), (3, 4), (3, 5), (3, 9)].map(|(i0, nxl)| (i0, nxl, 0));
+        let pencils = [(0, 16), (3, 9)].map(|(i0, nxl)| (i0, nxl, 2)).into_iter().filter(|_| nr + 2 < grid.nr);
+        let patch = |(i0, nxl, j0)| Patch { grid: grid.clone(), i0, nxl, j0, nrl: nr };
+        spanning.into_iter().chain(pencils).map(patch).collect()
     }
 
     /// MMS forcing planes for a stage test: any finite numbers will do.
@@ -1396,13 +1458,18 @@ mod tests {
         })
     }
 
-    /// The tentpole's contract: a sweep with the update inside it, plus the
-    /// deferred stations afterwards, leaves the bits of sweep → ghost fill →
-    /// `predict`/`correct` through the planes — both directions and regimes,
-    /// predictor and corrector, forward and backward, both orders, forcing on
-    /// and off, radial sizes and tile sizes around the lane width, whole
-    /// patches and internal slabs, the axial operator's split shape and the
-    /// exchange-free Euler stage-2 shape; inputs carry a signed zero, a
+    /// A sweep with the update inside it, plus the deferred stations
+    /// afterwards, leaves the bits of the V5 plane path (primitives, ghost
+    /// fills, flux) → flux ghost fill → `predict`/`correct` through the
+    /// planes, and the exported primitive stations bitwise V5's — both
+    /// directions and regimes, predictor and corrector, forward and
+    /// backward, both orders, forcing on and off, radial sizes around the
+    /// lane width, whole patches, internal slabs and pencils (radial ghosts
+    /// imported from the exchange), the axial operator's split shape
+    /// (`hi_pre` imported, the edge-column and outflow stations exported)
+    /// and the exchange-free Euler stage-2 shape. Every shape on every patch
+    /// meets tile sizes 1, 3, [`LANES`] and the default (one tile), so the
+    /// primitive ring crosses tile edges. Inputs carry a signed zero, a
     /// subnormal and a NaN payload, and NaN payloads planted outside the
     /// update window survive (checked inside [`stage_bits`]).
     #[test]
@@ -1416,7 +1483,12 @@ mod tests {
                     let mut field = smooth_field(&patch, &gas);
                     salt(&mut field);
                     let forcing = forcing(&patch);
-                    let mut shapes = vec![(FluxDir::R, Shape::Whole), (FluxDir::X, Shape::Split)];
+                    let mut shapes = vec![(FluxDir::X, Shape::Split)];
+                    // A radial pass is attached only where the patch spans
+                    // the grid radially.
+                    if patch.j0 == 0 {
+                        shapes.push((FluxDir::R, Shape::Whole));
+                    }
                     if regime == Regime::Euler {
                         shapes.push((FluxDir::X, Shape::Whole));
                     }
@@ -1483,6 +1555,19 @@ mod tests {
                 assert!(reused == fresh, "{dir:?} at j0 = {}, dr = {}", patch.j0, patch.grid.dr);
             }
         }
+    }
+
+    /// The rings hold four stations whatever the patch width: a workspace
+    /// for 8 stations and one for 512 allocate the same bytes, 2 rings x 4
+    /// stations x 5 padded rows.
+    #[test]
+    fn arena_bytes_do_not_depend_on_the_patch_width() {
+        let bytes = |nxl: usize| {
+            let ws = SoaWs::new(&Patch::whole(Grid::new(nxl, 24, 8.0, 2.4)));
+            (ws.prims.data.len() + ws.ring.data.len()) * std::mem::size_of::<f64>()
+        };
+        assert_eq!(bytes(8), bytes(512));
+        assert_eq!(bytes(512), 2 * SLOTS * 5 * pad(24 + 2 * NG) * std::mem::size_of::<f64>());
     }
 
     #[test]

@@ -1,12 +1,35 @@
 //! Property-based tests of the message-passing runtime: pack/unpack
 //! round-trips, tag matching under arbitrary interleavings, collectives.
 
+use bytes::Bytes;
 use ns_runtime::collectives;
 use ns_runtime::comm::{universe, MsgKind, Tag};
-use ns_runtime::pack::{PackBuf, UnpackBuf};
+use ns_runtime::pack::{frame_checksum, open_frame, PackBuf, UnpackBuf, FRAME_TRAILER};
 use proptest::prelude::*;
 
 proptest! {
+    /// Arbitrary bytes into `open_frame` — raw, or with a valid trailer
+    /// appended so the accepting path runs too — are refused or opened,
+    /// never a panic; what it opens is exactly a sealed frame: the body
+    /// plus the trailer of the `seq` and `span` it reports.
+    #[test]
+    fn open_frame_takes_arbitrary_bytes(
+        raw in prop::collection::vec(0u8..=255, 0..96), seal in prop::bool::ANY, seq in 0u64..u64::MAX,
+    ) {
+        let sealed = |body: &[u8], seq: u64, span: u64| {
+            let sum = frame_checksum(seq, span, body);
+            [body, &seq.to_le_bytes(), &span.to_le_bytes(), &sum.to_le_bytes()].concat()
+        };
+        let input = if seal { sealed(&raw, seq, seq.rotate_left(7)) } else { raw };
+        match open_frame(Bytes::from(input.clone())) {
+            Ok(frame) => {
+                prop_assert_eq!(frame.body.len() + FRAME_TRAILER, input.len());
+                prop_assert_eq!(sealed(&frame.body, frame.seq, frame.span), input);
+            }
+            Err(e) => prop_assert!(!seal, "a sealed frame must open: {e}"),
+        }
+    }
+
     /// Pack/unpack round-trips arbitrary f64 vectors exactly (bit pattern).
     #[test]
     fn pack_roundtrip_bits(vals in prop::collection::vec(prop::num::f64::ANY, 0..256)) {
