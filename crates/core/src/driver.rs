@@ -9,10 +9,11 @@
 //! ```
 //!
 //! The same driver advances the serial solver (one patch spanning the grid,
-//! [`NoHalo`]), the shared-memory solver (the serial solver with its V5
-//! station loops on a DOALL team, [`Solver::shared`]) and each rank of the
-//! distributed solver (a block patch and a real halo exchanger from
-//! `ns-runtime`).
+//! [`NoHalo`]) and each rank of the distributed solver (a block patch and a
+//! real halo exchanger from `ns-runtime`). Either may carry a DOALL team
+//! ([`Solver::with_threads`]): the shared-memory solver is the serial one
+//! with its V5 station loops on the team, and a plan arms the same team on
+//! every rank.
 
 use crate::config::SolverConfig;
 use crate::field::{Field, Patch, Workspace};
@@ -91,19 +92,19 @@ impl Solver {
         Self::on_patch(cfg, patch)
     }
 
-    /// The shared-memory solver, the analogue of the paper's Cray Y-MP
-    /// version: its serial code with DOALL directives on the loops. This is
-    /// the serial solver at V5 (the paper parallelized its fully optimized
-    /// code) with every V5 station loop — primitive recovery, flux
-    /// evaluation, predictor and corrector — spread over a team of
-    /// `threads`; boundary fills and smoothing stay on the calling thread.
-    /// Stations are independent, so it is bitwise [`Solver::new`] at V5.
-    pub fn shared(mut cfg: SolverConfig, threads: usize) -> Self {
-        cfg.version = crate::config::Version::V5;
-        let mut solver = Self::new(cfg);
+    /// Arm a DOALL team of `threads` on this solver, the analogue of the
+    /// paper's Cray Y-MP version: its serial code with DOALL directives on
+    /// the loops. Every V5 station loop — primitive recovery, flux
+    /// evaluation, predictor and corrector — is spread over the team;
+    /// boundary fills and smoothing stay on the calling thread, and the
+    /// other kernel rungs ignore the team. Stations are independent, so the
+    /// team never changes an answer. Panics on `threads == 0` (a plan
+    /// refuses that with a typed error before any thread starts).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "a DOALL team needs at least one thread");
         let team = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("rayon pool");
-        solver.ws.team = Some(Arc::new(team));
-        solver
+        self.ws.team = Some(Arc::new(team));
+        self
     }
 
     /// Solver over an axial block (one rank of the distributed solver).

@@ -363,7 +363,8 @@ pub struct Workspace {
     /// `None` for every other version (see [`crate::soa`]).
     pub soa: Option<Box<crate::soa::SoaWs>>,
     /// The DOALL team V5's station loops run on (`None`: the calling
-    /// thread); set by [`crate::driver::Solver::shared`].
+    /// thread); set by [`crate::driver::Solver::with_threads`], on every
+    /// rank of a plan with `threads > 1`.
     pub(crate) team: Option<std::sync::Arc<rayon::ThreadPool>>,
 }
 

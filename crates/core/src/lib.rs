@@ -28,8 +28,8 @@
 //! * the five single-processor optimization versions of the hot kernels
 //!   that Figure 2 studies ([`kernels`], [`config::Version`]),
 //! * a shared-memory solver in the style of the paper's Cray Y-MP DOALL
-//!   parallelization: the serial V5 solver with its station loops on a
-//!   thread team ([`driver::Solver::shared`]),
+//!   parallelization: any solver's V5 station loops on a thread team
+//!   ([`driver::Solver::with_threads`]),
 //! * FLOP and workload instrumentation feeding the paper's Tables 1-2 and
 //!   the platform simulator ([`opcount`], [`workload`]).
 //!
@@ -66,9 +66,10 @@ pub use config::{Regime, SolverConfig, Version};
 pub use driver::Solver;
 pub use field::{Field, Patch};
 
-/// Tests of the shared-memory solver ([`driver::Solver::shared`]): the serial
-/// V5 step with its station loops on a DOALL team must reproduce serial V5
-/// exactly, whatever the team size.
+/// Tests of the shared-memory solver ([`driver::Solver::with_threads`]): the
+/// serial V5 step with its station loops on a DOALL team must reproduce
+/// serial V5 exactly, whatever the team size, and the other rungs ignore
+/// the team.
 #[cfg(test)]
 mod shared {
     #[cfg(test)]
@@ -87,8 +88,9 @@ mod shared {
         /// field bitwise (ghosts included), the clock, every FLOP category
         /// and, with phase timing on, the phase labels.
         fn assert_shared_is_serial(cfg: &SolverConfig, threads: usize, steps: u64) {
-            let mut serial = Solver::new(SolverConfig { version: Version::V5, ..cfg.clone() });
-            let mut shared = Solver::shared(cfg.clone(), threads);
+            let v5 = SolverConfig { version: Version::V5, ..cfg.clone() };
+            let mut serial = Solver::new(v5.clone());
+            let mut shared = Solver::new(v5).with_threads(threads);
             for s in [&mut serial, &mut shared] {
                 s.enable_phase_timing();
                 s.run(steps);
@@ -128,20 +130,31 @@ mod shared {
 
         #[test]
         fn thread_count_does_not_change_results() {
-            let cfg = SolverConfig::paper(Grid::small(), Regime::NavierStokes);
-            let mut one = Solver::shared(cfg.clone(), 1);
-            let mut eight = Solver::shared(cfg, 8);
+            // the paper configuration runs kernel V5
+            let ns = SolverConfig::paper(Grid::small(), Regime::NavierStokes);
+            let mut one = Solver::new(ns.clone()).with_threads(1);
+            let mut eight = Solver::new(ns.clone()).with_threads(8);
             one.run(5);
             eight.run(5);
             assert!(bits(&one.field) == bits(&eight.field), "1 and 8 threads must agree bitwise");
             assert_eq!(one.ledger, eight.ledger);
+            // the team forces no kernel: the other rungs run as they are
+            for version in [Version::V3, Version::V7] {
+                let cfg = SolverConfig { version, ..ns.clone() };
+                let mut teamless = Solver::new(cfg.clone());
+                let mut teamed = Solver::new(cfg).with_threads(8);
+                assert_eq!(teamed.cfg.version, version, "the team keeps the kernel");
+                teamless.run(5);
+                teamed.run(5);
+                assert!(bits(&teamless.field) == bits(&teamed.field), "{version:?} ignores the team");
+            }
         }
 
         #[test]
         fn ledger_matches_serial() {
             let cfg = SolverConfig::paper(Grid::small(), Regime::NavierStokes);
             let mut serial = Solver::new(cfg.clone());
-            let mut shared = Solver::shared(cfg, 2);
+            let mut shared = Solver::new(cfg).with_threads(2);
             serial.run(3);
             shared.run(3);
             assert_eq!(serial.ledger, shared.ledger);

@@ -26,13 +26,16 @@ pub struct Grid {
 }
 
 impl Grid {
+    /// The fewest points per direction the 2-4 scheme's stencils need.
+    pub const MIN_POINTS: usize = 5;
+
     /// Build a grid with `nx x nr` points covering `lx x lr`.
     ///
     /// Axial points sit at `x_i = i * dx` with `dx = lx / (nx - 1)` (the
     /// first point is the inflow plane, the last the outflow plane); radial
     /// points are cell-centered, `r_j = (j + 1/2) * dr` with `dr = lr / nr`.
     pub fn new(nx: usize, nr: usize, lx: f64, lr: f64) -> Self {
-        assert!(nx >= 5 && nr >= 5, "the 2-4 scheme needs at least 5 points per direction");
+        assert!(nx.min(nr) >= Self::MIN_POINTS, "the 2-4 scheme needs at least 5 points per direction");
         assert!(lx > 0.0 && lr > 0.0);
         Self { nx, nr, lx, lr, dx: lx / (nx as f64 - 1.0), dr: lr / nr as f64 }
     }

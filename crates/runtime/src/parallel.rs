@@ -63,6 +63,10 @@ pub struct RunPlan<'a> {
     /// Start from this whole-grid checkpoint, scattered over the ranks,
     /// instead of the standard initial condition.
     pub resume: Option<&'a Checkpoint>,
+    /// Each rank's DOALL team ([`Solver::with_threads`]; 1: none, 0: refused).
+    /// Only kernel V5's station loops use it, so it changes no answer; the
+    /// 1×1 plan with a team is the shared-memory (Y-MP) solver.
+    pub threads: usize,
 }
 
 impl<'a> RunPlan<'a> {
@@ -70,7 +74,15 @@ impl<'a> RunPlan<'a> {
     /// rest with struct-update syntax.
     pub fn new(cfg: &'a SolverConfig, topology: CartTopology, nsteps: u64, comm: CommVersion) -> Self {
         let telemetry = TelemetryOptions::default();
-        Self { cfg, topology, nsteps, comm, telemetry, reliability: None, resume: None }
+        Self { cfg, topology, nsteps, comm, telemetry, reliability: None, resume: None, threads: 1 }
+    }
+
+    /// The typed refusals: a rank grid too fine for the grid, or no threads.
+    pub fn validate(&self) -> Result<(), DecompositionError> {
+        if self.threads == 0 {
+            return Err(DecompositionError::ZeroThreads);
+        }
+        self.topology.validate(&self.cfg.grid)
     }
 
     /// The global step the run starts at.
@@ -357,12 +369,12 @@ pub fn run_parallel_instrumented(
 /// are dropped on rollback, so each sampled step appears once. A health
 /// abort ends the run; only a comm failure rolls it back.
 ///
-/// A plan the decomposition cannot carry (too fine) is a typed error; a
-/// wrong one (a `resume` checkpoint that is not this grid's whole field)
-/// panics.
+/// A plan the decomposition cannot carry (too fine, or no threads) is a
+/// typed error ([`RunPlan::validate`]); a wrong one (a `resume` checkpoint
+/// that is not this grid's whole field) panics.
 pub fn run(plan: &RunPlan) -> Result<ParallelRun, DecompositionError> {
     let RunPlan { cfg, topology: topo, nsteps, .. } = *plan;
-    topo.validate(&cfg.grid)?;
+    plan.validate()?;
     if let Some(cp) = plan.resume {
         assert_eq!(cp.patch, Patch::whole(cfg.grid.clone()), "distributed restart needs a whole-grid checkpoint");
     }
@@ -518,6 +530,10 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
         }
         solver
     });
+    // fresh or restored after a rollback, the rank carries the plan's team
+    if plan.threads > 1 {
+        solver = solver.with_threads(plan.threads);
+    }
     let timed = tel.phases || tel.trace;
     let mut conservation = tel.health.is_some().then(|| ConservationLedger::open(&solver.field, solver.gas()));
     ep.recorder.set_origin(origin);

@@ -317,20 +317,22 @@ mod tests {
 
     /// A damped run rolls back onto its fault-free bits on every shape, the
     /// one-rank plan included: the restored solver smooths about the same
-    /// `t = 0` base as the fresh one, inflow column and all.
+    /// `t = 0` base as the fresh one, inflow column and all, and carries the
+    /// plan's DOALL team like a fresh one (the team changes no answer).
     #[test]
     fn damped_crash_rolls_back_bitwise() {
         let c = SolverConfig { dissipation: 0.002, ..cfg(Regime::Euler) };
         let nsteps = 8;
-        for (px, pr) in [(1, 1), (2, 1), (2, 2)] {
+        for (px, pr, threads) in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 2), (2, 2, 2)] {
             let plain = RunPlan::new(&c, CartTopology::new(px, pr).unwrap(), nsteps, CommVersion::V5);
             let reference = run(&plain).unwrap();
             let plan =
                 FaultPlan { seed: 5, crash: Some(CrashSpec { rank: px * pr - 1, step: 5 }), ..Default::default() };
-            let chaos = run(&RunPlan { reliability: Some(fast_opts(plan)), ..plain }).unwrap();
+            let chaos = run(&RunPlan { reliability: Some(fast_opts(plan)), threads, ..plain }).unwrap();
             let rep = chaos.recovery.clone().unwrap();
-            assert_eq!((rep.crashes, rep.rollbacks), (1, 1), "{px}x{pr}: one crash, one rollback");
-            assert_eq!(reference.gather_field().max_diff(&chaos.gather_field()), 0.0, "{px}x{pr}");
+            let case = format!("{px}x{pr}, {threads} threads");
+            assert_eq!((rep.crashes, rep.rollbacks), (1, 1), "{case}: one crash, one rollback");
+            assert_eq!(reference.gather_field().max_diff(&chaos.gather_field()), 0.0, "{case}");
         }
     }
 

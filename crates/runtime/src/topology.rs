@@ -34,6 +34,8 @@ pub enum DecompositionError {
         /// Grid rows being split.
         nr: usize,
     },
+    /// A DOALL team of zero threads (`RunPlan::threads == 0`).
+    ZeroThreads,
 }
 
 impl fmt::Display for DecompositionError {
@@ -46,6 +48,7 @@ impl fmt::Display for DecompositionError {
             DecompositionError::TooFewRows { pr, nr } => {
                 write!(f, "{pr} radial ranks over {nr} rows leaves ranks with fewer than {MIN_ROWS} rows")
             }
+            DecompositionError::ZeroThreads => write!(f, "a DOALL team needs at least one thread"),
         }
     }
 }

@@ -47,10 +47,9 @@ use crate::queue::{JobQueue, PushError, Pushed, QueuedJob};
 use crate::spill::Spill;
 use crate::wal::{key_hex, Wal, WalRecord, WalReplay};
 use ns_core::config::SolverConfig;
-use ns_core::Solver;
 use ns_metrics::{Counter, FlightDump, Gauge, Histogram, Recorder, Registry};
 use ns_runtime::{CartTopology, CommVersion, RunPlan};
-use ns_telemetry::{RunSummary, ServeJobSummary, RUN_SUMMARY_SCHEMA};
+use ns_telemetry::{RunSummary, ServeJobSummary};
 use ns_verify::oracle;
 use ns_verify::snapshot::{field_hash, GoldenFile};
 use std::collections::HashMap;
@@ -825,56 +824,24 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A summary for the shared-memory backend, shaped like the driver's.
-fn process_summary(spec: &JobSpec, wall: Duration) -> RunSummary {
-    RunSummary {
-        schema_version: RUN_SUMMARY_SCHEMA,
-        case: spec.case(),
-        regime: spec.cfg.regime.key().to_string(),
-        nx: spec.cfg.grid.nx,
-        nr: spec.cfg.grid.nr,
-        ranks: 1,
-        steps_requested: spec.steps,
-        steps_taken: spec.steps,
-        wall_seconds: wall.as_secs_f64(),
-        aborted: None,
-        phase_seconds: std::collections::BTreeMap::new(),
-        comm: ns_telemetry::CommTotals::default(),
-        recovery: None,
-        conservation: None,
-        serve: None,
-        metrics: None,
-        health: Vec::new(),
-    }
-}
-
-/// Execute one job on its backend. Returns the summary (without the serve
-/// block, stamped by the worker) and the final field's fingerprint, or the
-/// abort reason.
+/// Execute one job: its canonical plan through the driver, whatever the
+/// backend. Returns the summary (without the serve block, stamped by the
+/// worker) and the final field's fingerprint, or the abort reason.
 fn execute(spec: &JobSpec) -> Result<(RunSummary, u64), String> {
-    match spec.backend {
-        Backend::Shared => {
-            let t0 = Instant::now();
-            let mut solver = Solver::shared(spec.cfg.clone(), spec.procs);
-            solver.run(spec.steps);
-            Ok((process_summary(spec, t0.elapsed()), field_hash(&solver.field)))
-        }
-        Backend::Serial | Backend::Parallel | Backend::Chaos => {
-            let run = ns_runtime::run(&spec.plan()).map_err(|e| e.to_string())?;
-            if let Some(reason) = run.aborted() {
-                return Err(reason);
-            }
-            let hash = field_hash(&run.gather_field());
-            Ok((run.summary(&spec.case()), hash))
-        }
+    let run = ns_runtime::run(&spec.canonical().plan()).map_err(|e| e.to_string())?;
+    if let Some(reason) = run.aborted() {
+        return Err(reason);
     }
+    let hash = field_hash(&run.gather_field());
+    Ok((run.summary(&spec.case()), hash))
 }
 
 /// The golden fingerprint a cold result must reproduce, if the committed
 /// snapshots cover this cell: the golden grid and steps, the paper config
 /// up to the kernel version, and a job plan that `oracle::expect` holds
 /// bitwise against the serial V5 plan the snapshots were taken from. A
-/// shared job's plan is the 1×1 V5 plan its canonical form forces.
+/// shared job's canonical plan is the 1×1 V5 plan with a team, and the
+/// team is a bitwise axis, so it is checked like the serial job.
 pub(crate) fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<&'g str> {
     let c = spec.canonical();
     if [c.cfg.grid.nx, c.cfg.grid.nr] != golden.grid || c.steps != golden.steps {
@@ -1247,6 +1214,34 @@ mod tests {
         daemon.drain().unwrap();
     }
 
+    /// A shared job runs the plan the driver runs, so what the solver runs
+    /// on a team is admitted and served: MMS and the 2-2 scheme each give
+    /// the serial V5 field, whatever kernel the job asked for.
+    #[test]
+    fn shared_jobs_with_mms_or_the_two_two_scheme_are_served_as_serial_v5() {
+        let (daemon, _dir) = daemon(sized(1, 4));
+        let ns = SolverConfig::paper(Grid::new(32, 12, 50.0, 5.0), Regime::NavierStokes);
+        let mms = SolverConfig { mms: Some(ns_core::mms::MmsSpec::standard()), ..ns.clone() };
+        let two_two = SolverConfig { scheme: ns_core::config::SchemeOrder::TwoTwo, ..ns };
+        for cfg in [mms, two_two] {
+            let mut job = JobSpec::new(SolverConfig { version: ns_core::config::Version::V7, ..cfg.clone() }, 4, 2);
+            job.backend = Backend::Shared;
+            assert_eq!(job.validate(), Ok(()), "{} is admitted", job.case());
+            let key = job.canonical_key();
+            assert!(matches!(enqueue(&daemon.shared, key, job), Response::Admitted { .. }));
+            let mut reference = Solver::new(cfg);
+            reference.run(4);
+            match settled(&daemon.shared, &key_hex(key)) {
+                Response::Done { field_hash, payload, .. } => {
+                    assert_eq!(field_hash, hash_hex(ns_verify::snapshot::field_hash(&reference.field)));
+                    assert!(payload.contains("\"steps_taken\": 4"), "the driver's summary: {payload}");
+                }
+                other => panic!("a shared job is served, got {other:?}"),
+            }
+        }
+        daemon.drain().unwrap();
+    }
+
     #[test]
     fn golden_applicability_is_conservative() {
         let (golden, cfg) = oracle_shaped_golden();
@@ -1417,6 +1412,16 @@ mod tests {
         spec.procs = 2;
         spec.steps = 0;
         assert!(refused(&spec), "zero steps");
+        spec.steps = 2;
+        spec.backend = Backend::Shared;
+        spec.procs = 0;
+        assert!(refused(&spec), "a team of no threads");
+        // a grid under the scheme's five points never reaches `Grid::new`
+        let tiny: JobDesc = serde_json::from_str(r#"{"regime":"euler","nx":3,"nr":16,"steps":4}"#).unwrap();
+        match submit(&daemon.shared, &tiny) {
+            Response::Invalid { reason } => assert!(reason.contains("at least 5 points"), "{reason}"),
+            other => panic!("a 3x16 grid must be invalid, got {other:?}"),
+        }
         let stats = daemon.drain().unwrap().stats;
         assert_eq!(stats.submitted, 0);
         assert_eq!(stats.failed, 0);

@@ -2,12 +2,17 @@
 //! admission, and the canonical content hash that makes the result cache
 //! content-addressed.
 //!
+//! Every backend is a plan for `ns_runtime::run` (`JobSpec::plan`): a
+//! serial job is the 1×1 plan, a parallel or chaos job `procs` axial ranks,
+//! and a shared-memory job the 1×1 plan with a DOALL team of `procs`
+//! threads (`RunPlan::threads`).
+//!
 //! Two jobs that would compute the same physics must hash identically even
 //! when they are *described* differently (a serial job "on 3 procs", a
-//! shared-memory job asking for kernel V6 that the driver forces to V5).
-//! [`JobSpec::canonical`] normalizes those degrees of freedom away before
-//! hashing; priority and label never enter the key — urgency does not
-//! change the answer.
+//! shared-memory job asking for kernel V6, which its canonical form runs at
+//! V5). [`JobSpec::canonical`] normalizes those degrees of freedom away
+//! before hashing; priority and label never enter the key — urgency does
+//! not change the answer.
 
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_numerics::Grid;
@@ -67,8 +72,8 @@ pub enum Backend {
     /// Distributed driver with the recovery machinery armed (fault-free
     /// plan: checkpoints are taken, nothing is injected).
     Chaos,
-    /// Shared-memory solver (`Solver::shared`: the serial V5 solver with its
-    /// station loops on a DOALL team of `procs` threads).
+    /// Shared-memory solver, the paper's Y-MP version: the 1×1 plan at
+    /// kernel V5 with its station loops on a DOALL team of `procs` threads.
     Shared,
 }
 
@@ -138,8 +143,9 @@ impl JobSpec {
 
     /// The spec with description-level degrees of freedom normalized away,
     /// so equal physics hashes equally: serial runs have no meaningful
-    /// procs/comm, the shared driver forces kernel V5 and uses no message
-    /// protocol.
+    /// procs/comm, and a shared job runs kernel V5 (the rung whose station
+    /// loops the team spreads; this is the one place that is decided) and
+    /// uses no message protocol. The daemon runs a job's canonical plan.
     pub fn canonical(&self) -> JobSpec {
         let mut c = self.clone();
         c.label = String::new();
@@ -197,44 +203,32 @@ impl JobSpec {
     /// The plan the driver runs this job as. A serial job is the 1×1 plan,
     /// where the comm protocol moves nothing; a chaos job arms the recovery
     /// machinery on a fault-free plan (checkpoints shorter than the run,
-    /// nothing injected); a shared job computes the 1×1 plan's answer on
-    /// threads.
+    /// nothing injected); a shared job is the 1×1 plan with a DOALL team of
+    /// `procs` threads.
     pub(crate) fn plan(&self) -> RunPlan<'_> {
-        let ranks = if matches!(self.backend, Backend::Serial | Backend::Shared) { 1 } else { self.procs };
+        let (ranks, threads) = match self.backend {
+            Backend::Serial => (1, 1),
+            Backend::Shared => (1, self.procs),
+            Backend::Parallel | Backend::Chaos => (self.procs, 1),
+        };
         let reliability = (self.backend == Backend::Chaos).then(|| ChaosOptions {
             plan: FaultPlan::none(42),
             checkpoint_every: 4,
             ..Default::default()
         });
-        RunPlan { reliability, ..RunPlan::new(&self.cfg, CartTopology { px: ranks, pr: 1 }, self.steps, self.comm) }
+        let topology = CartTopology { px: ranks, pr: 1 };
+        RunPlan { reliability, threads, ..RunPlan::new(&self.cfg, topology, self.steps, self.comm) }
     }
 
-    /// Admission-time validation: reject jobs the backends would panic on,
-    /// so a bad request costs an error payload, not a worker.
+    /// Admission-time validation: reject jobs the driver would refuse, so a
+    /// bad request costs an error payload, not a worker. Beyond a step to
+    /// take, that is the plan's own typed validation, the one the driver
+    /// runs.
     pub fn validate(&self) -> Result<(), String> {
         if self.steps == 0 {
             return Err("steps must be >= 1".into());
         }
-        match self.backend {
-            Backend::Serial | Backend::Parallel | Backend::Chaos => {
-                // the same typed plan validation the driver runs, so a
-                // daemon never admits work it would panic on
-                let plan = self.plan();
-                plan.topology.validate(&plan.cfg.grid).map_err(|e| e.to_string())?;
-            }
-            Backend::Shared => {
-                if self.procs == 0 {
-                    return Err("procs must be >= 1".into());
-                }
-                if self.cfg.mms.is_some() {
-                    return Err("MMS runs use the serial or distributed drivers".into());
-                }
-                if self.cfg.scheme != ns_core::config::SchemeOrder::TwoFour {
-                    return Err("the shared driver implements the 2-4 scheme only".into());
-                }
-            }
-        }
-        Ok(())
+        self.plan().validate().map_err(|e| e.to_string())
     }
 }
 
@@ -274,37 +268,27 @@ impl serde::Deserialize for JobDesc {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
         let req = |key: &str| serde::map_field(v.as_map().unwrap_or(&[]), key, "JobDesc");
         let opt_str = |key: &str, default: &str| -> Result<String, serde::DeError> {
-            match v.get(key) {
-                None | Some(serde::Value::Null) => Ok(default.to_string()),
-                Some(val) => serde::Deserialize::deserialize(val),
-            }
-        };
-        let label = match v.get("label") {
-            None | Some(serde::Value::Null) => None,
-            Some(val) => Some(serde::Deserialize::deserialize(val)?),
-        };
-        let procs = match v.get("procs") {
-            None | Some(serde::Value::Null) => 1,
-            Some(val) => serde::Deserialize::deserialize(val)?,
-        };
-        let deadline_ms = match v.get("deadline_ms") {
-            None | Some(serde::Value::Null) => None,
-            Some(val) => Some(serde::Deserialize::deserialize(val)?),
+            Ok(optional(v, key)?.unwrap_or_else(|| default.to_string()))
         };
         Ok(Self {
-            label,
+            label: optional(v, "label")?,
             regime: serde::Deserialize::deserialize(req("regime")?)?,
             nx: serde::Deserialize::deserialize(req("nx")?)?,
             nr: serde::Deserialize::deserialize(req("nr")?)?,
             steps: serde::Deserialize::deserialize(req("steps")?)?,
             version: opt_str("version", "V5")?,
-            procs,
+            procs: optional(v, "procs")?.unwrap_or(1),
             comm: opt_str("comm", "V5")?,
             backend: opt_str("backend", "parallel")?,
             priority: opt_str("priority", "normal")?,
-            deadline_ms,
+            deadline_ms: optional(v, "deadline_ms")?,
         })
     }
+}
+
+/// `key`'s value in `v`; `None` when it is absent or null.
+fn optional<T: serde::Deserialize>(v: &serde::Value, key: &str) -> Result<Option<T>, serde::DeError> {
+    v.get(key).filter(|val| !matches!(val, serde::Value::Null)).map(T::deserialize).transpose()
 }
 
 impl JobDesc {
@@ -320,6 +304,14 @@ impl JobDesc {
             .find(|v| format!("{v:?}") == self.version)
             .ok_or_else(|| format!("unknown kernel version {:?} (expected V1..V7)", self.version))?;
         let comm = CommVersion::parse(&self.comm)?;
+        if self.nx < Grid::MIN_POINTS || self.nr < Grid::MIN_POINTS {
+            return Err(format!(
+                "grid {}x{} is too small: the 2-4 scheme needs at least {} points per direction",
+                self.nx,
+                self.nr,
+                Grid::MIN_POINTS
+            ));
+        }
         let mut cfg = SolverConfig::paper(Grid::new(self.nx, self.nr, 50.0, 5.0), regime);
         cfg.version = version;
         let spec = JobSpec {
@@ -368,11 +360,16 @@ mod tests {
     }
 
     /// Cache keys name spill files and WAL records, so they outlive the
-    /// process: the value (taken before `fnv1a` moved to `ns-verify`) is
+    /// process: the values (the parallel one taken before `fnv1a` moved to
+    /// `ns-verify`, the others before a shared job became a plan) are
     /// pinned, and a change to the hash or the canonical form shows here.
     #[test]
     fn canonical_key_value_is_pinned() {
         assert_eq!(spec(48).canonical_key(), 0x209d_1f86_f7e9_a1d3);
+        let on = |backend| JobSpec { backend, ..spec(48) }.canonical_key();
+        assert_eq!(on(Backend::Serial), 0x7eda_6686_85f1_53dd);
+        assert_eq!(on(Backend::Chaos), 0x0c9b_2e1c_b152_eeac);
+        assert_eq!(on(Backend::Shared), 0x34dc_7e64_9fe0_d0e1);
     }
 
     #[test]
@@ -434,6 +431,14 @@ mod tests {
         let mut zero_steps = spec(48);
         zero_steps.steps = 0;
         assert!(zero_steps.validate().is_err());
+    }
+
+    /// A shared job is the 1×1 plan with a DOALL team of `procs`.
+    #[test]
+    fn a_shared_job_is_the_one_rank_plan_with_a_team() {
+        let shared = JobSpec { backend: Backend::Shared, procs: 3, ..spec(48) };
+        let plan = shared.plan();
+        assert_eq!((plan.topology, plan.threads), (CartTopology::axial(1), 3));
     }
 
     /// Dissipation is admitted on every backend, at every rank count and

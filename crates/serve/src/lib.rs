@@ -13,12 +13,12 @@
 //!   with a retry-after hint derived from observed service time. Only
 //!   *queued* jobs are ever shed; an in-flight run always finishes, so a
 //!   rank team is never abandoned mid-exchange.
-//! * **Execution** — a bounded worker pool runs jobs on the real
-//!   backends: the message-passing driver [`ns_runtime::run`] (the serial
-//!   job is its 1×1 plan; any comm protocol version; the chaos backend is
-//!   the same plan with the recovery machinery armed), and the
-//!   shared-memory solver [`ns_core::Solver::shared`] (the serial V5
-//!   solver with its station loops on a DOALL thread team).
+//! * **Execution** — a bounded worker pool runs every job as one plan
+//!   through the driver [`ns_runtime::run`]: the serial job is its 1×1
+//!   plan, a parallel job `procs` axial ranks under any comm protocol
+//!   version, the chaos backend the same plan with the recovery machinery
+//!   armed, and the shared-memory job the 1×1 V5 plan with its station
+//!   loops on a DOALL team of `procs` threads (`RunPlan::threads`).
 //! * **Result caching** — a content-addressed, single-flight cache
 //!   ([`cache::ResultCache`]) keyed by the canonical config hash
 //!   ([`job::JobSpec::canonical_key`]). A repeated sweep cell is served

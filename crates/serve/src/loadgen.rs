@@ -329,5 +329,9 @@ mod tests {
         let golden = reference_golden(true);
         let covered = sweep_jobs(true).iter().filter(|j| golden_expectation(&golden, j).is_some()).count();
         assert!(covered >= 2, "golden cross-check applies to at least a couple of sweep cells, got {covered}");
+        // the shared-memory cell is the one-rank V5 plan with a team: bitwise serial, so checked
+        let shared =
+            sweep_jobs(true).into_iter().find(|j| j.label.starts_with("backend/shared-p2")).expect("a shared cell");
+        assert!(golden_expectation(&golden, &shared).is_some(), "{} is golden-checked", shared.case());
     }
 }

@@ -1,0 +1,113 @@
+//! Property-based tests of job admission: `JobDesc::to_spec` on arbitrary
+//! descriptions — zero, small and huge grid extents, rank and step counts,
+//! arbitrary strings — returns `Ok` or `Err` and never panics, and it
+//! allocates no grid on the way (this binary counts what the calling
+//! thread allocates). A daemon's connection thread resolves every wire
+//! submit through it, so a hostile job list costs an `Invalid` answer,
+//! not the thread, and a huge grid costs nothing until it runs.
+
+use ns_serve::job::JobDesc;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting the bytes the calling thread asks for
+/// while its count is armed.
+struct Counting;
+
+thread_local! {
+    static ARMED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; the count is a
+// const-initialised thread local, so reading it allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ARMED.try_with(|n| n.set(n.get().map(|n| n + layout.size())));
+        // SAFETY: the caller's contract for `alloc`, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// `f`'s result and the bytes the calling thread allocated running it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ARMED.with(|n| n.set(Some(0)));
+    let out = f();
+    let bytes = ARMED.with(|n| n.replace(None)).unwrap_or(0);
+    (out, bytes)
+}
+
+/// The bytes a description brings along in its strings.
+fn string_bytes(d: &JobDesc) -> usize {
+    [&d.regime, &d.version, &d.comm, &d.backend, &d.priority].iter().map(|s| s.len()).sum::<usize>()
+        + d.label.as_ref().map_or(0, String::len)
+}
+
+/// An extent or count: zero, tiny, the admission edge, ordinary, or huge.
+fn size(pick: u8, n: u64) -> usize {
+    match pick % 6 {
+        0 => 0,
+        1 => (n % 8) as usize,
+        2 => 5,
+        3 => 8 + (n % 300) as usize,
+        4 => usize::MAX - (n % 4) as usize,
+        _ => n as usize,
+    }
+}
+
+/// A field value: mostly one of the names admission accepts, else
+/// arbitrary bytes read as text.
+fn text(valid: &[&str], pick: u8, bytes: &[u8]) -> String {
+    if pick < 6 && !valid.is_empty() {
+        valid[pick as usize % valid.len()].to_string()
+    } else {
+        String::from_utf8_lossy(bytes).into_owned()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn to_spec_never_panics_or_allocates_a_grid(
+        sizes in prop::collection::vec((0u8..6, 0u64..u64::MAX), 4),
+        picks in prop::collection::vec(0u8..8, 6),
+        bytes in prop::collection::vec(0u8..=255, 0..24),
+        deadline in 0u64..u64::MAX,
+    ) {
+        let desc = JobDesc {
+            label: (picks[5] % 2 == 0).then(|| text(&[], 0, &bytes)),
+            regime: text(&["euler", "navier-stokes"], picks[0], &bytes),
+            nx: size(sizes[0].0, sizes[0].1),
+            nr: size(sizes[1].0, sizes[1].1),
+            steps: size(sizes[2].0, sizes[2].1) as u64,
+            version: text(&["V1", "V3", "V5", "V6", "V7"], picks[1], &bytes),
+            procs: size(sizes[3].0, sizes[3].1),
+            comm: text(&["V5", "V6", "V7"], picks[2], &bytes),
+            backend: text(&["serial", "parallel", "chaos", "shared"], picks[3], &bytes),
+            priority: text(&["low", "normal", "high"], picks[4], &bytes),
+            deadline_ms: (picks[5] % 3 == 0).then_some(deadline),
+        };
+        let (resolved, allocated) = counted(|| std::panic::catch_unwind(|| desc.to_spec()));
+        prop_assert!(resolved.is_ok(), "to_spec panicked on {:?}", desc);
+        if let Ok(spec) = resolved.unwrap() {
+            prop_assert!(desc.nx >= 5 && desc.nr >= 5 && desc.steps >= 1, "admitted {:?}", desc);
+            prop_assert_eq!((spec.cfg.grid.nx, spec.cfg.grid.nr), (desc.nx, desc.nr));
+        }
+        // what it allocates scales with the strings (an error quotes them),
+        // not with nx x nr: one field of a 16 x 16 grid is already four
+        // planes of 20 x 20 doubles, 12.8 KB
+        prop_assert!(
+            allocated <= 4096 + 8 * string_bytes(&desc),
+            "to_spec allocated {} bytes for {:?}", allocated, desc
+        );
+    }
+}

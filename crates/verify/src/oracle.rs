@@ -8,17 +8,17 @@
 //!
 //! * the one-axis resets: kernel → V5, rank grid → 1×1, comm → V5,
 //!   chaos → off (the recovery machinery armed on a fault-free plan must
-//!   be a perfect no-op);
+//!   be a perfect no-op), DOALL team → 1 thread;
 //! * the all-axes reset: the serial V5 run at the same dissipation.
 //!
 //! A pair does not say what it must hold: [`expect`] derives the verdict
 //! from the two plans, and it is the only code that chooses one. Bitwise
 //! identity is the design wherever no arithmetic is re-ordered (V5<->V6<->V7,
 //! plus identical FLOP ledgers on the same rank grid; Euler on any rank
-//! grid; chaos; comm protocols); a documented tolerance covers V1-V4
-//! (different operation orderings round differently) and Navier-Stokes
-//! split axially (the viscous cross-derivative stencils at internal patch
-//! edges).
+//! grid; chaos; comm protocols; DOALL teams); a documented tolerance
+//! covers V1-V4 (different operation orderings round differently) and
+//! Navier-Stokes split axially (the viscous cross-derivative stencils at
+//! internal patch edges).
 
 use std::collections::BTreeMap;
 
@@ -70,7 +70,8 @@ impl Expect {
 /// * rank grid: the same rank grid on both sides, Euler, or both plans
 ///   unsplit axially (`px == 1`), is bitwise; Navier-Stokes split axially
 ///   on different grids is [`TOL_NS_PARALLEL`];
-/// * comm protocol and `reliability` move the same data: bitwise.
+/// * comm protocol, `reliability` and the DOALL team (`threads`, over
+///   independent stations) re-order no arithmetic: bitwise, no rule.
 ///
 /// `None` when the plans differ in anything else (the rest of the solver
 /// configuration, the step count): no contract relates those runs.
@@ -106,7 +107,7 @@ pub struct Perturb {
 /// One run of the matrix: the oracle's configuration in `regime` under
 /// kernel `version` with artificial dissipation `dissipation`, on
 /// `topology` over `comm`, with the recovery machinery armed on a
-/// fault-free plan when `chaos`.
+/// fault-free plan when `chaos` and a DOALL team of `threads` on each rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Run {
     /// Governing equations.
@@ -121,13 +122,15 @@ pub struct Run {
     pub chaos: bool,
     /// Artificial dissipation coefficient (0: the paper's undamped scheme).
     pub dissipation: f64,
+    /// DOALL team per rank (1: none).
+    pub threads: usize,
 }
 
 impl Run {
     /// The serial run: the 1×1 plan over comm V5.
     fn serial(regime: Regime, version: Version) -> Self {
         let topology = CartTopology::axial(1);
-        Self { regime, version, topology, comm: CommVersion::V5, chaos: false, dissipation: 0.0 }
+        Self { regime, version, topology, comm: CommVersion::V5, chaos: false, dissipation: 0.0, threads: 1 }
     }
 
     /// The runs this one is checked against: its one-axis resets and its
@@ -139,6 +142,7 @@ impl Run {
             Run { topology: serial.topology, ..*self },
             Run { comm: serial.comm, ..*self },
             Run { chaos: false, ..*self },
+            Run { threads: serial.threads, ..*self },
             serial,
         ]
         .into_iter()
@@ -150,7 +154,7 @@ impl Run {
     }
 
     /// Cell key, e.g. `"euler/V6/serial"`, `"euler/V7/parallel/p4/commV6"`,
-    /// `"navier-stokes/V5/chaos-pencil/2x2"` or `"euler/V5/parallel/p4/eps0.002"`.
+    /// `"navier-stokes/V5/chaos-pencil/2x2/t2"` or `"euler/V5/parallel/p4/eps0.002"`.
     pub fn key(&self) -> String {
         let CartTopology { px, pr } = self.topology;
         let shape = match (px * pr, pr, self.chaos) {
@@ -161,8 +165,9 @@ impl Run {
             (_, _, true) => format!("chaos-pencil/{px}x{pr}"),
         };
         let comm = if self.comm == CommVersion::V5 { String::new() } else { format!("/comm{}", self.comm.name()) };
+        let team = if self.threads == 1 { String::new() } else { format!("/t{}", self.threads) };
         let eps = if self.dissipation == 0.0 { String::new() } else { format!("/eps{}", self.dissipation) };
-        format!("{}/{:?}/{shape}{comm}{eps}", self.regime.key(), self.version)
+        format!("{}/{:?}/{shape}{comm}{team}{eps}", self.regime.key(), self.version)
     }
 
     fn cfg(&self, grid: &Grid) -> SolverConfig {
@@ -173,7 +178,8 @@ impl Run {
     fn plan<'a>(&self, cfg: &'a SolverConfig, steps: u64) -> RunPlan<'a> {
         // a checkpoint cadence shorter than the run, no faults planned
         let chaos = || ChaosOptions { plan: FaultPlan::none(42), checkpoint_every: 3, ..Default::default() };
-        RunPlan { reliability: self.chaos.then(chaos), ..RunPlan::new(cfg, self.topology, steps, self.comm) }
+        let reliability = self.chaos.then(chaos);
+        RunPlan { reliability, threads: self.threads, ..RunPlan::new(cfg, self.topology, steps, self.comm) }
     }
 }
 
@@ -202,8 +208,8 @@ impl OracleConfig {
 /// Every plan `validate` admits on `grid`, each paired with every one of
 /// its [`Run::resets`]: both regimes, every kernel version, every `px × pr`
 /// rank grid with `px <= 16` and `pr <= 4`, every comm protocol, chaos on
-/// and off, each undamped and damped ([`DAMPED`]). The space is small
-/// enough to enumerate, so it is enumerated rather than sampled.
+/// and off, each undamped and damped ([`DAMPED`]), two threads on a slice.
+/// The space is small enough to enumerate, so it is enumerated.
 pub fn plan_space(grid: &Grid) -> Vec<(Run, Run)> {
     let topologies: Vec<_> = (1..=16)
         .flat_map(|px| (1..=4).map(move |pr| CartTopology::new(px, pr).expect("rank grid")))
@@ -220,6 +226,14 @@ pub fn plan_space(grid: &Grid) -> Vec<(Run, Run)> {
         // under every protocol: V5 and V7 under comm V5 cover its paths
         .filter(|run| {
             run.dissipation == 0.0 || (matches!(run.version, Version::V5 | Version::V7) && run.comm == CommVersion::V5)
+        })
+        // only V5's station loops use a team: V5 under comm V5 on rank
+        // grids up to 2x2 covers it, with rollback armed on 2x2
+        .flat_map(|run| [1, 2].map(|threads| Run { threads, ..run }))
+        .filter(|run| {
+            let CartTopology { px, pr } = run.topology;
+            let slice = run.version == Version::V5 && run.comm == CommVersion::V5 && px.max(pr) <= 2;
+            run.threads == 1 || (slice && (!run.chaos || px * pr == 4))
         })
         .flat_map(|run| run.resets().into_iter().map(move |base| (run, base)))
         .collect()
@@ -408,12 +422,22 @@ mod tests {
             keys(damped),
             ["euler/V5/parallel/p4/eps0.002", "euler/V7/serial/eps0.002", "euler/V5/serial/eps0.002"]
         );
+        let teamed = Run { version: Version::V5, comm: CommVersion::V5, threads: 2, ..twin };
+        assert_eq!(
+            keys(teamed),
+            [
+                "navier-stokes/V5/chaos/p1/t2",
+                "navier-stokes/V5/pencil/2x2/t2",
+                "navier-stokes/V5/chaos-pencil/2x2",
+                "navier-stokes/V5/serial",
+            ]
+        );
     }
 
     #[test]
     fn plan_space_pairs_every_plan_with_its_resets() {
         let oc = OracleConfig::standard();
-        assert_eq!(oc.pairs.len(), 22_798);
+        assert_eq!(oc.pairs.len(), 22_854);
         let mut baselines: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (run, base) in &oc.pairs {
             assert_ne!(run, base, "no run is its own baseline");
@@ -423,7 +447,11 @@ mod tests {
             baselines.entry(base.key()).or_default();
             baselines.entry(run.key()).or_default().push(base.key());
         }
-        assert_eq!(baselines.len(), 5_888, "2 x (7*64*3*2) undamped and 2 x (2*64*2) damped runs");
+        assert_eq!(
+            baselines.len(),
+            5_912,
+            "2 x (7*64*3*2) undamped and 2 x (2*64*2) damped runs, 2 x 2 x 5 two-thread runs and their 4 chaos/p1/t2 resets"
+        );
         // every run is paired with each of its resets, once, and with
         // nothing else: the list holds every pair the hand-kept matrices
         // and the tier-1 enumeration held
@@ -450,5 +478,11 @@ mod tests {
             verdict("navier-stokes/V3/pencil/4x2", "navier-stokes/V5/serial"),
             Some(Expect::Rel(TOL_VERSION + TOL_NS_PARALLEL))
         );
+        // a team is bitwise its teamless twin, ranks and rollback armed or not
+        assert_eq!(
+            verdict("navier-stokes/V5/chaos-pencil/2x2/t2/eps0.002", "navier-stokes/V5/chaos-pencil/2x2/eps0.002"),
+            Some(Expect::Bitwise)
+        );
+        assert_eq!(verdict("euler/V5/serial/t2", "euler/V5/serial"), Some(Expect::Bitwise));
     }
 }

@@ -207,6 +207,11 @@ fn refusals_agree_everywhere() {
             assert_eq!(job.validate(), Err(error.to_string()), "{px}x1: serve admission");
         }
     }
+    // a DOALL team of no threads: the driver and a shared job's admission
+    let no_team = RunPlan { threads: 0, ..RunPlan::new(&paper, CartTopology::axial(1), 2, CommVersion::V5) };
+    assert_eq!(ns_runtime::run(&no_team).err(), Some(E::ZeroThreads), "no threads: the driver");
+    let job = JobSpec { backend: ns_serve::Backend::Shared, ..JobSpec::new(paper.clone(), 2, 0) };
+    assert_eq!(job.validate(), Err(E::ZeroThreads.to_string()), "no threads: serve admission");
     let (pencil, v7) = (CartTopology { px: 1, pr: 2 }, SolverConfig { version: Version::V7, ..paper.clone() });
     assert!(ns_runtime::run(&RunPlan::new(&v7, pencil, 2, CommVersion::V5)).is_ok(), "V7 1x2: the driver");
     assert_eq!(simulate(&sim(pencil, Version::V7)).startups.len(), 2, "V7 1x2: the simulator");

@@ -1,34 +1,40 @@
 //! Parallel-consistency coverage the ns-verify oracle does NOT subsume:
-//! the Rayon shared-memory driver, adaptive-dt reduction, per-rank message
-//! accounting and gather layout.
+//! DOALL team sizes beyond the oracle's two threads, adaptive-dt
+//! reduction, per-rank message accounting and gather layout.
 //!
 //! The former serial-vs-distributed, cross-P, cross-kernel-version and
 //! comm-protocol equivalence tests that lived here were promoted into the
 //! ns-verify differential oracle (`crates/verify/src/oracle.rs`), which
-//! runs the full V1-V6 x P x driver x protocol matrix under `jetns verify`
+//! runs the full V1-V7 x P x protocol x threads matrix under `jetns verify`
 //! and `tests/verify_oracle.rs`.
 
 use ns_core::config::{Regime, SolverConfig};
 use ns_core::driver::Solver;
+use ns_core::Field;
 
 use ns_numerics::Grid;
-use ns_runtime::{run_parallel, CommVersion};
+use ns_runtime::{run, run_parallel, CartTopology, CommVersion, RunPlan};
 
 fn grid() -> Grid {
     Grid::new(64, 24, 50.0, 5.0)
 }
 
+/// `p` axial ranks, each with a DOALL team of `threads`.
+fn teamed(cfg: &SolverConfig, p: usize, threads: usize, steps: u64) -> Field {
+    let plan = RunPlan { threads, ..RunPlan::new(cfg, CartTopology::axial(p), steps, CommVersion::V5) };
+    run(&plan).unwrap().gather_field()
+}
+
 #[test]
 fn shared_memory_driver_is_bitwise_serial() {
-    // the Rayon driver is not in the oracle matrix — keep its own check
+    // the shared-memory solver is the 1x1 plan with a team; the oracle
+    // holds two threads, this the odd and oversubscribed sizes
     let cfg = SolverConfig::paper(grid(), Regime::Euler);
     let steps = 8;
     let mut serial = Solver::new(cfg.clone());
     serial.run(steps);
     for t in [1, 3, 8] {
-        let mut sh = Solver::shared(cfg.clone(), t);
-        sh.run(steps);
-        assert_eq!(serial.field.max_diff(&sh.field), 0.0, "threads={t}");
+        assert_eq!(serial.field.max_diff(&teamed(&cfg, 1, t, steps)), 0.0, "threads={t}");
     }
 }
 
@@ -53,10 +59,10 @@ fn adaptive_dt_is_identical_serial_and_parallel() {
         let run = run_parallel(&cfg, p, 6, CommVersion::V5);
         assert_eq!(serial.field.max_diff(&run.gather_field()), 0.0, "p={p}");
     }
-    // shared-memory driver too
-    let mut sh = Solver::shared(cfg, 4);
-    sh.run(6);
-    assert_eq!(serial.field.max_diff(&sh.field), 0.0);
+    // the shared-memory solver too, and ranks x threads
+    for (p, threads) in [(1, 4), (2, 2)] {
+        assert_eq!(serial.field.max_diff(&teamed(&cfg, p, threads, 6)), 0.0, "p={p} threads={threads}");
+    }
 }
 
 #[test]
