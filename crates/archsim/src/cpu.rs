@@ -26,10 +26,9 @@
 //!   simulated times land on the paper's absolute scale.
 
 use crate::cache::{solver_miss_ratio, CacheGeometry, SweepOrder};
-use ns_core::config::{Regime, Version};
-use ns_core::field::Patch;
-use ns_core::workload;
+use ns_core::config::{Regime, SolverConfig, Version};
 use ns_numerics::Grid;
+use ns_runtime::{CartTopology, CommVersion};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -129,8 +128,9 @@ impl CpuSpec {
 /// live V7 sweep also runs the predictor/corrector update of a station
 /// while its flux rows are in cache, so those planes are no longer written
 /// and re-read and it moves fewer references per flop than 0.62. The scales
-/// are deliberately left where they are — `BENCH_scaling.json` was produced
-/// with them — and are due for a refit against live V6 and V7 steps.
+/// are deliberately left where they are — `BENCH_scaling.json` was
+/// regenerated with them when the simulator began replaying recorded step
+/// pairs — and are due for a refit against live V6 and V7 steps.
 pub fn version_params(v: Version) -> (SweepOrder, f64, f64) {
     match v {
         Version::V1 => (SweepOrder::Strided, 1.20, 1.0),
@@ -200,8 +200,7 @@ impl Calibration {
             assert!(pen_cycles > 0.0 && base_cpi > 0.0, "calibration degenerate: pen={pen_cycles} base={base_cpi}");
             let penalty_ns = pen_cycles / cpu.clock_hz * 1e9;
             // flop_scale: V5 N-S on one 560 must take the paper's ~9062 s
-            let whole = Patch::whole(grid.clone());
-            let model_flops = workload::step_workload(Regime::NavierStokes, &whole).compute_flops() as f64 * 5000.0;
+            let model_flops = serial_flops(Regime::NavierStokes, 5000) as f64;
             let flop_scale = ANCHOR_V5_SECONDS * (ANCHOR_V5_MFLOPS * 1e6) / model_flops;
             Calibration { base_cpi, refs_per_flop, penalty_ns, flop_scale }
         })
@@ -221,6 +220,13 @@ impl Calibration {
     pub fn seconds_for(&self, cpu: &CpuSpec, v: Version, nxl: usize, nr: usize, flops: u64) -> f64 {
         flops as f64 * self.flop_scale / (self.mflops(cpu, v, nxl, nr) * 1e6)
     }
+}
+
+/// FP operations of `steps` steps of the serial V5 solver on the paper's
+/// 250x100 grid, read off its recorded step pair (the 1×1 plan).
+pub fn serial_flops(regime: Regime, steps: u64) -> u64 {
+    let cfg = SolverConfig::paper(Grid::paper(), regime);
+    crate::workload::record(&cfg, CartTopology::axial(1), CommVersion::V5).flops(0, steps)
 }
 
 /// Analytic Cray Y-MP model: vector processors see no cache effects; the
@@ -306,17 +312,15 @@ mod tests {
     fn single_560_navier_stokes_takes_paper_hours() {
         let cal = Calibration::standard();
         let g = Grid::paper();
-        let w = workload::step_workload(Regime::NavierStokes, &Patch::whole(g.clone()));
-        let secs = cal.seconds_for(&CpuSpec::rs6000_560(), Version::V5, g.nx, g.nr, w.compute_flops() * 5000);
+        let flops = serial_flops(Regime::NavierStokes, 5000);
+        let secs = cal.seconds_for(&CpuSpec::rs6000_560(), Version::V5, g.nx, g.nr, flops);
         assert!((secs - ANCHOR_V5_SECONDS).abs() / ANCHOR_V5_SECONDS < 1e-9, "anchor seconds: {secs}");
     }
 
     #[test]
     fn ymp_scales_well_and_beats_everything() {
         let cal = Calibration::standard();
-        let g = Grid::paper();
-        let w = workload::step_workload(Regime::NavierStokes, &Patch::whole(g.clone()));
-        let flops = w.compute_flops() * 5000;
+        let flops = serial_flops(Regime::NavierStokes, 5000);
         let ymp = YmpModel::standard();
         let t1 = ymp.seconds_for(cal, 1, flops);
         let t8 = ymp.seconds_for(cal, 8, flops);

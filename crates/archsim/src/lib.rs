@@ -13,11 +13,12 @@
 //!   the ALLNODE switches, ATM, the SP switch and the T3D torus
 //!   ([`network`]), plus message-library software-cost models for PVM,
 //!   PVMe, MPL and Cray PVM ([`msglib`]).
-//! * **Program**: each rank of the runtime's `CartTopology` runs the
-//!   per-step phase/message program of its own pencil (one builder,
-//!   `ns_core::workload::step_workload`) under the runtime's `CommVersion`,
-//!   executed by an event-driven SPMD engine ([`spmd`]) that reports the
-//!   paper's busy / non-overlapped-communication split.
+//! * **Program**: each rank of the runtime's `CartTopology` replays the
+//!   recorded step pair of its plan ([`workload`]: the phase spans, with
+//!   their FLOPs, and the messages of a two-step traced run of the code
+//!   itself) under the runtime's `CommVersion`, executed by an event-driven
+//!   SPMD engine ([`spmd`]) that reports the paper's busy /
+//!   non-overlapped-communication split.
 //!
 //! The platform catalog ([`platform`]) names the paper's machines; the
 //! shared-memory Cray Y-MP uses the analytic [`cpu::YmpModel`].
@@ -28,6 +29,7 @@ pub mod msglib;
 pub mod network;
 pub mod platform;
 pub mod spmd;
+pub mod workload;
 
 pub use cache::{CacheGeometry, CacheSim, SweepOrder};
 pub use cpu::{Calibration, CpuSpec, YmpModel};
@@ -35,3 +37,4 @@ pub use msglib::MsgLib;
 pub use network::{NetKind, Network};
 pub use platform::Platform;
 pub use spmd::{simulate, simulate_traced, SimConfig, SimResult};
+pub use workload::{record, Recording};

@@ -1,15 +1,15 @@
 //! Discrete-event simulation of the SPMD solver on a modeled platform.
 //!
-//! Each rank of the runtime's own [`CartTopology`] executes the per-step
-//! program of its own pencil (one builder,
-//! `ns_core::workload::step_workload`): compute phases whose durations come
-//! from the calibrated CPU model, interleaved with the code's message
-//! protocol whose software costs come from the library model and whose
-//! transport times come from the network model. The comm variant is the
-//! runtime's [`CommVersion`], and a topology the runtime refuses is refused
-//! here too. The engine advances the globally earliest runnable rank, so
-//! shared-resource contention (the Ethernet bus, switch ports, torus links)
-//! is resolved in time order.
+//! Each rank of the runtime's own [`CartTopology`] replays its recorded
+//! step pair ([`crate::workload`]): the phase spans and messages a
+//! two-step traced run of the same plan recorded, in program order. Phase
+//! durations come from the calibrated CPU model applied to each span's
+//! FLOPs, message software costs from the library model and transport
+//! times from the network model; the program itself is the code's. The
+//! comm variant is the runtime's [`CommVersion`], and a topology the
+//! runtime refuses is refused here too. The engine advances the globally
+//! earliest runnable rank, so shared-resource contention (the Ethernet
+//! bus, switch ports, torus links) is resolved in time order.
 //!
 //! Output is the paper's own decomposition: per-rank **processor busy time**
 //! (compute + message software overheads) and **non-overlapped communication
@@ -19,27 +19,35 @@ use crate::cpu::{Calibration, CpuSpec};
 use crate::msglib::MsgLib;
 
 use crate::platform::Platform;
-use ns_core::config::{Regime, Version};
+use crate::workload::{self, Recording};
+use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::field::Patch;
-use ns_core::workload::{self, PhaseOp};
 use ns_numerics::Grid;
-use ns_runtime::{CartNeighbors, CartTopology, CommVersion};
+use ns_runtime::{CartTopology, CommVersion};
 use ns_telemetry::{Event, EventKind};
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
 
-/// Low-level per-rank event.
+/// Low-level per-rank event. A message is two events, its library cost
+/// and its transfer, so the engine resolves every transfer in time order.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Ev {
-    /// Busy for a fixed duration (compute or message software overhead),
-    /// attributed to a named phase — the per-phase separation the paper
-    /// could not make "unless we have hardware performance monitoring
-    /// tools" (Section 6); the simulator is that tool.
-    Busy { secs: f64, label: &'static str },
+    /// A compute phase busy for a fixed duration, attributed to its label —
+    /// the per-phase separation the paper could not make "unless we have
+    /// hardware performance monitoring tools" (Section 6); the simulator is
+    /// that tool.
+    Busy { secs: f64, label: &'static str, flops: u64 },
+    /// The library's software cost of the send that follows.
+    SendCost { secs: f64 },
     /// Inject a message to `to`.
-    Send { to: usize, bytes: u64 },
+    Send { to: usize, bytes: u64, label: &'static str },
     /// Block until the next message from `from` is delivered.
     Recv { from: usize },
+    /// The library's software cost of the receive just completed.
+    RecvCost { secs: f64, from: usize, bytes: u64, label: &'static str },
+    /// A step begins (a trace mark; takes no time).
+    Step,
 }
 
 /// Simulation configuration.
@@ -100,7 +108,7 @@ pub struct SimResult {
     /// Busy seconds attributed to each phase label, aggregated over ranks
     /// (compute phases carry the solver's labels, message software costs
     /// appear as `comm:send` / `comm:recv` / `comm:stall`).
-    pub phase_seconds: std::collections::BTreeMap<&'static str, f64>,
+    pub phase_seconds: BTreeMap<&'static str, f64>,
 }
 
 impl SimResult {
@@ -115,89 +123,66 @@ impl SimResult {
     }
 }
 
-/// Compile one rank's per-step program into low-level events.
-fn compile_rank(cal: &Calibration, cpu: &CpuSpec, lib: &MsgLib, cfg: &SimConfig, rank: usize) -> Vec<Ev> {
-    let CartNeighbors { left, right, down, up } = cfg.topology.neighbors(rank);
+/// The static label of a recorded phase or message (the runtime records
+/// them from static strings).
+fn static_label(e: &Event) -> &'static str {
+    match e.label {
+        Cow::Borrowed(label) => label,
+        Cow::Owned(_) => unreachable!("recorded phase and message labels are static"),
+    }
+}
+
+/// Compile `rank`'s recorded even and odd steps into low-level events:
+/// each phase span becomes busy time for its FLOPs on this rank's
+/// subdomain, each message its library cost plus the transfer.
+fn compile_rank(
+    cal: &Calibration,
+    cpu: &CpuSpec,
+    lib: &MsgLib,
+    cfg: &SimConfig,
+    rec: &Recording,
+    rank: usize,
+) -> [Vec<Ev>; 2] {
     let dims = (cfg.topology.px, cfg.topology.pr);
     let patch = Patch::pencil(cfg.grid.clone(), cfg.topology.coords(rank), dims);
-    let mut w = workload::step_workload(cfg.regime, &patch);
-    if cfg.version >= Version::V6 {
-        w.relabel_fused();
-    }
     // the local subdomain shape seen by the cache model
     let (nxl, nr) = (patch.nxl, patch.nrl);
-    let busy_for = |flops: u64| cal.seconds_for(cpu, cfg.version, nxl, nr, flops);
-
-    let mut evs: Vec<Ev> = Vec::new();
-    let push_exchange = |evs: &mut Vec<Ev>, pair: [Option<usize>; 2], bytes: u64, pieces: u64| {
-        // all sends first (buffered), then receives — the solver's order
-        for n in pair.into_iter().flatten() {
-            for _ in 0..pieces {
-                evs.push(Ev::Busy { secs: lib.send_cost(bytes / pieces), label: "comm:send" });
-                evs.push(Ev::Send { to: n, bytes: bytes / pieces });
-            }
-        }
-        for n in pair.into_iter().flatten() {
-            for _ in 0..pieces {
-                evs.push(Ev::Recv { from: n });
-                evs.push(Ev::Busy { secs: lib.recv_cost(bytes / pieces), label: "comm:recv" });
-            }
-        }
-    };
-
-    let ops = &w.ops;
-    let mut k = 0;
-    while k < ops.len() {
-        match &ops[k] {
-            PhaseOp::Compute { label, flops } => evs.push(Ev::Busy { secs: busy_for(*flops), label }),
-            PhaseOp::ExchangePrims { bytes } => {
-                // Version 6: overlap this wait with the interior part of the
-                // flux phase that follows (labeled `*:flux*` on the V1–V5
-                // kernel ladder, `*:fused*` on the fused V6 path).
-                let next_is_flux = matches!(
-                    ops.get(k + 1),
-                    Some(PhaseOp::Compute { label, .. }) if label.contains("flux") || label.contains("fused")
-                );
-                if cfg.comm == CommVersion::V6 && next_is_flux {
-                    let Some(PhaseOp::Compute { label, flops }) = ops.get(k + 1) else { unreachable!() };
-                    let flux_time = busy_for(*flops) * V6_SPLIT_PENALTY;
-                    let interior = flux_time * (nxl.saturating_sub(2)) as f64 / nxl as f64;
-                    let edge = flux_time - interior;
-                    // post sends
-                    for n in [left, right].into_iter().flatten() {
-                        evs.push(Ev::Busy { secs: lib.send_cost(*bytes), label: "comm:send" });
-                        evs.push(Ev::Send { to: n, bytes: *bytes });
-                    }
-                    // compute the interior while data is in flight
-                    evs.push(Ev::Busy { secs: interior, label });
-                    for n in [left, right].into_iter().flatten() {
-                        evs.push(Ev::Recv { from: n });
-                        evs.push(Ev::Busy { secs: lib.recv_cost(*bytes), label: "comm:recv" });
-                    }
-                    evs.push(Ev::Busy { secs: edge, label });
-                    k += 2; // consumed the flux phase too
-                    continue;
+    [0, 1].map(|k| {
+        // sends posted whose receives have not run yet: compute in that
+        // window is the split loop of the Version 6 overlap
+        let mut posted = false;
+        let mut evs = Vec::new();
+        for e in rec.step(rank, k) {
+            let label = static_label(e);
+            match e.kind {
+                EventKind::Phase => {
+                    let penalty = if posted { V6_SPLIT_PENALTY } else { 1.0 };
+                    let secs = cal.seconds_for(cpu, cfg.version, nxl, nr, e.flops) * penalty;
+                    evs.push(Ev::Busy { secs, label, flops: e.flops });
                 }
-                push_exchange(&mut evs, [left, right], *bytes, 1);
-            }
-            PhaseOp::ExchangeFlux { bytes } => {
-                let pieces = if cfg.comm == CommVersion::V7 { 2 } else { 1 };
-                push_exchange(&mut evs, [left, right], *bytes, pieces);
-            }
-            // the radial row exchanges of the pencil protocol: the runtime
-            // sends them as grouped (V5-shaped) packets under every protocol
-            PhaseOp::ExchangePrimsR { bytes } | PhaseOp::ExchangeFluxR { bytes } => {
-                push_exchange(&mut evs, [down, up], *bytes, 1);
+                EventKind::Send => {
+                    posted = true;
+                    evs.push(Ev::SendCost { secs: lib.send_cost(e.bytes) });
+                    evs.push(Ev::Send { to: e.peer.expect("a send has a peer"), bytes: e.bytes, label });
+                }
+                EventKind::Recv => {
+                    posted = false;
+                    let from = e.peer.expect("a receive has a peer");
+                    evs.push(Ev::Recv { from });
+                    evs.push(Ev::RecvCost { secs: lib.recv_cost(e.bytes), from, bytes: e.bytes, label });
+                }
+                EventKind::Mark => evs.push(Ev::Step),
+                EventKind::Fault => unreachable!("a recording runs without fault injection"),
             }
         }
-        k += 1;
-    }
-    evs
+        evs
+    })
 }
 
 /// Loop-splitting and locality penalty of the Version 6 overlap (paper
 /// Section 7.1: "the loop setup overheads are higher. Further, the cache
-/// performance also degrades slightly due to loss of temporal locality").
+/// performance also degrades slightly due to loss of temporal locality"),
+/// charged on compute that runs while a posted receive is outstanding.
 const V6_SPLIT_PENALTY: f64 = 1.06;
 
 /// Run the discrete-event simulation.
@@ -224,11 +209,16 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
     let cal = Calibration::standard();
     let mut net = cfg.platform.net.build(nprocs);
     let lib = cfg.platform.lib;
+    let plan = SolverConfig { version: cfg.version, ..SolverConfig::paper(cfg.grid.clone(), cfg.regime) };
+    let rec = workload::record(&plan, cfg.topology, cfg.comm);
 
     struct Proc {
         evs: Vec<Ev>,
         pc: usize,
         clock: f64,
+        /// Start of the message in flight through the library (its cost
+        /// and its transfer or wait).
+        msg_t0: f64,
         busy: f64,
         wait: f64,
         startups: u64,
@@ -237,19 +227,27 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
 
     let mut procs: Vec<Proc> = (0..nprocs)
         .map(|r| {
-            let step_evs = compile_rank(cal, &cfg.platform.cpu, &lib, cfg, r);
-            let mut evs = Vec::with_capacity(step_evs.len() * cfg.sim_steps as usize);
-            for _ in 0..cfg.sim_steps {
-                evs.extend_from_slice(&step_evs);
+            let steps = compile_rank(cal, &cfg.platform.cpu, &lib, cfg, &rec, r);
+            let mut evs = Vec::with_capacity(steps[0].len() * cfg.sim_steps as usize);
+            for k in 0..cfg.sim_steps {
+                evs.extend_from_slice(&steps[(k % 2) as usize]);
             }
-            Proc { evs, pc: 0, clock: 0.0, busy: 0.0, wait: 0.0, startups: 0, bytes_sent: 0 }
+            Proc { evs, pc: 0, clock: 0.0, msg_t0: 0.0, busy: 0.0, wait: 0.0, startups: 0, bytes_sent: 0 }
         })
         .collect();
+
+    /// Busy time `secs` on `p`, attributed to `label`: a compute phase or
+    /// a message's library cost.
+    fn charge(p: &mut Proc, phases: &mut BTreeMap<&'static str, f64>, label: &'static str, secs: f64) {
+        p.clock += secs;
+        p.busy += secs;
+        *phases.entry(label).or_insert(0.0) += secs;
+    }
 
     // in-flight deliveries per (src, dst)
     let mut inflight: Vec<VecDeque<f64>> = vec![VecDeque::new(); nprocs * nprocs];
     let key = |src: usize, dst: usize| src * nprocs + dst;
-    let mut phase_seconds: std::collections::BTreeMap<&'static str, f64> = std::collections::BTreeMap::new();
+    let mut phase_seconds: BTreeMap<&'static str, f64> = BTreeMap::new();
     let mut trace: Vec<Event> = Vec::new();
     let us = |secs: f64| (secs * 1e6).round() as u64;
 
@@ -274,77 +272,54 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
         };
         let ev = procs[idx].evs[procs[idx].pc];
         procs[idx].pc += 1;
-        match ev {
-            Ev::Busy { secs: t, label } => {
-                let now = procs[idx].clock;
-                procs[idx].clock += t;
-                procs[idx].busy += t;
-                *phase_seconds.entry(label).or_insert(0.0) += t;
-                if traced {
-                    trace.push(Event {
-                        t_us: us(now),
-                        dur_us: us(t),
-                        rank: idx,
-                        kind: EventKind::Phase,
-                        label: label.into(),
-                        peer: None,
-                        seq: None,
-                        span: None,
-                        bytes: 0,
-                    });
-                }
+        let now = procs[idx].clock;
+        let p = &mut procs[idx];
+        // what the event puts on the trace: (kind, label, peer, bytes,
+        // flops, start); a message's event spans its library cost too
+        let traced_as = match ev {
+            Ev::Busy { secs, label, flops } => {
+                charge(p, &mut phase_seconds, label, secs);
+                Some((EventKind::Phase, label, None, 0, flops, now))
             }
-            Ev::Send { to, bytes } => {
-                let now = procs[idx].clock;
+            Ev::SendCost { secs } => {
+                p.msg_t0 = now;
+                charge(p, &mut phase_seconds, "comm:send", secs);
+                None
+            }
+            Ev::RecvCost { secs, from, bytes, label } => {
+                charge(p, &mut phase_seconds, "comm:recv", secs);
+                Some((EventKind::Recv, label, Some(from), bytes, 0, p.msg_t0))
+            }
+            Ev::Send { to, bytes, label } => {
                 let delivery = net.transfer(now, idx, to, bytes);
-                procs[idx].startups += 1;
-                procs[idx].bytes_sent += bytes;
-                let mut stall = 0.0;
+                p.startups += 1;
+                p.bytes_sent += bytes;
                 if lib.blocking_send {
                     // the CPU spins in the library until the wire is done —
                     // measured as *busy* time by the paper's instrumentation
-                    stall = (delivery - now).max(0.0);
-                    procs[idx].busy += stall;
-                    procs[idx].clock = now.max(delivery);
+                    let stall = (delivery - now).max(0.0);
+                    p.busy += stall;
+                    p.clock = now.max(delivery);
                     *phase_seconds.entry("comm:stall").or_insert(0.0) += stall;
                 }
                 inflight[key(idx, to)].push_back(delivery);
-                if traced {
-                    trace.push(Event {
-                        t_us: us(now),
-                        dur_us: us(stall),
-                        rank: idx,
-                        kind: EventKind::Send,
-                        label: "msg".into(),
-                        peer: Some(to),
-                        seq: None,
-                        span: None,
-                        bytes,
-                    });
-                }
+                Some((EventKind::Send, label, Some(to), bytes, 0, p.msg_t0))
             }
             Ev::Recv { from } => {
                 let delivery = inflight[key(from, idx)].pop_front().expect("runnable recv");
-                procs[idx].startups += 1;
-                let now = procs[idx].clock;
+                p.startups += 1;
+                p.msg_t0 = now;
                 if delivery > now {
-                    procs[idx].wait += delivery - now;
-                    procs[idx].clock = delivery;
+                    p.wait += delivery - now;
+                    p.clock = delivery;
                 }
-                if traced {
-                    trace.push(Event {
-                        t_us: us(now),
-                        dur_us: us((delivery - now).max(0.0)),
-                        rank: idx,
-                        kind: EventKind::Recv,
-                        label: "msg".into(),
-                        peer: Some(from),
-                        seq: None,
-                        span: None,
-                        bytes: 0,
-                    });
-                }
+                None
             }
+            Ev::Step => Some((EventKind::Mark, "step", None, 0, 0, now)),
+        };
+        if let Some((kind, label, peer, bytes, flops, start)) = traced_as.filter(|_| traced) {
+            let (t_us, dur_us, label) = (us(start), us(p.clock - start), label.into());
+            trace.push(Event { t_us, dur_us, rank: idx, kind, label, peer, seq: None, span: None, bytes, flops });
         }
     }
 

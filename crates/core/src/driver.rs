@@ -167,13 +167,13 @@ impl Solver {
         let step_start = std::time::Instant::now();
         let cfg = self.cfg.clone();
         if cfg.adaptive_dt {
-            self.ws.timers.start("diag:watchdog");
+            self.ws.timers.start("diag:watchdog", self.ledger.total());
             let local = diag::max_wave_speed(&self.field, &self.gas);
-            self.ws.timers.start("comm:reduce");
-            let global = halo.reduce_max(local);
-            self.ws.timers.pause();
-            self.dt = cfg.cfl * self.cfg.grid.dx.min(self.cfg.grid.dr) / global;
             self.ledger.boundary += (self.field.nxl() * self.field.nr()) as u64 * 6;
+            self.ws.timers.start("comm:reduce", self.ledger.total());
+            let global = halo.reduce_max(local);
+            self.ws.timers.pause(self.ledger.total());
+            self.dt = cfg.cfl * self.cfg.grid.dx.min(self.cfg.grid.dr) / global;
         }
         let dt = self.dt;
         let t = self.t;
@@ -204,8 +204,11 @@ impl Solver {
             );
             scheme::r_operator(Variant::L2, &mut self.field, &mut self.ws, &cfg, &self.gas, halo, dt, &mut self.ledger);
         }
-        self.ws.timers.start("bc:step");
-        if self.field.patch.is_global_left() {
+        self.ws.timers.start("bc:step", self.ledger.total());
+        // On even steps the axial operator ran last and its corrector has
+        // already imposed the inflow at `t + dt`; only the radial operator
+        // leaves the inflow column to be re-imposed.
+        if self.field.patch.is_global_left() && !self.nstep.is_multiple_of(2) {
             match &cfg.mms {
                 Some(spec) => crate::mms::dirichlet_column(&mut self.field, spec, &self.gas, 0),
                 None => bc::apply_inflow(&mut self.field, &cfg, &self.gas, t + dt, &mut self.ledger),
@@ -223,12 +226,12 @@ impl Solver {
             // the smoothing halo: the snapshot's edge lines, swapped with
             // the face neighbours (timer paused, as around every halo call)
             let mut snap = dissipation::fluctuation(&self.field, self.base.as_deref());
-            self.ws.timers.pause();
+            self.ws.timers.pause(self.ledger.total());
             halo.exchange_state(&mut snap);
-            self.ws.timers.start("bc:step");
+            self.ws.timers.start("bc:step", self.ledger.total());
             dissipation::smooth(&mut self.field, &snap, cfg.dissipation, &mut self.ledger);
         }
-        self.ws.timers.pause();
+        self.ws.timers.pause(self.ledger.total());
         self.t += dt;
         self.nstep += 1;
         step_latency().record(step_start.elapsed().as_micros() as u64);
@@ -246,10 +249,10 @@ impl Solver {
         self.ws.timers.enable();
     }
 
-    /// Turn on phase accumulation *and* span recording as `rank`'s events,
-    /// timestamped against the shared origin `t0`.
-    pub fn enable_phase_trace(&mut self, rank: usize, t0: std::time::Instant) {
-        self.ws.timers.enable_traced(rank, t0);
+    /// Turn on phase accumulation *and* span recording into `spans` (see
+    /// [`ns_telemetry::PhaseTimer::enable_traced`]).
+    pub fn enable_phase_trace(&mut self, spans: ns_telemetry::Recorder) {
+        self.ws.timers.enable_traced(spans);
     }
 
     /// The accumulated per-phase costs so far.
@@ -257,9 +260,9 @@ impl Solver {
         &self.ws.timers.ledger
     }
 
-    /// Take the accumulated phase ledger and spans, leaving the timer
-    /// running with empty accumulators.
-    pub fn take_phase_telemetry(&mut self) -> (ns_telemetry::PhaseLedger, Vec<ns_telemetry::Event>) {
+    /// Take the accumulated phase ledger and, when tracing, the span
+    /// recorder, leaving the timer accumulating (untraced) from empty.
+    pub fn take_phase_telemetry(&mut self) -> (ns_telemetry::PhaseLedger, Option<ns_telemetry::Recorder>) {
         self.ws.timers.take()
     }
 

@@ -30,8 +30,9 @@
 //! * a shared-memory solver in the style of the paper's Cray Y-MP DOALL
 //!   parallelization: any solver's V5 station loops on a thread team
 //!   ([`driver::Solver::with_threads`]),
-//! * FLOP and workload instrumentation feeding the paper's Tables 1-2 and
-//!   the platform simulator ([`opcount`], [`workload`]).
+//! * FLOP instrumentation ([`opcount`]) that every phase span carries, so
+//!   a traced run's recorded step pair feeds the paper's Tables 1-2 and the
+//!   platform simulator.
 //!
 //! ## Quick start
 //!
@@ -60,7 +61,6 @@ pub mod physics;
 pub mod probe;
 pub mod scheme;
 pub mod soa;
-pub mod workload;
 
 pub use config::{Regime, SolverConfig, Version};
 pub use driver::Solver;

@@ -19,6 +19,27 @@
 //! [`XHalo::exchange_flux_r`]) fill ghost rows at internal radial edges,
 //! and every boundary-condition fill is gated on the patch actually owning
 //! that global boundary.
+//!
+//! ## Phase labels
+//!
+//! The operators name their phases for the [`PhaseTimer`]; these strings
+//! are the one phase vocabulary of the live breakdowns, the traces and the
+//! platform simulator, which replays a traced run's recorded step pair
+//! span by span. Each operator has two flux stages: `r:prims`, `r:flux`,
+//! `r:predict`, `r:prims2`, `r:flux2`, `r:correct` radially and the same
+//! with `x:` axially, plus `bc:step` for the end-of-step boundary work
+//! and smoothing (and `diag:watchdog`, `comm:reduce` under adaptive time
+//! steps). The fused V6/V7 sweep merges each prims phase into its flux
+//! phase as `r:fused`, `r:fused2`, `x:fused`, `x:fused2`. Under V7 those
+//! sweeps also run the predictor/corrector update of every station whose
+//! flux stencil they emit, so `*:fused*` then contains the interior update,
+//! `x:predict` / `x:correct` time only the deferred stations beside a patch
+//! edge, and `r:predict` / `r:correct` only the far-field row copy and
+//! boundary model: the labels stay, what they cover narrows. A stage that
+//! exchanges primitives closes its flux phase around the exchange, so one
+//! stage can record two spans of one label: the interior, then the edge
+//! columns once the receives complete. The runtime adds `comm:send`,
+//! `comm:recv` and `comm:stall`.
 
 use crate::bc;
 use crate::config::{SchemeOrder, SolverConfig, Version};
@@ -117,10 +138,9 @@ pub fn x_operator(
     let lam = dt / (6.0 * field.patch.grid.dx);
     let viscous = !gas.is_inviscid();
 
-    // Phase attribution uses the labels of `crate::workload`, so measured
-    // breakdowns line up with the simulator's. The timer is paused around
-    // every halo call: exchange time belongs to the runtime's communication
-    // accounting, not to a compute phase.
+    // Phase attribution uses the vocabulary in the module docs. The timer is
+    // paused around every halo call: exchange time belongs to the runtime's
+    // communication accounting, not to a compute phase.
 
     // V6+ fuses primitive recovery, ghost fill and flux evaluation into one
     // SoA sweep per stage; its phase labels ("x:fused", "x:fused2") replace
@@ -147,10 +167,13 @@ pub fn x_operator(
     let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux, &mut ws.soa, &mut ws.timers);
     let labels = ["x:fused", "x:prims", "x:flux"];
     let done = x_stage(labels, cfg, gas, field, prim, flux, soa, timers, team, halo, true, outflow, pass, ledger);
-    ws.timers.pause();
+    ws.timers.pause(ledger.total());
     halo.exchange_flux(&mut ws.flux);
-    ws.timers.start(if fused { "x:fused" } else { "x:flux" });
-    bc::extrap_flux_x(&mut ws.flux, nxl, nr, edges.left, edges.right, ledger);
+    ws.timers.start(if fused { "x:fused" } else { "x:flux" }, ledger.total());
+    // A one-sided difference reads the artificial points on one side only:
+    // forward ones past the outflow column, backward ones before the inflow.
+    let (left, right) = (edges.left && !st.forward, edges.right && st.forward);
+    bc::extrap_flux_x(&mut ws.flux, nxl, nr, left, right, ledger);
 
     // Characteristic outflow update of the owned global-right column, from
     // the time-n primitives (the column is untouched by the sweep below).
@@ -162,7 +185,7 @@ pub fn x_operator(
     }
 
     // --- predictor ----------------------------------------------------------
-    ws.timers.start("x:predict");
+    ws.timers.start("x:predict", ledger.total());
     let up = Update { dir: FluxDir::X, st, flux: &ws.flux, src: None, mms, irange: istart..iend, nj: nr };
     for rest in up.outside(&done) {
         predict(&rest, field, &mut ws.qbar, strided, team);
@@ -191,13 +214,13 @@ pub fn x_operator(
     let (prim, flux, soa, timers) = (&mut ws.prim, &mut ws.flux_bar, &mut ws.soa, &mut ws.timers);
     let labels = ["x:fused2", "x:prims2", "x:flux2"];
     let done = x_stage(labels, cfg, gas, &ws.qbar, prim, flux, soa, timers, team, halo, viscous, false, pass, ledger);
-    ws.timers.pause();
+    ws.timers.pause(ledger.total());
     halo.exchange_flux(&mut ws.flux_bar);
-    ws.timers.start(if fused { "x:fused2" } else { "x:flux2" });
-    bc::extrap_flux_x(&mut ws.flux_bar, nxl, nr, edges.left, edges.right, ledger);
+    ws.timers.start(if fused { "x:fused2" } else { "x:flux2" }, ledger.total());
+    bc::extrap_flux_x(&mut ws.flux_bar, nxl, nr, edges.left && !st.forward, edges.right && st.forward, ledger);
 
     // --- corrector ----------------------------------------------------------
-    ws.timers.start("x:correct");
+    ws.timers.start("x:correct", ledger.total());
     let up = Update { dir: FluxDir::X, st, flux: &ws.flux_bar, src: None, mms, irange: istart..iend, nj: nr };
     for rest in up.outside(&done) {
         correct(&rest, field, &ws.qbar, strided, team);
@@ -210,7 +233,7 @@ pub fn x_operator(
             None => bc::apply_inflow(field, cfg, gas, t + dt, ledger),
         }
     }
-    ws.timers.pause();
+    ws.timers.pause(ledger.total());
 }
 
 /// One fused sweep as the V6/V7 operators run it — [`soa::fused_pass`] over
@@ -294,20 +317,20 @@ fn x_stage(
     let fused = cfg.version >= Version::V6;
     let sweep_label = if fused { fused_label } else { flux_label };
     let (flo, fhi) = if exchange { (usize::from(!edges.left), nxl - usize::from(!edges.right)) } else { (0, nxl) };
-    timers.start(if fused { fused_label } else { prims_label });
+    timers.start(if fused { fused_label } else { prims_label }, ledger.total());
     if !fused {
         plane_prims(cfg, team, gas, state, prim, ledger);
     } else if exchange {
         kernels::fused_boundary_prims(state, prim, gas, &[0, nxl - 1], ledger);
     }
     if exchange {
-        swap_edge_rows(fused, gas, state, prim, timers, halo);
-        timers.pause();
+        swap_edge_rows(fused, gas, state, prim, timers, halo, ledger.total());
+        timers.pause(ledger.total());
         halo.post_prims(prim);
     }
     // A fused stage that exchanged nothing is still in its one phase.
     if exchange || !fused {
-        timers.start(sweep_label);
+        timers.start(sweep_label, ledger.total());
     }
     let done = if fused {
         let (prim_range, hi_pre) = if exchange { (1..nxl - 1, Some(nxl - 1)) } else { (0..nxl, None) };
@@ -336,9 +359,9 @@ fn x_stage(
         pass.irange.start..pass.irange.start
     };
     if exchange {
-        timers.pause();
+        timers.pause(ledger.total());
         halo.finish_prims(prim);
-        timers.start(sweep_label);
+        timers.start(sweep_label, ledger.total());
     }
     for edge in [0..flo, fhi..nxl] {
         kernels::compute_flux_range(cfg.version, team, FluxDir::X, prim, patch, edges, gas, flux, None, edge, ledger);
@@ -370,7 +393,8 @@ fn plane_prims(
 /// point-local in `r` and skip the message). The plane path has every row
 /// in the planes already; the sweep recovers the two edge rows it sends
 /// first, and imports the rows it receives station by station. Returns
-/// whether it exchanged, pausing `timers` around the halo call.
+/// whether it exchanged, pausing `timers` around the halo call (`flops` is
+/// the FLOP ledger's running total).
 fn swap_edge_rows(
     fused: bool,
     gas: &GasModel,
@@ -378,6 +402,7 @@ fn swap_edge_rows(
     prim: &mut PrimField,
     timers: &mut PhaseTimer,
     halo: &mut dyn XHalo,
+    flops: u64,
 ) -> bool {
     let patch = &state.patch;
     if gas.is_inviscid() || (patch.is_global_bottom() && patch.is_global_top()) {
@@ -386,7 +411,7 @@ fn swap_edge_rows(
     if fused {
         kernels::edge_row_prims(state, prim, gas);
     }
-    timers.pause();
+    timers.pause(flops);
     halo.exchange_prims_r(prim);
     true
 }
@@ -427,7 +452,7 @@ pub fn r_operator(
     let done = r_stage(labels, cfg, gas, field, prim, flux, src, soa, timers, team, halo, pass, ledger);
 
     // --- predictor -------------------------------------------------------------
-    ws.timers.start("r:predict");
+    ws.timers.start("r:predict", ledger.total());
     let up = Update { dir: FluxDir::R, st, flux: &ws.flux, src: Some(&ws.src), mms, irange: 0..nxl, nj: jend };
     for rest in up.outside(&done) {
         predict(&rest, field, &mut ws.qbar, strided, team);
@@ -447,7 +472,7 @@ pub fn r_operator(
     let done = r_stage(labels, cfg, gas, &ws.qbar, prim, flux, src, soa, timers, team, halo, pass, ledger);
 
     // --- corrector -------------------------------------------------------------
-    ws.timers.start("r:correct");
+    ws.timers.start("r:correct", ledger.total());
     let up = Update { dir: FluxDir::R, st, flux: &ws.flux_bar, src: Some(&ws.src_bar), mms, irange: 0..nxl, nj: jend };
     for rest in up.outside(&done) {
         correct(&rest, field, &ws.qbar, strided, team);
@@ -459,7 +484,7 @@ pub fn r_operator(
     if top && cfg.mms.is_none() {
         bc::farfield_top(field, gas, gas.pressure(1.0, cfg.jet.t_c), ledger);
     }
-    ws.timers.pause();
+    ws.timers.pause(ledger.total());
 }
 
 /// One flux stage of the radial operator on `state` (`Q^n`, then the
@@ -501,12 +526,12 @@ fn r_stage(
     let [fused_label, prims_label, flux_label] = labels;
     let fused = cfg.version >= Version::V6;
     let sweep_label = if fused { fused_label } else { flux_label };
-    timers.start(if fused { fused_label } else { prims_label });
+    timers.start(if fused { fused_label } else { prims_label }, ledger.total());
     if !fused {
         plane_prims(cfg, team, gas, state, prim, ledger);
     }
-    if swap_edge_rows(fused, gas, state, prim, timers, halo) || !fused {
-        timers.start(sweep_label);
+    if swap_edge_rows(fused, gas, state, prim, timers, halo, ledger.total()) || !fused {
+        timers.start(sweep_label, ledger.total());
     }
     let done = if fused {
         // The whole stage (prims, radial ghosts, flux and source) is one
@@ -520,9 +545,9 @@ fn r_stage(
         kernels::compute_flux(cfg.version, team, FluxDir::R, prim, patch, edges, gas, flux, Some(src), ledger);
         0..0
     };
-    timers.pause();
+    timers.pause(ledger.total());
     halo.exchange_flux_r(flux);
-    timers.start(sweep_label);
+    timers.start(sweep_label, ledger.total());
     // A sweep that updated its stations filled their flux ghosts row by row.
     if done.is_empty() {
         bc::fill_rflux_ghosts_sides(flux, nxl, nr, edges.bottom, edges.top, ledger);

@@ -1,12 +1,12 @@
 //! Property-based tests of the solver core: version equivalence on random
-//! fields, decomposition invariants, parity symmetries, workload linearity.
+//! fields, decomposition invariants, parity symmetries.
 
+use ns_core::bc;
 use ns_core::checkpoint::Checkpoint;
 use ns_core::config::{Regime, SchemeOrder, SolverConfig, Version};
 use ns_core::field::{Field, FluxField, Patch, PrimField, NG};
 use ns_core::kernels::{self, EdgeFlags, FluxDir};
 use ns_core::opcount::FlopLedger;
-use ns_core::{bc, workload};
 use ns_numerics::gas::Primitive;
 use ns_numerics::{Array2, Grid};
 use proptest::prelude::*;
@@ -121,27 +121,6 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c == 1), "every column covered once");
-    }
-
-    /// Workload compute flops are additive over a decomposition: the sum of
-    /// per-rank work equals the whole-grid work, for axial (`P × 1`), radial
-    /// (`1 × P`) and 2-D (`px × pr`) splits alike.
-    #[test]
-    fn workload_is_additive_over_ranks(
-        p in 1usize..16, px in 1usize..6, pr in 1usize..6, viscous in prop::bool::ANY,
-    ) {
-        let grid = Grid::paper();
-        let regime = if viscous { Regime::NavierStokes } else { Regime::Euler };
-        let whole = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops();
-        for (px, pr) in [(p, 1), (1, p), (px, pr)] {
-            let sum: u64 = (0..px * pr)
-                .map(|rank| {
-                    let patch = Patch::pencil(grid.clone(), (rank % px, rank / px), (px, pr));
-                    workload::step_workload(regime, &patch).compute_flops()
-                })
-                .sum();
-            prop_assert_eq!(sum, whole, "{}x{}", px, pr);
-        }
     }
 
     /// Checkpoint/restore is bitwise transparent at any point in a run,

@@ -4,12 +4,11 @@
 //! direction, for example, and study their impact on the performance."
 
 use crate::report::{Report, Series};
-use ns_archsim::{simulate, Platform, SimConfig};
-use ns_core::config::Regime;
-use ns_core::field::{Patch, NG};
-use ns_core::workload;
+use ns_archsim::{record, simulate, Platform, SimConfig};
+use ns_core::config::{Regime, SolverConfig};
+use ns_core::field::NG;
 use ns_numerics::Grid;
-use ns_runtime::CartTopology;
+use ns_runtime::{CartTopology, CommVersion};
 
 /// Ablation of the split direction: axial `P × 1` blocks (the paper's
 /// choice) vs radial `1 × P` blocks, each running the code's own protocol.
@@ -38,15 +37,19 @@ pub fn decomposition_ablation(regime: Regime) -> Report {
             r.series.push(Series::new(format!("{pname} {dname}"), pts));
         }
     }
+    // per neighbour and step, read off rank 1's recorded traffic with rank 2
+    // in a 1 × 4 and a 4 × 1 split
     let grid = Grid::paper();
-    let w = workload::step_workload(regime, &Patch::whole(grid.clone()));
+    let cfg = SolverConfig::paper(grid.clone(), regime);
+    let per_neighbour = |topology| record(&cfg, topology, CommVersion::V5).startups(1, Some(2), 1);
+    let (radial, axial) = (per_neighbour(CartTopology { px: 1, pr: 4 }), per_neighbour(CartTopology::axial(4)));
     r.notes.push(format!(
         "radial halo rows carry nx + 2 NG = {} points vs nr = {} in an axial column; per neighbour and step {} makes {} radial start-ups vs {} axial",
         grid.nx + 2 * NG,
         grid.nr,
         regime.name(),
-        w.startups_per_step(0, 1),
-        w.startups_per_step(1, 0)
+        radial,
+        axial
     ));
     r
 }

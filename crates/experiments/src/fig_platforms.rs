@@ -1,11 +1,9 @@
 //! Figures 9, 10 and 13: the cross-platform comparison and load balance.
 
 use crate::report::{Report, Series};
+use ns_archsim::cpu::serial_flops;
 use ns_archsim::{simulate, Calibration, Platform, SimConfig, YmpModel};
 use ns_core::config::Regime;
-use ns_core::field::Patch;
-use ns_core::workload;
-use ns_numerics::Grid;
 
 /// Processor counts for the platform shootout.
 pub const PROCS: [usize; 6] = [1, 2, 4, 8, 12, 16];
@@ -20,8 +18,7 @@ pub fn fig9_10(regime: Regime) -> Report {
     );
     // Cray Y-MP: analytic shared-memory model, up to its 8 CPUs
     let cal = Calibration::standard();
-    let grid = Grid::paper();
-    let flops = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops() * 5000;
+    let flops = serial_flops(regime, 5000);
     let ymp = YmpModel::standard();
     let ymp_pts = [1usize, 2, 4, 8].iter().map(|&p| (p as f64, ymp.seconds_for(cal, p, flops))).collect();
     r.series.push(Series::new("Cray Y-MP", ymp_pts));

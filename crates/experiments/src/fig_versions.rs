@@ -7,10 +7,9 @@
 //! bench-report`.
 
 use crate::report::{Report, Series};
+use ns_archsim::cpu::serial_flops;
 use ns_archsim::{Calibration, CpuSpec};
 use ns_core::config::{Regime, Version};
-use ns_core::field::Patch;
-use ns_core::workload;
 use ns_numerics::Grid;
 
 /// Simulated 1995 execution times (seconds, 5000 steps, 250x100) per
@@ -22,7 +21,7 @@ pub fn simulated_1995() -> Report {
     let mut r =
         Report::new("Figure 2: Execution time on a single processor (RS6000/560)", "version", "seconds (5000 steps)");
     for (regime, label) in [(Regime::NavierStokes, "Navier-Stokes"), (Regime::Euler, "Euler")] {
-        let flops = workload::step_workload(regime, &Patch::whole(grid.clone())).compute_flops() * 5000;
+        let flops = serial_flops(regime, 5000);
         let pts = Version::ALL
             .iter()
             .map(|&v| (v.index() as f64, cal.seconds_for(&cpu, v, grid.nx, grid.nr, flops)))

@@ -19,8 +19,8 @@
 //! | Figures 11-12 | [`fig_msglib::fig11_12`] |
 //! | Figure 13 | [`fig_platforms::fig13`] |
 //!
-//! [`validation`] pins the analytic workload model to the live solver, and
-//! [`extensions`] runs the studies the paper's conclusion names as future
+//! Every simulated row replays the recorded step pair of its plan
+//! ([`ns_archsim::workload`]), and [`extensions`] runs the studies the paper's conclusion names as future
 //! work (radial decomposition, larger machines, weak scaling). Live runs on
 //! any rank grid, the serial one included, are `jetns run --topology PXxPR`
 //! (one `ns_runtime::run` plan; the repo benchmark's `par_*` workloads
@@ -39,7 +39,6 @@ pub mod fig_versions;
 pub mod report;
 pub mod scaling;
 pub mod tables;
-pub mod validation;
 
 pub use report::{Report, Series};
 

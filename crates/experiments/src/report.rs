@@ -369,6 +369,7 @@ mod tests {
             seq: None,
             span: None,
             bytes: 0,
+            flops: 0,
         };
         let trace = vec![
             ev(0, 50, 0, EventKind::Phase, "x:flux"),

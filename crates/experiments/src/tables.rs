@@ -1,13 +1,13 @@
 //! Tables 1 and 2: application characteristics and
-//! computation-to-communication ratios.
+//! computation-to-communication ratios, read off the recorded step pair of
+//! the paper's plan (a live two-step traced run: the FLOPs its phase spans
+//! billed and the messages its interior rank sent and received).
 
 use crate::report::{Report, Series};
-use ns_archsim::Calibration;
+use ns_archsim::{cpu::serial_flops, record, Calibration};
 use ns_core::config::{Regime, SolverConfig};
-use ns_core::field::Patch;
-use ns_core::workload;
 use ns_numerics::Grid;
-use ns_runtime::{run_parallel, CommStats, CommVersion};
+use ns_runtime::{CartTopology, CommVersion};
 
 /// Paper reference values (Table 1).
 pub mod paper {
@@ -44,43 +44,21 @@ pub struct AppCharacteristics {
 /// Compute the Table 1 characteristics for the paper's configuration
 /// (250x100 grid, 5000 steps, 16 processors).
 pub fn characteristics(regime: Regime) -> AppCharacteristics {
-    let grid = Grid::paper();
     let steps = 5000u64;
     let cal = Calibration::standard();
-    let whole = workload::step_workload(regime, &Patch::whole(grid.clone()));
+    let flops_canonical = serial_flops(regime, steps) as f64;
     // an interior rank of the paper's 16 axial blocks
-    let per_proc = workload::step_workload(regime, &Patch::block(grid, 8, 16));
-    let flops_canonical = whole.compute_flops() as f64 * steps as f64;
+    let blocks = record(&SolverConfig::paper(Grid::paper(), regime), CartTopology::axial(16), CommVersion::V5);
     AppCharacteristics {
         regime,
         flops_canonical,
         flops_scaled: flops_canonical * cal.flop_scale,
-        startups_per_proc: per_proc.startups_per_step(2, 0) * steps,
-        volume_per_proc: per_proc.bytes_sent_per_step(2, 0) * steps,
+        startups_per_proc: blocks.startups(8, None, steps),
+        volume_per_proc: blocks.bytes_sent(8, steps),
     }
 }
 
-/// Per-step communication of one *interior* rank, measured from a live
-/// `run_parallel` execution on the paper grid (not predicted): the
-/// runtime's `CommStats` divided by the step count. Interior-rank per-step
-/// traffic is independent of P, so a small `p` keeps this cheap while
-/// still exercising the two-neighbour protocol the analytic model counts.
-pub fn measured_comm_per_step(regime: Regime, p: usize) -> CommStats {
-    let cfg = SolverConfig::paper(Grid::paper(), regime);
-    let steps = 2u64;
-    let run = run_parallel(&cfg, p, steps, CommVersion::V5);
-    let s = run.ranks[p / 2].stats;
-    CommStats {
-        sends: s.sends / steps,
-        recvs: s.recvs / steps,
-        bytes_sent: s.bytes_sent / steps,
-        bytes_recvd: s.bytes_recvd / steps,
-        ..CommStats::default()
-    }
-}
-
-/// Table 1 report: ours vs the paper, with the communication rows
-/// cross-checked by a live run (see [`measured_comm_per_step`]).
+/// Table 1 report: ours vs the paper.
 pub fn table1() -> Report {
     let mut r = Report::new(
         "Table 1: Application characteristics (250x100, 5000 steps, 16 procs)",
@@ -104,40 +82,26 @@ pub fn table1() -> Report {
         "volume/proc MB (paper)",
         vec![(1.0, paper::NS_VOLUME / 1e6), (2.0, paper::EULER_VOLUME / 1e6)],
     ));
-    // live cross-check: per-step CommStats from an actual distributed run,
-    // scaled to the paper's 5000 steps
-    let live_ns = measured_comm_per_step(Regime::NavierStokes, 4);
-    let live_eu = measured_comm_per_step(Regime::Euler, 4);
-    r.series.push(Series::new(
-        "startups/proc (live run x 5000)",
-        vec![(1.0, (live_ns.startups() * 5000) as f64), (2.0, (live_eu.startups() * 5000) as f64)],
-    ));
-    r.series.push(Series::new(
-        "volume/proc MB (live run x 5000)",
-        vec![(1.0, (live_ns.bytes_sent * 5000) as f64 / 1e6), (2.0, (live_eu.bytes_sent * 5000) as f64 / 1e6)],
-    ));
     r.notes.push(format!(
         "canonical FP ops: N-S {:.1}e9, Euler {:.1}e9; flop_scale {:.3} calibrated from Figure 2 anchors",
         ns.flops_canonical / 1e9,
         eu.flops_canonical / 1e9,
         Calibration::standard().flop_scale
     ));
+    r.notes.push("every row is read off the recorded step pair of a live run (the 1x1 plan's FLOPs; rank 8 of the 16x1 plan's messages)".into());
     r.notes.push("start-ups match the paper exactly (16/step N-S, 12/step Euler); volume runs ~40% above the paper's estimate because our protocol ships full double-precision columns both ways".into());
     r
 }
 
-/// Table 2 report: FLOPs per byte and per start-up as a function of P.
-/// The communication denominators come from a live run's `CommStats`
-/// (scaled to the paper's 5000 steps), not from the analytic model — the
-/// two agree exactly, which the unit tests assert.
+/// Table 2 report: FLOPs per byte and per start-up as a function of P,
+/// over an interior rank's recorded traffic (the same at every P).
 pub fn table2() -> Report {
     let mut r = Report::new("Table 2: computation-communication ratios", "processors", "ratio");
     let ps = [2usize, 4, 8, 16];
     for (regime, name) in [(Regime::NavierStokes, "Nav-Stokes"), (Regime::Euler, "Euler")] {
         let c = characteristics(regime);
-        let live = measured_comm_per_step(regime, 4);
-        let volume = (live.bytes_sent * 5000) as f64;
-        let startups = (live.startups() * 5000) as f64;
+        let volume = c.volume_per_proc as f64;
+        let startups = c.startups_per_proc as f64;
         let mut per_byte = Vec::new();
         let mut per_startup = Vec::new();
         for &p in &ps {
@@ -215,29 +179,18 @@ mod tests {
 
     #[test]
     fn measured_comm_matches_opcount_predictions_exactly() {
-        let grid = Grid::paper();
-        // N-S: 4 exchanges/step (prims, flux, prims2, flux2); Euler: 3
-        for (regime, exchanges) in [(Regime::NavierStokes, 4u64), (Regime::Euler, 3u64)] {
-            let live = measured_comm_per_step(regime, 4);
-            let w = workload::step_workload(regime, &Patch::block(grid.clone(), 2, 4));
-            assert_eq!(live.startups(), w.startups_per_step(2, 0), "{regime:?} start-ups");
-            assert_eq!(live.bytes_sent, w.bytes_sent_per_step(2, 0), "{regime:?} bytes");
-            assert_eq!(live.sends, exchanges * 2, "{regime:?} one send per exchange per neighbour");
-            assert_eq!(live.recvs, live.sends);
-            assert_eq!(live.bytes_recvd, live.bytes_sent);
-        }
-    }
-
-    #[test]
-    fn table1_live_rows_agree_with_analytic_rows() {
-        let r = table1();
-        for x in [1.0, 2.0] {
-            let live = r.series("startups/proc (live run x 5000)").unwrap().at(x).unwrap();
-            let ours = r.series("startups/proc (ours)").unwrap().at(x).unwrap();
-            assert_eq!(live, ours);
-            let live_v = r.series("volume/proc MB (live run x 5000)").unwrap().at(x).unwrap();
-            let ours_v = r.series("volume/proc MB (ours)").unwrap().at(x).unwrap();
-            assert!((live_v - ours_v).abs() < 1e-12, "{live_v} vs {ours_v}");
+        // N-S: 4 exchanges/step (prims, flux, prims2, flux2); Euler: 3; one
+        // send and one receive per exchange and neighbour, on either step
+        for (regime, exchanges) in [(Regime::NavierStokes, 4), (Regime::Euler, 3)] {
+            let r = record(&SolverConfig::paper(Grid::paper(), regime), CartTopology::axial(4), CommVersion::V5);
+            for step in r.ranks[2].iter() {
+                let count = |kind| step.iter().filter(|e| e.kind == kind).count();
+                let (sends, recvs) = (count(ns_telemetry::EventKind::Send), count(ns_telemetry::EventKind::Recv));
+                assert_eq!(sends, exchanges * 2, "{regime:?} one send per exchange per neighbour");
+                assert_eq!(recvs, sends);
+                let bytes = |kind| step.iter().filter(|e| e.kind == kind).map(|e| e.bytes).sum::<u64>();
+                assert_eq!(bytes(ns_telemetry::EventKind::Recv), bytes(ns_telemetry::EventKind::Send));
+            }
         }
     }
 }

@@ -17,12 +17,18 @@
 //! clock read per event.
 //!
 //! The recorder is single-writer (one per rank, owned by that rank's
-//! endpoint), so recording is a ring push — no atomics, no locking.
+//! endpoint), so recording is a ring push — no locking. A traced rank has
+//! a second recorder for its solver's phase spans, a [`Recorder::sibling`]
+//! of the endpoint's: the two stamp every traced event with a ticket from
+//! one shared counter, and [`Recorder::absorb`] merges them in the order
+//! the rank recorded them.
 
 use crate::trace::{Event, EventKind};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema version stamped into every dump.
@@ -44,7 +50,12 @@ pub struct Recorder {
     rank: usize,
     /// Keep every event (tracing) instead of evicting past the capacity.
     tracing: bool,
-    ring: VecDeque<Event>,
+    /// The program-order counter a tracing recorder draws its tickets
+    /// from, shared with its siblings.
+    order: Arc<AtomicU64>,
+    /// Events with their program-order tickets (0 for an event recorded
+    /// while not tracing), oldest first.
+    ring: VecDeque<(u64, Event)>,
     dropped: u64,
 }
 
@@ -52,7 +63,32 @@ impl Recorder {
     /// A bounded recorder for `rank`, timestamping against `origin` (share
     /// one origin across ranks so their timelines line up).
     pub fn new(rank: usize, origin: Instant) -> Self {
-        Self { origin, rank, tracing: false, ring: VecDeque::with_capacity(DEFAULT_FLIGHT_CAPACITY), dropped: 0 }
+        let ring = VecDeque::with_capacity(DEFAULT_FLIGHT_CAPACITY);
+        Self { origin, rank, tracing: false, order: Arc::new(AtomicU64::new(1)), ring, dropped: 0 }
+    }
+
+    /// A tracing recorder for the same rank and origin that shares this
+    /// one's program-order counter, so [`Recorder::absorb`] can interleave
+    /// the two exactly as they were recorded.
+    pub fn sibling(&self) -> Self {
+        let ring = VecDeque::new();
+        Self { origin: self.origin, rank: self.rank, tracing: true, order: Arc::clone(&self.order), ring, dropped: 0 }
+    }
+
+    /// Merge the events of `other`, a [`Recorder::sibling`], into this
+    /// recorder in the order the two recorded them. Both rings are already
+    /// in ticket order, so this is one merge pass.
+    pub fn absorb(&mut self, other: Recorder) {
+        let mut theirs = other.ring.into_iter().peekable();
+        let mut merged = VecDeque::with_capacity(self.ring.len() + theirs.len());
+        for mine in self.ring.drain(..) {
+            while let Some(earlier) = theirs.next_if(|t| t.0 < mine.0) {
+                merged.push_back(earlier);
+            }
+            merged.push_back(mine);
+        }
+        merged.extend(theirs);
+        self.ring = merged;
     }
 
     /// Re-anchor timestamps to `origin`.
@@ -79,14 +115,21 @@ impl Recorder {
         seq: Option<u64>,
         span: Option<u64>,
         bytes: u64,
+        flops: u64,
     ) {
-        if !self.tracing && self.ring.len() == DEFAULT_FLIGHT_CAPACITY {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
+        let ticket = if self.tracing {
+            self.order.fetch_add(1, Ordering::Relaxed)
+        } else {
+            if self.ring.len() == DEFAULT_FLIGHT_CAPACITY {
+                self.ring.pop_front();
+                self.dropped += 1;
+            }
+            0
+        };
         let t_us = micros(start.saturating_duration_since(self.origin));
         let rank = self.rank;
-        self.ring.push_back(Event { t_us, dur_us: micros(dur), rank, kind, label, peer, seq, span, bytes });
+        let dur_us = micros(dur);
+        self.ring.push_back((ticket, Event { t_us, dur_us, rank, kind, label, peer, seq, span, bytes, flops }));
     }
 
     /// Record a `kind` event that began at `start` and ends now. The one
@@ -104,19 +147,20 @@ impl Recorder {
         bytes: u64,
     ) -> Duration {
         let dur = start.elapsed();
-        self.push(kind, Cow::Borrowed(label), start, dur, peer, seq, span, bytes);
+        self.push(kind, Cow::Borrowed(label), start, dur, peer, seq, span, bytes, 0);
         dur
     }
 
-    /// Record the compute phase `label`, which ran from `start` to `end`.
-    pub fn phase(&mut self, label: &'static str, start: Instant, end: Instant) {
+    /// Record the compute phase `label`, which ran from `start` to `end`
+    /// and billed `flops` FP operations.
+    pub fn phase(&mut self, label: &'static str, start: Instant, end: Instant, flops: u64) {
         let dur = end.saturating_duration_since(start);
-        self.push(EventKind::Phase, Cow::Borrowed(label), start, dur, None, None, None, 0);
+        self.push(EventKind::Phase, Cow::Borrowed(label), start, dur, None, None, None, 0, flops);
     }
 
     /// Record a lifecycle mark now (`seq` carries a serve job's key).
     pub fn mark(&mut self, label: impl Into<Cow<'static, str>>, seq: Option<u64>, span: Option<u64>) {
-        self.push(EventKind::Mark, label.into(), Instant::now(), Duration::ZERO, None, seq, span, 0);
+        self.push(EventKind::Mark, label.into(), Instant::now(), Duration::ZERO, None, seq, span, 0, 0);
     }
 
     /// Events currently held.
@@ -143,7 +187,7 @@ impl Recorder {
             rank: self.rank,
             reason: reason.into(),
             dropped: self.dropped + older as u64,
-            events: self.ring.iter().skip(older).cloned().collect(),
+            events: self.ring.iter().skip(older).map(|(_, e)| e.clone()).collect(),
         }
     }
 
@@ -153,7 +197,7 @@ impl Recorder {
         if !self.tracing {
             return Vec::new();
         }
-        std::mem::take(&mut self.ring).into()
+        std::mem::take(&mut self.ring).into_iter().map(|(_, e)| e).collect()
     }
 }
 
@@ -287,6 +331,38 @@ mod tests {
             let err = FlightDump::from_json(&foreign.to_json()).unwrap_err();
             assert!(err.contains(&format!("schema_version {old}")), "{err}");
         }
+    }
+
+    #[test]
+    fn siblings_merge_in_program_order_whatever_their_timestamps() {
+        let origin = Instant::now();
+        let mut messages = Recorder::new(4, origin);
+        messages.trace();
+        let mut spans = messages.sibling();
+        // a phase and the receive after it inside one microsecond: their
+        // whole-µs stamps tie, the tickets do not
+        let t = Instant::now();
+        spans.phase("x:prims", t, t, 10);
+        messages.record(EventKind::Recv, "Prims1", t, Some(3), None, None, 24);
+        spans.phase("x:flux", t, t, 20);
+        messages.mark("step", None, None);
+        spans.phase("x:predict", t, t, 30);
+        messages.absorb(spans);
+        let labels: Vec<_> = messages.take().iter().map(|e| (e.label.to_string(), e.rank, e.flops)).collect();
+        let want = [("x:prims", 10), ("Prims1", 0), ("x:flux", 20), ("step", 0), ("x:predict", 30)];
+        assert_eq!(labels, want.map(|(l, f)| (l.to_string(), 4, f)));
+    }
+
+    #[test]
+    fn a_dump_without_flops_still_parses() {
+        // a FLIGHT_<rank>.json written before phase spans carried FLOPs
+        let text = r#"{"schema_version":2,"rank":0,"reason":"drain","dropped":0,"events":[
+            {"t_us":1,"dur_us":0,"rank":0,"kind":"Mark","label":"admit: j","peer":null,"seq":7,"span":null,"bytes":0},
+            {"t_us":2,"dur_us":5,"rank":0,"kind":"Phase","label":"x:flux","peer":null,"seq":null,"span":null,"bytes":0}]}"#;
+        let dump = FlightDump::from_json(text).unwrap();
+        assert_eq!(dump.events.len(), 2);
+        assert!(dump.events.iter().all(|e| e.flops == 0));
+        assert_eq!(dump.events[0].seq, Some(7));
     }
 
     #[test]

@@ -72,6 +72,11 @@ pub struct Event {
     pub span: Option<u64>,
     /// Payload bytes moved; 0 for phases and marks.
     pub bytes: u64,
+    /// FP operations the solver's FLOP ledger billed while a phase span
+    /// was open; 0 for every other kind. Traces written before phases
+    /// carried it have no such key, and read as 0.
+    #[serde(default)]
+    pub flops: u64,
 }
 
 /// Export a trace as JSON Lines: one [`Event`] object per line, suitable for
@@ -125,11 +130,12 @@ pub fn to_chrome_trace<E: std::borrow::Borrow<Event>>(events: &[E]) -> String {
     for e in events {
         let e = e.borrow();
         let peer = e.peer.map_or("null".to_string(), |p| p.to_string());
-        // span goes into args only when present, so span-less traces keep
-        // their historical shape
+        // span and flops go into args only when present, so span-less and
+        // message traces keep their historical shape
         let span = e.span.map_or(String::new(), |s| format!(",\"span\":{s}"));
+        let flops = if e.flops == 0 { String::new() } else { format!(",\"flops\":{}", e.flops) };
         parts.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"peer\":{},\"bytes\":{}{}}}}}",
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"peer\":{},\"bytes\":{}{}{}}}}}",
             json_escape(&e.label),
             e.kind.as_str(),
             e.t_us,
@@ -138,6 +144,7 @@ pub fn to_chrome_trace<E: std::borrow::Borrow<Event>>(events: &[E]) -> String {
             peer,
             e.bytes,
             span,
+            flops,
         ));
     }
     format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", parts.join(","))
@@ -149,12 +156,12 @@ mod tests {
     use proptest::prelude::*;
 
     fn ev(t_us: u64, dur_us: u64, rank: usize, kind: EventKind, label: &'static str) -> Event {
-        Event { t_us, dur_us, rank, kind, label: label.into(), peer: None, seq: None, span: None, bytes: 0 }
+        Event { t_us, dur_us, rank, kind, label: label.into(), peer: None, seq: None, span: None, bytes: 0, flops: 0 }
     }
 
     fn sample() -> Vec<Event> {
         vec![
-            ev(0, 120, 0, EventKind::Phase, "x:flux"),
+            Event { flops: 9000, ..ev(0, 120, 0, EventKind::Phase, "x:flux") },
             Event { peer: Some(1), seq: Some(4), bytes: 2400, ..ev(120, 3, 0, EventKind::Send, "Prims1") },
             Event { peer: Some(0), span: Some(77), ..ev(40, 85, 1, EventKind::Recv, "Prims1") },
             Event { label: "cancelled: at step 3".to_string().into(), ..ev(200, 0, 1, EventKind::Mark, "") },
@@ -180,12 +187,22 @@ mod tests {
         // four complete spans with the right names/categories
         assert_eq!(text.matches("\"ph\":\"X\"").count(), 4);
         assert!(text.contains("\"name\":\"x:flux\",\"cat\":\"phase\""));
+        assert!(text.contains("\"args\":{\"peer\":null,\"bytes\":0,\"flops\":9000}"));
         assert!(text.contains("\"cat\":\"send\""));
         assert!(text.contains("\"cat\":\"mark\""));
         assert!(text.contains("\"args\":{\"peer\":1,\"bytes\":2400}"));
         assert!(text.contains("\"tid\":1"));
         // a spanned event carries its span in args; span-less events don't
         assert!(text.contains("\"args\":{\"peer\":0,\"bytes\":0,\"span\":77}"));
+    }
+
+    #[test]
+    fn a_line_without_flops_reads_as_zero_flops() {
+        // the format before phase spans carried their FLOPs
+        let line = r#"{"t_us":5,"dur_us":7,"rank":1,"kind":"Phase","label":"x:flux","peer":null,"seq":null,"span":null,"bytes":0}"#;
+        let back = trace_from_jsonl(line).unwrap();
+        assert_eq!(back, vec![ev(5, 7, 1, EventKind::Phase, "x:flux")]);
+        assert_eq!(back[0].flops, 0);
     }
 
     #[test]

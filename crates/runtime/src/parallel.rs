@@ -119,8 +119,8 @@ pub struct RankResult {
     /// Per-phase wall time (empty unless phases/trace telemetry was on).
     pub phases: PhaseLedger,
     /// This rank's timeline: phase spans, message and fault events and
-    /// lifecycle marks, sorted by start time (empty unless trace telemetry
-    /// was on).
+    /// lifecycle marks, in the order the rank ran them (empty unless trace
+    /// telemetry was on).
     pub trace: Vec<Event>,
     /// This rank's watchdog samples (empty unless health telemetry was on).
     pub health: Vec<HealthSample>,
@@ -538,8 +538,10 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     let mut conservation = tel.health.is_some().then(|| ConservationLedger::open(&solver.field, solver.gas()));
     ep.recorder.set_origin(origin);
     if tel.trace {
-        solver.enable_phase_trace(rank, origin);
+        // the phase spans share the endpoint's program-order counter, so
+        // the rank's timeline merges in the order the rank ran it
         ep.recorder.trace();
+        solver.enable_phase_trace(ep.recorder.sibling());
     } else if tel.phases {
         solver.enable_phase_timing();
     }
@@ -598,13 +600,13 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     carry.stats.merge(&ep.stats);
     carry.wait += wait;
     carry.busy += wall.saturating_sub(wait);
-    let (mut phases, phase_events) = solver.take_phase_telemetry();
+    let (mut phases, spans) = solver.take_phase_telemetry();
     if timed {
         // The timer pauses around halo calls; the endpoint measures
         // blocking receive time and send time instead (as `Duration`s: the
         // events' whole microseconds round a sub-µs send to nothing).
-        phases.add("comm:recv", wait.as_secs_f64());
-        phases.add("comm:send", ep.send_time.as_secs_f64());
+        phases.add("comm:recv", wait.as_secs_f64(), 0);
+        phases.add("comm:send", ep.send_time.as_secs_f64(), 0);
     }
     carry.phases.merge(&phases);
     let abort = carry.mon.as_ref().and_then(|m| m.abort.clone());
@@ -623,10 +625,10 @@ fn run_rank(plan: &RunPlan, rec: Option<&Recovery>, mut ep: Endpoint, carry: &mu
     };
     // the traced timeline is taken after the dump, so it ends with the
     // same events the black box does
-    let from = carry.trace.len();
-    carry.trace.extend(phase_events);
+    if let Some(spans) = spans {
+        ep.recorder.absorb(spans);
+    }
     carry.trace.append(&mut ep.recorder.take());
-    carry.trace[from..].sort_by_key(|e| e.t_us);
     let Solver { field, ledger, t, nstep: reached, .. } = solver;
     let faults = ep.fault_stats();
     Attempt { field, ledger, t, reached, conservation, cps, captured, crashed, failure, abort, faults, flight }
@@ -637,7 +639,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use ns_core::config::Regime;
-    use ns_core::workload;
     use ns_numerics::Grid;
 
     fn cfg(regime: Regime) -> SolverConfig {
@@ -694,13 +695,16 @@ mod tests {
         }
     }
 
+    /// The paper's protocol volume: per step and axial neighbour, N-S sends
+    /// two grouped primitive columns (`u, v, T`) and two two-column flux
+    /// packets (4 components) of `nr` doubles each.
     #[test]
-    fn message_volume_matches_workload_model() {
+    fn message_volume_matches_the_paper_protocol() {
         let nsteps = 3;
         let c = cfg(Regime::NavierStokes);
         let run = run_parallel(&c, 4, nsteps, CommVersion::V5);
-        let w = workload::step_workload(Regime::NavierStokes, &Patch::block(c.grid.clone(), 1, 4));
-        let expected_interior = w.bytes_sent_per_step(2, 0) * nsteps;
+        let per_neighbour = (2 * 3 + 2 * 4 * 2) * c.grid.nr as u64 * 8;
+        let expected_interior = 2 * per_neighbour * nsteps;
         assert_eq!(run.ranks[1].stats.bytes_sent, expected_interior);
         assert_eq!(run.ranks[0].stats.bytes_sent, expected_interior / 2);
     }
@@ -772,8 +776,8 @@ mod tests {
             let run = run(&plan).unwrap();
             assert_eq!(run.steps_taken(), 4);
             assert!(run.aborted().is_none());
-            // phases: the measured breakdown uses the simulator's
-            // vocabulary, every phase of the workload model included
+            // phases: the measured breakdown uses the one phase
+            // vocabulary, every phase of the V5 step included
             let phases = run.phase_seconds();
             for label in [
                 "r:prims",
@@ -820,6 +824,32 @@ mod tests {
             let json = summary.to_json();
             assert!(json.contains("\"phase_seconds\""));
             assert!(json.contains("navier-stokes"));
+        }
+    }
+
+    /// A traced rank's phase spans bill exactly the FLOPs its ledger
+    /// counted over the steps, and its timeline is its program: each step
+    /// opens with its mark, and no receive precedes the send that posted
+    /// its exchange.
+    #[test]
+    fn traced_spans_bill_the_whole_ledger_in_program_order() {
+        let c = cfg(Regime::NavierStokes);
+        for topo in [CartTopology::axial(1), CartTopology::axial(3), CartTopology::new(2, 2).unwrap()] {
+            let telemetry = TelemetryOptions { trace: true, ..Default::default() };
+            let run = run(&RunPlan { telemetry, ..RunPlan::new(&c, topo, 2, CommVersion::V6) }).unwrap();
+            for r in &run.ranks {
+                let patch = Patch::pencil(c.grid.clone(), topo.coords(r.rank), (topo.px, topo.pr));
+                let at_start = Solver::on_patch(c.clone(), patch).ledger.total();
+                let billed: u64 = r.trace.iter().map(|e| e.flops).sum();
+                assert_eq!(billed, r.ledger.total() - at_start, "{topo:?} rank {}", r.rank);
+                assert_eq!(r.phases.by_label.values().map(|s| s.flops).sum::<u64>(), billed);
+                let kinds: Vec<_> = r.trace.iter().map(|e| e.kind).collect();
+                assert_eq!(kinds[0], ns_telemetry::EventKind::Mark, "a step opens the timeline");
+                assert_eq!(kinds.iter().filter(|&&k| k == ns_telemetry::EventKind::Mark).count(), 2);
+                let first_send = kinds.iter().position(|&k| k == ns_telemetry::EventKind::Send);
+                let first_recv = kinds.iter().position(|&k| k == ns_telemetry::EventKind::Recv);
+                assert!(first_send <= first_recv, "{topo:?} rank {}", r.rank);
+            }
         }
     }
 

@@ -291,8 +291,24 @@ fn optional<T: serde::Deserialize>(v: &serde::Value, key: &str) -> Result<Option
     v.get(key).filter(|val| !matches!(val, serde::Value::Null)).map(T::deserialize).transpose()
 }
 
+/// Bytes the solver holds per grid point, rounded up: the state, its
+/// predictor copy, both flux fields and the smoothing base (four planes
+/// each), the primitives and the two source planes — about 27 planes of
+/// `f64` — plus the sweep's station buffers.
+pub const SOLVER_BYTES_PER_POINT: usize = 256;
+
+/// The most solver state one job may hold.
+const MAX_JOB_BYTES: usize = 256 << 20;
+
+/// The most grid points one job may ask for: 256 MiB of solver state at
+/// [`SOLVER_BYTES_PER_POINT`], 1024 × 1024 points. The largest grid any
+/// caller runs, 512 × 512, is a quarter of it.
+pub const MAX_GRID_POINTS: usize = MAX_JOB_BYTES / SOLVER_BYTES_PER_POINT;
+
 impl JobDesc {
-    /// Resolve the description into an executable spec.
+    /// Resolve the description into an executable spec. A grid outside
+    /// `[Grid::MIN_POINTS, MAX_GRID_POINTS]` is refused here, before
+    /// anything is allocated for it.
     pub fn to_spec(&self) -> Result<JobSpec, String> {
         let regime = [Regime::Euler, Regime::NavierStokes]
             .into_iter()
@@ -310,6 +326,14 @@ impl JobDesc {
                 self.nx,
                 self.nr,
                 Grid::MIN_POINTS
+            ));
+        }
+        if self.nx.checked_mul(self.nr).is_none_or(|points| points > MAX_GRID_POINTS) {
+            return Err(format!(
+                "grid {}x{} is too large: a job holds at most {MAX_GRID_POINTS} points ({} MiB of solver state)",
+                self.nx,
+                self.nr,
+                MAX_JOB_BYTES >> 20
             ));
         }
         let mut cfg = SolverConfig::paper(Grid::new(self.nx, self.nr, 50.0, 5.0), regime);

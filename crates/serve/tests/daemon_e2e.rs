@@ -173,3 +173,21 @@ fn corrupt_wal_tail_costs_only_the_torn_record() {
     daemon.drain().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A grid past `MAX_GRID_POINTS` is answered `Invalid` at submit, before
+/// anything is journaled or allocated for it.
+#[test]
+fn a_huge_grid_is_refused_at_submit() {
+    let dir = scratch_dir("huge-grid");
+    let daemon = Daemon::start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = Client::connect(daemon.socket_path()).unwrap();
+    let huge = JobDesc { nx: 100_000, nr: 100_000, ..JobDesc::from_spec(&job(2)) };
+    match client.submit(&huge).unwrap() {
+        Response::Invalid { reason } => assert!(reason.contains("too large"), "{reason}"),
+        other => panic!("a 10^5 x 10^5 grid must be refused, got {other:?}"),
+    }
+    assert_eq!(client.status().unwrap().wal_records, 0, "nothing journaled");
+    drop(client);
+    assert_eq!(daemon.drain().unwrap().stats.failed, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

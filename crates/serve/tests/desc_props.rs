@@ -6,7 +6,7 @@
 //! submit through it, so a hostile job list costs an `Invalid` answer,
 //! not the thread, and a huge grid costs nothing until it runs.
 
-use ns_serve::job::JobDesc;
+use ns_serve::job::{JobDesc, MAX_GRID_POINTS};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,6 +100,9 @@ proptest! {
         prop_assert!(resolved.is_ok(), "to_spec panicked on {:?}", desc);
         if let Ok(spec) = resolved.unwrap() {
             prop_assert!(desc.nx >= 5 && desc.nr >= 5 && desc.steps >= 1, "admitted {:?}", desc);
+            // a grid past the bound, or whose point count overflows, is refused
+            let points = desc.nx.checked_mul(desc.nr);
+            prop_assert!(points.is_some_and(|n| n <= MAX_GRID_POINTS), "admitted {:?}", desc);
             prop_assert_eq!((spec.cfg.grid.nx, spec.cfg.grid.nr), (desc.nx, desc.nr));
         }
         // what it allocates scales with the strings (an error quotes them),
@@ -110,4 +113,23 @@ proptest! {
             "to_spec allocated {} bytes for {:?}", allocated, desc
         );
     }
+}
+
+/// The bound's edges: the largest grid any caller runs is admitted, one
+/// past the bound and an overflowing point count are refused.
+#[test]
+fn grid_bound_admits_512_squared_and_refuses_past_it() {
+    let desc = |nx: usize, nr: usize| JobDesc { nx, nr, ..JobDesc::from_spec(&sample_spec()) };
+    assert!(desc(512, 512).to_spec().is_ok());
+    assert!(desc(1024, 1024).to_spec().is_ok());
+    for (nx, nr) in [(1025, 1024), (100_000, 100_000), (5, usize::MAX - 4), (usize::MAX, usize::MAX)] {
+        let err = desc(nx, nr).to_spec().unwrap_err();
+        assert!(err.contains("too large"), "{nx}x{nr}: {err}");
+    }
+}
+
+fn sample_spec() -> ns_serve::job::JobSpec {
+    use ns_core::config::{Regime, SolverConfig};
+    let cfg = SolverConfig::paper(ns_numerics::Grid::new(24, 10, 50.0, 5.0), Regime::Euler);
+    ns_serve::job::JobSpec::new(cfg, 2, 1)
 }

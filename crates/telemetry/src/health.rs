@@ -419,7 +419,7 @@ mod tests {
             health: vec![good_sample(0), good_sample(10)],
         };
         let mut ledger = PhaseLedger::default();
-        ledger.add("x:flux", 0.5);
+        ledger.add("x:flux", 0.5, 0);
         summary.set_phases(&ledger);
         let json = summary.to_json();
         assert!(json.contains("\"case\""));

@@ -8,10 +8,11 @@
 //! message-passing runtime and the architecture simulator.
 //!
 //! * [`phase`] — a low-overhead phase profiler ([`PhaseTimer`]) that
-//!   attributes wall time to the solver's named phases using the **same
-//!   label vocabulary** the simulator's workload model uses
-//!   (`r:prims` … `x:correct`, `comm:send` / `comm:recv` / `comm:stall`),
-//!   so measured and simulated breakdowns are comparable side by side;
+//!   attributes wall time and FLOPs to the solver's named phases
+//!   (`r:prims` … `x:correct`, `comm:send` / `comm:recv` / `comm:stall`);
+//!   the simulator replays the recorded step pair of a traced run under the
+//!   **same labels**, so measured and simulated breakdowns are comparable
+//!   side by side;
 //! * timelines — the one [`Event`] type and its JSONL and Chrome
 //!   `trace_event` exporters, re-exported from `ns-metrics`, whose
 //!   [`ns_metrics::Recorder`] records every phase span, message, fault and
@@ -37,5 +38,5 @@ pub use health::{
     CommTotals, ConservationSummary, HealthConfig, HealthLimits, HealthMonitor, HealthSample, RecoverySummary,
     RunSummary, ServeJobSummary, RUN_SUMMARY_SCHEMA,
 };
-pub use ns_metrics::{to_chrome_trace, to_jsonl, trace_from_jsonl, Event, EventKind, MetricsSummary};
+pub use ns_metrics::{to_chrome_trace, to_jsonl, trace_from_jsonl, Event, EventKind, MetricsSummary, Recorder};
 pub use phase::{PhaseLedger, PhaseStat, PhaseTimer};

@@ -1,75 +1,143 @@
-//! End-to-end integration across all crates: the live solver feeds the
-//! workload model, the workload model feeds the platform simulator, and the
-//! measured runtime statistics must line up with both.
+//! End-to-end integration across all crates: the live solver's traced run
+//! is the step program the platform simulator replays, and the measured
+//! runtime statistics must line up with the replay.
 
-use ns_archsim::{simulate, Platform, SimConfig};
+use ns_archsim::{record, simulate, simulate_traced, Platform, SimConfig};
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::driver::Solver;
-use ns_core::field::Patch;
-use ns_core::workload;
 use ns_experiments::{all_reports, fig_flow};
 use ns_numerics::Grid;
-use ns_runtime::{run_parallel, CartTopology, CommVersion, RunPlan};
+use ns_runtime::{run_parallel, CartTopology, CommVersion, RunPlan, TelemetryOptions};
+use ns_telemetry::EventKind;
 
 #[test]
 fn live_runtime_and_simulator_agree_on_protocol_counts() {
     // every rank of every rank grid must make the same start-ups and send
-    // the same bytes in the real thread runtime, in the discrete-event
-    // simulator and in the step program the simulator bills, under the
-    // plane kernels and the fused sweep alike
+    // the same bytes in the real thread runtime and in the discrete-event
+    // simulator, under the plane kernels and the fused sweep and every
+    // comm protocol alike; over two steps the simulated timeline is the
+    // live traced one, event for event
     let grid = Grid::new(64, 24, 50.0, 5.0);
     let steps = 4u64;
     for (px, pr) in [(4, 1), (1, 2), (2, 2), (1, 4), (2, 3)] {
         let topology = CartTopology::new(px, pr).unwrap();
         for regime in [Regime::NavierStokes, Regime::Euler] {
             for version in [Version::V5, Version::V7] {
-                let cfg = SolverConfig { version, ..SolverConfig::paper(grid.clone(), regime) };
-                let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, CommVersion::V5)).unwrap();
-                let sim = simulate(&SimConfig {
-                    topology,
-                    grid: grid.clone(),
-                    version,
-                    report_steps: steps,
-                    sim_steps: steps,
-                    ..SimConfig::paper(Platform::lace560_allnode_s(), 1, regime)
-                });
-                for rank in 0..topology.size() {
-                    let stats = live.ranks[rank].stats;
-                    let what = format!("{regime:?} {version:?} {px}x{pr} rank {rank}");
-                    assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{what} start-ups");
-                    assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{what} bytes");
-                    let nb = topology.neighbors(rank);
-                    let axial = usize::from(nb.left.is_some()) + usize::from(nb.right.is_some());
-                    let radial = usize::from(nb.down.is_some()) + usize::from(nb.up.is_some());
-                    let patch = Patch::pencil(grid.clone(), topology.coords(rank), (px, pr));
-                    let model = workload::step_workload(regime, &patch);
-                    assert_eq!(
-                        stats.bytes_sent,
-                        model.bytes_sent_per_step(axial, radial) * steps,
-                        "{what} model bytes"
-                    );
+                for comm in CommVersion::ALL {
+                    let cfg = SolverConfig { version, ..SolverConfig::paper(grid.clone(), regime) };
+                    let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, comm)).unwrap();
+                    let sim_cfg = SimConfig {
+                        topology,
+                        grid: grid.clone(),
+                        version,
+                        comm,
+                        report_steps: steps,
+                        sim_steps: steps,
+                        ..SimConfig::paper(Platform::lace560_allnode_s(), 1, regime)
+                    };
+                    let sim = simulate(&sim_cfg);
+                    for rank in 0..topology.size() {
+                        let stats = live.ranks[rank].stats;
+                        let what = format!("{regime:?} {version:?} {comm:?} {px}x{pr} rank {rank}");
+                        assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{what} start-ups");
+                        assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{what} bytes");
+                    }
+                    let telemetry = TelemetryOptions { trace: true, ..Default::default() };
+                    let traced = ns_runtime::run(&RunPlan { telemetry, ..RunPlan::new(&cfg, topology, 2, comm) });
+                    let (_, sim_trace) = simulate_traced(&SimConfig { report_steps: 2, sim_steps: 2, ..sim_cfg });
+                    for (rank, live_rank) in traced.unwrap().ranks.iter().enumerate() {
+                        let program = |events: Vec<&ns_telemetry::Event>| {
+                            events
+                                .into_iter()
+                                .map(|e| (e.kind, e.label.to_string(), e.peer, e.bytes))
+                                .collect::<Vec<_>>()
+                        };
+                        let replayed = program(sim_trace.iter().filter(|e| e.rank == rank).collect());
+                        assert_eq!(
+                            replayed,
+                            program(live_rank.trace.iter().collect()),
+                            "{regime:?} {version:?} {comm:?} {px}x{pr} rank {rank}"
+                        );
+                    }
                 }
             }
         }
     }
 }
 
+/// The recorded step-0 program of rank 1 of a 4 × 1 N-S plan under comm V6,
+/// written out: the radial operator is message free on slabs; each axial
+/// flux stage posts its primitive columns, computes the interior while they
+/// are in flight, finishes the receives and then the edge columns.
+#[test]
+fn the_recorded_v6_step_is_the_overlap_protocol() {
+    use EventKind::{Mark, Phase, Recv, Send};
+    let cfg = SolverConfig::paper(Grid::new(64, 24, 50.0, 5.0), Regime::NavierStokes);
+    let rec = record(&cfg, CartTopology::axial(4), CommVersion::V6);
+    let prims = 3 * 24 * 8;
+    let flux = 4 * 2 * 24 * 8;
+    let want: Vec<(EventKind, &str, Option<usize>, u64)> = vec![
+        (Mark, "step", None, 0),
+        (Phase, "r:prims", None, 0),
+        (Phase, "r:flux", None, 0),
+        (Phase, "r:flux", None, 0),
+        (Phase, "r:predict", None, 0),
+        (Phase, "r:prims2", None, 0),
+        (Phase, "r:flux2", None, 0),
+        (Phase, "r:flux2", None, 0),
+        (Phase, "r:correct", None, 0),
+        (Phase, "x:prims", None, 0),
+        (Send, "Prims1", Some(0), prims),
+        (Send, "Prims1", Some(2), prims),
+        (Phase, "x:flux", None, 0),
+        (Recv, "Prims1", Some(0), prims),
+        (Recv, "Prims1", Some(2), prims),
+        (Phase, "x:flux", None, 0),
+        (Send, "Flux1", Some(0), flux),
+        (Send, "Flux1", Some(2), flux),
+        (Recv, "Flux1", Some(0), flux),
+        (Recv, "Flux1", Some(2), flux),
+        (Phase, "x:flux", None, 0),
+        (Phase, "x:predict", None, 0),
+        (Phase, "x:prims2", None, 0),
+        (Send, "Prims2", Some(0), prims),
+        (Send, "Prims2", Some(2), prims),
+        (Phase, "x:flux2", None, 0),
+        (Recv, "Prims2", Some(0), prims),
+        (Recv, "Prims2", Some(2), prims),
+        (Phase, "x:flux2", None, 0),
+        (Send, "Flux2", Some(0), flux),
+        (Send, "Flux2", Some(2), flux),
+        (Recv, "Flux2", Some(0), flux),
+        (Recv, "Flux2", Some(2), flux),
+        (Phase, "x:flux2", None, 0),
+        (Phase, "x:correct", None, 0),
+        (Phase, "bc:step", None, 0),
+    ];
+    let got: Vec<_> = rec.step(1, 0).iter().map(|e| (e.kind, &*e.label, e.peer, e.bytes)).collect();
+    assert_eq!(got, want);
+    // the flux spans carry their own FLOPs: the interior while the columns
+    // are in flight, then the two edge columns, then nothing for the ghost
+    // extrapolation an interior rank does not own
+    let flux: Vec<u64> = rec.step(1, 0).iter().filter(|e| e.label == "x:flux").map(|e| e.flops).collect();
+    assert!(flux[0] > flux[1] && flux[1] > 0 && flux[2] == 0, "{flux:?}");
+}
+
 #[test]
 fn ledger_flops_feed_the_simulator_consistently() {
-    // per-step interior flops measured by the solver == the flops the
-    // simulator charges per step (same constants, by construction — this
-    // guards against the two drifting apart)
+    // the FLOPs the simulator charges per step are the FLOPs the solver's
+    // ledger counts over the same steps, exactly: the simulator replays
+    // the phase spans, and every ledger entry of a step falls in one
     let grid = Grid::new(64, 24, 50.0, 5.0);
-    let cfg = SolverConfig::paper(grid.clone(), Regime::Euler);
-    let mut s = Solver::new(cfg);
-    s.run(1);
-    let before = s.ledger;
-    s.run(2);
-    let measured = (s.ledger.prims + s.ledger.flux + s.ledger.source + s.ledger.update)
-        - (before.prims + before.flux + before.source + before.update);
-    let model = workload::step_workload(Regime::Euler, &Patch::whole(grid)).compute_flops() * 2;
-    let rel = (measured as f64 - model as f64).abs() / model as f64;
-    assert!(rel < 0.01, "ledger vs model: {rel}");
+    for regime in [Regime::Euler, Regime::NavierStokes] {
+        let cfg = SolverConfig::paper(grid.clone(), regime);
+        let mut s = Solver::new(cfg.clone());
+        let before = s.ledger.total();
+        s.run(2);
+        let measured = s.ledger.total() - before;
+        let replayed = record(&cfg, CartTopology::axial(1), CommVersion::V5).flops(0, 2);
+        assert_eq!(measured, replayed, "{regime:?}");
+    }
 }
 
 #[test]
