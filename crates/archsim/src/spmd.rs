@@ -20,7 +20,7 @@ use crate::msglib::MsgLib;
 
 use crate::platform::Platform;
 use crate::workload::{self, Recording};
-use ns_core::config::{Regime, SolverConfig, Version};
+use ns_core::config::{Regime, SolverConfig};
 use ns_core::field::Patch;
 use ns_numerics::Grid;
 use ns_runtime::{CartTopology, CommVersion};
@@ -58,35 +58,31 @@ pub struct SimConfig {
     /// Rank grid, axial × radial (`CartTopology::axial(p)` is the paper's
     /// layout).
     pub topology: CartTopology,
-    /// Which equations (sets compute cost and protocol).
-    pub regime: Regime,
-    /// Grid (the paper's 250x100 unless studying something else).
-    pub grid: Grid,
+    /// The solver configuration the ranks run: its regime, grid, kernel
+    /// version and dissipation set the recorded program and its compute
+    /// cost (the paper's 250x100 V5 unless studying something else).
+    pub solver: SolverConfig,
     /// Steps to *report* (the paper runs 5000).
     pub report_steps: u64,
     /// Steps to *simulate*; per-step behaviour is stationary, so results are
     /// scaled up to `report_steps` (use `report_steps` itself for an exact
     /// run).
     pub sim_steps: u64,
-    /// Single-processor code version (the parallel studies all use V5).
-    pub version: Version,
     /// Communication protocol variant (paper Versions 5-7).
     pub comm: CommVersion,
 }
 
 impl SimConfig {
     /// The paper's standard experiment on a platform: `nprocs` axial
-    /// blocks, 5000 steps reported, 50 simulated (stationary), V5 kernels,
-    /// comm V5.
+    /// blocks of the paper's configuration, 5000 steps reported, 50
+    /// simulated (stationary), comm V5.
     pub fn paper(platform: Platform, nprocs: usize, regime: Regime) -> Self {
         Self {
             platform,
             topology: CartTopology::axial(nprocs),
-            regime,
-            grid: Grid::paper(),
+            solver: SolverConfig::paper(Grid::paper(), regime),
             report_steps: 5000,
             sim_steps: 50,
-            version: Version::V5,
             comm: CommVersion::V5,
         }
     }
@@ -144,7 +140,7 @@ fn compile_rank(
     rank: usize,
 ) -> [Vec<Ev>; 2] {
     let dims = (cfg.topology.px, cfg.topology.pr);
-    let patch = Patch::pencil(cfg.grid.clone(), cfg.topology.coords(rank), dims);
+    let patch = Patch::pencil(cfg.solver.grid.clone(), cfg.topology.coords(rank), dims);
     // the local subdomain shape seen by the cache model
     let (nxl, nr) = (patch.nxl, patch.nrl);
     [0, 1].map(|k| {
@@ -157,7 +153,7 @@ fn compile_rank(
             match e.kind {
                 EventKind::Phase => {
                     let penalty = if posted { V6_SPLIT_PENALTY } else { 1.0 };
-                    let secs = cal.seconds_for(cpu, cfg.version, nxl, nr, e.flops) * penalty;
+                    let secs = cal.seconds_for(cpu, cfg.solver.version, nxl, nr, e.flops) * penalty;
                     evs.push(Ev::Busy { secs, label, flops: e.flops });
                 }
                 EventKind::Send => {
@@ -203,14 +199,13 @@ pub fn simulate_traced(cfg: &SimConfig) -> (SimResult, Vec<Event>) {
 fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
     let nprocs = cfg.topology.size();
     assert!(nprocs <= cfg.platform.max_procs, "processor count out of range");
-    let admitted = cfg.topology.validate(&cfg.grid);
+    let admitted = cfg.topology.validate(&cfg.solver.grid);
     assert!(admitted.is_ok(), "topology refused: {}", admitted.unwrap_err());
     assert!(cfg.sim_steps >= 1 && cfg.sim_steps <= cfg.report_steps);
     let cal = Calibration::standard();
     let mut net = cfg.platform.net.build(nprocs);
     let lib = cfg.platform.lib;
-    let plan = SolverConfig { version: cfg.version, ..SolverConfig::paper(cfg.grid.clone(), cfg.regime) };
-    let rec = workload::record(&plan, cfg.topology, cfg.comm);
+    let rec = workload::record(&cfg.solver, cfg.topology, cfg.comm);
 
     struct Proc {
         evs: Vec<Ev>,
@@ -348,6 +343,7 @@ fn simulate_impl(cfg: &SimConfig, traced: bool) -> (SimResult, Vec<Event>) {
 mod tests {
     use super::*;
     use crate::cpu::ANCHOR_V5_SECONDS;
+    use ns_core::config::Version;
 
     fn quick(platform: Platform, nprocs: usize, regime: Regime) -> SimResult {
         let mut cfg = SimConfig::paper(platform, nprocs, regime);
@@ -425,7 +421,7 @@ mod tests {
         let mut cfg = SimConfig::paper(Platform::lace560_allnode_s(), 4, Regime::NavierStokes);
         cfg.sim_steps = 5;
         let v5 = simulate(&cfg);
-        cfg.version = Version::V6;
+        cfg.solver.version = Version::V6;
         let v6 = simulate(&cfg);
         assert!(v6.total < v5.total, "fused kernels must be faster: {} vs {}", v6.total, v5.total);
         assert!(v6.phase_seconds.contains_key("x:fused") && v6.phase_seconds.contains_key("r:fused2"));
@@ -484,7 +480,7 @@ mod tests {
         let run = |px: usize, pr: usize| {
             simulate(&SimConfig {
                 topology: CartTopology::new(px, pr).unwrap(),
-                grid: grid.clone(),
+                solver: SolverConfig::paper(grid.clone(), Regime::NavierStokes),
                 sim_steps: 3,
                 report_steps: 3,
                 ..SimConfig::paper(Platform::cluster_fat_tree(), 1, Regime::NavierStokes)

@@ -3,7 +3,7 @@
 
 use ns_archsim::network::{Network, SharedBus, Torus3d};
 use ns_archsim::{simulate, CacheGeometry, CacheSim, NetKind, Platform, SimConfig};
-use ns_core::config::{Regime, Version};
+use ns_core::config::{Regime, SolverConfig, Version};
 use ns_runtime::{CartTopology, CommVersion};
 use proptest::prelude::*;
 
@@ -110,7 +110,7 @@ proptest! {
         let mut cfg = SimConfig::paper(platform, p.max(1), Regime::Euler);
         cfg.sim_steps = 3;
         let euler = simulate(&cfg).total;
-        cfg.regime = Regime::NavierStokes;
+        cfg.solver.regime = Regime::NavierStokes;
         let ns = simulate(&cfg).total;
         prop_assert!(ns > euler, "{}: N-S {ns} vs Euler {euler}", platform.name);
     }
@@ -162,12 +162,13 @@ proptest! {
         let regime = if viscous { Regime::NavierStokes } else { Regime::Euler };
         let (px, pr) = [(p, 1), (1, p), (p / 2, 2)][shape];
         let version = if pr == 1 { Version::V5 } else { Version::V7 };
+        let paper = SimConfig::paper(platform, p, regime);
         let r = simulate(&SimConfig {
             topology: CartTopology::new(px, pr).unwrap(),
             comm: [CommVersion::V5, CommVersion::V6, CommVersion::V7][mode],
-            version,
+            solver: SolverConfig { version, ..paper.solver.clone() },
             sim_steps: 2,
-            ..SimConfig::paper(platform, p, regime)
+            ..paper
         });
         let busy: f64 = r.busy.iter().sum();
         let phases: f64 = r.phase_seconds.values().sum();

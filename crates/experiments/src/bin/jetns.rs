@@ -190,7 +190,7 @@ fn print_phases(run: &ns_runtime::ParallelRun, plan: &RunPlan) {
     let scfg = ns_archsim::SimConfig {
         topology: plan.topology,
         comm: plan.comm,
-        grid: plan.cfg.grid.clone(),
+        solver: plan.cfg.clone(),
         report_steps,
         sim_steps: report_steps.min(4),
         ..ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, plan.cfg.regime)

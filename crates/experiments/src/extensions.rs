@@ -125,7 +125,7 @@ pub fn weak_scaling(regime: Regime) -> Report {
             // nx grows with P: ~15.6 columns per processor, as at 250/16
             let nx = (250 * p).div_ceil(16).max(8);
             let mut cfg = SimConfig::paper(platform, p, regime);
-            cfg.grid = Grid::new(nx.max(8), 100, 50.0, 5.0);
+            cfg.solver.grid = Grid::new(nx.max(8), 100, 50.0, 5.0);
             pts.push((p as f64, simulate(&cfg).total));
         }
         r.series.push(Series::new(label, pts));

@@ -12,7 +12,7 @@
 //! surface-minimizing shape.
 
 use ns_archsim::{simulate, Platform, SimConfig};
-use ns_core::config::Regime;
+use ns_core::config::{Regime, SolverConfig};
 use ns_numerics::Grid;
 use ns_runtime::CartTopology;
 use serde::{Deserialize, Serialize};
@@ -77,7 +77,7 @@ pub fn scaling_grid() -> Grid {
 fn cell(platform: Platform, grid: &Grid, topology: CartTopology) -> ScalingCell {
     let r = simulate(&SimConfig {
         topology,
-        grid: grid.clone(),
+        solver: SolverConfig::paper(grid.clone(), Regime::NavierStokes),
         report_steps: 1000,
         sim_steps: 5,
         ..SimConfig::paper(platform, 1, Regime::NavierStokes)

@@ -18,6 +18,8 @@
 //!   variant;
 //! * [`topology`] — the Cartesian `px × pr` pencil rank grid with typed
 //!   decomposition-plan validation;
+//! * [`shape`] — a run's [`Shape`] (rank grid, protocol, recovery, team),
+//!   the one description the oracle, serve and the simulator key on;
 //! * [`parallel`] — the one rank-per-thread driver: a [`RunPlan`]
 //!   (topology, protocol, telemetry, reliability, resume) goes
 //!   into [`run`], which reports the paper's busy/non-overlapped time
@@ -40,6 +42,7 @@ pub mod halo;
 pub mod pack;
 pub mod parallel;
 pub mod recover;
+pub mod shape;
 pub mod topology;
 
 pub use comm::{CommStats, Endpoint, ReliableConfig};
@@ -49,4 +52,5 @@ pub use parallel::{
     run, run_parallel, run_parallel_cart, run_parallel_instrumented, ParallelRun, RankResult, RunPlan, TelemetryOptions,
 };
 pub use recover::{ChaosOptions, RecoveryReport};
+pub use shape::Shape;
 pub use topology::{CartNeighbors, CartTopology, DecompositionError};

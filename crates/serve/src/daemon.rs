@@ -41,14 +41,14 @@
 
 use crate::cache::{CacheStats, CachedRun, Claim, ResultCache};
 use crate::client::parse_key_hex;
-use crate::job::{Backend, JobDesc, JobSpec, Priority};
+use crate::job::{JobDesc, JobSpec, Priority};
 use crate::proto::{read_request, write_response, DaemonStatus, Request, Response};
 use crate::queue::{JobQueue, PushError, Pushed, QueuedJob};
 use crate::spill::Spill;
 use crate::wal::{key_hex, Wal, WalRecord, WalReplay};
 use ns_core::config::SolverConfig;
 use ns_metrics::{Counter, FlightDump, Gauge, Histogram, Recorder, Registry};
-use ns_runtime::{CartTopology, CommVersion, RunPlan};
+use ns_runtime::Shape;
 use ns_telemetry::{RunSummary, ServeJobSummary};
 use ns_verify::oracle;
 use ns_verify::snapshot::{field_hash, GoldenFile};
@@ -57,7 +57,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -225,6 +225,9 @@ struct Meters {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     job_run_us: Arc<Histogram>,
+    /// Worker-busy counters per backend, resolved on first use (see
+    /// [`Meters::backend_busy`]).
+    backend_busy: [OnceLock<Arc<Counter>>; 4],
 }
 
 impl Meters {
@@ -244,15 +247,26 @@ impl Meters {
             cache_hits: r.counter("ns_serve_cache_hits_total"),
             cache_misses: r.counter("ns_serve_cache_misses_total"),
             job_run_us: r.histogram("ns_serve_job_run_us"),
+            backend_busy: Default::default(),
         }
     }
 
     /// Worker-busy microseconds, folded per backend in the Prometheus
     /// label style (`{backend="serial"}`): backend utilization is the
-    /// rate of this counter over wall time. Resolved per cold run, which
-    /// is far off the hot path.
-    fn backend_busy(backend: Backend) -> Arc<Counter> {
-        Registry::global().counter(&format!("ns_serve_backend_busy_us_total{{backend=\"{}\"}}", backend.name()))
+    /// rate of this counter over wall time. The label is the backend that
+    /// names the job's shape ([`Shape::alias`]), and each label's counter
+    /// is looked up in the registry once, on its first cold run.
+    fn backend_busy(&self, shape: &Shape) -> &Counter {
+        let (backend, _) = shape.canonical().alias().expect("a served shape is one a backend names");
+        let at = match backend {
+            "serial" => 0,
+            "parallel" => 1,
+            "chaos" => 2,
+            _ => 3,
+        };
+        self.backend_busy[at].get_or_init(|| {
+            Registry::global().counter(&format!("ns_serve_backend_busy_us_total{{backend=\"{backend}\"}}"))
+        })
     }
 }
 
@@ -519,6 +533,12 @@ impl Daemon {
 /// backlog can exceed the queue depth, and workers are already chewing
 /// through it, so patience is all that's needed (nothing drains or closes
 /// the queue before `start` returns).
+///
+/// A job journaled under a key its description no longer has (a one-rank
+/// run that two descriptions used to key apart) is re-admitted under its
+/// key now, journaled first so a crash replays it, and the old key settles
+/// as failed, naming the new one: a worker settles only the key it
+/// computes, so the old one would otherwise stay pending for good.
 fn resubmit_with_patience(shared: &Shared, key: u64, desc: &JobDesc) {
     let spec = match desc.to_spec() {
         Ok(spec) => spec,
@@ -527,7 +547,15 @@ fn resubmit_with_patience(shared: &Shared, key: u64, desc: &JobDesc) {
             return settle(shared, key, "", Settled::Failed(format!("replayed job no longer valid: {reason}")))
         }
     };
-    while let Response::Busy { retry_after_ms, .. } = enqueue(shared, key, spec.clone()) {
+    let now = spec.canonical_key();
+    if now != key {
+        let record = WalRecord::Admitted { key: key_hex(now), desc: desc.clone() };
+        if shared.wal.lock().unwrap().append(&record).is_err() {
+            return; // left pending under the old key: the next start retries
+        }
+        settle(shared, key, "", Settled::Failed(format!("re-keyed: wait on {}", key_hex(now))));
+    }
+    while let Response::Busy { retry_after_ms, .. } = enqueue(shared, now, spec.clone()) {
         std::thread::sleep(Duration::from_millis(retry_after_ms.min(200)));
     }
 }
@@ -771,7 +799,7 @@ fn serve(shared: &Shared, job: &QueuedJob, key: u64) -> Settled {
         return Settled::Done { cache: "hit", queue_ms, run_ms: 0.0 };
     }
     shared.meters.cache_misses.inc();
-    let busy = Meters::backend_busy(job.spec.backend);
+    let busy = shared.meters.backend_busy(&job.spec.shape);
     let t0 = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(&job.spec)));
     let run_wall = t0.elapsed();
@@ -824,11 +852,11 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute one job: its canonical plan through the driver, whatever the
-/// backend. Returns the summary (without the serve block, stamped by the
+/// Execute one job: its shape's plan through the driver, whatever the
+/// shape. Returns the summary (without the serve block, stamped by the
 /// worker) and the final field's fingerprint, or the abort reason.
 fn execute(spec: &JobSpec) -> Result<(RunSummary, u64), String> {
-    let run = ns_runtime::run(&spec.canonical().plan()).map_err(|e| e.to_string())?;
+    let run = ns_runtime::run(&spec.shape.plan(&spec.cfg, spec.steps)).map_err(|e| e.to_string())?;
     if let Some(reason) = run.aborted() {
         return Err(reason);
     }
@@ -840,17 +868,16 @@ fn execute(spec: &JobSpec) -> Result<(RunSummary, u64), String> {
 /// snapshots cover this cell: the golden grid and steps, the paper config
 /// up to the kernel version, and a job plan that `oracle::expect` holds
 /// bitwise against the serial V5 plan the snapshots were taken from. A
-/// shared job's canonical plan is the 1×1 V5 plan with a team, and the
-/// team is a bitwise axis, so it is checked like the serial job.
+/// shared job is the 1×1 V5 plan with a team, and the team is a bitwise
+/// axis, so it is checked like the serial job.
 pub(crate) fn golden_expectation<'g>(golden: &'g GoldenFile, spec: &JobSpec) -> Option<&'g str> {
-    let c = spec.canonical();
-    if [c.cfg.grid.nx, c.cfg.grid.nr] != golden.grid || c.steps != golden.steps {
+    let (cfg, steps) = (&spec.cfg, spec.steps);
+    if [cfg.grid.nx, cfg.grid.nr] != golden.grid || steps != golden.steps {
         return None;
     }
-    let serial = SolverConfig::paper(c.cfg.grid.clone(), c.cfg.regime);
-    let baseline = RunPlan::new(&serial, CartTopology::axial(1), c.steps, CommVersion::V5);
-    oracle::expect(&c.plan(), &baseline).filter(|e| e.is_bitwise())?;
-    golden.entries.get(&format!("{}/serial/V5", c.cfg.regime.key())).map(|snap| snap.hash.as_str())
+    let serial = SolverConfig::paper(cfg.grid.clone(), cfg.regime);
+    oracle::expect(&spec.shape.plan(cfg, steps), &Shape::SERIAL.plan(&serial, steps)).filter(|e| e.is_bitwise())?;
+    golden.entries.get(&format!("{}/serial/V5", cfg.regime.key())).map(|snap| snap.hash.as_str())
 }
 
 #[cfg(test)]
@@ -860,6 +887,7 @@ mod tests {
     use ns_core::config::Regime;
     use ns_core::Solver;
     use ns_numerics::Grid;
+    use ns_runtime::CartTopology;
     use ns_verify::snapshot::{self, hash_hex};
 
     /// A daemon over a fresh, unsynced state directory.
@@ -892,21 +920,21 @@ mod tests {
         DaemonConfig { workers, queue_depth, ..DaemonConfig::new("") }
     }
 
+    /// `p` axial ranks under comm V5.
+    fn axial(p: usize) -> Shape {
+        Shape { topology: CartTopology::axial(p), ..Shape::SERIAL }
+    }
+
     fn euler(nx: usize, nr: usize) -> SolverConfig {
         SolverConfig::paper(Grid::new(nx, nr, 50.0, 5.0), Regime::Euler)
     }
 
     fn serial_job(steps: u64, label: &str) -> JobSpec {
-        let mut spec = JobSpec::new(euler(48, 16), steps, 1);
-        spec.backend = Backend::Serial;
-        spec.label = label.to_string();
-        spec
+        JobSpec { label: label.to_string(), ..JobSpec::new(euler(48, 16), steps, Shape::SERIAL) }
     }
 
     fn serial_desc(steps: u64) -> JobDesc {
-        let mut spec = JobSpec::new(euler(24, 10), steps, 1);
-        spec.backend = Backend::Serial;
-        JobDesc::from_spec(&spec)
+        JobDesc::from_spec(&JobSpec::new(euler(24, 10), steps, Shape::SERIAL))
     }
 
     /// Submit a job the daemon must admit; its key.
@@ -1088,12 +1116,12 @@ mod tests {
     fn served_rank_teams_report_their_plans_comm_totals() {
         let (daemon, _dir) = daemon(sized(1, 4));
         for procs in [2, 4] {
-            let spec = JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 6, procs);
+            let spec = JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 6, axial(procs));
             let Response::Done { payload, .. } = settled(&daemon.shared, &admit(&daemon.shared, &spec)) else {
                 panic!("P = {procs}: the job completes");
             };
             let served = RunSummary::from_json(&payload).unwrap().comm;
-            let planned = ns_runtime::run(&spec.plan()).unwrap().summary(&spec.case()).comm;
+            let planned = ns_runtime::run(&spec.shape.plan(&spec.cfg, spec.steps)).unwrap().summary(&spec.case()).comm;
             assert!(served.sends > 0, "P = {procs}: a rank team exchanges halos");
             assert_eq!(served, planned, "P = {procs}: served comm totals are the plan's");
         }
@@ -1161,7 +1189,7 @@ mod tests {
     #[test]
     fn golden_cross_check_confirms_bitwise_cells_and_flags_drift() {
         let (golden, cfg) = oracle_shaped_golden();
-        let spec = JobSpec::new(cfg.clone(), 4, 2); // parallel Euler: bitwise
+        let spec = JobSpec::new(cfg.clone(), 4, axial(2)); // parallel Euler: bitwise
         assert!(golden_expectation(&golden, &spec).is_some(), "oracle-shaped Euler parallel cell is covered");
         let verdict = |golden: GoldenFile| {
             let (daemon, _dir) = daemon(DaemonConfig { golden: Some(golden), ..sized(1, 4) });
@@ -1183,21 +1211,25 @@ mod tests {
     }
 
     /// A serial job is the 1×1 plan, so a one-rank parallel job with
-    /// dissipation is admitted and computes the serial job's field; a damped
-    /// Euler job on two ranks computes it too, bitwise. (The wire format
-    /// carries the paper's undamped config, so the specs go straight onto
-    /// the queue.)
+    /// dissipation is the serial job, key and all; a damped Euler job on
+    /// two ranks computes its field too, bitwise. (The wire format carries
+    /// the paper's undamped config, so the specs go straight onto the
+    /// queue.)
     #[test]
     fn one_rank_parallel_job_with_dissipation_is_the_serial_job() {
         let (daemon, _dir) = daemon(sized(1, 4));
         let shared = &daemon.shared;
-        let mut parallel = JobSpec::new(euler(48, 16), 5, 1);
-        parallel.cfg.dissipation = 0.002;
-        let mut serial = parallel.clone();
-        serial.backend = Backend::Serial;
-        let two_ranks = JobSpec { procs: 2, ..parallel.clone() };
+        let damped = |backend: &str| {
+            let desc = JobDesc { backend: backend.into(), ..serial_desc(5) };
+            let mut job = JobDesc { nx: 48, nr: 16, ..desc }.to_spec().unwrap();
+            job.cfg.dissipation = 0.002;
+            job
+        };
+        let serial = damped("serial");
+        assert_eq!(damped("parallel").canonical_key(), serial.canonical_key(), "one rank is the serial shape");
+        let two_ranks = JobSpec { shape: axial(2), ..serial.clone() };
         let mut hashes = Vec::new();
-        for job in [parallel, serial, two_ranks] {
+        for job in [serial, two_ranks] {
             assert_eq!(job.validate(), Ok(()), "{} is admitted", job.case());
             let key = job.canonical_key();
             assert!(matches!(enqueue(shared, key, job), Response::Admitted { .. }));
@@ -1214,9 +1246,47 @@ mod tests {
         daemon.drain().unwrap();
     }
 
+    /// A journal written when a one-rank `parallel` job keyed apart from
+    /// the serial job still replays: the job re-runs under its key now, a
+    /// `Wait` on the journaled key answers (naming the new key), and the
+    /// next start finds nothing pending.
+    #[test]
+    fn a_journaled_job_whose_key_merged_replays_once_and_settles_its_old_key() {
+        let dir = Scratch::new();
+        std::fs::create_dir_all(&dir.0).unwrap();
+        // the wire default: a one-rank parallel job under comm V5
+        let desc: JobDesc = serde_json::from_str(r#"{"regime": "euler", "nx": 24, "nr": 10, "steps": 2}"#).unwrap();
+        let spec = desc.to_spec().unwrap();
+        let cfg_json = serde_json::to_string(&spec.cfg).unwrap();
+        let old = snapshot::fnv1a(snapshot::fnv1a(snapshot::FNV_OFFSET, cfg_json.as_bytes()), b"|2|1|commV5|parallel");
+        let new = spec.canonical_key();
+        assert_ne!(old, new, "the one-rank parallel job now keys as the serial job");
+        {
+            let (mut wal, _) = Wal::open(dir.0.join("jobs.wal"), false).unwrap();
+            wal.append(&WalRecord::Admitted { key: key_hex(old), desc: desc.clone() }).unwrap();
+        }
+        let start = || Daemon::start(DaemonConfig { state_dir: dir.0.clone(), sync: false, ..sized(1, 4) }).unwrap();
+
+        let daemon = start();
+        assert_eq!(daemon.replay().pending.len(), 1);
+        match settled(&daemon.shared, &key_hex(old)) {
+            Response::Failed { error, .. } => assert!(error.contains(&key_hex(new)), "{error}"),
+            other => panic!("the journaled key settles, naming its new key: {other:?}"),
+        }
+        assert!(matches!(settled(&daemon.shared, &key_hex(new)), Response::Done { .. }));
+        assert_eq!(daemon.inflight(), 0);
+        daemon.drain().unwrap();
+
+        let daemon = start();
+        let replay = daemon.replay();
+        assert!(replay.clean_shutdown && replay.pending.is_empty(), "{replay:?}");
+        assert!(matches!(settled(&daemon.shared, &key_hex(new)), Response::Done { .. }), "the result is durable");
+        daemon.drain().unwrap();
+    }
+
     /// A shared job runs the plan the driver runs, so what the solver runs
     /// on a team is admitted and served: MMS and the 2-2 scheme each give
-    /// the serial V5 field, whatever kernel the job asked for.
+    /// the serial V5 field.
     #[test]
     fn shared_jobs_with_mms_or_the_two_two_scheme_are_served_as_serial_v5() {
         let (daemon, _dir) = daemon(sized(1, 4));
@@ -1224,8 +1294,8 @@ mod tests {
         let mms = SolverConfig { mms: Some(ns_core::mms::MmsSpec::standard()), ..ns.clone() };
         let two_two = SolverConfig { scheme: ns_core::config::SchemeOrder::TwoTwo, ..ns };
         for cfg in [mms, two_two] {
-            let mut job = JobSpec::new(SolverConfig { version: ns_core::config::Version::V7, ..cfg.clone() }, 4, 2);
-            job.backend = Backend::Shared;
+            let team = Shape { threads: 2, ..Shape::SERIAL };
+            let job = JobSpec::new(SolverConfig { version: ns_core::config::Version::V5, ..cfg.clone() }, 4, team);
             assert_eq!(job.validate(), Ok(()), "{} is admitted", job.case());
             let key = job.canonical_key();
             assert!(matches!(enqueue(&daemon.shared, key, job), Response::Admitted { .. }));
@@ -1247,14 +1317,14 @@ mod tests {
         let (golden, cfg) = oracle_shaped_golden();
         // NS parallel is only truncation-level: not covered
         let ns = SolverConfig::paper(cfg.grid.clone(), Regime::NavierStokes);
-        assert!(golden_expectation(&golden, &JobSpec::new(ns, 4, 2)).is_none());
+        assert!(golden_expectation(&golden, &JobSpec::new(ns, 4, axial(2))).is_none());
         // different steps: not covered
-        let other_steps = JobSpec::new(cfg.clone(), 6, 2);
+        let other_steps = JobSpec::new(cfg.clone(), 6, axial(2));
         assert!(golden_expectation(&golden, &other_steps).is_none());
         // non-paper config (adaptive dt): not covered
         let mut tweaked = cfg;
         tweaked.adaptive_dt = !tweaked.adaptive_dt;
-        assert!(golden_expectation(&golden, &JobSpec::new(tweaked, 4, 2)).is_none());
+        assert!(golden_expectation(&golden, &JobSpec::new(tweaked, 4, axial(2))).is_none());
     }
 
     /// The golden check asks the oracle: Navier-Stokes on one rank is the
@@ -1270,24 +1340,22 @@ mod tests {
             entries.insert(format!("{}/serial/V5", regime.key()), snapshot::of(&reference.field));
         }
         let golden = GoldenFile { schema: snapshot::SCHEMA, grid: [48, 16], steps: 4, entries };
-        let job = |regime, procs, backend, version, comm| {
-            let mut spec = JobSpec::new(SolverConfig::paper(grid.clone(), regime), 4, procs);
-            (spec.backend, spec.cfg.version, spec.comm) = (backend, version, comm);
-            spec
+        let job = |regime: &str, procs, backend: &str, version: &str, comm: &str| {
+            let json = format!(r#"{{"regime":"{regime}","nx":48,"nr":16,"steps":4,"procs":{procs}}}"#);
+            let desc: JobDesc = serde_json::from_str(&json).unwrap();
+            JobDesc { backend: backend.into(), version: version.into(), comm: comm.into(), ..desc }.to_spec().unwrap()
         };
-        use ns_core::config::Version::{V3, V5, V7};
-        use CommVersion::{V5 as C5, V7 as C7};
-        let ns = Regime::NavierStokes;
+        let ns = "navier-stokes";
         let covered = [
-            job(ns, 1, Backend::Parallel, V7, C7),
-            job(ns, 3, Backend::Serial, V5, C5),
-            job(ns, 2, Backend::Shared, V7, C5),
-            job(Regime::Euler, 2, Backend::Chaos, V7, C7),
+            job(ns, 1, "parallel", "V7", "V7"),
+            job(ns, 3, "serial", "V5", "V5"),
+            job(ns, 2, "shared", "V7", "V5"),
+            job("euler", 2, "chaos", "V7", "V7"),
         ];
         for spec in &covered {
             assert!(golden_expectation(&golden, spec).is_some(), "{} is bitwise serial V5", spec.case());
         }
-        for spec in [job(ns, 2, Backend::Parallel, V5, C5), job(Regime::Euler, 1, Backend::Parallel, V3, C5)] {
+        for spec in [job(ns, 2, "parallel", "V5", "V5"), job("euler", 1, "parallel", "V3", "V5")] {
             assert!(golden_expectation(&golden, &spec).is_none(), "{} is tolerance-bounded", spec.case());
         }
         // and a served one-rank N-S job does reproduce the serial fingerprint
@@ -1305,7 +1373,7 @@ mod tests {
         let before = Registry::global().snapshot();
         let (daemon, _dir) = daemon(sized(1, 4));
         for steps in [2, 3] {
-            let key = admit(&daemon.shared, &JobSpec::new(euler(32, 12), steps, 1));
+            let key = admit(&daemon.shared, &JobSpec::new(euler(32, 12), steps, Shape::SERIAL));
             let how = settled(&daemon.shared, &key);
             assert!(matches!(how, Response::Done { .. }), "got {how:?}");
         }
@@ -1332,7 +1400,7 @@ mod tests {
         let (daemon, _dir) = daemon(sized(1, 2));
         let shared = &daemon.shared;
         // seed the Normal lane's rate as if a fat cell took 1 s
-        let fat = JobSpec::new(euler(64, 24), 100, 1);
+        let fat = JobSpec::new(euler(64, 24), 100, Shape::SERIAL);
         shared.record_service_time(Priority::Normal, fat.cost_units(), Duration::from_secs(1));
         let cheap = serial_job(2, "cheap");
         let cheap_hint = shared.retry_after(&cheap);
@@ -1405,17 +1473,11 @@ mod tests {
     #[test]
     fn invalid_jobs_are_rejected_at_admission_not_in_a_worker() {
         let (daemon, _dir) = daemon(sized(1, 2));
-        let mut spec = JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 2, 20);
-        let refused =
-            |spec: &JobSpec| matches!(submit(&daemon.shared, &JobDesc::from_spec(spec)), Response::Invalid { .. });
-        assert!(refused(&spec), "20 ranks on 50 columns");
-        spec.procs = 2;
-        spec.steps = 0;
-        assert!(refused(&spec), "zero steps");
-        spec.steps = 2;
-        spec.backend = Backend::Shared;
-        spec.procs = 0;
-        assert!(refused(&spec), "a team of no threads");
+        let small = JobDesc::from_spec(&JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 2, axial(2)));
+        let refused = |desc: JobDesc| matches!(submit(&daemon.shared, &desc), Response::Invalid { .. });
+        assert!(refused(JobDesc { procs: 20, ..small.clone() }), "20 ranks on 50 columns");
+        assert!(refused(JobDesc { steps: 0, ..small.clone() }), "zero steps");
+        assert!(refused(JobDesc { backend: "shared".into(), procs: 0, ..small }), "a team of no threads");
         // a grid under the scheme's five points never reaches `Grid::new`
         let tiny: JobDesc = serde_json::from_str(r#"{"regime":"euler","nx":3,"nr":16,"steps":4}"#).unwrap();
         match submit(&daemon.shared, &tiny) {
@@ -1465,7 +1527,7 @@ mod tests {
     fn duplicate_cells_hit_the_cache_byte_identically() {
         let (daemon, _dir) = daemon(sized(1, 8));
         let shared = &daemon.shared;
-        let cold = JobSpec::new(euler(48, 16), 3, 2);
+        let cold = JobSpec::new(euler(48, 16), 3, axial(2));
         let mut dup = cold.clone();
         dup.priority = Priority::High;
         dup.label = "same cell, different urgency".into();

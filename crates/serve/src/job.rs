@@ -2,21 +2,21 @@
 //! admission, and the canonical content hash that makes the result cache
 //! content-addressed.
 //!
-//! Every backend is a plan for `ns_runtime::run` (`JobSpec::plan`): a
-//! serial job is the 1×1 plan, a parallel or chaos job `procs` axial ranks,
-//! and a shared-memory job the 1×1 plan with a DOALL team of `procs`
-//! threads (`RunPlan::threads`).
+//! A job is a solver configuration, a step count and a run [`Shape`], and
+//! runs as `shape.plan(..)` through `ns_runtime::run`. The wire's
+//! `backend` and `procs` are an alias for a shape, resolved in
+//! [`JobDesc::to_spec`], so `procs` counts ranks or threads as the backend
+//! says.
 //!
 //! Two jobs that would compute the same physics must hash identically even
 //! when they are *described* differently (a serial job "on 3 procs", a
-//! shared-memory job asking for kernel V6, which its canonical form runs at
-//! V5). [`JobSpec::canonical`] normalizes those degrees of freedom away
-//! before hashing; priority and label never enter the key — urgency does
-//! not change the answer.
+//! one-rank parallel job under comm V7): the key is taken over the
+//! canonical shape ([`Shape::canonical`]); priority, label and deadline
+//! never enter it — urgency does not change the answer.
 
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_numerics::Grid;
-use ns_runtime::{CartTopology, ChaosOptions, CommVersion, FaultPlan, RunPlan};
+use ns_runtime::{CartTopology, CommVersion, Shape};
 use ns_verify::snapshot::{fnv1a, FNV_OFFSET};
 use serde::Serialize;
 
@@ -62,44 +62,6 @@ impl Priority {
     }
 }
 
-/// Which execution backend runs the job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Single-threaded reference solver: the driver's 1×1 plan.
-    Serial,
-    /// Distributed-memory driver (`ns_runtime::run`, one thread per rank).
-    Parallel,
-    /// Distributed driver with the recovery machinery armed (fault-free
-    /// plan: checkpoints are taken, nothing is injected).
-    Chaos,
-    /// Shared-memory solver, the paper's Y-MP version: the 1×1 plan at
-    /// kernel V5 with its station loops on a DOALL team of `procs` threads.
-    Shared,
-}
-
-impl Backend {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Serial => "serial",
-            Backend::Parallel => "parallel",
-            Backend::Chaos => "chaos",
-            Backend::Shared => "shared",
-        }
-    }
-
-    /// Parse a lowercase name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "serial" => Ok(Backend::Serial),
-            "parallel" => Ok(Backend::Parallel),
-            "chaos" => Ok(Backend::Chaos),
-            "shared" => Ok(Backend::Shared),
-            other => Err(format!("unknown backend {other:?} (expected serial|parallel|chaos|shared)")),
-        }
-    }
-}
-
 /// One simulation job: the full solver configuration plus the run shape.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
@@ -110,13 +72,8 @@ pub struct JobSpec {
     pub cfg: SolverConfig,
     /// Steps to run.
     pub steps: u64,
-    /// Processor count (ranks for parallel/chaos, threads for shared,
-    /// ignored for serial).
-    pub procs: usize,
-    /// Comm protocol version (parallel/chaos backends only).
-    pub comm: CommVersion,
-    /// Execution backend.
-    pub backend: Backend,
+    /// Rank grid, protocol, recovery and team.
+    pub shape: Shape,
     /// Admission priority (never part of the cache key).
     pub priority: Priority,
     /// Queue-side deadline measured from admission (never part of the
@@ -126,68 +83,27 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job with defaults for everything but the physics: parallel
-    /// backend, V5 comm, normal priority, canonical label.
-    pub fn new(cfg: SolverConfig, steps: u64, procs: usize) -> Self {
-        Self {
-            label: String::new(),
-            cfg,
-            steps,
-            procs,
-            comm: CommVersion::V5,
-            backend: Backend::Parallel,
-            priority: Priority::Normal,
-            deadline: None,
-        }
-    }
-
-    /// The spec with description-level degrees of freedom normalized away,
-    /// so equal physics hashes equally: serial runs have no meaningful
-    /// procs/comm, and a shared job runs kernel V5 (the rung whose station
-    /// loops the team spreads; this is the one place that is decided) and
-    /// uses no message protocol. The daemon runs a job's canonical plan.
-    pub fn canonical(&self) -> JobSpec {
-        let mut c = self.clone();
-        c.label = String::new();
-        c.deadline = None;
-        match c.backend {
-            Backend::Serial => {
-                c.procs = 1;
-                c.comm = CommVersion::V5;
-            }
-            Backend::Shared => {
-                c.cfg.version = Version::V5;
-                c.comm = CommVersion::V5;
-            }
-            Backend::Parallel | Backend::Chaos => {}
-        }
-        c
+    /// A job with defaults for everything but the physics and the shape:
+    /// normal priority, canonical label, no deadline.
+    pub fn new(cfg: SolverConfig, steps: u64, shape: Shape) -> Self {
+        Self { label: String::new(), cfg, steps, shape, priority: Priority::Normal, deadline: None }
     }
 
     /// Canonical case name of the cell, e.g.
     /// `"euler/V5/parallel/p4/commV6/nx66x24/s6"`.
     pub fn case(&self) -> String {
-        let c = self.canonical();
-        format!(
-            "{}/{:?}/{}/p{}/comm{}/nx{}x{}/s{}",
-            c.cfg.regime.key(),
-            c.cfg.version,
-            c.backend.name(),
-            c.procs,
-            c.comm.name(),
-            c.cfg.grid.nx,
-            c.cfg.grid.nr,
-            c.steps
-        )
+        let (cfg, grid) = (&self.cfg, &self.cfg.grid);
+        let shape = self.shape.canonical().name();
+        format!("{}/{:?}/{shape}/nx{}x{}/s{}", cfg.regime.key(), cfg.version, grid.nx, grid.nr, self.steps)
     }
 
-    /// Content-addressed cache key: FNV-1a 64 over the canonical spec (the
-    /// full serialized solver configuration plus the run shape). Priority
-    /// and label are deliberately excluded.
+    /// Content-addressed cache key: FNV-1a 64 over the full serialized
+    /// solver configuration, then the steps and the canonical shape's key
+    /// text ([`Shape::key`]). Priority, label and deadline are deliberately
+    /// excluded.
     pub fn canonical_key(&self) -> u64 {
-        let c = self.canonical();
-        let cfg_json = serde_json::to_string(&c.cfg).expect("solver config serializes");
-        let shape = format!("|{}|{}|comm{}|{}", c.steps, c.procs, c.comm.name(), c.backend.name());
+        let cfg_json = serde_json::to_string(&self.cfg).expect("solver config serializes");
+        let shape = format!("|{}{}", self.steps, self.shape.key());
         fnv1a(fnv1a(FNV_OFFSET, cfg_json.as_bytes()), shape.as_bytes())
     }
 
@@ -200,26 +116,6 @@ impl JobSpec {
         cells.saturating_mul(self.steps).max(1)
     }
 
-    /// The plan the driver runs this job as. A serial job is the 1×1 plan,
-    /// where the comm protocol moves nothing; a chaos job arms the recovery
-    /// machinery on a fault-free plan (checkpoints shorter than the run,
-    /// nothing injected); a shared job is the 1×1 plan with a DOALL team of
-    /// `procs` threads.
-    pub(crate) fn plan(&self) -> RunPlan<'_> {
-        let (ranks, threads) = match self.backend {
-            Backend::Serial => (1, 1),
-            Backend::Shared => (1, self.procs),
-            Backend::Parallel | Backend::Chaos => (self.procs, 1),
-        };
-        let reliability = (self.backend == Backend::Chaos).then(|| ChaosOptions {
-            plan: FaultPlan::none(42),
-            checkpoint_every: 4,
-            ..Default::default()
-        });
-        let topology = CartTopology { px: ranks, pr: 1 };
-        RunPlan { reliability, threads, ..RunPlan::new(&self.cfg, topology, self.steps, self.comm) }
-    }
-
     /// Admission-time validation: reject jobs the driver would refuse, so a
     /// bad request costs an error payload, not a worker. Beyond a step to
     /// take, that is the plan's own typed validation, the one the driver
@@ -228,7 +124,7 @@ impl JobSpec {
         if self.steps == 0 {
             return Err("steps must be >= 1".into());
         }
-        self.plan().validate().map_err(|e| e.to_string())
+        self.shape.plan(&self.cfg, self.steps).validate().map_err(|e| e.to_string())
     }
 }
 
@@ -249,12 +145,13 @@ pub struct JobDesc {
     pub steps: u64,
     /// Kernel version `"V1"`..`"V7"` (default `"V5"`).
     pub version: String,
-    /// Processor count (default 1).
+    /// Processor count (default 1): ranks for `parallel` and `chaos`,
+    /// threads for `shared`, ignored for `serial`.
     pub procs: usize,
     /// Comm protocol `"V5"|"V6"|"V7"` (default `"V5"`).
     pub comm: String,
     /// Backend `"serial"|"parallel"|"chaos"|"shared"` (default
-    /// `"parallel"`).
+    /// `"parallel"`): an alias for a run shape ([`JobDesc::to_spec`]).
     pub backend: String,
     /// Priority `"low"|"normal"|"high"` (default `"normal"`).
     pub priority: String,
@@ -308,7 +205,11 @@ pub const MAX_GRID_POINTS: usize = MAX_JOB_BYTES / SOLVER_BYTES_PER_POINT;
 impl JobDesc {
     /// Resolve the description into an executable spec. A grid outside
     /// `[Grid::MIN_POINTS, MAX_GRID_POINTS]` is refused here, before
-    /// anything is allocated for it.
+    /// anything is allocated for it. The backend names a shape: `serial`
+    /// the 1×1 shape, `parallel` `procs`×1, `chaos` `procs`×1 with recovery
+    /// armed, and `shared` the 1×1 shape with a team of `procs` threads at
+    /// kernel V5, the rung whose station loops the team spreads (this is the
+    /// one place that rule lives).
     pub fn to_spec(&self) -> Result<JobSpec, String> {
         let regime = [Regime::Euler, Regime::NavierStokes]
             .into_iter()
@@ -338,13 +239,22 @@ impl JobDesc {
         }
         let mut cfg = SolverConfig::paper(Grid::new(self.nx, self.nr, 50.0, 5.0), regime);
         cfg.version = version;
+        let axial = CartTopology { px: self.procs, pr: 1 };
+        let shape = match self.backend.as_str() {
+            "serial" => Shape::SERIAL,
+            "parallel" => Shape { topology: axial, comm, ..Shape::SERIAL },
+            "chaos" => Shape { topology: axial, comm, chaos: true, ..Shape::SERIAL },
+            "shared" => {
+                cfg.version = Version::V5;
+                Shape { threads: self.procs, ..Shape::SERIAL }
+            }
+            other => return Err(format!("unknown backend {other:?} (expected serial|parallel|chaos|shared)")),
+        };
         let spec = JobSpec {
             label: self.label.clone().unwrap_or_default(),
             cfg,
             steps: self.steps,
-            procs: self.procs,
-            comm,
-            backend: Backend::parse(&self.backend)?,
+            shape,
             priority: Priority::parse(&self.priority)?,
             deadline: self.deadline_ms.map(std::time::Duration::from_millis),
         };
@@ -355,10 +265,11 @@ impl JobDesc {
     /// Describe a spec back as a wire description. The daemon journals
     /// descriptions, not specs, so a replayed job re-enters through the
     /// same validation as a fresh submit. Only paper-domain grids (the
-    /// shape every serve entry point constructs) survive the round trip —
-    /// a spec with a hand-built exotic `SolverConfig` does not, which is
-    /// fine: the socket wire format itself can only express paper grids.
+    /// grids every serve entry point constructs) and shapes a backend
+    /// names ([`Shape::alias`]) survive the round trip — the socket wire
+    /// format itself can express nothing else. Panics on any other shape.
     pub fn from_spec(spec: &JobSpec) -> Self {
+        let (backend, procs) = spec.shape.alias().expect("the wire names only the four backend shapes");
         Self {
             label: if spec.label.is_empty() { None } else { Some(spec.label.clone()) },
             regime: spec.cfg.regime.key().into(),
@@ -366,9 +277,9 @@ impl JobDesc {
             nr: spec.cfg.grid.nr,
             steps: spec.steps,
             version: format!("{:?}", spec.cfg.version),
-            procs: spec.procs,
-            comm: spec.comm.name().into(),
-            backend: spec.backend.name().into(),
+            procs,
+            comm: spec.shape.comm.name().into(),
+            backend: backend.into(),
             priority: spec.priority.name().into(),
             deadline_ms: spec.deadline.map(|d| d.as_millis() as u64),
         }
@@ -379,8 +290,15 @@ impl JobDesc {
 mod tests {
     use super::*;
 
-    fn spec(nx: usize) -> JobSpec {
-        JobSpec::new(SolverConfig::paper(Grid::new(nx, 16, 50.0, 5.0), Regime::Euler), 4, 2)
+    /// The wire description of a 48 × 16 Euler job of 4 steps on `backend`
+    /// with `procs`.
+    fn desc(backend: &str, procs: usize) -> JobDesc {
+        let json = format!(r#"{{"regime":"euler","nx":48,"nr":16,"steps":4,"procs":{procs},"backend":"{backend}"}}"#);
+        serde_json::from_str(&json).unwrap()
+    }
+
+    fn spec(backend: &str, procs: usize) -> JobSpec {
+        desc(backend, procs).to_spec().unwrap()
     }
 
     /// Cache keys name spill files and WAL records, so they outlive the
@@ -389,17 +307,16 @@ mod tests {
     /// pinned, and a change to the hash or the canonical form shows here.
     #[test]
     fn canonical_key_value_is_pinned() {
-        assert_eq!(spec(48).canonical_key(), 0x209d_1f86_f7e9_a1d3);
-        let on = |backend| JobSpec { backend, ..spec(48) }.canonical_key();
-        assert_eq!(on(Backend::Serial), 0x7eda_6686_85f1_53dd);
-        assert_eq!(on(Backend::Chaos), 0x0c9b_2e1c_b152_eeac);
-        assert_eq!(on(Backend::Shared), 0x34dc_7e64_9fe0_d0e1);
+        assert_eq!(spec("parallel", 2).canonical_key(), 0x209d_1f86_f7e9_a1d3);
+        assert_eq!(spec("serial", 2).canonical_key(), 0x7eda_6686_85f1_53dd);
+        assert_eq!(spec("chaos", 2).canonical_key(), 0x0c9b_2e1c_b152_eeac);
+        assert_eq!(spec("shared", 2).canonical_key(), 0x34dc_7e64_9fe0_d0e1);
     }
 
     #[test]
     fn key_ignores_priority_and_label() {
-        let a = spec(48);
-        let mut b = spec(48);
+        let a = spec("parallel", 2);
+        let mut b = a.clone();
         b.priority = Priority::High;
         b.label = "urgent sweep cell".into();
         assert_eq!(a.canonical_key(), b.canonical_key());
@@ -408,15 +325,11 @@ mod tests {
 
     #[test]
     fn key_separates_different_physics_and_shape() {
-        let base = spec(48);
-        let mut other_grid = spec(64);
-        other_grid.label.clear();
-        let mut other_steps = spec(48);
-        other_steps.steps = 6;
-        let mut other_comm = spec(48);
-        other_comm.comm = CommVersion::V6;
-        let mut other_backend = spec(48);
-        other_backend.backend = Backend::Chaos;
+        let base = spec("parallel", 2);
+        let other_grid = JobDesc { nx: 64, ..desc("parallel", 2) }.to_spec().unwrap();
+        let other_steps = JobSpec { steps: 6, ..base.clone() };
+        let other_comm = JobDesc { comm: "V6".into(), ..desc("parallel", 2) }.to_spec().unwrap();
+        let other_backend = spec("chaos", 2);
         let keys: Vec<u64> =
             [&base, &other_grid, &other_steps, &other_comm, &other_backend].iter().map(|s| s.canonical_key()).collect();
         for i in 0..keys.len() {
@@ -428,40 +341,29 @@ mod tests {
 
     #[test]
     fn canonicalization_merges_equivalent_descriptions() {
-        // a serial job's procs/comm are meaningless
-        let mut a = spec(48);
-        a.backend = Backend::Serial;
-        a.procs = 3;
-        a.comm = CommVersion::V7;
-        let mut b = spec(48);
-        b.backend = Backend::Serial;
-        b.procs = 1;
-        b.comm = CommVersion::V5;
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        // the shared driver forces kernel V5
-        let mut c = spec(48);
-        c.backend = Backend::Shared;
-        c.cfg.version = Version::V6;
-        let mut d = spec(48);
-        d.backend = Backend::Shared;
-        assert_eq!(c.canonical_key(), d.canonical_key());
+        let key = |d: JobDesc| d.to_spec().unwrap().canonical_key();
+        // a serial job's procs/comm are meaningless, and so is a one-rank
+        // job's protocol
+        let serial = key(desc("serial", 1));
+        assert_eq!(key(JobDesc { comm: "V7".into(), ..desc("serial", 3) }), serial);
+        assert_eq!(key(JobDesc { comm: "V7".into(), ..desc("parallel", 1) }), serial);
+        // the shared alias forces kernel V5
+        assert_eq!(key(JobDesc { version: "V6".into(), ..desc("shared", 2) }), key(desc("shared", 2)));
     }
 
     #[test]
     fn validation_rejects_what_the_drivers_would_panic_on() {
-        let mut too_fine = spec(48);
-        too_fine.procs = 16; // 3 columns per rank
-        assert!(too_fine.validate().unwrap_err().contains("fewer than 4 columns"));
-        let mut zero_steps = spec(48);
-        zero_steps.steps = 0;
-        assert!(zero_steps.validate().is_err());
+        let too_fine = spec("parallel", 2);
+        let too_fine = JobSpec { shape: Shape { topology: CartTopology::axial(16), ..too_fine.shape }, ..too_fine };
+        assert!(too_fine.validate().unwrap_err().contains("fewer than 4 columns")); // 3 columns per rank
+        assert!(JobSpec { steps: 0, ..spec("parallel", 2) }.validate().is_err());
     }
 
     /// A shared job is the 1×1 plan with a DOALL team of `procs`.
     #[test]
     fn a_shared_job_is_the_one_rank_plan_with_a_team() {
-        let shared = JobSpec { backend: Backend::Shared, procs: 3, ..spec(48) };
-        let plan = shared.plan();
+        let shared = spec("shared", 3);
+        let plan = shared.shape.plan(&shared.cfg, shared.steps);
         assert_eq!((plan.topology, plan.threads), (CartTopology::axial(1), 3));
     }
 
@@ -469,13 +371,12 @@ mod tests {
     /// under every comm protocol.
     #[test]
     fn dissipation_is_admitted_on_every_backend() {
-        let mut dissipative = spec(48);
-        dissipative.cfg.dissipation = 0.002;
-        for backend in [Backend::Serial, Backend::Parallel, Backend::Shared, Backend::Chaos] {
+        for backend in ["serial", "parallel", "shared", "chaos"] {
             for procs in [1, 2, 4] {
                 for comm in CommVersion::ALL {
-                    let job = JobSpec { backend, procs, comm, ..dissipative.clone() };
-                    assert_eq!(job.validate(), Ok(()), "{backend:?} on {procs} under {comm:?}");
+                    let mut job = JobDesc { comm: comm.name().into(), ..desc(backend, procs) }.to_spec().unwrap();
+                    job.cfg.dissipation = 0.002;
+                    assert_eq!(job.validate(), Ok(()), "{backend} on {procs} under {comm:?}");
                 }
             }
         }
@@ -486,10 +387,11 @@ mod tests {
         let json = r#"{"regime":"euler","nx":48,"nr":16,"steps":4}"#;
         let desc: JobDesc = serde_json::from_str(json).unwrap();
         let spec = desc.to_spec().unwrap();
-        assert_eq!(spec.backend, Backend::Parallel);
+        assert_eq!(spec.shape, Shape::SERIAL, "one parallel rank is the serial shape");
         assert_eq!(spec.priority, Priority::Normal);
-        assert_eq!(spec.procs, 1);
-        assert_eq!(spec.comm, CommVersion::V5);
+        let back = JobDesc::from_spec(&spec);
+        assert_eq!((back.backend.as_str(), back.procs, back.comm.as_str()), ("serial", 1, "V5"));
+        assert_eq!(back.to_spec().unwrap().canonical_key(), spec.canonical_key());
         let bad: JobDesc = serde_json::from_str(r#"{"regime":"plasma","nx":48,"nr":16,"steps":4}"#).unwrap();
         assert!(bad.to_spec().unwrap_err().contains("unknown regime"));
     }

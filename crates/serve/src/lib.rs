@@ -13,12 +13,10 @@
 //!   with a retry-after hint derived from observed service time. Only
 //!   *queued* jobs are ever shed; an in-flight run always finishes, so a
 //!   rank team is never abandoned mid-exchange.
-//! * **Execution** — a bounded worker pool runs every job as one plan
-//!   through the driver [`ns_runtime::run`]: the serial job is its 1×1
-//!   plan, a parallel job `procs` axial ranks under any comm protocol
-//!   version, the chaos backend the same plan with the recovery machinery
-//!   armed, and the shared-memory job the 1×1 V5 plan with its station
-//!   loops on a DOALL team of `procs` threads (`RunPlan::threads`).
+//! * **Execution** — a bounded worker pool runs every job as its run
+//!   shape's plan ([`ns_runtime::Shape::plan`]) through the driver
+//!   [`ns_runtime::run`]; the wire's backends are aliases for shapes
+//!   ([`job`]).
 //! * **Result caching** — a content-addressed, single-flight cache
 //!   ([`cache::ResultCache`]) keyed by the canonical config hash
 //!   ([`job::JobSpec::canonical_key`]). A repeated sweep cell is served
@@ -62,7 +60,7 @@ pub mod wal;
 pub use cache::{CacheStats, CachedRun, Claim, ResultCache};
 pub use client::Client;
 pub use daemon::{Daemon, DaemonConfig, ServeStats};
-pub use job::{Backend, JobDesc, JobSpec, Priority};
+pub use job::{JobDesc, JobSpec, Priority};
 pub use loadgen::{run_loadgen, sweep_jobs, BurstReport, LoadgenOptions, LoadgenVerdict};
 pub use proto::{DaemonStatus, Request, Response};
 pub use queue::{JobQueue, PushError, Pushed, QueuedJob};

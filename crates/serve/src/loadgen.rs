@@ -14,12 +14,12 @@
 
 use crate::client::Client;
 use crate::daemon::{Daemon, DaemonConfig};
-use crate::job::{Backend, JobDesc, JobSpec, Priority};
+use crate::job::{JobDesc, JobSpec, Priority};
 use crate::proto::Response;
 use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::Solver;
 use ns_numerics::Grid;
-use ns_runtime::CommVersion;
+use ns_runtime::{CartTopology, CommVersion, Shape};
 use ns_verify::snapshot::{self, GoldenFile};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -99,7 +99,8 @@ impl LoadgenVerdict {
 
 /// The sweep: comm versions × rank counts (every cell twice, priorities
 /// cycling), plus backend cells. ≥3 versions × ≥3 P with duplicates, per
-/// the acceptance bar.
+/// the acceptance bar; the rank counts start at 2, because one rank under
+/// any protocol is the serial cell.
 pub fn sweep_jobs(quick: bool) -> Vec<JobSpec> {
     let (grid, steps) = if quick { (Grid::new(48, 16, 50.0, 5.0), 4) } else { (Grid::new(66, 24, 50.0, 5.0), 6) };
     let base = SolverConfig::paper(grid.clone(), Regime::Euler);
@@ -116,45 +117,28 @@ pub fn sweep_jobs(quick: bool) -> Vec<JobSpec> {
         }
         cell += 1;
     };
+    let two = Shape { topology: CartTopology::axial(2), ..Shape::SERIAL };
+    let job = |cfg: &SolverConfig, shape, label: &str| JobSpec {
+        label: label.into(),
+        ..JobSpec::new(cfg.clone(), steps, shape)
+    };
     for comm in [CommVersion::V5, CommVersion::V6, CommVersion::V7] {
-        for procs in [1, 2, 4] {
-            let mut spec = JobSpec::new(base.clone(), steps, procs);
-            spec.comm = comm;
-            spec.label = format!("sweep/{:?}/p{procs}", comm);
-            push2(spec);
+        for procs in [2, 3, 4] {
+            let shape = Shape { topology: CartTopology::axial(procs), comm, ..Shape::SERIAL };
+            push2(job(&base, shape, &format!("sweep/{comm:?}/p{procs}")));
         }
     }
     // backend cells: serial reference, shared-memory, chaos (fault-free
     // plan, recovery machinery armed), fused-V6 and SoA-V7 kernels
-    let mut serial = JobSpec::new(base.clone(), steps, 1);
-    serial.backend = Backend::Serial;
-    serial.label = "backend/serial".into();
-    push2(serial);
-    let mut shared = JobSpec::new(base.clone(), steps, 2);
-    shared.backend = Backend::Shared;
-    shared.label = "backend/shared-p2".into();
-    push2(shared);
-    let mut chaos = JobSpec::new(base.clone(), steps, 2);
-    chaos.backend = Backend::Chaos;
-    chaos.label = "backend/chaos-p2".into();
-    push2(chaos);
-    let mut fused = JobSpec::new(base.clone(), steps, 2);
-    fused.cfg.version = Version::V6;
-    fused.label = "kernel/V6-p2".into();
-    push2(fused);
-    let mut soa = JobSpec::new(base.clone(), steps, 2);
-    soa.cfg.version = Version::V7;
-    soa.label = "kernel/V7-p2".into();
-    push2(soa);
+    push2(job(&base, Shape::SERIAL, "backend/serial"));
+    push2(job(&base, Shape { threads: 2, ..Shape::SERIAL }, "backend/shared-p2"));
+    push2(job(&base, Shape { chaos: true, ..two }, "backend/chaos-p2"));
+    push2(job(&SolverConfig { version: Version::V6, ..base.clone() }, two, "kernel/V6-p2"));
+    push2(job(&SolverConfig { version: Version::V7, ..base.clone() }, two, "kernel/V7-p2"));
     if !quick {
         let ns = SolverConfig::paper(grid, Regime::NavierStokes);
-        let mut ns_serial = JobSpec::new(ns.clone(), steps, 1);
-        ns_serial.backend = Backend::Serial;
-        ns_serial.label = "ns/serial".into();
-        push2(ns_serial);
-        let mut ns_par = JobSpec::new(ns, steps, 2);
-        ns_par.label = "ns/parallel-p2".into();
-        push2(ns_par);
+        push2(job(&ns, Shape::SERIAL, "ns/serial"));
+        push2(job(&ns, two, "ns/parallel-p2"));
     }
     jobs
 }
@@ -276,13 +260,11 @@ fn run_burst(scratch_root: &Path) -> io::Result<BurstReport> {
     // distinct cells (steps vary) so the cache cannot absorb the burst;
     // enough steps that the single worker is still busy while we flood
     for steps in 1..=10u64 {
-        let mut spec = JobSpec::new(base.clone(), steps + 20, 1);
-        spec.backend = Backend::Serial;
+        let mut spec = JobSpec::new(base.clone(), steps + 20, Shape::SERIAL);
         spec.label = format!("burst/{steps}");
         submit(&mut client, spec, &mut report, &mut admitted_keys)?;
     }
-    let mut vip = JobSpec::new(base, 40, 1);
-    vip.backend = Backend::Serial;
+    let mut vip = JobSpec::new(base, 40, Shape::SERIAL);
     vip.priority = Priority::High;
     vip.label = "burst/vip".into();
     submit(&mut client, vip, &mut report, &mut admitted_keys)?;
@@ -311,9 +293,12 @@ mod tests {
     #[test]
     fn sweep_covers_three_comm_versions_three_rank_counts_with_duplicates() {
         let jobs = sweep_jobs(true);
-        let comms: std::collections::BTreeSet<_> = jobs.iter().map(|j| format!("{:?}", j.comm)).collect();
-        let procs: std::collections::BTreeSet<_> =
-            jobs.iter().filter(|j| j.backend == Backend::Parallel).map(|j| j.procs).collect();
+        let comms: std::collections::BTreeSet<_> = jobs.iter().map(|j| format!("{:?}", j.shape.comm)).collect();
+        let procs: std::collections::BTreeSet<_> = jobs
+            .iter()
+            .filter(|j| j.shape.alias().is_some_and(|(b, _)| b == "parallel"))
+            .map(|j| j.shape.topology.px)
+            .collect();
         assert!(comms.len() >= 3, "≥3 comm versions, got {comms:?}");
         assert!(procs.len() >= 3, "≥3 rank counts, got {procs:?}");
         let mut by_key = BTreeMap::new();

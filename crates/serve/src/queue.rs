@@ -135,13 +135,13 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Backend, Priority};
+    use crate::job::Priority;
     use ns_core::config::{Regime, SolverConfig};
     use ns_numerics::Grid;
+    use ns_runtime::Shape;
 
     fn job(id: u64, priority: Priority) -> QueuedJob {
-        let mut spec = JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 2, 1);
-        spec.backend = Backend::Serial;
+        let mut spec = JobSpec::new(SolverConfig::paper(Grid::small(), Regime::Euler), 2, Shape::SERIAL);
         spec.priority = priority;
         QueuedJob { id, spec, submitted: Instant::now() }
     }

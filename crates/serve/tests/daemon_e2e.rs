@@ -6,7 +6,8 @@
 
 use ns_core::config::{Regime, SolverConfig};
 use ns_numerics::Grid;
-use ns_serve::job::{Backend, JobDesc, JobSpec};
+use ns_runtime::Shape;
+use ns_serve::job::{JobDesc, JobSpec};
 use ns_serve::wal::{key_hex, Wal, WalRecord};
 use ns_serve::{Client, Daemon, DaemonConfig, Response};
 use std::path::PathBuf;
@@ -28,8 +29,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn job(steps: u64) -> JobSpec {
     // paper domain lengths: the JobDesc wire format round-trips exactly
     let cfg = SolverConfig::paper(Grid::new(24, 10, 50.0, 5.0), Regime::Euler);
-    let mut spec = JobSpec::new(cfg, steps, 1);
-    spec.backend = Backend::Serial;
+    let mut spec = JobSpec::new(cfg, steps, Shape::SERIAL);
     spec.label = format!("e2e/{steps}");
     spec
 }

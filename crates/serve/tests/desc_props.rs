@@ -6,7 +6,11 @@
 //! submit through it, so a hostile job list costs an `Invalid` answer,
 //! not the thread, and a huge grid costs nothing until it runs.
 
+use ns_core::config::{Regime, SolverConfig, Version};
+use ns_numerics::Grid;
+use ns_runtime::{CartTopology, CommVersion};
 use ns_serve::job::{JobDesc, MAX_GRID_POINTS};
+use ns_verify::snapshot::{fnv1a, FNV_OFFSET};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,6 +119,102 @@ proptest! {
     }
 }
 
+/// Whether the wire admitted `d` before a backend became an alias for a
+/// run shape: every name known, a grid inside the bound, a step to take,
+/// and the rank grid (`parallel`, `chaos`) or team (`shared`) admitted;
+/// `serial` ignored `procs`.
+fn admitted_before(d: &JobDesc) -> bool {
+    let known = |valid: &[&str], s: &str| valid.contains(&s);
+    let points = d.nx.checked_mul(d.nr).is_some_and(|n| n <= MAX_GRID_POINTS);
+    let ranks = || CartTopology { px: d.procs, pr: 1 }.validate(&Grid::new(d.nx, d.nr, 50.0, 5.0)).is_ok();
+    known(&["euler", "navier-stokes"], &d.regime)
+        && known(&["V1", "V2", "V3", "V4", "V5", "V6", "V7"], &d.version)
+        && known(&["V5", "V6", "V7"], &d.comm)
+        && known(&["low", "normal", "high"], &d.priority)
+        && d.nx >= Grid::MIN_POINTS
+        && d.nr >= Grid::MIN_POINTS
+        && points
+        && d.steps >= 1
+        && match d.backend.as_str() {
+            "serial" => true,
+            "shared" => d.procs >= 1,
+            "parallel" | "chaos" => ranks(),
+            _ => false,
+        }
+}
+
+/// The cache key an admitted `d` had before a backend became an alias for
+/// a run shape, kept here as the reference: FNV-1a over the solver
+/// configuration's JSON, then `|steps|procs|commVn|backend`, after the
+/// canonicalisation of the time (a serial job on one proc under comm V5, a
+/// shared job at kernel V5 under comm V5).
+fn key_before(d: &JobDesc) -> u64 {
+    let regime = if d.regime == "euler" { Regime::Euler } else { Regime::NavierStokes };
+    let mut cfg = SolverConfig::paper(Grid::new(d.nx, d.nr, 50.0, 5.0), regime);
+    cfg.version = Version::ALL.into_iter().find(|v| format!("{v:?}") == d.version).unwrap();
+    let (procs, comm) = match d.backend.as_str() {
+        "serial" => (1, "V5"),
+        "shared" => {
+            cfg.version = Version::V5;
+            (d.procs, "V5")
+        }
+        _ => (d.procs, d.comm.as_str()),
+    };
+    let cfg_json = serde_json::to_string(&cfg).unwrap();
+    let shape = format!("|{}|{procs}|comm{comm}|{}", d.steps, d.backend);
+    fnv1a(fnv1a(FNV_OFFSET, cfg_json.as_bytes()), shape.as_bytes())
+}
+
+/// The description whose old key an admitted `d` now has: itself, except
+/// where two descriptions now name the same one-rank run. A one-rank
+/// `parallel` job and a one-thread `shared` job are the serial job (the
+/// latter at kernel V5); a one-rank `chaos` job moves nothing under any
+/// protocol, so it is the comm V5 one.
+fn merged(d: &JobDesc) -> JobDesc {
+    match (d.backend.as_str(), d.procs) {
+        ("parallel", 1) => JobDesc { backend: "serial".into(), ..d.clone() },
+        ("shared", 1) => JobDesc { backend: "serial".into(), version: "V5".into(), ..d.clone() },
+        ("chaos", 1) => JobDesc { comm: CommVersion::V5.name().into(), ..d.clone() },
+        _ => d.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The wire aliases keep their keys: `to_spec` admits exactly what it
+    /// admitted before, and every admitted description keys as it did,
+    /// up to the one-rank merges of [`merged`].
+    #[test]
+    fn wire_aliases_keep_their_admission_and_keys(
+        nx in 0usize..80,
+        nr in 0usize..32,
+        steps in 0u64..4,
+        procs in 0usize..24,
+        picks in prop::collection::vec(0u8..9, 4),
+    ) {
+        let pick = |valid: &[&str], at: u8| valid.get(at as usize).copied().unwrap_or("bogus").to_string();
+        let desc = JobDesc {
+            label: None,
+            regime: pick(&["euler", "navier-stokes"], picks[0] % 3),
+            nx,
+            nr,
+            steps,
+            version: pick(&["V1", "V2", "V3", "V4", "V5", "V6", "V7"], picks[1]),
+            procs,
+            comm: pick(&["V5", "V6", "V7"], picks[2] % 4),
+            backend: pick(&["serial", "parallel", "chaos", "shared"], picks[3] % 5),
+            priority: "normal".into(),
+            deadline_ms: None,
+        };
+        let spec = desc.to_spec();
+        prop_assert_eq!(spec.is_ok(), admitted_before(&desc), "{:?}: {:?}", desc, spec.as_ref().err());
+        if let Ok(spec) = spec {
+            prop_assert_eq!(spec.canonical_key(), key_before(&merged(&desc)), "{:?}", desc);
+        }
+    }
+}
+
 /// The bound's edges: the largest grid any caller runs is admitted, one
 /// past the bound and an overflowing point count are refused.
 #[test]
@@ -131,5 +231,5 @@ fn grid_bound_admits_512_squared_and_refuses_past_it() {
 fn sample_spec() -> ns_serve::job::JobSpec {
     use ns_core::config::{Regime, SolverConfig};
     let cfg = SolverConfig::paper(ns_numerics::Grid::new(24, 10, 50.0, 5.0), Regime::Euler);
-    ns_serve::job::JobSpec::new(cfg, 2, 1)
+    ns_serve::job::JobSpec::new(cfg, 2, ns_runtime::Shape::SERIAL)
 }

@@ -25,7 +25,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn small_desc(steps: u64) -> JobDesc {
     let cfg = SolverConfig::paper(Grid::new(12, 8, 10.0, 2.0), Regime::Euler);
-    JobDesc::from_spec(&JobSpec::new(cfg, steps.max(1), 1))
+    JobDesc::from_spec(&JobSpec::new(cfg, steps.max(1), ns_runtime::Shape::SERIAL))
 }
 
 /// Decode an op stream into records over a 4-key space.

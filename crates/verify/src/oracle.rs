@@ -26,7 +26,7 @@ use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::opcount::FlopLedger;
 use ns_core::Field;
 use ns_numerics::Grid;
-use ns_runtime::{CartTopology, ChaosOptions, CommVersion, FaultPlan, RunPlan};
+use ns_runtime::{CartTopology, CommVersion, RunPlan, Shape};
 use serde::Serialize;
 
 use crate::snapshot::{self, FieldSnapshot};
@@ -105,44 +105,38 @@ pub struct Perturb {
 }
 
 /// One run of the matrix: the oracle's configuration in `regime` under
-/// kernel `version` with artificial dissipation `dissipation`, on
-/// `topology` over `comm`, with the recovery machinery armed on a
-/// fault-free plan when `chaos` and a DOALL team of `threads` on each rank.
+/// kernel `version` with artificial dissipation `dissipation`, in `shape`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Run {
     /// Governing equations.
     pub regime: Regime,
     /// Kernel version.
     pub version: Version,
-    /// Rank grid (1×1 is the serial run).
-    pub topology: CartTopology,
-    /// Halo protocol.
-    pub comm: CommVersion,
-    /// Recovery machinery armed, nothing injected.
-    pub chaos: bool,
     /// Artificial dissipation coefficient (0: the paper's undamped scheme).
     pub dissipation: f64,
-    /// DOALL team per rank (1: none).
-    pub threads: usize,
+    /// Rank grid, protocol, recovery and team ([`Shape::SERIAL`] is the
+    /// serial run).
+    pub shape: Shape,
 }
 
 impl Run {
     /// The serial run: the 1×1 plan over comm V5.
     fn serial(regime: Regime, version: Version) -> Self {
-        let topology = CartTopology::axial(1);
-        Self { regime, version, topology, comm: CommVersion::V5, chaos: false, dissipation: 0.0, threads: 1 }
+        Self { regime, version, dissipation: 0.0, shape: Shape::SERIAL }
     }
 
     /// The runs this one is checked against: its one-axis resets and its
     /// all-axes reset (see the module doc), itself and duplicates dropped.
     pub fn resets(&self) -> Vec<Run> {
         let serial = Run { dissipation: self.dissipation, ..Run::serial(self.regime, Version::V5) };
+        let reset = |shape| Run { shape, ..*self };
+        let (s, base) = (self.shape, Shape::SERIAL);
         let mut resets: Vec<_> = [
             Run { version: serial.version, ..*self },
-            Run { topology: serial.topology, ..*self },
-            Run { comm: serial.comm, ..*self },
-            Run { chaos: false, ..*self },
-            Run { threads: serial.threads, ..*self },
+            reset(Shape { topology: base.topology, ..s }),
+            reset(Shape { comm: base.comm, ..s }),
+            reset(Shape { chaos: base.chaos, ..s }),
+            reset(Shape { threads: base.threads, ..s }),
             serial,
         ]
         .into_iter()
@@ -156,30 +150,13 @@ impl Run {
     /// Cell key, e.g. `"euler/V6/serial"`, `"euler/V7/parallel/p4/commV6"`,
     /// `"navier-stokes/V5/chaos-pencil/2x2/t2"` or `"euler/V5/parallel/p4/eps0.002"`.
     pub fn key(&self) -> String {
-        let CartTopology { px, pr } = self.topology;
-        let shape = match (px * pr, pr, self.chaos) {
-            (1, _, false) => "serial".to_string(),
-            (_, 1, false) => format!("parallel/p{px}"),
-            (_, 1, true) => format!("chaos/p{px}"),
-            (_, _, false) => format!("pencil/{px}x{pr}"),
-            (_, _, true) => format!("chaos-pencil/{px}x{pr}"),
-        };
-        let comm = if self.comm == CommVersion::V5 { String::new() } else { format!("/comm{}", self.comm.name()) };
-        let team = if self.threads == 1 { String::new() } else { format!("/t{}", self.threads) };
         let eps = if self.dissipation == 0.0 { String::new() } else { format!("/eps{}", self.dissipation) };
-        format!("{}/{:?}/{shape}{comm}{team}{eps}", self.regime.key(), self.version)
+        format!("{}/{:?}/{}{eps}", self.regime.key(), self.version, self.shape.name())
     }
 
     fn cfg(&self, grid: &Grid) -> SolverConfig {
         let paper = SolverConfig::paper(grid.clone(), self.regime);
         SolverConfig { version: self.version, dissipation: self.dissipation, ..paper }
-    }
-
-    fn plan<'a>(&self, cfg: &'a SolverConfig, steps: u64) -> RunPlan<'a> {
-        // a checkpoint cadence shorter than the run, no faults planned
-        let chaos = || ChaosOptions { plan: FaultPlan::none(42), checkpoint_every: 3, ..Default::default() };
-        let reliability = self.chaos.then(chaos);
-        RunPlan { reliability, threads: self.threads, ..RunPlan::new(cfg, self.topology, steps, self.comm) }
     }
 }
 
@@ -219,21 +196,22 @@ pub fn plan_space(grid: &Grid) -> Vec<(Run, Run)> {
         .into_iter()
         .flat_map(|regime| [0.0, DAMPED].map(|dissipation| Run { dissipation, ..Run::serial(regime, Version::V5) }))
         .flat_map(|run| Version::ALL.map(|version| Run { version, ..run }))
-        .flat_map(|run| topologies.iter().map(move |&topology| Run { topology, ..run }))
-        .flat_map(|run| CommVersion::ALL.map(|comm| Run { comm, ..run }))
-        .flat_map(|run| [false, true].map(|chaos| Run { chaos, ..run }))
+        .flat_map(|run| topologies.iter().map(move |&topology| Run { shape: Shape { topology, ..run.shape }, ..run }))
+        .flat_map(|run| CommVersion::ALL.map(|comm| Run { shape: Shape { comm, ..run.shape }, ..run }))
+        .flat_map(|run| [false, true].map(|chaos| Run { shape: Shape { chaos, ..run.shape }, ..run }))
         // the smoothing runs after the step and swaps the grouped packet
         // under every protocol: V5 and V7 under comm V5 cover its paths
         .filter(|run| {
-            run.dissipation == 0.0 || (matches!(run.version, Version::V5 | Version::V7) && run.comm == CommVersion::V5)
+            let comm_v5 = run.shape.comm == CommVersion::V5;
+            run.dissipation == 0.0 || (matches!(run.version, Version::V5 | Version::V7) && comm_v5)
         })
         // only V5's station loops use a team: V5 under comm V5 on rank
         // grids up to 2x2 covers it, with rollback armed on 2x2
-        .flat_map(|run| [1, 2].map(|threads| Run { threads, ..run }))
+        .flat_map(|run| [1, 2].map(|threads| Run { shape: Shape { threads, ..run.shape }, ..run }))
         .filter(|run| {
-            let CartTopology { px, pr } = run.topology;
-            let slice = run.version == Version::V5 && run.comm == CommVersion::V5 && px.max(pr) <= 2;
-            run.threads == 1 || (slice && (!run.chaos || px * pr == 4))
+            let Shape { topology: CartTopology { px, pr }, comm, chaos, threads } = run.shape;
+            let slice = run.version == Version::V5 && comm == CommVersion::V5 && px.max(pr) <= 2;
+            threads == 1 || (slice && (!chaos || px * pr == 4))
         })
         .flat_map(|run| run.resets().into_iter().map(move |base| (run, base)))
         .collect()
@@ -281,7 +259,7 @@ impl OracleReport {
 /// when the config names its key.
 fn execute(oc: &OracleConfig, run: &Run) -> (Field, Vec<FlopLedger>) {
     let cfg = run.cfg(&oc.grid);
-    let out = ns_runtime::run(&run.plan(&cfg, oc.steps)).unwrap_or_else(|e| panic!("{}: {e}", run.key()));
+    let out = ns_runtime::run(&run.shape.plan(&cfg, oc.steps)).unwrap_or_else(|e| panic!("{}: {e}", run.key()));
     let mut field = out.gather_field();
     if let Some(p) = oc.perturb.as_ref().filter(|p| p.key == run.key()) {
         let v = field.at(p.component, p.i as isize, p.j as isize);
@@ -314,12 +292,12 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
             runs.entry(r.key()).or_insert_with(|| execute(oc, r));
         }
         let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
-        let expect = expect(&run.plan(&cfg, oc.steps), &base.plan(&base_cfg, oc.steps))
+        let expect = expect(&run.shape.plan(&cfg, oc.steps), &base.shape.plan(&base_cfg, oc.steps))
             .unwrap_or_else(|| panic!("{}: no contract relates it to {}", run.key(), base.key()));
         let ((field, ledgers), (base_field, base_ledgers)) = (&runs[&run.key()], &runs[&base.key()]);
         let mut cell = compare(&run.key(), &base.key(), field, base_field, expect);
         // a bitwise twin on the same rank grid must also account identical FLOPs
-        if expect.is_bitwise() && run.topology == base.topology && ledgers != base_ledgers {
+        if expect.is_bitwise() && run.shape.topology == base.shape.topology && ledgers != base_ledgers {
             cell.pass = false;
             cell.expected = "bitwise+ledger".to_string();
         }
@@ -339,6 +317,7 @@ pub fn run_matrix(oc: &OracleConfig) -> OracleReport {
 mod tests {
     use super::*;
     use ns_core::field::Patch;
+    use ns_runtime::{ChaosOptions, FaultPlan};
 
     fn plan(cfg: &SolverConfig, px: usize, pr: usize) -> RunPlan<'_> {
         RunPlan::new(cfg, CartTopology::new(px, pr).unwrap(), 6, CommVersion::V5)
@@ -394,18 +373,36 @@ mod tests {
         assert_eq!(expect(&longer, &plan(&ns, 1, 1)), None);
     }
 
+    /// Nothing else pins the cells' keys, so a refactor could rename or
+    /// drop a cell silently: the sorted `(key, baseline key, verdict)`
+    /// triples of the plan list hash (FNV-1a, as the snapshots) to the
+    /// value taken before the run shape became a `Shape`.
+    #[test]
+    fn the_plan_list_is_pinned() {
+        let oc = OracleConfig::standard();
+        let mut triples: Vec<String> = oc
+            .pairs
+            .iter()
+            .map(|(run, base)| {
+                let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
+                let verdict = expect(&run.shape.plan(&cfg, oc.steps), &base.shape.plan(&base_cfg, oc.steps));
+                format!("{}\t{}\t{:?}\n", run.key(), base.key(), verdict.expect("a contract"))
+            })
+            .collect();
+        triples.sort();
+        assert_eq!(triples.len(), 22_854);
+        let hash = triples.iter().fold(snapshot::FNV_OFFSET, |h, t| snapshot::fnv1a(h, t.as_bytes()));
+        assert_eq!(hash, 0xd6d8_44ed_a6c7_0f01, "the plan list's keys or verdicts moved");
+    }
+
     #[test]
     fn resets_reset_one_axis_each_then_all() {
         let keys = |run: Run| run.resets().iter().map(Run::key).collect::<Vec<_>>();
         assert!(keys(Run::serial(Regime::Euler, Version::V5)).is_empty(), "the serial V5 run is every reset");
         assert_eq!(keys(Run::serial(Regime::Euler, Version::V3)), ["euler/V5/serial"], "one axis: one reset");
         let pencil = CartTopology::new(2, 2).unwrap();
-        let twin = Run {
-            topology: pencil,
-            comm: CommVersion::V6,
-            chaos: true,
-            ..Run::serial(Regime::NavierStokes, Version::V7)
-        };
+        let shape = Shape { topology: pencil, comm: CommVersion::V6, chaos: true, threads: 1 };
+        let twin = Run { shape, ..Run::serial(Regime::NavierStokes, Version::V7) };
         assert_eq!(
             keys(twin),
             [
@@ -416,13 +413,14 @@ mod tests {
                 "navier-stokes/V5/serial",
             ]
         );
-        let damped =
-            Run { topology: CartTopology::axial(4), dissipation: DAMPED, ..Run::serial(Regime::Euler, Version::V7) };
+        let shape = Shape { topology: CartTopology::axial(4), ..Shape::SERIAL };
+        let damped = Run { shape, dissipation: DAMPED, ..Run::serial(Regime::Euler, Version::V7) };
         assert_eq!(
             keys(damped),
             ["euler/V5/parallel/p4/eps0.002", "euler/V7/serial/eps0.002", "euler/V5/serial/eps0.002"]
         );
-        let teamed = Run { version: Version::V5, comm: CommVersion::V5, threads: 2, ..twin };
+        let shape = Shape { comm: CommVersion::V5, threads: 2, ..twin.shape };
+        let teamed = Run { version: Version::V5, shape, ..twin };
         assert_eq!(
             keys(teamed),
             [
@@ -442,7 +440,7 @@ mod tests {
         for (run, base) in &oc.pairs {
             assert_ne!(run, base, "no run is its own baseline");
             let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
-            let verdict = expect(&run.plan(&cfg, oc.steps), &base.plan(&base_cfg, oc.steps));
+            let verdict = expect(&run.shape.plan(&cfg, oc.steps), &base.shape.plan(&base_cfg, oc.steps));
             assert!(verdict.is_some(), "{} vs {}: no contract", run.key(), base.key());
             baselines.entry(base.key()).or_default();
             baselines.entry(run.key()).or_default().push(base.key());
@@ -467,7 +465,7 @@ mod tests {
         let verdict = |key: &str, base: &str| {
             let (run, base) = oc.pairs.iter().find(|(r, b)| r.key() == key && b.key() == base).expect("pair");
             let (cfg, base_cfg) = (run.cfg(&oc.grid), base.cfg(&oc.grid));
-            expect(&run.plan(&cfg, oc.steps), &base.plan(&base_cfg, oc.steps))
+            expect(&run.shape.plan(&cfg, oc.steps), &base.shape.plan(&base_cfg, oc.steps))
         };
         assert_eq!(verdict("euler/V3/pencil/4x2", "euler/V3/serial"), Some(Expect::Bitwise));
         assert_eq!(

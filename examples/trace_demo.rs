@@ -30,7 +30,7 @@ fn main() {
     //    comparable because both sides use the same phase labels
     let mut columns: Vec<_> = (0..ranks).map(|r| (format!("rank {r}"), run.rank_phase_seconds(r))).collect();
     let mut scfg = ns_archsim::SimConfig::paper(ns_archsim::Platform::lace560_allnode_s(), ranks, cfg.regime);
-    scfg.grid = cfg.grid.clone();
+    scfg.solver = cfg.clone();
     scfg.report_steps = steps;
     scfg.sim_steps = steps.min(4);
     columns.push(("LACE sim".to_string(), ns_archsim::simulate(&scfg).phase_seconds));

@@ -7,7 +7,7 @@ use ns_core::config::{Regime, SolverConfig, Version};
 use ns_core::driver::Solver;
 use ns_experiments::{all_reports, fig_flow};
 use ns_numerics::Grid;
-use ns_runtime::{run_parallel, CartTopology, CommVersion, RunPlan, TelemetryOptions};
+use ns_runtime::{run_parallel, CartTopology, CommVersion, RunPlan, Shape, TelemetryOptions};
 use ns_telemetry::EventKind;
 
 #[test]
@@ -15,52 +15,53 @@ fn live_runtime_and_simulator_agree_on_protocol_counts() {
     // every rank of every rank grid must make the same start-ups and send
     // the same bytes in the real thread runtime and in the discrete-event
     // simulator, under the plane kernels and the fused sweep and every
-    // comm protocol alike; over two steps the simulated timeline is the
-    // live traced one, event for event
+    // comm protocol alike, damped (a smoothing halo swap after each step)
+    // or not; over two steps the simulated timeline is the live traced
+    // one, event for event
     let grid = Grid::new(64, 24, 50.0, 5.0);
     let steps = 4u64;
+    let mut cases = Vec::new();
     for (px, pr) in [(4, 1), (1, 2), (2, 2), (1, 4), (2, 3)] {
-        let topology = CartTopology::new(px, pr).unwrap();
         for regime in [Regime::NavierStokes, Regime::Euler] {
             for version in [Version::V5, Version::V7] {
                 for comm in CommVersion::ALL {
                     let cfg = SolverConfig { version, ..SolverConfig::paper(grid.clone(), regime) };
-                    let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, comm)).unwrap();
-                    let sim_cfg = SimConfig {
-                        topology,
-                        grid: grid.clone(),
-                        version,
-                        comm,
-                        report_steps: steps,
-                        sim_steps: steps,
-                        ..SimConfig::paper(Platform::lace560_allnode_s(), 1, regime)
-                    };
-                    let sim = simulate(&sim_cfg);
-                    for rank in 0..topology.size() {
-                        let stats = live.ranks[rank].stats;
-                        let what = format!("{regime:?} {version:?} {comm:?} {px}x{pr} rank {rank}");
-                        assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{what} start-ups");
-                        assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{what} bytes");
-                    }
-                    let telemetry = TelemetryOptions { trace: true, ..Default::default() };
-                    let traced = ns_runtime::run(&RunPlan { telemetry, ..RunPlan::new(&cfg, topology, 2, comm) });
-                    let (_, sim_trace) = simulate_traced(&SimConfig { report_steps: 2, sim_steps: 2, ..sim_cfg });
-                    for (rank, live_rank) in traced.unwrap().ranks.iter().enumerate() {
-                        let program = |events: Vec<&ns_telemetry::Event>| {
-                            events
-                                .into_iter()
-                                .map(|e| (e.kind, e.label.to_string(), e.peer, e.bytes))
-                                .collect::<Vec<_>>()
-                        };
-                        let replayed = program(sim_trace.iter().filter(|e| e.rank == rank).collect());
-                        assert_eq!(
-                            replayed,
-                            program(live_rank.trace.iter().collect()),
-                            "{regime:?} {version:?} {comm:?} {px}x{pr} rank {rank}"
-                        );
-                    }
+                    cases.push((cfg, CartTopology::new(px, pr).unwrap(), comm));
                 }
             }
+        }
+    }
+    for version in [Version::V5, Version::V7] {
+        let damped =
+            SolverConfig { version, dissipation: 0.002, ..SolverConfig::paper(grid.clone(), Regime::NavierStokes) };
+        cases.push((damped, CartTopology::new(2, 2).unwrap(), CommVersion::V5));
+    }
+    for (cfg, topology, comm) in cases {
+        let live = ns_runtime::run(&RunPlan::new(&cfg, topology, steps, comm)).unwrap();
+        let sim_cfg = SimConfig {
+            topology,
+            solver: cfg.clone(),
+            comm,
+            report_steps: steps,
+            sim_steps: steps,
+            ..SimConfig::paper(Platform::lace560_allnode_s(), 1, cfg.regime)
+        };
+        let sim = simulate(&sim_cfg);
+        let case = format!("{:?} {:?} eps {} {comm:?} {topology:?}", cfg.regime, cfg.version, cfg.dissipation);
+        for rank in 0..topology.size() {
+            let stats = live.ranks[rank].stats;
+            assert_eq!(stats.sends + stats.recvs, sim.startups[rank], "{case} rank {rank} start-ups");
+            assert_eq!(stats.bytes_sent, sim.bytes_sent[rank], "{case} rank {rank} bytes");
+        }
+        let telemetry = TelemetryOptions { trace: true, ..Default::default() };
+        let traced = ns_runtime::run(&RunPlan { telemetry, ..RunPlan::new(&cfg, topology, 2, comm) });
+        let (_, sim_trace) = simulate_traced(&SimConfig { report_steps: 2, sim_steps: 2, ..sim_cfg });
+        for (rank, live_rank) in traced.unwrap().ranks.iter().enumerate() {
+            let program = |events: Vec<&ns_telemetry::Event>| {
+                events.into_iter().map(|e| (e.kind, e.label.to_string(), e.peer, e.bytes)).collect::<Vec<_>>()
+            };
+            let replayed = program(sim_trace.iter().filter(|e| e.rank == rank).collect());
+            assert_eq!(replayed, program(live_rank.trace.iter().collect()), "{case} rank {rank}");
         }
     }
 }
@@ -251,8 +252,7 @@ fn refusals_agree_everywhere() {
     let paper = SolverConfig::paper(grid.clone(), Regime::NavierStokes);
     let sim = |topology, version| SimConfig {
         topology,
-        grid: grid.clone(),
-        version,
+        solver: SolverConfig { version, ..paper.clone() },
         sim_steps: 1,
         report_steps: 1,
         ..SimConfig::paper(Platform::cluster_fat_tree(), 1, paper.regime)
@@ -271,14 +271,14 @@ fn refusals_agree_everywhere() {
         let text = panic.downcast_ref::<String>().map(String::as_str);
         assert_eq!(text, Some(format!("topology refused: {error}").as_str()), "{px}x{pr}: the simulator");
         if pr == 1 {
-            let job = JobSpec::new(paper.clone(), 2, px);
+            let job = JobSpec::new(paper.clone(), 2, Shape { topology, ..Shape::SERIAL });
             assert_eq!(job.validate(), Err(error.to_string()), "{px}x1: serve admission");
         }
     }
     // a DOALL team of no threads: the driver and a shared job's admission
     let no_team = RunPlan { threads: 0, ..RunPlan::new(&paper, CartTopology::axial(1), 2, CommVersion::V5) };
     assert_eq!(ns_runtime::run(&no_team).err(), Some(E::ZeroThreads), "no threads: the driver");
-    let job = JobSpec { backend: ns_serve::Backend::Shared, ..JobSpec::new(paper.clone(), 2, 0) };
+    let job = JobSpec::new(paper.clone(), 2, Shape { threads: 0, ..Shape::SERIAL });
     assert_eq!(job.validate(), Err(E::ZeroThreads.to_string()), "no threads: serve admission");
     let (pencil, v7) = (CartTopology { px: 1, pr: 2 }, SolverConfig { version: Version::V7, ..paper.clone() });
     assert!(ns_runtime::run(&RunPlan::new(&v7, pencil, 2, CommVersion::V5)).is_ok(), "V7 1x2: the driver");

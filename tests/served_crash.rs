@@ -10,7 +10,8 @@
 
 use ns_core::config::{Regime, SolverConfig};
 use ns_numerics::Grid;
-use ns_serve::job::{Backend, JobDesc, JobSpec};
+use ns_runtime::Shape;
+use ns_serve::job::{JobDesc, JobSpec};
 use ns_serve::wal::Wal;
 use ns_serve::{Client, Response};
 use std::collections::BTreeMap;
@@ -31,8 +32,7 @@ fn campaign() -> Vec<JobSpec> {
     (0..6u64)
         .map(|i| {
             let cfg = SolverConfig::paper(Grid::new(32, 12, 50.0, 5.0), Regime::Euler);
-            let mut spec = JobSpec::new(cfg, 20 + i, 1);
-            spec.backend = Backend::Serial;
+            let mut spec = JobSpec::new(cfg, 20 + i, Shape::SERIAL);
             spec.label = format!("campaign/{i}");
             spec
         })

@@ -23,7 +23,7 @@ use ns_verify::snapshot::{GoldenFile, SCHEMA};
 fn failing_on_the_corner(key: &str, component: usize, i: usize, j: usize) -> Vec<(String, String)> {
     let mut oc = OracleConfig::standard();
     let corner = |t: CartTopology| [(1, 1), (4, 1), (2, 2)].contains(&(t.px, t.pr));
-    oc.pairs.retain(|(run, base)| corner(run.topology) && corner(base.topology));
+    oc.pairs.retain(|(run, base)| corner(run.shape.topology) && corner(base.shape.topology));
     assert_eq!(oc.pairs.len(), 992);
     oc.perturb = Some(Perturb { key: key.into(), component, i, j });
     let report = oracle::run_matrix(&oc);
