@@ -14,6 +14,9 @@ use serde::{Deserialize, Serialize};
 /// Number of ghost layers on each side (the 2-4 stencil reaches +-2).
 pub const NG: usize = 2;
 
+// Every plane puts its first interior point at the start of a cache line.
+const _: () = assert!(NG == ns_numerics::aligned::LEAD);
+
 /// A rectangular pencil `[i0, i0 + nxl) x [j0, j0 + nrl)` of the global
 /// grid. The paper's axial slabs are the `j0 = 0, nrl = grid.nr` special
 /// case; the 2-D decomposition splits both directions.

@@ -91,7 +91,7 @@ use crate::field::{Field, FluxField, Patch, PrimField, NG};
 use crate::kernels::{EdgeFlags, FluxDir};
 use crate::opcount::{self, FlopLedger};
 use crate::scheme::FusedUpdate;
-use ns_numerics::{Array2, GasModel};
+use ns_numerics::{AlignedVec, Array2, GasModel};
 use std::ops::Range;
 
 /// Lane width of the sweep: four `f64` grid points, one 256-bit register
@@ -191,13 +191,14 @@ const SLOTS: usize = 4;
 
 /// A ring of [`SLOTS`] stations of lane-aligned SoA rows: raw station `ii`
 /// lives in slot `ii % SLOTS`, its rows contiguous, each padded to a whole
-/// number of lanes. As the primitive ring it holds `rho, u, v, p, t`: the
+/// number of lanes, so a row's interior starts a lane as it does in the
+/// planes (both are [`AlignedVec`]s). As the primitive ring it holds `rho, u, v, p, t`: the
 /// sweep recovers a station into it and the flux stencils read it back
 /// while the block is still in L1, until the station four on reuses the
 /// slot. Its size depends on the patch height alone.
 #[derive(Clone, Debug)]
 struct SoaPrims {
-    data: Vec<f64>,
+    data: AlignedVec,
     stride: usize,
 }
 
@@ -212,7 +213,7 @@ impl SoaPrims {
     /// Zeroed ring of `nj`-point rows.
     fn new(nj: usize) -> Self {
         let stride = pad(nj);
-        Self { data: vec![0.0; SLOTS * 5 * stride], stride }
+        Self { data: AlignedVec::filled(SLOTS * 5 * stride, 0.0), stride }
     }
 
     #[inline(always)]

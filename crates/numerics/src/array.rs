@@ -7,26 +7,28 @@
 //! Version 3 "loop interchange" study (Figure 2) is reproduced by running the
 //! same kernels with the two loop orders over this layout.
 
+use crate::AlignedVec;
 use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
-/// Dense row-major 2-D array of `f64`.
+/// Dense row-major 2-D array of `f64`, its element [`crate::aligned::LEAD`]
+/// at the start of a cache line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Array2 {
     ni: usize,
     nj: usize,
-    data: Vec<f64>,
+    data: AlignedVec,
 }
 
 impl Array2 {
     /// Create an `ni x nj` array filled with zeros.
     pub fn zeros(ni: usize, nj: usize) -> Self {
-        Self { ni, nj, data: vec![0.0; ni * nj] }
+        Self { ni, nj, data: AlignedVec::filled(ni * nj, 0.0) }
     }
 
     /// Create an `ni x nj` array filled with `v`.
     pub fn filled(ni: usize, nj: usize, v: f64) -> Self {
-        Self { ni, nj, data: vec![v; ni * nj] }
+        Self { ni, nj, data: AlignedVec::filled(ni * nj, v) }
     }
 
     /// Create from a generator `f(i, j)`.

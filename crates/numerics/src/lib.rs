@@ -12,6 +12,7 @@
 //! cache behaviour of every sweep is predictable (see the single-processor
 //! optimization study, Figure 2 of the paper).
 
+pub mod aligned;
 pub mod array;
 pub mod extrap;
 pub mod gas;
@@ -19,6 +20,7 @@ pub mod grid;
 pub mod norms;
 pub mod profile;
 
+pub use aligned::AlignedVec;
 pub use array::Array2;
 pub use gas::GasModel;
 pub use grid::Grid;
